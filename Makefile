@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race vet fmt-check lint lint-tool lint-new lint-deps staticcheck govulncheck ci bench cluster-smoke replication-smoke crash-matrix obs-overhead-smoke index-smoke clean
+.PHONY: all build test race vet fmt-check lint lint-tool lint-new lint-deps staticcheck govulncheck ci bench cluster-smoke replication-smoke crash-matrix obs-overhead-smoke index-smoke bench-smoke clean
 
 all: build
 
@@ -63,7 +63,7 @@ lint: fmt-check vet lint-tool
 		echo "govulncheck not installed; skipping (pin: golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
 
-ci: lint build race cluster-smoke replication-smoke crash-matrix obs-overhead-smoke index-smoke
+ci: lint build race cluster-smoke replication-smoke crash-matrix obs-overhead-smoke index-smoke bench-smoke
 
 # End-to-end differential check: a 3-shard loopback HTTP cluster must
 # answer range, compound and k-NN queries identically to a single node.
@@ -85,6 +85,12 @@ obs-overhead-smoke:
 # visit strictly fewer tree nodes per query than there are candidates.
 index-smoke:
 	bash scripts/index-smoke.sh
+
+# The benchmark harness is its own module (benchmark/go.mod), so the root
+# build and `go test ./...` never compile it. This proves an API-deleting
+# change still builds it and that its smoke suite (TestSmokeSuite) passes.
+bench-smoke:
+	$(GO) vet -C benchmark ./... && $(GO) test -C benchmark ./...
 
 # Durability fault matrix: kill the store at every write/fsync budget,
 # recover, and assert no acked write is lost, no unacked write half-applies,

@@ -10,12 +10,12 @@
 //	BenchmarkFigure4Flag        — Figure 4: flag sweep, RBM vs BWM
 //	BenchmarkAblation*          — DESIGN.md ablations (widening share,
 //	                              ops/image, instantiation baseline,
-//	                              precomputed bounds cache)
+//	                              precomputed bounds)
 //	BenchmarkExtension*         — DESIGN.md extensions (pruned k-NN,
-//	                              R-tree probe, BIC signatures)
+//	                              BIC signatures)
 //
 // plus micro-benchmarks for the substrates (histogram extraction,
-// instantiation, BOUNDS walks, the page store and the R-tree).
+// instantiation, BOUNDS walks and the page store).
 package mmdb_test
 
 import (
@@ -32,7 +32,6 @@ import (
 	"repro/internal/histogram"
 	"repro/internal/imaging"
 	"repro/internal/query"
-	"repro/internal/rtree"
 	"repro/internal/rules"
 	"repro/internal/store"
 
@@ -201,7 +200,7 @@ func BenchmarkAblationInstantiate(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	for _, mode := range []core.Mode{core.ModeInstantiate, core.ModeRBM, core.ModeBWM, core.ModeBWMIndexed} {
+	for _, mode := range []core.Mode{core.ModeInstantiate, core.ModeRBM, core.ModeBWM, core.ModeIndexed} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := corpus.RunWorkload(db, mode); err != nil {
@@ -234,29 +233,6 @@ func BenchmarkExtensionKNN(b *testing.B) {
 		pruned = st.EditedPruned
 	}
 	b.ReportMetric(float64(pruned), "edited-pruned")
-}
-
-// BenchmarkExtensionRTree compares the BWM base probe strategies
-// (extension E).
-func BenchmarkExtensionRTree(b *testing.B) {
-	cfg := bench.FlagConfig()
-	cfg.Queries = 30
-	cfg.Name = "flag-bench-rtree"
-	corpus := corpusFor(b, cfg)
-	db, err := corpus.BuildDBAt(cfg.Edited)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	for _, mode := range []core.Mode{core.ModeBWM, core.ModeBWMIndexed} {
-		b.Run(mode.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := corpus.RunWorkload(db, mode); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // --- Substrate micro-benchmarks ---
@@ -308,29 +284,6 @@ func BenchmarkStorePutGet(b *testing.B) {
 	}
 }
 
-func BenchmarkRTreeInsertQuery(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	tr := rtree.New(8, 16)
-	point := func() []float64 {
-		p := make([]float64, 8)
-		for i := range p {
-			p[i] = rng.Float64()
-		}
-		return p
-	}
-	for i := 0; i < 2000; i++ {
-		tr.InsertPoint(point(), uint64(i+1))
-	}
-	q := point()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.NearestK(q, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkInsertImage(b *testing.B) {
 	db, err := mmdb.Open()
 	if err != nil {
@@ -369,9 +322,9 @@ func BenchmarkExtensionBIC(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCachedBounds compares the warmed bounds cache against
-// the rule-walking modes (ablation G).
-func BenchmarkAblationCachedBounds(b *testing.B) {
+// BenchmarkAblationPrecomputedBounds compares the built bounds S-tree
+// against the rule-walking modes (ablation G).
+func BenchmarkAblationPrecomputedBounds(b *testing.B) {
 	cfg := bench.FlagConfig()
 	cfg.Queries = 30
 	cfg.Name = "flag-bench-cache"
@@ -381,10 +334,11 @@ func BenchmarkAblationCachedBounds(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	if err := db.WarmBoundsCache(); err != nil {
+	// One untimed pass pays the lazy S-tree build.
+	if _, _, err := corpus.RunWorkload(db, core.ModeIndexed); err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []core.Mode{core.ModeRBM, core.ModeBWM, core.ModeCachedBounds} {
+	for _, mode := range []core.Mode{core.ModeRBM, core.ModeBWM, core.ModeIndexed} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := corpus.RunWorkload(db, mode); err != nil {

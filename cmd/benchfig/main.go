@@ -7,7 +7,7 @@
 //	benchfig -exp all
 //	benchfig -exp table1|table2|fig3|fig4|summary
 //	benchfig -exp ablation-widening|ablation-ops|ablation-baseline|ablation-cache
-//	benchfig -exp ext-knn|ext-rtree|ext-bic
+//	benchfig -exp ext-knn|ext-bic
 //	benchfig -exp scale|cluster|commit|obsoverhead|segment|index
 package main
 
@@ -35,7 +35,7 @@ func run(exp string) error {
 		for _, e := range []string{
 			"table1", "table2", "fig3", "fig4", "summary",
 			"ablation-widening", "ablation-ops", "ablation-baseline", "ablation-cache", "ablation-optimize", "ablation-quantizer",
-			"ext-knn", "ext-rtree", "ext-bic", "scale", "cluster",
+			"ext-knn", "ext-bic", "scale", "cluster",
 		} {
 			if err := run(e); err != nil {
 				return fmt.Errorf("%s: %w", e, err)
@@ -126,13 +126,6 @@ func run(exp string) error {
 			return err
 		}
 		bench.WriteKNN(out, res)
-		return nil
-	case "ext-rtree":
-		res, err := bench.RunRTreeExtension(bench.FlagConfig())
-		if err != nil {
-			return err
-		}
-		bench.WriteRTree(out, res)
 		return nil
 	case "ext-bic":
 		res, err := bench.RunBICExtension(bench.HelmetConfig())

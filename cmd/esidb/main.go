@@ -9,8 +9,9 @@
 //	esidb insert  -db file -name label image.(ppm|png)
 //	esidb edit    -db file -name label script.txt
 //	esidb augment -db file -id N [-per 3] [-ops 4] [-nonwidening 0.2] [-seed 1]
-//	esidb query   -db file [-mode bwm|rbm|bwm-indexed|instantiate|cached-bounds|indexed] [-bases] [-trace] [-parallelism N] "at least 25% blue"
-//	              (compound: "at least 20% red and at most 10% blue")
+//	esidb query   -db file [-mode MODE] [-bases] [-trace] [-parallelism N] "at least 25% blue"
+//	              (compound: "at least 20% red and at most 10% blue";
+//	              MODE is one of mmdb.ModeNames(), listed by "esidb query -h")
 //	esidb similar -db file [-k 5] [-metric l1|l2|intersection] probe.(ppm|png)
 //	esidb delete  -db file -id N
 //	esidb export  -db file -id N -o out.(ppm|png)

@@ -93,7 +93,7 @@ func unrelated(s string) int {
 // bad: mode switch with a default but missing registered modes — a new
 // execution mode would fall into the default silently.
 func modePartial(m core.Mode) string {
-	switch m { // want "switch over core.Mode misses mode\(s\) ModeBWMIndexed, ModeCachedBounds, ModeIndexed, ModeInstantiate"
+	switch m { // want "switch over core.Mode misses mode\(s\) ModeIndexed, ModeInstantiate"
 	case core.ModeBWM:
 		return "bwm"
 	case core.ModeRBM:
@@ -107,8 +107,7 @@ func modePartial(m core.Mode) string {
 // decoded from the wire.
 func modeNoDefault(m core.Mode) bool {
 	switch m { // want "switch over core.Mode has no default arm"
-	case core.ModeBWM, core.ModeRBM, core.ModeBWMIndexed,
-		core.ModeInstantiate, core.ModeCachedBounds, core.ModeIndexed:
+	case core.ModeBWM, core.ModeRBM, core.ModeInstantiate, core.ModeIndexed:
 		return true
 	}
 	return false
@@ -121,12 +120,8 @@ func modeExhaustive(m core.Mode) string {
 		return "bwm"
 	case core.ModeRBM:
 		return "rbm"
-	case core.ModeBWMIndexed:
-		return "bwm-indexed"
 	case core.ModeInstantiate:
 		return "instantiate"
-	case core.ModeCachedBounds:
-		return "cached-bounds"
 	case core.ModeIndexed:
 		return "indexed"
 	default:

@@ -65,7 +65,7 @@ func pkgOfCall(info *types.Info, call *ast.CallExpr) *types.Package {
 	return nil
 }
 
-// exprPath renders a selector/identifier chain ("db.bcache.shards") as a
+// exprPath renders a selector/identifier chain ("s.db.mu") as a
 // canonical string for structural comparison; ok is false for expressions
 // that are not simple chains (calls, indexes, etc. keep their sub-chain
 // where possible).

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -117,13 +118,13 @@ func WriteAblationOps(w io.Writer, points []OpsPoint) {
 // Ablation C — the instantiation baseline the paper's §3 dismisses
 // ("instantiation is an expensive process ... it should be avoided").
 
-// BaselineResult compares all four execution modes on one database.
+// BaselineResult compares instantiation with the paper's two methods on one
+// database.
 type BaselineResult struct {
 	Config      Config
 	Instantiate time.Duration
 	RBM         time.Duration
 	BWM         time.Duration
-	BWMIndexed  time.Duration
 }
 
 // RunBaseline times every mode at full sequence storage.
@@ -145,7 +146,6 @@ func RunBaseline(cfg Config) (*BaselineResult, error) {
 		{core.ModeInstantiate, &res.Instantiate},
 		{core.ModeRBM, &res.RBM},
 		{core.ModeBWM, &res.BWM},
-		{core.ModeBWMIndexed, &res.BWMIndexed},
 	} {
 		d, _, err := corpus.timeWorkload(db, m.mode)
 		if err != nil {
@@ -167,7 +167,6 @@ func WriteBaseline(w io.Writer, r *BaselineResult) {
 		{"instantiate", r.Instantiate},
 		{"rbm", r.RBM},
 		{"bwm", r.BWM},
-		{"bwm-indexed", r.BWMIndexed},
 	}
 	for _, row := range rows {
 		ratio := float64(row.d) / float64(r.BWM)
@@ -252,74 +251,6 @@ func WriteKNN(w io.Writer, r *KNNResult) {
 	fmt.Fprintf(w, "%-22s %14s\n", "exhaustive", r.Exhaustive.Round(time.Microsecond))
 	fmt.Fprintf(w, "edited images pruned: %d of %d (%.1f%%)\n",
 		r.EditedPruned, r.EditedTotal, 100*float64(r.EditedPruned)/float64(max(1, r.EditedTotal)))
-}
-
-// Extension E — R-tree-served base probe (ModeBWMIndexed) vs the linear
-// Main Component scan (ModeBWM).
-
-// RTreeResult compares the two BWM variants.
-type RTreeResult struct {
-	Config      Config
-	BWM         time.Duration
-	BWMIndexed  time.Duration
-	DeltaPct    float64
-	ResultsSame bool
-}
-
-// RunRTreeExtension times both BWM variants and verifies equal results.
-func RunRTreeExtension(cfg Config) (*RTreeResult, error) {
-	corpus, err := BuildCorpus(cfg)
-	if err != nil {
-		return nil, err
-	}
-	db, err := corpus.BuildDBAt(cfg.Edited)
-	if err != nil {
-		return nil, err
-	}
-	defer db.Close()
-	res := &RTreeResult{Config: cfg, ResultsSame: true}
-	for _, q := range corpus.Workload {
-		a, err := db.RangeQuery(q, core.ModeBWM)
-		if err != nil {
-			return nil, err
-		}
-		b, err := db.RangeQuery(q, core.ModeBWMIndexed)
-		if err != nil {
-			return nil, err
-		}
-		if len(a.IDs) != len(b.IDs) {
-			res.ResultsSame = false
-		} else {
-			for i := range a.IDs {
-				if a.IDs[i] != b.IDs[i] {
-					res.ResultsSame = false
-					break
-				}
-			}
-		}
-	}
-	d, _, err := corpus.timeWorkload(db, core.ModeBWM)
-	if err != nil {
-		return nil, err
-	}
-	res.BWM = d
-	d, _, err = corpus.timeWorkload(db, core.ModeBWMIndexed)
-	if err != nil {
-		return nil, err
-	}
-	res.BWMIndexed = d
-	if res.BWM > 0 {
-		res.DeltaPct = 100 * float64(res.BWM-res.BWMIndexed) / float64(res.BWM)
-	}
-	return res, nil
-}
-
-// WriteRTree prints extension E.
-func WriteRTree(w io.Writer, r *RTreeResult) {
-	fmt.Fprintf(w, "Extension E — R-tree base probe on the %s corpus\n", r.Config.Name)
-	fmt.Fprintf(w, "%-14s %14s\n", "bwm (scan)", r.BWM.Round(time.Microsecond))
-	fmt.Fprintf(w, "%-14s %14s\n", "bwm-indexed", r.BWMIndexed.Round(time.Microsecond))
-	fmt.Fprintf(w, "delta: %.2f%%, identical results: %v\n", r.DeltaPct, r.ResultsSame)
 }
 
 func max(a, b int) int {
@@ -434,24 +365,30 @@ func WriteBIC(w io.Writer, r *BICResult) {
 	fmt.Fprintf(w, "%-20s %9.1f%% %10.2f\n", "BIC (dLog)", 100*r.BICRecall1, r.BICMeanRank)
 }
 
-// Ablation G — precomputed bounds cache. The opposite end of the design
-// space from BWM: pay memory (bins × edited images) and insert-time
-// computation to answer every query with one interval test per edited
-// image. Quantifies what the paper's approach gives up versus what it
-// saves.
+// Ablation G — precomputed bounds. The opposite end of the design space
+// from BWM: pay memory (bins × candidates) and a build pass of one rule walk
+// per edited image to answer every later query from stored bound vectors.
+// ModeIndexed is that design point — the S-tree leaves are the one store of
+// per-candidate bounds. Quantifies what the paper's approach gives up versus
+// what it saves.
 
-// CachedResult compares the three bound-based strategies.
+// CachedResult compares the two rule-walking strategies with the
+// precomputed-bounds one.
 type CachedResult struct {
-	Config       Config
-	RBM          time.Duration
-	BWM          time.Duration
-	Cached       time.Duration
-	WarmTime     time.Duration
-	CacheEntries int
-	CacheBytes   int64
+	Config  Config
+	RBM     time.Duration
+	BWM     time.Duration
+	Indexed time.Duration
+	// BuildTime is the first indexed query: the lazy S-tree bulk build plus
+	// that query's descent.
+	BuildTime time.Duration
+	// Items is the number of boxes the tree holds; Bytes the size of its
+	// bounds vectors at items × bins × 24 B (three ints per bin).
+	Items int
+	Bytes int64
 }
 
-// RunCachedAblation times RBM vs BWM vs the warmed cache.
+// RunCachedAblation times RBM vs BWM vs the built S-tree.
 func RunCachedAblation(cfg Config) (*CachedResult, error) {
 	corpus, err := BuildCorpus(cfg)
 	if err != nil {
@@ -465,11 +402,12 @@ func RunCachedAblation(cfg Config) (*CachedResult, error) {
 	res := &CachedResult{Config: cfg}
 
 	start := time.Now()
-	if err := db.WarmBoundsCache(); err != nil {
+	if _, err := db.RangeQueryCtx(context.Background(), query.Range{Bin: 0, PctMin: 0, PctMax: 1}, core.ModeIndexed); err != nil {
 		return nil, err
 	}
-	res.WarmTime = time.Since(start)
-	res.CacheEntries, res.CacheBytes = db.BoundsCacheStats()
+	res.BuildTime = time.Since(start)
+	_, res.Items, _ = db.SearchIndexStats()
+	res.Bytes = int64(res.Items) * int64(db.Quantizer().Bins()) * 24
 
 	for _, m := range []struct {
 		mode core.Mode
@@ -477,7 +415,7 @@ func RunCachedAblation(cfg Config) (*CachedResult, error) {
 	}{
 		{core.ModeRBM, &res.RBM},
 		{core.ModeBWM, &res.BWM},
-		{core.ModeCachedBounds, &res.Cached},
+		{core.ModeIndexed, &res.Indexed},
 	} {
 		d, _, err := corpus.timeWorkload(db, m.mode)
 		if err != nil {
@@ -490,12 +428,12 @@ func RunCachedAblation(cfg Config) (*CachedResult, error) {
 
 // WriteCached prints ablation G.
 func WriteCached(w io.Writer, r *CachedResult) {
-	fmt.Fprintf(w, "Ablation G — precomputed bounds cache (%s corpus)\n", r.Config.Name)
+	fmt.Fprintf(w, "Ablation G — precomputed bounds (%s corpus)\n", r.Config.Name)
 	fmt.Fprintf(w, "%-16s %14s\n", "rbm", r.RBM.Round(time.Microsecond))
 	fmt.Fprintf(w, "%-16s %14s\n", "bwm", r.BWM.Round(time.Microsecond))
-	fmt.Fprintf(w, "%-16s %14s\n", "cached-bounds", r.Cached.Round(time.Microsecond))
-	fmt.Fprintf(w, "cache: %d entries, %d bytes, %s to warm\n",
-		r.CacheEntries, r.CacheBytes, r.WarmTime.Round(time.Microsecond))
+	fmt.Fprintf(w, "%-16s %14s\n", "indexed", r.Indexed.Round(time.Microsecond))
+	fmt.Fprintf(w, "index: %d items, %d bytes of bounds, %s first-query build\n",
+		r.Items, r.Bytes, r.BuildTime.Round(time.Microsecond))
 }
 
 // Ablation H — the sequence optimizer. Augmentation scripts carry dead

@@ -334,22 +334,6 @@ func TestKNNExtension(t *testing.T) {
 	}
 }
 
-func TestRTreeExtensionResultsIdentical(t *testing.T) {
-	cfg := tinyConfig()
-	res, err := RunRTreeExtension(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.ResultsSame {
-		t.Fatal("indexed BWM produced different results")
-	}
-	var buf bytes.Buffer
-	WriteRTree(&buf, res)
-	if !strings.Contains(buf.String(), "R-tree") {
-		t.Fatal("rtree print malformed")
-	}
-}
-
 func TestBICExtension(t *testing.T) {
 	cfg := tinyConfig()
 	res, err := RunBICExtension(cfg)
@@ -377,12 +361,13 @@ func TestCachedAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CacheEntries != tinyConfig().Edited || res.CacheBytes <= 0 {
-		t.Fatalf("cache %d entries %d bytes", res.CacheEntries, res.CacheBytes)
+	cfg := tinyConfig()
+	if want := cfg.Total(); res.Items != want || res.Bytes <= 0 || res.BuildTime <= 0 {
+		t.Fatalf("index %d items (want %d) %d bytes, build %s", res.Items, want, res.Bytes, res.BuildTime)
 	}
 	var buf bytes.Buffer
 	WriteCached(&buf, res)
-	if !strings.Contains(buf.String(), "cached-bounds") {
+	if !strings.Contains(buf.String(), "indexed") {
 		t.Fatal("ablation G print malformed")
 	}
 }

@@ -94,60 +94,52 @@ func TestCompoundQueryValidation(t *testing.T) {
 	}
 }
 
-func TestCachedBoundsModeEqualsRBM(t *testing.T) {
+func TestIndexedModeEqualsRBM(t *testing.T) {
 	db := memDB(t)
 	populate(t, db, 6, 4, 0.3, 31)
-	if err := db.WarmBoundsCache(); err != nil {
-		t.Fatal(err)
-	}
-	entries, bytes := db.BoundsCacheStats()
-	if entries != len(db.EditedIDs()) || bytes <= 0 {
-		t.Fatalf("cache stats %d entries %d bytes", entries, bytes)
-	}
 	queries, _ := dataset.RangeWorkload(dataset.WorkloadConfig{Queries: 40, Seed: 3}, db.Quantizer())
-	for _, q := range queries {
-		a, err := db.RangeQuery(q, ModeRBM)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := db.RangeQuery(q, ModeCachedBounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameIDs(a.IDs, b.IDs) {
-			t.Fatalf("cached mode differs: %v vs %v", a.IDs, b.IDs)
-		}
+	requireIndexedEqualsRBM(t, "built", db, db, queries)
+	if ready, items, _ := db.SearchIndexStats(); !ready || items != len(db.Binaries())+len(db.EditedIDs()) {
+		t.Fatalf("index stats: ready=%v items=%d", ready, items)
 	}
 }
 
-func TestCachedBoundsLazyAndInvalidatedOnDelete(t *testing.T) {
+func TestIndexedLazyAndMaintainedOnDelete(t *testing.T) {
 	db := memDB(t)
 	populate(t, db, 3, 2, 0, 32)
-	// Lazy: first cached query fills the cache.
-	if n, _ := db.BoundsCacheStats(); n != 0 {
-		t.Fatalf("cache pre-populated: %d", n)
+	// Lazy: the first indexed query builds the tree.
+	if ready, n, _ := db.SearchIndexStats(); ready || n != 0 {
+		t.Fatalf("index pre-built: ready=%v items=%d", ready, n)
 	}
 	q, _ := dataset.RangeWorkload(dataset.WorkloadConfig{Queries: 1, Seed: 1}, db.Quantizer())
-	if _, err := db.RangeQuery(q[0], ModeCachedBounds); err != nil {
+	if _, err := db.RangeQuery(q[0], ModeIndexed); err != nil {
 		t.Fatal(err)
 	}
-	n1, _ := db.BoundsCacheStats()
-	if n1 != len(db.EditedIDs()) {
-		t.Fatalf("cache after query: %d", n1)
+	_, n1, _ := db.SearchIndexStats()
+	if n1 != len(db.Binaries())+len(db.EditedIDs()) {
+		t.Fatalf("index after query: %d", n1)
 	}
 	victim := db.EditedIDs()[0]
 	if err := db.Delete(victim); err != nil {
 		t.Fatal(err)
 	}
-	n2, _ := db.BoundsCacheStats()
-	if n2 != n1-1 {
-		t.Fatalf("cache after delete: %d, want %d", n2, n1-1)
+	if _, n2, _ := db.SearchIndexStats(); n2 != n1-1 {
+		t.Fatalf("index after delete: %d, want %d", n2, n1-1)
 	}
 	// Queries still correct.
 	a, _ := db.RangeQuery(q[0], ModeRBM)
-	b, _ := db.RangeQuery(q[0], ModeCachedBounds)
+	b, _ := db.RangeQuery(q[0], ModeIndexed)
 	if !sameIDs(a.IDs, b.IDs) {
-		t.Fatal("cached mode wrong after delete")
+		t.Fatal("indexed mode wrong after delete")
+	}
+	// A closed database refuses to build rather than index a dead catalog.
+	closed, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	if _, err := closed.RangeQuery(q[0], ModeIndexed); err == nil {
+		t.Fatal("indexed query built an index on a closed database")
 	}
 }
 

@@ -58,7 +58,7 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 10; rep++ {
 				for _, q := range queries {
-					for _, mode := range []Mode{ModeBWM, ModeRBM, ModeBWMIndexed} {
+					for _, mode := range []Mode{ModeBWM, ModeRBM, ModeIndexed} {
 						if _, err := db.RangeQuery(q, mode); err != nil {
 							t.Error(err)
 							return
@@ -112,7 +112,11 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameIDs(a.IDs, b.IDs) {
+		c, err := db.RangeQuery(q, ModeIndexed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDs(a.IDs, b.IDs) || !sameIDs(a.IDs, c.IDs) {
 			t.Fatalf("modes disagree after concurrent phase")
 		}
 	}
@@ -121,8 +125,8 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 // TestConcurrentParallelQueriesAndMutations is the stress companion for the
 // parallel engine: every query surface fans out (Parallelism 8) while one
 // writer inserts, appends operations to existing sequences, and deletes.
-// AppendOps in particular races the bounds cache's staleness check. Run
-// with -race.
+// AppendOps in particular replaces S-tree bounds boxes under readers'
+// snapshots. Run with -race.
 func TestConcurrentParallelQueriesAndMutations(t *testing.T) {
 	db := memDB(t)
 	populate(t, db, 4, 3, 0.3, 77)
@@ -131,14 +135,16 @@ func TestConcurrentParallelQueriesAndMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WarmBoundsCache(); err != nil {
+	// Build the S-tree up front so every write below maintains it
+	// incrementally while indexed readers descend it.
+	if _, err := db.RangeQuery(queries[0], ModeIndexed); err != nil {
 		t.Fatal(err)
 	}
 
 	var wg sync.WaitGroup
 
 	// Writer: inserts a base + edit, appends ops to a pre-existing edited
-	// image (invalidating its cached bounds), deletes every third insert.
+	// image (replacing its S-tree bounds box), deletes every third insert.
 	preEdited := db.EditedIDs()
 	wg.Add(1)
 	go func() {
@@ -172,7 +178,7 @@ func TestConcurrentParallelQueriesAndMutations(t *testing.T) {
 		}
 	}()
 
-	// Readers: all five range modes plus multirange, compound and k-NN,
+	// Readers: all four range modes plus multirange, compound and k-NN,
 	// each from its own goroutine, all fanning out internally.
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
@@ -180,7 +186,7 @@ func TestConcurrentParallelQueriesAndMutations(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 5; rep++ {
 				for _, q := range queries {
-					for _, mode := range []Mode{ModeBWM, ModeRBM, ModeBWMIndexed, ModeInstantiate, ModeCachedBounds} {
+					for _, mode := range []Mode{ModeBWM, ModeRBM, ModeInstantiate, ModeIndexed} {
 						if _, err := db.RangeQuery(q, mode); err != nil {
 							t.Error(err)
 							return
@@ -195,7 +201,7 @@ func TestConcurrentParallelQueriesAndMutations(t *testing.T) {
 		defer wg.Done()
 		for rep := 0; rep < 8; rep++ {
 			mq := query.MultiRange{Bins: []int{0, 3, 9}, PctMin: 0.01, PctMax: 0.9}
-			for _, mode := range []Mode{ModeRBM, ModeBWM, ModeInstantiate, ModeCachedBounds} {
+			for _, mode := range []Mode{ModeRBM, ModeBWM, ModeInstantiate, ModeIndexed} {
 				if _, err := db.RangeQueryMulti(mq, mode); err != nil {
 					t.Error(err)
 					return
@@ -227,14 +233,14 @@ func TestConcurrentParallelQueriesAndMutations(t *testing.T) {
 
 	wg.Wait()
 
-	// Post-quiesce: all bound modes must agree — including ModeCachedBounds,
-	// whose cache saw AppendOps invalidations mid-run.
+	// Post-quiesce: all bound modes must agree — including ModeIndexed,
+	// whose leaves saw AppendOps replacements mid-run.
 	for _, q := range queries {
 		ref, err := db.RangeQuery(q, ModeRBM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []Mode{ModeBWM, ModeBWMIndexed, ModeCachedBounds} {
+		for _, mode := range []Mode{ModeBWM, ModeIndexed} {
 			res, err := db.RangeQuery(q, mode)
 			if err != nil {
 				t.Fatal(err)

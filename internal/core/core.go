@@ -1,10 +1,10 @@
 // Package core implements the augmented multimedia database itself: a DB
 // that stores binary images conventionally and edited images as operation
-// sequences, keeps the BWM data structure and an R-tree signature index
-// maintained on insert, answers color range queries in several execution
-// modes (BWM, RBM, indexed BWM, instantiation ground truth), answers k-NN
-// similarity queries with bound-based pruning, and persists everything
-// through the page store.
+// sequences, keeps the BWM data structure and the bounds S-tree maintained
+// on insert, answers color range queries in several execution modes (BWM,
+// RBM, S-tree indexed, instantiation ground truth), answers k-NN similarity
+// queries with bound-based pruning, and persists everything through the
+// page store.
 //
 // Concurrency model: any number of readers (queries) run concurrently with
 // one writer (insert/delete/compact). Queries see a consistent snapshot of
@@ -33,7 +33,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/rbm"
-	"repro/internal/rtree"
 	"repro/internal/rules"
 	"repro/internal/store"
 	"repro/internal/store/segment"
@@ -48,24 +47,18 @@ const (
 	ModeBWM Mode = iota
 	// ModeRBM uses the Rule-Based Method baseline (§3).
 	ModeRBM
-	// ModeBWMIndexed is ModeBWM with the base-satisfaction probe served by
-	// the R-tree signature index instead of a catalog scan (extension E).
-	ModeBWMIndexed
 	// ModeInstantiate materializes every edited image and matches exact
 	// histograms — the expensive ground truth the paper's methods avoid
 	// (ablation C). Unlike the bound-based modes it returns no false
 	// positives.
 	ModeInstantiate
-	// ModeCachedBounds answers from precomputed per-bin bounds vectors —
-	// the memory-heavy end of the design space (ablation G). Results are
-	// identical to RBM/BWM.
-	ModeCachedBounds
 	// ModeIndexed answers from the bounds S-tree (internal/stree): a
 	// bulk-loaded tree over per-candidate [min,max] percentage boxes whose
 	// inner nodes hold their subtree's union box, so a query descends only
 	// into intersecting nodes and admits fully contained subtrees without
-	// per-candidate rule walks — the sublinear strategy. Results are
-	// identical to RBM/BWM.
+	// per-candidate rule walks — the sublinear strategy, and the one
+	// precomputed-bounds design point (ablation G). Results are identical to
+	// RBM/BWM.
 	ModeIndexed
 )
 
@@ -76,12 +69,8 @@ func (m Mode) String() string {
 		return "bwm"
 	case ModeRBM:
 		return "rbm"
-	case ModeBWMIndexed:
-		return "bwm-indexed"
 	case ModeInstantiate:
 		return "instantiate"
-	case ModeCachedBounds:
-		return "cached-bounds"
 	case ModeIndexed:
 		return "indexed"
 	default:
@@ -109,10 +98,10 @@ func ModeNames() []string {
 	return out
 }
 
-// ParseMode resolves a mode string ("bwm", "rbm", "bwm-indexed",
-// "instantiate", "cached-bounds", "indexed") to its Mode. The empty string
-// means the default, ModeBWM. Unknown strings fail with an error that
-// enumerates every valid name, so callers never hand-maintain the list.
+// ParseMode resolves a mode string (one of ModeNames) to its Mode. The
+// empty string means the default, ModeBWM. Unknown strings fail with an
+// error that enumerates every valid name, so callers never hand-maintain
+// the list.
 func ParseMode(s string) (Mode, error) {
 	if s == "" {
 		return ModeBWM, nil
@@ -129,7 +118,7 @@ func ParseMode(s string) (Mode, error) {
 // execution mode, resolved once at package init so the query path does one
 // map read plus atomics.
 var (
-	allModes  = []Mode{ModeBWM, ModeRBM, ModeBWMIndexed, ModeInstantiate, ModeCachedBounds, ModeIndexed}
+	allModes  = []Mode{ModeBWM, ModeRBM, ModeInstantiate, ModeIndexed}
 	mQueryDur = func() map[Mode]*obs.Histogram {
 		out := make(map[Mode]*obs.Histogram, len(allModes))
 		for _, m := range allModes {
@@ -147,7 +136,7 @@ var (
 	// mPagesRead and mFastPathAdmitted resolve to the same counter objects
 	// the store and bwm packages increment (the registry is get-or-create by
 	// name); core reads the former for trace deltas and bumps the latter on
-	// the indexed fast path.
+	// the multi-bin fast path.
 	mPagesRead        = obs.Default().Counter("esidb_store_pages_read_total")
 	mFastPathAdmitted = obs.Default().Counter("esidb_bwm_fastpath_admitted_total")
 )
@@ -163,8 +152,6 @@ type Config struct {
 	Path string
 	// Store tunes the page store when Path is set.
 	Store store.Options
-	// RTreeFanout is the signature index node capacity; 0 means 16.
-	RTreeFanout int
 	// Parallelism caps the candidate-evaluation worker pool: 0 (auto)
 	// scales with GOMAXPROCS, 1 forces the serial walk, n > 1 uses exactly
 	// n workers. Results are identical at every setting; only wall time
@@ -199,7 +186,6 @@ type DB struct {
 	idx     *bwm.Index
 	rbmProc *rbm.Processor
 	bwmProc *bwm.Processor
-	sig     *rtree.Tree
 
 	// sidx is the bounds S-tree behind ModeIndexed. It is built lazily by
 	// the first indexed query (sidxReady flips true under db.mu) and from
@@ -214,7 +200,6 @@ type DB struct {
 	wal        *store.WAL      // nil when in-memory
 	rasters    map[uint64]*imaging.Image
 	rasterRecs map[uint64]store.RecordID
-	bcache     *boundsCache
 
 	closed bool
 }
@@ -229,9 +214,6 @@ func Open(cfg Config) (*DB, error) {
 	defaulted := cfg.Quantizer == nil
 	if defaulted {
 		cfg.Quantizer = colorspace.NewUniformRGB(4)
-	}
-	if cfg.RTreeFanout == 0 {
-		cfg.RTreeFanout = 16
 	}
 	db := newDB(cfg)
 	if cfg.Path == "" {
@@ -356,9 +338,7 @@ func newDB(cfg Config) *DB {
 		idx:        bwm.NewIndex(),
 		rasters:    make(map[uint64]*imaging.Image),
 		rasterRecs: make(map[uint64]store.RecordID),
-		bcache:     newBoundsCache(),
-		sig:        rtree.New(cfg.Quantizer.Bins(), cfg.RTreeFanout),
-		sidx:       stree.New(cfg.Quantizer.Bins(), cfg.RTreeFanout),
+		sidx:       stree.New(cfg.Quantizer.Bins(), sidxFanout),
 	}
 	db.engine = rules.NewEngine(cfg.Quantizer, cfg.Background, db.cat)
 	db.rbmProc = rbm.New(db.cat, db.engine)
@@ -471,7 +451,7 @@ func (db *DB) Sync() error {
 
 // InsertImage stores a binary image: the raster goes to the blob store (or
 // the in-memory map), the histogram is extracted into the catalog, the BWM
-// Main Component gains a cluster and the signature index a point.
+// Main Component gains a cluster and the S-tree (once built) a point box.
 func (db *DB) InsertImage(name string, img *imaging.Image) (uint64, error) {
 	return db.InsertImageCtx(context.Background(), 0, name, img)
 }
@@ -535,9 +515,6 @@ func (db *DB) applyInsertBinaryLocked(id uint64, name string, img *imaging.Image
 		}
 	}
 	db.idx.InsertBinary(id)
-	if err := db.sig.InsertPoint(hist.Normalized(), id); err != nil {
-		return 0, err
-	}
 	db.sidxInsertBinaryLocked(id, hist)
 	return id, nil
 }
@@ -605,7 +582,7 @@ func (db *DB) applyInsertEditedLocked(id uint64, name string, seq *editops.Seque
 // AppendOps extends a stored edited image's sequence with more operations
 // — the editing-session update path. The sequence is re-classified from
 // scratch, the image re-routed between the BWM components if its
-// classification changed, and its cached bounds dropped.
+// classification changed, and its S-tree bounds box replaced.
 func (db *DB) AppendOps(id uint64, ops []editops.Op) error {
 	return db.AppendOpsCtx(context.Background(), id, ops)
 }
@@ -640,8 +617,8 @@ func (db *DB) AppendOpsCtx(ctx context.Context, id uint64, ops []editops.Op) err
 
 // applySetSequenceLocked replaces an edited image's sequence wholesale:
 // re-classify, re-route between BWM components if the classification
-// changed, drop cached bounds. Shared by AppendOpsCtx and WAL replay;
-// caller holds db.mu.
+// changed, replace the S-tree bounds box. Shared by AppendOpsCtx and WAL
+// replay; caller holds db.mu.
 func (db *DB) applySetSequenceLocked(id uint64, newSeq *editops.Sequence) error {
 	obj, err := db.cat.Edited(id)
 	if err != nil {
@@ -667,7 +644,6 @@ func (db *DB) applySetSequenceLocked(id uint64, newSeq *editops.Sequence) error 
 		db.idx.DeleteEdited(id, newSeq.BaseID)
 		db.idx.InsertEdited(id, newSeq.BaseID, widening)
 	}
-	db.bcache.drop(id)
 	db.sidxUpsertEditedLocked(id)
 	return nil
 }
@@ -714,9 +690,6 @@ func (db *DB) applyDeleteLocked(id uint64) error {
 	switch obj.Kind {
 	case catalog.KindBinary:
 		db.idx.DeleteBinary(id)
-		if _, err := db.sig.Delete(rtree.Point(obj.Hist.Normalized()), id); err != nil {
-			return err
-		}
 		delete(db.rasters, id)
 		if rec, ok := db.rasterRecs[id]; ok {
 			delete(db.rasterRecs, id)
@@ -726,7 +699,6 @@ func (db *DB) applyDeleteLocked(id uint64) error {
 		}
 	case catalog.KindEdited:
 		db.idx.DeleteEdited(id, obj.Seq.BaseID)
-		db.bcache.drop(id)
 	default:
 		return fmt.Errorf("core: delete %d: unknown kind %d", id, obj.Kind)
 	}
@@ -868,12 +840,8 @@ func (db *DB) rangeDispatch(ctx context.Context, q query.Range, mode Mode, tr *o
 		res, err = db.bwmProc.RangeTracedCtx(ctx, q, tr)
 	case ModeRBM:
 		res, err = db.rbmProc.RangeTracedCtx(ctx, q, tr)
-	case ModeBWMIndexed:
-		res, err = db.rangeIndexed(ctx, q, tr)
 	case ModeInstantiate:
 		res, err = db.rangeInstantiate(ctx, q, tr)
-	case ModeCachedBounds:
-		res, err = db.rangeCached(ctx, q, tr)
 	case ModeIndexed:
 		res, err = db.rangeSTree(ctx, q, tr)
 	default:
@@ -984,87 +952,6 @@ func (db *DB) rangeInstantiate(ctx context.Context, q query.Range, tr *obs.Trace
 		return nil, err
 	}
 	res.IDs = append(res.IDs, matched...)
-	res.Stats.Add(st)
-	done()
-	sort.Slice(res.IDs, func(i, j int) bool { return res.IDs[i] < res.IDs[j] })
-	return res, nil
-}
-
-// rangeIndexed runs the BWM algorithm but finds query-satisfying bases via
-// an R-tree window probe on the queried bin instead of scanning all base
-// histograms. Results are identical to ModeBWM.
-func (db *DB) rangeIndexed(ctx context.Context, q query.Range, tr *obs.Trace) (*rbm.Result, error) {
-	if err := q.Validate(db.cfg.Quantizer.Bins()); err != nil {
-		return nil, err
-	}
-	bins := db.cfg.Quantizer.Bins()
-	min := make([]float64, bins)
-	max := make([]float64, bins)
-	for i := range max {
-		max[i] = 1
-	}
-	min[q.Bin] = q.PctMin
-	max[q.Bin] = q.PctMax
-	window, err := rtree.NewRect(min, max)
-	if err != nil {
-		return nil, err
-	}
-	// The R-tree is not internally synchronized; writers mutate it under
-	// db.mu, so index reads take the read lock.
-	done := tr.Phase("indexed.rtree-probe")
-	db.mu.RLock()
-	hits, err := db.sig.SearchIntersect(window)
-	db.mu.RUnlock()
-	done()
-	if err != nil {
-		return nil, err
-	}
-	satisfied := make(map[uint64]bool, len(hits))
-	for _, id := range hits {
-		satisfied[id] = true
-	}
-	res := &rbm.Result{}
-	res.Stats.BinariesChecked = len(hits) // index probe replaced the scan
-	tr.Count(obs.TBaseMatches, int64(len(hits)))
-	// Per-base cluster walks are independent, so they shard across the
-	// worker pool (satisfied is read-only from here on).
-	done = tr.Phase("indexed.walk-clusters")
-	bases := db.cat.Binaries()
-	ids, st, err := db.collectSlices(ctx, len(bases), tr, func(i int, st *rbm.Stats) ([]uint64, error) {
-		baseID := bases[i]
-		var out []uint64
-		if satisfied[baseID] {
-			out = append(out, baseID)
-		}
-		for _, eid := range db.cat.EditedOf(baseID) {
-			obj, err := db.cat.Edited(eid)
-			if errors.Is(err, catalog.ErrNotFound) {
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			if obj.Widening && satisfied[baseID] {
-				out = append(out, eid)
-				st.EditedSkipped++
-				mFastPathAdmitted.Inc()
-				tr.Count(obs.TFastPathAdmitted, 1)
-				continue
-			}
-			ok, err := db.rbmProc.CheckEdited(eid, q, st, tr)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, eid)
-			}
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.IDs = append(res.IDs, ids...)
 	res.Stats.Add(st)
 	done()
 	sort.Slice(res.IDs, func(i, j int) bool { return res.IDs[i] < res.IDs[j] })

@@ -123,7 +123,7 @@ func TestImageInstantiatesEdited(t *testing.T) {
 }
 
 // TestAllModesAgree is the top-level equivalence property: BWM, RBM and
-// indexed BWM return identical result sets for every query, and the
+// the S-tree index return identical result sets for every query, and the
 // instantiation ground truth is always a subset (no false negatives).
 func TestAllModesAgree(t *testing.T) {
 	db := memDB(t)
@@ -141,7 +141,7 @@ func TestAllModesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idxRes, err := db.RangeQuery(q, ModeBWMIndexed)
+		idxRes, err := db.RangeQuery(q, ModeIndexed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,15 +450,11 @@ func TestLargeScaleEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := db.RangeQuery(q, ModeBWMIndexed)
+		c, err := db.RangeQuery(q, ModeIndexed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := db.RangeQuery(q, ModeCachedBounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameIDs(a.IDs, b.IDs) || !sameIDs(a.IDs, c.IDs) || !sameIDs(a.IDs, d.IDs) {
+		if !sameIDs(a.IDs, b.IDs) || !sameIDs(a.IDs, c.IDs) {
 			t.Fatalf("query %d: modes disagree at scale", qi)
 		}
 	}

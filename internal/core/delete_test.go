@@ -98,7 +98,7 @@ func TestDeleteKeepsModesEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := db.RangeQuery(q, ModeBWMIndexed)
+		c, err := db.RangeQuery(q, ModeIndexed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,11 +144,20 @@ func TestDeleteBinaryRemovesSignature(t *testing.T) {
 	db := memDB(t)
 	red, _ := db.InsertImage("r", imaging.NewFilled(8, 8, dataset.Red))
 	db.InsertImage("b", imaging.NewFilled(8, 8, dataset.Blue))
+	// Build the S-tree while the image is still there, so the delete has a
+	// point box to remove.
+	res, err := db.RangeQueryText("at least 50% red", ModeIndexed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameIDs(res.IDs, []uint64{red}) {
+		t.Fatalf("indexed query before delete: %v", res.IDs)
+	}
 	if err := db.Delete(red); err != nil {
 		t.Fatal(err)
 	}
-	// The signature index must no longer return the deleted image.
-	res, err := db.RangeQueryText("at least 50% red", ModeBWMIndexed)
+	// The index must no longer return the deleted image.
+	res, err = db.RangeQueryText("at least 50% red", ModeIndexed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,31 +226,35 @@ func TestAppendOpsReclassifiesAndRequeries(t *testing.T) {
 	}
 }
 
-func TestAppendOpsInvalidatesBoundsCache(t *testing.T) {
+// TestIndexedFreshAfterAppendOpsAndDelete pins the S-tree leaf as a bounds
+// store that never goes stale: once built, every AppendOps replaces the
+// image's box and every Delete removes it, so the indexed answer equals a
+// fresh RBM answer without any rebuild in between.
+func TestIndexedFreshAfterAppendOpsAndDelete(t *testing.T) {
 	db := memDB(t)
 	base, _ := db.InsertImage("b", imaging.NewFilled(8, 8, dataset.Blue))
 	eid, _ := db.InsertEdited("e", &editops.Sequence{BaseID: base, Ops: []editops.Op{
 		editops.Modify{Old: dataset.Blue, New: dataset.Green},
 	}})
-	if err := db.WarmBoundsCache(); err != nil {
-		t.Fatal(err)
+	gone, _ := db.InsertEdited("gone", &editops.Sequence{BaseID: base, Ops: []editops.Op{
+		editops.Modify{Old: dataset.Blue, New: dataset.Red},
+	}})
+	queries, _ := dataset.RangeWorkload(dataset.WorkloadConfig{Queries: 20, Seed: 15}, db.Quantizer())
+	agree := func(when string) {
+		t.Helper()
+		requireIndexedEqualsRBM(t, when, db, db, queries)
 	}
-	if n, _ := db.BoundsCacheStats(); n != 1 {
-		t.Fatalf("cache %d", n)
-	}
+	agree("after build")
+	rebuilds := mIndexRebuilds.Value()
 	if err := db.AppendOps(eid, []editops.Op{editops.Modify{Old: dataset.Green, New: dataset.Red}}); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := db.BoundsCacheStats(); n != 0 {
-		t.Fatalf("stale cache entry survived append: %d", n)
+	agree("after append")
+	if err := db.Delete(gone); err != nil {
+		t.Fatal(err)
 	}
-	// Cached mode still equals RBM after re-warm.
-	q, _ := dataset.RangeWorkload(dataset.WorkloadConfig{Queries: 5, Seed: 15}, db.Quantizer())
-	for _, r := range q {
-		a, _ := db.RangeQuery(r, ModeRBM)
-		b, _ := db.RangeQuery(r, ModeCachedBounds)
-		if !sameIDs(a.IDs, b.IDs) {
-			t.Fatal("cached mode stale after append")
-		}
+	agree("after delete")
+	if got := mIndexRebuilds.Value() - rebuilds; got != 0 {
+		t.Fatalf("index rebuilt %d times; the answers above must come from incremental maintenance", got)
 	}
 }

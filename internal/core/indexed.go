@@ -42,13 +42,14 @@ import (
 //     binary), so float drift can cost a node descent, never a wrong answer.
 //
 // The tree is built lazily: the first indexed query bulk-loads it from the
-// catalog under db.mu (boxes come through the bounds cache, so a warmed
-// cache makes the build cheap and the build warms the cache for everyone
-// else). After that every write maintains it incrementally — writers never
-// invalidate it, so a concurrent query's snapshot is always a complete
-// published version — and once update/delete debt passes the tree's
-// threshold the next indexed query rebuilds it in bulk, restoring packing
-// quality. Queries read lock-free snapshots; an object deleted after the
+// catalog under db.mu, paying one rule walk per edited image. After that
+// every write maintains it incrementally — writers never invalidate it, so
+// a concurrent query's snapshot is always a complete published version and
+// the leaves are the one store of per-candidate bounds vectors — and once
+// update/delete debt passes the tree's threshold the next indexed query
+// re-packs the items the tree already holds, restoring packing quality
+// without touching the catalog or the rule engine. Queries read lock-free
+// snapshots; an object deleted after the
 // snapshot was taken may still be returned (the same read-committed window
 // every scan mode has between taking its id-list snapshot and testing an
 // id).
@@ -58,6 +59,10 @@ var (
 	mIndexLeafChecks      = obs.Default().Counter("esidb_index_leaf_checks_total")
 	mIndexRebuilds        = obs.Default().Counter("esidb_index_rebuilds_total")
 )
+
+// sidxFanout is the S-tree node capacity (children per inner node, items per
+// leaf).
+const sidxFanout = 16
 
 // sidxSumEps is the slack on multi-bin Full/None margins. Summing ≤ bins
 // float terms keeps the error under ~1e-13; 1e-9 is comfortably past it
@@ -82,30 +87,49 @@ func sidxBinaryItem(id uint64, hist *histogram.Histogram) stree.Item {
 	return stree.Item{ID: id, Lo: p, Hi: p, Data: &sidxEntry{}}
 }
 
+// editedBounds computes an edited image's full per-bin bounds vector with
+// one counted rule walk over its sequence. The indexed paths pay it only at
+// S-tree item construction and on the universal-box leaf fallback; the
+// multi-bin walk and the k-NN scans pay it per candidate.
+func (db *DB) editedBounds(obj *catalog.Object, tr *obs.Trace) ([]rules.Bounds, error) {
+	base, err := db.cat.Binary(obj.Seq.BaseID)
+	if err != nil {
+		return nil, err
+	}
+	rbm.CountRuleWalk(obj.Seq.Ops, tr)
+	return db.engine.BoundsAll(base.Hist, base.W, base.H, obj.Seq.Ops)
+}
+
 // sidxEditedItem builds the S-tree item for an edited image: its per-bin
-// bounds box, read through the bounds cache. If the bounds cannot be
-// computed the item gets the universal box — never pruned, never admitted
-// geometrically, always decided exactly at the leaf — so index maintenance
-// can't lose a candidate.
+// bounds box. If the bounds cannot be computed the item gets the universal
+// box, so index maintenance can't lose a candidate.
 func (db *DB) sidxEditedItem(id uint64) stree.Item {
 	bins := db.cfg.Quantizer.Bins()
 	obj, err := db.cat.Edited(id)
 	var bounds []rules.Bounds
 	if err == nil {
-		bounds, err = db.cachedBoundsFor(obj, nil)
+		bounds, err = db.editedBounds(obj, nil)
+	}
+	if err != nil || len(bounds) != bins {
+		return sidxUniversalItem(id, bins)
 	}
 	lo := make([]float64, bins)
 	hi := make([]float64, bins)
-	if err != nil || len(bounds) != bins {
-		for i := range hi {
-			hi[i] = 1
-		}
-		return stree.Item{ID: id, Lo: lo, Hi: hi, Data: &sidxEntry{edited: true}}
-	}
 	for i, b := range bounds {
 		lo[i], hi[i] = b.PctRange()
 	}
 	return stree.Item{ID: id, Lo: lo, Hi: hi, Data: &sidxEntry{edited: true, bounds: bounds}}
+}
+
+// sidxUniversalItem is the item of an edited image with no bounds vector:
+// the [0,1] box on every bin — never pruned, never admitted geometrically,
+// always decided exactly at the leaf.
+func sidxUniversalItem(id uint64, bins int) stree.Item {
+	hi := make([]float64, bins)
+	for i := range hi {
+		hi[i] = 1
+	}
+	return stree.Item{ID: id, Lo: make([]float64, bins), Hi: hi, Data: &sidxEntry{edited: true}}
 }
 
 // sidxInsertBinaryLocked maintains the index across a binary insert.
@@ -139,8 +163,10 @@ func (db *DB) sidxDeleteLocked(id uint64) {
 }
 
 // ensureSearchIndex makes the S-tree queryable: the first call bulk-loads
-// it from the catalog, later calls rebuild it once incremental maintenance
-// debt passes the tree's threshold. Runs under db.mu, so writers are paused
+// it from the catalog, later calls re-pack it once incremental maintenance
+// debt passes the tree's threshold. A re-pack reuses the items the tree
+// already holds — every write maintained them under db.mu, so they are
+// exact — and walks no rules. Runs under db.mu, so writers are paused
 // during a (re)build and the loaded item set is a consistent catalog
 // snapshot. Indexed query paths call this before taking their tree
 // snapshot.
@@ -155,8 +181,12 @@ func (db *DB) ensureSearchIndex(tr *obs.Trace) error {
 	if db.closed {
 		return errors.New("core: database is closed")
 	}
-	if db.sidxReady.Load() && !db.sidx.NeedsRebuild() {
-		return nil // another query (re)built it while we waited
+	if db.sidxReady.Load() {
+		if db.sidx.NeedsRebuild() { // else another query re-packed it while we waited
+			db.sidx.Rebuild()
+			mIndexRebuilds.Inc()
+		}
+		return nil
 	}
 	nBin, nEd := db.cat.Len()
 	items := make([]stree.Item, 0, nBin+nEd)
@@ -265,7 +295,7 @@ func (db *DB) rangeSTree(ctx context.Context, q query.Range, tr *obs.Trace) (*rb
 			if err != nil {
 				return err
 			}
-			b, err := db.cachedBoundsFor(obj, tr)
+			b, err := db.editedBounds(obj, tr)
 			if errors.Is(err, catalog.ErrNotFound) {
 				return nil
 			}
@@ -360,7 +390,7 @@ func (db *DB) multiSTree(ctx context.Context, q query.MultiRange, tr *obs.Trace)
 			if err != nil {
 				return err
 			}
-			b, err := db.cachedBoundsFor(obj, tr)
+			b, err := db.editedBounds(obj, tr)
 			if errors.Is(err, catalog.ErrNotFound) {
 				return nil
 			}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/imaging"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/store/segment"
 	"repro/internal/stree"
 )
 
@@ -65,6 +68,43 @@ func TestModeRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestModeRegistryFourModes pins the collapsed strategy surface: exactly
+// four modes, and the retired names fail like any unknown mode, with an
+// error that enumerates exactly the surviving four.
+func TestModeRegistryFourModes(t *testing.T) {
+	if n := len(AllModes()); n != 4 {
+		t.Fatalf("AllModes has %d modes, want 4", n)
+	}
+	for _, retired := range []string{"bwm-indexed", "cached-bounds"} {
+		_, err := ParseMode(retired)
+		if err == nil {
+			t.Fatalf("ParseMode accepted retired mode %q", retired)
+		}
+		if !strings.Contains(err.Error(), "(valid: bwm, rbm, instantiate, indexed)") {
+			t.Fatalf("ParseMode(%q) error %q does not enumerate exactly the four modes", retired, err)
+		}
+	}
+}
+
+// requireIndexedEqualsRBM checks that db answers every query in ModeIndexed
+// exactly as ref (often db itself) answers it with a fresh RBM walk.
+func requireIndexedEqualsRBM(t testing.TB, when string, db, ref *DB, queries []query.Range) {
+	t.Helper()
+	for qi, q := range queries {
+		want, err := ref.RangeQuery(q, ModeRBM)
+		if err != nil {
+			t.Fatalf("%s, query %d rbm: %v", when, qi, err)
+		}
+		got, err := db.RangeQuery(q, ModeIndexed)
+		if err != nil {
+			t.Fatalf("%s, query %d indexed: %v", when, qi, err)
+		}
+		if !sameIDs(got.IDs, want.IDs) {
+			t.Fatalf("%s, query %d %+v: indexed %v != rbm %v", when, qi, q, got.IDs, want.IDs)
+		}
+	}
+}
+
 // indexedMutate applies a deterministic mutation storm: deletes a spread of
 // edited images, appends ops to survivors, deletes one base (cascading),
 // and inserts a fresh wave of images — every write path the S-tree
@@ -112,14 +152,16 @@ func indexedMutate(t testing.TB, db *DB, seed int64) {
 func resetSearchIndex(db *DB) {
 	db.mu.Lock()
 	db.sidxReady.Store(false)
-	db.sidx = stree.New(db.cfg.Quantizer.Bins(), db.cfg.RTreeFanout)
+	db.sidx = stree.New(db.cfg.Quantizer.Bins(), sidxFanout)
 	db.mu.Unlock()
 }
 
 // TestIndexedIncrementalEqualsRebuild is the index-maintenance property
 // test: after an arbitrary interleaving of inserts, appends and deletes,
 // the incrementally-maintained tree must answer every query identically to
-// a tree bulk-rebuilt from scratch — and both identically to the RBM scan.
+// the same items re-packed (the debt-triggered rebuild) and to a tree
+// bulk-built from the catalog from scratch — and all identically to the
+// RBM scan.
 func TestIndexedIncrementalEqualsRebuild(t *testing.T) {
 	db := memDB(t)
 	populate(t, db, 5, 3, 0.4, 21)
@@ -137,36 +179,266 @@ func TestIndexedIncrementalEqualsRebuild(t *testing.T) {
 		indexedMutate(t, db, int64(1000+round))
 		rng := rand.New(rand.NewSource(int64(31 * (round + 1))))
 		queries := randomRanges(rng, db.cfg.Quantizer.Bins(), 25)
-
-		incremental := make([]*rbmResultIDs, len(queries))
-		for qi, q := range queries {
-			res, err := db.RangeQuery(q, ModeIndexed)
-			if err != nil {
-				t.Fatalf("round %d query %d incremental: %v", round, qi, err)
+		answers := func(stage string, mode Mode) [][]uint64 {
+			out := make([][]uint64, len(queries))
+			for qi, q := range queries {
+				res, err := db.RangeQuery(q, mode)
+				if err != nil {
+					t.Fatalf("round %d query %d %s: %v", round, qi, stage, err)
+				}
+				out[qi] = res.IDs
 			}
-			incremental[qi] = &rbmResultIDs{ids: res.IDs}
+			return out
 		}
 
+		incremental := answers("incremental", ModeIndexed)
+		db.mu.Lock()
+		db.sidx.Rebuild()
+		db.mu.Unlock()
+		repacked := answers("re-packed", ModeIndexed)
 		resetSearchIndex(db)
-		for qi, q := range queries {
-			rebuilt, err := db.RangeQuery(q, ModeIndexed)
-			if err != nil {
-				t.Fatalf("round %d query %d rebuilt: %v", round, qi, err)
+		rebuilt := answers("rebuilt", ModeIndexed)
+		scan := answers("scan", ModeRBM)
+		for qi := range queries {
+			if !sameIDs(incremental[qi], repacked[qi]) {
+				t.Fatalf("round %d query %d %+v: incremental %v != re-packed %v",
+					round, qi, queries[qi], incremental[qi], repacked[qi])
 			}
-			if !sameIDs(incremental[qi].ids, rebuilt.IDs) {
+			if !sameIDs(incremental[qi], rebuilt[qi]) {
 				t.Fatalf("round %d query %d %+v: incremental %v != rebuilt %v",
-					round, qi, queries[qi], incremental[qi].ids, rebuilt.IDs)
+					round, qi, queries[qi], incremental[qi], rebuilt[qi])
 			}
-			scan, err := db.RangeQuery(q, ModeRBM)
-			if err != nil {
-				t.Fatalf("round %d query %d scan: %v", round, qi, err)
-			}
-			if !sameIDs(rebuilt.IDs, scan.IDs) {
+			if !sameIDs(rebuilt[qi], scan[qi]) {
 				t.Fatalf("round %d query %d %+v: indexed %v != scan %v",
-					round, qi, queries[qi], rebuilt.IDs, scan.IDs)
+					round, qi, queries[qi], rebuilt[qi], scan[qi])
 			}
 		}
 	}
+}
+
+// TestIndexedRebuildWalksNoRules pins the re-packing rebuild: once update
+// debt passes the tree's threshold the next indexed query rebuilds, but
+// from the items the tree already holds — every write kept them exact — so
+// the rebuild evaluates no rules and the answer still equals RBM's.
+func TestIndexedRebuildWalksNoRules(t *testing.T) {
+	db := memDB(t)
+	populate(t, db, 6, 4, 0.3, 44)
+	q := query.Range{Bin: db.cfg.Quantizer.Bin(dataset.Red), PctMin: 0.1, PctMax: 0.8}
+	if _, err := db.RangeQuery(q, ModeIndexed); err != nil {
+		t.Fatal(err)
+	}
+	bases := db.Binaries()
+	for round := 0; !db.sidx.NeedsRebuild(); round++ {
+		if round == 10 {
+			t.Fatal("update debt never passed the rebuild threshold")
+		}
+		for _, id := range db.EditedIDs() {
+			ops := editops.PasteOnto(imaging.Rect{X0: 0, Y0: 0, X1: 2, Y1: 2}, bases[round%len(bases)], 0, 0)
+			if err := db.AppendOps(id, ops); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want, err := db.RangeQuery(q, ModeRBM)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	walked := obs.Default().Counter("esidb_rbm_edited_walked_total")
+	rebuildsBefore, walkedBefore := mIndexRebuilds.Value(), walked.Value()
+	got, err := db.RangeQuery(q, ModeIndexed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := mIndexRebuilds.Value() - rebuildsBefore; d != 1 {
+		t.Fatalf("esidb_index_rebuilds_total rose by %d, want 1", d)
+	}
+	if d := walked.Value() - walkedBefore; d != 0 {
+		t.Fatalf("rebuild walked the rules of %d edited images, want 0", d)
+	}
+	if _, items, needs := db.SearchIndexStats(); needs || items != len(bases)+len(db.EditedIDs()) {
+		t.Fatalf("after rebuild: items=%d needsRebuild=%v", items, needs)
+	}
+	if !sameIDs(got.IDs, want.IDs) {
+		t.Fatalf("indexed after rebuild %v != rbm %v", got.IDs, want.IDs)
+	}
+}
+
+// TestIndexedUniversalBoxFallback covers the can't-lose-a-candidate
+// promise: an edited image whose bounds could not be computed at index time
+// carries the universal box, is never decided geometrically, and pays one
+// rule walk at the leaf per query (after the segment-sketch check on a
+// segmented database) — so range and multi-bin answers still equal RBM's.
+func TestIndexedUniversalBoxFallback(t *testing.T) {
+	for _, backend := range []string{"memory", "segmented"} {
+		t.Run(backend, func(t *testing.T) {
+			var db *DB
+			if backend == "segmented" {
+				db = segDB(t, filepath.Join(t.TempDir(), "u.esidb"), segment.Options{})
+				defer db.Close()
+			} else {
+				db = memDB(t)
+			}
+			populate(t, db, 4, 3, 0.4, 91)
+			if err := db.Sync(); err != nil { // segmented: seal, so sketches exist to consult
+				t.Fatal(err)
+			}
+			if _, err := db.RangeQuery(query.Range{Bin: 0, PctMin: 0, PctMax: 1}, ModeIndexed); err != nil {
+				t.Fatal(err)
+			}
+			// Degrade every third edited item to what sidxEditedItem stores
+			// when the bounds computation fails.
+			bins := db.cfg.Quantizer.Bins()
+			degraded := 0
+			db.mu.Lock()
+			for i, id := range db.EditedIDs() {
+				if i%3 != 0 {
+					continue
+				}
+				if err := db.sidx.Update(sidxUniversalItem(id, bins)); err != nil {
+					t.Fatal(err)
+				}
+				degraded++
+			}
+			db.mu.Unlock()
+
+			rng := rand.New(rand.NewSource(17))
+			for qi, q := range randomRanges(rng, bins, 20) {
+				// Sketch skipping only saves walks; answers are the same
+				// with it off (every other query) as with it on.
+				if db.SetSegmentSketchSkip(qi%2 == 0) != (backend == "segmented") {
+					t.Fatal("SetSegmentSketchSkip misreports the backend")
+				}
+				want, err := db.RangeQuery(q, ModeRBM)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := obs.NewTrace()
+				got, err := db.RangeQueryCtx(context.Background(), q, ModeIndexed, WithTrace(tr))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameIDs(got.IDs, want.IDs) {
+					t.Fatalf("query %d %+v: indexed %v != rbm %v", qi, q, got.IDs, want.IDs)
+				}
+				if walked := int(tr.Get(obs.TEditedWalked) + tr.Get(obs.TSegmentSkipped)); walked != degraded {
+					t.Fatalf("query %d: %d universal-box items walked or sketch-skipped, want %d", qi, walked, degraded)
+				}
+				mq := query.MultiRange{Bins: []int{q.Bin, (q.Bin + 7) % bins}, PctMin: q.PctMin, PctMax: q.PctMax}
+				mwant, err := db.RangeQueryMulti(mq, ModeRBM)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mgot, err := db.RangeQueryMulti(mq, ModeIndexed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameIDs(mgot.IDs, mwant.IDs) {
+					t.Fatalf("multi query %d %+v: indexed %v != rbm %v", qi, mq, mgot.IDs, mwant.IDs)
+				}
+				if mgot.Stats.EditedWalked != degraded {
+					t.Fatalf("multi query %d: walked %d, want %d", qi, mgot.Stats.EditedWalked, degraded)
+				}
+			}
+		})
+	}
+}
+
+// TestIndexedLeafBoundsEqualPerBinWalk pins the exactness claim the mode
+// rests on: the vector an S-tree leaf stores for an edited image (one
+// BoundsAll walk) is bin for bin the Bounds RBM's per-bin walk computes, and
+// the leaf's float box is that vector's PctRange.
+func TestIndexedLeafBoundsEqualPerBinWalk(t *testing.T) {
+	db := memDB(t)
+	populate(t, db, 4, 3, 0.4, 27)
+	if _, err := db.RangeQuery(query.Range{Bin: 0, PctMin: 0, PctMax: 1}, ModeIndexed); err != nil {
+		t.Fatal(err)
+	}
+	edited := 0
+	var vst stree.VisitStats
+	err := db.sidx.Snapshot().Visit(
+		func(lo, hi []float64) stree.Overlap { return stree.OverlapFull },
+		func(it *stree.Item, _ stree.Overlap) error {
+			e := it.Data.(*sidxEntry)
+			if !e.edited {
+				return nil
+			}
+			edited++
+			for bin, stored := range e.bounds {
+				walked, err := db.Bounds(it.ID, bin)
+				if err != nil {
+					return err
+				}
+				if lo, hi := walked.PctRange(); walked != stored || it.Lo[bin] != lo || it.Hi[bin] != hi {
+					return fmt.Errorf("image %d bin %d: leaf %+v [%v,%v], per-bin walk %+v", it.ID, bin, stored, it.Lo[bin], it.Hi[bin], walked)
+				}
+			}
+			return nil
+		}, &vst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edited != len(db.EditedIDs()) {
+		t.Fatalf("visited %d edited leaves, catalog has %d", edited, len(db.EditedIDs()))
+	}
+	if _, err := db.Bounds(db.Binaries()[0], 0); err == nil {
+		t.Fatal("Bounds accepted a binary image")
+	}
+}
+
+// TestIndexedFollowsShippedWAL drives the replication write path at the
+// core level: a follower whose S-tree is already built applies the leader's
+// shipped redo records (inserts, appends, deletes), so every replicated
+// write goes through incremental index maintenance — and its indexed
+// answers must equal the leader's RBM answers.
+func TestIndexedFollowsShippedWAL(t *testing.T) {
+	dir := t.TempDir()
+	open := func(name string) *DB {
+		db, err := Open(Config{Path: filepath.Join(dir, name)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
+	}
+	leader, follower := open("leader.esidb"), open("follower.esidb")
+	ctx := context.Background()
+	var cursor uint64
+	ship := func() {
+		t.Helper()
+		for {
+			page, err := leader.WALTail(ctx, cursor, 64, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(page.Frames) == 0 {
+				return
+			}
+			for _, fr := range page.Frames {
+				if err := follower.ApplyRedoRecord(ctx, fr.Payload); err != nil {
+					t.Fatalf("apply lsn %d: %v", fr.LSN, err)
+				}
+				cursor = fr.LSN
+			}
+		}
+	}
+
+	populate(t, leader, 3, 2, 0.4, 61)
+	ship()
+	if _, err := follower.RangeQuery(query.Range{Bin: 0, PctMin: 0, PctMax: 1}, ModeIndexed); err != nil {
+		t.Fatal(err)
+	}
+	indexedMutate(t, leader, 62)
+	ship()
+
+	if _, err := memDB(t).WALTail(ctx, 0, 1, 0); !errors.Is(err, ErrNoWAL) {
+		t.Fatalf("in-memory WALTail: %v, want ErrNoWAL", err)
+	}
+	if ready, items, _ := follower.SearchIndexStats(); !ready || items != len(leader.Binaries())+len(leader.EditedIDs()) {
+		t.Fatalf("follower index: ready=%v items=%d", ready, items)
+	}
+	rng := rand.New(rand.NewSource(63))
+	requireIndexedEqualsRBM(t, "after shipping", follower, leader, randomRanges(rng, leader.cfg.Quantizer.Bins(), 25))
 }
 
 // TestIndexedKNNMatchesScan proves the best-first branch-and-bound search

@@ -17,7 +17,6 @@ import (
 	"repro/internal/histogram"
 	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/rbm"
 	"repro/internal/rules"
 	"repro/internal/signature"
 )
@@ -31,12 +30,11 @@ var (
 )
 
 // k-NN similarity search — the paper's future-work extension (§6). Binary
-// images are ranked by exact histogram distance (optionally seeded through
-// the R-tree). Edited images are handled without eager instantiation: the
-// rule engine's per-bin bounds yield a LOWER bound on the distance from the
-// query histogram, so any edited image whose lower bound exceeds the
-// current k-th best distance is pruned; only the survivors are
-// instantiated for their exact distance.
+// images are ranked by exact histogram distance. Edited images are handled
+// without eager instantiation: the rule engine's per-bin bounds yield a
+// LOWER bound on the distance from the query histogram, so any edited image
+// whose lower bound exceeds the current k-th best distance is pruned; only
+// the survivors are instantiated for their exact distance.
 
 // Match is one k-NN result.
 type Match struct {
@@ -169,7 +167,7 @@ func (db *DB) knnScan(ctx context.Context, q query.KNN, tr *obs.Trace) ([]Match,
 			if err != nil {
 				return nil, nil, err
 			}
-			base, err := db.cat.Binary(obj.Seq.BaseID)
+			bounds, err := db.editedBounds(obj, tr)
 			if errors.Is(err, catalog.ErrNotFound) {
 				continue
 			}
@@ -177,11 +175,6 @@ func (db *DB) knnScan(ctx context.Context, q query.KNN, tr *obs.Trace) ([]Match,
 				return nil, nil, err
 			}
 			tr.Count(obs.TCandidatesExamined, 1)
-			rbm.CountRuleWalk(obj.Seq.Ops, tr)
-			bounds, err := db.engine.BoundsAll(base.Hist, base.W, base.H, obj.Seq.Ops)
-			if err != nil {
-				return nil, nil, err
-			}
 			lb := distanceLowerBound(q.Target, bounds, q.Metric)
 			if lb > threshold() {
 				st.EditedPruned++
@@ -326,7 +319,7 @@ func (db *DB) knnPruneParallel(ctx context.Context, q query.KNN, ids []uint64, w
 		if err != nil {
 			return err
 		}
-		base, err := db.cat.Binary(obj.Seq.BaseID)
+		bounds, err := db.editedBounds(obj, tr)
 		if errors.Is(err, catalog.ErrNotFound) {
 			return nil
 		}
@@ -334,11 +327,6 @@ func (db *DB) knnPruneParallel(ctx context.Context, q query.KNN, ids []uint64, w
 			return err
 		}
 		tr.Count(obs.TCandidatesExamined, 1)
-		rbm.CountRuleWalk(obj.Seq.Ops, tr)
-		bounds, err := db.engine.BoundsAll(base.Hist, base.W, base.H, obj.Seq.Ops)
-		if err != nil {
-			return err
-		}
 		if distanceLowerBound(q.Target, bounds, q.Metric) > tracker.threshold() {
 			pruned[w]++
 			mKNNPruned.Inc()
@@ -426,8 +414,9 @@ func (db *DB) KNNMultiCtx(ctx context.Context, targets []*histogram.Histogram, k
 	return out, total, nil
 }
 
-// KNNBinary ranks only binary images. With MetricL2 the R-tree accelerates
-// the search; other metrics use a scan over stored histograms.
+// KNNBinary ranks only binary images: one scan over the stored histograms,
+// ordered by (dist, id), for every metric. An image deleted mid-scan is
+// skipped, like in every other scan.
 func (db *DB) KNNBinary(q query.KNN) ([]Match, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -435,22 +424,12 @@ func (db *DB) KNNBinary(q query.KNN) ([]Match, error) {
 	if q.Target.Bins() != db.cfg.Quantizer.Bins() {
 		return nil, fmt.Errorf("core: knn target has %d bins, database uses %d", q.Target.Bins(), db.cfg.Quantizer.Bins())
 	}
-	if q.Metric == query.MetricL2 {
-		db.mu.RLock()
-		neighbors, err := db.sig.NearestK(q.Target.Normalized(), q.K)
-		db.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]Match, len(neighbors))
-		for i, n := range neighbors {
-			out[i] = Match{ID: n.ID, Dist: n.Dist}
-		}
-		return out, nil
-	}
 	var out []Match
 	for _, id := range db.cat.Binaries() {
 		obj, err := db.cat.Binary(id)
+		if errors.Is(err, catalog.ErrNotFound) {
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -613,14 +592,10 @@ func (db *DB) WithinDistanceCtx(ctx context.Context, target *histogram.Histogram
 		if err != nil {
 			return err
 		}
-		base, err := db.cat.Binary(obj.Seq.BaseID)
+		bounds, err := db.editedBounds(obj, nil)
 		if errors.Is(err, catalog.ErrNotFound) {
 			return nil
 		}
-		if err != nil {
-			return err
-		}
-		bounds, err := db.engine.BoundsAll(base.Hist, base.W, base.H, obj.Seq.Ops)
 		if err != nil {
 			return err
 		}

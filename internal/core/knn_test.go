@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -124,36 +126,78 @@ func bruteForceBinaryKNN(t *testing.T, db *DB, q query.KNN) []Match {
 	return all
 }
 
-func TestKNNBinaryRTreeMatchesScan(t *testing.T) {
+// TestKNNBinaryMatchesBruteForce: KNNBinary is one scan for every metric,
+// and its answer is the brute-force ranking in (dist, id) order exactly.
+func TestKNNBinaryMatchesBruteForce(t *testing.T) {
 	db := memDB(t)
 	populate(t, db, 12, 1, 0, 5)
+	// Duplicate rasters tie on distance, so the id tie-break is exercised.
+	for _, f := range dataset.Flags(3, 32, 24, 5) {
+		if _, err := db.InsertImage(f.Name+"-dup", f.Img); err != nil {
+			t.Fatal(err)
+		}
+	}
 	probe := dataset.Flags(1, 32, 24, 123)[0].Img
 	target := histogram.Extract(probe, db.Quantizer())
 
-	viaTree, err := db.KNNBinary(query.KNN{Target: target, K: 5, Metric: query.MetricL2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bruteForceBinaryKNN(t, db, query.KNN{Target: target, K: 5, Metric: query.MetricL2})
-	if len(viaTree) != len(want) {
-		t.Fatalf("%d vs %d results", len(viaTree), len(want))
-	}
-	for i := range viaTree {
-		if math.Abs(viaTree[i].Dist-want[i].Dist) > 1e-9 {
-			t.Fatalf("rank %d: %v vs %v", i, viaTree[i].Dist, want[i].Dist)
+	for _, metric := range []query.Metric{query.MetricL1, query.MetricL2, query.MetricIntersection} {
+		for _, k := range []int{1, 5, 100} {
+			q := query.KNN{Target: target, K: k, Metric: metric}
+			got, err := db.KNNBinary(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bruteForceBinaryKNN(t, db, q)
+			if len(got) != len(want) {
+				t.Fatalf("%s k=%d: %d vs %d results", metric, k, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s k=%d rank %d: %+v vs %+v", metric, k, i, got[i], want[i])
+				}
+			}
 		}
 	}
-	// Non-L2 metric path.
-	viaScan, err := db.KNNBinary(query.KNN{Target: target, K: 5, Metric: query.MetricIntersection})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestKNNBinaryDuringDeletes is the deletion-race regression: an image
+// deleted between the scan's id-list snapshot and its catalog lookup is
+// skipped, not reported as an error. Run with -race.
+func TestKNNBinaryDuringDeletes(t *testing.T) {
+	db := memDB(t)
+	var ids []uint64
+	for i := 0; i < 300; i++ {
+		id, err := db.InsertImage(fmt.Sprintf("b%d", i), imaging.NewFilled(2, 2, dataset.Red))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
 	}
-	wantI := bruteForceBinaryKNN(t, db, query.KNN{Target: target, K: 5, Metric: query.MetricIntersection})
-	for i := range viaScan {
-		if math.Abs(viaScan[i].Dist-wantI[i].Dist) > 1e-9 {
-			t.Fatalf("intersection rank %d: %v vs %v", i, viaScan[i].Dist, wantI[i].Dist)
+	target := histogram.Extract(imaging.NewFilled(2, 2, dataset.Blue), db.Quantizer())
+	ctx := context.Background()
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, id := range ids {
+			if err := db.DeleteCtx(ctx, id); err != nil {
+				t.Errorf("delete %d: %v", id, err)
+				return
+			}
+		}
+	}()
+	for deleting := true; deleting; {
+		select {
+		case <-done:
+			deleting = false // one more scan over the emptied catalog
+		default:
+		}
+		if _, err := db.KNNBinary(query.KNN{Target: target, K: 5, Metric: query.MetricL2}); err != nil {
+			t.Errorf("KNNBinary during deletes: %v", err)
+			break
 		}
 	}
+	<-done
 }
 
 func TestKNNValidation(t *testing.T) {

@@ -52,10 +52,8 @@ func sumBounds(bs []rules.Bounds, bins []int) (lo, hi float64) {
 
 // RangeQueryMulti answers a multi-bin range query. Modes: ModeRBM walks
 // every edited sequence once (all bins share one BoundsAll walk), ModeBWM
-// applies the cluster skip, ModeInstantiate materializes, ModeCachedBounds
-// reads the cache, ModeIndexed prunes subtrees whose summed union box
-// provably misses. ModeBWMIndexed falls back to ModeBWM (the R-tree window
-// cannot express a sum constraint).
+// applies the cluster skip, ModeInstantiate materializes, ModeIndexed prunes
+// subtrees whose summed union box provably misses.
 //
 // Deprecated: use RangeQueryMultiCtx.
 func (db *DB) RangeQueryMulti(q query.MultiRange, mode Mode) (*rbm.Result, error) {
@@ -102,15 +100,11 @@ func (db *DB) multiDispatch(ctx context.Context, q query.MultiRange, mode Mode, 
 	var err error
 	switch mode {
 	case ModeRBM:
-		res, err = db.multiWalk(ctx, q, nil, tr)
-	case ModeBWM, ModeBWMIndexed:
+		res, err = db.multiWalk(ctx, q, tr)
+	case ModeBWM:
 		res, err = db.multiBWM(ctx, q, tr)
 	case ModeInstantiate:
 		res, err = db.multiInstantiate(ctx, q)
-	case ModeCachedBounds:
-		res, err = db.multiWalk(ctx, q, func(obj *catalog.Object) ([]rules.Bounds, error) {
-			return db.cachedBoundsFor(obj, tr)
-		}, tr)
 	case ModeIndexed:
 		res, err = db.multiSTree(ctx, q, tr)
 	default:
@@ -141,9 +135,8 @@ func (db *DB) RangeQueryColorFamilyCtx(ctx context.Context, name string, pctMin,
 	return db.RangeQueryMultiCtx(ctx, query.MultiRange{Bins: bins, PctMin: pctMin, PctMax: pctMax}, opts...)
 }
 
-// multiWalk is the RBM-shaped scan; boundsFn overrides the bounds source
-// (nil = fresh BoundsAll walk, cache lookup for ModeCachedBounds).
-func (db *DB) multiWalk(ctx context.Context, q query.MultiRange, boundsFn func(*catalog.Object) ([]rules.Bounds, error), tr *obs.Trace) (*rbm.Result, error) {
+// multiWalk is the RBM-shaped scan: one BoundsAll walk per edited image.
+func (db *DB) multiWalk(ctx context.Context, q query.MultiRange, tr *obs.Trace) (*rbm.Result, error) {
 	res := &rbm.Result{}
 	done := tr.Phase("multi.scan-binaries")
 	for _, id := range db.cat.Binaries() {
@@ -163,7 +156,7 @@ func (db *DB) multiWalk(ctx context.Context, q query.MultiRange, boundsFn func(*
 	done()
 	done = tr.Phase("multi.walk-edited")
 	matched, st, err := db.filterEdited(ctx, db.cat.EditedIDs(), tr, func(id uint64, st *rbm.Stats) (bool, error) {
-		return db.multiCheckEdited(id, q, boundsFn, st, tr)
+		return db.multiCheckEdited(id, q, st, tr)
 	})
 	if err != nil {
 		return nil, err
@@ -175,7 +168,7 @@ func (db *DB) multiWalk(ctx context.Context, q query.MultiRange, boundsFn func(*
 	return res, nil
 }
 
-func (db *DB) multiCheckEdited(id uint64, q query.MultiRange, boundsFn func(*catalog.Object) ([]rules.Bounds, error), st *rbm.Stats, tr *obs.Trace) (bool, error) {
+func (db *DB) multiCheckEdited(id uint64, q query.MultiRange, st *rbm.Stats, tr *obs.Trace) (bool, error) {
 	obj, err := db.cat.Edited(id)
 	if errors.Is(err, catalog.ErrNotFound) {
 		return false, nil
@@ -183,25 +176,15 @@ func (db *DB) multiCheckEdited(id uint64, q query.MultiRange, boundsFn func(*cat
 	if err != nil {
 		return false, err
 	}
-	var bs []rules.Bounds
-	if boundsFn != nil {
-		bs, err = boundsFn(obj)
-	} else {
-		var base *catalog.Object
-		base, err = db.cat.Binary(obj.Seq.BaseID)
-		if err == nil {
-			st.EditedWalked++
-			st.OpsEvaluated += len(obj.Seq.Ops)
-			rbm.CountRuleWalk(obj.Seq.Ops, tr)
-			bs, err = db.engine.BoundsAll(base.Hist, base.W, base.H, obj.Seq.Ops)
-		}
-	}
+	bs, err := db.editedBounds(obj, tr)
 	if errors.Is(err, catalog.ErrNotFound) {
-		return false, nil
+		return false, nil // base deleted mid-query
 	}
 	if err != nil {
 		return false, err
 	}
+	st.EditedWalked++
+	st.OpsEvaluated += len(obj.Seq.Ops)
 	lo, hi := sumBounds(bs, q.Bins)
 	return lo <= q.PctMax && hi >= q.PctMin, nil
 }
@@ -244,7 +227,7 @@ func (db *DB) multiBWM(ctx context.Context, q query.MultiRange, tr *obs.Trace) (
 			tr.Count(obs.TFastPathAdmitted, 1)
 			return true, nil
 		}
-		return db.multiCheckEdited(id, q, nil, st, tr)
+		return db.multiCheckEdited(id, q, st, tr)
 	})
 	if err != nil {
 		return nil, err

@@ -39,7 +39,7 @@ func TestMultiRangeModesAgreeAndCoverGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := db.RangeQueryMulti(q, ModeCachedBounds)
+		c, err := db.RangeQueryMulti(q, ModeIndexed)
 		if err != nil {
 			t.Fatal(err)
 		}

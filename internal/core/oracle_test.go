@@ -28,7 +28,7 @@ import (
 // agree with each other and contain the instantiation oracle. ModeIndexed
 // rides along: the S-tree is only a candidate filter over the same bounds,
 // so it must answer identically to the scans.
-var oracleBoundModes = []Mode{ModeRBM, ModeBWM, ModeBWMIndexed, ModeCachedBounds, ModeIndexed}
+var oracleBoundModes = []Mode{ModeRBM, ModeBWM, ModeIndexed}
 
 func modeName(m Mode) string { return m.String() }
 
@@ -182,7 +182,7 @@ func TestOracleParallelCompoundMultiKNN(t *testing.T) {
 			}
 			s.compound = append(s.compound, &rbmResultIDs{ids: res.IDs})
 		}
-		for _, mode := range []Mode{ModeRBM, ModeBWM, ModeInstantiate, ModeCachedBounds, ModeIndexed} {
+		for _, mode := range []Mode{ModeRBM, ModeBWM, ModeInstantiate, ModeIndexed} {
 			mq := query.MultiRange{Bins: []int{0, 1, 5}, PctMin: 0.05, PctMax: 0.9}
 			res, err := db.RangeQueryMulti(mq, mode)
 			if err != nil {
@@ -205,8 +205,13 @@ func TestOracleParallelCompoundMultiKNN(t *testing.T) {
 
 	db.SetParallelism(1)
 	serial := capture()
-	for _, par := range []int{2, 8} {
+	// A negative knob means auto (0), which must answer like any other
+	// setting.
+	for _, par := range []int{2, 8, -1} {
 		db.SetParallelism(par)
+		if want := max(par, 0); db.Parallelism() != want {
+			t.Fatalf("SetParallelism(%d): knob reads %d, want %d", par, db.Parallelism(), want)
+		}
 		got := capture()
 		for i := range serial.compound {
 			if !sameIDs(serial.compound[i].ids, got.compound[i].ids) {

@@ -38,36 +38,3 @@ func (db *DB) filterEdited(ctx context.Context, ids []uint64, tr *obs.Trace, che
 	}
 	return matched, total, nil
 }
-
-// collectSlices evaluates gather over n coarse-grained work items (clusters,
-// bases, query terms), each producing an id slice into its own slot; the
-// slots are concatenated in item order. gather receives a worker-private
-// *rbm.Stats like filterEdited.
-func (db *DB) collectSlices(ctx context.Context, n int, tr *obs.Trace, gather func(i int, st *rbm.Stats) ([]uint64, error)) ([]uint64, rbm.Stats, error) {
-	workers := db.workers()
-	stats := make([]rbm.Stats, workers)
-	slots := make([][]uint64, n)
-	pst, err := exec.ForEach(ctx, workers, n, func(w, i int) error {
-		ids, gerr := gather(i, &stats[w])
-		if gerr != nil {
-			return gerr
-		}
-		slots[i] = ids
-		return nil
-	})
-	if pst.Workers > 1 {
-		pst.Record(tr)
-	}
-	var total rbm.Stats
-	for i := range stats {
-		total.Add(stats[i])
-	}
-	if err != nil {
-		return nil, total, err
-	}
-	var out []uint64
-	for _, ids := range slots {
-		out = append(out, ids...)
-	}
-	return out, total, nil
-}

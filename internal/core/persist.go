@@ -11,7 +11,6 @@ import (
 	"repro/internal/editops"
 	"repro/internal/histogram"
 	"repro/internal/imaging"
-	"repro/internal/rtree"
 	"repro/internal/store"
 )
 
@@ -181,7 +180,6 @@ func (db *DB) load() error {
 		return err
 	}
 	count := int(binary.LittleEndian.Uint32(countBytes))
-	var sigItems []rtree.BulkItem
 	for i := 0; i < count; i++ {
 		id, err := r.readUvarint()
 		if err != nil {
@@ -268,7 +266,6 @@ func (db *DB) load() error {
 		// Rebuild the in-memory structures.
 		if obj.Kind == catalog.KindBinary {
 			db.idx.InsertBinary(id)
-			sigItems = append(sigItems, rtree.BulkItem{Rect: rtree.Point(obj.Hist.Normalized()), ID: id})
 		} else {
 			db.idx.InsertEdited(id, obj.Seq.BaseID, obj.Widening)
 		}
@@ -276,13 +273,6 @@ func (db *DB) load() error {
 	if r.pos != len(r.data) {
 		return fmt.Errorf("core: %d trailing catalog bytes", len(r.data)-r.pos)
 	}
-	// Bulk-load the signature index (STR packing) instead of inserting the
-	// restored histograms one at a time.
-	sig, err := rtree.BulkLoad(db.cfg.Quantizer.Bins(), db.cfg.RTreeFanout, sigItems)
-	if err != nil {
-		return err
-	}
-	db.sig = sig
 	return nil
 }
 

@@ -95,7 +95,7 @@ func TestSegmentOracleDifferential(t *testing.T) {
 			populate(t, db, 3, 2, 0.5, 107)
 
 			// Close and reopen: the reopened store must rebuild the catalog,
-			// BWM components and R-tree purely from segments plus WAL tail.
+			// BWM components purely from segments plus WAL tail.
 			if err := db.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}

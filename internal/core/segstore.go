@@ -11,7 +11,6 @@ import (
 	"repro/internal/imaging"
 	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/rtree"
 	"repro/internal/store/segment"
 )
 
@@ -58,7 +57,8 @@ func (db *DB) attachSegment(seg *segment.Engine) {
 }
 
 // segPrune is the prune hook for query paths outside rbm.CheckEdited
-// (the cached-bounds mode); it records the same trace counters.
+// (the indexed mode's universal-box leaf fallback); it records the same
+// trace counters.
 func (db *DB) segPrune(q query.Range, id uint64, tr *obs.Trace) bool {
 	if db.seg == nil {
 		return false
@@ -304,7 +304,6 @@ func (db *DB) loadFromSegments() error {
 	// order, so entries are buffered and sorted — the restored catalog then
 	// lists ids exactly like the legacy loader's id-ordered walk.
 	var binaryEnts, editedEnts []segment.Entry
-	var sigItems []rtree.BulkItem
 	err := db.seg.Scan(func(ent segment.Entry) error {
 		if ent.ID == segMetaID {
 			return nil
@@ -339,7 +338,6 @@ func (db *DB) loadFromSegments() error {
 			return err
 		}
 		db.idx.InsertBinary(obj.ID)
-		sigItems = append(sigItems, rtree.BulkItem{Rect: rtree.Point(obj.Hist.Normalized()), ID: obj.ID})
 	}
 	for _, ent := range editedEnts {
 		obj, _, err := decodeSegEntry(ent.ID, ent.Payload, false)
@@ -351,11 +349,6 @@ func (db *DB) loadFromSegments() error {
 		}
 		db.idx.InsertEdited(obj.ID, obj.Seq.BaseID, obj.Widening)
 	}
-	sig, err := rtree.BulkLoad(db.cfg.Quantizer.Bins(), db.cfg.RTreeFanout, sigItems)
-	if err != nil {
-		return err
-	}
-	db.sig = sig
 	return nil
 }
 

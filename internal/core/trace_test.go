@@ -17,7 +17,7 @@ func TestRangeQueryTraced(t *testing.T) {
 	populate(t, db, 4, 3, 0, 7)
 	q := query.Range{Bin: db.cfg.Quantizer.Bin(dataset.Red), PctMin: 0.2, PctMax: 1}
 
-	for _, mode := range []Mode{ModeBWM, ModeRBM, ModeCachedBounds, ModeInstantiate} {
+	for _, mode := range []Mode{ModeBWM, ModeRBM, ModeIndexed, ModeInstantiate} {
 		plain, err := db.RangeQuery(q, mode)
 		if err != nil {
 			t.Fatal(err)
@@ -86,25 +86,38 @@ func TestTraceBWMFastPath(t *testing.T) {
 	}
 }
 
-// Cached-bounds tracing must expose the cache's cold-miss then warm-hit
-// behaviour.
-func TestTraceCachedBounds(t *testing.T) {
+// Indexed tracing must expose the S-tree's cold build then warm reuse: the
+// first indexed query records the build phase, the second descends the
+// stored bounds and evaluates no rules.
+func TestTraceIndexedBuildOnce(t *testing.T) {
 	db := memDB(t)
 	populate(t, db, 3, 2, 0, 9)
 	q := query.Range{Bin: db.cfg.Quantizer.Bin(dataset.Blue), PctMin: 0.1, PctMax: 1}
+	built := func(tr *obs.Trace) bool {
+		for _, p := range tr.Phases() {
+			if p.Name == "indexed.build" {
+				return true
+			}
+		}
+		return false
+	}
 
 	cold := obs.NewTrace()
-	if _, err := db.RangeQueryTraced(q, ModeCachedBounds, cold); err != nil {
+	if _, err := db.RangeQueryTraced(q, ModeIndexed, cold); err != nil {
 		t.Fatal(err)
 	}
-	if cold.Get(obs.TBoundsCacheMisses) == 0 || cold.Get(obs.TBoundsCacheHits) != 0 {
-		t.Fatalf("cold run: hits %d misses %d", cold.Get(obs.TBoundsCacheHits), cold.Get(obs.TBoundsCacheMisses))
+	if !built(cold) {
+		t.Fatalf("cold run recorded no build phase: %v", cold.Phases())
 	}
 	warm := obs.NewTrace()
-	if _, err := db.RangeQueryTraced(q, ModeCachedBounds, warm); err != nil {
+	if _, err := db.RangeQueryTraced(q, ModeIndexed, warm); err != nil {
 		t.Fatal(err)
 	}
-	if warm.Get(obs.TBoundsCacheHits) == 0 || warm.Get(obs.TBoundsCacheMisses) != 0 {
-		t.Fatalf("warm run: hits %d misses %d", warm.Get(obs.TBoundsCacheHits), warm.Get(obs.TBoundsCacheMisses))
+	if built(warm) {
+		t.Fatalf("warm run rebuilt the index: %v", warm.Phases())
+	}
+	if warm.Get(obs.TIndexNodesVisited) == 0 || warm.Get(obs.TEditedWalked) != 0 || warm.Get(obs.TRulesEvaluated) != 0 {
+		t.Fatalf("warm run: nodes %d, walked %d, rules %d", warm.Get(obs.TIndexNodesVisited),
+			warm.Get(obs.TEditedWalked), warm.Get(obs.TRulesEvaluated))
 	}
 }

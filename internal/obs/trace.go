@@ -257,8 +257,6 @@ const (
 	TRulesEvaluated     = "rules_evaluated"
 	TImagesPruned       = "images_pruned"
 	TImagesReturned     = "images_returned"
-	TBoundsCacheHits    = "bounds_cache_hits"
-	TBoundsCacheMisses  = "bounds_cache_misses"
 	TPagesRead          = "pages_read"
 	TEditedInstantiated = "edited_instantiated"
 	// Parallel-execution counters (recorded only when a query actually

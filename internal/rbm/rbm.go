@@ -199,7 +199,7 @@ func (p *Processor) CheckEdited(id uint64, q query.Range, st *Stats, tr *obs.Tra
 // CountRuleWalk records one edited image's rule walk into the process
 // registry (per-op-type rule counters) and the trace. Exported so every
 // call site that evaluates BOUNDS rules outside CheckEdited (multi-bin
-// queries, k-NN bounds, the cache-miss path) reports through the same
+// queries, k-NN bounds, S-tree item construction) reports through the same
 // counters.
 func CountRuleWalk(ops []editops.Op, tr *obs.Trace) {
 	mEditedWalked.Inc()

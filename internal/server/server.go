@@ -828,9 +828,6 @@ func (s *Server) publishGauges() {
 		reg.Gauge("esidb_objects_edited").Set(float64(st.Catalog.Edited))
 		reg.Gauge("esidb_objects_widening_only").Set(float64(st.Catalog.WideningOnly))
 	}
-	entries, bytes := s.db.BoundsCacheStats()
-	reg.Gauge("esidb_boundscache_entries").Set(float64(entries))
-	reg.Gauge("esidb_boundscache_bytes").Set(float64(bytes))
 	reg.Gauge("esidb_parallelism").Set(float64(s.db.Parallelism()))
 	if seg, ok := s.db.SegmentStats(); ok {
 		// Same gauge names the engine maintains on seal/compact — scrape

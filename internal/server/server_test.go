@@ -491,16 +491,29 @@ func TestPprofIndex(t *testing.T) {
 	}
 }
 
-func TestCachedBoundsMode(t *testing.T) {
+// TestRetiredModesRejected: the two retired mode names get the same
+// bad_request envelope as any unknown mode, on both query routes, and the
+// message enumerates exactly the four surviving modes.
+func TestRetiredModesRejected(t *testing.T) {
 	ts, db := newTestServer(t)
-	baseID, _ := db.InsertImage("b", mmdb.NewFilledImage(8, 8, dataset.Blue))
-	db.InsertEdited("e", &mmdb.Sequence{BaseID: baseID, Ops: []mmdb.Op{mmdb.Modify{}}})
-	var qres struct {
-		IDs []uint64 `json:"ids"`
-	}
-	doJSON(t, "GET", ts.URL+"/query?q=at+least+50%25+blue&mode=cached-bounds", nil, "", http.StatusOK, &qres)
-	if len(qres.IDs) == 0 {
-		t.Fatal("cached-bounds mode returned nothing")
+	db.InsertImage("b", mmdb.NewFilledImage(8, 8, dataset.Blue))
+	for _, retired := range []string{"bwm-indexed", "cached-bounds"} {
+		for _, route := range []string{
+			"/v1/query?q=at+least+50%25+blue&mode=",
+			"/v1/multirange?bins=0,1,2&min=0&max=1&mode=",
+		} {
+			var env struct {
+				Error string `json:"error"`
+				Code  string `json:"code"`
+			}
+			doJSON(t, "GET", ts.URL+route+retired, nil, "", http.StatusBadRequest, &env)
+			if env.Code != "bad_request" {
+				t.Fatalf("%s%s: code %q, want bad_request", route, retired, env.Code)
+			}
+			if !strings.Contains(env.Error, "(valid: bwm, rbm, instantiate, indexed)") {
+				t.Fatalf("%s%s: error %q does not enumerate exactly the four modes", route, retired, env.Error)
+			}
+		}
 	}
 }
 

@@ -130,8 +130,19 @@ func (t *Tree) Bulk(items []Item) error {
 		it := items[i] // copy: the tree owns its items
 		byID[it.ID] = &it
 	}
-	ptrs := make([]*Item, 0, len(byID))
-	for _, it := range byID {
+	t.byID = byID
+	t.Rebuild()
+	return nil
+}
+
+// Rebuild re-packs the items the tree already holds with the same STR-style
+// build Bulk uses, resetting the structural debt. The item set and every
+// box are unchanged, so the caller pays no recomputation. The previous
+// version stays valid for snapshots taken before the swap. Caller
+// serializes mutations.
+func (t *Tree) Rebuild() {
+	ptrs := make([]*Item, 0, len(t.byID))
+	for _, it := range t.byID {
 		ptrs = append(ptrs, it)
 	}
 	// Deterministic build regardless of map order.
@@ -140,11 +151,9 @@ func (t *Tree) Bulk(items []Item) error {
 	if len(ptrs) > 0 {
 		root = build(ptrs, t.dims, t.cap)
 	}
-	t.byID = byID
 	t.root.Store(root)
 	t.live.Store(int64(len(ptrs)))
 	t.dirty.Store(0)
-	return nil
 }
 
 // build recursively packs items into a balanced tree: sort by box center

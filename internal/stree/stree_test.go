@@ -300,6 +300,16 @@ func TestNeedsRebuildThreshold(t *testing.T) {
 	if !tr.NeedsRebuild() {
 		t.Fatal("100 deletes over 400 items should trip the rebuild threshold")
 	}
+	// Rebuild re-packs the surviving items: same answers, no debt.
+	before := collect(t, tr.Snapshot(), 1, 0.2, 0.6)
+	tr.Rebuild()
+	if tr.NeedsRebuild() || tr.Len() != 300 {
+		t.Fatalf("after Rebuild: needsRebuild=%v len=%d", tr.NeedsRebuild(), tr.Len())
+	}
+	checkInvariants(t, tr)
+	if after := collect(t, tr.Snapshot(), 1, 0.2, 0.6); len(after) == 0 || !sameIDs(before, after) {
+		t.Fatalf("Rebuild changed the answer: %v vs %v", before, after)
+	}
 	if err := tr.Bulk(nil); err != nil {
 		t.Fatal(err)
 	}

@@ -224,16 +224,6 @@ func (db *DB) SetParallelism(n int) { db.inner.SetParallelism(n) }
 // (0 means auto-size to GOMAXPROCS).
 func (db *DB) Parallelism() int { return db.inner.Parallelism() }
 
-// WarmBoundsCache precomputes every edited image's per-bin bounds vector so
-// ModeCachedBounds answers without rule walks. BoundsCacheStats reports the
-// memory cost.
-func (db *DB) WarmBoundsCache() error { return db.inner.WarmBoundsCache() }
-
-// BoundsCacheStats reports the bounds cache's entries and resident bytes.
-func (db *DB) BoundsCacheStats() (entries int, bytes int64) {
-	return db.inner.BoundsCacheStats()
-}
-
 // Quantizer returns the database's color quantizer.
 func (db *DB) Quantizer() Quantizer { return db.inner.Quantizer() }
 
@@ -619,7 +609,7 @@ func (db *DB) QueryByExamples(probes []*Image, k int, metric Metric) ([]Match, *
 	return db.QueryByExamplesCtx(context.Background(), probes, k, metric)
 }
 
-// KNNBinary ranks only binary images (R-tree accelerated for L2).
+// KNNBinary ranks only binary images, by exact histogram distance.
 func (db *DB) KNNBinary(q KNN) ([]Match, error) { return db.inner.KNNBinary(q) }
 
 // WithinDistance returns every image within dist of the probe.

@@ -79,7 +79,7 @@ func TestAugmentAndModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []mmdb.Mode{mmdb.ModeBWM, mmdb.ModeRBM, mmdb.ModeBWMIndexed, mmdb.ModeInstantiate} {
+	for _, mode := range []mmdb.Mode{mmdb.ModeBWM, mmdb.ModeRBM, mmdb.ModeIndexed, mmdb.ModeInstantiate} {
 		if _, err := db.RangeQuery(q, mode); err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -431,15 +431,13 @@ func TestFacadeQueryVariants(t *testing.T) {
 		t.Fatalf("structured compound %v", res2.IDs)
 	}
 
-	// Cached-bounds mode through the facade.
-	if err := db.WarmBoundsCache(); err != nil {
+	// Indexed mode through the facade.
+	res3, err := db.QueryMode("at least 50% red", mmdb.ModeIndexed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := db.BoundsCacheStats(); n != 0 {
-		t.Fatalf("cache entries %d for zero edited images", n)
-	}
-	if _, err := db.QueryMode("at least 50% red", mmdb.ModeCachedBounds); err != nil {
-		t.Fatal(err)
+	if len(res3.IDs) != 1 || res3.IDs[0] != a {
+		t.Fatalf("indexed ids %v", res3.IDs)
 	}
 
 	// WithinDistance through the facade.

@@ -115,13 +115,8 @@ const (
 	ModeBWM = core.ModeBWM
 	// ModeRBM is the Rule-Based Method baseline.
 	ModeRBM = core.ModeRBM
-	// ModeBWMIndexed serves the base probe from the R-tree index.
-	ModeBWMIndexed = core.ModeBWMIndexed
 	// ModeInstantiate is the exact (expensive) ground truth.
 	ModeInstantiate = core.ModeInstantiate
-	// ModeCachedBounds answers from precomputed bounds vectors (memory for
-	// speed; identical results to RBM/BWM).
-	ModeCachedBounds = core.ModeCachedBounds
 	// ModeIndexed answers from the bounds S-tree: a spatial index over
 	// per-candidate histogram bound boxes that prunes whole subtrees whose
 	// union box provably misses the query (identical results to a scan).
@@ -135,10 +130,9 @@ var (
 	// ModeNames lists every execution mode's string form, for CLI help and
 	// error messages.
 	ModeNames = core.ModeNames
-	// ParseMode resolves a mode name ("bwm", "rbm", "bwm-indexed",
-	// "instantiate", "cached", "indexed"); the empty string selects the
-	// default (ModeBWM). Unknown names get an error enumerating the valid
-	// set.
+	// ParseMode resolves a mode name (one of ModeNames); the empty string
+	// selects the default (ModeBWM). Unknown names get an error enumerating
+	// the valid set.
 	ParseMode = core.ParseMode
 )
 
