@@ -13,12 +13,15 @@
 //	                              precomputed bounds)
 //	BenchmarkExtension*         — DESIGN.md extensions (pruned k-NN,
 //	                              BIC signatures)
+//	BenchmarkPagedRange         — EXPERIMENTS.md extension: what a page
+//	                              costs under WithLimit, by depth
 //
 // plus micro-benchmarks for the substrates (histogram extraction,
 // instantiation, BOUNDS walks and the page store).
 package mmdb_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -346,5 +349,66 @@ func BenchmarkAblationPrecomputedBounds(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPagedRange prices a page of a range answer (EXPERIMENTS.md,
+// "Paged evaluation"): limit 1 / 20 / 200, a limit no answer can fill (the
+// paged evaluator's worst case: it judges every candidate and stops nowhere)
+// and the unlimited set-at-a-time query, for a broad text whose matches start
+// at id 1 and a selective one whose first match lies past every binary image,
+// under RBM and BWM. The corpus is paper_mix's shape at a quarter of its
+// size: 1 000 flags, then 4 000 scripts.
+func BenchmarkPagedRange(b *testing.B) {
+	db, err := core.Open(core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	flags := dataset.Flags(1000, 48, 32, 1)
+	ids := make([]uint64, len(flags))
+	for i, f := range flags {
+		if ids[i], err = db.InsertImage(f.Name, f.Img); err != nil {
+			b.Fatal(err)
+		}
+	}
+	aug := dataset.NewAugmenter(dataset.AugmentConfig{PerBase: 4, OpsPerImage: 5, NonWideningFrac: 0.3, Seed: 1})
+	for i, f := range flags {
+		for _, seq := range aug.ScriptsFor(ids[i], f.Img, ids[:i]) {
+			if _, err := db.InsertEdited(f.Name+"-edit", seq); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	ctx := context.Background()
+	const unfillable = 1 << 20
+	for _, text := range []struct{ name, q string }{
+		{"broad", "at least 10% red"},
+		{"selective", "at least 90% crimson"},
+	} {
+		for _, mode := range []core.Mode{core.ModeRBM, core.ModeBWM} {
+			for _, limit := range []int{1, 20, 200, unfillable, 0} {
+				name := fmt.Sprintf("limit=%d", limit)
+				switch limit {
+				case unfillable:
+					name = "limit=unfillable"
+				case 0:
+					name = "unlimited"
+				}
+				b.Run(fmt.Sprintf("%s/%s/%s", text.name, mode, name), func(b *testing.B) {
+					var examined, returned int
+					for i := 0; i < b.N; i++ {
+						res, err := db.RangeQueryTextCtx(ctx, text.q, mode, core.WithLimit(limit))
+						if err != nil {
+							b.Fatal(err)
+						}
+						examined = res.Stats.BinariesChecked + res.Stats.EditedWalked + res.Stats.EditedSkipped
+						returned = len(res.IDs)
+					}
+					b.ReportMetric(float64(examined), "candidates/op")
+					b.ReportMetric(float64(returned), "ids/op")
+				})
+			}
+		}
 	}
 }

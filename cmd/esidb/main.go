@@ -9,9 +9,11 @@
 //	esidb insert  -db file -name label image.(ppm|png)
 //	esidb edit    -db file -name label script.txt
 //	esidb augment -db file -id N [-per 3] [-ops 4] [-nonwidening 0.2] [-seed 1]
-//	esidb query   -db file [-mode MODE] [-bases] [-trace] [-parallelism N] "at least 25% blue"
+//	esidb query   -db file [-mode MODE] [-limit N] [-after ID] [-bases] [-trace] [-parallelism N] "at least 25% blue"
 //	              (compound: "at least 20% red and at most 10% blue";
-//	              MODE is one of mmdb.ModeNames(), listed by "esidb query -h")
+//	              MODE is one of mmdb.ModeNames(), listed by "esidb query -h";
+//	              -limit returns the N lowest matching ids and stops evaluating
+//	              there, -after ID resumes past a page's last id)
 //	esidb similar -db file [-k 5] [-metric l1|l2|intersection] probe.(ppm|png)
 //	esidb delete  -db file -id N
 //	esidb export  -db file -id N -o out.(ppm|png)
@@ -121,7 +123,7 @@ commands:
   insert   insert a raster image (PPM or PNG)
   edit     insert an edited image from a text script
   augment  generate and insert edited versions of a base image
-  query    run a color range query ("at least 25% blue")
+  query    run a color range query ("at least 25% blue"; -limit N -after ID pages through it)
   explain  show a query's plan (BWM skips vs rule walks) without running it
   similar  query by example (k nearest neighbors)
   delete   remove an object (edited first, then unreferenced binaries)
@@ -326,6 +328,8 @@ func cmdQuery(args []string) error {
 	trace := fs.Bool("trace", false, "print per-phase timings and decision counts")
 	idsOnly := fs.Bool("ids", false, "print bare matching ids, one per line")
 	parallelism := fs.Int("parallelism", 0, "candidate-evaluation workers (0 = all CPUs, 1 = serial)")
+	limit := fs.Int("limit", 0, "return at most this many matches, lowest ids first (0 = all)")
+	after := fs.Uint64("after", 0, "return only ids greater than this one: pass a page's last id to get the next page")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
 		return fmt.Errorf("missing query text")
@@ -344,7 +348,8 @@ func cmdQuery(args []string) error {
 	if *trace {
 		tr = mmdb.NewTrace()
 	}
-	res, err := db.QueryCompoundTraced(strings.Join(fs.Args(), " "), mode, tr)
+	res, err := db.QueryCompoundCtx(context.Background(), strings.Join(fs.Args(), " "), mode,
+		mmdb.WithTrace(tr), mmdb.WithLimit(*limit), mmdb.WithAfter(*after))
 	if err != nil {
 		return err
 	}

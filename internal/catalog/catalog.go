@@ -8,6 +8,8 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -72,8 +74,8 @@ type Catalog struct {
 	mu       sync.RWMutex
 	nextID   uint64              // guarded by mu
 	objects  map[uint64]*Object  // guarded by mu
-	binaries []uint64            // insertion-ordered binary ids; guarded by mu
-	edited   []uint64            // insertion-ordered edited ids; guarded by mu
+	binaries []uint64            // binary ids, ascending; guarded by mu
+	edited   []uint64            // edited ids, ascending; guarded by mu
 	children map[uint64][]uint64 // base id -> edited ids derived from it; guarded by mu
 	// targetRefs counts, per binary image, how many edited sequences use it
 	// as a Merge target; such images cannot be deleted while referenced.
@@ -117,7 +119,7 @@ func (c *Catalog) AddBinaryWithID(id uint64, name string, w, h int, hist *histog
 		return 0, err
 	}
 	c.objects[id] = &Object{ID: id, Kind: KindBinary, Name: name, W: w, H: h, Hist: hist}
-	c.binaries = append(c.binaries, id)
+	c.binaries = insertID(c.binaries, id)
 	return id, nil
 }
 
@@ -154,7 +156,7 @@ func (c *Catalog) AddEditedWithID(id uint64, name string, seq *editops.Sequence,
 		return 0, err
 	}
 	c.objects[id] = &Object{ID: id, Kind: KindEdited, Name: name, Seq: seq, Widening: widening}
-	c.edited = append(c.edited, id)
+	c.edited = insertID(c.edited, id)
 	c.children[seq.BaseID] = append(c.children[seq.BaseID], id)
 	for _, t := range seq.MergeTargets() {
 		c.targetRefs[t]++
@@ -215,7 +217,9 @@ func (c *Catalog) Edited(id uint64) (*Object, error) {
 	return obj, nil
 }
 
-// Binaries returns the binary image ids in insertion order (copied).
+// Binaries returns the binary image ids in ascending order (copied). Ids
+// are allocated sequentially, so this is insertion order unless an insert
+// pinned an id below the current tail.
 func (c *Catalog) Binaries() []uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -224,12 +228,37 @@ func (c *Catalog) Binaries() []uint64 {
 	return out
 }
 
-// EditedIDs returns the edited image ids in insertion order (copied).
+// EditedIDs returns the edited image ids in ascending order (copied); see
+// Binaries.
 func (c *Catalog) EditedIDs() []uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make([]uint64, len(c.edited))
 	copy(out, c.edited)
+	return out
+}
+
+// ObjectsAfter returns up to n objects whose ids are greater than after, in
+// ascending id order, binary and edited images merged — the id-ordered
+// candidate source of paged queries, fetched under one lock acquisition.
+// Fewer than n objects means the catalog has no more.
+func (c *Catalog) ObjectsAfter(after uint64, n int) []*Object {
+	if after == math.MaxUint64 {
+		return nil
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	b, _ := slices.BinarySearch(c.binaries, after+1)
+	e, _ := slices.BinarySearch(c.edited, after+1)
+	bin, ed := c.binaries[b:], c.edited[e:]
+	out := make([]*Object, 0, min(n, len(bin)+len(ed)))
+	for len(out) < n && len(bin)+len(ed) > 0 {
+		if len(ed) == 0 || (len(bin) > 0 && bin[0] < ed[0]) {
+			out, bin = append(out, c.objects[bin[0]]), bin[1:]
+		} else {
+			out, ed = append(out, c.objects[ed[0]]), ed[1:]
+		}
+	}
 	return out
 }
 
@@ -323,9 +352,9 @@ func (c *Catalog) RestoreObject(obj *Object) error {
 	}
 	c.objects[obj.ID] = obj
 	if obj.Kind == KindBinary {
-		c.binaries = append(c.binaries, obj.ID)
+		c.binaries = insertID(c.binaries, obj.ID)
 	} else {
-		c.edited = append(c.edited, obj.ID)
+		c.edited = insertID(c.edited, obj.ID)
 		c.children[obj.Seq.BaseID] = append(c.children[obj.Seq.BaseID], obj.ID)
 		for _, tgt := range obj.Seq.MergeTargets() {
 			c.targetRefs[tgt]++
@@ -419,6 +448,27 @@ func (c *Catalog) Delete(id uint64) error {
 	return nil
 }
 
+// insertID adds id to an ascending id list: an append when it exceeds the
+// tail (every automatically allocated id does), a binary-search insert for a
+// pinned id below it. A live catalog therefore lists ids exactly as its
+// reopened self would.
+func insertID(ids []uint64, id uint64) []uint64 {
+	if n := len(ids); n == 0 || ids[n-1] < id {
+		return append(ids, id)
+	}
+	i, _ := slices.BinarySearch(ids, id)
+	return slices.Insert(ids, i, id)
+}
+
+// removeSortedID removes id from an ascending id list.
+func removeSortedID(ids []uint64, id uint64) []uint64 {
+	if i, found := slices.BinarySearch(ids, id); found {
+		return slices.Delete(ids, i, i+1)
+	}
+	return ids
+}
+
+// removeID removes the first occurrence of id from an unordered list.
 func removeID(ids []uint64, id uint64) []uint64 {
 	for i, v := range ids {
 		if v == id {

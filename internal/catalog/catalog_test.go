@@ -327,3 +327,69 @@ func TestAddEditedWithID(t *testing.T) {
 		t.Fatalf("AddEditedWithID(0) = %d, %v", id, err)
 	}
 }
+
+// Pinned ids below the tail are inserted in place: both id lists stay
+// ascending whatever the arrival order, deletes keep them so, and ObjectsAfter
+// merges them into one ascending candidate stream.
+func TestIDListsStayAscending(t *testing.T) {
+	c := New()
+	widen := func(base uint64) *editops.Sequence {
+		return &editops.Sequence{BaseID: base, Ops: []editops.Op{editops.Combine{Weights: [9]float64{1, 0, 0, 0, 0, 0, 0, 0, 0}}}}
+	}
+	for _, id := range []uint64{20, 5, 12} {
+		if _, err := c.AddBinaryWithID(id, "b", 4, 4, histFor(4, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Edited ids on both sides of their base's.
+	for _, e := range []struct{ id, base uint64 }{{30, 20}, {3, 20}, {9, 12}, {25, 5}} {
+		if _, err := c.AddEditedWithID(e.id, "e", widen(e.base), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	equal := func(got []uint64, want ...uint64) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if got := c.Binaries(); !equal(got, 5, 12, 20) {
+		t.Fatalf("Binaries() = %v", got)
+	}
+	if got := c.EditedIDs(); !equal(got, 3, 9, 25, 30) {
+		t.Fatalf("EditedIDs() = %v", got)
+	}
+	after := func(id uint64, n int) []uint64 {
+		var ids []uint64
+		for _, obj := range c.ObjectsAfter(id, n) {
+			ids = append(ids, obj.ID)
+		}
+		return ids
+	}
+	if got := after(0, 100); !equal(got, 3, 5, 9, 12, 20, 25, 30) {
+		t.Fatalf("ObjectsAfter(0, 100) = %v", got)
+	}
+	if got := after(5, 3); !equal(got, 9, 12, 20) {
+		t.Fatalf("ObjectsAfter(5, 3) = %v", got)
+	}
+	if got := after(30, 3); len(got) != 0 {
+		t.Fatalf("ObjectsAfter(30, 3) = %v", got)
+	}
+	if got := after(^uint64(0), 3); len(got) != 0 {
+		t.Fatalf("ObjectsAfter(max, 3) = %v", got)
+	}
+	if err := c.Delete(9); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Delete(12); err != nil {
+		t.Fatal(err)
+	}
+	if got := after(4, 100); !equal(got, 5, 20, 25, 30) {
+		t.Fatalf("after deletes ObjectsAfter(4, 100) = %v", got)
+	}
+}

@@ -300,6 +300,17 @@ func Limit(n int) Param {
 	}
 }
 
+// After asks the server for ids greater than id only (?after=id) — the
+// keyset cursor beside Limit: pass each page's last id to fetch the next
+// page. Zero means "from the start".
+func After(id uint64) Param {
+	return func(v url.Values) {
+		if id > 0 {
+			v.Set("after", strconv.FormatUint(id, 10))
+		}
+	}
+}
+
 // Query runs a textual (possibly compound) range query. mode may be empty
 // for BWM ("indexed" selects the bounds S-tree strategy); expandBases adds
 // each match's base image.

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 
@@ -238,5 +239,42 @@ func TestClientInsertWithID(t *testing.T) {
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Status != 409 {
 		t.Fatalf("duplicate id error = %v, want 409", err)
+	}
+}
+
+// Limit and After page through an answer: each page's last id is the next
+// request's cursor.
+func TestClientPaging(t *testing.T) {
+	c, db := newPair(t)
+	for i := 0; i < 5; i++ {
+		if _, err := db.InsertImage("b", mmdb.NewFilledImage(8, 8, dataset.Blue)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	var got []uint64
+	for after := uint64(0); ; {
+		page, err := c.QueryCtx(ctx, "at least 50% blue", "", false, Limit(2), After(after))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(page.IDs) > 2 {
+			t.Fatalf("page of %d ids over limit 2", len(page.IDs))
+		}
+		if len(page.IDs) == 0 {
+			break
+		}
+		got = append(got, page.IDs...)
+		after = page.IDs[len(page.IDs)-1]
+	}
+	if fmt.Sprint(got) != "[1 2 3 4 5]" {
+		t.Fatalf("paged ids %v", got)
+	}
+	tail, err := c.MultiRangeCtx(ctx, []int{0, 1, 2, 3}, 0, 1, "rbm", After(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(tail.IDs) != "[4 5]" {
+		t.Fatalf("multirange after=3: %v", tail.IDs)
 	}
 }

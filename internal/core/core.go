@@ -801,11 +801,19 @@ func (db *DB) RangeQuery(q query.Range, mode Mode) (*rbm.Result, error) {
 // option).
 func (db *DB) RangeQueryCtx(ctx context.Context, q query.Range, opts ...QueryOption) (*rbm.Result, error) {
 	cfg := buildQueryConfig(opts)
+	if cfg.stopsEarly() {
+		if err := q.Validate(db.cfg.Quantizer.Bins()); err != nil {
+			return nil, err
+		}
+		return db.pagedDispatch(ctx, []pagedTerm{db.rangeTerm(q)}, query.And, cfg.Mode.String(), cfg)
+	}
 	res, err := db.rangeDispatch(ctx, q, cfg.Mode, cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
-	return applyLimit(res, cfg.Limit), nil
+	res = applyPage(res, cfg)
+	cfg.Trace.Count(obs.TImagesReturned, int64(len(res.IDs)))
+	return res, nil
 }
 
 // RangeQueryTraced is RangeQuery with per-phase timings and decision counts
@@ -855,24 +863,25 @@ func (db *DB) rangeDispatch(ctx context.Context, q query.Range, mode Mode, tr *o
 	mQueryCount[mode].Inc()
 	tr.Count(obs.TPagesRead, mPagesRead.Value()-pagesBefore)
 	tr.Count(obs.TCandidatesExamined, int64(res.Stats.BinariesChecked+res.Stats.EditedWalked+res.Stats.EditedSkipped))
-	tr.Count(obs.TImagesReturned, int64(len(res.IDs)))
-	db.recordQueryStats(mode.String(), elapsed, res)
+	bins, edited := db.cat.Len()
+	db.recordQueryStats(mode.String(), elapsed, res, bins+edited)
 	return res, nil
 }
 
 // recordQueryStats feeds the always-on statistics recorder — the observed
 // distributions the cost-based planner reads (selectivity, edited share of
 // the candidate set, widening-shortcut applicability). Fractions with an
-// empty denominator are skipped (-1) rather than recorded as zero.
-func (db *DB) recordQueryStats(strategy string, elapsed time.Duration, res *rbm.Result) {
+// empty denominator are skipped (-1) rather than recorded as zero. scanned
+// is the selectivity denominator: the corpus size for a set-at-a-time
+// query, the candidates actually judged for a paged one.
+func (db *DB) recordQueryStats(strategy string, elapsed time.Duration, res *rbm.Result, scanned int) {
 	st := obs.DefaultStats()
 	if !st.Enabled() {
 		return
 	}
-	bins, edited := db.cat.Len()
 	sel := -1.0
-	if corpus := bins + edited; corpus > 0 {
-		sel = float64(len(res.IDs)) / float64(corpus)
+	if scanned > 0 {
+		sel = float64(len(res.IDs)) / float64(scanned)
 	}
 	editedSeen := res.Stats.EditedWalked + res.Stats.EditedSkipped
 	editedFrac := -1.0
@@ -937,16 +946,7 @@ func (db *DB) rangeInstantiate(ctx context.Context, q query.Range, tr *obs.Trace
 		if err != nil {
 			return false, err
 		}
-		img, err := editops.ApplySequence(obj.Seq, env)
-		if err != nil {
-			return false, fmt.Errorf("core: instantiate %d: %w", id, err)
-		}
-		st.EditedWalked++
-		tr.Count(obs.TEditedInstantiated, 1)
-		if img.Size() == 0 {
-			return false, nil
-		}
-		return q.MatchesExact(histogram.Extract(img, db.cfg.Quantizer)), nil
+		return db.instantiateMatches(obj, env, q.MatchesExact, st, tr)
 	})
 	if err != nil {
 		return nil, err
@@ -956,6 +956,26 @@ func (db *DB) rangeInstantiate(ctx context.Context, q query.Range, tr *obs.Trace
 	done()
 	sort.Slice(res.IDs, func(i, j int) bool { return res.IDs[i] < res.IDs[j] })
 	return res, nil
+}
+
+// instantiateMatches materializes one edited image and applies the exact
+// histogram test — ModeInstantiate's per-candidate verdict.
+func (db *DB) instantiateMatches(obj *catalog.Object, env *editops.Env, exact func(*histogram.Histogram) bool, st *rbm.Stats, tr *obs.Trace) (bool, error) {
+	img, err := editops.ApplySequence(obj.Seq, env)
+	if err != nil {
+		// A raster can only be missing once its dependents are gone: the
+		// candidate itself was deleted since it was listed.
+		if _, gone := db.cat.Get(obj.ID); errors.Is(err, catalog.ErrNotFound) && errors.Is(gone, catalog.ErrNotFound) {
+			return false, nil
+		}
+		return false, fmt.Errorf("core: instantiate %d: %w", obj.ID, err)
+	}
+	st.EditedWalked++
+	tr.Count(obs.TEditedInstantiated, 1)
+	if img.Size() == 0 {
+		return false, nil
+	}
+	return exact(histogram.Extract(img, db.cfg.Quantizer)), nil
 }
 
 // CompoundQuery evaluates a multi-predicate query: each term runs in the
@@ -981,11 +1001,23 @@ func (db *DB) CompoundQueryTraced(c query.Compound, mode Mode, trace *obs.Trace)
 // execution mode, tracing, and result limit.
 func (db *DB) CompoundQueryCtx(ctx context.Context, c query.Compound, opts ...QueryOption) (*rbm.Result, error) {
 	cfg := buildQueryConfig(opts)
+	if cfg.stopsEarly() {
+		if err := c.Validate(db.cfg.Quantizer.Bins()); err != nil {
+			return nil, err
+		}
+		terms := make([]pagedTerm, len(c.Terms))
+		for i, q := range c.Terms {
+			terms[i] = db.rangeTerm(q)
+		}
+		return db.pagedDispatch(ctx, terms, c.Conn, cfg.Mode.String(), cfg)
+	}
 	res, err := db.compoundDispatch(ctx, c, cfg.Mode, cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
-	return applyLimit(res, cfg.Limit), nil
+	res = applyPage(res, cfg)
+	cfg.Trace.Count(obs.TImagesReturned, int64(len(res.IDs)))
+	return res, nil
 }
 
 // CompoundQueryTracedCtx is CompoundQueryCtx with a positional mode and
@@ -1021,36 +1053,50 @@ func (db *DB) compoundDispatch(ctx context.Context, c query.Compound, mode Mode,
 	if err != nil {
 		return nil, err
 	}
-	var acc map[uint64]bool
-	for _, tr := range results {
-		res.Stats.Add(tr.Stats)
-		cur := make(map[uint64]bool, len(tr.IDs))
-		for _, id := range tr.IDs {
-			cur[id] = true
-		}
-		switch {
-		case acc == nil:
-			acc = cur
-		case c.Conn == query.And:
-			for id := range acc {
-				if !cur[id] {
-					delete(acc, id)
-				}
-			}
-		default: // Or
-			for id := range cur {
-				acc[id] = true
-			}
-		}
-	}
+	// Every term's ids are ascending and unique, so a one-term compound
+	// (every plain text query) is its term's answer as is and And/Or are
+	// linear merges.
 	done := trace.Phase("compound.combine")
-	res.IDs = make([]uint64, 0, len(acc))
-	for id := range acc {
-		res.IDs = append(res.IDs, id)
+	ids := results[0].IDs
+	for i, tr := range results {
+		res.Stats.Add(tr.Stats)
+		if i > 0 {
+			ids = mergeSorted(ids, tr.IDs, c.Conn == query.Or)
+		}
 	}
-	sort.Slice(res.IDs, func(i, j int) bool { return res.IDs[i] < res.IDs[j] })
+	if ids == nil {
+		ids = []uint64{} // an empty answer stays "ids": [] on the wire
+	}
+	res.IDs = ids
 	done()
 	return res, nil
+}
+
+// mergeSorted combines two ascending, duplicate-free id lists into their
+// union or their intersection, ascending.
+func mergeSorted(a, b []uint64, union bool) []uint64 {
+	out := make([]uint64, 0, len(a))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] == b[0]:
+			out = append(out, a[0])
+			a, b = a[1:], b[1:]
+		case a[0] < b[0]:
+			if union {
+				out = append(out, a[0])
+			}
+			a = a[1:]
+		default:
+			if union {
+				out = append(out, b[0])
+			}
+			b = b[1:]
+		}
+	}
+	if union {
+		out = append(append(out, a...), b...)
+	}
+	return out
 }
 
 // CompoundQueryText parses and evaluates a textual compound query

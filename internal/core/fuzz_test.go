@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -19,10 +20,28 @@ func fuzzDB(f *testing.F) *DB {
 	return db
 }
 
+// checkLimitPrefixes is the fuzzers' referee for paged evaluation: under
+// limit 1 and 7 every bound-based mode must return the unlimited answer's
+// prefix.
+func checkLimitPrefixes(t *testing.T, text string, full []uint64, run func(opts ...QueryOption) ([]uint64, error)) {
+	t.Helper()
+	for _, mode := range []Mode{ModeRBM, ModeBWM, ModeIndexed} {
+		for _, limit := range []int{1, 7} {
+			got, err := run(mode, WithLimit(limit))
+			if err != nil {
+				t.Fatalf("%v limit=%d failed on accepted query %q: %v", mode, limit, text, err)
+			}
+			if want := full[:min(limit, len(full))]; !sameIDs(got, want) {
+				t.Fatalf("%v limit=%d: %v, want prefix %v for %q", mode, limit, got, want, text)
+			}
+		}
+	}
+}
+
 // FuzzRangeQueryText feeds arbitrary text through the range-query parser
 // and, when it parses, through BWM, RBM and the S-tree index: the parser
-// must never panic, a parsed query must execute, and all three methods
-// must agree.
+// must never panic, a parsed query must execute, all three methods must
+// agree, and each must return the answer's prefix under a limit.
 func FuzzRangeQueryText(f *testing.F) {
 	db := fuzzDB(f)
 	f.Add("at least 25% blue")
@@ -57,6 +76,13 @@ func FuzzRangeQueryText(f *testing.F) {
 				t.Fatalf("ids not strictly ascending: %v", bwm.IDs)
 			}
 		}
+		checkLimitPrefixes(t, text, bwm.IDs, func(opts ...QueryOption) ([]uint64, error) {
+			res, err := db.RangeQueryTextCtx(context.Background(), text, opts...)
+			if err != nil {
+				return nil, err
+			}
+			return res.IDs, nil
+		})
 	})
 }
 
@@ -94,5 +120,12 @@ func FuzzCompoundQueryText(f *testing.F) {
 				t.Fatalf("ids not strictly ascending: %v", bwm.IDs)
 			}
 		}
+		checkLimitPrefixes(t, text, bwm.IDs, func(opts ...QueryOption) ([]uint64, error) {
+			res, err := db.CompoundQueryTextCtx(context.Background(), text, opts...)
+			if err != nil {
+				return nil, err
+			}
+			return res.IDs, nil
+		})
 	})
 }

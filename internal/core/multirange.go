@@ -9,8 +9,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/colorspace"
-	"repro/internal/editops"
-	"repro/internal/histogram"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/rbm"
@@ -64,11 +62,17 @@ func (db *DB) RangeQueryMulti(q query.MultiRange, mode Mode) (*rbm.Result, error
 // with options selecting the execution mode, tracing, and result limit.
 func (db *DB) RangeQueryMultiCtx(ctx context.Context, q query.MultiRange, opts ...QueryOption) (*rbm.Result, error) {
 	cfg := buildQueryConfig(opts)
+	if cfg.stopsEarly() {
+		if err := q.Validate(db.cfg.Quantizer.Bins()); err != nil {
+			return nil, err
+		}
+		return db.pagedDispatch(ctx, []pagedTerm{db.multiTerm(q)}, query.And, "multi:"+cfg.Mode.String(), cfg)
+	}
 	res, err := db.multiDispatch(ctx, q, cfg.Mode, cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
-	return applyLimit(res, cfg.Limit), nil
+	return applyPage(res, cfg), nil
 }
 
 // RangeQueryMultiTraced is RangeQueryMulti with decision counts and phase
@@ -113,7 +117,8 @@ func (db *DB) multiDispatch(ctx context.Context, q query.MultiRange, mode Mode, 
 	if err != nil {
 		return nil, err
 	}
-	db.recordQueryStats("multi:"+mode.String(), time.Since(start), res)
+	bins, edited := db.cat.Len()
+	db.recordQueryStats("multi:"+mode.String(), time.Since(start), res, bins+edited)
 	return res, nil
 }
 
@@ -264,15 +269,7 @@ func (db *DB) multiInstantiate(ctx context.Context, q query.MultiRange) (*rbm.Re
 		if err != nil {
 			return false, err
 		}
-		img, err := editops.ApplySequence(obj.Seq, env)
-		if err != nil {
-			return false, fmt.Errorf("core: instantiate %d: %w", id, err)
-		}
-		st.EditedWalked++
-		if img.Size() == 0 {
-			return false, nil
-		}
-		return q.MatchesExact(histogram.Extract(img, db.cfg.Quantizer)), nil
+		return db.instantiateMatches(obj, env, q.MatchesExact, st, nil)
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"repro/internal/obs"
 	"repro/internal/rbm"
 )
@@ -13,6 +15,7 @@ import (
 //	db.RangeQueryCtx(ctx, q)                                  // default mode
 //	db.RangeQueryCtx(ctx, q, core.ModeIndexed)                // Mode is an option
 //	db.RangeQueryCtx(ctx, q, core.WithMode(m), core.WithTrace(tr), core.WithLimit(10))
+//	db.RangeQueryCtx(ctx, q, core.WithLimit(10), core.WithAfter(lastID))   // next page
 //
 // Mode implements QueryOption directly, which is also what kept every
 // pre-redesign call site of the form RangeQueryCtx(ctx, q, mode) compiling
@@ -26,9 +29,19 @@ type QueryConfig struct {
 	Mode Mode
 	// Trace, when non-nil, receives per-phase timings and decision counts.
 	Trace *obs.Trace
-	// Limit, when positive, truncates the result to the first Limit ids
-	// (after the deterministic sort, so it is a stable prefix).
+	// Limit, when positive, caps the result at the first Limit ids in
+	// ascending id order (a stable prefix of the unlimited answer).
 	Limit int
+	// After, when positive, is a keyset cursor: only ids greater than After
+	// are returned. Passing a page's last id yields the next page.
+	After uint64
+}
+
+// stopsEarly reports whether the query runs through the id-ordered,
+// early-terminating evaluator (paged.go): every query carrying a limit or a
+// cursor, outside ModeIndexed, whose tree does not deliver ids in order.
+func (c QueryConfig) stopsEarly() bool {
+	return (c.Limit > 0 || c.After > 0) && c.Mode != ModeIndexed
 }
 
 // QueryOption configures one query execution.
@@ -56,11 +69,23 @@ func WithTrace(tr *obs.Trace) QueryOption {
 	return queryOptionFunc(func(c *QueryConfig) { c.Trace = tr })
 }
 
-// WithLimit truncates the result id list to the first n ids after the
-// deterministic sort. Zero or negative means unlimited. For k-NN queries
-// the limit applies on top of K (the smaller wins).
+// WithLimit caps the result id list at the first n ids in ascending id
+// order. Zero or negative means unlimited. Range, compound and multi-bin
+// queries stop evaluating candidates once n ids are confirmed (see
+// paged.go); for k-NN queries the limit applies on top of K (the smaller
+// wins).
 func WithLimit(n int) QueryOption {
 	return queryOptionFunc(func(c *QueryConfig) { c.Limit = n })
+}
+
+// WithAfter is the keyset cursor beside WithLimit: the result holds only ids
+// greater than id, so passing each page's last id walks the whole answer
+// without re-evaluating earlier pages. Zero means "from the start". Pages are
+// read-committed with respect to each other: an object inserted or deleted
+// between two pages shows up (or not) by its id alone. k-NN queries ignore
+// it.
+func WithAfter(id uint64) QueryOption {
+	return queryOptionFunc(func(c *QueryConfig) { c.After = id })
 }
 
 // buildQueryConfig resolves options in order; later options win.
@@ -74,10 +99,16 @@ func buildQueryConfig(opts []QueryOption) QueryConfig {
 	return c
 }
 
-// applyLimit enforces QueryConfig.Limit on a sorted result.
-func applyLimit(res *rbm.Result, limit int) *rbm.Result {
-	if limit > 0 && len(res.IDs) > limit {
-		res.IDs = res.IDs[:limit:limit]
+// applyPage cuts the configured page out of a complete, ascending result —
+// the descend-then-filter-then-truncate path ModeIndexed keeps because the
+// tree does not deliver ids in order.
+func applyPage(res *rbm.Result, cfg QueryConfig) *rbm.Result {
+	if cfg.After > 0 {
+		i := sort.Search(len(res.IDs), func(i int) bool { return res.IDs[i] > cfg.After })
+		res.IDs = res.IDs[i:]
+	}
+	if cfg.Limit > 0 && len(res.IDs) > cfg.Limit {
+		res.IDs = res.IDs[:cfg.Limit:cfg.Limit]
 	}
 	return res
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dataset"
@@ -119,5 +120,90 @@ func TestTraceIndexedBuildOnce(t *testing.T) {
 	if warm.Get(obs.TIndexNodesVisited) == 0 || warm.Get(obs.TEditedWalked) != 0 || warm.Get(obs.TRulesEvaluated) != 0 {
 		t.Fatalf("warm run: nodes %d, walked %d, rules %d", warm.Get(obs.TIndexNodesVisited),
 			warm.Get(obs.TEditedWalked), warm.Get(obs.TRulesEvaluated))
+	}
+}
+
+// Under a limit the counters report the work the early-terminated scan did
+// and the ids it returned, not the corpus.
+func TestTracePagedCounterTruth(t *testing.T) {
+	db := memDB(t)
+	populate(t, db, 60, 5, 0.3, 21)
+	q := query.Range{Bin: db.cfg.Quantizer.Bin(dataset.Red), PctMin: 0.05, PctMax: 1}
+	ctx := context.Background()
+	corpus := int64(len(db.Binaries()) + len(db.EditedIDs()))
+	for _, mode := range AllModes() {
+		tr := obs.NewTrace()
+		res, err := db.RangeQueryCtx(ctx, q, mode, WithLimit(5), WithTrace(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.IDs) != 5 || tr.Get(obs.TImagesReturned) != 5 {
+			t.Fatalf("%v: %d ids, images_returned %d, want 5 and 5", mode, len(res.IDs), tr.Get(obs.TImagesReturned))
+		}
+		if mode == ModeIndexed {
+			continue // descends the whole tree, then truncates
+		}
+		examined := tr.Get(obs.TCandidatesExamined)
+		if examined < 5 || examined > int64(res.IDs[4]) || examined >= corpus {
+			t.Fatalf("%v: candidates_examined %d for a page ending at id %d of %d objects", mode, examined, res.IDs[4], corpus)
+		}
+		if got := int64(res.Stats.BinariesChecked + res.Stats.EditedWalked + res.Stats.EditedSkipped); got != examined {
+			t.Fatalf("%v: stats account for %d candidates, trace for %d", mode, got, examined)
+		}
+		if mode == ModeInstantiate {
+			continue // walks no rules
+		}
+		if walked := tr.Get(obs.TEditedWalked); walked != int64(res.Stats.EditedWalked) {
+			t.Fatalf("%v: edited_walked %d, stats %d", mode, walked, res.Stats.EditedWalked)
+		}
+		if rules := tr.Get(obs.TRulesEvaluated); rules != int64(res.Stats.OpsEvaluated) {
+			t.Fatalf("%v: rules_evaluated %d, stats %d", mode, rules, res.Stats.OpsEvaluated)
+		}
+	}
+}
+
+// The candidate-side BWM decision feeds the same counters as the cluster
+// walk: one fast-path admission per rule-free member, one cluster hit per
+// satisfied base however many of its members the page held.
+func TestTracePagedBWMFastPath(t *testing.T) {
+	db := memDB(t)
+	red, err := db.InsertImage("red", imaging.NewFilled(8, 8, dataset.Red))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blue, err := db.InsertImage("blue", imaging.NewFilled(8, 8, dataset.Blue))
+	if err != nil {
+		t.Fatal(err)
+	}
+	widening := []editops.Op{editops.Modify{Old: dataset.Blue, New: dataset.Green}}
+	for _, base := range []uint64{red, red, red, blue} {
+		if _, err := db.InsertEdited("e", &editops.Sequence{BaseID: base, Ops: widening}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := query.Range{Bin: db.cfg.Quantizer.Bin(dataset.Red), PctMin: 0.5, PctMax: 1}
+	tr := obs.NewTrace()
+	res, err := db.RangeQueryCtx(context.Background(), q, ModeBWM, WithLimit(3), WithTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ids 1 (red) and 2 (blue) are the bases; 3 and 4 are red's first members.
+	if !sameIDs(res.IDs, []uint64{red, 3, 4}) {
+		t.Fatalf("ids %v", res.IDs)
+	}
+	if got := tr.Get(obs.TFastPathAdmitted); got != 2 {
+		t.Fatalf("fastpath admitted %d, want 2", got)
+	}
+	if got := tr.Get(obs.TClusterHits); got != 1 {
+		t.Fatalf("cluster hits %d, want 1", got)
+	}
+	if got := tr.Get(obs.TRulesEvaluated); got != 0 {
+		t.Fatalf("fast path evaluated %d rules", got)
+	}
+	if got := tr.Get(obs.TCandidatesExamined); got != 4 {
+		t.Fatalf("candidates examined %d, want 4", got)
+	}
+	if res.Stats.EditedSkipped != 2 || res.Stats.BinariesChecked != 2 {
+		t.Fatalf("stats %+v", res.Stats)
 	}
 }

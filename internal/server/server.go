@@ -13,8 +13,8 @@
 //	GET    /v1/objects/{id}/image   materialized raster (?format=ppm|png)
 //	POST   /v1/objects/{id}/augment generate edited versions
 //	DELETE /v1/objects/{id}         delete an object
-//	GET    /v1/query?q=...&mode=... color range query (compound supported; &trace=1 adds a trace, &limit=N truncates)
-//	GET    /v1/multirange?bins=...  structured multi-range query (bins=0,3,7&min=..&max=..&limit=N; no text form exists)
+//	GET    /v1/query?q=...&mode=... color range query (compound supported; &trace=1 adds a trace, &limit=N caps the page, &after=ID resumes past an id)
+//	GET    /v1/multirange?bins=...  structured multi-range query (bins=0,3,7&min=..&max=..&limit=N&after=ID; no text form exists)
 //	GET    /v1/explain?q=...        query plan without execution (&trace=1 also runs it and returns the measured trace)
 //	POST   /v1/similar?k=...        query by example (body: image)
 //	GET    /v1/stats                database statistics
@@ -56,6 +56,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -572,14 +573,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	limit, err := parseLimit(r.URL.Query().Get("limit"))
+	limit, after, err := pageParams(r.URL.Query())
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	tr := edgeTrace(r)
 	start := time.Now()
-	res, err := s.db.QueryCompoundCtx(r.Context(), text, mode, mmdb.WithTrace(tr), mmdb.WithLimit(limit))
+	res, err := s.db.QueryCompoundCtx(r.Context(), text, mode, mmdb.WithTrace(tr), mmdb.WithLimit(limit), mmdb.WithAfter(after))
 	if err != nil {
 		logQuery(r, start, "query", r.URL.Query().Get("mode"), text, tr, 0, err)
 		s.writeError(w, badRequest("%v", err))
@@ -643,14 +644,14 @@ func (s *Server) handleMultiRange(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	limit, err := parseLimit(q.Get("limit"))
+	limit, after, err := pageParams(q)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	tr := edgeTrace(r)
 	start := time.Now()
-	res, err := s.db.RangeQueryMultiCtx(r.Context(), mmdb.MultiRange{Bins: bins, PctMin: pctMin, PctMax: pctMax}, mode, mmdb.WithTrace(tr), mmdb.WithLimit(limit))
+	res, err := s.db.RangeQueryMultiCtx(r.Context(), mmdb.MultiRange{Bins: bins, PctMin: pctMin, PctMax: pctMax}, mode, mmdb.WithTrace(tr), mmdb.WithLimit(limit), mmdb.WithAfter(after))
 	if err != nil {
 		logQuery(r, start, "multirange", q.Get("mode"), q.Get("bins"), tr, 0, err)
 		s.writeError(w, badRequest("%v", err))
@@ -888,16 +889,20 @@ func parseMode(s string) (mmdb.Mode, error) {
 	return m, nil
 }
 
-// parseLimit reads an optional ?limit= parameter (0 = unlimited).
-func parseLimit(s string) (int, error) {
-	if s == "" {
-		return 0, nil
+// pageParams reads the optional paging parameters: ?limit= (0 = unlimited)
+// and the ?after= keyset cursor (0 = from the start).
+func pageParams(q url.Values) (limit int, after uint64, err error) {
+	if s := q.Get("limit"); s != "" {
+		if limit, err = strconv.Atoi(s); err != nil || limit < 0 {
+			return 0, 0, badRequest("invalid limit %q", s)
+		}
 	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		return 0, badRequest("invalid limit %q", s)
+	if s := q.Get("after"); s != "" {
+		if after, err = strconv.ParseUint(s, 10, 64); err != nil {
+			return 0, 0, badRequest("invalid after %q", s)
+		}
 	}
-	return n, nil
+	return limit, after, nil
 }
 
 func parseMetric(s string) (mmdb.Metric, error) {

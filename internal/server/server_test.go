@@ -636,3 +636,47 @@ func TestStatsQueryStatsPopulated(t *testing.T) {
 		}
 	}
 }
+
+// ?limit= and ?after= page through an answer on both query endpoints, and a
+// non-numeric cursor is a bad_request envelope.
+func TestQueryPaging(t *testing.T) {
+	ts, db := newTestServer(t)
+	for i := 0; i < 5; i++ {
+		if _, err := db.InsertImage("b", mmdb.NewFilledImage(8, 8, dataset.Blue)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, route := range []string{
+		"/v1/query?q=at+least+50%25+blue",
+		"/v1/multirange?bins=0,1,2,3&min=0&max=1",
+	} {
+		var pages [][]uint64
+		for after := uint64(0); ; {
+			var res struct {
+				IDs     []uint64          `json:"ids"`
+				Objects []json.RawMessage `json:"objects"`
+			}
+			doJSON(t, "GET", fmt.Sprintf("%s%s&limit=2&after=%d", ts.URL, route, after), nil, "", http.StatusOK, &res)
+			if len(res.Objects) != len(res.IDs) {
+				t.Fatalf("%s: %d objects for %d ids", route, len(res.Objects), len(res.IDs))
+			}
+			if len(res.IDs) == 0 {
+				break
+			}
+			pages = append(pages, res.IDs)
+			after = res.IDs[len(res.IDs)-1]
+		}
+		if got := fmt.Sprint(pages); got != "[[1 2] [3 4] [5]]" {
+			t.Fatalf("%s: pages %s", route, got)
+		}
+		for _, bad := range []string{"abc", "-1", "1.5"} {
+			var env struct {
+				Code string `json:"code"`
+			}
+			doJSON(t, "GET", ts.URL+route+"&after="+bad, nil, "", http.StatusBadRequest, &env)
+			if env.Code != "bad_request" {
+				t.Fatalf("%s&after=%s: code %q, want bad_request", route, bad, env.Code)
+			}
+		}
+	}
+}

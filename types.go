@@ -138,7 +138,7 @@ var (
 
 // QueryOption configures one query execution on the canonical *Ctx query
 // methods. A Mode value is itself a QueryOption selecting the execution
-// strategy; see also WithMode, WithTrace, and WithLimit.
+// strategy; see also WithMode, WithTrace, WithLimit, and WithAfter.
 type QueryOption = core.QueryOption
 
 // Query option constructors.
@@ -149,9 +149,14 @@ var (
 	// WithTrace records per-phase timings and decision counts into a Trace
 	// (nil disables tracing).
 	WithTrace = core.WithTrace
-	// WithLimit truncates the result id list to the first n ids after the
-	// deterministic sort.
+	// WithLimit caps the result id list at the first n ids in ascending id
+	// order; range, compound and multi-bin queries stop evaluating once the
+	// page is full.
 	WithLimit = core.WithLimit
+	// WithAfter is the keyset cursor beside WithLimit: only ids greater than
+	// the given id are returned, so passing each page's last id walks the
+	// answer page by page.
+	WithAfter = core.WithAfter
 )
 
 // Trace records per-phase timings and decision counts for one query. All
