@@ -92,13 +92,20 @@ index-smoke:
 bench-smoke:
 	$(GO) vet -C benchmark ./... && $(GO) test -C benchmark ./...
 
-# Durability fault matrix: kill the store at every write/fsync budget,
-# recover, and assert no acked write is lost, no unacked write half-applies,
-# and the recovered store matches an uncrashed twin. The cluster package
-# adds the replication legs: followers crashing mid-catch-up reopen and
-# converge back to leader parity.
+# Durability fault matrix: kill the log at every write/fsync budget and the
+# storage engine at every seal/compaction failpoint, recover, and assert no
+# acked write is lost, no unacked write half-applies, and the recovered
+# store matches an uncrashed twin. The cluster package adds the replication
+# legs: followers crashing mid-catch-up reopen and converge back to leader
+# parity. A listed package in which the pattern matches no test fails the
+# target: a renamed suite must not pass silently.
 crash-matrix:
-	$(GO) test -race -count=1 -run 'Crash|Recovery|WAL|Compact|Drain' ./internal/core/ ./internal/store/ ./internal/store/segment/ ./internal/server/ ./internal/cluster/
+	@out="$$($(GO) test -race -count=1 -run 'Crash|Recovery|WAL|Compact|Drain' ./internal/core/ ./internal/store/ ./internal/store/segment/ ./internal/server/ ./internal/cluster/ 2>&1)"; \
+	status=$$?; echo "$$out"; \
+	if [ $$status -ne 0 ]; then exit $$status; fi; \
+	if echo "$$out" | grep -q 'no tests to run'; then \
+		echo "crash-matrix: the -run pattern matched no test in a listed package"; exit 1; \
+	fi
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

@@ -17,14 +17,12 @@
 //	                              costs under WithLimit, by depth
 //
 // plus micro-benchmarks for the substrates (histogram extraction,
-// instantiation, BOUNDS walks and the page store).
+// instantiation and BOUNDS walks).
 package mmdb_test
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"path/filepath"
 	"testing"
 
 	mmdb "repro"
@@ -36,7 +34,6 @@ import (
 	"repro/internal/imaging"
 	"repro/internal/query"
 	"repro/internal/rules"
-	"repro/internal/store"
 
 	"repro/internal/colorspace"
 )
@@ -259,29 +256,6 @@ func BenchmarkInstantiateSequence(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := editops.Apply(img, seq.Ops, env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStorePutGet(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "bench.esidb")
-	st, err := store.Create(path, store.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	blob := make([]byte, 4096)
-	rand.New(rand.NewSource(1)).Read(blob)
-	b.SetBytes(int64(len(blob)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id, err := st.Put(blob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := st.Get(id); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,7 +8,7 @@
 //	benchfig -exp table1|table2|fig3|fig4|summary
 //	benchfig -exp ablation-widening|ablation-ops|ablation-baseline|ablation-cache
 //	benchfig -exp ext-knn|ext-bic
-//	benchfig -exp scale|cluster|commit|obsoverhead|segment|index
+//	benchfig -exp scale|cluster|commit|obsoverhead|index
 package main
 
 import (
@@ -164,13 +164,6 @@ func run(exp string) error {
 		}
 		bench.WriteCommit(out, pts)
 		return bench.WriteCommitJSON(out, pts)
-	case "segment":
-		res, err := bench.CompareSegment(400)
-		if err != nil {
-			return err
-		}
-		bench.WriteSegment(out, res)
-		return bench.WriteSegmentJSON(out, res)
 	case "index":
 		res, err := bench.CompareIndex(nil)
 		if err != nil {

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	esidb create  -db file
+//	esidb create  -db path        (objects go to path.segments/, the log to path.wal)
 //	esidb insert  -db file -name label image.(ppm|png)
 //	esidb edit    -db file -name label script.txt
 //	esidb augment -db file -id N [-per 3] [-ops 4] [-nonwidening 0.2] [-seed 1]
@@ -23,7 +23,9 @@
 //	esidb wal     stats|checkpoint -db file
 //	esidb stats   -db file
 //	esidb metrics -db file [-q "at least 25% blue"] [-mode bwm] [-json]
-//	esidb serve   -db file [-addr :8765] [-log-json] [-parallelism N] [-slow-query-threshold 100ms] [-shard-id s0 -shard-map map.json] [-replica-of http://leader:8765 -replica-id s0-r1]
+//	esidb fsck    -db file
+//	esidb store   segments -db file
+//	esidb serve   -db file [-addr :8765] [-log-json] [-parallelism N] [-slow-query-threshold 100ms] [-segment-size BYTES] [-compaction-rate BYTES/S] [-shard-id s0 -shard-map map.json] [-replica-of http://leader:8765 -replica-id s0-r1]
 //	esidb querylog [-addr http://localhost:8765] [-threshold 100ms] [-json]
 //	esidb cluster query|similar|stats|health|load -map map.json ...
 //	esidb colors
@@ -119,7 +121,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `esidb — edit-sequence image database CLI
 
 commands:
-  create   create an empty database file
+  create   create an empty database (<db>.segments/ and <db>.wal)
   insert   insert a raster image (PPM or PNG)
   edit     insert an edited image from a text script
   augment  generate and insert edited versions of a base image
@@ -132,9 +134,9 @@ commands:
   ls       list all objects
   dump     export all objects to a portable directory (PPM + scripts)
   load     import a dump directory (ids remapped)
-  compact  rewrite the database file, reclaiming deleted space
-  fsck     verify the database file's structural integrity
-  store    storage-engine operations: segments (list the segment stack)
+  compact  seal and merge segments, reclaiming deleted and superseded space
+  fsck     verify every segment's frames, footer, index and bloom filter
+  store    storage-engine operations: segments (list the stack off disk)
   wal      write-ahead-log operations: stats, checkpoint
   stats    print database statistics
   metrics  run a workload probe and print the process metrics registry
@@ -147,12 +149,6 @@ commands:
 func openDB(path string) (*mmdb.DB, error) {
 	if path == "" {
 		return nil, fmt.Errorf("missing -db flag")
-	}
-	// A database created with the segmented engine keeps its objects under
-	// <path>.segments; reopening it through the page-store path would see
-	// an empty store, so detect and route automatically.
-	if fi, err := os.Stat(path + ".segments"); err == nil && fi.IsDir() {
-		return mmdb.Open(mmdb.WithPath(path), mmdb.WithSegmentStore(mmdb.SegmentOptions{}))
 	}
 	return mmdb.Open(mmdb.WithPath(path))
 }
@@ -649,23 +645,18 @@ func cmdCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	path := fs.String("db", "", "database file")
 	fs.Parse(args)
-	before, err := os.Stat(*path)
-	if err != nil {
-		return err
-	}
 	db, err := openDB(*path)
 	if err != nil {
 		return err
 	}
 	defer db.Close()
+	before, _ := db.SegmentStats()
 	if err := db.Compact(); err != nil {
 		return err
 	}
-	after, err := os.Stat(*path)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("compacted %s: %d -> %d bytes\n", *path, before.Size(), after.Size())
+	after, _ := db.SegmentStats()
+	fmt.Printf("compacted %s: %d -> %d bytes, %d -> %d segments\n",
+		*path, before.LiveBytes, after.LiveBytes, before.Segments, after.Segments)
 	return nil
 }
 
@@ -682,8 +673,8 @@ func cmdFsck(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("pages: %d (%d free)\nlive cells: %d (%d bytes)\ndead slots: %d\n",
-		res.Pages, res.FreePages, res.LiveCells, res.UsedBytes, res.DeadSlots)
+	fmt.Printf("segments: %d\nentries: %d\nbytes: %d\nproblems: %d\n",
+		res.Segments, res.Entries, res.Bytes, len(res.Problems))
 	if !res.Ok() {
 		for _, p := range res.Problems {
 			fmt.Printf("PROBLEM: %s\n", p)
@@ -712,7 +703,7 @@ func cmdStore(args []string) error {
 	case "segments":
 		dir := *path + ".segments"
 		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
-			return fmt.Errorf("%s is not a segmented database (no %s)", *path, dir)
+			return fmt.Errorf("%s is not a database (no %s)", *path, dir)
 		}
 		m, err := segment.ReadManifest(dir)
 		if err != nil {
@@ -722,12 +713,8 @@ func cmdStore(args []string) error {
 		var totalBytes int64
 		var totalEntries int
 		for _, s := range m.Segments {
-			sketch := "full"
-			if !s.SketchCovered {
-				sketch = "partial"
-			}
-			fmt.Printf("  seg %-4d %-20s ids [%d..%d]  %d entries (%d puts, %d tombstones)  %d bytes  bloom %d bits  sketch %s/%d bins\n",
-				s.ID, s.File, s.MinID, s.MaxID, s.Entries, s.Puts, s.Tombstones, s.Bytes, s.BloomBits, sketch, s.SketchBins)
+			fmt.Printf("  seg %-4d %-20s ids [%d..%d]  %d entries (%d puts, %d tombstones)  %d bytes  bloom %d bits\n",
+				s.ID, s.File, s.MinID, s.MaxID, s.Entries, s.Puts, s.Tombstones, s.Bytes, s.BloomBits)
 			totalBytes += s.Bytes
 			totalEntries += s.Entries
 		}
@@ -758,8 +745,12 @@ func cmdStats(args []string) error {
 	fmt.Printf("bwm structure: %d clusters, %d clustered, %d unclassified\n",
 		st.BWMClusters, st.BWMClustered, st.BWMUnclassified)
 	if st.Persistent {
-		fmt.Printf("store:         %d pages of %d bytes (%d free), %d file bytes\n",
-			st.Store.Pages, st.Store.PageSize, st.Store.FreePages, st.Store.FileBytes)
+		res, err := db.CheckStore()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("store:         %d segments, %d entries, %d bytes, %d problems\n",
+			res.Segments, res.Entries, res.Bytes, len(res.Problems))
 	}
 	binB, edB, err := db.StorageFootprint()
 	if err != nil {
@@ -780,31 +771,23 @@ func cmdServe(args []string) error {
 	shardMap := fs.String("shard-map", "", "cluster shard-map file (JSON)")
 	replicaOf := fs.String("replica-of", "", "start as a follower tailing this leader's base URL")
 	replicaID := fs.String("replica-id", "", "this replica's name in status output (default: the listen addr)")
-	segments := fs.Bool("segments", false, "back the database with the segmented storage engine (background compaction)")
-	segmentSize := fs.Int64("segment-size", 0, "segmented engine: seal the memtable at this many bytes (0 = 4 MiB)")
-	compactionRate := fs.Int64("compaction-rate", 0, "segmented engine: cap compaction writes at this many bytes/sec (0 = unlimited)")
+	segmentSize := fs.Int64("segment-size", 0, "seal the memtable into a segment at this many bytes (0 = 4 MiB)")
+	compactionRate := fs.Int64("compaction-rate", 0, "cap compaction writes at this many bytes/sec (0 = unlimited)")
 	fs.Parse(args)
 	if *slowThreshold < 0 {
 		return fmt.Errorf("-slow-query-threshold must not be negative")
 	}
-	if (*segmentSize != 0 || *compactionRate != 0) && !*segments {
-		return fmt.Errorf("-segment-size and -compaction-rate require -segments")
+	if *path == "" {
+		return fmt.Errorf("missing -db flag")
 	}
 	obs.DefaultQueryLog().SetThreshold(*slowThreshold)
-	var db *mmdb.DB
-	var err error
-	if *segments {
-		if *path == "" {
-			return fmt.Errorf("missing -db flag")
-		}
-		db, err = mmdb.Open(mmdb.WithPath(*path), mmdb.WithSegmentStore(mmdb.SegmentOptions{
-			TargetBytes:     *segmentSize,
-			RateBytesPerSec: *compactionRate,
-			Background:      true,
-		}))
-	} else {
-		db, err = openDB(*path)
-	}
+	// A server seals and compacts in the background; the one-shot commands
+	// seal at Close instead.
+	db, err := mmdb.Open(mmdb.WithPath(*path), mmdb.WithSegmentStore(mmdb.SegmentOptions{
+		TargetBytes:     *segmentSize,
+		RateBytesPerSec: *compactionRate,
+		Background:      true,
+	}))
 	if err != nil {
 		return err
 	}

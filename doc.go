@@ -25,6 +25,7 @@
 //	eid, err := db.InsertEdited("photo-blue", seq)
 //	res, err := db.Query("at least 25% blue")    // BWM execution
 //
-// Open with WithPath for a persistent database backed by a page store.
+// Open with WithPath for a persistent database: immutable segment files
+// behind a write-ahead log.
 // See the examples directory for complete programs.
 package mmdb

@@ -200,14 +200,6 @@ func New(cat *catalog.Catalog, engine *rules.Engine, idx *Index) *Processor {
 	return &Processor{Cat: cat, Engine: engine, Idx: idx, rbm: rbm.New(cat, engine)}
 }
 
-// SetPrune installs a storage-level prune hook on the internal RBM
-// processor (see rbm.Processor.Prune). The BWM fast path is unaffected:
-// fast-path admissions never consult storage, only the rule-walk fallback
-// does, and the hook may only reject provably non-matching candidates.
-func (p *Processor) SetPrune(fn func(q query.Range, id uint64) bool) {
-	p.rbm.Prune = fn
-}
-
 // Range answers a color range query with the Fig. 2 algorithm.
 func (p *Processor) Range(q query.Range) (*rbm.Result, error) {
 	return p.RangeTraced(q, nil)

@@ -89,7 +89,7 @@ func (n *ReplicaNode) Follow(ctx context.Context, leaderID, leaderAddr string, c
 
 // ReplicatedClusterConfig sizes an in-process replicated cluster.
 type ReplicatedClusterConfig struct {
-	// Dir is where the backing page stores live (replication requires
+	// Dir is where the backing databases live (replication requires
 	// persistent databases — the WAL is the replication stream).
 	Dir string
 	// Shards is the number of replica sets; Replicas is members per set

@@ -1,16 +1,18 @@
 package core
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/store/segment"
 )
 
 func TestCompactShrinksAfterDeletes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.esidb")
-	db, err := Open(Config{Path: path})
+	// FanIn 2 makes the two segments below (the objects, then their
+	// tombstones) an eligible run; the default waits for a third.
+	db, err := Open(Config{Path: path, Segment: segment.Options{FanIn: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func TestCompactShrinksAfterDeletes(t *testing.T) {
 	if err := db.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := os.Stat(path)
+	before, _ := db.SegmentStats()
 
 	queriesBefore, _ := dataset.RangeWorkload(dataset.WorkloadConfig{Queries: 15, Seed: 4}, db.Quantizer())
 	var want [][]uint64
@@ -50,9 +52,9 @@ func TestCompactShrinksAfterDeletes(t *testing.T) {
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := os.Stat(path)
-	if after.Size() >= before.Size() {
-		t.Fatalf("compact did not shrink: %d -> %d bytes", before.Size(), after.Size())
+	after, _ := db.SegmentStats()
+	if after.LiveBytes >= before.LiveBytes {
+		t.Fatalf("compact did not shrink the segment set: %d -> %d bytes", before.LiveBytes, after.LiveBytes)
 	}
 	// Database still fully usable with identical results.
 	for i, q := range queriesBefore {
@@ -115,17 +117,16 @@ func TestRepeatedSyncDoesNotGrowUnbounded(t *testing.T) {
 	if err := db.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	first, _ := os.Stat(path)
+	first, _ := db.SegmentStats()
 	for i := 0; i < 25; i++ {
 		if err := db.Sync(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	last, _ := os.Stat(path)
-	// The catalog record churns but the old one is deleted each time; the
-	// file may grow by a couple of pages of slack but not linearly with the
-	// number of syncs.
-	if last.Size() > first.Size()+4*int64(8192) {
-		t.Fatalf("file grew from %d to %d across 25 syncs", first.Size(), last.Size())
+	last, _ := db.SegmentStats()
+	// A Sync with nothing staged seals nothing: no segment, no bytes.
+	if last.Segments != first.Segments || last.LiveBytes != first.LiveBytes || last.Seals != first.Seals {
+		t.Fatalf("25 idle syncs changed the segment set: %d segments / %d bytes / %d seals -> %d / %d / %d",
+			first.Segments, first.LiveBytes, first.Seals, last.Segments, last.LiveBytes, last.Seals)
 	}
 }

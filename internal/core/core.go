@@ -4,7 +4,7 @@
 // on insert, answers color range queries in several execution modes (BWM,
 // RBM, S-tree indexed, instantiation ground truth), answers k-NN similarity
 // queries with bound-based pruning, and persists everything through the
-// page store.
+// segmented storage engine behind a write-ahead log.
 //
 // Concurrency model: any number of readers (queries) run concurrently with
 // one writer (insert/delete/compact). Queries see a consistent snapshot of
@@ -133,11 +133,9 @@ var (
 		}
 		return out
 	}()
-	// mPagesRead and mFastPathAdmitted resolve to the same counter objects
-	// the store and bwm packages increment (the registry is get-or-create by
-	// name); core reads the former for trace deltas and bumps the latter on
+	// mFastPathAdmitted resolves to the same counter object the bwm package
+	// increments (the registry is get-or-create by name); core bumps it on
 	// the multi-bin fast path.
-	mPagesRead        = obs.Default().Counter("esidb_store_pages_read_total")
 	mFastPathAdmitted = obs.Default().Counter("esidb_bwm_fastpath_admitted_total")
 )
 
@@ -148,10 +146,10 @@ type Config struct {
 	Quantizer colorspace.Quantizer
 	// Background is the fill color for Mutate vacancies and Merge gaps.
 	Background imaging.RGB
-	// Path persists the database to a store file; empty means in-memory.
+	// Path persists the database: objects live in immutable segment files
+	// under Path+".segments/" and the write-ahead log at Path+".wal".
+	// Empty means in-memory.
 	Path string
-	// Store tunes the page store when Path is set.
-	Store store.Options
 	// Parallelism caps the candidate-evaluation worker pool: 0 (auto)
 	// scales with GOMAXPROCS, 1 forces the serial walk, n > 1 uses exactly
 	// n workers. Results are identical at every setting; only wall time
@@ -163,13 +161,9 @@ type Config struct {
 	// the flusher is free and batches up to store.DefaultWALMaxBatch
 	// commits per fsync.
 	WAL store.WALOptions
-	// Segment, when non-nil, backs the database with the segmented storage
-	// engine (immutable WAL-sealed segments with bloom filters, histogram
-	// sketches and background compaction; see internal/store/segment)
-	// instead of the single-file page store. The segment files live under
-	// Path+".segments/"; the WAL stays at Path+".wal". Ignored without
-	// Path. The pointed-to Options' zero value gets the engine defaults.
-	Segment *segment.Options
+	// Segment tunes the storage engine when Path is set (see
+	// internal/store/segment); the zero value gets the engine defaults.
+	Segment segment.Options
 }
 
 // DB is the augmented image database. All methods are safe for concurrent
@@ -195,39 +189,42 @@ type DB struct {
 	sidx      *stree.Tree
 	sidxReady atomic.Bool
 
-	st         *store.Store    // nil when in-memory or segmented
-	seg        *segment.Engine // nil unless the segmented backend is configured
-	wal        *store.WAL      // nil when in-memory
-	rasters    map[uint64]*imaging.Image
-	rasterRecs map[uint64]store.RecordID
+	seg     *segment.Engine // nil when in-memory
+	wal     *store.WAL      // nil when in-memory
+	rasters map[uint64]*imaging.Image
 
 	closed bool
 }
 
 // Open creates or opens a database. With an empty Path the database lives
-// in memory; otherwise the store file is created if absent and reloaded if
-// present. A nil cfg.Quantizer means "use the default (uniform RGB, 64
-// bins) for new databases, adopt whatever the store was built with for
-// existing ones"; an explicitly configured quantizer must match the store's
-// (ErrIncompatible otherwise).
+// in memory; otherwise the segment set is created if absent and reloaded if
+// present, and the write-ahead log is replayed over it. A nil cfg.Quantizer
+// means "use the default (uniform RGB, 64 bins) for new databases, adopt
+// whatever the store was built with for existing ones"; an explicitly
+// configured quantizer must match the store's (ErrIncompatible otherwise).
+// A path holding a store this build no longer reads fails with
+// ErrLegacyStore before anything is written.
 func Open(cfg Config) (*DB, error) {
 	defaulted := cfg.Quantizer == nil
 	if defaulted {
 		cfg.Quantizer = colorspace.NewUniformRGB(4)
 	}
-	db := newDB(cfg)
 	if cfg.Path == "" {
-		return db, nil
+		return newDB(cfg), nil
 	}
-	if cfg.Segment != nil {
-		return openSegmented(cfg, defaulted)
-	}
-	st, err := openOrCreate(cfg.Path, cfg.Store)
-	if err != nil {
+	if err := checkPathFile(cfg.Path); err != nil {
 		return nil, err
 	}
-	db.st = st
-	err = db.load()
+	seg, err := segment.Open(SegmentDir(cfg.Path), cfg.Segment)
+	if err != nil {
+		if errors.Is(err, segment.ErrLegacyFormat) {
+			return nil, legacyStoreError(SegmentDir(cfg.Path), err.Error())
+		}
+		return nil, err
+	}
+	db := newDB(cfg)
+	db.seg = seg
+	err = db.loadFromSegments()
 	if defaulted {
 		var mismatch *quantizerMismatchError
 		if errors.As(err, &mismatch) {
@@ -235,65 +232,12 @@ func Open(cfg Config) (*DB, error) {
 			// structures around it and reload.
 			q, perr := colorspace.ParseQuantizer(mismatch.stored)
 			if perr != nil {
-				st.Close()
-				return nil, fmt.Errorf("%w: %v", ErrIncompatible, perr)
-			}
-			cfg.Quantizer = q
-			db = newDB(cfg)
-			db.st = st
-			err = db.load()
-		}
-	}
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	// The store's rollback journal has already rewound the file to its last
-	// checkpoint; now redo every acknowledged mutation since then from the
-	// write-ahead log.
-	wal, recs, err := store.OpenWAL(cfg.Path+".wal", cfg.WAL)
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	db.wal = wal
-	db, err = db.replayWAL(recs, defaulted)
-	if err != nil {
-		wal.Abandon()
-		st.Close()
-		return nil, err
-	}
-	// Restore the observed-statistics distributions the last clean shutdown
-	// snapshotted, so the planner's input survives restarts. Best-effort: a
-	// missing or corrupt snapshot just starts the distributions cold.
-	_ = obs.DefaultStats().LoadFile(StatsSnapshotPath(cfg.Path))
-	return db, nil
-}
-
-// openSegmented opens a database backed by the segmented storage engine:
-// the object state is restored from the segment set, the quantizer is
-// verified (or adopted, when defaulted) against the store's meta entry,
-// and the write-ahead log is replayed over the result exactly as in
-// legacy mode.
-func openSegmented(cfg Config, defaulted bool) (*DB, error) {
-	seg, err := segment.Open(SegmentDir(cfg.Path), *cfg.Segment)
-	if err != nil {
-		return nil, err
-	}
-	db := newDB(cfg)
-	db.attachSegment(seg)
-	err = db.loadFromSegments()
-	if defaulted {
-		var mismatch *quantizerMismatchError
-		if errors.As(err, &mismatch) {
-			q, perr := colorspace.ParseQuantizer(mismatch.stored)
-			if perr != nil {
 				seg.Close()
 				return nil, fmt.Errorf("%w: %v", ErrIncompatible, perr)
 			}
 			cfg.Quantizer = q
 			db = newDB(cfg)
-			db.attachSegment(seg)
+			db.seg = seg
 			err = db.loadFromSegments()
 		}
 	}
@@ -301,6 +245,9 @@ func openSegmented(cfg Config, defaulted bool) (*DB, error) {
 		seg.Close()
 		return nil, err
 	}
+	// The segment set holds everything sealed before the last checkpoint;
+	// now redo every acknowledged mutation since then from the write-ahead
+	// log.
 	wal, recs, err := store.OpenWAL(cfg.Path+".wal", cfg.WAL)
 	if err != nil {
 		seg.Close()
@@ -319,6 +266,9 @@ func openSegmented(cfg Config, defaulted bool) (*DB, error) {
 		seg.Close()
 		return nil, err
 	}
+	// Restore the observed-statistics distributions the last clean shutdown
+	// snapshotted, so the planner's input survives restarts. Best-effort: a
+	// missing or corrupt snapshot just starts the distributions cold.
 	_ = obs.DefaultStats().LoadFile(StatsSnapshotPath(cfg.Path))
 	return db, nil
 }
@@ -333,12 +283,11 @@ func StatsSnapshotPath(path string) string { return path + ".stats.json" }
 // newDB builds the in-memory structures for a resolved configuration.
 func newDB(cfg Config) *DB {
 	db := &DB{
-		cfg:        cfg,
-		cat:        catalog.New(),
-		idx:        bwm.NewIndex(),
-		rasters:    make(map[uint64]*imaging.Image),
-		rasterRecs: make(map[uint64]store.RecordID),
-		sidx:       stree.New(cfg.Quantizer.Bins(), sidxFanout),
+		cfg:     cfg,
+		cat:     catalog.New(),
+		idx:     bwm.NewIndex(),
+		rasters: make(map[uint64]*imaging.Image),
+		sidx:    stree.New(cfg.Quantizer.Bins(), sidxFanout),
 	}
 	db.engine = rules.NewEngine(cfg.Quantizer, cfg.Background, db.cat)
 	db.rbmProc = rbm.New(db.cat, db.engine)
@@ -375,9 +324,9 @@ func (db *DB) Quantizer() colorspace.Quantizer { return db.cfg.Quantizer }
 // Background returns the configured background color.
 func (db *DB) Background() imaging.RGB { return db.cfg.Background }
 
-// Close persists the catalog (when backed by a store), truncates the
-// write-ahead log — a clean shutdown is a checkpoint — and releases the
-// files. The DB is unusable afterwards.
+// Close seals the memtable into the segment set, truncates the write-ahead
+// log — a clean shutdown is a checkpoint — and releases the files. The DB
+// is unusable afterwards.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -385,27 +334,18 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
-	if db.st == nil && db.seg == nil {
-		return nil
+	if db.seg == nil {
+		return nil // in-memory: nothing to flush or release
 	}
 	err := db.persistDurableLocked()
-	if err == nil && db.wal != nil {
+	if err == nil {
 		err = db.wal.Checkpoint()
 	}
-	if db.wal != nil {
-		if cerr := db.wal.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if cerr := db.wal.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
-	if db.st != nil {
-		if cerr := db.st.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if db.seg != nil {
-		if cerr := db.seg.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if cerr := db.seg.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
 	// A clean shutdown snapshots the observed statistics (a crash loses at
 	// most the distributions since the last Sync — they are advisory).
@@ -414,21 +354,21 @@ func (db *DB) Close() error {
 }
 
 // SaveQueryStats persists the process-wide query-statistics snapshot next
-// to the store file (see StatsSnapshotPath). A no-op for in-memory
+// to the database (see StatsSnapshotPath). A no-op for in-memory
 // databases. The HTTP server calls it on a timer so a crash loses at most
 // one interval of observed distributions.
 func (db *DB) SaveQueryStats() error {
 	db.mu.RLock()
-	backed := (db.st != nil || db.seg != nil) && !db.closed
+	skip := db.seg == nil || db.closed // in-memory, or already snapshotted by Close
 	db.mu.RUnlock()
-	if !backed {
+	if skip {
 		return nil
 	}
 	return obs.DefaultStats().SaveFile(StatsSnapshotPath(db.cfg.Path))
 }
 
-// Sync persists the catalog, fsyncs the store and checkpoints the
-// write-ahead log (everything the log guarded is now in the store, so the
+// Sync seals the memtable into the segment set and checkpoints the
+// write-ahead log (everything the log guarded is now in a segment, so the
 // log restarts empty). A no-op in memory mode.
 func (db *DB) Sync() error {
 	db.mu.Lock()
@@ -436,8 +376,8 @@ func (db *DB) Sync() error {
 	if db.closed {
 		return store.ErrClosed
 	}
-	if db.st == nil && db.seg == nil {
-		return nil
+	if db.seg == nil {
+		return nil // in-memory
 	}
 	if err := db.persistDurableLocked(); err != nil {
 		return err
@@ -449,9 +389,10 @@ func (db *DB) Sync() error {
 	return nil
 }
 
-// InsertImage stores a binary image: the raster goes to the blob store (or
-// the in-memory map), the histogram is extracted into the catalog, the BWM
-// Main Component gains a cluster and the S-tree (once built) a point box.
+// InsertImage stores a binary image: the raster goes to the storage engine
+// (or only the in-memory map), the histogram is extracted into the catalog,
+// the BWM Main Component gains a cluster and the S-tree (once built) a
+// point box.
 func (db *DB) InsertImage(name string, img *imaging.Image) (uint64, error) {
 	return db.InsertImageCtx(context.Background(), 0, name, img)
 }
@@ -502,17 +443,8 @@ func (db *DB) applyInsertBinaryLocked(id uint64, name string, img *imaging.Image
 		return 0, err
 	}
 	db.rasters[id] = img.Clone()
-	if db.st != nil {
-		rec, err := db.putRaster(img)
-		if err != nil {
-			return 0, err
-		}
-		db.rasterRecs[id] = rec
-	}
-	if db.seg != nil {
-		if err := db.segPutBinaryLocked(id, name, img, hist); err != nil {
-			return 0, err
-		}
+	if err := db.segPutBinaryLocked(id, name, img, hist); err != nil {
+		return 0, err
 	}
 	db.idx.InsertBinary(id)
 	db.sidxInsertBinaryLocked(id, hist)
@@ -569,10 +501,8 @@ func (db *DB) applyInsertEditedLocked(id uint64, name string, seq *editops.Seque
 	if err != nil {
 		return 0, err
 	}
-	if db.seg != nil {
-		if err := db.segPutEditedLocked(id, name, widening, seq); err != nil {
-			return 0, err
-		}
+	if err := db.segPutEditedLocked(id, name, widening, seq); err != nil {
+		return 0, err
 	}
 	db.idx.InsertEdited(id, seq.BaseID, widening)
 	db.sidxUpsertEditedLocked(id)
@@ -633,12 +563,8 @@ func (db *DB) applySetSequenceLocked(id uint64, newSeq *editops.Sequence) error 
 	if err := db.cat.UpdateEdited(id, newSeq, widening); err != nil {
 		return err
 	}
-	if db.seg != nil {
-		// Re-stage with fresh bounds so the sketch skip keeps matching the
-		// object's current BOUNDS envelope.
-		if err := db.segPutEditedLocked(id, obj.Name, widening, newSeq); err != nil {
-			return err
-		}
+	if err := db.segPutEditedLocked(id, obj.Name, widening, newSeq); err != nil {
+		return err
 	}
 	if widening != oldWidening {
 		db.idx.DeleteEdited(id, newSeq.BaseID)
@@ -650,9 +576,8 @@ func (db *DB) applySetSequenceLocked(id uint64, newSeq *editops.Sequence) error 
 
 // Delete removes an object. Edited images are always deletable; a binary
 // image is deletable only once no edited image references it as base or
-// Merge target (catalog.ErrInUse otherwise). For persistent databases the
-// raster record is reclaimed immediately; the catalog record shrinks at the
-// next Sync/Close.
+// Merge target (catalog.ErrInUse otherwise). For persistent databases a
+// tombstone shadows the object until compaction reclaims its bytes.
 func (db *DB) Delete(id uint64) error {
 	return db.DeleteCtx(context.Background(), id)
 }
@@ -691,24 +616,13 @@ func (db *DB) applyDeleteLocked(id uint64) error {
 	case catalog.KindBinary:
 		db.idx.DeleteBinary(id)
 		delete(db.rasters, id)
-		if rec, ok := db.rasterRecs[id]; ok {
-			delete(db.rasterRecs, id)
-			if err := db.st.Delete(rec); err != nil && !errors.Is(err, store.ErrNotFound) {
-				return err
-			}
-		}
 	case catalog.KindEdited:
 		db.idx.DeleteEdited(id, obj.Seq.BaseID)
 	default:
 		return fmt.Errorf("core: delete %d: unknown kind %d", id, obj.Kind)
 	}
 	db.sidxDeleteLocked(id)
-	if db.seg != nil {
-		if err := db.seg.Delete(id); err != nil {
-			return err
-		}
-	}
-	return nil
+	return db.segDeleteLocked(id)
 }
 
 // Get returns an object's catalog entry.
@@ -723,25 +637,16 @@ func (db *DB) EditedIDs() []uint64 { return db.cat.EditedIDs() }
 // EditedOf returns the edited images derived from a base image.
 func (db *DB) EditedOf(baseID uint64) []uint64 { return db.cat.EditedOf(baseID) }
 
-// binaryRaster returns a binary image's pixels, reading through the store
-// when not cached. Callers must not mutate the result.
+// binaryRaster returns a binary image's pixels, reading through the storage
+// engine when not cached. Callers must not mutate the result.
 func (db *DB) binaryRaster(id uint64) (*imaging.Image, error) {
 	db.mu.RLock()
 	img, ok := db.rasters[id]
-	rec, hasRec := db.rasterRecs[id]
 	db.mu.RUnlock()
 	if ok {
 		return img, nil
 	}
-	var err error
-	switch {
-	case db.seg != nil:
-		img, err = db.segRaster(id)
-	case hasRec && db.st != nil:
-		img, err = db.getRaster(rec)
-	default:
-		return nil, fmt.Errorf("core: raster for image %d: %w", id, catalog.ErrNotFound)
-	}
+	img, err := db.segRaster(id)
 	if err != nil {
 		return nil, err
 	}
@@ -818,9 +723,7 @@ func (db *DB) RangeQueryCtx(ctx context.Context, q query.Range, opts ...QueryOpt
 
 // RangeQueryTraced is RangeQuery with per-phase timings and decision counts
 // recorded into tr; a nil tr disables tracing. Latency and query-count
-// metrics are always recorded into the process registry. The trace's
-// pages_read counter is the process-wide store-read delta across the query,
-// so concurrent queries' page reads can bleed into each other's traces.
+// metrics are always recorded into the process registry.
 //
 // Deprecated: use RangeQueryCtx with WithTrace.
 func (db *DB) RangeQueryTraced(q query.Range, mode Mode, tr *obs.Trace) (*rbm.Result, error) {
@@ -836,7 +739,6 @@ func (db *DB) RangeQueryTracedCtx(ctx context.Context, q query.Range, mode Mode,
 
 // rangeDispatch is the mode switch behind every range-query entry point.
 func (db *DB) rangeDispatch(ctx context.Context, q query.Range, mode Mode, tr *obs.Trace) (*rbm.Result, error) {
-	pagesBefore := mPagesRead.Value()
 	start := time.Now()
 	if err := db.walQueryBarrier(ctx, tr); err != nil {
 		return nil, err
@@ -861,7 +763,6 @@ func (db *DB) rangeDispatch(ctx context.Context, q query.Range, mode Mode, tr *o
 	elapsed := time.Since(start)
 	mQueryDur[mode].ObserveDuration(elapsed)
 	mQueryCount[mode].Inc()
-	tr.Count(obs.TPagesRead, mPagesRead.Value()-pagesBefore)
 	tr.Count(obs.TCandidatesExamined, int64(res.Stats.BinariesChecked+res.Stats.EditedWalked+res.Stats.EditedSkipped))
 	bins, edited := db.cat.Len()
 	db.recordQueryStats(mode.String(), elapsed, res, bins+edited)

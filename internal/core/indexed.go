@@ -238,9 +238,7 @@ const ctxEvery = 256
 // query shape the leaf geometry test is exact (see the package comment), so
 // every delivered item is a match: binary point boxes reproduce
 // MatchesExact, edited bounds boxes reproduce Bounds.Overlaps. Only items
-// carrying the universal fallback box pay a rule walk — and those first
-// consult the segment sketches, composing the segmented engine's skip into
-// the indexed path.
+// carrying the universal fallback box pay a rule walk.
 func (db *DB) rangeSTree(ctx context.Context, q query.Range, tr *obs.Trace) (*rbm.Result, error) {
 	if err := q.Validate(db.cfg.Quantizer.Bins()); err != nil {
 		return nil, err
@@ -285,9 +283,6 @@ func (db *DB) rangeSTree(ctx context.Context, q query.Range, tr *obs.Trace) (*rb
 			}
 		default:
 			// Universal fallback box: never decidable geometrically.
-			if db.segPrune(q, it.ID, tr) {
-				return nil
-			}
 			obj, err := db.cat.Edited(it.ID)
 			if errors.Is(err, catalog.ErrNotFound) {
 				return nil

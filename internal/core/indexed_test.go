@@ -267,8 +267,8 @@ func TestIndexedRebuildWalksNoRules(t *testing.T) {
 // TestIndexedUniversalBoxFallback covers the can't-lose-a-candidate
 // promise: an edited image whose bounds could not be computed at index time
 // carries the universal box, is never decided geometrically, and pays one
-// rule walk at the leaf per query (after the segment-sketch check on a
-// segmented database) — so range and multi-bin answers still equal RBM's.
+// rule walk at the leaf per query — in memory and over sealed segments —
+// so range and multi-bin answers still equal RBM's.
 func TestIndexedUniversalBoxFallback(t *testing.T) {
 	for _, backend := range []string{"memory", "segmented"} {
 		t.Run(backend, func(t *testing.T) {
@@ -280,7 +280,7 @@ func TestIndexedUniversalBoxFallback(t *testing.T) {
 				db = memDB(t)
 			}
 			populate(t, db, 4, 3, 0.4, 91)
-			if err := db.Sync(); err != nil { // segmented: seal, so sketches exist to consult
+			if err := db.Sync(); err != nil { // segmented: seal, so reads span segments
 				t.Fatal(err)
 			}
 			if _, err := db.RangeQuery(query.Range{Bin: 0, PctMin: 0, PctMax: 1}, ModeIndexed); err != nil {
@@ -304,11 +304,6 @@ func TestIndexedUniversalBoxFallback(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(17))
 			for qi, q := range randomRanges(rng, bins, 20) {
-				// Sketch skipping only saves walks; answers are the same
-				// with it off (every other query) as with it on.
-				if db.SetSegmentSketchSkip(qi%2 == 0) != (backend == "segmented") {
-					t.Fatal("SetSegmentSketchSkip misreports the backend")
-				}
 				want, err := db.RangeQuery(q, ModeRBM)
 				if err != nil {
 					t.Fatal(err)
@@ -321,8 +316,8 @@ func TestIndexedUniversalBoxFallback(t *testing.T) {
 				if !sameIDs(got.IDs, want.IDs) {
 					t.Fatalf("query %d %+v: indexed %v != rbm %v", qi, q, got.IDs, want.IDs)
 				}
-				if walked := int(tr.Get(obs.TEditedWalked) + tr.Get(obs.TSegmentSkipped)); walked != degraded {
-					t.Fatalf("query %d: %d universal-box items walked or sketch-skipped, want %d", qi, walked, degraded)
+				if walked := int(tr.Get(obs.TEditedWalked)); walked != degraded {
+					t.Fatalf("query %d: %d universal-box items walked, want %d", qi, walked, degraded)
 				}
 				mq := query.MultiRange{Bins: []int{q.Bin, (q.Bin + 7) % bins}, PctMin: q.PctMin, PctMax: q.PctMax}
 				mwant, err := db.RangeQueryMulti(mq, ModeRBM)

@@ -56,7 +56,7 @@ type pagedTerm struct {
 	// verdicts, instantiated rasters.
 	exact func(*histogram.Histogram) bool
 	// walk is the predicate on an edited image's rule-derived bounds — the
-	// RBM check, segment-sketch hook included.
+	// RBM check.
 	walk func(id uint64, st *rbm.Stats, tr *obs.Trace) (bool, error)
 }
 
@@ -109,7 +109,6 @@ func (db *DB) pagedDispatch(ctx context.Context, terms []pagedTerm, conn query.C
 		return nil, fmt.Errorf("core: unknown mode %d", uint8(cfg.Mode))
 	}
 	tr := cfg.Trace
-	pagesBefore := mPagesRead.Value()
 	start := time.Now()
 	if err := db.walQueryBarrier(ctx, tr); err != nil {
 		return nil, err
@@ -125,7 +124,6 @@ func (db *DB) pagedDispatch(ctx context.Context, terms []pagedTerm, conn query.C
 	mQueryDur[cfg.Mode].ObserveDuration(elapsed)
 	mQueryCount[cfg.Mode].Inc()
 	examined := res.Stats.BinariesChecked + res.Stats.EditedWalked + res.Stats.EditedSkipped
-	tr.Count(obs.TPagesRead, mPagesRead.Value()-pagesBefore)
 	tr.Count(obs.TCandidatesExamined, int64(examined))
 	tr.Count(obs.TImagesReturned, int64(len(res.IDs)))
 	db.recordQueryStats(strategy, elapsed, res, examined)

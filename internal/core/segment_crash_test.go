@@ -1,12 +1,12 @@
 package core
 
-// Crash matrix for the segmented backend at the database level: a process
+// Crash matrix for the storage engine at the database level: a process
 // death is injected at every named failpoint hit inside the engine's
 // seal/compaction/manifest protocols while a WAL-acknowledged workload
 // runs. After each crash the database reopens WITHOUT the failpoint and
-// must satisfy the same durability contract as the page-store crash tests:
-// no acknowledged write lost, nothing half-applied, CheckStore clean, and
-// query answers bit-identical to an uncrashed twin.
+// must satisfy the same durability contract as the WAL crash tests in
+// crash_test.go: no acknowledged write lost, nothing half-applied,
+// CheckStore clean, and query answers bit-identical to an uncrashed twin.
 //
 // The WAL is what makes this stronger than the engine-level sweep in
 // internal/store/segment: even when the crash lands before the segment
@@ -78,7 +78,7 @@ func TestSegmentCrashMatrixFailpoints(t *testing.T) {
 		fp := func(string) error { hits++; return nil }
 		path := filepath.Join(t.TempDir(), "probe.db")
 		opts := segCrashOpts(fp)
-		db, err := Open(Config{Path: path, Segment: &opts})
+		db, err := Open(Config{Path: path, Segment: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestSegmentCrashMatrixFailpoints(t *testing.T) {
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "crash.db")
 			opts := segCrashOpts(segKillAfter(budget))
-			db, err := Open(Config{Path: path, Segment: &opts})
+			db, err := Open(Config{Path: path, Segment: opts})
 			if err != nil {
 				t.Fatalf("Open: %v", err)
 			}
@@ -106,7 +106,7 @@ func TestSegmentCrashMatrixFailpoints(t *testing.T) {
 			// Reopen without the failpoint: WAL replay over whatever the
 			// engine made durable must reconstruct every acked write.
 			ropts := segCrashOpts(nil)
-			rec, err := Open(Config{Path: path, Segment: &ropts})
+			rec, err := Open(Config{Path: path, Segment: ropts})
 			if err != nil {
 				t.Fatalf("recovery Open: %v", err)
 			}
@@ -123,7 +123,7 @@ func TestSegmentCrashMatrixFailpoints(t *testing.T) {
 func TestSegmentCrashRecoveryDrain(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "drain.db")
 	opts := segment.Options{TargetBytes: -1}
-	db, err := Open(Config{Path: path, Segment: &opts})
+	db, err := Open(Config{Path: path, Segment: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSegmentCrashRecoveryDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	ropts := segment.Options{TargetBytes: -1}
-	rec, err := Open(Config{Path: path, Segment: &ropts})
+	rec, err := Open(Config{Path: path, Segment: ropts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestSegmentCrashRecoveryDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2opts := segment.Options{TargetBytes: -1}
-	rec2, err := Open(Config{Path: path, Segment: &r2opts})
+	rec2, err := Open(Config{Path: path, Segment: r2opts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,12 @@
 package core
 
-// Differential oracle for the segmented storage backend: a segmented
-// database fed a mutation script, synced, extended, closed and reopened
-// must answer every query mode bit-identically to an in-memory twin that
-// saw the same script. Five engine configurations (default sizing, tiny
-// segments forcing many seals, sketch skip disabled, lean blooms with an
-// aggressive compactor, background maintenance) times fifty random ranges
-// give 250 combinations, each checked across every bound-based mode plus
-// instantiation.
+// Differential oracle for the storage engine: a persistent database fed a
+// mutation script, synced, extended, closed and reopened must answer every
+// query mode bit-identically to an in-memory twin that saw the same
+// script. Four engine configurations (default sizing, tiny segments
+// forcing many seals, lean blooms with an aggressive compactor, background
+// maintenance) times fifty random ranges give 200 combinations, each
+// checked across every bound-based mode plus instantiation.
 
 import (
 	"math/rand"
@@ -20,20 +19,19 @@ import (
 	"repro/internal/store/segment"
 )
 
-// segDB opens a segmented database at path with the given engine options.
+// segDB opens a persistent database at path with the given engine options.
 func segDB(t testing.TB, path string, opts segment.Options) *DB {
 	t.Helper()
-	o := opts
-	db, err := Open(Config{Path: path, Segment: &o})
+	db, err := Open(Config{Path: path, Segment: opts})
 	if err != nil {
-		t.Fatalf("Open segmented %s: %v", path, err)
+		t.Fatalf("Open %s: %v", path, err)
 	}
 	return db
 }
 
 // segMutate applies the same deterministic mutation script to a database:
 // delete a spread of edited images (tombstones), then extend two surviving
-// sequences (the re-stage path that refreshes sketch bounds).
+// sequences (the re-stage path: the newer entry shadows the sealed one).
 func segMutate(t testing.TB, db *DB) {
 	t.Helper()
 	edited := db.EditedIDs()
@@ -66,7 +64,6 @@ func TestSegmentOracleDifferential(t *testing.T) {
 	}{
 		{"defaults", segment.Options{}},
 		{"tiny-segments", segment.Options{TargetBytes: 4 << 10}},
-		{"no-sketch", segment.Options{TargetBytes: 4 << 10, NoSketchSkip: true}},
 		{"lean-bloom", segment.Options{TargetBytes: 2 << 10, BloomBitsPerKey: 4, SummaryEvery: 2, FanIn: 2, MaxSegments: 3}},
 		{"background", segment.Options{TargetBytes: 8 << 10, Background: true, CompactEvery: 5 * time.Millisecond, RateBytesPerSec: 8 << 20}},
 	}
@@ -129,18 +126,10 @@ func TestSegmentOracleDifferential(t *testing.T) {
 				}
 			}
 
-			// The sketch filter must actually have been consulted when it is
-			// enabled and at least one segment exists — otherwise the oracle
-			// proved nothing about the skip path.
-			st, ok := db.SegmentStats()
-			if !ok {
-				t.Fatal("SegmentStats unavailable on segmented DB")
-			}
-			if !tc.opts.NoSketchSkip && st.Segments > 0 && st.SketchChecks == 0 {
-				t.Fatalf("sketch skip enabled with %d segments but never consulted", st.Segments)
-			}
-			if tc.opts.NoSketchSkip && st.SketchChecks != 0 {
-				t.Fatalf("sketch skip disabled but consulted %d times", st.SketchChecks)
+			// The answers must have come through sealed segments — otherwise
+			// the oracle proved nothing about the engine's read path.
+			if st, ok := db.SegmentStats(); !ok || st.Segments == 0 {
+				t.Fatalf("no sealed segment behind the reopened database: %+v ok=%v", st, ok)
 			}
 		})
 	}
@@ -182,7 +171,7 @@ func TestSegmentStatsAndCompact(t *testing.T) {
 	if !res.Ok() {
 		t.Fatalf("CheckStore after compact: %+v", res)
 	}
-	if res.Pages != st.Segment.Segments {
-		t.Fatalf("CheckStore pages %d != live segments %d", res.Pages, st.Segment.Segments)
+	if res.Segments != st.Segment.Segments {
+		t.Fatalf("CheckStore segments %d != live segments %d", res.Segments, st.Segment.Segments)
 	}
 }

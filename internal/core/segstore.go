@@ -2,34 +2,99 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
+	"os"
 	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/editops"
 	"repro/internal/histogram"
 	"repro/internal/imaging"
-	"repro/internal/obs"
-	"repro/internal/query"
+	"repro/internal/store"
 	"repro/internal/store/segment"
 )
 
-// Segmented storage backend. When Config.Segment is set (and Path is
-// non-empty), the database stores its objects in the segmented engine
-// (internal/store/segment) instead of the single-file page store: every
-// object is one entry whose payload carries the full catalog record (and,
-// for binary images, the raster), and whose per-bin bound vector feeds the
-// segment's histogram sketch so range queries can skip whole segments.
+// Storage backend. A database with a Path stores its objects in the
+// segmented engine (internal/store/segment): every object is one entry
+// whose payload carries the full catalog record and, for binary images,
+// the raster. An in-memory database has no engine (db.seg == nil); the
+// seg* write helpers below are where that case returns early.
 //
-// Durability contract: the write-ahead log stays the acknowledgement
-// authority exactly as in legacy mode. Writes land in the engine's
-// memtable plus the WAL; the WAL checkpoint floor advances only after
-// Engine.Seal has made everything staged durable in the segment set
-// (Sync, Close, Compact, and the post-replay checkpoint all seal first,
-// under db.mu so no writer can slip a record between the seal and the
-// truncation). Background seals and compactions never touch the WAL —
-// they only add redundancy, so replay over an already-sealed state is
-// a no-op thanks to the idempotent redo records.
+// Durability contract: the write-ahead log is the acknowledgement
+// authority. Writes land in the engine's memtable plus the WAL; the WAL
+// checkpoint floor advances only after Engine.Seal has made everything
+// staged durable in the segment set (Sync, Close, Compact, and the
+// post-replay checkpoint all seal first, under db.mu so no writer can slip
+// a record between the seal and the truncation). Background seals and
+// compactions never touch the WAL — they only add redundancy, so replay
+// over an already-sealed state is a no-op thanks to the idempotent redo
+// records.
+
+// ErrIncompatible is returned when a store was built with a different
+// quantizer than the one configured.
+var ErrIncompatible = errors.New("core: store quantizer does not match configuration")
+
+// quantizerMismatchError carries the stored quantizer name so Open can
+// adopt it when the caller did not configure one explicitly. It unwraps to
+// ErrIncompatible.
+type quantizerMismatchError struct {
+	stored, configured string
+}
+
+func (e *quantizerMismatchError) Error() string {
+	return fmt.Sprintf("%v: store has %q, config has %q", ErrIncompatible, e.stored, e.configured)
+}
+
+func (e *quantizerMismatchError) Unwrap() error { return ErrIncompatible }
+
+// ErrLegacyStore is returned when Path holds a database in a format this
+// build no longer reads: a page-store file, or segments of format
+// version 1. There is no in-place migration; the error message names the
+// route.
+var ErrLegacyStore = errors.New("core: legacy store format")
+
+// ErrNotDatabase is returned when a regular file that is not a database
+// sits at Path (a database keeps its state beside Path, never in it).
+var ErrNotDatabase = errors.New("core: path holds a file that is not an esidb database")
+
+// legacyPageStoreMagic opened every page-store file.
+const legacyPageStoreMagic = "ESIDBv1\x00"
+
+func legacyStoreError(where, what string) error {
+	return fmt.Errorf("%w: %s: %s; export it with `esidb dump` from a build that still reads it (the commit before the page store was removed) and re-create it with `esidb load`", ErrLegacyStore, where, what)
+}
+
+// checkPathFile reads at most 8 bytes at path. Nothing there, a directory
+// or an empty file is fine; the page-store magic is a legacy store, and
+// any other file is refused so opening never scatters database files
+// around somebody else's data.
+func checkPathFile(path string) error {
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if fi, err := f.Stat(); err != nil || fi.IsDir() {
+		return err
+	}
+	magic := make([]byte, len(legacyPageStoreMagic))
+	n, err := io.ReadFull(f, magic)
+	switch {
+	case errors.Is(err, io.EOF): // empty file
+		return nil
+	case err != nil && !errors.Is(err, io.ErrUnexpectedEOF):
+		return err
+	case string(magic[:n]) == legacyPageStoreMagic:
+		return legacyStoreError(path, "page-store file")
+	}
+	return fmt.Errorf("%w: %s", ErrNotDatabase, path)
+}
 
 // segMetaID is the reserved entry id carrying the store's configuration
 // (quantizer, background). Catalog object ids start at 1, so 0 is free.
@@ -40,36 +105,6 @@ const segMetaMagic = "ESGMETA1"
 
 // SegmentDir returns the segment engine's directory for a database path.
 func SegmentDir(path string) string { return path + ".segments" }
-
-// attachSegment wires a segment engine into the database: writes go to
-// its memtable, and the RBM/BWM processors consult the per-segment bound
-// sketches before paying for a rule walk. The prune hook is conservative
-// by the engine's ShouldSkip contract — an id is skipped only when every
-// segment that might hold it provably cannot intersect the query range —
-// so query results are identical with and without it.
-func (db *DB) attachSegment(seg *segment.Engine) {
-	db.seg = seg
-	prune := func(q query.Range, id uint64) bool {
-		return seg.ShouldSkip(id, q.Bin, q.PctMin, q.PctMax)
-	}
-	db.rbmProc.Prune = prune
-	db.bwmProc.SetPrune(prune)
-}
-
-// segPrune is the prune hook for query paths outside rbm.CheckEdited
-// (the indexed mode's universal-box leaf fallback); it records the same
-// trace counters.
-func (db *DB) segPrune(q query.Range, id uint64, tr *obs.Trace) bool {
-	if db.seg == nil {
-		return false
-	}
-	tr.Count(obs.TSegmentSketchChecks, 1)
-	if db.seg.ShouldSkip(id, q.Bin, q.PctMin, q.PctMax) {
-		tr.Count(obs.TSegmentSkipped, 1)
-		return true
-	}
-	return false
-}
 
 // encodeSegMeta renders the configuration entry payload.
 func encodeSegMeta(qname string, bg imaging.RGB) []byte {
@@ -238,49 +273,44 @@ func decodeSegEntry(id uint64, payload []byte, withRaster bool) (*catalog.Object
 	}
 }
 
-// segPutBinaryLocked stages a binary image in the segment memtable. The
-// entry's bound vector is the exact histogram fractions (lo = hi), which
-// keeps the segment sketch envelope tight. Caller holds db.mu.
+// segPutBinaryLocked stages a binary image in the segment memtable.
+// Caller holds db.mu.
 func (db *DB) segPutBinaryLocked(id uint64, name string, img *imaging.Image, hist *histogram.Histogram) error {
-	n := hist.Normalized()
+	if db.seg == nil {
+		return nil // in-memory
+	}
 	return db.seg.Put(segment.Entry{
 		ID:      id,
 		Kind:    segment.EntryPut,
 		Payload: encodeSegBinaryPayload(name, img, hist),
-		Lo:      n,
-		Hi:      n,
 	})
 }
 
-// segPutEditedLocked stages an edited image in the segment memtable with
-// its BOUNDS envelope as the bound vector — exactly the interval the
-// query path tests with Overlaps, which is what makes the sketch skip
-// sound. A failed rule walk degrades to a boundless entry (poisoning that
-// segment's sketch coverage, disabling skips for it) rather than failing
-// the write. Caller holds db.mu.
+// segPutEditedLocked stages an edited image — its operation sequence, not
+// a raster and not its bounds — in the segment memtable. Caller holds
+// db.mu.
 func (db *DB) segPutEditedLocked(id uint64, name string, widening bool, seq *editops.Sequence) error {
-	var lo, hi []float64
-	if base, err := db.cat.Binary(seq.BaseID); err == nil {
-		if bs, berr := db.engine.BoundsAll(base.Hist, base.W, base.H, seq.Ops); berr == nil {
-			lo = make([]float64, len(bs))
-			hi = make([]float64, len(bs))
-			for i, b := range bs {
-				lo[i], hi[i] = b.PctRange()
-			}
-		}
+	if db.seg == nil {
+		return nil // in-memory
 	}
 	return db.seg.Put(segment.Entry{
 		ID:      id,
 		Kind:    segment.EntryPut,
 		Payload: encodeSegEditedPayload(name, widening, seq),
-		Lo:      lo,
-		Hi:      hi,
 	})
 }
 
-// loadFromSegments restores the catalog, BWM index and signature index
-// from the segment set — the segmented counterpart of load. Rasters are
-// not retained; binaryRaster reads through the engine on demand.
+// segDeleteLocked stages a tombstone. Caller holds db.mu.
+func (db *DB) segDeleteLocked(id uint64) error {
+	if db.seg == nil {
+		return nil // in-memory
+	}
+	return db.seg.Delete(id)
+}
+
+// loadFromSegments restores the catalog and the BWM index from the segment
+// set. Rasters are not retained; binaryRaster reads through the engine on
+// demand.
 func (db *DB) loadFromSegments() error {
 	// Validate the configuration entry first so a quantizer mismatch
 	// surfaces (for adoption) before any object is restored.
@@ -302,7 +332,7 @@ func (db *DB) loadFromSegments() error {
 	// edited objects are routed into the BWM index their bases are already
 	// present. Segment scan order is newest-segment-first, not insertion
 	// order, so entries are buffered and sorted — the restored catalog then
-	// lists ids exactly like the legacy loader's id-ordered walk.
+	// lists ids ascending.
 	var binaryEnts, editedEnts []segment.Entry
 	err := db.seg.Scan(func(ent segment.Entry) error {
 		if ent.ID == segMetaID {
@@ -354,16 +384,21 @@ func (db *DB) loadFromSegments() error {
 
 // segRaster reads a binary image's raster through the segment engine.
 func (db *DB) segRaster(id uint64) (*imaging.Image, error) {
-	ent, ok, err := db.seg.Get(id)
+	if db.seg == nil {
+		// in-memory: every raster lives in db.rasters, so a miss there is
+		// a missing image.
+		return nil, fmt.Errorf("core: raster for image %d: %w", id, catalog.ErrNotFound)
+	}
+	var img *imaging.Image
+	ok, err := db.seg.View(id, func(ent segment.Entry) (err error) {
+		_, img, err = decodeSegEntry(id, ent.Payload, true)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, fmt.Errorf("core: raster for image %d: %w", id, catalog.ErrNotFound)
-	}
-	_, img, err := decodeSegEntry(id, ent.Payload, true)
-	if err != nil {
-		return nil, err
 	}
 	if img == nil {
 		return nil, fmt.Errorf("core: segment entry %d is not a binary image", id)
@@ -371,26 +406,46 @@ func (db *DB) segRaster(id uint64) (*imaging.Image, error) {
 	return img, nil
 }
 
-// persistDurableLocked makes every applied mutation durable in the
-// backing store — the precondition for advancing the WAL checkpoint
-// floor. Legacy databases persist the catalog and fsync the page store;
-// segmented databases seal the memtable into the segment set. Caller
-// holds db.mu.
+// persistDurableLocked makes every applied mutation durable in the segment
+// set — the precondition for advancing the WAL checkpoint floor. Only
+// called on a persistent database. Caller holds db.mu.
 func (db *DB) persistDurableLocked() error {
-	if db.seg != nil {
-		if err := db.segEnsureMeta(); err != nil {
-			return err
-		}
-		return db.seg.Seal()
-	}
-	if err := db.persistCatalogLocked(); err != nil {
+	if err := db.segEnsureMeta(); err != nil {
 		return err
 	}
-	return db.st.Sync()
+	return db.seg.Seal()
 }
 
-// SegmentStats snapshots the segment engine (ok=false for databases not
-// using the segmented backend).
+// Compact seals the memtable and merges segments until no eligible run
+// remains, reclaiming the bytes of deleted and superseded entries. It
+// compacts online: the seal and the WAL checkpoint happen under db.mu — no
+// writer can append a record between the seal and the truncation — and the
+// merge runs outside the lock so writes and queries proceed during it.
+// In-memory databases are a no-op.
+func (db *DB) Compact() error {
+	db.mu.Lock()
+	if db.closed {
+		db.mu.Unlock()
+		return store.ErrClosed
+	}
+	seg := db.seg
+	if seg == nil {
+		db.mu.Unlock()
+		return nil // in-memory
+	}
+	err := seg.Seal()
+	if err == nil {
+		err = db.walCheckpointLocked()
+	}
+	db.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return seg.Compact()
+}
+
+// SegmentStats snapshots the storage engine (ok=false for in-memory
+// databases).
 func (db *DB) SegmentStats() (segment.EngineStats, bool) {
 	if db.seg == nil {
 		return segment.EngineStats{}, false
@@ -398,8 +453,8 @@ func (db *DB) SegmentStats() (segment.EngineStats, bool) {
 	return db.seg.Stats(), true
 }
 
-// SegmentManifest returns the live segment listing (ok=false for
-// databases not using the segmented backend).
+// SegmentManifest returns the live segment listing (ok=false for in-memory
+// databases).
 func (db *DB) SegmentManifest() (segment.Manifest, bool) {
 	if db.seg == nil {
 		return segment.Manifest{}, false
@@ -407,12 +462,42 @@ func (db *DB) SegmentManifest() (segment.Manifest, bool) {
 	return db.seg.Manifest(), true
 }
 
-// SetSegmentSketchSkip toggles the per-segment sketch skip filter at
-// runtime; reports whether the database has a segment engine to toggle.
-func (db *DB) SetSegmentSketchSkip(enabled bool) bool {
-	if db.seg == nil {
-		return false
+func appendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
+type sliceReader struct {
+	data []byte
+	pos  int
+}
+
+func (r *sliceReader) take(n int) ([]byte, error) {
+	if n < 0 || r.pos+n > len(r.data) {
+		return nil, fmt.Errorf("truncated at %d (+%d of %d)", r.pos, n, len(r.data))
 	}
-	db.seg.SetSketchSkip(enabled)
-	return true
+	out := r.data[r.pos : r.pos+n]
+	r.pos += n
+	return out, nil
+}
+
+func (r *sliceReader) readUvarint() (uint64, error) {
+	v, n := binary.Uvarint(r.data[r.pos:])
+	if n <= 0 {
+		return 0, fmt.Errorf("bad uvarint at %d", r.pos)
+	}
+	r.pos += n
+	return v, nil
+}
+
+func (r *sliceReader) readString() (string, error) {
+	n, err := r.readUvarint()
+	if err != nil {
+		return "", err
+	}
+	b, err := r.take(int(n))
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
 }

@@ -3,13 +3,12 @@ package core
 import (
 	"repro/internal/catalog"
 	"repro/internal/editops"
-	"repro/internal/store"
 	"repro/internal/store/segment"
 )
 
 // DBStats aggregates the database's occupancy statistics: the catalog
 // breakdown the paper's Table 2 reports, the BWM component sizes, and (for
-// persistent databases) the page-store statistics.
+// persistent databases) the storage-engine statistics.
 type DBStats struct {
 	Catalog catalog.Stats
 	// BWMClusters is the number of Main Component clusters (one per binary
@@ -21,13 +20,10 @@ type DBStats struct {
 	// BWMUnclassified is the number of edited images in the Unclassified
 	// Component.
 	BWMUnclassified int
-	// Store holds page-store statistics; zero-valued for in-memory
+	// Segment holds storage-engine statistics; nil for in-memory
 	// databases.
-	Store store.Stats
-	// Segment holds segmented-engine statistics; nil unless the database
-	// uses the segmented backend.
 	Segment *segment.EngineStats `json:",omitempty"`
-	// Persistent reports whether the database is backed by a store file.
+	// Persistent reports whether the database is backed by files.
 	Persistent bool
 }
 
@@ -35,17 +31,8 @@ type DBStats struct {
 func (db *DB) Stats() (DBStats, error) {
 	st := DBStats{Catalog: db.cat.Stats()}
 	st.BWMClusters, st.BWMClustered, st.BWMUnclassified = db.idx.Sizes()
-	if db.st != nil {
+	if s, ok := db.SegmentStats(); ok {
 		st.Persistent = true
-		s, err := db.st.Stats()
-		if err != nil {
-			return DBStats{}, err
-		}
-		st.Store = s
-	}
-	if db.seg != nil {
-		st.Persistent = true
-		s := db.seg.Stats()
 		st.Segment = &s
 	}
 	return st, nil
@@ -73,27 +60,12 @@ func (db *DB) StorageFootprint() (binaryBytes, editedBytes int64, err error) {
 	return binaryBytes, editedBytes, nil
 }
 
-// CheckStore runs the page-store integrity scan (fsck) on a persistent
-// database. In-memory databases return a clean empty result. Segmented
-// databases verify every sealed segment (frame CRCs, footer, bloom/sketch
-// consistency) and map the result onto the page-store shape: Pages counts
-// segments, LiveCells counts live entries, UsedBytes is the on-disk segment
-// footprint.
-func (db *DB) CheckStore() (store.CheckResult, error) {
-	if db.seg != nil {
-		res, err := db.seg.Check()
-		if err != nil {
-			return store.CheckResult{}, err
-		}
-		return store.CheckResult{
-			Pages:     res.Segments,
-			LiveCells: res.Entries,
-			UsedBytes: int(res.Bytes),
-			Problems:  res.Problems,
-		}, nil
+// CheckStore runs the storage integrity scan (fsck): every sealed segment's
+// frame CRCs, footer, summary and bloom consistency, plus the stack's id
+// invariants. In-memory databases return a clean empty result.
+func (db *DB) CheckStore() (segment.CheckResult, error) {
+	if db.seg == nil {
+		return segment.CheckResult{}, nil // in-memory
 	}
-	if db.st == nil {
-		return store.CheckResult{}, nil
-	}
-	return db.st.Check()
+	return db.seg.Check()
 }

@@ -15,13 +15,12 @@ import (
 	"repro/internal/store"
 )
 
-// Logical redo records for the write-ahead log. The page store's rollback
-// journal guarantees that after a crash the file reverts to its last
-// checkpoint (Sync/Close); every acknowledged mutation since then lives in
-// the WAL as one of these records and is redone at Open. Records carry
-// everything replay needs to rebuild the operation from a
-// checkpoint-consistent store — including raster bytes, since the store
-// rolls uncheckpointed raster pages back.
+// Logical redo records for the write-ahead log. After a crash the segment
+// set holds at least everything sealed by the last checkpoint (Sync/Close);
+// every acknowledged mutation since then lives in the WAL as one of these
+// records and is redone at Open. Records carry everything replay needs to
+// rebuild the operation from a checkpoint-consistent store — including
+// raster bytes, since an unsealed memtable dies with the process.
 //
 // Replay is idempotent by construction: inserts of an id already in the
 // catalog are skipped, deletes of an absent id are skipped, and sequence
@@ -141,7 +140,7 @@ func (db *DB) walQueryBarrier(ctx context.Context, tr *obs.Trace) error {
 // matters alongside later mutations, and any fsync that commits those
 // commits this earlier frame too.
 func (db *DB) walLogConfig() error {
-	if db.wal == nil || !db.wal.Empty() {
+	if !db.wal.Empty() {
 		return nil
 	}
 	_, err := db.wal.Append(encodeWALConfig(db.cfg.Quantizer.Name(), db.cfg.Background))
@@ -149,12 +148,10 @@ func (db *DB) walLogConfig() error {
 }
 
 // walCheckpointLocked truncates the log after the caller has made the
-// store durable (catalog persisted, pages flushed, file fsynced), then
-// re-seeds the configuration record. Caller holds db.mu.
+// store durable (memtable sealed, manifest swapped), then re-seeds the
+// configuration record. Only called on a persistent database. Caller
+// holds db.mu.
 func (db *DB) walCheckpointLocked() error {
-	if db.wal == nil {
-		return nil
-	}
 	if err := db.wal.Checkpoint(); err != nil {
 		return err
 	}
@@ -223,17 +220,13 @@ func (db *DB) applyWALRecord(payload []byte, defaulted bool) (bool, *DB, error) 
 			cfg := db.cfg
 			cfg.Quantizer = q
 			cfg.Background = bg
+			// Only Open's replay runs defaulted, so there is an engine.
 			nd := newDB(cfg)
-			nd.st, nd.wal = db.st, db.wal
-			if db.seg != nil {
-				nd.attachSegment(db.seg)
-				if err := nd.loadFromSegments(); err != nil {
-					return false, nil, err
-				}
-				if err := nd.segEnsureMeta(); err != nil {
-					return false, nil, err
-				}
-			} else if err := nd.load(); err != nil {
+			nd.seg, nd.wal = db.seg, db.wal
+			if err := nd.loadFromSegments(); err != nil {
+				return false, nil, err
+			}
+			if err := nd.segEnsureMeta(); err != nil {
 				return false, nil, err
 			}
 			return false, nd, nil
@@ -413,10 +406,10 @@ func (db *DB) WALStats() (st store.WALStats, ok bool) {
 	return db.wal.Stats(), true
 }
 
-// Crash abandons the database without flushing the page cache, the
-// catalog or the log — the files are left exactly as a kill -9 would
-// leave them, and a subsequent Open must recover. For crash tests; a
-// production shutdown is Close.
+// Crash abandons the database without sealing the memtable or flushing
+// the log — the files are left exactly as a kill -9 would leave them, and
+// a subsequent Open must recover. For crash tests; a production shutdown
+// is Close.
 func (db *DB) Crash() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -424,23 +417,14 @@ func (db *DB) Crash() error {
 		return nil
 	}
 	db.closed = true
-	var first error
-	if db.wal != nil {
-		if err := db.wal.Abandon(); err != nil {
-			first = err
-		}
+	if db.seg == nil {
+		return nil // in-memory: nothing on disk to abandon
 	}
-	if db.st != nil {
-		if err := db.st.Abandon(); err != nil && first == nil {
-			first = err
-		}
+	err := db.wal.Abandon()
+	if serr := db.seg.Abandon(); err == nil {
+		err = serr
 	}
-	if db.seg != nil {
-		if err := db.seg.Abandon(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return err
 }
 
 // DurableSince reports whether the given WAL ticket has committed; tests

@@ -257,7 +257,6 @@ const (
 	TRulesEvaluated     = "rules_evaluated"
 	TImagesPruned       = "images_pruned"
 	TImagesReturned     = "images_returned"
-	TPagesRead          = "pages_read"
 	TEditedInstantiated = "edited_instantiated"
 	// Parallel-execution counters (recorded only when a query actually
 	// fanned out, so serial traces are unchanged): worker goroutines used,
@@ -281,9 +280,9 @@ const (
 	// group-commit batch size the fsync wait rode on.
 	TWALRecords   = "wal_records"
 	TWALGroupSize = "wal_group_size"
-	// Segment-skip counters (segmented storage engine): candidates whose
-	// segment sketches were consulted, and candidates skipped outright
-	// because every segment that could hold them provably cannot match.
+	// Names of the deleted segment-sketch skip's counters. Nothing counts
+	// them any more; they stay because the frozen benchmark harness compiles
+	// against them (both of its per-layer rows read 0).
 	TSegmentSketchChecks = "segment_sketch_checks"
 	TSegmentSkipped      = "segment_skipped"
 	// Bounds-S-tree counters (ModeIndexed): union boxes classified during

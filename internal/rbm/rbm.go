@@ -77,13 +77,6 @@ type Processor struct {
 	// parallelism knob (0 = auto, 1 = serial); nil keeps the walk serial.
 	// It is a callback so the owning database can retune a live processor.
 	Parallel func() int
-	// Prune, when non-nil, is consulted before each edited image's BOUNDS
-	// walk: returning true asserts the image cannot match the query (the
-	// segmented store proves it from per-segment bound sketches) and skips
-	// the rule evaluation entirely. The hook must be conservative — it may
-	// only reject images whose bound range provably misses [PctMin,
-	// PctMax] — so results stay identical to the unhooked walk.
-	Prune func(q query.Range, id uint64) bool
 }
 
 // workers resolves the processor's parallelism for one query.
@@ -165,13 +158,6 @@ func (p *Processor) RangeTracedCtx(ctx context.Context, q query.Range, tr *obs.T
 // for cluster members whose base failed the query and for the Unclassified
 // Component. tr may be nil.
 func (p *Processor) CheckEdited(id uint64, q query.Range, st *Stats, tr *obs.Trace) (bool, error) {
-	if p.Prune != nil {
-		tr.Count(obs.TSegmentSketchChecks, 1)
-		if p.Prune(q, id) {
-			tr.Count(obs.TSegmentSkipped, 1)
-			return false, nil
-		}
-	}
 	obj, err := p.Cat.Edited(id)
 	if errors.Is(err, catalog.ErrNotFound) {
 		return false, nil // deleted since the id was listed

@@ -2,11 +2,10 @@
 // stack of sealed, immutable, CRC-framed segment files under one manifest,
 // fed by an in-memory memtable and maintained by a background, rate-limited
 // compactor. Each segment carries a sparse index summary keyed by image id
-// (point lookups touch a handful of frames), a split-block bloom filter
-// (misses cost zero I/O), and a per-histogram-bin min/max sketch over the
-// RBM bounds of its entries (range queries skip whole segments whose sketch
-// cannot intersect the query — the container-pruning idea from the S-Tree
-// papers applied at segment granularity).
+// (point lookups touch a handful of frames) and a split-block bloom filter
+// (misses cost zero I/O). It stores no bounds: the per-candidate bound
+// boxes live in one place, the bounds S-tree (internal/stree), which is the
+// whole query-side filter.
 //
 // The engine is a durability *backend*: it stores opaque per-object
 // payloads keyed by id and never interprets them. Write-ahead logging,

@@ -213,7 +213,7 @@ func (c *segCursor) advance() error {
 		c.ok = false
 		return nil
 	}
-	e, next, err := c.seg.readFrameAt(c.off)
+	e, next, err := c.seg.readFrameAt(c.off, nil)
 	if err != nil {
 		return err
 	}

@@ -49,7 +49,7 @@ func sealWorkload(t *testing.T, dir string, fp func(string) error) (acked, pendi
 		staged := map[uint64]string{}
 		for i := 0; i < 30; i++ {
 			v := fmt.Sprintf("r%d-%d", round, id)
-			if perr := e.Put(testEntry(id, v, []float64{0.1}, []float64{0.9})); perr != nil {
+			if perr := e.Put(testEntry(id, v)); perr != nil {
 				return acked, staged, perr
 			}
 			staged[id] = v
@@ -112,7 +112,7 @@ func compactionWorkload(t *testing.T, dir string, fp func(string) error) (acked,
 		id = uint64(round*20 + 1)
 		for i := 0; i < 30; i++ {
 			v := fmt.Sprintf("r%d-%d", round, id)
-			if perr := e.Put(testEntry(id, v, []float64{0.2}, []float64{0.8})); perr != nil {
+			if perr := e.Put(testEntry(id, v)); perr != nil {
 				return acked, staged, perr
 			}
 			staged[id] = v

@@ -46,9 +46,6 @@ type Options struct {
 	Background bool
 	// CompactEvery is the background maintenance period (0 means 1s).
 	CompactEvery time.Duration
-	// NoSketchSkip disables the per-segment bound-sketch skip filter
-	// (queries then walk every candidate; the bench's off-arm).
-	NoSketchSkip bool
 	// FailPoint, when non-nil, is invoked at named points inside the
 	// seal/compaction/manifest protocols; returning an error simulates a
 	// crash there (the engine fails sticky, files are left as a kill -9
@@ -92,11 +89,8 @@ type EngineStats struct {
 	Compactions         int64  `json:"compactions"`
 	BloomLookups        int64  `json:"bloom_lookups"`
 	BloomFalsePositives int64  `json:"bloom_false_positives"`
-	SketchChecks        int64  `json:"sketch_checks"`
-	SketchSkips         int64  `json:"sketch_skips"`
 	RateLimitStalls     int64  `json:"rate_limit_stalls"`
 	RateLimitStallNanos int64  `json:"rate_limit_stall_nanos"`
-	SketchSkipEnabled   bool   `json:"sketch_skip_enabled"`
 }
 
 // CheckResult is the engine-wide integrity scan outcome.
@@ -137,13 +131,9 @@ type Engine struct {
 	failed      error            // guarded by mu; sticky injected/IO failure
 	closed      bool             // guarded by mu
 
-	sketchSkip atomic.Bool
-
 	seals, compactions atomic.Int64
 	bloomLookups       atomic.Int64
 	bloomFPs           atomic.Int64
-	sketchChecks       atomic.Int64
-	sketchSkips        atomic.Int64
 	rateStalls         atomic.Int64
 	rateStallNanos     atomic.Int64
 
@@ -166,7 +156,6 @@ func Open(dir string, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{dir: dir, opts: opts}
-	e.sketchSkip.Store(!opts.NoSketchSkip)
 	live, err := e.loadManifest(man)
 	if err != nil {
 		return nil, err
@@ -270,13 +259,13 @@ func (e *Engine) failpoint(name string) error {
 
 // entryBytes is the memtable accounting size of an entry.
 func entryBytes(e Entry) int64 {
-	return int64(32 + len(e.Payload) + 16*len(e.Lo))
+	return int64(32 + len(e.Payload))
 }
 
 // Put stages an entry in the memtable (newest-wins per id). The engine
-// takes ownership of the payload and bound slices. Crossing the size
-// threshold nudges the background sealer; without a background goroutine
-// the memtable simply grows until Seal.
+// takes ownership of the payload slice. Crossing the size threshold nudges
+// the background sealer; without a background goroutine the memtable
+// simply grows until Seal.
 func (e *Engine) Put(ent Entry) error {
 	if ent.Kind != EntryPut && ent.Kind != EntryTombstone && ent.Kind != EntryMeta {
 		return fmt.Errorf("segment: put entry %d: unknown kind %d", ent.ID, ent.Kind)
@@ -348,6 +337,31 @@ func (e *Engine) memGet(id uint64) (ent Entry, ok, done bool, segs []*Segment, e
 // tombstoned). Segment probes go through each segment's bloom filter, so
 // cold misses cost zero I/O.
 func (e *Engine) Get(id uint64) (Entry, bool, error) {
+	var scratch []byte
+	return e.get(id, &scratch)
+}
+
+// framePool recycles View's read buffers.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// View calls fn with the newest live version of an id and reports whether
+// there was one. Unlike Get's, the entry's payload is valid only until fn
+// returns: segment frames are read through a pooled buffer, so a caller
+// that decodes the payload and drops it (a raster read) allocates nothing
+// here.
+func (e *Engine) View(id uint64, fn func(Entry) error) (bool, error) {
+	scratch := framePool.Get().(*[]byte)
+	defer framePool.Put(scratch)
+	ent, ok, err := e.get(id, scratch)
+	if err != nil || !ok {
+		return false, err
+	}
+	return true, fn(ent)
+}
+
+// get is Get reading segment frames through *scratch, which the returned
+// entry's payload may alias.
+func (e *Engine) get(id uint64, scratch *[]byte) (Entry, bool, error) {
 	ent, ok, done, segs, err := e.memGet(id)
 	if done || err != nil {
 		return ent, ok, err
@@ -359,7 +373,7 @@ func (e *Engine) Get(id uint64) (Entry, bool, error) {
 		if !s.MayContain(id) {
 			continue
 		}
-		sent, hit, err := s.Get(id)
+		sent, hit, err := s.get(id, scratch)
 		if err != nil {
 			return Entry{}, false, err
 		}
@@ -372,60 +386,6 @@ func (e *Engine) Get(id uint64) (Entry, bool, error) {
 	}
 	return Entry{}, false, nil
 }
-
-// ShouldSkip implements the per-segment sketch skip: true when the id is
-// not in a memtable and EVERY segment that might contain it (bloom says
-// maybe) has a sketch that cannot intersect [lo, hi] on bin. The id's true
-// newest version is always among the maybes, and its exact bounds are
-// inside that segment's envelope, so a skipped id could never have
-// matched.
-func (e *Engine) ShouldSkip(id uint64, bin int, lo, hi float64) bool {
-	if !e.sketchSkip.Load() {
-		return false
-	}
-	e.sketchChecks.Add(1)
-	mSketchChecks.Inc()
-	skip := e.shouldSkipMem(id, bin, lo, hi)
-	if skip {
-		e.sketchSkips.Add(1)
-		mSketchSkips.Inc()
-	}
-	return skip
-}
-
-func (e *Engine) shouldSkipMem(id uint64, bin int, lo, hi float64) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed || e.failed != nil {
-		return false
-	}
-	if _, ok := e.active[id]; ok {
-		return false
-	}
-	if e.frozen != nil {
-		if _, ok := e.frozen[id]; ok {
-			return false
-		}
-	}
-	maybe := false
-	for i := len(e.segments) - 1; i >= 0; i-- {
-		s := e.segments[i]
-		if !s.MayContain(id) {
-			continue
-		}
-		if s.CanMatch(bin, lo, hi) {
-			return false
-		}
-		maybe = true
-	}
-	return maybe
-}
-
-// SetSketchSkip toggles the sketch skip filter at runtime (bench A/B arm).
-func (e *Engine) SetSketchSkip(enabled bool) { e.sketchSkip.Store(enabled) }
-
-// SketchSkipEnabled reports the current toggle.
-func (e *Engine) SketchSkipEnabled() bool { return e.sketchSkip.Load() }
 
 // Scan streams every live entry (puts and metadata; tombstoned ids are
 // suppressed) in unspecified order: memtables first, then segments newest
@@ -588,17 +548,15 @@ func (e *Engine) manifestRowsLocked() []SegmentInfo {
 // segInfo renders one segment's manifest row.
 func segInfo(s *Segment) SegmentInfo {
 	return SegmentInfo{
-		ID:            s.ID(),
-		File:          filepath.Base(s.Path()),
-		MinID:         s.MinID(),
-		MaxID:         s.MaxID(),
-		Entries:       s.Count(),
-		Puts:          s.Puts,
-		Tombstones:    s.Tombstones,
-		Bytes:         s.Bytes(),
-		BloomBits:     s.BloomBits(),
-		SketchCovered: s.SketchCovered(),
-		SketchBins:    s.SketchBins(),
+		ID:         s.ID(),
+		File:       filepath.Base(s.Path()),
+		MinID:      s.MinID(),
+		MaxID:      s.MaxID(),
+		Entries:    s.Count(),
+		Puts:       s.Puts,
+		Tombstones: s.Tombstones,
+		Bytes:      s.Bytes(),
+		BloomBits:  s.BloomBits(),
 	}
 }
 
@@ -629,11 +587,8 @@ func (e *Engine) Stats() EngineStats {
 	st.Compactions = e.compactions.Load()
 	st.BloomLookups = e.bloomLookups.Load()
 	st.BloomFalsePositives = e.bloomFPs.Load()
-	st.SketchChecks = e.sketchChecks.Load()
-	st.SketchSkips = e.sketchSkips.Load()
 	st.RateLimitStalls = e.rateStalls.Load()
 	st.RateLimitStallNanos = e.rateStallNanos.Load()
-	st.SketchSkipEnabled = e.sketchSkip.Load()
 	return st
 }
 
@@ -665,25 +620,31 @@ func (e *Engine) Manifest() Manifest {
 	return Manifest{Gen: e.gen, NextID: e.nextID, Segments: e.manifestRowsLocked()}
 }
 
-// Check runs the full integrity scan over every live segment.
+// Check runs the full integrity scan over every live segment. Stack
+// position, not segment id, is the age order — a merge splices its output
+// (which carries the newest id) in where the run stood — so the ids are
+// only required to be unique and below the allocator's next id.
 func (e *Engine) Check() (CheckResult, error) {
 	e.mu.RLock()
 	segs := append([]*Segment(nil), e.segments...)
-	closed := e.closed
+	nextID, closed := e.nextID, e.closed
 	e.mu.RUnlock()
 	if closed {
 		return CheckResult{}, ErrClosed
 	}
 	var res CheckResult
-	var lastID uint64
-	for i, s := range segs {
+	seen := make(map[uint64]bool, len(segs))
+	for _, s := range segs {
 		res.Segments++
 		res.Entries += s.Count()
 		res.Bytes += s.Bytes()
-		if i > 0 && s.ID() <= lastID {
-			res.Problems = append(res.Problems, fmt.Sprintf("segment order violation: %d after %d", s.ID(), lastID))
+		if seen[s.ID()] {
+			res.Problems = append(res.Problems, fmt.Sprintf("segment id %d appears twice in the stack", s.ID()))
 		}
-		lastID = s.ID()
+		seen[s.ID()] = true
+		if s.ID() >= nextID {
+			res.Problems = append(res.Problems, fmt.Sprintf("segment id %d not below next id %d", s.ID(), nextID))
+		}
 		res.Problems = append(res.Problems, s.Check()...)
 	}
 	return res, nil

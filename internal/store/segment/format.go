@@ -5,38 +5,37 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"sort"
 )
 
-// Segment file layout (all integers little-endian):
+// Segment file layout, version 2 (all integers little-endian):
 //
 //	header  (24B): magic "ESSEG1\x00\x00" | version u32 | segID u64 | reserved u32
 //	entries (id-ascending, CRC-framed):
-//	        frameLen u32 | id u64 | kind u8 | nBounds u16 |
-//	        nBounds × (lo f64, hi f64) | payload | crc u32
+//	        frameLen u32 | id u64 | kind u8 | payload | crc u32
 //	        (frameLen covers id..payload; crc covers the same bytes)
 //	summary: n u32 | n × (id u64, fileOff u64)      — every summaryEvery-th entry
 //	bloom:   nWords u32 | words…                     — split-block filter over ids
-//	sketch:  bins u32 | sketched u32 | puts u32 | bins × (minLo f64, maxHi f64)
-//	footer  (40B): summaryOff u64 | bloomOff u64 | sketchOff u64 |
+//	footer  (32B): summaryOff u64 | bloomOff u64 |
 //	        count u32 | metaCRC u32 | magic "ESSEGFT1"
 //
-// metaCRC covers the summary+bloom+sketch region. A segment is written
-// once, fsynced, and never modified; readers use the footer to load the
-// summary, bloom and sketch into memory and serve point lookups with
-// positioned reads against the entry region.
+// metaCRC covers the summary+bloom region. A segment is written once,
+// fsynced, and never modified; readers use the footer to load the summary
+// and bloom into memory and serve point lookups with positioned reads
+// against the entry region.
+//
+// Version 1 carried a per-bin bound vector in every frame and a sketch
+// block before the footer; it is refused with ErrLegacyFormat, not read.
 
 const (
 	segMagic      = "ESSEG1\x00\x00"
 	segFooterMag  = "ESSEGFT1"
-	segVersion    = 1
+	segVersion    = 2
 	segHeaderSize = 24
-	segFooterSize = 40
-	// framePrefix is the fixed part of an entry frame before the bounds:
-	// frameLen u32 + id u64 + kind u8 + nBounds u16.
-	framePrefix = 15
+	segFooterSize = 32
+	// frameMin is the fixed part of a frame body: id u64 + kind u8.
+	frameMin = 9
 )
 
 var segCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -44,6 +43,10 @@ var segCRC = crc32.MakeTable(crc32.Castagnoli)
 // ErrCorrupt wraps every structural-corruption failure the decoder
 // detects, so callers can match the whole family with errors.Is.
 var ErrCorrupt = errors.New("segment: corrupt")
+
+// ErrLegacyFormat reports a segment file written in a format version this
+// build no longer reads.
+var ErrLegacyFormat = errors.New("segment: legacy format version")
 
 func errTruncated(what string) error {
 	return fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
@@ -63,68 +66,38 @@ const (
 	// older segment can still hold a version of the id.
 	EntryTombstone EntryKind = 2
 	// EntryMeta is engine-client metadata (the database's configuration
-	// record). It behaves like a put for lookup and merge purposes but is
-	// excluded from sketch coverage, so it never disables skipping.
+	// record). It behaves like a put for lookup and merge purposes.
 	EntryMeta EntryKind = 3
 )
 
-// Entry is one keyed record. Lo/Hi optionally carry the per-histogram-bin
-// bound fractions the sketch aggregates; nil means unsketched (which
-// poisons the containing segment's skip eligibility for EntryPut).
+// Entry is one keyed record.
 type Entry struct {
 	ID      uint64
 	Kind    EntryKind
 	Payload []byte
-	Lo, Hi  []float64
 }
 
 // appendFrame encodes one entry frame.
-func appendFrame(buf []byte, e Entry) ([]byte, error) {
-	if len(e.Lo) != len(e.Hi) {
-		return nil, fmt.Errorf("segment: entry %d: bounds length mismatch %d/%d", e.ID, len(e.Lo), len(e.Hi))
-	}
-	if len(e.Lo) > math.MaxUint16 {
-		return nil, fmt.Errorf("segment: entry %d: %d bound bins exceed format limit", e.ID, len(e.Lo))
-	}
-	frameLen := 8 + 1 + 2 + 16*len(e.Lo) + len(e.Payload)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(frameLen))
+func appendFrame(buf []byte, e Entry) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(frameMin+len(e.Payload)))
 	start := len(buf)
 	buf = binary.LittleEndian.AppendUint64(buf, e.ID)
 	buf = append(buf, byte(e.Kind))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Lo)))
-	for i := range e.Lo {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Lo[i]))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Hi[i]))
-	}
 	buf = append(buf, e.Payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], segCRC)), nil
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], segCRC))
 }
 
 // decodeFrameBody decodes the bytes between frameLen and crc (already
 // CRC-verified by the caller).
 func decodeFrameBody(body []byte) (Entry, error) {
-	if len(body) < 11 {
+	if len(body) < frameMin {
 		return Entry{}, errTruncated("entry frame")
 	}
-	e := Entry{
-		ID:   binary.LittleEndian.Uint64(body),
-		Kind: EntryKind(body[8]),
-	}
-	nb := int(binary.LittleEndian.Uint16(body[9:]))
-	body = body[11:]
-	if 16*nb > len(body) {
-		return Entry{}, errTruncated("entry bounds")
-	}
-	if nb > 0 {
-		e.Lo = make([]float64, nb)
-		e.Hi = make([]float64, nb)
-		for i := 0; i < nb; i++ {
-			e.Lo[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[16*i:]))
-			e.Hi[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[16*i+8:]))
-		}
-	}
-	e.Payload = body[16*nb:]
-	return e, nil
+	return Entry{
+		ID:      binary.LittleEndian.Uint64(body),
+		Kind:    EntryKind(body[8]),
+		Payload: body[frameMin:],
+	}, nil
 }
 
 type summaryEntry struct {
@@ -133,7 +106,7 @@ type summaryEntry struct {
 }
 
 // Writer streams entries (id-ascending) into a new segment file, building
-// the summary, bloom and sketch as it goes. Entries become durable and
+// the summary and bloom as it goes. Entries become durable and
 // visible only at Finish; a crash mid-write leaves an orphan file that the
 // next Open removes.
 type Writer struct {
@@ -149,8 +122,6 @@ type Writer struct {
 	summary      []summaryEntry
 	summaryEvery int
 	bitsPerKey   int
-	sketchBins   int
-	sketchIn     [][2][]float64 // deferred sketch inputs (bins unknown until Finish)
 	buf          []byte
 }
 
@@ -191,12 +162,7 @@ func (w *Writer) Append(e Entry) error {
 	if w.count%w.summaryEvery == 0 {
 		w.summary = append(w.summary, summaryEntry{id: e.ID, off: uint64(w.off)})
 	}
-	w.buf = w.buf[:0]
-	var err error
-	w.buf, err = appendFrame(w.buf, e)
-	if err != nil {
-		return err
-	}
+	w.buf = appendFrame(w.buf[:0], e)
 	if _, err := w.f.Write(w.buf); err != nil {
 		return err
 	}
@@ -207,14 +173,10 @@ func (w *Writer) Append(e Entry) error {
 	switch e.Kind {
 	case EntryPut:
 		w.puts++
-		if n := len(e.Lo); n > w.sketchBins {
-			w.sketchBins = n
-		}
-		w.sketchIn = append(w.sketchIn, [2][]float64{e.Lo, e.Hi})
 	case EntryTombstone:
 		w.tombstones++
 	case EntryMeta:
-		// metadata: indexed, bloomed, never sketched
+		// metadata: indexed and bloomed like a put, counted as neither
 	default:
 		return fmt.Errorf("segment: append entry %d: unknown kind %d", e.ID, e.Kind)
 	}
@@ -233,7 +195,7 @@ func (w *Writer) Abort() {
 	os.Remove(w.path)
 }
 
-// Finish writes the summary/bloom/sketch blocks and footer, fsyncs, and
+// Finish writes the summary and bloom blocks and the footer, fsyncs, and
 // reopens the completed file as a Segment.
 func (w *Writer) Finish() (*Segment, error) {
 	fail := func(err error) (*Segment, error) {
@@ -244,10 +206,6 @@ func (w *Writer) Finish() (*Segment, error) {
 	for _, id := range w.ids {
 		bloom.Add(id)
 	}
-	sketch := NewSketch(w.sketchBins)
-	for _, in := range w.sketchIn {
-		sketch.AddPut(in[0], in[1])
-	}
 	summaryOff := uint64(w.off)
 	meta := binary.LittleEndian.AppendUint32(nil, uint32(len(w.summary)))
 	for _, s := range w.summary {
@@ -256,13 +214,10 @@ func (w *Writer) Finish() (*Segment, error) {
 	}
 	bloomOff := summaryOff + uint64(len(meta))
 	meta = bloom.marshal(meta)
-	sketchOff := summaryOff + uint64(len(meta))
-	meta = sketch.marshal(meta)
 
 	footer := make([]byte, 0, segFooterSize)
 	footer = binary.LittleEndian.AppendUint64(footer, summaryOff)
 	footer = binary.LittleEndian.AppendUint64(footer, bloomOff)
-	footer = binary.LittleEndian.AppendUint64(footer, sketchOff)
 	footer = binary.LittleEndian.AppendUint32(footer, uint32(w.count))
 	footer = binary.LittleEndian.AppendUint32(footer, crc32.Checksum(meta, segCRC))
 	footer = append(footer, segFooterMag...)
@@ -289,7 +244,7 @@ func (w *Writer) Finish() (*Segment, error) {
 	return seg, nil
 }
 
-// Segment is an opened, immutable segment file: summary, bloom and sketch
+// Segment is an opened, immutable segment file: summary and bloom
 // resident; entries served by positioned reads. Safe for concurrent use.
 type Segment struct {
 	f      *os.File
@@ -300,7 +255,6 @@ type Segment struct {
 	sumOff int64 // end of the entry region
 	sum    []summaryEntry
 	bloom  *Bloom
-	sketch *Sketch
 	// Puts / Tombstones are entry-kind counts. They are exact when the
 	// segment came from a Writer and are recomputed by Check; OpenSegment
 	// alone leaves them zero (the manifest carries them across restarts).
@@ -329,7 +283,7 @@ func newSegment(f *os.File, path string) (*Segment, error) {
 		return nil, err
 	}
 	size := fi.Size()
-	if size < segHeaderSize+segFooterSize {
+	if size < segHeaderSize {
 		return nil, errTruncated("segment file")
 	}
 	hdr := make([]byte, segHeaderSize)
@@ -339,25 +293,29 @@ func newSegment(f *os.File, path string) (*Segment, error) {
 	if string(hdr[:8]) != segMagic {
 		return nil, errCorrupt("bad header magic")
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != segVersion {
+	if v := binary.LittleEndian.Uint32(hdr[8:]); v < segVersion {
+		return nil, fmt.Errorf("%w %d (this build reads %d)", ErrLegacyFormat, v, segVersion)
+	} else if v != segVersion {
 		return nil, errCorrupt("unsupported version %d", v)
 	}
 	segID := binary.LittleEndian.Uint64(hdr[12:])
+	if size < segHeaderSize+segFooterSize {
+		return nil, errTruncated("segment file")
+	}
 
 	footer := make([]byte, segFooterSize)
 	if _, err := f.ReadAt(footer, size-segFooterSize); err != nil {
 		return nil, err
 	}
-	if string(footer[32:40]) != segFooterMag {
+	if string(footer[24:32]) != segFooterMag {
 		return nil, errCorrupt("bad footer magic")
 	}
 	summaryOff := binary.LittleEndian.Uint64(footer[0:])
 	bloomOff := binary.LittleEndian.Uint64(footer[8:])
-	sketchOff := binary.LittleEndian.Uint64(footer[16:])
-	count := binary.LittleEndian.Uint32(footer[24:])
-	metaCRC := binary.LittleEndian.Uint32(footer[28:])
+	count := binary.LittleEndian.Uint32(footer[16:])
+	metaCRC := binary.LittleEndian.Uint32(footer[20:])
 	metaEnd := uint64(size - segFooterSize)
-	if summaryOff < segHeaderSize || summaryOff > bloomOff || bloomOff > sketchOff || sketchOff > metaEnd {
+	if summaryOff < segHeaderSize || summaryOff > bloomOff || bloomOff > metaEnd {
 		return nil, errCorrupt("inconsistent section offsets")
 	}
 	meta := make([]byte, metaEnd-summaryOff)
@@ -394,16 +352,12 @@ func newSegment(f *os.File, path string) (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	sketch, rest, err := unmarshalSketch(rest)
-	if err != nil {
-		return nil, err
-	}
 	if len(rest) != 0 {
 		return nil, errCorrupt("%d trailing meta bytes", len(rest))
 	}
 	return &Segment{
 		f: f, path: path, id: segID, size: size, count: int(count),
-		sumOff: int64(summaryOff), sum: sum, bloom: bloom, sketch: sketch,
+		sumOff: int64(summaryOff), sum: sum, bloom: bloom,
 	}, nil
 }
 
@@ -418,12 +372,6 @@ func (s *Segment) Count() int { return s.count }
 
 // BloomBits returns the bloom filter size in bits.
 func (s *Segment) BloomBits() int { return s.bloom.Bits() }
-
-// SketchCovered reports whether the sketch covers every put entry.
-func (s *Segment) SketchCovered() bool { return s.sketch.Covered() }
-
-// SketchBins returns the sketch width.
-func (s *Segment) SketchBins() int { return s.sketch.Bins() }
 
 // MinID / MaxID return the id range ([0,0] for an empty segment).
 func (s *Segment) MinID() uint64 {
@@ -456,12 +404,11 @@ func (s *Segment) lastSummaryOff() int64 {
 // MayContain consults the bloom filter (no I/O).
 func (s *Segment) MayContain(id uint64) bool { return s.bloom.MayContain(id) }
 
-// CanMatch consults the sketch (no I/O); see Sketch.CanMatch.
-func (s *Segment) CanMatch(bin int, lo, hi float64) bool { return s.sketch.CanMatch(bin, lo, hi) }
-
 // readFrameAt reads and validates the frame starting at off, returning the
-// entry and the next frame's offset.
-func (s *Segment) readFrameAt(off int64) (Entry, int64, error) {
+// entry and the next frame's offset. With a nil scratch the entry's payload
+// is a fresh allocation; otherwise it aliases *scratch, which is grown to
+// fit and overwritten by the next read through it.
+func (s *Segment) readFrameAt(off int64, scratch *[]byte) (Entry, int64, error) {
 	var lenBuf [4]byte
 	if off < segHeaderSize || off+4 > s.sumOff {
 		return Entry{}, 0, errCorrupt("frame offset %d out of entry region", off)
@@ -470,10 +417,18 @@ func (s *Segment) readFrameAt(off int64) (Entry, int64, error) {
 		return Entry{}, 0, err
 	}
 	frameLen := int64(binary.LittleEndian.Uint32(lenBuf[:]))
-	if frameLen < 11 || off+4+frameLen+4 > s.sumOff {
+	if frameLen < frameMin || off+4+frameLen+4 > s.sumOff {
 		return Entry{}, 0, errCorrupt("frame length %d at offset %d", frameLen, off)
 	}
-	body := make([]byte, frameLen+4)
+	var body []byte
+	if scratch == nil {
+		body = make([]byte, frameLen+4)
+	} else {
+		if int64(cap(*scratch)) < frameLen+4 {
+			*scratch = make([]byte, frameLen+4)
+		}
+		body = (*scratch)[:frameLen+4]
+	}
 	if _, err := s.f.ReadAt(body, off+4); err != nil {
 		return Entry{}, 0, err
 	}
@@ -492,6 +447,15 @@ func (s *Segment) readFrameAt(off int64) (Entry, int64, error) {
 // (the engine does that, so it can account lookups and false positives);
 // a miss returns ok=false.
 func (s *Segment) Get(id uint64) (Entry, bool, error) {
+	// The frames walked over on the way to id share one buffer, private to
+	// this call, so the entry returned is still safe to retain.
+	var scratch []byte
+	return s.get(id, &scratch)
+}
+
+// get is Get reading every frame through *scratch, which the returned
+// entry's payload aliases.
+func (s *Segment) get(id uint64, scratch *[]byte) (Entry, bool, error) {
 	// Binary search the sparse summary for the last stride start ≤ id.
 	i := sort.Search(len(s.sum), func(i int) bool { return s.sum[i].id > id }) - 1
 	if i < 0 {
@@ -499,7 +463,7 @@ func (s *Segment) Get(id uint64) (Entry, bool, error) {
 	}
 	off := int64(s.sum[i].off)
 	for off < s.sumOff {
-		e, next, err := s.readFrameAt(off)
+		e, next, err := s.readFrameAt(off, scratch)
 		if err != nil {
 			return Entry{}, false, err
 		}
@@ -515,14 +479,14 @@ func (s *Segment) Get(id uint64) (Entry, bool, error) {
 }
 
 // Iter streams every entry in file order (ascending id). The entry's
-// Payload/Lo/Hi are freshly allocated and safe to retain.
+// Payload is freshly allocated and safe to retain.
 func (s *Segment) Iter(fn func(Entry) error) error {
 	return s.iterFrom(segHeaderSize, fn)
 }
 
 func (s *Segment) iterFrom(off int64, fn func(Entry) error) error {
 	for off < s.sumOff {
-		e, next, err := s.readFrameAt(off)
+		e, next, err := s.readFrameAt(off, nil)
 		if err != nil {
 			return err
 		}
@@ -535,10 +499,9 @@ func (s *Segment) iterFrom(off int64, fn func(Entry) error) error {
 }
 
 // Check runs a full structural scan: every frame CRC, strictly ascending
-// ids, footer count, bloom completeness (every id must probe positive),
-// summary stride targets, and sketch envelope soundness for sketched
-// entries. It returns the problems found (empty = clean) and refreshes the
-// Puts/Tombstones counters.
+// ids, footer count, bloom completeness (every id must probe positive)
+// and summary stride targets. It returns the problems found (empty =
+// clean) and refreshes the Puts/Tombstones counters.
 func (s *Segment) Check() []string {
 	var problems []string
 	addProblem := func(format string, a ...any) {
@@ -550,9 +513,10 @@ func (s *Segment) Check() []string {
 	}
 	var n, puts, tombs int
 	var lastID uint64
+	var scratch []byte // no entry outlives its iteration
 	off := int64(segHeaderSize)
 	for off < s.sumOff {
-		e, next, err := s.readFrameAt(off)
+		e, next, err := s.readFrameAt(off, &scratch)
 		if err != nil {
 			addProblem("entry scan at offset %d: %v", off, err)
 			return problems
@@ -572,14 +536,6 @@ func (s *Segment) Check() []string {
 		switch e.Kind {
 		case EntryPut:
 			puts++
-			if s.sketch.Covered() && len(e.Lo) >= s.sketch.Bins() {
-				for b := 0; b < s.sketch.Bins(); b++ {
-					if e.Lo[b] < s.sketch.minLo[b] || e.Hi[b] > s.sketch.maxHi[b] {
-						addProblem("sketch envelope excludes entry %d bin %d", e.ID, b)
-						break
-					}
-				}
-			}
 		case EntryTombstone:
 			tombs++
 		case EntryMeta:
@@ -596,9 +552,6 @@ func (s *Segment) Check() []string {
 	}
 	for o, id := range sumAt {
 		addProblem("summary id %d points at offset %d with no entry", id, o)
-	}
-	if s.sketch.Covered() && s.sketch.puts != puts {
-		addProblem("sketch covers %d puts but segment has %d", s.sketch.puts, puts)
 	}
 	s.Puts, s.Tombstones = puts, tombs
 	return problems

@@ -21,7 +21,7 @@ func FuzzSegmentDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i := uint64(1); i <= 9; i++ {
-		if err := w.Append(Entry{ID: i, Kind: EntryPut, Payload: []byte("pay"), Lo: []float64{0.1, 0.2}, Hi: []float64{0.3, 0.4}}); err != nil {
+		if err := w.Append(Entry{ID: i, Kind: EntryPut, Payload: []byte("pay")}); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -57,7 +57,6 @@ func FuzzSegmentDecode(f *testing.F) {
 			s.Get(id)
 			s.MayContain(id)
 		}
-		s.CanMatch(0, 0.0, 1.0)
 		s.Iter(func(Entry) error { return nil })
 	})
 }
@@ -66,38 +65,22 @@ func FuzzSegmentDecode(f *testing.F) {
 // frames: whatever appendFrame writes, decodeFrameBody must read back
 // exactly.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(uint64(1), byte(EntryPut), []byte("payload"), uint16(3))
-	f.Add(uint64(0), byte(EntryTombstone), []byte{}, uint16(0))
-	f.Add(^uint64(0), byte(EntryMeta), bytes.Repeat([]byte{0xab}, 300), uint16(27))
-	f.Fuzz(func(t *testing.T, id uint64, kind byte, payload []byte, nb uint16) {
-		nBounds := int(nb % 64)
-		lo := make([]float64, nBounds)
-		hi := make([]float64, nBounds)
-		for i := range lo {
-			lo[i] = float64(i) / 64
-			hi[i] = float64(i)/64 + 0.5
-		}
-		in := Entry{ID: id, Kind: EntryKind(kind), Payload: payload, Lo: lo, Hi: hi}
-		buf, err := appendFrame(nil, in)
-		if err != nil {
-			t.Fatalf("appendFrame: %v", err)
-		}
+	f.Add(uint64(1), byte(EntryPut), []byte("payload"))
+	f.Add(uint64(0), byte(EntryTombstone), []byte{})
+	f.Add(^uint64(0), byte(EntryMeta), bytes.Repeat([]byte{0xab}, 300))
+	f.Fuzz(func(t *testing.T, id uint64, kind byte, payload []byte) {
+		in := Entry{ID: id, Kind: EntryKind(kind), Payload: payload}
+		buf := appendFrame(nil, in)
 		frameLen := int(binary.LittleEndian.Uint32(buf))
-		body := buf[4 : 4+frameLen]
-		out, err := decodeFrameBody(body)
+		if frameLen != frameMin+len(payload) || len(buf) != 4+frameLen+4 {
+			t.Fatalf("frame of %d payload bytes: frameLen %d, %d bytes", len(payload), frameLen, len(buf))
+		}
+		out, err := decodeFrameBody(buf[4 : 4+frameLen])
 		if err != nil {
 			t.Fatalf("decodeFrameBody: %v", err)
 		}
 		if out.ID != in.ID || out.Kind != in.Kind || !bytes.Equal(out.Payload, in.Payload) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", in, out)
-		}
-		if len(out.Lo) != nBounds || len(out.Hi) != nBounds {
-			t.Fatalf("bounds length mismatch: %d/%d want %d", len(out.Lo), len(out.Hi), nBounds)
-		}
-		for i := range out.Lo {
-			if out.Lo[i] != in.Lo[i] || out.Hi[i] != in.Hi[i] {
-				t.Fatalf("bounds mismatch at %d", i)
-			}
 		}
 	})
 }

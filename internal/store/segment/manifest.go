@@ -33,10 +33,6 @@ type SegmentInfo struct {
 	Tombstones int    `json:"tombstones"`
 	Bytes      int64  `json:"bytes"`
 	BloomBits  int    `json:"bloom_bits"`
-	// SketchCovered reports whether the per-bin bound sketch covers every
-	// put entry (the precondition for skipping the segment on queries).
-	SketchCovered bool `json:"sketch_covered"`
-	SketchBins    int  `json:"sketch_bins"`
 }
 
 // Manifest is the decoded manifest file.

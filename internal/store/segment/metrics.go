@@ -10,8 +10,6 @@ var (
 	mCompactions   = obs.Default().Counter("esidb_segment_compactions_total")
 	mBloomLookups  = obs.Default().Counter("esidb_segment_bloom_lookups_total")
 	mBloomFP       = obs.Default().Counter("esidb_segment_bloom_false_positives_total")
-	mSketchChecks  = obs.Default().Counter("esidb_segment_sketch_checks_total")
-	mSketchSkips   = obs.Default().Counter("esidb_segment_sketch_skips_total")
 	mRateStalls    = obs.Default().Counter("esidb_segment_ratelimit_stalls_total")
 	mRateStallNs   = obs.Default().Counter("esidb_segment_ratelimit_stall_nanos_total")
 	mCompactedByte = obs.Default().Counter("esidb_segment_compacted_bytes_total")

@@ -7,12 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
 
-func testEntry(id uint64, payload string, lo, hi []float64) Entry {
-	return Entry{ID: id, Kind: EntryPut, Payload: []byte(payload), Lo: lo, Hi: hi}
+func testEntry(id uint64, payload string) Entry {
+	return Entry{ID: id, Kind: EntryPut, Payload: []byte(payload)}
 }
 
 func writeTestSegment(t *testing.T, dir string, segID uint64, ents []Entry) *Segment {
@@ -38,8 +39,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	var ents []Entry
 	for i := 0; i < 500; i++ {
 		id := uint64(i*3 + 1)
-		ents = append(ents, testEntry(id, fmt.Sprintf("payload-%d", id),
-			[]float64{float64(i) / 500, 0.2}, []float64{float64(i)/500 + 0.1, 0.9}))
+		ents = append(ents, testEntry(id, fmt.Sprintf("payload-%d", id)))
 	}
 	seg := writeTestSegment(t, dir, 1, ents)
 	defer seg.Close()
@@ -57,9 +57,6 @@ func TestSegmentRoundTrip(t *testing.T) {
 		}
 		if string(got.Payload) != string(want.Payload) {
 			t.Fatalf("Get(%d) payload %q, want %q", want.ID, got.Payload, want.Payload)
-		}
-		if len(got.Lo) != 2 || got.Lo[0] != want.Lo[0] || got.Hi[1] != want.Hi[1] {
-			t.Fatalf("Get(%d) bounds %v/%v, want %v/%v", want.ID, got.Lo, got.Hi, want.Lo, want.Hi)
 		}
 	}
 	// Absent ids (between present ones and outside the range) miss cleanly.
@@ -97,13 +94,13 @@ func TestWriterRejectsOutOfOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Abort()
-	if err := w.Append(testEntry(5, "a", nil, nil)); err != nil {
+	if err := w.Append(testEntry(5, "a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(testEntry(5, "b", nil, nil)); err == nil {
+	if err := w.Append(testEntry(5, "b")); err == nil {
 		t.Fatal("duplicate id accepted")
 	}
-	if err := w.Append(testEntry(4, "c", nil, nil)); err == nil {
+	if err := w.Append(testEntry(4, "c")); err == nil {
 		t.Fatal("descending id accepted")
 	}
 }
@@ -112,7 +109,7 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
 	var ents []Entry
 	for i := 1; i <= 64; i++ {
-		ents = append(ents, testEntry(uint64(i), "some payload bytes", nil, nil))
+		ents = append(ents, testEntry(uint64(i), "some payload bytes"))
 	}
 	seg := writeTestSegment(t, dir, 1, ents)
 	path := seg.Path()
@@ -182,48 +179,6 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 	}
 }
 
-func TestSketchConservative(t *testing.T) {
-	s := NewSketch(3)
-	s.AddPut([]float64{0.1, 0.4, 0.0}, []float64{0.2, 0.6, 1.0})
-	s.AddPut([]float64{0.3, 0.5, 0.0}, []float64{0.35, 0.9, 1.0})
-	if !s.Covered() {
-		t.Fatal("sketch should be covered")
-	}
-	// The window [0.25, 0.28] falls in the gap between the two entry
-	// intervals on bin 0, but the envelope [0.1, 0.35] overlaps it — the
-	// sketch must stay conservative and report "could match".
-	if !s.CanMatch(0, 0.25, 0.28) {
-		t.Fatal("envelope overlap must report maybe")
-	}
-}
-
-func TestSketchEnvelope(t *testing.T) {
-	s := NewSketch(2)
-	s.AddPut([]float64{0.1, 0.4}, []float64{0.2, 0.6})
-	s.AddPut([]float64{0.3, 0.5}, []float64{0.5, 0.9})
-	// Envelope bin 0: [0.1, 0.5]. Windows beyond either side can't match.
-	if s.CanMatch(0, 0.6, 0.9) {
-		t.Fatal("window above envelope should not match")
-	}
-	if s.CanMatch(0, 0.0, 0.05) {
-		t.Fatal("window below envelope should not match")
-	}
-	if !s.CanMatch(0, 0.15, 0.18) {
-		t.Fatal("window inside envelope must report maybe")
-	}
-	// Uncovered sketch never skips.
-	s.AddPut(nil, nil)
-	if !s.CanMatch(0, 0.99, 1.0) {
-		t.Fatal("uncovered sketch must always report maybe")
-	}
-	// Out-of-range bin never skips.
-	s2 := NewSketch(1)
-	s2.AddPut([]float64{0.1}, []float64{0.2})
-	if !s2.CanMatch(5, 0.9, 1.0) {
-		t.Fatal("out-of-range bin must report maybe")
-	}
-}
-
 func TestManifestRoundTripAndSwap(t *testing.T) {
 	dir := t.TempDir()
 	m, err := ReadManifest(dir)
@@ -231,7 +186,7 @@ func TestManifestRoundTripAndSwap(t *testing.T) {
 		t.Fatalf("fresh manifest: %+v err=%v", m, err)
 	}
 	want := &Manifest{Gen: 7, NextID: 42, Segments: []SegmentInfo{
-		{ID: 3, File: "00000003.seg", MinID: 1, MaxID: 9, Entries: 5, Bytes: 1234, BloomBits: 256, SketchCovered: true, SketchBins: 27},
+		{ID: 3, File: "00000003.seg", MinID: 1, MaxID: 9, Entries: 5, Bytes: 1234, BloomBits: 256},
 	}}
 	if err := writeManifest(dir, want, nil); err != nil {
 		t.Fatalf("writeManifest: %v", err)
@@ -268,7 +223,7 @@ func TestEngineMemtableAndSeal(t *testing.T) {
 	defer e.Close()
 
 	for i := 1; i <= 100; i++ {
-		if err := e.Put(testEntry(uint64(i), fmt.Sprintf("v%d", i), nil, nil)); err != nil {
+		if err := e.Put(testEntry(uint64(i), fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,7 +248,7 @@ func TestEngineMemtableAndSeal(t *testing.T) {
 		t.Fatal("tombstone lost by seal")
 	}
 	// Overwrite in a later segment: newest wins.
-	if err := e.Put(testEntry(7, "v7-new", nil, nil)); err != nil {
+	if err := e.Put(testEntry(7, "v7-new")); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Seal(); err != nil {
@@ -323,11 +278,45 @@ func TestEngineMemtableAndSeal(t *testing.T) {
 	}
 }
 
+// TestEngineView pins View to Get: the same newest-wins answer from the
+// memtable and from sealed segments, nothing for an absent or deleted id,
+// through a buffer that the next call reuses.
+func TestEngineView(t *testing.T) {
+	e := newTestEngine(t, t.TempDir(), Options{TargetBytes: -1, SummaryEvery: 2})
+	defer e.Close()
+	for i := 1; i <= 9; i++ {
+		e.Put(testEntry(uint64(i), fmt.Sprintf("sealed-%d", i)))
+	}
+	e.Delete(4)
+	if err := e.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	e.Put(testEntry(7, "memtable-7"))
+	for id := uint64(0); id <= 10; id++ {
+		want, wantOK, err := e.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got string
+		ok, err := e.View(id, func(ent Entry) error {
+			got = string(ent.Payload)
+			return nil
+		})
+		if err != nil || ok != wantOK || got != string(want.Payload) {
+			t.Fatalf("View(%d) = %q ok=%v err=%v, Get says %q ok=%v", id, got, ok, err, want.Payload, wantOK)
+		}
+	}
+	boom := errors.New("boom")
+	if _, err := e.View(1, func(Entry) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("View did not return fn's error: %v", err)
+	}
+}
+
 func TestEngineReopen(t *testing.T) {
 	dir := t.TempDir()
 	e := newTestEngine(t, dir, Options{TargetBytes: -1})
 	for i := 1; i <= 40; i++ {
-		e.Put(testEntry(uint64(i), fmt.Sprintf("v%d", i), []float64{0.1}, []float64{0.9}))
+		e.Put(testEntry(uint64(i), fmt.Sprintf("v%d", i)))
 		if i%10 == 0 {
 			if err := e.Seal(); err != nil {
 				t.Fatal(err)
@@ -386,7 +375,7 @@ func TestEngineCompaction(t *testing.T) {
 			} else {
 				v := fmt.Sprintf("r%d-%d", round, id)
 				truth[id] = v
-				e.Put(testEntry(id, v, []float64{rng.Float64() / 2}, []float64{0.5 + rng.Float64()/2}))
+				e.Put(testEntry(id, v))
 			}
 		}
 		if err := e.Seal(); err != nil {
@@ -439,47 +428,50 @@ func TestEngineCompaction(t *testing.T) {
 	}
 }
 
-func TestEngineShouldSkip(t *testing.T) {
-	dir := t.TempDir()
-	e := newTestEngine(t, dir, Options{TargetBytes: -1})
+// TestCheckCleanAfterMidStackCompaction is the regression for the "segment
+// order violation" a healthy store used to report: a merged run's output
+// carries the newest segment id but stands where the run stood, so ids stop
+// ascending along the stack as soon as the run is not the stack's suffix.
+func TestCheckCleanAfterMidStackCompaction(t *testing.T) {
+	e := newTestEngine(t, t.TempDir(), Options{TargetBytes: -1, FanIn: 2})
 	defer e.Close()
+	big := strings.Repeat("x", 100<<10) // one size tier above the small seals
+	id := uint64(0)
+	for _, payload := range []string{big, "small", "small", big} {
+		id++
+		e.Put(testEntry(id, payload))
+		if err := e.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	var ids []uint64
+	for _, row := range e.Manifest().Segments {
+		ids = append(ids, row.ID)
+	}
+	if len(ids) != 3 || ids[1] < ids[2] {
+		t.Fatalf("stack ids %v: want the mid-stack run merged into a segment newer than its successor", ids)
+	}
+	res, err := e.Check()
+	if err != nil || !res.Ok() {
+		t.Fatalf("Check after mid-stack compaction: %+v err=%v", res, err)
+	}
+}
 
-	// Segment A: ids 1..10, bin-0 bounds inside [0.0, 0.3].
-	for i := 1; i <= 10; i++ {
-		e.Put(testEntry(uint64(i), "a", []float64{0.0}, []float64{0.3}))
-	}
-	if err := e.Seal(); err != nil {
+// TestVersion1HeaderRefused hand-builds the 24-byte header of the previous
+// format: the opener must name it legacy from the version field alone, not
+// misread its frames.
+func TestVersion1HeaderRefused(t *testing.T) {
+	hdr := append([]byte(segMagic), 1, 0, 0, 0) // version u32 = 1
+	hdr = append(hdr, make([]byte, segHeaderSize-len(hdr))...)
+	path := filepath.Join(t.TempDir(), segmentFileName(1))
+	if err := os.WriteFile(path, hdr, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Segment B: ids 11..20, bin-0 bounds inside [0.6, 1.0].
-	for i := 11; i <= 20; i++ {
-		e.Put(testEntry(uint64(i), "b", []float64{0.6}, []float64{1.0}))
-	}
-	if err := e.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	// Query window [0.4, 0.5] misses both envelopes → both skippable.
-	if !e.ShouldSkip(5, 0, 0.4, 0.5) || !e.ShouldSkip(15, 0, 0.4, 0.5) {
-		t.Fatal("expected skip for ids whose segments cannot match")
-	}
-	// Window overlapping segment A's envelope → id 5 not skippable.
-	if e.ShouldSkip(5, 0, 0.2, 0.4) {
-		t.Fatal("skipped an id whose segment may match")
-	}
-	// Memtable residency always disables the skip.
-	e.Put(testEntry(5, "mem", []float64{0.0}, []float64{0.3}))
-	if e.ShouldSkip(5, 0, 0.4, 0.5) {
-		t.Fatal("skipped a memtable-resident id")
-	}
-	// Toggle off.
-	e.SetSketchSkip(false)
-	if e.ShouldSkip(15, 0, 0.4, 0.5) {
-		t.Fatal("skip while disabled")
-	}
-	e.SetSketchSkip(true)
-	st := e.Stats()
-	if st.SketchChecks == 0 || st.SketchSkips == 0 {
-		t.Fatalf("skip counters not recorded: %+v", st)
+	if _, err := OpenSegment(path); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("OpenSegment(v1 header) = %v, want ErrLegacyFormat", err)
 	}
 }
 

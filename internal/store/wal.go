@@ -1,3 +1,8 @@
+// Package store holds the write-ahead log: CRC-framed redo records with
+// group commit, a monotonic LSN space that survives checkpoint + restart,
+// and the durable tail replication reads. Object state lives in
+// internal/store/segment; this log is the acknowledgement authority over
+// it. walfault.go is the log's fault-injecting file for crash tests.
 package store
 
 import (
@@ -13,13 +18,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Write-ahead log: the redo companion to the rollback journal. The journal
-// guarantees that after a crash the data file rolls back to its last
-// checkpoint; the WAL carries every acknowledged logical operation since
-// that checkpoint so recovery can roll the database forward again. The
-// store layer owns the file mechanics (framing, checksums, fsync batching,
-// torn-tail truncation); record payloads are opaque bytes whose meaning
-// belongs to the caller (internal/core encodes catalog mutations).
+// ErrClosed reports an operation on a closed log or database.
+var ErrClosed = errors.New("store: store is closed")
+
+// Write-ahead log: after a crash the segment set holds everything sealed
+// before the last checkpoint; the WAL carries every acknowledged logical
+// operation since that checkpoint so recovery can roll the database
+// forward again. This layer owns the file mechanics (framing, checksums,
+// fsync batching, torn-tail truncation); record payloads are opaque bytes
+// whose meaning belongs to the caller (internal/core encodes catalog
+// mutations).
 //
 // File layout:
 //

@@ -28,7 +28,9 @@ type openConfig struct {
 // Option configures Open.
 type Option func(*openConfig)
 
-// WithPath backs the database with a page-store file (created if absent).
+// WithPath makes the database persistent: segment files under
+// path+".segments/" and a write-ahead log at path+".wal", created if
+// absent.
 func WithPath(path string) Option {
 	return func(c *openConfig) { c.core.Path = path }
 }
@@ -72,16 +74,6 @@ func WithBackground(bg RGB) Option {
 	return func(c *openConfig) { c.core.Background = bg }
 }
 
-// WithPageSize sets the store page size (persistent databases only).
-func WithPageSize(bytes int) Option {
-	return func(c *openConfig) { c.core.Store.PageSize = bytes }
-}
-
-// WithPoolPages sets the buffer-pool capacity in pages.
-func WithPoolPages(n int) Option {
-	return func(c *openConfig) { c.core.Store.PoolPages = n }
-}
-
 // WithParallelism sets the candidate-evaluation worker count: 0 (default)
 // sizes the pool to GOMAXPROCS, 1 forces serial execution, n > 1 uses
 // exactly n workers. Query results are identical at every setting.
@@ -103,17 +95,14 @@ func WithGroupCommit(window time.Duration, maxBatch int) Option {
 	}
 }
 
-// WithSegmentStore backs the database with the segmented storage engine
-// instead of the page store: objects live in immutable WAL-sealed segment
-// files with bloom filters and per-bin bound sketches, and space is
-// reclaimed by background compaction rather than the stop-the-world
-// Compact rewrite. Requires WithPath. The zero Options value selects the
-// engine defaults (4 MiB segments, 10 bloom bits/key, sketch skip on).
+// WithSegmentStore tunes the storage engine every persistent database
+// runs on: objects live in immutable WAL-sealed segment files with bloom
+// filters, and space is reclaimed by compaction (in the background with
+// opts.Background). Only meaningful with WithPath. Leaving it out, or
+// passing the zero SegmentOptions, selects the engine defaults (4 MiB
+// segments, 10 bloom bits/key, no background goroutine).
 func WithSegmentStore(opts SegmentOptions) Option {
-	return func(c *openConfig) {
-		o := opts
-		c.core.Segment = &o
-	}
+	return func(c *openConfig) { c.core.Segment = opts }
 }
 
 // WithAutoAugment makes every InsertImage/InsertImageCtx automatically
@@ -180,39 +169,31 @@ func (db *DB) ApplyRedoRecord(ctx context.Context, payload []byte) error {
 	return db.inner.ApplyRedoRecord(ctx, payload)
 }
 
-// Crash abandons the database without flushing anything: buffered store
-// pages and the group-commit queue are dropped exactly as a process kill
-// would drop them. The next Open recovers from the journal and write-ahead
-// log. It exists for crash-recovery tests and durability drills.
+// Crash abandons the database without flushing anything: the unsealed
+// memtable and the group-commit queue are dropped exactly as a process kill
+// would drop them. The next Open recovers from the segment set and the
+// write-ahead log. It exists for crash-recovery tests and durability drills.
 func (db *DB) Crash() error { return db.inner.Crash() }
 
-// Compact reclaims the space of deleted objects and catalog churn. Page
-// store databases are rewritten stop-the-world into a fresh file; segmented
-// databases seal the memtable and merge segments online, with writes and
-// queries proceeding during the merge. No-op for in-memory databases.
+// Compact reclaims the space of deleted and superseded objects: it seals
+// the memtable and merges segments online, with writes and queries
+// proceeding during the merge. No-op for in-memory databases.
 func (db *DB) Compact() error { return db.inner.Compact() }
 
-// CheckStore runs the storage integrity scan (fsck). Page-store databases
-// scan pages and slots; segmented databases verify every segment's frame
-// CRCs, footer and filter metadata (Pages then counts segments and
-// LiveCells live entries). In-memory databases return a clean empty
-// result.
+// CheckStore runs the storage integrity scan (fsck): every segment's frame
+// CRCs, footer, summary and bloom filter, plus the segment stack's id
+// invariants. In-memory databases return a clean empty result.
 func (db *DB) CheckStore() (StoreCheck, error) { return db.inner.CheckStore() }
 
-// SegmentStats reports segmented-engine activity: live segments, memtable
-// occupancy, seal/compaction counts, bloom and sketch hit rates. ok is
-// false unless the database was opened with WithSegmentStore.
+// SegmentStats reports storage-engine activity: live segments, memtable
+// occupancy, seal/compaction counts, bloom hit rates. ok is false for
+// in-memory databases.
 func (db *DB) SegmentStats() (st SegmentStats, ok bool) { return db.inner.SegmentStats() }
 
-// SegmentManifest lists the live segments of a segmented database (newest
-// last): id ranges, entry counts, bytes, filter sizes. ok is false unless
-// the database was opened with WithSegmentStore.
+// SegmentManifest lists the database's live segments (newest last): id
+// ranges, entry counts, bytes, filter sizes. ok is false for in-memory
+// databases.
 func (db *DB) SegmentManifest() (m SegmentManifest, ok bool) { return db.inner.SegmentManifest() }
-
-// SetSegmentSketchSkip toggles the per-segment bound-sketch skip filter at
-// runtime (the bench's on/off arms). Reports whether the database is
-// segmented; non-segmented databases ignore the call.
-func (db *DB) SetSegmentSketchSkip(enabled bool) bool { return db.inner.SetSegmentSketchSkip(enabled) }
 
 // SetParallelism retunes the candidate-evaluation worker count at runtime
 // (0 = GOMAXPROCS, 1 = serial, n > 1 = exactly n). Safe to call while

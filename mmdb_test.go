@@ -102,7 +102,7 @@ func TestQueryByExample(t *testing.T) {
 
 func TestPersistentFacade(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "facade.esidb")
-	db, err := mmdb.Open(mmdb.WithPath(path), mmdb.WithPageSize(1024), mmdb.WithPoolPages(16))
+	db, err := mmdb.Open(mmdb.WithPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,8 @@ func TestSegmentedFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !db.SetSegmentSketchSkip(true) {
-		t.Fatal("segmented store should accept sketch-skip toggle")
-	}
 	if _, ok := db.SegmentStats(); !ok {
-		t.Fatal("segmented store should expose engine stats")
+		t.Fatal("persistent database should expose engine stats")
 	}
 	if err := db.Sync(); err != nil {
 		t.Fatal(err)
@@ -152,7 +149,9 @@ func TestSegmentedFacade(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := mmdb.Open(mmdb.WithPath(path), mmdb.WithSegmentStore(mmdb.SegmentOptions{}))
+	// WithSegmentStore only tunes the one engine: a bare WithPath reopens
+	// what the zero SegmentOptions wrote.
+	db2, err := mmdb.Open(mmdb.WithPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +178,7 @@ func TestSegmentedFacade(t *testing.T) {
 	}
 	man, ok := db2.SegmentManifest()
 	if !ok {
-		t.Fatal("segmented store should expose its manifest")
+		t.Fatal("persistent database should expose its manifest")
 	}
 	if len(man.Segments) == 0 {
 		t.Fatal("sync should have sealed at least one segment")

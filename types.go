@@ -102,6 +102,20 @@ const (
 // the follower must re-seed from a snapshot (see DB.WALTail).
 var ErrWALTruncated = store.ErrWALTruncated
 
+// ErrIncompatible reports a store built with a different quantizer or
+// background than the configuration asks for.
+var ErrIncompatible = core.ErrIncompatible
+
+// ErrLegacyStore reports a path holding a database in a format this build
+// no longer reads (a page-store file, or version-1 segments). The message
+// names the way across: `esidb dump` from the last build that reads it,
+// then `esidb load`.
+var ErrLegacyStore = core.ErrLegacyStore
+
+// ErrNotDatabase reports a regular file at the database path that is not a
+// database.
+var ErrNotDatabase = core.ErrNotDatabase
+
 // ErrNoWAL reports a WAL operation against a database without a
 // write-ahead log (in-memory databases).
 var ErrNoWAL = core.ErrNoWAL
@@ -192,16 +206,15 @@ type (
 	Object = catalog.Object
 	// Stats aggregates database statistics.
 	Stats = core.DBStats
-	// StoreCheck is the result of a page-store integrity scan.
-	StoreCheck = store.CheckResult
+	// StoreCheck is the result of a storage integrity scan (DB.CheckStore).
+	StoreCheck = segment.CheckResult
 	// WALStats reports write-ahead-log activity (see DB.WALStats).
 	WALStats = store.WALStats
-	// SegmentOptions tunes the segmented storage engine (see
-	// WithSegmentStore).
+	// SegmentOptions tunes the storage engine (see WithSegmentStore).
 	SegmentOptions = segment.Options
-	// SegmentStats reports segmented-engine activity (see DB.SegmentStats).
+	// SegmentStats reports storage-engine activity (see DB.SegmentStats).
 	SegmentStats = segment.EngineStats
-	// SegmentManifest lists a segmented database's live segments.
+	// SegmentManifest lists a database's live segments.
 	SegmentManifest = segment.Manifest
 	// WALFrame is one replicated write-ahead-log record (see DB.WALTail).
 	WALFrame = store.WALRecord
