@@ -15,6 +15,10 @@
 //	                              BIC signatures)
 //	BenchmarkPagedRange         — EXPERIMENTS.md extension: what a page
 //	                              costs under WithLimit, by depth
+//	BenchmarkKNNProbe           — k-NN at paper_mix's shape, for probes that
+//	                              tie with stored images and probes that
+//	                              do not
+//	BenchmarkInsertEdited       — what maintaining the S-tree costs a write
 //
 // plus micro-benchmarks for the substrates (histogram extraction,
 // instantiation and BOUNDS walks).
@@ -32,6 +36,7 @@ import (
 	"repro/internal/editops"
 	"repro/internal/histogram"
 	"repro/internal/imaging"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/rules"
 
@@ -334,26 +339,7 @@ func BenchmarkAblationPrecomputedBounds(b *testing.B) {
 // under RBM and BWM. The corpus is paper_mix's shape at a quarter of its
 // size: 1 000 flags, then 4 000 scripts.
 func BenchmarkPagedRange(b *testing.B) {
-	db, err := core.Open(core.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	flags := dataset.Flags(1000, 48, 32, 1)
-	ids := make([]uint64, len(flags))
-	for i, f := range flags {
-		if ids[i], err = db.InsertImage(f.Name, f.Img); err != nil {
-			b.Fatal(err)
-		}
-	}
-	aug := dataset.NewAugmenter(dataset.AugmentConfig{PerBase: 4, OpsPerImage: 5, NonWideningFrac: 0.3, Seed: 1})
-	for i, f := range flags {
-		for _, seq := range aug.ScriptsFor(ids[i], f.Img, ids[:i]) {
-			if _, err := db.InsertEdited(f.Name+"-edit", seq); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+	db, _, _ := paperMixDB(b, 1000)
 	ctx := context.Background()
 	const unfillable = 1 << 20
 	for _, text := range []struct{ name, q string }{
@@ -384,5 +370,133 @@ func BenchmarkPagedRange(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// paperMixDB loads an in-memory database with the benchmark harness's
+// paper_mix shape at the given number of bases: 48×32 flags, then 4 scripts
+// per base (5 ops, 30 % non-widening, Merge targets among earlier bases).
+// Returns the flags and their ids so callers can generate more scripts.
+func paperMixDB(b *testing.B, bases int) (*core.DB, []dataset.NamedImage, []uint64) {
+	b.Helper()
+	db, err := core.Open(core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	flags := dataset.Flags(bases, 48, 32, 1)
+	ids := make([]uint64, len(flags))
+	for i, f := range flags {
+		if ids[i], err = db.InsertImage(f.Name, f.Img); err != nil {
+			b.Fatal(err)
+		}
+	}
+	aug := dataset.NewAugmenter(dataset.AugmentConfig{PerBase: 4, OpsPerImage: 5, NonWideningFrac: 0.3, Seed: 1})
+	for i, f := range flags {
+		for _, seq := range aug.ScriptsFor(ids[i], f.Img, ids[:i]) {
+			if _, err := db.InsertEdited(f.Name+"-edit", seq); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return db, flags, ids
+}
+
+// BenchmarkKNNProbe is k-NN (k=10, L1) at paper_mix's full shape — 4 000
+// bases, 16 000 scripts — for the two kinds of probe that behave
+// differently. A stored base ties with its duplicates at distance 0, so the
+// (dist, id) rule prunes every edited image unrendered; an instantiated
+// edited image whose k-th distance is above zero does not tie, and every
+// edited box that contains the probe (lb = 0, ~40 % of them) must be
+// rendered whatever the visiting order — the case BENCHMARK.json has no
+// workload for. inst/op is edited images instantiated per query, nodes/op
+// S-tree nodes visited.
+func BenchmarkKNNProbe(b *testing.B) {
+	db, flags, _ := paperMixDB(b, 4000)
+	const probes = 16
+	q := db.Quantizer()
+	edited := db.EditedIDs()
+	ctx := context.Background()
+	stored := make([]*histogram.Histogram, probes)
+	for i := range stored {
+		stored[i] = histogram.Extract(flags[i*len(flags)/probes].Img, q)
+	}
+	// An edit can instantiate to a histogram ten stored objects share; such
+	// a probe ties like a base does. Keep the ones whose k-th distance is
+	// positive.
+	var rendered []*histogram.Histogram
+	for i := 0; i < len(edited) && len(rendered) < probes; i += len(edited)/(2*probes) + 1 {
+		img, err := db.Image(edited[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		target := histogram.Extract(img, q)
+		ms, _, err := db.KNNCtx(ctx, query.KNN{Target: target, K: 10, Metric: query.MetricL1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ms[len(ms)-1].Dist > 0 {
+			rendered = append(rendered, target)
+		}
+	}
+	for _, kind := range []struct {
+		name   string
+		probes []*histogram.Histogram
+	}{{"stored", stored}, {"edited", rendered}} {
+		b.Run(kind.name, func(b *testing.B) {
+			// One traced pass outside the timer: the counts repeat exactly.
+			var inst, nodes int64
+			for _, target := range kind.probes {
+				tr := mmdb.NewTrace()
+				_, st, err := db.KNNCtx(ctx, query.KNN{Target: target, K: 10, Metric: query.MetricL1}, core.WithTrace(tr))
+				if err != nil {
+					b.Fatal(err)
+				}
+				inst += int64(st.EditedInstantiated)
+				nodes += tr.Get(obs.TIndexNodesVisited)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := db.KNNCtx(ctx, query.KNN{Target: kind.probes[i%len(kind.probes)], K: 10, Metric: query.MetricL1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(inst)/float64(len(kind.probes)), "inst/op")
+			b.ReportMetric(float64(nodes)/float64(len(kind.probes)), "nodes/op")
+		})
+	}
+}
+
+// BenchmarkInsertEdited prices the write-side consequence of serving k-NN
+// from the tree: a database that has answered one similarity (or indexed)
+// query maintains the S-tree on every write — one BoundsAll walk and a leaf
+// insert per edited image — where one that never has pays nothing.
+func BenchmarkInsertEdited(b *testing.B) {
+	for _, ready := range []bool{true, false} {
+		name := "tree-absent"
+		if ready {
+			name = "tree-ready"
+		}
+		b.Run(name, func(b *testing.B) {
+			db, flags, ids := paperMixDB(b, 1000)
+			if ready {
+				target := histogram.Extract(flags[0].Img, db.Quantizer())
+				if _, _, err := db.KNNCtx(context.Background(), query.KNN{Target: target, K: 10, Metric: query.MetricL1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			aug := dataset.NewAugmenter(dataset.AugmentConfig{PerBase: 4, OpsPerImage: 5, NonWideningFrac: 0.3, Seed: 2})
+			var seqs []*editops.Sequence
+			for i, f := range flags[:256] {
+				seqs = append(seqs, aug.ScriptsFor(ids[i], f.Img, ids[:i])...)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.InsertEdited("late", seqs[i%len(seqs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

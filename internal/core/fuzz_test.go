@@ -2,7 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/histogram"
+	"repro/internal/query"
 )
 
 // fuzzDB builds one small shared database for the parser fuzz targets: the
@@ -127,5 +132,48 @@ func FuzzCompoundQueryText(f *testing.F) {
 			}
 			return res.IDs, nil
 		})
+	})
+}
+
+// FuzzKNNAgainstBruteForce turns its inputs into a small database with
+// forced ties — some bases stored twice, each copy with an identity edit —
+// a probe (a stored object's own histogram, or a stranger's), a k and a
+// metric, and holds the tree's k-NN and within-distance answers to the
+// instantiate-everything ranking: ids and distances, serial ≡ parallel.
+func FuzzKNNAgainstBruteForce(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(3), uint8(2), uint8(4), uint8(1))
+	f.Add(int64(42), uint8(9), uint8(255), uint8(30), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, shape, probeSel, kSel, metricSel uint8) {
+		db := memDB(t)
+		bases := populate(t, db, 2+int(shape%3), 1+int(shape/3%3), float64(shape/9%3)/2, seed)
+		for i := 0; i < int(shape/27%4) && i < len(bases); i++ {
+			img, err := db.Image(bases[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			dup, err := db.InsertImage(fmt.Sprintf("dup%d", i), img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, base := range []uint64{bases[i], dup} {
+				if _, err := db.InsertEdited("same", identityEdit(base, img.W, img.H)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ids := append(db.Binaries(), db.EditedIDs()...)
+		probe := dataset.Flags(1, 32, 24, seed+int64(probeSel))[0].Img
+		if int(probeSel) < 2*len(ids) { // two thirds of the byte's range on small corpora: stored probes tie
+			img, err := db.Image(ids[int(probeSel)%len(ids)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if img.Size() > 0 {
+				probe = img
+			}
+		}
+		requireSimilarityEqualsBruteForce(t, db, histogram.Extract(probe, db.Quantizer()),
+			[]query.Metric{query.Metric(metricSel % 3)}, []int{1 + int(kSel)%(len(ids)+3)})
 	})
 }

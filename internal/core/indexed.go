@@ -3,13 +3,10 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/editops"
 	"repro/internal/histogram"
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -21,10 +18,10 @@ import (
 // ModeIndexed — the bounds S-tree strategy. Every other mode evaluates all
 // n candidates (parallelized, but O(n)); this one descends a bulk-loaded
 // tree whose inner nodes hold the union [min,max] percentage box of their
-// subtree, so a range query visits only intersecting nodes, a node box
+// subtree, so a range query visits only intersecting nodes and a node box
 // fully inside the query admits its whole subtree without per-candidate
-// rule walks, and k-NN runs best-first branch-and-bound over node boxes
-// against the same threshold discipline the scan uses.
+// rule walks. Similarity search (knn.go) runs best-first over the same tree
+// in every mode.
 //
 // Exactness is what makes the mode oracle-equivalent to RBM/BWM rather
 // than approximate:
@@ -41,18 +38,17 @@ import (
 //     exactly (integer-summed bounds for edited, catalog histograms for
 //     binary), so float drift can cost a node descent, never a wrong answer.
 //
-// The tree is built lazily: the first indexed query bulk-loads it from the
-// catalog under db.mu, paying one rule walk per edited image. After that
-// every write maintains it incrementally — writers never invalidate it, so
-// a concurrent query's snapshot is always a complete published version and
-// the leaves are the one store of per-candidate bounds vectors — and once
-// update/delete debt passes the tree's threshold the next indexed query
-// re-packs the items the tree already holds, restoring packing quality
-// without touching the catalog or the rule engine. Queries read lock-free
-// snapshots; an object deleted after the
-// snapshot was taken may still be returned (the same read-committed window
-// every scan mode has between taking its id-list snapshot and testing an
-// id).
+// The tree is built lazily: the first indexed or similarity query bulk-loads
+// it from the catalog under db.mu, paying one rule walk per edited image.
+// After that every write maintains it incrementally — writers never
+// invalidate it, so a concurrent query's snapshot is always a complete
+// published version and the leaves are the one store of per-candidate bounds
+// vectors — and once update/delete debt passes the tree's threshold the next
+// such query re-packs the items the tree already holds, restoring packing
+// quality without touching the catalog or the rule engine. Queries read
+// lock-free snapshots; an object deleted after the snapshot was taken may
+// still be returned (the same read-committed window every scan mode has
+// between taking its id-list snapshot and testing an id).
 var (
 	mIndexNodesVisited    = obs.Default().Counter("esidb_index_nodes_visited_total")
 	mIndexSubtreeAdmitted = obs.Default().Counter("esidb_index_subtree_admitted_total")
@@ -72,12 +68,25 @@ const sidxSumEps = 1e-9
 // sidxEntry is the per-item payload stored in the S-tree.
 type sidxEntry struct {
 	edited bool
-	// bounds is the edited image's full per-bin bounds vector — the exact
-	// integers behind the item's float box, used by multi-bin leaf tests.
-	// nil for binary images, and for edited images whose bounds computation
-	// failed at insert time (those get the never-prunable universal box and
-	// are decided exactly at the leaf).
-	bounds []rules.Bounds
+	// total and minmax are the exact integers behind an edited item's float
+	// box, used by multi-bin leaf tests: the image's pixel total (the rules
+	// track one total, the same in every bin) and bin b's count bounds at
+	// minmax[2b], minmax[2b+1]. minmax is nil for binary images, and for
+	// edited images whose bounds could not be computed or packed at insert
+	// time (those get the never-prunable universal box and are decided
+	// exactly at the leaf).
+	total  int
+	minmax []int32
+}
+
+// sumPct is sumBounds over the packed vector.
+func (e *sidxEntry) sumPct(bins []int) (lo, hi float64) {
+	minSum, maxSum := 0, 0
+	for _, b := range bins {
+		minSum += int(e.minmax[2*b])
+		maxSum += int(e.minmax[2*b+1])
+	}
+	return pctInterval(minSum, maxSum, e.total)
 }
 
 // sidxBinaryItem builds the S-tree item for a binary image: a point box at
@@ -101,7 +110,8 @@ func (db *DB) editedBounds(obj *catalog.Object, tr *obs.Trace) ([]rules.Bounds, 
 }
 
 // sidxEditedItem builds the S-tree item for an edited image: its per-bin
-// bounds box. If the bounds cannot be computed the item gets the universal
+// bounds box. If the bounds cannot be computed, or do not pack (totals that
+// differ between bins, a count past int32), the item gets the universal
 // box, so index maintenance can't lose a candidate.
 func (db *DB) sidxEditedItem(id uint64) stree.Item {
 	bins := db.cfg.Quantizer.Bins()
@@ -113,12 +123,17 @@ func (db *DB) sidxEditedItem(id uint64) stree.Item {
 	if err != nil || len(bounds) != bins {
 		return sidxUniversalItem(id, bins)
 	}
+	e := &sidxEntry{edited: true, total: bounds[0].Total, minmax: make([]int32, 2*bins)}
 	lo := make([]float64, bins)
 	hi := make([]float64, bins)
 	for i, b := range bounds {
+		if b.Total != e.total || b.Min < math.MinInt32 || b.Max > math.MaxInt32 {
+			return sidxUniversalItem(id, bins)
+		}
+		e.minmax[2*i], e.minmax[2*i+1] = int32(b.Min), int32(b.Max)
 		lo[i], hi[i] = b.PctRange()
 	}
-	return stree.Item{ID: id, Lo: lo, Hi: hi, Data: &sidxEntry{edited: true, bounds: bounds}}
+	return stree.Item{ID: id, Lo: lo, Hi: hi, Data: e}
 }
 
 // sidxUniversalItem is the item of an edited image with no bounds vector:
@@ -274,7 +289,7 @@ func (db *DB) rangeSTree(ctx context.Context, q query.Range, tr *obs.Trace) (*rb
 			// percentage is inside the query range.
 			res.Stats.BinariesChecked++
 			tr.Count(obs.TBaseMatches, 1)
-		case e.bounds != nil:
+		case e.minmax != nil:
 			// Bounds box: a non-None verdict on the queried bin's slab is
 			// exactly Bounds.Overlaps. Full admissions (node- or item-level)
 			// skipped the rule walk outright.
@@ -372,8 +387,8 @@ func (db *DB) multiSTree(ctx context.Context, q query.MultiRange, tr *obs.Trace)
 				return nil
 			}
 			tr.Count(obs.TBaseMatches, 1)
-		case e.bounds != nil:
-			lo, hi := sumBounds(e.bounds, q.Bins)
+		case e.minmax != nil:
+			lo, hi := e.sumPct(q.Bins)
 			if !(lo <= q.PctMax && hi >= q.PctMin) {
 				return nil
 			}
@@ -408,152 +423,4 @@ func (db *DB) multiSTree(ctx context.Context, q query.MultiRange, tr *obs.Trace)
 	recordIndexVisit(tr, vst)
 	sort.Slice(res.IDs, func(i, j int) bool { return res.IDs[i] < res.IDs[j] })
 	return res, nil
-}
-
-// boxLowerBound generalizes distanceLowerBound from a per-bin Bounds vector
-// to a raw [lo,hi] box — the S-tree's node geometry. For L1/L2 it is the
-// point-to-box distance. For Intersection it is 1 − Σ min(t_i, hi_i),
-// deliberately left unclamped at zero: the exact metric is never negative,
-// so a negative bound prunes nothing extra, and skipping the clamp keeps
-// the node bound a plain monotone function of the box. Pruning decisions on
-// item boxes are identical to distanceLowerBound's because the threshold
-// they compare against is never negative.
-func boxLowerBound(tn []float64, lo, hi []float64, metric query.Metric) float64 {
-	switch metric {
-	case query.MetricL1, query.MetricL2:
-		sum := 0.0
-		for i := range tn {
-			d := 0.0
-			switch {
-			case tn[i] < lo[i]:
-				d = lo[i] - tn[i]
-			case tn[i] > hi[i]:
-				d = tn[i] - hi[i]
-			}
-			if metric == query.MetricL1 {
-				sum += d
-			} else {
-				sum += d * d
-			}
-		}
-		if metric == query.MetricL1 {
-			return sum
-		}
-		return math.Sqrt(sum)
-	case query.MetricIntersection:
-		s := 0.0
-		for i := range tn {
-			s += math.Min(tn[i], hi[i])
-		}
-		return 1 - s
-	default:
-		return 0
-	}
-}
-
-// matches extracts the tracker's current best-k, ordered by (dist, id)
-// ascending — the same total order every kNN path sorts by.
-func (t *thresholdTracker) matches() []Match {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Match, t.h.Len())
-	copy(out, t.h)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// knnSTree answers a k-NN query with best-first branch-and-bound over the
-// S-tree: subtrees expand in ascending order of their union box's distance
-// lower bound and the search stops as soon as the best remaining subtree
-// cannot beat the current k-th best exact distance — the same
-// thresholdTracker discipline the parallel scan uses, so pruning never
-// discards a true neighbor and the returned top-k is identical to the
-// scan's (the k-minimum of the (dist, id) total order is unique).
-func (db *DB) knnSTree(ctx context.Context, q query.KNN, tr *obs.Trace) ([]Match, *KNNStats, error) {
-	if err := q.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if q.Target.Bins() != db.cfg.Quantizer.Bins() {
-		return nil, nil, fmt.Errorf("core: knn target has %d bins, database uses %d", q.Target.Bins(), db.cfg.Quantizer.Bins())
-	}
-	if err := db.ensureSearchIndex(tr); err != nil {
-		return nil, nil, err
-	}
-	start := time.Now()
-	st := &KNNStats{}
-	tracker := newThresholdTracker(q.K, nil)
-	tn := q.Target.Normalized()
-	env := db.env()
-	snap := db.sidx.Snapshot()
-	var vst stree.VisitStats
-	done := tr.Phase("indexed.knn-best-first")
-	seen := 0
-	err := snap.BestFirst(
-		func(lo, hi []float64) float64 { return boxLowerBound(tn, lo, hi, q.Metric) },
-		tracker.threshold,
-		func(it *stree.Item) error {
-			seen++
-			if seen%ctxEvery == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-			}
-			e := it.Data.(*sidxEntry)
-			if boxLowerBound(tn, it.Lo, it.Hi, q.Metric) > tracker.threshold() {
-				if e.edited {
-					st.EditedPruned++
-					mKNNPruned.Inc()
-					tr.Count(obs.TImagesPruned, 1)
-				}
-				return nil
-			}
-			if !e.edited {
-				obj, err := db.cat.Binary(it.ID)
-				if errors.Is(err, catalog.ErrNotFound) {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				st.BinariesScored++
-				mKNNScored.Inc()
-				tr.Count(obs.TCandidatesExamined, 1)
-				tracker.record(it.ID, q.Metric.Distance(q.Target, obj.Hist))
-				return nil
-			}
-			obj, err := db.cat.Edited(it.ID)
-			if errors.Is(err, catalog.ErrNotFound) {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			tr.Count(obs.TCandidatesExamined, 1)
-			img, err := editops.ApplySequence(obj.Seq, env)
-			if err != nil {
-				return fmt.Errorf("core: knn instantiate %d: %w", it.ID, err)
-			}
-			st.EditedInstantiated++
-			mKNNInstantiated.Inc()
-			tr.Count(obs.TEditedInstantiated, 1)
-			if img.Size() == 0 {
-				return nil
-			}
-			tracker.record(it.ID, q.Metric.Distance(q.Target, histogram.Extract(img, db.cfg.Quantizer)))
-			return nil
-		}, &vst)
-	done()
-	if err != nil {
-		return nil, nil, err
-	}
-	recordIndexVisit(tr, vst)
-	out := tracker.matches()
-	tr.Count(obs.TImagesReturned, int64(len(out)))
-	db.recordKNNStats("knn-indexed:"+q.Metric.String(), time.Since(start), len(out), st)
-	return out, st, nil
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/imaging"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/rules"
 	"repro/internal/store/segment"
 	"repro/internal/stree"
 )
@@ -340,9 +341,10 @@ func TestIndexedUniversalBoxFallback(t *testing.T) {
 }
 
 // TestIndexedLeafBoundsEqualPerBinWalk pins the exactness claim the mode
-// rests on: the vector an S-tree leaf stores for an edited image (one
-// BoundsAll walk) is bin for bin the Bounds RBM's per-bin walk computes, and
-// the leaf's float box is that vector's PctRange.
+// rests on: the packed integers an S-tree leaf stores for an edited image
+// (one BoundsAll walk: one total, an int32 [min,max] pair per bin) are bin
+// for bin the Bounds RBM's per-bin walk computes, and the leaf's float box
+// is that vector's PctRange.
 func TestIndexedLeafBoundsEqualPerBinWalk(t *testing.T) {
 	db := memDB(t)
 	populate(t, db, 4, 3, 0.4, 27)
@@ -359,11 +361,15 @@ func TestIndexedLeafBoundsEqualPerBinWalk(t *testing.T) {
 				return nil
 			}
 			edited++
-			for bin, stored := range e.bounds {
+			if len(e.minmax) != 2*len(it.Lo) {
+				return fmt.Errorf("image %d: leaf packs %d integers for %d bins", it.ID, len(e.minmax), len(it.Lo))
+			}
+			for bin := range it.Lo {
 				walked, err := db.Bounds(it.ID, bin)
 				if err != nil {
 					return err
 				}
+				stored := rules.Bounds{Min: int(e.minmax[2*bin]), Max: int(e.minmax[2*bin+1]), Total: e.total}
 				if lo, hi := walked.PctRange(); walked != stored || it.Lo[bin] != lo || it.Hi[bin] != hi {
 					return fmt.Errorf("image %d bin %d: leaf %+v [%v,%v], per-bin walk %+v", it.ID, bin, stored, it.Lo[bin], it.Hi[bin], walked)
 				}
@@ -436,8 +442,9 @@ func TestIndexedFollowsShippedWAL(t *testing.T) {
 	requireIndexedEqualsRBM(t, "after shipping", follower, leader, randomRanges(rng, leader.cfg.Quantizer.Bins(), 25))
 }
 
-// TestIndexedKNNMatchesScan proves the best-first branch-and-bound search
-// returns exactly the scan's k nearest neighbors for every metric and k.
+// TestIndexedKNNMatchesScan proves the best-first search returns exactly the
+// instantiate-everything scan's k nearest neighbors for every metric and k,
+// whatever mode option rides along (k-NN accepts and ignores it).
 func TestIndexedKNNMatchesScan(t *testing.T) {
 	db := memDB(t)
 	populate(t, db, 6, 4, 0.4, 33)
@@ -447,10 +454,7 @@ func TestIndexedKNNMatchesScan(t *testing.T) {
 	for _, metric := range []query.Metric{query.MetricL1, query.MetricL2, query.MetricIntersection} {
 		for _, k := range []int{1, 5, 50} {
 			q := query.KNN{Target: target, K: k, Metric: metric}
-			scan, _, err := db.KNNCtx(ctx, q)
-			if err != nil {
-				t.Fatalf("%s k=%d scan: %v", metric, k, err)
-			}
+			scan := bruteForceKNN(t, db, q)
 			idx, _, err := db.KNNCtx(ctx, q, ModeIndexed)
 			if err != nil {
 				t.Fatalf("%s k=%d indexed: %v", metric, k, err)

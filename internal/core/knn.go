@@ -7,18 +7,16 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/editops"
 	"repro/internal/exec"
 	"repro/internal/histogram"
 	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/rules"
+	"repro/internal/rbm"
 	"repro/internal/signature"
+	"repro/internal/stree"
 )
 
 // Process-wide k-NN counters: how many edited images the bound-based lower
@@ -29,12 +27,31 @@ var (
 	mKNNInstantiated = obs.Default().Counter("esidb_knn_edited_instantiated_total")
 )
 
-// k-NN similarity search — the paper's future-work extension (§6). Binary
-// images are ranked by exact histogram distance. Edited images are handled
-// without eager instantiation: the rule engine's per-bin bounds yield a
-// LOWER bound on the distance from the query histogram, so any edited image
-// whose lower bound exceeds the current k-th best distance is pruned; only
-// the survivors are instantiated for their exact distance.
+// k-NN similarity search — the paper's future-work extension (§6) — has one
+// path, served from the bounds S-tree in every mode. A best-first descent
+// scores the binary images of every leaf it reaches: a binary leaf is the
+// point box of its normalized histogram, so boxLowerBound on it IS the exact
+// distance, bit for bit, and the k-th distance is set before anything is
+// rendered. Edited images are collected with the lower bound their leaf box
+// yields, unless they already lose. The survivors are refined — instantiated
+// for their exact distance — in ascending (lb, id) order until the head of
+// the list can no longer enter the top k.
+//
+// "Lose" is decided in the (dist, id) total order the answer is defined by
+// (worseMatch). A candidate's exact distance is never below its lower bound
+// as floats (same terms, same summation order), so its rank (dist, id) is
+// never better than (lb, id): once (lb, id) is not better than the current
+// k-th match the candidate cannot displace it, and the k-th only improves.
+// Pruning on the pair rather than on lb > dist is what keeps a probe that
+// ties with k stored images from instantiating every edited image whose box
+// contains it just to lose on id.
+
+// knnRefineBatch is how many edited candidates are instantiated between two
+// reads of the k-th match. Within a batch the workers never look at the
+// threshold and the exact distances are recorded in list order afterwards,
+// so the answer and KNNStats are the same for every worker count; the price
+// is at most one batch of instantiations past the stopping point.
+const knnRefineBatch = 64
 
 // Match is one k-NN result.
 type Match struct {
@@ -42,12 +59,14 @@ type Match struct {
 	Dist float64
 }
 
-// KNNStats instruments a k-NN execution.
+// KNNStats instruments a k-NN or within-distance execution.
 type KNNStats struct {
-	// BinariesScored is the number of exact binary distances computed.
+	// BinariesScored is the number of exact binary distances computed: the
+	// binary images in the leaves the descent reached.
 	BinariesScored int
-	// EditedPruned is the number of edited images rejected on their lower
-	// bound alone.
+	// EditedPruned is the number of edited images in the database that were
+	// not instantiated — their subtree, their own lower bound or the
+	// refinement order ruled them out.
 	EditedPruned int
 	// EditedInstantiated is the number of edited images materialized for
 	// an exact distance.
@@ -62,26 +81,24 @@ func (db *DB) KNN(q query.KNN) ([]Match, *KNNStats, error) {
 	return db.KNNCtx(context.Background(), q)
 }
 
-// KNNCtx is the canonical k-NN entry point: ctx cancellation stops the
-// candidate pass, and options select the strategy. Every scan mode runs the
-// same algorithm (exact binary pass, bound-pruned edited pass);
-// ModeIndexed switches to best-first branch-and-bound over the S-tree. The
-// returned top-k is identical either way.
+// KNNCtx is the canonical k-NN entry point: the k best matches in (dist, id)
+// order. ctx cancellation stops the descent and the refinement. WithTrace
+// and WithLimit apply; WithMode is accepted and ignored — there is one k-NN
+// path.
 func (db *DB) KNNCtx(ctx context.Context, q query.KNN, opts ...QueryOption) ([]Match, *KNNStats, error) {
 	cfg := buildQueryConfig(opts)
-	var (
-		out []Match
-		st  *KNNStats
-		err error
-	)
-	if cfg.Mode == ModeIndexed {
-		out, st, err = db.knnSTree(ctx, q, cfg.Trace)
-	} else {
-		out, st, err = db.knnScan(ctx, q, cfg.Trace)
+	if err := q.Validate(); err != nil {
+		return nil, nil, err
 	}
+	start := time.Now()
+	tracker := newThresholdTracker(q.K)
+	st, err := db.similaritySearch(ctx, q.Target, q.Metric, tracker, cfg.Trace)
 	if err != nil {
 		return nil, nil, err
 	}
+	out := tracker.matches()
+	cfg.Trace.Count(obs.TImagesReturned, int64(len(out)))
+	db.recordKNNStats("knn:"+q.Metric.String(), time.Since(start), len(out), st)
 	if cfg.Limit > 0 && len(out) > cfg.Limit {
 		out = out[:cfg.Limit:cfg.Limit]
 	}
@@ -103,115 +120,150 @@ func (db *DB) KNNTracedCtx(ctx context.Context, q query.KNN, tr *obs.Trace) ([]M
 	return db.KNNCtx(ctx, q, WithTrace(tr))
 }
 
-// knnScan is the scan strategy: exact distances for every binary image,
-// then a bound-pruned pass over edited images.
-func (db *DB) knnScan(ctx context.Context, q query.KNN, tr *obs.Trace) ([]Match, *KNNStats, error) {
-	if err := q.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if q.Target.Bins() != db.cfg.Quantizer.Bins() {
-		return nil, nil, fmt.Errorf("core: knn target has %d bins, database uses %d", q.Target.Bins(), db.cfg.Quantizer.Bins())
-	}
-	start := time.Now()
-	st := &KNNStats{}
-	best := &matchHeap{} // max-heap of current best k
-	heap.Init(best)
-	push := func(id uint64, d float64) {
-		if best.Len() < q.K {
-			heap.Push(best, Match{ID: id, Dist: d})
-			return
-		}
-		if m := (Match{ID: id, Dist: d}); worseMatch((*best)[0], m) {
-			(*best)[0] = m
-			heap.Fix(best, 0)
-		}
-	}
-	threshold := func() float64 {
-		if best.Len() < q.K {
-			return math.Inf(1)
-		}
-		return (*best)[0].Dist
-	}
+// similarityBound is what a similarity search prunes against: the k-th best
+// match so far (thresholdTracker) or a fixed radius (radiusBound).
+type similarityBound interface {
+	// threshold is the distance beyond which a subtree holds no answer.
+	threshold() float64
+	// worse reports whether a candidate that can rank no better than
+	// (lb, id) is already out of the answer.
+	worse(lb float64, id uint64) bool
+	// record offers one exact distance to the answer.
+	record(id uint64, d float64)
+}
 
-	// Exact pass over binary images.
-	done := tr.Phase("knn.score-binaries")
-	for _, id := range db.cat.Binaries() {
-		obj, err := db.cat.Binary(id)
+// knnCand is an edited image the descent could not rule out.
+type knnCand struct {
+	id     uint64
+	lb     float64 // boxLowerBound of its leaf box
+	dist   float64 // exact distance, set by refinement when scored
+	scored bool
+}
+
+// similaritySearch is the one descent-and-refine pass behind KNNCtx and
+// WithinDistanceCtx; the answer accumulates in bound.
+func (db *DB) similaritySearch(ctx context.Context, target *histogram.Histogram, metric query.Metric, bound similarityBound, tr *obs.Trace) (*KNNStats, error) {
+	if target == nil {
+		return nil, fmt.Errorf("core: similarity target histogram is nil")
+	}
+	if target.Bins() != db.cfg.Quantizer.Bins() {
+		return nil, fmt.Errorf("core: similarity target has %d bins, database uses %d", target.Bins(), db.cfg.Quantizer.Bins())
+	}
+	if err := metric.Validate(); err != nil {
+		return nil, err
+	}
+	if err := db.ensureSearchIndex(tr); err != nil {
+		return nil, err
+	}
+	st := &KNNStats{}
+	_, edited := db.cat.Len()
+
+	done := tr.Phase("knn.descend")
+	tn := target.Normalized()
+	var cands []knnCand
+	var vst stree.VisitStats
+	seen := 0
+	err := db.sidx.Snapshot().BestFirst(
+		func(lo, hi []float64) float64 { return boxLowerBound(tn, lo, hi, metric) },
+		bound.threshold,
+		func(it *stree.Item) error {
+			seen++
+			if seen%ctxEvery == 0 {
+				if cerr := ctx.Err(); cerr != nil {
+					return cerr
+				}
+			}
+			lb := boxLowerBound(tn, it.Lo, it.Hi, metric)
+			if !it.Data.(*sidxEntry).edited {
+				st.BinariesScored++
+				bound.record(it.ID, lb) // a point box: lb is the exact distance
+			} else if !bound.worse(lb, it.ID) {
+				cands = append(cands, knnCand{id: it.ID, lb: lb})
+			}
+			return nil
+		}, &vst)
+	done()
+	if err != nil {
+		return nil, err
+	}
+	recordIndexVisit(tr, vst)
+	tr.Count(obs.TCandidatesExamined, int64(st.BinariesScored+len(cands)))
+
+	done = tr.Phase("knn.refine")
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].lb != cands[j].lb {
+			return cands[i].lb < cands[j].lb
+		}
+		return cands[i].id < cands[j].id
+	})
+	// The list ascends in (lb, id) and the bound only tightens, so whatever
+	// already loses when a batch is cut loses for good, and a batch that
+	// starts with a loser ends the refinement.
+	for len(cands) > 0 {
+		batch := cands[:min(knnRefineBatch, len(cands))]
+		batch = batch[:sort.Search(len(batch), func(i int) bool { return bound.worse(batch[i].lb, batch[i].id) })]
+		if len(batch) == 0 {
+			break
+		}
+		cands = cands[len(batch):]
+		n, err := db.exactDistances(ctx, target, metric, batch, tr)
+		if err != nil {
+			return nil, err
+		}
+		st.EditedInstantiated += n
+		for i := range batch {
+			if batch[i].scored {
+				bound.record(batch[i].id, batch[i].dist)
+			}
+		}
+	}
+	done()
+
+	// Everything in the database that was not rendered counts as pruned. The
+	// count is the catalog's, not the snapshot's, so a delete racing the
+	// query could push the difference below zero.
+	st.EditedPruned = max(0, edited-st.EditedInstantiated)
+	mKNNScored.Add(int64(st.BinariesScored))
+	mKNNPruned.Add(int64(st.EditedPruned))
+	mKNNInstantiated.Add(int64(st.EditedInstantiated))
+	tr.Count(obs.TImagesPruned, int64(st.EditedPruned))
+	return st, nil
+}
+
+// exactDistances instantiates one batch of candidates on the worker pool and
+// fills in each one's exact distance. A candidate deleted since the tree
+// snapshot, or whose instantiation is empty, stays unscored. Returns how
+// many were instantiated.
+func (db *DB) exactDistances(ctx context.Context, target *histogram.Histogram, metric query.Metric, batch []knnCand, tr *obs.Trace) (int, error) {
+	workers := db.workers()
+	env := db.env()
+	inst := make([]rbm.Stats, max(1, workers))
+	pst, err := exec.ForEach(ctx, workers, len(batch), func(w, i int) error {
+		c := &batch[i]
+		obj, err := db.cat.Edited(c.id)
 		if errors.Is(err, catalog.ErrNotFound) {
-			continue
+			return nil
 		}
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		st.BinariesScored++
-		push(id, q.Metric.Distance(q.Target, obj.Hist))
-	}
-	done()
-	mKNNScored.Add(int64(st.BinariesScored))
-	tr.Count(obs.TCandidatesExamined, int64(st.BinariesScored))
-
-	// Bound-pruned pass over edited images.
-	done = tr.Phase("knn.prune-edited")
-	env := db.env()
-	ids := db.cat.EditedIDs()
-	if workers := db.workers(); workers > 1 && len(ids) > 1 {
-		if err := db.knnPruneParallel(ctx, q, ids, workers, best, push, st, tr, env); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		for _, id := range ids {
-			obj, err := db.cat.Edited(id)
-			if errors.Is(err, catalog.ErrNotFound) {
-				continue
-			}
-			if err != nil {
-				return nil, nil, err
-			}
-			bounds, err := db.editedBounds(obj, tr)
-			if errors.Is(err, catalog.ErrNotFound) {
-				continue
-			}
-			if err != nil {
-				return nil, nil, err
-			}
-			tr.Count(obs.TCandidatesExamined, 1)
-			lb := distanceLowerBound(q.Target, bounds, q.Metric)
-			if lb > threshold() {
-				st.EditedPruned++
-				mKNNPruned.Inc()
-				tr.Count(obs.TImagesPruned, 1)
-				continue
-			}
-			img, err := editops.ApplySequence(obj.Seq, env)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: knn instantiate %d: %w", id, err)
-			}
-			st.EditedInstantiated++
-			mKNNInstantiated.Inc()
-			tr.Count(obs.TEditedInstantiated, 1)
-			if img.Size() == 0 {
-				continue
-			}
-			push(id, q.Metric.Distance(q.Target, histogram.Extract(img, db.cfg.Quantizer)))
-		}
-	}
-	done()
-	tr.Count(obs.TImagesReturned, int64(best.Len()))
-
-	out := make([]Match, best.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(best).(Match)
-	}
-	// Ties in distance are broken by id so the output ordering is fully
-	// deterministic — and identical between serial and parallel runs.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
+		c.scored, err = db.instantiateMatches(obj, env, func(h *histogram.Histogram) bool {
+			c.dist = metric.Distance(target, h)
+			return true
+		}, &inst[w], tr)
+		return err
 	})
-	db.recordKNNStats("knn:"+q.Metric.String(), time.Since(start), len(out), st)
-	return out, st, nil
+	if pst.Workers > 1 {
+		pst.Record(tr)
+	}
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, s := range inst {
+		n += s.EditedWalked
+	}
+	return n, nil
 }
 
 // recordKNNStats feeds the always-on recorder for k-NN answers: latency,
@@ -235,135 +287,70 @@ func (db *DB) recordKNNStats(strategy string, elapsed time.Duration, results int
 	rec.RecordQuery(strategy, elapsed, sel, editedFrac, -1)
 }
 
-// thresholdTracker maintains the k-th-best exact distance shared by the
-// parallel candidate workers. Exact distances tighten a heap under mu; the
-// resulting threshold is mirrored into thBits so the hot pruning path reads
-// it with one atomic load instead of taking the lock. The threshold only
-// ever decreases, so a stale read prunes less, never incorrectly.
+// thresholdTracker is the k-NN similarityBound: the best k matches seen so
+// far, as a max-heap whose root is the k-th. Only the query's own goroutine
+// touches it — the descent is serial and refinement records between batches
+// — so it needs no synchronization.
 type thresholdTracker struct {
-	k      int
-	thBits atomic.Uint64 // k-th best distance as float64 bits; +Inf below k
-	mu     sync.Mutex
-	h      matchHeap // guarded by mu
+	k int
+	h matchHeap
 }
 
-// newThresholdTracker seeds the tracker with the binary pass's exact
-// distances so pruning starts tight.
-func newThresholdTracker(k int, seed matchHeap) *thresholdTracker {
-	t := &thresholdTracker{k: k}
-	t.mu.Lock()
-	t.h = make(matchHeap, seed.Len())
-	copy(t.h, seed)
-	heap.Init(&t.h)
-	t.storeLocked()
-	t.mu.Unlock()
-	return t
-}
+func newThresholdTracker(k int) *thresholdTracker { return &thresholdTracker{k: k} }
 
-// storeLocked mirrors the current k-th best into thBits. Callers hold mu.
-func (t *thresholdTracker) storeLocked() {
+// threshold returns the current k-th best distance (+Inf below k matches).
+func (t *thresholdTracker) threshold() float64 {
 	if t.h.Len() < t.k {
-		t.thBits.Store(math.Float64bits(math.Inf(1)))
-	} else {
-		t.thBits.Store(math.Float64bits(t.h[0].Dist))
+		return math.Inf(1)
 	}
+	return t.h[0].Dist
+}
+
+// worse reports whether (lb, id) is not better than the current k-th match
+// in the (dist, id) order.
+func (t *thresholdTracker) worse(lb float64, id uint64) bool {
+	return t.h.Len() == t.k && !worseMatch(t.h[0], Match{ID: id, Dist: lb})
 }
 
 // record folds one exact distance into the tracker.
 func (t *thresholdTracker) record(id uint64, d float64) {
-	t.mu.Lock()
+	m := Match{ID: id, Dist: d}
 	if t.h.Len() < t.k {
-		heap.Push(&t.h, Match{ID: id, Dist: d})
-	} else if m := (Match{ID: id, Dist: d}); worseMatch(t.h[0], m) {
+		heap.Push(&t.h, m)
+	} else if worseMatch(t.h[0], m) {
 		t.h[0] = m
 		heap.Fix(&t.h, 0)
 	}
-	t.storeLocked()
-	t.mu.Unlock()
 }
 
-// threshold returns the current pruning threshold.
-func (t *thresholdTracker) threshold() float64 {
-	return math.Float64frombits(t.thBits.Load())
+// matches extracts the tracker's current best-k, ordered by (dist, id)
+// ascending.
+func (t *thresholdTracker) matches() []Match {
+	out := make([]Match, t.h.Len())
+	copy(out, t.h)
+	sortMatches(out)
+	return out
 }
 
-// knnPruneParallel is the fan-out version of the edited-candidate pass.
-// Workers prune against a shared threshold maintained in a tracker heap:
-// the tracker is seeded with the binary pass's exact distances and
-// tightened by every exact distance any worker computes, so its k-th best
-// is always ≥ the final k-th distance — pruning against it never discards
-// a true neighbor. Each instantiated candidate's exact distance is slotted
-// by catalog index and replayed serially into the result heap afterwards.
-// Because every candidate the serial pass would instantiate is a subset of
-// what the parallel pass instantiates or vice versa only for candidates
-// strictly worse than the final k-th distance, the replayed heap is
-// identical to the serial one; only the pruned/instantiated statistics may
-// differ between runs. The first error cancels the remaining candidate
-// evaluations through the pool's context.
-func (db *DB) knnPruneParallel(ctx context.Context, q query.KNN, ids []uint64, workers int, best *matchHeap, push func(uint64, float64), st *KNNStats, tr *obs.Trace, env *editops.Env) error {
-	tracker := newThresholdTracker(q.K, *best)
+// sortMatches orders matches by (dist, id) ascending — the total order
+// every similarity answer is returned in.
+func sortMatches(ms []Match) {
+	sort.Slice(ms, func(i, j int) bool { return worseMatch(ms[j], ms[i]) })
+}
 
-	type outcome struct {
-		scored bool
-		dist   float64
+// radiusBound is the within-distance similarityBound: a fixed radius, every
+// exact distance inside it kept.
+type radiusBound struct {
+	radius float64
+	out    []Match
+}
+
+func (r *radiusBound) threshold() float64              { return r.radius }
+func (r *radiusBound) worse(lb float64, _ uint64) bool { return lb > r.radius }
+func (r *radiusBound) record(id uint64, d float64) {
+	if d <= r.radius {
+		r.out = append(r.out, Match{ID: id, Dist: d})
 	}
-	outs := make([]outcome, len(ids))
-	pruned := make([]int, workers)
-	instantiated := make([]int, workers)
-	pst, err := exec.ForEach(ctx, workers, len(ids), func(w, i int) error {
-		id := ids[i]
-		obj, err := db.cat.Edited(id)
-		if errors.Is(err, catalog.ErrNotFound) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		bounds, err := db.editedBounds(obj, tr)
-		if errors.Is(err, catalog.ErrNotFound) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		tr.Count(obs.TCandidatesExamined, 1)
-		if distanceLowerBound(q.Target, bounds, q.Metric) > tracker.threshold() {
-			pruned[w]++
-			mKNNPruned.Inc()
-			tr.Count(obs.TImagesPruned, 1)
-			return nil
-		}
-		img, err := editops.ApplySequence(obj.Seq, env)
-		if err != nil {
-			return fmt.Errorf("core: knn instantiate %d: %w", id, err)
-		}
-		instantiated[w]++
-		mKNNInstantiated.Inc()
-		tr.Count(obs.TEditedInstantiated, 1)
-		if img.Size() == 0 {
-			return nil
-		}
-		d := q.Metric.Distance(q.Target, histogram.Extract(img, db.cfg.Quantizer))
-		outs[i] = outcome{scored: true, dist: d}
-		tracker.record(id, d)
-		return nil
-	})
-	pst.Record(tr)
-	if err != nil {
-		return err
-	}
-	for w := 0; w < workers; w++ {
-		st.EditedPruned += pruned[w]
-		st.EditedInstantiated += instantiated[w]
-	}
-	// Deterministic replay: fold the exact distances into the result heap
-	// in catalog order, exactly as the serial loop would have.
-	for i := range outs {
-		if outs[i].scored {
-			push(ids[i], outs[i].dist)
-		}
-	}
-	return nil
 }
 
 // KNNMulti is the multiple-query-image technique the paper contrasts with
@@ -402,12 +389,7 @@ func (db *DB) KNNMultiCtx(ctx context.Context, targets []*histogram.Histogram, k
 	for id, d := range best {
 		out = append(out, Match{ID: id, Dist: d})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
+	sortMatches(out)
 	if len(out) > k {
 		out = out[:k]
 	}
@@ -435,36 +417,35 @@ func (db *DB) KNNBinary(q query.KNN) ([]Match, error) {
 		}
 		out = append(out, Match{ID: id, Dist: q.Metric.Distance(q.Target, obj.Hist)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
+	sortMatches(out)
 	if len(out) > q.K {
 		out = out[:q.K]
 	}
 	return out, nil
 }
 
-// distanceLowerBound computes a provable lower bound on Metric(target, h)
-// over every histogram h compatible with the per-bin bounds. Per bin, the
-// normalized value must lie in [Min/Total, Max/Total]; the distance
-// contribution is minimized at the interval point closest to the target's
-// value.
-func distanceLowerBound(target *histogram.Histogram, bounds []rules.Bounds, metric query.Metric) float64 {
-	tn := target.Normalized()
+// boxLowerBound is a lower bound on Metric.Distance(target, h) over every
+// histogram h whose normalized vector lies in the [lo,hi] box — an S-tree
+// node's union box, an edited image's bounds box, or a binary image's point
+// box, for which it is the distance itself. tn is the target's normalized
+// vector. For L1/L2 it is the point-to-box distance; for Intersection it is
+// 1 − Σ min(t_i, hi_i). Each term is the corresponding term of the exact
+// distance with h_i moved to the nearest point of [lo_i,hi_i], summed in the
+// same order with the same operations, so the bound never exceeds the exact
+// distance even in the last bit — the property the (lb, id) tie rule rests
+// on. That is also why the Intersection form is not clamped at zero: the
+// exact 1 − Σ min can itself round below zero.
+func boxLowerBound(tn []float64, lo, hi []float64, metric query.Metric) float64 {
 	switch metric {
 	case query.MetricL1, query.MetricL2:
 		sum := 0.0
-		for i, b := range bounds {
-			lo, hi := b.PctRange()
+		for i := range tn {
 			d := 0.0
 			switch {
-			case tn[i] < lo:
-				d = lo - tn[i]
-			case tn[i] > hi:
-				d = tn[i] - hi
+			case tn[i] < lo[i]:
+				d = lo[i] - tn[i]
+			case tn[i] > hi[i]:
+				d = tn[i] - hi[i]
 			}
 			if metric == query.MetricL1 {
 				sum += d
@@ -477,19 +458,11 @@ func distanceLowerBound(target *histogram.Histogram, bounds []rules.Bounds, metr
 		}
 		return math.Sqrt(sum)
 	case query.MetricIntersection:
-		// Intersection is maximized by clamping the target into each bin's
-		// range: Σ min(t_i, hi_i) bounds Σ min(t_i, h_i) from above, so
-		// 1 − that bounds the distance from below.
 		s := 0.0
-		for i, b := range bounds {
-			_, hi := b.PctRange()
-			s += math.Min(tn[i], hi)
+		for i := range tn {
+			s += math.Min(tn[i], hi[i])
 		}
-		lb := 1 - s
-		if lb < 0 {
-			lb = 0
-		}
-		return lb
+		return 1 - s
 	default:
 		return 0
 	}
@@ -540,98 +513,25 @@ func (db *DB) BICIndex() (*signature.Index, error) {
 }
 
 // WithinDistance returns every object whose histogram lies within dist of
-// the target under the metric — the range-flavored similarity query.
-// Binary images are tested exactly; edited images are pruned on their
-// bound-derived lower bound and instantiated only when the lower bound is
-// within range.
+// the target under the metric — the range-flavored similarity query, in
+// (dist, id) order. It is the k-NN descent with a fixed radius in place of
+// the k-th distance: binary images are tested exactly from their leaves,
+// edited images are instantiated only when their lower bound is within
+// range.
 func (db *DB) WithinDistance(target *histogram.Histogram, dist float64, metric query.Metric) ([]Match, *KNNStats, error) {
 	return db.WithinDistanceCtx(context.Background(), target, dist, metric)
 }
 
 // WithinDistanceCtx is WithinDistance under the caller's ctx.
 func (db *DB) WithinDistanceCtx(ctx context.Context, target *histogram.Histogram, dist float64, metric query.Metric) ([]Match, *KNNStats, error) {
-	if target == nil {
-		return nil, nil, fmt.Errorf("core: within-distance target histogram is nil")
-	}
-	if target.Bins() != db.cfg.Quantizer.Bins() {
-		return nil, nil, fmt.Errorf("core: target has %d bins, database uses %d", target.Bins(), db.cfg.Quantizer.Bins())
-	}
 	if dist < 0 {
 		return nil, nil, fmt.Errorf("core: negative distance %v", dist)
 	}
-	st := &KNNStats{}
-	var out []Match
-	for _, id := range db.cat.Binaries() {
-		obj, err := db.cat.Binary(id)
-		if err != nil {
-			return nil, nil, err
-		}
-		st.BinariesScored++
-		if d := metric.Distance(target, obj.Hist); d <= dist {
-			out = append(out, Match{ID: id, Dist: d})
-		}
-	}
-	// The distance threshold is fixed, so edited candidates are independent
-	// of each other and the walk fans out freely; per-index slots keep the
-	// merged output identical to the serial loop.
-	env := db.env()
-	ids := db.cat.EditedIDs()
-	workers := db.workers()
-	type wdOutcome struct {
-		in   bool
-		dist float64
-	}
-	outs := make([]wdOutcome, len(ids))
-	pruned := make([]int, workers)
-	instantiated := make([]int, workers)
-	if _, err := exec.ForEach(ctx, workers, len(ids), func(w, i int) error {
-		obj, err := db.cat.Edited(ids[i])
-		if errors.Is(err, catalog.ErrNotFound) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		bounds, err := db.editedBounds(obj, nil)
-		if errors.Is(err, catalog.ErrNotFound) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if distanceLowerBound(target, bounds, metric) > dist {
-			pruned[w]++
-			return nil
-		}
-		img, err := editops.ApplySequence(obj.Seq, env)
-		if err != nil {
-			return fmt.Errorf("core: within-distance instantiate %d: %w", ids[i], err)
-		}
-		instantiated[w]++
-		if img.Size() == 0 {
-			return nil
-		}
-		if d := metric.Distance(target, histogram.Extract(img, db.cfg.Quantizer)); d <= dist {
-			outs[i] = wdOutcome{in: true, dist: d}
-		}
-		return nil
-	}); err != nil {
+	within := &radiusBound{radius: dist}
+	st, err := db.similaritySearch(ctx, target, metric, within, nil)
+	if err != nil {
 		return nil, nil, err
 	}
-	for w := 0; w < workers; w++ {
-		st.EditedPruned += pruned[w]
-		st.EditedInstantiated += instantiated[w]
-	}
-	for i := range outs {
-		if outs[i].in {
-			out = append(out, Match{ID: ids[i], Dist: outs[i].dist})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out, st, nil
+	sortMatches(within.out)
+	return within.out, st, nil
 }

@@ -32,14 +32,19 @@ func sumBounds(bs []rules.Bounds, bins []int) (lo, hi float64) {
 	if len(bs) == 0 {
 		return 0, 0
 	}
-	total := bs[0].Total
-	if total == 0 {
-		return 0, 0
-	}
 	minSum, maxSum := 0, 0
 	for _, b := range bins {
 		minSum += bs[b].Min
 		maxSum += bs[b].Max
+	}
+	return pctInterval(minSum, maxSum, bs[0].Total)
+}
+
+// pctInterval turns summed count bounds into the percentage interval of the
+// sum; no sum of bins exceeds the image.
+func pctInterval(minSum, maxSum, total int) (lo, hi float64) {
+	if total == 0 {
+		return 0, 0
 	}
 	if maxSum > total {
 		maxSum = total

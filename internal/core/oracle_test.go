@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/histogram"
+	"repro/internal/imaging"
 	"repro/internal/query"
 )
 
@@ -102,6 +103,33 @@ func TestOracleBoundModesContainInstantiation(t *testing.T) {
 							qi, q, modeName(first.mode), modeName(mode), first.ids, res.IDs)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestOracleKNNEqualsBruteForce is the similarity leg of the oracle: on each
+// randomized database, k-NN and within-distance answers from the tree equal
+// the instantiate-everything ranking in ids and distances, for every metric,
+// for k from 1 to past the corpus, and for probes that tie with stored
+// objects (a base, an instantiated edit) as well as a stranger.
+func TestOracleKNNEqualsBruteForce(t *testing.T) {
+	for _, cfg := range oracleConfigs {
+		cfg := cfg
+		t.Run(fmt.Sprintf("seed=%d", cfg.seed), func(t *testing.T) {
+			db := memDB(t)
+			populate(t, db, cfg.nBase, cfg.perBase, cfg.nonWid, cfg.seed)
+			corpus := len(db.Binaries()) + len(db.EditedIDs())
+			probes := []*imaging.Image{dataset.Flags(1, 32, 24, cfg.seed+99)[0].Img}
+			for _, id := range []uint64{db.Binaries()[1], db.EditedIDs()[2]} {
+				img, err := db.Image(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				probes = append(probes, img)
+			}
+			for _, probe := range probes {
+				requireSimilarityEqualsBruteForce(t, db, histogram.Extract(probe, db.cfg.Quantizer), allMetrics, []int{1, 3, 10, corpus + 5})
 			}
 		})
 	}

@@ -5,6 +5,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/colorspace"
@@ -97,6 +98,18 @@ func (m Metric) Distance(a, b *histogram.Histogram) float64 {
 	}
 }
 
+// ErrUnknownMetric is wrapped by Metric.Validate for a value that names no
+// distance.
+var ErrUnknownMetric = errors.New("query: unknown metric")
+
+// Validate reports whether m names a distance Distance can evaluate.
+func (m Metric) Validate() error {
+	if m > MetricIntersection {
+		return fmt.Errorf("%w %d", ErrUnknownMetric, uint8(m))
+	}
+	return nil
+}
+
 // Validate checks the KNN query is well-formed.
 func (k KNN) Validate() error {
 	if k.Target == nil {
@@ -105,10 +118,7 @@ func (k KNN) Validate() error {
 	if k.K <= 0 {
 		return fmt.Errorf("query: k = %d must be positive", k.K)
 	}
-	if k.Metric > MetricIntersection {
-		return fmt.Errorf("query: unknown metric %d", uint8(k.Metric))
-	}
-	return nil
+	return k.Metric.Validate()
 }
 
 // MultiRange is a range query over a SET of histogram bins: images qualify

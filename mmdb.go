@@ -529,16 +529,17 @@ func (db *DB) ParseQuery(text string) (Range, error) {
 func (db *DB) Explain(text string) (*Plan, error) { return db.inner.ExplainText(text) }
 
 // QueryByExampleCtx runs a k-nearest-neighbor search using a probe image:
-// "find the K images most similar to this one". Edited images participate
-// via bound-based pruning. Options select the execution strategy
-// (ModeIndexed searches best-first over the bounds S-tree) and tracing.
+// "find the K images most similar to this one", in (dist, id) order. The
+// search runs best-first over the bounds S-tree in every mode — a Mode
+// option is accepted and ignored — and instantiates only the edited images
+// whose bound box could still rank. WithTrace and WithLimit apply.
 func (db *DB) QueryByExampleCtx(ctx context.Context, probe *Image, k int, metric Metric, opts ...QueryOption) ([]Match, *KNNStats, error) {
 	target := ExtractHistogram(probe, db.inner.Quantizer())
 	return db.inner.KNNCtx(ctx, query.KNN{Target: target, K: k, Metric: metric}, opts...)
 }
 
-// KNNCtx runs a k-nearest-neighbor search from a histogram target; options
-// select the execution strategy and tracing.
+// KNNCtx runs a k-nearest-neighbor search from a histogram target; see
+// QueryByExampleCtx for the options.
 func (db *DB) KNNCtx(ctx context.Context, q KNN, opts ...QueryOption) ([]Match, *KNNStats, error) {
 	return db.inner.KNNCtx(ctx, q, opts...)
 }
