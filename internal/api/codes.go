@@ -1,10 +1,13 @@
 // Package api pins the machine-readable half of the /v1 wire contract:
 // the approved set of error-code slugs the server's uniform error envelope
-// may carry and the client's typed APIError switches on. Both sides import
-// these constants instead of spelling string literals, and the errenvelope
-// analyzer (internal/analysis) imports the same set, so an unapproved or
-// misspelled code is a build-time lint failure rather than a silent
-// client-side fallthrough.
+// may carry and the client's typed APIError switches on, and the shape of
+// the one body that grows with the database — the query answer and its
+// objects (Answer, Object), with the encoder the server writes it with and
+// the decoder the client reads it with. Both sides import these constants
+// instead of spelling string literals, and the errenvelope analyzer
+// (internal/analysis) imports the same set, so an unapproved or misspelled
+// code is a build-time lint failure rather than a silent client-side
+// fallthrough.
 //
 // The slugs are part of the public API: clients key retry/fallback logic on
 // them (the replicator maps CodeWALTruncated back to the ErrWALTruncated

@@ -262,6 +262,22 @@ func (c *Catalog) ObjectsAfter(after uint64, n int) []*Object {
 	return out
 }
 
+// Objects returns the objects with the given ids, in that order, fetched
+// under one lock acquisition — how a query answer is hydrated. An id that is
+// no longer in the catalog (deleted since the query chose it) is skipped, so
+// the result may be shorter than ids.
+func (c *Catalog) Objects(ids []uint64) []*Object {
+	out := make([]*Object, 0, len(ids))
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, id := range ids {
+		if obj, ok := c.objects[id]; ok {
+			out = append(out, obj)
+		}
+	}
+	return out
+}
+
 // EditedOf returns the edited images derived from a base, in insertion
 // order (copied).
 func (c *Catalog) EditedOf(baseID uint64) []uint64 {

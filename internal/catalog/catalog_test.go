@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/editops"
@@ -391,5 +392,30 @@ func TestIDListsStayAscending(t *testing.T) {
 	}
 	if got := after(4, 100); !equal(got, 5, 20, 25, 30) {
 		t.Fatalf("after deletes ObjectsAfter(4, 100) = %v", got)
+	}
+}
+
+// Objects answers in the caller's order and leaves out ids that are gone —
+// the batched read a query answer is hydrated from.
+func TestObjectsSkipsMissing(t *testing.T) {
+	c := New()
+	for _, id := range []uint64{5, 12, 20} {
+		if _, err := c.AddBinaryWithID(id, "b", 4, 4, histFor(4, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Delete(12); err != nil {
+		t.Fatal(err)
+	}
+	got := c.Objects([]uint64{20, 12, 7, 5, 20})
+	var ids []uint64
+	for _, obj := range got {
+		ids = append(ids, obj.ID)
+	}
+	if want := []uint64{20, 5, 20}; !slices.Equal(ids, want) {
+		t.Fatalf("Objects = %v, want %v", ids, want)
+	}
+	if got := c.Objects(nil); len(got) != 0 {
+		t.Fatalf("Objects(nil) = %v", got)
 	}
 }

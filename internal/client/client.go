@@ -18,6 +18,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 
 	mmdb "repro"
 	"repro/internal/api"
@@ -40,32 +41,12 @@ func New(baseURL string, httpClient *http.Client) *Client {
 }
 
 // Object is the wire form of a catalog entry.
-type Object struct {
-	ID       uint64 `json:"id"`
-	Kind     string `json:"kind"`
-	Name     string `json:"name"`
-	W        int    `json:"width,omitempty"`
-	H        int    `json:"height,omitempty"`
-	BaseID   uint64 `json:"base_id,omitempty"`
-	Ops      int    `json:"ops,omitempty"`
-	Widening *bool  `json:"widening,omitempty"`
-	Script   string `json:"script,omitempty"`
-}
+type Object = api.Object
 
 // QueryResult is the wire form of a range-query answer. Trace is non-nil
 // only when the request carried trace context (a span in the ctx) or asked
 // for ?trace=1 — it is the server-side span tree for the query.
-type QueryResult struct {
-	IDs     []uint64 `json:"ids"`
-	Objects []Object `json:"objects"`
-	Stats   struct {
-		BinariesChecked int `json:"binaries_checked"`
-		EditedWalked    int `json:"edited_walked"`
-		OpsEvaluated    int `json:"ops_evaluated"`
-		EditedSkipped   int `json:"edited_skipped"`
-	} `json:"stats"`
-	Trace *mmdb.Trace `json:"trace,omitempty"`
-}
+type QueryResult = api.Answer
 
 // Match is one similarity-search result.
 type Match struct {
@@ -122,10 +103,12 @@ func (c *Client) do(method, path string, body io.Reader, contentType string, out
 	return c.doCtx(context.Background(), method, path, body, contentType, out)
 }
 
-func (c *Client) doCtx(ctx context.Context, method, path string, body io.Reader, contentType string, out any) error {
+// send issues one request and returns its 2xx response, whose body the
+// caller closes; any other status comes back as an *APIError.
+func (c *Client) send(ctx context.Context, method, path string, body io.Reader, contentType string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
@@ -142,16 +125,70 @@ func (c *Client) doCtx(ctx context.Context, method, path string, body io.Reader,
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		err := apiError(resp)
+		resp.Body.Close()
+		return nil, err
+	}
+	return resp, nil
+}
+
+// doCtx sends one request and decodes its JSON response into out (nil
+// discards the body).
+func (c *Client) doCtx(ctx context.Context, method, path string, body io.Reader, contentType string, out any) error {
+	resp, err := c.send(ctx, method, path, body, contentType)
+	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return apiError(resp)
-	}
-	if out == nil {
+	// Query answers and object lists — the bodies that grow with the
+	// database — are decoded by internal/api's codec from one buffer; every
+	// other shape is small and stays on encoding/json.
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case *QueryResult:
+		return decodeBody(resp, func(body []byte) error { return api.DecodeAnswer(body, out) })
+	case *[]Object:
+		return decodeBody(resp, func(body []byte) (err error) {
+			*out, err = api.DecodeObjects(body)
+			return err
+		})
+	default:
+		return json.NewDecoder(resp.Body).Decode(out)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// bodyBufs recycles the buffers decodeBody reads into. The codec copies out
+// every byte it keeps, so a buffer is free again when decode returns.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxBodyPrealloc caps what decodeBody allocates on a peer's word, and what
+// it keeps pooled. A longer body is still read whole; its buffer grows as
+// the bytes arrive and is let go afterwards.
+const maxBodyPrealloc = 8 << 20
+
+// decodeBody reads a response body into one buffer, sized from
+// Content-Length when the server declared one, and hands it to decode.
+func decodeBody(resp *http.Response, decode func(body []byte) error) error {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxBodyPrealloc+bytes.MinRead {
+			bodyBufs.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if n := resp.ContentLength; n > 0 {
+		// ReadFrom asks for bytes.MinRead of free space before every read,
+		// the one that finds EOF included.
+		buf.Grow(int(min(n, maxBodyPrealloc)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
+	}
+	return decode(buf.Bytes())
 }
 
 // InsertImage uploads a raster (as binary PPM) and returns the new object.
@@ -238,18 +275,11 @@ func (c *Client) Image(id uint64) (*mmdb.Image, error) {
 
 // ImageCtx is Image with a context.
 func (c *Client) ImageCtx(ctx context.Context, id uint64) (*mmdb.Image, error) {
-	req, err := http.NewRequestWithContext(ctx, "GET", fmt.Sprintf("%s/v1/objects/%d/image", c.baseURL, id), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.send(ctx, "GET", fmt.Sprintf("/v1/objects/%d/image", id), nil, "")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
 	return mmdb.DecodePPM(resp.Body)
 }
 

@@ -147,10 +147,5 @@ func (s *HTTPShard) Stats(ctx context.Context) (*mmdb.Stats, error) {
 }
 
 func toAnswer(res *client.QueryResult) *ShardAnswer {
-	a := &ShardAnswer{IDs: res.IDs}
-	a.Stats.BinariesChecked = res.Stats.BinariesChecked
-	a.Stats.EditedWalked = res.Stats.EditedWalked
-	a.Stats.OpsEvaluated = res.Stats.OpsEvaluated
-	a.Stats.EditedSkipped = res.Stats.EditedSkipped
-	return a
+	return &ShardAnswer{IDs: res.IDs, Stats: mmdb.QueryStats(res.Stats)}
 }

@@ -628,6 +628,10 @@ func (db *DB) applyDeleteLocked(id uint64) error {
 // Get returns an object's catalog entry.
 func (db *DB) Get(id uint64) (*catalog.Object, error) { return db.cat.Get(id) }
 
+// Objects returns the catalog entries of ids in one batched read, skipping
+// ids deleted since they were chosen (catalog.Objects).
+func (db *DB) Objects(ids []uint64) []*catalog.Object { return db.cat.Objects(ids) }
+
 // Binaries returns the binary image ids in insertion order.
 func (db *DB) Binaries() []uint64 { return db.cat.Binaries() }
 

@@ -38,6 +38,11 @@
 //
 //	{"error": "...", "code": "not_found|conflict|bad_request|too_large|internal", "request_id": "req-000042"}
 //
+// The answers of /v1/query and /v1/multirange and the list of /v1/objects are
+// written by internal/api's encoder (writeAnswer) with a Content-Length; an
+// object deleted while its answer is being assembled is left out, not
+// reported. Every other body is encoding/json's.
+//
 // Mutating requests are acknowledged only after the write-ahead log has
 // fsynced them (group commit); cancelling a request's context abandons the
 // wait but the write may still commit.
@@ -59,6 +64,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -211,7 +217,10 @@ func edgeTrace(r *http.Request) *mmdb.Trace {
 }
 
 // logQuery emits a wide event for one query request into the process query
-// log — always on, whether or not the request was traced.
+// log — always on, whether or not the request was traced. Its Duration runs
+// from start to this call, so a success is logged once the response body is
+// built (writeAnswer): hydration and encoding are most of a broad query and
+// count against the slow-query threshold; the socket write does not.
 func logQuery(r *http.Request, start time.Time, kind, strategy, query string, tr *mmdb.Trace, results int, err error) {
 	ev := obs.QueryEvent{
 		Time:       start,
@@ -284,29 +293,18 @@ func (b *limitTrackingBody) Read(p []byte) (int, error) {
 
 func (b *limitTrackingBody) Close() error { return b.rc.Close() }
 
-// objectJSON is the wire form of a catalog entry.
-type objectJSON struct {
-	ID       uint64 `json:"id"`
-	Kind     string `json:"kind"`
-	Name     string `json:"name"`
-	W        int    `json:"width,omitempty"`
-	H        int    `json:"height,omitempty"`
-	BaseID   uint64 `json:"base_id,omitempty"`
-	Ops      int    `json:"ops,omitempty"`
-	Widening *bool  `json:"widening,omitempty"`
-	Script   string `json:"script,omitempty"`
-}
-
-func toJSON(obj *mmdb.Object, withScript bool) objectJSON {
-	out := objectJSON{ID: obj.ID, Kind: obj.Kind.String(), Name: obj.Name}
+// toWire renders a catalog entry in its wire form. Catalog entries are
+// immutable once published (updates are copy-on-write), so the widening flag
+// is pointed at rather than copied.
+func toWire(obj *mmdb.Object, withScript bool) api.Object {
+	out := api.Object{ID: obj.ID, Kind: obj.Kind.String(), Name: obj.Name}
 	if obj.Kind == mmdb.KindBinary {
 		out.W, out.H = obj.W, obj.H
 		return out
 	}
 	out.BaseID = obj.Seq.BaseID
 	out.Ops = len(obj.Seq.Ops)
-	w := obj.Widening
-	out.Widening = &w
+	out.Widening = &obj.Widening
 	if withScript {
 		out.Script = mmdb.FormatSequence(obj.Seq)
 	}
@@ -317,6 +315,59 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
+}
+
+// answerBufs recycles the buffers query answers are encoded into; an answer
+// larger than maxPooledAnswer is let go rather than pinned by the pool.
+var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledAnswer = 4 << 20
+
+// writeAnswer hydrates ids and writes them out with internal/api's encoder:
+// the answer of /v1/query and /v1/multirange when stats is non-nil, the bare
+// object list of /v1/objects when it is nil. The objects come from one
+// batched catalog read; an id deleted since the query chose it is dropped
+// from ids and objects alike, not reported. The "hydrate" phase of tr covers
+// the read and the encoding of the objects. record, if non-nil, is called
+// with the number of objects once the body is complete and before it goes to
+// the socket.
+func (s *Server) writeAnswer(w http.ResponseWriter, ids []uint64, stats *mmdb.QueryStats, tr *mmdb.Trace, record func(results int)) {
+	bp := answerBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	defer func() {
+		if cap(buf) <= maxPooledAnswer {
+			*bp = buf
+			answerBufs.Put(bp)
+		}
+	}()
+	done := tr.Phase("hydrate")
+	objs := s.db.Objects(ids)
+	if len(objs) < len(ids) {
+		ids = make([]uint64, len(objs))
+		for i, obj := range objs {
+			ids[i] = obj.ID
+		}
+	}
+	if stats != nil {
+		buf = api.AppendAnswerStart(buf, ids)
+	}
+	buf = api.AppendObjects(buf, len(objs), func(i int) api.Object { return toWire(objs[i], false) })
+	done()
+	if stats != nil {
+		var err error
+		if buf, err = api.AppendAnswerEnd(buf, api.AnswerStats(*stats), tr); err != nil {
+			s.writeError(w, err)
+			return
+		}
+	}
+	buf = append(buf, '\n') // as json.Encoder ended every body
+	if record != nil {
+		record(len(objs))
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(buf) // a failed write is a client that left; there is no one to tell
 }
 
 // errorEnvelope is the uniform error body every route answers with. Code is
@@ -428,7 +479,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusCreated, toJSON(obj, false))
+	s.writeJSON(w, http.StatusCreated, toWire(obj, false))
 }
 
 func (s *Server) handleInsertSequence(w http.ResponseWriter, r *http.Request) {
@@ -457,20 +508,11 @@ func (s *Server) handleInsertSequence(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusCreated, toJSON(obj, true))
+	s.writeJSON(w, http.StatusCreated, toWire(obj, true))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	var out []objectJSON
-	for _, id := range append(s.db.Binaries(), s.db.EditedIDs()...) {
-		obj, err := s.db.Get(id)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		out = append(out, toJSON(obj, false))
-	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.writeAnswer(w, append(s.db.Binaries(), s.db.EditedIDs()...), nil, nil, nil)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -484,7 +526,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, toJSON(obj, true))
+	s.writeJSON(w, http.StatusOK, toWire(obj, true))
 }
 
 func (s *Server) handleImage(w http.ResponseWriter, r *http.Request) {
@@ -548,20 +590,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// queryResponse is the wire form of a range-query answer. Trace is present
-// only when the request asked for one with trace=1.
-type queryResponse struct {
-	IDs     []uint64     `json:"ids"`
-	Objects []objectJSON `json:"objects"`
-	Stats   struct {
-		BinariesChecked int `json:"binaries_checked"`
-		EditedWalked    int `json:"edited_walked"`
-		OpsEvaluated    int `json:"ops_evaluated"`
-		EditedSkipped   int `json:"edited_skipped"`
-	} `json:"stats"`
-	Trace *mmdb.Trace `json:"trace,omitempty"`
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	text := r.URL.Query().Get("q")
 	if text == "" {
@@ -590,25 +618,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("bases") == "1" {
 		ids = s.db.ExpandToBases(ids)
 	}
-	var resp queryResponse
-	resp.IDs = ids
-	done := tr.Phase("hydrate")
-	for _, id := range ids {
-		obj, err := s.db.Get(id)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		resp.Objects = append(resp.Objects, toJSON(obj, false))
-	}
-	done()
-	resp.Stats.BinariesChecked = res.Stats.BinariesChecked
-	resp.Stats.EditedWalked = res.Stats.EditedWalked
-	resp.Stats.OpsEvaluated = res.Stats.OpsEvaluated
-	resp.Stats.EditedSkipped = res.Stats.EditedSkipped
-	resp.Trace = tr
-	logQuery(r, start, "query", r.URL.Query().Get("mode"), text, tr, len(ids), nil)
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeAnswer(w, ids, &res.Stats, tr, func(results int) {
+		logQuery(r, start, "query", r.URL.Query().Get("mode"), text, tr, results, nil)
+	})
 }
 
 // handleMultiRange answers structured multi-range queries. MultiRange has
@@ -657,23 +669,9 @@ func (s *Server) handleMultiRange(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest("%v", err))
 		return
 	}
-	var resp queryResponse
-	resp.IDs = res.IDs
-	for _, id := range res.IDs {
-		obj, err := s.db.Get(id)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		resp.Objects = append(resp.Objects, toJSON(obj, false))
-	}
-	resp.Stats.BinariesChecked = res.Stats.BinariesChecked
-	resp.Stats.EditedWalked = res.Stats.EditedWalked
-	resp.Stats.OpsEvaluated = res.Stats.OpsEvaluated
-	resp.Stats.EditedSkipped = res.Stats.EditedSkipped
-	resp.Trace = tr
-	logQuery(r, start, "multirange", q.Get("mode"), q.Get("bins"), tr, len(res.IDs), nil)
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeAnswer(w, res.IDs, &res.Stats, tr, func(results int) {
+		logQuery(r, start, "multirange", q.Get("mode"), q.Get("bins"), tr, results, nil)
+	})
 }
 
 func floatRange(minStr, maxStr string) (float64, float64, error) {

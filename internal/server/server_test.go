@@ -328,17 +328,18 @@ func TestRequestLogging(t *testing.T) {
 	if resp.Header.Get("X-Request-ID") == "" {
 		t.Fatal("no X-Request-ID header")
 	}
+	if _, err := http.Get(ts.URL + "/objects/999"); err != nil {
+		t.Fatal(err)
+	}
+	// The access line is written after the handler's last byte, which a
+	// client can have read already; Close waits for the handlers to return.
+	ts.Close()
 	line := buf.String()
 	for _, want := range []string{"method=GET", "path=/stats", "status=200", "request_id=req-"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("log output %q missing %q", line, want)
 		}
 	}
-
-	if _, err := http.Get(ts.URL + "/objects/999"); err != nil {
-		t.Fatal(err)
-	}
-	line = buf.String()
 	if !strings.Contains(line, "path=/objects/999") || !strings.Contains(line, "status=404") {
 		t.Fatalf("log output %q missing 404 line", line)
 	}

@@ -623,6 +623,11 @@ func (db *DB) Image(id uint64) (*Image, error) { return db.inner.Image(id) }
 // Get returns an object's catalog entry.
 func (db *DB) Get(id uint64) (*Object, error) { return db.inner.Get(id) }
 
+// Objects returns the catalog entries of ids, in that order, from one
+// batched read. An id deleted since the caller obtained it is skipped, so
+// the result may be shorter than ids.
+func (db *DB) Objects(ids []uint64) []*Object { return db.inner.Objects(ids) }
+
 // Binaries returns the binary image ids in insertion order.
 func (db *DB) Binaries() []uint64 { return db.inner.Binaries() }
 
