@@ -231,7 +231,7 @@ func BenchmarkExtensionKNN(b *testing.B) {
 	b.ResetTimer()
 	var pruned int
 	for i := 0; i < b.N; i++ {
-		_, st, err := db.KNN(query.KNN{Target: target, K: 5, Metric: query.MetricL1})
+		_, st, err := db.KNNCtx(context.Background(), query.KNN{Target: target, K: 5, Metric: query.MetricL1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -410,7 +410,7 @@ func paperMixDB(b *testing.B, bases int) (*core.DB, []dataset.NamedImage, []uint
 // edited box that contains the probe (lb = 0, ~40 % of them) must be
 // rendered whatever the visiting order — the case BENCHMARK.json has no
 // workload for. inst/op is edited images instantiated per query, nodes/op
-// S-tree nodes visited.
+// S-tree nodes visited, leaves/op leaf boxes checked.
 func BenchmarkKNNProbe(b *testing.B) {
 	db, flags, _ := paperMixDB(b, 4000)
 	const probes = 16
@@ -445,7 +445,7 @@ func BenchmarkKNNProbe(b *testing.B) {
 	}{{"stored", stored}, {"edited", rendered}} {
 		b.Run(kind.name, func(b *testing.B) {
 			// One traced pass outside the timer: the counts repeat exactly.
-			var inst, nodes int64
+			var inst, nodes, leaves int64
 			for _, target := range kind.probes {
 				tr := mmdb.NewTrace()
 				_, st, err := db.KNNCtx(ctx, query.KNN{Target: target, K: 10, Metric: query.MetricL1}, core.WithTrace(tr))
@@ -454,6 +454,7 @@ func BenchmarkKNNProbe(b *testing.B) {
 				}
 				inst += int64(st.EditedInstantiated)
 				nodes += tr.Get(obs.TIndexNodesVisited)
+				leaves += tr.Get(obs.TIndexLeafChecks)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -463,6 +464,7 @@ func BenchmarkKNNProbe(b *testing.B) {
 			}
 			b.ReportMetric(float64(inst)/float64(len(kind.probes)), "inst/op")
 			b.ReportMetric(float64(nodes)/float64(len(kind.probes)), "nodes/op")
+			b.ReportMetric(float64(leaves)/float64(len(kind.probes)), "leaves/op")
 		})
 	}
 }

@@ -208,7 +208,7 @@ func RunKNNExtension(cfg Config, k, probes int) (*KNNResult, error) {
 	start := time.Now()
 	for _, p := range probeImgs {
 		target := histogram.Extract(p.Img, defaultQuantizer)
-		_, st, err := db.KNN(query.KNN{Target: target, K: k, Metric: query.MetricL1})
+		_, st, err := db.KNNCtx(context.Background(), query.KNN{Target: target, K: k, Metric: query.MetricL1})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -92,7 +93,7 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 		probe := dataset.Flags(1, 16, 12, 2)[0].Img
 		for rep := 0; rep < 10; rep++ {
 			target := histogram.Extract(probe, db.Quantizer())
-			if _, _, err := db.KNN(query.KNN{Target: target, K: 3, Metric: query.MetricL1}); err != nil {
+			if _, _, err := db.KNNCtx(context.Background(), query.KNN{Target: target, K: 3, Metric: query.MetricL1}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -220,7 +221,7 @@ func TestConcurrentParallelQueriesAndMutations(t *testing.T) {
 		probe := dataset.Flags(1, 16, 12, 3)[0].Img
 		target := histogram.Extract(probe, db.Quantizer())
 		for rep := 0; rep < 8; rep++ {
-			if _, _, err := db.KNN(query.KNN{Target: target, K: 4, Metric: query.MetricL2}); err != nil {
+			if _, _, err := db.KNNCtx(context.Background(), query.KNN{Target: target, K: 4, Metric: query.MetricL2}); err != nil {
 				t.Error(err)
 				return
 			}

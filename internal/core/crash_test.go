@@ -177,11 +177,11 @@ func assertRecovered(t *testing.T, rec *DB, acked []string) {
 	}
 	if len(rec.Binaries()) > 0 {
 		q := query.KNN{Target: histogram.Extract(tinyImg(1), rec.cfg.Quantizer), K: 4, Metric: query.MetricL2}
-		got, _, err := rec.KNN(q)
+		got, _, err := rec.KNNCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("knn on recovered: %v", err)
 		}
-		want, _, err := match.KNN(q)
+		want, _, err := match.KNNCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("knn on twin: %v", err)
 		}

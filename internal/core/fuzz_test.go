@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/histogram"
 	"repro/internal/query"
+	"repro/internal/stree"
 )
 
 // fuzzDB builds one small shared database for the parser fuzz targets: the
@@ -136,29 +137,37 @@ func FuzzCompoundQueryText(f *testing.F) {
 }
 
 // FuzzKNNAgainstBruteForce turns its inputs into a small database with
-// forced ties — some bases stored twice, each copy with an identity edit —
-// a probe (a stored object's own histogram, or a stranger's), a k and a
-// metric, and holds the tree's k-NN and within-distance answers to the
-// instantiate-everything ranking: ids and distances, serial ≡ parallel.
+// forced ties — some bases stored again, up to 24 times, each copy with an
+// identity edit — a probe (a stored object's own histogram, or a
+// stranger's), a k and a metric, and holds the tree's k-NN and
+// within-distance answers to the instantiate-everything ranking: ids and
+// distances, serial ≡ parallel. The tree is built at the smallest fanout,
+// so tied subtrees are pruned at inner nodes, not only inside one leaf.
 func FuzzKNNAgainstBruteForce(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0))
-	f.Add(int64(7), uint8(3), uint8(2), uint8(4), uint8(1))
-	f.Add(int64(42), uint8(9), uint8(255), uint8(30), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, shape, probeSel, kSel, metricSel uint8) {
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(3), uint8(2), uint8(4), uint8(1), uint8(0))
+	f.Add(int64(42), uint8(9), uint8(255), uint8(30), uint8(2), uint8(0))
+	// Base 1 stored 24 more times: the probe ties with 25 binaries and 48
+	// identity edits, k = 10.
+	f.Add(int64(3), uint8(27), uint8(0), uint8(9), uint8(0), uint8(23))
+	f.Fuzz(func(t *testing.T, seed int64, shape, probeSel, kSel, metricSel, copies uint8) {
 		db := memDB(t)
+		db.sidx = stree.New(db.cfg.Quantizer.Bins(), 4)
 		bases := populate(t, db, 2+int(shape%3), 1+int(shape/3%3), float64(shape/9%3)/2, seed)
 		for i := 0; i < int(shape/27%4) && i < len(bases); i++ {
 			img, err := db.Image(bases[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			dup, err := db.InsertImage(fmt.Sprintf("dup%d", i), img)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, base := range []uint64{bases[i], dup} {
-				if _, err := db.InsertEdited("same", identityEdit(base, img.W, img.H)); err != nil {
+			for c := 0; c <= int(copies%24); c++ {
+				dup, err := db.InsertImage(fmt.Sprintf("dup%d.%d", i, c), img)
+				if err != nil {
 					t.Fatal(err)
+				}
+				for _, base := range []uint64{bases[i], dup} {
+					if _, err := db.InsertEdited("same", identityEdit(base, img.W, img.H)); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}

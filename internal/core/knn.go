@@ -73,18 +73,10 @@ type KNNStats struct {
 	EditedInstantiated int
 }
 
-// KNN returns the k objects most similar to the query histogram, across
-// binary and edited images, with bound-based pruning for the latter.
-//
-// Deprecated: use KNNCtx.
-func (db *DB) KNN(q query.KNN) ([]Match, *KNNStats, error) {
-	return db.KNNCtx(context.Background(), q)
-}
-
-// KNNCtx is the canonical k-NN entry point: the k best matches in (dist, id)
-// order. ctx cancellation stops the descent and the refinement. WithTrace
-// and WithLimit apply; WithMode is accepted and ignored — there is one k-NN
-// path.
+// KNNCtx is the k-NN entry point: the k objects most similar to the query
+// histogram, across binary and edited images, in (dist, id) order. ctx
+// cancellation stops the descent and the refinement. WithTrace and WithLimit
+// apply; WithMode is accepted and ignored — there is one k-NN path.
 func (db *DB) KNNCtx(ctx context.Context, q query.KNN, opts ...QueryOption) ([]Match, *KNNStats, error) {
 	cfg := buildQueryConfig(opts)
 	if err := q.Validate(); err != nil {
@@ -105,28 +97,13 @@ func (db *DB) KNNCtx(ctx context.Context, q query.KNN, opts ...QueryOption) ([]M
 	return out, st, nil
 }
 
-// KNNTraced is KNN with phase timings and pruning decisions recorded into
-// tr (nil disables tracing).
-//
-// Deprecated: use KNNCtx with WithTrace.
-func (db *DB) KNNTraced(q query.KNN, tr *obs.Trace) ([]Match, *KNNStats, error) {
-	return db.KNNCtx(context.Background(), q, WithTrace(tr))
-}
-
-// KNNTracedCtx is KNNCtx with a positional trace.
-//
-// Deprecated: use KNNCtx with WithTrace.
-func (db *DB) KNNTracedCtx(ctx context.Context, q query.KNN, tr *obs.Trace) ([]Match, *KNNStats, error) {
-	return db.KNNCtx(ctx, q, WithTrace(tr))
-}
-
 // similarityBound is what a similarity search prunes against: the k-th best
 // match so far (thresholdTracker) or a fixed radius (radiusBound).
 type similarityBound interface {
-	// threshold is the distance beyond which a subtree holds no answer.
-	threshold() float64
 	// worse reports whether a candidate that can rank no better than
-	// (lb, id) is already out of the answer.
+	// (lb, id) is already out of the answer. It is monotone in the (lb, id)
+	// order, which is what lets the descent prune a whole subtree on its
+	// (lower bound, smallest id) pair.
 	worse(lb float64, id uint64) bool
 	// record offers one exact distance to the answer.
 	record(id uint64, d float64)
@@ -165,7 +142,7 @@ func (db *DB) similaritySearch(ctx context.Context, target *histogram.Histogram,
 	seen := 0
 	err := db.sidx.Snapshot().BestFirst(
 		func(lo, hi []float64) float64 { return boxLowerBound(tn, lo, hi, metric) },
-		bound.threshold,
+		bound.worse,
 		func(it *stree.Item) error {
 			seen++
 			if seen%ctxEvery == 0 {
@@ -298,14 +275,6 @@ type thresholdTracker struct {
 
 func newThresholdTracker(k int) *thresholdTracker { return &thresholdTracker{k: k} }
 
-// threshold returns the current k-th best distance (+Inf below k matches).
-func (t *thresholdTracker) threshold() float64 {
-	if t.h.Len() < t.k {
-		return math.Inf(1)
-	}
-	return t.h[0].Dist
-}
-
 // worse reports whether (lb, id) is not better than the current k-th match
 // in the (dist, id) order.
 func (t *thresholdTracker) worse(lb float64, id uint64) bool {
@@ -345,7 +314,6 @@ type radiusBound struct {
 	out    []Match
 }
 
-func (r *radiusBound) threshold() float64              { return r.radius }
 func (r *radiusBound) worse(lb float64, _ uint64) bool { return lb > r.radius }
 func (r *radiusBound) record(id uint64, d float64) {
 	if d <= r.radius {
@@ -524,8 +492,8 @@ func (db *DB) WithinDistance(target *histogram.Histogram, dist float64, metric q
 
 // WithinDistanceCtx is WithinDistance under the caller's ctx.
 func (db *DB) WithinDistanceCtx(ctx context.Context, target *histogram.Histogram, dist float64, metric query.Metric) ([]Match, *KNNStats, error) {
-	if dist < 0 {
-		return nil, nil, fmt.Errorf("core: negative distance %v", dist)
+	if !(dist >= 0) {
+		return nil, nil, fmt.Errorf("core: distance %v is negative or NaN", dist)
 	}
 	within := &radiusBound{radius: dist}
 	st, err := db.similaritySearch(ctx, target, metric, within, nil)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/editops"
 	"repro/internal/histogram"
 	"repro/internal/imaging"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/stree"
 )
@@ -250,6 +251,71 @@ func TestKNNTieRulePrunesOnID(t *testing.T) {
 	}
 }
 
+// TestKNNTiedProbeStopsAtTies pins the subtree half of the tie rule on a
+// flags corpus: a stored flag shares its histogram with at least k others,
+// so the k-th distance is 0 and every edited image whose box holds the
+// probe ties on the lower bound. The descent must stop once it holds its k
+// ties — a few leaves, not every box that contains the probe — and still
+// return the brute-force answer, serial ≡ parallel.
+func TestKNNTiedProbeStopsAtTies(t *testing.T) {
+	const k = 10
+	db := memDB(t)
+	bases := populate(t, db, 200, 2, 0.3, 5)
+	items := len(db.Binaries()) + len(db.EditedIDs())
+	if items < 600 {
+		t.Fatalf("corpus holds %d objects, want ≥ 600", items)
+	}
+	// The probe is the base with the most exact twins among the bases.
+	var target *histogram.Histogram
+	most := 0
+	for _, id := range bases {
+		obj, err := db.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twins := 0
+		for _, other := range bases {
+			o, err := db.Get(other)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if query.MetricL1.Distance(obj.Hist, o.Hist) == 0 {
+				twins++
+			}
+		}
+		if twins > most {
+			target, most = obj.Hist, twins
+		}
+	}
+	if most < k {
+		t.Fatalf("no base has %d twins (best %d): the probe would not tie", k, most)
+	}
+	for _, metric := range allMetrics {
+		q := query.KNN{Target: target, K: k, Metric: metric}
+		want := bruteForceKNN(t, db, q)
+		var runs [2][]Match
+		var stats [2]KNNStats
+		for i, par := range []int{1, 4} {
+			db.SetParallelism(par)
+			tr := obs.NewTrace()
+			got, st, err := db.KNNCtx(context.Background(), q, WithTrace(tr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireMatches(t, fmt.Sprintf("%s parallelism %d", metric, par), got, want)
+			if lc := tr.Get(obs.TIndexLeafChecks); lc*20 > int64(items) {
+				t.Fatalf("%s parallelism %d: %d leaf checks over %d items, want ≤ 5%%", metric, par, lc, items)
+			}
+			runs[i], stats[i] = got, *st
+		}
+		requireMatches(t, metric.String()+" serial vs parallel", runs[1], runs[0])
+		if stats[0] != stats[1] {
+			t.Fatalf("%s: stats depend on the worker count: serial %+v, parallel %+v", metric, stats[0], stats[1])
+		}
+	}
+	db.SetParallelism(1)
+}
+
 func TestKNNPrunesSomething(t *testing.T) {
 	db := memDB(t)
 	// Insert a base identical to the probe so exact matches fill the top-k
@@ -258,7 +324,7 @@ func TestKNNPrunesSomething(t *testing.T) {
 	db.InsertImage("blue", probe)
 	populate(t, db, 8, 5, 0.0, 33)
 	target := histogram.Extract(probe, db.Quantizer())
-	_, st, err := db.KNN(query.KNN{Target: target, K: 1, Metric: query.MetricL1})
+	_, st, err := db.KNNCtx(context.Background(), query.KNN{Target: target, K: 1, Metric: query.MetricL1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,11 +436,11 @@ func TestKNNBinaryDuringDeletes(t *testing.T) {
 func TestKNNValidation(t *testing.T) {
 	db := memDB(t)
 	db.InsertImage("x", imaging.NewFilled(4, 4, dataset.Red))
-	if _, _, err := db.KNN(query.KNN{Target: nil, K: 1}); err == nil {
+	if _, _, err := db.KNNCtx(context.Background(), query.KNN{Target: nil, K: 1}); err == nil {
 		t.Fatal("nil target accepted")
 	}
 	wrongBins := histogram.New(8)
-	if _, _, err := db.KNN(query.KNN{Target: wrongBins, K: 1}); err == nil {
+	if _, _, err := db.KNNCtx(context.Background(), query.KNN{Target: wrongBins, K: 1}); err == nil {
 		t.Fatal("bin mismatch accepted")
 	}
 	if _, err := db.KNNBinary(query.KNN{Target: wrongBins, K: 1}); err == nil {
@@ -472,7 +538,7 @@ func TestKNNMultiSingleProbeEqualsKNN(t *testing.T) {
 	populate(t, db, 5, 3, 0.2, 66)
 	probe := dataset.Flags(1, 32, 24, 4)[0].Img
 	target := histogram.Extract(probe, db.Quantizer())
-	single, _, err := db.KNN(query.KNN{Target: target, K: 4, Metric: query.MetricL2})
+	single, _, err := db.KNNCtx(context.Background(), query.KNN{Target: target, K: 4, Metric: query.MetricL2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +655,7 @@ func TestWithinDistanceRejectsUnknownMetric(t *testing.T) {
 	if _, _, err := db.WithinDistance(h, 0.1, query.Metric(9)); !errors.Is(err, query.ErrUnknownMetric) {
 		t.Fatalf("WithinDistance with metric 9: %v, want ErrUnknownMetric", err)
 	}
-	if _, _, err := db.KNN(query.KNN{Target: h, K: 1, Metric: query.Metric(9)}); !errors.Is(err, query.ErrUnknownMetric) {
+	if _, _, err := db.KNNCtx(context.Background(), query.KNN{Target: h, K: 1, Metric: query.Metric(9)}); !errors.Is(err, query.ErrUnknownMetric) {
 		t.Fatalf("KNN with metric 9: %v, want ErrUnknownMetric", err)
 	}
 }
@@ -603,6 +669,14 @@ func TestWithinDistanceValidation(t *testing.T) {
 	}
 	if _, _, err := db.WithinDistance(h, -1, query.MetricL1); err == nil {
 		t.Fatal("negative distance accepted")
+	}
+	// lb > NaN is never true: a NaN radius would render every edited image
+	// and keep none of them.
+	if _, _, err := db.WithinDistance(h, math.NaN(), query.MetricL1); err == nil {
+		t.Fatal("NaN distance accepted")
+	}
+	if got, _, err := db.WithinDistance(h, math.Inf(1), query.MetricL1); err != nil || len(got) != 1 {
+		t.Fatalf("+Inf distance: %v, %v; want the one stored image", got, err)
 	}
 	if _, _, err := db.WithinDistance(histogram.New(3), 1, query.MetricL1); err == nil {
 		t.Fatal("bin mismatch accepted")

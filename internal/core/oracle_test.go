@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -218,7 +219,7 @@ func TestOracleParallelCompoundMultiKNN(t *testing.T) {
 			}
 			s.multi = append(s.multi, &rbmResultIDs{mode: mode, ids: res.IDs})
 		}
-		knn, _, err := db.KNN(query.KNN{Target: target, K: 5, Metric: query.MetricL1})
+		knn, _, err := db.KNNCtx(context.Background(), query.KNN{Target: target, K: 5, Metric: query.MetricL1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,9 +116,9 @@ func (s Snapshot) admitAll(n *node, onItem func(it *Item, ov Overlap) error, st 
 	return nil
 }
 
-// bfEntry is one prioritized subtree in a best-first search. seq breaks
-// lower-bound ties by insertion order, making the traversal fully
-// deterministic.
+// bfEntry is one prioritized subtree in a best-first search, ranked by
+// (lb, minID); seq breaks the remaining ties by insertion order, making the
+// traversal fully deterministic.
 type bfEntry struct {
 	lb   float64
 	seq  int
@@ -132,6 +132,9 @@ func (h bfHeap) Less(i, j int) bool {
 	if h[i].lb != h[j].lb {
 		return h[i].lb < h[j].lb
 	}
+	if h[i].node.minID != h[j].node.minID {
+		return h[i].node.minID < h[j].node.minID
+	}
 	return h[i].seq < h[j].seq
 }
 func (h bfHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
@@ -144,16 +147,23 @@ func (h *bfHeap) Pop() interface{} {
 	return e
 }
 
-// BestFirst runs branch-and-bound over the snapshot: subtrees are expanded
-// in ascending order of nodeLB (a lower bound on any item's distance
-// beneath the node — it must be monotone: a subset box never has a smaller
-// bound). Expansion stops as soon as the best remaining subtree's bound
-// exceeds threshold(), which may tighten as onItem records exact
-// distances; a stale (larger) threshold read only delays the stop, never
-// skips a qualifying item. Items in reached leaves are passed to onItem,
-// which does its own item-level bounding and scoring. A non-nil error
-// aborts the search.
-func (s Snapshot) BestFirst(nodeLB func(lo, hi []float64) float64, threshold func() float64, onItem func(it *Item) error, st *VisitStats) error {
+// BestFirst runs branch-and-bound over the snapshot in the lexicographic
+// (lb, id) order a nearest-neighbor answer is ranked by. A subtree is
+// ranked by (nodeLB of its box, smallest item id beneath it); nodeLB must be
+// a lower bound on any item's distance beneath the node and monotone (a
+// subset box never has a smaller bound), so no item beneath a node ranks
+// better than the node's own pair. Subtrees are expanded in ascending pair
+// order; a child that prune rejects is never queued, and the first popped
+// subtree that prune rejects ends the search.
+//
+// prune must be monotone in the (lb, id) order: if it rejects (l, i) it
+// rejects every (l', i') ≥ (l, i). It may tighten as onItem records exact
+// distances; a stale (looser) verdict only delays the stop, never skips a
+// qualifying item. Under that contract a rejected subtree holds no answer,
+// and everything still queued behind a rejected head is rejected too. Items
+// in reached leaves are passed to onItem, which does its own item-level
+// bounding and scoring. A non-nil error aborts the search.
+func (s Snapshot) BestFirst(nodeLB func(lo, hi []float64) float64, prune func(lb float64, minID uint64) bool, onItem func(it *Item) error, st *VisitStats) error {
 	if s.root == nil {
 		return nil
 	}
@@ -163,9 +173,9 @@ func (s Snapshot) BestFirst(nodeLB func(lo, hi []float64) float64, threshold fun
 	for h.Len() > 0 {
 		e := heap.Pop(h).(bfEntry)
 		st.NodesVisited++
-		if e.lb > threshold() {
-			// The heap is ordered by lb: everything still queued is at
-			// least this far away, so nothing left can beat the k-th best.
+		if prune(e.lb, e.node.minID) {
+			// The heap ascends in (lb, minID): everything still queued ranks
+			// no better, so nothing left can enter the answer.
 			return nil
 		}
 		if e.node.leaf() {
@@ -179,7 +189,7 @@ func (s Snapshot) BestFirst(nodeLB func(lo, hi []float64) float64, threshold fun
 		}
 		for _, ch := range e.node.children {
 			lb := nodeLB(ch.lo, ch.hi)
-			if lb > threshold() {
+			if prune(lb, ch.minID) {
 				continue // already provably outside; skip the queue
 			}
 			seq++

@@ -36,10 +36,12 @@ type Item struct {
 }
 
 // node is one immutable tree node. Exactly one of children/items is
-// non-nil; lo/hi is the coordinate-wise union of everything beneath.
+// non-nil; lo/hi is the coordinate-wise union of everything beneath and
+// minID the smallest item id beneath, both set by computeBoxFrom*.
 // Nodes are never mutated after being linked under a published root.
 type node struct {
 	lo, hi   []float64
+	minID    uint64
 	children []*node
 	items    []*Item
 }
@@ -215,6 +217,10 @@ func widestDim(items []*Item, dims int) int {
 }
 
 func (n *node) computeBoxFromItems(dims int) {
+	n.minID = n.items[0].ID
+	for _, it := range n.items[1:] {
+		n.minID = min(n.minID, it.ID)
+	}
 	n.lo, n.hi = make([]float64, dims), make([]float64, dims)
 	for d := 0; d < dims; d++ {
 		n.lo[d], n.hi[d] = n.items[0].Lo[d], n.items[0].Hi[d]
@@ -230,6 +236,10 @@ func (n *node) computeBoxFromItems(dims int) {
 }
 
 func (n *node) computeBoxFromChildren(dims int) {
+	n.minID = n.children[0].minID
+	for _, ch := range n.children[1:] {
+		n.minID = min(n.minID, ch.minID)
+	}
 	n.lo, n.hi = make([]float64, dims), make([]float64, dims)
 	for d := 0; d < dims; d++ {
 		n.lo[d], n.hi[d] = n.children[0].lo[d], n.children[0].hi[d]

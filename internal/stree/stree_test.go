@@ -1,6 +1,8 @@
 package stree
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -127,6 +129,37 @@ func checkInvariants(t *testing.T, tr *Tree) {
 	walk(root)
 }
 
+// minIDErr walks the published tree and reports the first node whose minID
+// is not the smallest item id beneath it.
+func minIDErr(tr *Tree) error {
+	var walk func(n *node) (uint64, error)
+	walk = func(n *node) (uint64, error) {
+		var least uint64 = math.MaxUint64
+		if n.leaf() {
+			for _, it := range n.items {
+				least = min(least, it.ID)
+			}
+		} else {
+			for _, ch := range n.children {
+				m, err := walk(ch)
+				if err != nil {
+					return 0, err
+				}
+				least = min(least, m)
+			}
+		}
+		if n.minID != least {
+			return 0, fmt.Errorf("node minID %d, smallest id beneath is %d", n.minID, least)
+		}
+		return least, nil
+	}
+	if root := tr.root.Load(); root != nil {
+		_, err := walk(root)
+		return err
+	}
+	return nil
+}
+
 func TestBulkMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const dims, n = 8, 500
@@ -158,8 +191,9 @@ func TestBulkMatchesBruteForce(t *testing.T) {
 }
 
 // TestIncrementalEquivalence is the maintenance property: a tree built by
-// interleaved inserts, updates and deletes answers every query exactly
-// like one bulk-loaded from the final item set.
+// interleaved inserts, updates, deletes and rebuilds answers every query
+// exactly like one bulk-loaded from the final item set, and every node's
+// minID stays the smallest id beneath it after every step.
 func TestIncrementalEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const dims = 6
@@ -167,15 +201,15 @@ func TestIncrementalEquivalence(t *testing.T) {
 	tr := New(dims, 8)
 	nextID := uint64(1)
 	for step := 0; step < 2000; step++ {
-		switch op := rng.Intn(10); {
-		case op < 6 || len(live) == 0: // insert
+		switch op := rng.Intn(100); {
+		case op < 60 || len(live) == 0: // insert
 			it := randItem(rng, nextID, dims)
 			nextID++
 			live[it.ID] = it
 			if err := tr.Insert(it); err != nil {
 				t.Fatal(err)
 			}
-		case op < 8: // update a random live id
+		case op < 80: // update a random live id
 			var id uint64
 			for id = range live {
 				break
@@ -185,7 +219,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 			if err := tr.Update(it); err != nil {
 				t.Fatal(err)
 			}
-		default: // delete a random live id
+		case op < 99: // delete a random live id
 			var id uint64
 			for id = range live {
 				break
@@ -194,6 +228,11 @@ func TestIncrementalEquivalence(t *testing.T) {
 			if !tr.Delete(id) {
 				t.Fatalf("delete %d: not found", id)
 			}
+		default:
+			tr.Rebuild()
+		}
+		if err := minIDErr(tr); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 	checkInvariants(t, tr)
@@ -318,23 +357,24 @@ func TestNeedsRebuildThreshold(t *testing.T) {
 	}
 }
 
-func TestBestFirstFindsNearest(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	const dims, n, k = 5, 300, 7
-	var list []Item
-	for i := 0; i < n; i++ {
-		list = append(list, randItem(rng, uint64(i+1), dims))
+// scored is an item ranked by its distance, in the (d, id) order.
+type scored struct {
+	id uint64
+	d  float64
+}
+
+func (a scored) less(b scored) bool {
+	if a.d != b.d {
+		return a.d < b.d
 	}
-	tr := New(dims, 8)
-	if err := tr.Bulk(list); err != nil {
-		t.Fatal(err)
-	}
-	target := make([]float64, dims)
-	for d := range target {
-		target[d] = rng.Float64()
-	}
-	// L1 point-to-box lower bound.
-	lb := func(lo, hi []float64) float64 {
+	return a.id < b.id
+}
+
+// l1LB is the L1 point-to-box lower bound from target. Over an item box it
+// serves as the item's "exact" distance: point boxes make it the true L1
+// distance, interval boxes a deterministic stand-in that respects lb ≤ exact.
+func l1LB(target []float64) func(lo, hi []float64) float64 {
+	return func(lo, hi []float64) float64 {
 		s := 0.0
 		for d := range lo {
 			switch {
@@ -346,60 +386,88 @@ func TestBestFirstFindsNearest(t *testing.T) {
 		}
 		return s
 	}
-	// The "exact" distance of an item is its box lower bound (point boxes
-	// make this the true L1 distance; interval boxes give a deterministic
-	// stand-in that still respects lb ≤ exact).
-	type scored struct {
-		id uint64
-		d  float64
-	}
-	var all []scored
-	for _, it := range list {
+}
+
+// bruteTopK ranks every item by (lb of its box, id) and keeps the first k.
+func bruteTopK(items map[uint64]Item, lb func(lo, hi []float64) float64, k int) []scored {
+	all := make([]scored, 0, len(items))
+	for _, it := range items {
 		all = append(all, scored{it.ID, lb(it.Lo, it.Hi)})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].d != all[j].d {
-			return all[i].d < all[j].d
-		}
-		return all[i].id < all[j].id
-	})
-	want := all[:k]
+	sort.Slice(all, func(i, j int) bool { return all[i].less(all[j]) })
+	return all[:min(k, len(all))]
+}
 
-	kept := make([]scored, 0, k)
-	threshold := func() float64 {
+// bestFirstTopK keeps the (d, id) top k through BestFirst. With byID the
+// prune rule is the k-th-match rule the k-NN path uses — (lb, id) is not
+// better than the k-th; without it, the distance-only rule lb > k-th
+// distance, which is monotone too but cannot stop among ties.
+func bestFirstTopK(t testing.TB, s Snapshot, lb func(lo, hi []float64) float64, k int, byID bool) ([]scored, VisitStats) {
+	t.Helper()
+	kept := make([]scored, 0, k+1)
+	prune := func(l float64, id uint64) bool {
 		if len(kept) < k {
-			return math.Inf(1)
+			return false
 		}
-		return kept[len(kept)-1].d
+		if byID {
+			return !(scored{id, l}).less(kept[k-1])
+		}
+		return l > kept[k-1].d
 	}
 	var st VisitStats
-	err := tr.Snapshot().BestFirst(lb, threshold, func(it *Item) error {
-		d := lb(it.Lo, it.Hi)
-		if d > threshold() {
+	err := s.BestFirst(lb, prune, func(it *Item) error {
+		c := scored{it.ID, lb(it.Lo, it.Hi)}
+		if len(kept) == k && !c.less(kept[k-1]) {
 			return nil
 		}
-		kept = append(kept, scored{it.ID, d})
-		sort.Slice(kept, func(i, j int) bool {
-			if kept[i].d != kept[j].d {
-				return kept[i].d < kept[j].d
-			}
-			return kept[i].id < kept[j].id
-		})
-		if len(kept) > k {
-			kept = kept[:k]
-		}
+		i := sort.Search(len(kept), func(i int) bool { return c.less(kept[i]) })
+		kept = append(kept, scored{})
+		copy(kept[i+1:], kept[i:])
+		kept[i] = c
+		kept = kept[:min(k, len(kept))]
 		return nil
 	}, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(kept) != k {
-		t.Fatalf("kept %d results, want %d", len(kept), k)
+	return kept, st
+}
+
+func sameScored(a, b []scored) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	for i := range want {
-		if kept[i].id != want[i].id {
-			t.Fatalf("result %d: got id %d (d=%v), want id %d (d=%v)", i, kept[i].id, kept[i].d, want[i].id, want[i].d)
+	for i := range a {
+		if a[i] != b[i] {
+			return false
 		}
+	}
+	return true
+}
+
+func TestBestFirstFindsNearest(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	const dims, n, k = 5, 300, 7
+	items := make(map[uint64]Item, n)
+	var list []Item
+	for i := 0; i < n; i++ {
+		it := randItem(rng, uint64(i+1), dims)
+		items[it.ID] = it
+		list = append(list, it)
+	}
+	tr := New(dims, 8)
+	if err := tr.Bulk(list); err != nil {
+		t.Fatal(err)
+	}
+	target := make([]float64, dims)
+	for d := range target {
+		target[d] = rng.Float64()
+	}
+	lb := l1LB(target)
+	want := bruteTopK(items, lb, k)
+	kept, st := bestFirstTopK(t, tr.Snapshot(), lb, k, true)
+	if !sameScored(kept, want) {
+		t.Fatalf("best-first top %d %v, brute force %v", k, kept, want)
 	}
 	if st.NodesVisited == 0 || st.LeafChecks == 0 {
 		t.Fatalf("best-first did no work: %+v", st)
@@ -407,6 +475,116 @@ func TestBestFirstFindsNearest(t *testing.T) {
 	if st.LeafChecks >= int64(n) {
 		t.Fatalf("best-first checked every item (%d of %d): no pruning", st.LeafChecks, n)
 	}
+}
+
+// TestBestFirstTiesPrunedByID pins the subtree half of the tie rule: when
+// the k-th distance is shared by many items, subtrees are pruned on their
+// smallest id, so the descent stops once it holds its k ties instead of
+// checking every tied item to lose on id.
+func TestBestFirstTiesPrunedByID(t *testing.T) {
+	const dims, n = 3, 240
+	points := [][]float64{{0.1, 0.5, 0.9}, {0.2, 0.5, 0.8}, {0.3, 0.4, 0.8}, {0.6, 0.1, 0.3}}
+	items := make(map[uint64]Item, n)
+	var list []Item
+	for i := 0; i < n; i++ {
+		p := points[i%len(points)] // ids of the four boxes interleave
+		it := Item{ID: uint64(i + 1), Lo: p, Hi: p}
+		items[it.ID] = it
+		list = append(list, it)
+	}
+	tr := New(dims, 4)
+	if err := tr.Bulk(list); err != nil {
+		t.Fatal(err)
+	}
+	lb := l1LB(points[0])
+	for _, k := range []int{1, 10, n} {
+		want := bruteTopK(items, lb, k)
+		got, st := bestFirstTopK(t, tr.Snapshot(), lb, k, true)
+		if !sameScored(got, want) {
+			t.Fatalf("k=%d: best-first %v, brute force %v", k, got, want)
+		}
+		old, ost := bestFirstTopK(t, tr.Snapshot(), lb, k, false)
+		if !sameScored(old, want) {
+			t.Fatalf("k=%d: distance-only rule %v, brute force %v", k, old, want)
+		}
+		if k < n/len(points) && st.LeafChecks >= ost.LeafChecks {
+			t.Fatalf("k=%d: (lb, id) pruning checked %d items, distance-only %d", k, st.LeafChecks, ost.LeafChecks)
+		}
+		if k == n && st.LeafChecks != n {
+			t.Fatalf("k=n: checked %d items, want all %d", st.LeafChecks, n)
+		}
+	}
+}
+
+// FuzzBestFirstTies is BestFirst against the brute-force (lb, id) top k on
+// fuzz-built trees: coordinates on a coarse grid so distances tie, boxes
+// and ids duplicated on purpose, point and interval boxes, fuzzed k and
+// fanout, and the tree built by Bulk or by a sequence of Inserts (which
+// replace a duplicate id, as Bulk keeps its last occurrence).
+func FuzzBestFirstTies(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, uint8(3), uint8(4), false)
+	f.Add(bytes.Repeat([]byte{0, 0, 0}, 40), uint8(10), uint8(4), true)
+	f.Add([]byte("interleaved ids over duplicated point and interval boxes"), uint8(1), uint8(5), false)
+	// Each of these fails one broken descent: subtrees pruned on distance
+	// alone at the k-th distance, a child pruned on an id above its minID,
+	// the heap ordered by lb alone so the early stop is unsound.
+	f.Add([]byte("00089000000000100000"), uint8(1), uint8(5), false)
+	f.Add([]byte("20021000121000000000000000100120000000Y20A20020070000"), uint8(1), uint8(4), false)
+	f.Add([]byte("20y20a200001000000000"), uint8(1), uint8('='), false)
+	f.Fuzz(func(t *testing.T, data []byte, k, fanout uint8, incremental bool) {
+		if len(data) < 2 {
+			return
+		}
+		const dims = 2
+		grid := func(b byte) float64 { return float64(b%5) / 4 }
+		target := []float64{grid(data[0]), grid(data[1])}
+		data = data[2:]
+		items := make(map[uint64]Item)
+		var list []Item
+		for len(data) >= 3 && len(list) < 200 {
+			ctl, x, y := data[0], data[1], data[2]
+			data = data[3:]
+			var it Item
+			switch {
+			case ctl%4 == 0 && len(list) > 0: // duplicate an earlier box under a new id
+				prev := list[int(x)%len(list)]
+				it = Item{Lo: prev.Lo, Hi: prev.Hi}
+			case ctl%4 == 1: // interval box
+				lo := []float64{grid(x), grid(y)}
+				hi := []float64{min(1, lo[0]+grid(ctl>>2)), min(1, lo[1]+grid(ctl>>5))}
+				it = Item{Lo: lo, Hi: hi}
+			default: // point box
+				p := []float64{grid(x), grid(y)}
+				it = Item{Lo: p, Hi: p}
+			}
+			it.ID = uint64(len(list) + 1)
+			if ctl&0x80 != 0 && len(list) > 0 { // reuse an earlier id
+				it.ID = uint64(int(y)%len(list) + 1)
+			}
+			items[it.ID] = it
+			list = append(list, it)
+		}
+		tr := New(dims, int(fanout%8))
+		if incremental {
+			for _, it := range list {
+				if err := tr.Insert(it); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else if err := tr.Bulk(list); err != nil {
+			t.Fatal(err)
+		}
+		if err := minIDErr(tr); err != nil {
+			t.Fatal(err)
+		}
+		kk := int(k)%(len(items)+2) + 1
+		lb := l1LB(target)
+		want := bruteTopK(items, lb, kk)
+		got, _ := bestFirstTopK(t, tr.Snapshot(), lb, kk, true)
+		if !sameScored(got, want) {
+			t.Fatalf("k=%d over %d items: best-first %v, brute force %v", kk, len(items), got, want)
+		}
+	})
 }
 
 // TestSnapshotStableUnderMutation pins the lock-free read contract:
@@ -452,13 +630,21 @@ func TestSnapshotStableUnderMutation(t *testing.T) {
 	wrng := rand.New(rand.NewSource(29))
 	for i := 0; i < 500; i++ {
 		id := uint64(wrng.Intn(400) + 1)
-		if wrng.Intn(2) == 0 {
+		switch op := wrng.Intn(20); {
+		case op < 9:
 			if err := tr.Insert(randItem(wrng, id, dims)); err != nil {
 				t.Error(err)
-				break
 			}
-		} else {
+		case op < 19:
 			tr.Delete(id)
+		default:
+			tr.Rebuild()
+		}
+		if err := minIDErr(tr); err != nil {
+			t.Errorf("step %d: %v", i, err)
+		}
+		if t.Failed() {
+			break
 		}
 	}
 	close(stop)

@@ -1,6 +1,8 @@
 package mmdb_test
 
 import (
+	"context"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -449,6 +451,9 @@ func TestFacadeQueryVariants(t *testing.T) {
 	}
 	if st.BinariesScored != 2 {
 		t.Fatalf("scored %d", st.BinariesScored)
+	}
+	if _, _, err := db.WithinDistanceCtx(context.Background(), mmdb.NewFilledImage(8, 8, red), math.NaN(), mmdb.MetricL1); err == nil {
+		t.Fatal("NaN distance accepted")
 	}
 
 	// Multi-probe query by examples.
