@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race vet fmt-check lint lint-tool lint-new lint-deps staticcheck govulncheck ci bench microbench-smoke cluster-smoke replication-smoke crash-matrix obs-overhead-smoke index-smoke bench-smoke clean
+.PHONY: all build test race vet fmt-check lint lint-tool lint-new lint-deps staticcheck govulncheck ci bench microbench-smoke examples-smoke cluster-smoke replication-smoke crash-matrix obs-overhead-smoke index-smoke bench-smoke clean
 
 all: build
 
@@ -63,7 +63,7 @@ lint: fmt-check vet lint-tool
 		echo "govulncheck not installed; skipping (pin: golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
 
-ci: lint build race cluster-smoke replication-smoke crash-matrix obs-overhead-smoke index-smoke bench-smoke microbench-smoke
+ci: lint build race cluster-smoke replication-smoke crash-matrix obs-overhead-smoke index-smoke bench-smoke microbench-smoke examples-smoke
 
 # End-to-end differential check: a 3-shard loopback HTTP cluster must
 # answer range, compound and k-NN queries identically to a single node.
@@ -114,6 +114,14 @@ bench:
 # EXPERIMENTS.md cites as referees must keep building and running.
 microbench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+
+# Every example program runs to completion: they compile in the tier-1
+# build, but only running them catches a runtime failure.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d || exit 1; \
+	done
 
 clean:
 	rm -rf bin

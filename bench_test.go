@@ -276,7 +276,7 @@ func BenchmarkInsertImage(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.InsertImage("x", img); err != nil {
+		if _, err := db.InsertImageCtx(context.Background(), "x", img); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -379,6 +379,7 @@ func BenchmarkPagedRange(b *testing.B) {
 // Returns the flags and their ids so callers can generate more scripts.
 func paperMixDB(b *testing.B, bases int) (*core.DB, []dataset.NamedImage, []uint64) {
 	b.Helper()
+	ctx := context.Background()
 	db, err := core.Open(core.Config{})
 	if err != nil {
 		b.Fatal(err)
@@ -387,14 +388,14 @@ func paperMixDB(b *testing.B, bases int) (*core.DB, []dataset.NamedImage, []uint
 	flags := dataset.Flags(bases, 48, 32, 1)
 	ids := make([]uint64, len(flags))
 	for i, f := range flags {
-		if ids[i], err = db.InsertImage(f.Name, f.Img); err != nil {
+		if ids[i], err = db.InsertImageCtx(ctx, 0, f.Name, f.Img); err != nil {
 			b.Fatal(err)
 		}
 	}
 	aug := dataset.NewAugmenter(dataset.AugmentConfig{PerBase: 4, OpsPerImage: 5, NonWideningFrac: 0.3, Seed: 1})
 	for i, f := range flags {
 		for _, seq := range aug.ScriptsFor(ids[i], f.Img, ids[:i]) {
-			if _, err := db.InsertEdited(f.Name+"-edit", seq); err != nil {
+			if _, err := db.InsertEditedCtx(ctx, 0, f.Name+"-edit", seq); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -474,6 +475,7 @@ func BenchmarkKNNProbe(b *testing.B) {
 // query maintains the S-tree on every write — one BoundsAll walk and a leaf
 // insert per edited image — where one that never has pays nothing.
 func BenchmarkInsertEdited(b *testing.B) {
+	ctx := context.Background()
 	for _, ready := range []bool{true, false} {
 		name := "tree-absent"
 		if ready {
@@ -483,7 +485,7 @@ func BenchmarkInsertEdited(b *testing.B) {
 			db, flags, ids := paperMixDB(b, 1000)
 			if ready {
 				target := histogram.Extract(flags[0].Img, db.Quantizer())
-				if _, _, err := db.KNNCtx(context.Background(), query.KNN{Target: target, K: 10, Metric: query.MetricL1}); err != nil {
+				if _, _, err := db.KNNCtx(ctx, query.KNN{Target: target, K: 10, Metric: query.MetricL1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -495,7 +497,7 @@ func BenchmarkInsertEdited(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.InsertEdited("late", seqs[i%len(seqs)]); err != nil {
+				if _, err := db.InsertEditedCtx(ctx, 0, "late", seqs[i%len(seqs)]); err != nil {
 					b.Fatal(err)
 				}
 			}

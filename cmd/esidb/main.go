@@ -292,7 +292,7 @@ func cmdAugment(args []string) error {
 		return err
 	}
 	defer db.Close()
-	ids, err := db.Augment(*id, mmdb.AugmentOptions{
+	ids, err := db.AugmentCtx(context.Background(), *id, mmdb.AugmentOptions{
 		PerBase: *per, OpsPerImage: *ops, NonWideningFrac: *nonW, Seed: *seed,
 	})
 	if err != nil {
@@ -450,7 +450,7 @@ func cmdSimilar(args []string) error {
 		return err
 	}
 	defer db.Close()
-	matches, st, err := db.QueryByExample(probe, *k, metric)
+	matches, st, err := db.QueryByExampleCtx(context.Background(), probe, *k, metric)
 	if err != nil {
 		return err
 	}
@@ -476,7 +476,7 @@ func cmdDelete(args []string) error {
 		return err
 	}
 	defer db.Close()
-	if err := db.Delete(*id); err != nil {
+	if err := db.DeleteCtx(context.Background(), *id); err != nil {
 		return err
 	}
 	fmt.Printf("deleted object %d\n", *id)
@@ -854,7 +854,7 @@ func cmdMetrics(args []string) error {
 		if err != nil {
 			return err
 		}
-		if _, err := db.QueryCompound(*queryText, mode); err != nil {
+		if _, err := db.QueryCompoundCtx(context.Background(), *queryText, mode); err != nil {
 			return err
 		}
 	}

@@ -17,15 +17,19 @@
 //
 // # Quickstart
 //
-//	db, err := mmdb.Open()                       // in-memory database
-//	id, err := db.InsertImage("photo", img)      // raster + histogram
+//	ctx := context.Background()
+//	db, err := mmdb.Open()                            // in-memory database
+//	id, err := db.InsertImageCtx(ctx, "photo", img)   // raster + histogram
 //	seq := &mmdb.Sequence{BaseID: id, Ops: []mmdb.Op{
 //		mmdb.Modify{Old: red, New: blue},
 //	}}
-//	eid, err := db.InsertEdited("photo-blue", seq)
-//	res, err := db.Query("at least 25% blue")    // BWM execution
+//	eid, err := db.InsertEditedCtx(ctx, "photo-blue", seq)
+//	res, err := db.QueryCtx(ctx, "at least 25% blue") // BWM execution
+//	res, err = db.QueryCtx(ctx, "at least 25% blue", mmdb.ModeRBM, mmdb.WithLimit(20))
 //
-// Open with WithPath for a persistent database: immutable segment files
-// behind a write-ahead log.
+// Every operation has one entry point, which takes the caller's ctx; query
+// options (a Mode, WithTrace, WithLimit, WithAfter) replace positional
+// arguments. Open with WithPath for a persistent database: immutable
+// segment files behind a write-ahead log.
 // See the examples directory for complete programs.
 package mmdb

@@ -1,6 +1,7 @@
 package mmdb_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -11,6 +12,7 @@ import (
 // Example shows the minimal insert-edit-query loop: the edited image is
 // stored as two operations and matched through rule bounds, never pixels.
 func Example() {
+	ctx := context.Background()
 	db, err := mmdb.Open()
 	if err != nil {
 		log.Fatal(err)
@@ -20,35 +22,36 @@ func Example() {
 	blue, _ := mmdb.LookupColor("blue")
 	redC, _ := mmdb.LookupColor("red")
 
-	id, _ := db.InsertImage("square", mmdb.NewFilledImage(10, 10, blue))
-	eid, _ := db.InsertEdited("square-red", &mmdb.Sequence{
+	id, _ := db.InsertImageCtx(ctx, "square", mmdb.NewFilledImage(10, 10, blue))
+	eid, _ := db.InsertEditedCtx(ctx, "square-red", &mmdb.Sequence{
 		BaseID: id,
 		Ops:    []mmdb.Op{mmdb.Modify{Old: blue, New: redC}},
 	})
 
-	res, _ := db.Query("at least 50% red")
+	res, _ := db.QueryCtx(ctx, "at least 50% red")
 	fmt.Println("matches:", res.IDs, "edited id:", eid)
 	// Output: matches: [2] edited id: 2
 }
 
-// ExampleDB_QueryMode contrasts the paper's two methods on the same query:
-// identical results, different rule-evaluation counts.
-func ExampleDB_QueryMode() {
+// ExampleDB_QueryCtx_modes contrasts the paper's two methods on the same
+// query: identical results, different rule-evaluation counts.
+func ExampleDB_QueryCtx_modes() {
+	ctx := context.Background()
 	db, _ := mmdb.Open()
 	defer db.Close()
 
 	blue, _ := mmdb.LookupColor("blue")
 	green, _ := mmdb.LookupColor("green")
-	base, _ := db.InsertImage("b", mmdb.NewFilledImage(8, 8, blue))
+	base, _ := db.InsertImageCtx(ctx, "b", mmdb.NewFilledImage(8, 8, blue))
 	for i := 0; i < 3; i++ {
-		db.InsertEdited("edit", &mmdb.Sequence{
+		db.InsertEditedCtx(ctx, "edit", &mmdb.Sequence{
 			BaseID: base,
 			Ops:    []mmdb.Op{mmdb.Modify{Old: green, New: green}},
 		})
 	}
 
-	rbm, _ := db.QueryMode("at least 50% blue", mmdb.ModeRBM)
-	bwm, _ := db.QueryMode("at least 50% blue", mmdb.ModeBWM)
+	rbm, _ := db.QueryCtx(ctx, "at least 50% blue", mmdb.ModeRBM)
+	bwm, _ := db.QueryCtx(ctx, "at least 50% blue", mmdb.ModeBWM)
 	fmt.Println("same results:", len(rbm.IDs) == len(bwm.IDs))
 	fmt.Println("RBM rule evaluations:", rbm.Stats.OpsEvaluated)
 	fmt.Println("BWM rule evaluations:", bwm.Stats.OpsEvaluated)
@@ -93,17 +96,18 @@ merge null
 // ExampleDB_ExpandToBases shows the paper's base↔edited connection: a match
 // on an edited image also surfaces its original.
 func ExampleDB_ExpandToBases() {
+	ctx := context.Background()
 	db, _ := mmdb.Open()
 	defer db.Close()
 	blue, _ := mmdb.LookupColor("blue")
 	redC, _ := mmdb.LookupColor("red")
-	base, _ := db.InsertImage("original", mmdb.NewFilledImage(4, 4, blue))
-	db.InsertEdited("variant", &mmdb.Sequence{
+	base, _ := db.InsertImageCtx(ctx, "original", mmdb.NewFilledImage(4, 4, blue))
+	db.InsertEditedCtx(ctx, "variant", &mmdb.Sequence{
 		BaseID: base,
 		Ops:    []mmdb.Op{mmdb.Modify{Old: blue, New: redC}},
 	})
 
-	res, _ := db.Query("at least 90% red")
+	res, _ := db.QueryCtx(ctx, "at least 90% red")
 	fmt.Println("direct matches:", res.IDs)
 	fmt.Println("with originals:", db.ExpandToBases(res.IDs))
 	// Output:
@@ -115,12 +119,13 @@ func ExampleDB_ExpandToBases() {
 // edited image: after a recolor, the image may be anywhere between 0% and
 // 100% blue.
 func ExampleDB_Bounds() {
+	ctx := context.Background()
 	db, _ := mmdb.Open()
 	defer db.Close()
 	blue, _ := mmdb.LookupColor("blue")
 	redC, _ := mmdb.LookupColor("red")
-	base, _ := db.InsertImage("b", mmdb.NewFilledImage(10, 10, blue))
-	eid, _ := db.InsertEdited("e", &mmdb.Sequence{
+	base, _ := db.InsertImageCtx(ctx, "b", mmdb.NewFilledImage(10, 10, blue))
+	eid, _ := db.InsertEditedCtx(ctx, "e", &mmdb.Sequence{
 		BaseID: base,
 		Ops:    []mmdb.Op{mmdb.Modify{Old: blue, New: redC}},
 	})

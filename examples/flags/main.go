@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	db, err := mmdb.Open()
 	if err != nil {
 		log.Fatal(err)
@@ -22,14 +24,14 @@ func main() {
 	// 40 synthetic flags standing in for the paper's flags.net scrape.
 	flags := dataset.Flags(40, 60, 40, 7)
 	for _, f := range flags {
-		if _, err := db.InsertImage(f.Name, f.Img); err != nil {
+		if _, err := db.InsertImageCtx(ctx, f.Name, f.Img); err != nil {
 			log.Fatal(err)
 		}
 	}
 	// Augmentation: 4 edited versions per flag, 30% of them containing a
 	// non-bound-widening operation (a paste onto another flag).
 	for _, id := range db.Binaries() {
-		if _, err := db.Augment(id, mmdb.AugmentOptions{
+		if _, err := db.AugmentCtx(ctx, id, mmdb.AugmentOptions{
 			PerBase: 4, OpsPerImage: 4, NonWideningFrac: 0.3, Seed: int64(id),
 		}); err != nil {
 			log.Fatal(err)
@@ -47,11 +49,11 @@ func main() {
 	}
 	fmt.Printf("\n%-28s %8s %12s %12s %10s\n", "query", "matches", "RBM rules", "BWM rules", "skipped")
 	for _, qtext := range queries {
-		rbmRes, err := db.QueryMode(qtext, mmdb.ModeRBM)
+		rbmRes, err := db.QueryCtx(ctx, qtext, mmdb.ModeRBM)
 		if err != nil {
 			log.Fatal(err)
 		}
-		bwmRes, err := db.QueryMode(qtext, mmdb.ModeBWM)
+		bwmRes, err := db.QueryCtx(ctx, qtext, mmdb.ModeBWM)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,7 +67,7 @@ func main() {
 
 	// Show one matched edited flag's stored script: this is ALL the
 	// database keeps for it.
-	res, _ := db.Query("at least 30% red")
+	res, _ := db.QueryCtx(ctx, "at least 30% red")
 	for _, id := range res.IDs {
 		obj, _ := db.Get(id)
 		if obj.Kind == mmdb.KindEdited {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "helmets-example")
 	if err != nil {
 		log.Fatal(err)
@@ -29,12 +31,12 @@ func main() {
 
 	helmets := dataset.Helmets(25, 64, 48, 3)
 	for _, h := range helmets {
-		if _, err := db.InsertImage(h.Name, h.Img); err != nil {
+		if _, err := db.InsertImageCtx(ctx, h.Name, h.Img); err != nil {
 			log.Fatal(err)
 		}
 	}
 	for _, id := range db.Binaries() {
-		if _, err := db.Augment(id, mmdb.AugmentOptions{
+		if _, err := db.AugmentCtx(ctx, id, mmdb.AugmentOptions{
 			PerBase: 3, OpsPerImage: 5, NonWideningFrac: 0.15, Seed: int64(id),
 		}); err != nil {
 			log.Fatal(err)
@@ -46,7 +48,7 @@ func main() {
 	// Query by example: a "game photo" of a helmet we have never stored —
 	// a freshly generated one from the same family.
 	probe := dataset.Helmets(1, 64, 48, 42)[0]
-	matches, knnStats, err := db.QueryByExample(probe.Img, 5, mmdb.MetricL1)
+	matches, knnStats, err := db.QueryByExampleCtx(ctx, probe.Img, 5, mmdb.MetricL1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func main() {
 		knnStats.EditedPruned, knnStats.EditedPruned+knnStats.EditedInstantiated)
 
 	// Persist and reopen: everything (rasters, scripts, classifications)
-	// survives in the single store file.
+	// survives in the segment files under path+".segments/".
 	if err := db.Close(); err != nil {
 		log.Fatal(err)
 	}
@@ -68,11 +70,14 @@ func main() {
 		log.Fatal(err)
 	}
 	defer db2.Close()
-	res, err := db2.Query("at least 20% maroon")
+	res, err := db2.QueryCtx(ctx, "at least 20% maroon")
 	if err != nil {
 		log.Fatal(err)
 	}
-	info, _ := os.Stat(path)
-	fmt.Printf("\nreopened %s (%d bytes): \"at least 20%% maroon\" -> %d matches\n",
-		filepath.Base(path), info.Size(), len(res.IDs))
+	st2, err := db2.Stats()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nreopened %s (%d segments, %d live bytes): \"at least 20%% maroon\" -> %d matches\n",
+		filepath.Base(path), st2.Segment.Segments, st2.Segment.LiveBytes, len(res.IDs))
 }

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// An in-memory database with the default 64-bin RGB quantizer.
 	db, err := mmdb.Open()
 	if err != nil {
@@ -28,7 +30,7 @@ func main() {
 			img.Set(x, y, blue)
 		}
 	}
-	id, err := db.InsertImage("banner", img)
+	id, err := db.InsertImageCtx(ctx, "banner", img)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func main() {
 			mmdb.Modify{Old: blue, New: red},
 		},
 	}
-	eid, err := db.InsertEdited("banner-red", seq)
+	eid, err := db.InsertEditedCtx(ctx, "banner-red", seq)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func main() {
 		"at most 10% red",
 		"between 40% and 60% white",
 	} {
-		res, err := db.Query(q)
+		res, err := db.QueryCtx(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -66,7 +68,7 @@ func main() {
 
 	// The paper's base↔edited connection: expanding a match set pulls in
 	// the original of every matched edit.
-	res, _ := db.Query("at least 25% red")
+	res, _ := db.QueryCtx(ctx, "at least 25% red")
 	fmt.Printf("expanded to bases: %v\n", db.ExpandToBases(res.IDs))
 
 	// Storage economics of the sequence representation.

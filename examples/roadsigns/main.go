@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	db, err := mmdb.Open()
 	if err != nil {
 		log.Fatal(err)
@@ -24,7 +26,7 @@ func main() {
 
 	signs := dataset.RoadSigns(16, 48, 48, 9)
 	for _, s := range signs {
-		if _, err := db.InsertImage(s.Name, s.Img); err != nil {
+		if _, err := db.InsertImageCtx(ctx, s.Name, s.Img); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -45,7 +47,7 @@ func main() {
 			ops = append(ops, mmdb.Modify{Old: c, New: darken(c)})
 		}
 		obj, _ := db.Get(id)
-		if _, err := db.InsertEdited(obj.Name+"-night", &mmdb.Sequence{BaseID: id, Ops: ops}); err != nil {
+		if _, err := db.InsertEditedCtx(ctx, obj.Name+"-night", &mmdb.Sequence{BaseID: id, Ops: ops}); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -67,7 +69,7 @@ func main() {
 	// Without augmentation, the nearest binary image would be far away;
 	// with it, the night variant matches exactly and the connection pulls
 	// in the daytime original.
-	matches, _, err := db.QueryByExample(probe, 3, mmdb.MetricIntersection)
+	matches, _, err := db.QueryByExampleCtx(ctx, probe, 3, mmdb.MetricIntersection)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -35,12 +36,13 @@ func main() {
 
 	// The "front-end" side: everything below talks HTTP only.
 	c := client.New(baseURL, nil)
+	ctx := context.Background()
 
 	// Upload a small gallery of road signs.
 	signs := dataset.RoadSigns(8, 48, 48, 21)
 	var firstID uint64
 	for _, s := range signs {
-		obj, err := c.InsertImage(s.Name, s.Img)
+		obj, err := c.InsertImageCtx(ctx, 0, s.Name, s.Img)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,14 +53,14 @@ func main() {
 	fmt.Printf("uploaded %d signs\n", len(signs))
 
 	// Ask the server to augment the first sign with edited variants.
-	edited, err := c.Augment(firstID, mmdb.AugmentOptions{PerBase: 3, OpsPerImage: 3, Seed: 5})
+	edited, err := c.Augment(ctx, firstID, mmdb.AugmentOptions{PerBase: 3, OpsPerImage: 3, Seed: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("server-side augmentation of sign %d -> edited ids %v\n", firstID, edited)
 
 	// Compound color query over the wire.
-	res, err := c.Query("at least 15% red or at least 15% blue", "bwm", false)
+	res, err := c.QueryCtx(ctx, "at least 15% red or at least 15% blue", "bwm", false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,13 +73,13 @@ func main() {
 
 	// Query by example: a fresh sign photo, uploaded as the probe body.
 	probe := dataset.RoadSigns(1, 48, 48, 99)[0]
-	matches, err := c.Similar(probe.Img, 3, "intersection")
+	matches, err := c.SimilarCtx(ctx, probe.Img, 3, "intersection")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n3 nearest neighbors of a new %s probe:\n", probe.Name)
 	for _, m := range matches {
-		obj, err := c.Get(m.ID)
+		obj, err := c.GetCtx(ctx, m.ID)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -85,13 +87,13 @@ func main() {
 	}
 
 	// Download a server-side instantiation of one edited image.
-	img, err := c.Image(edited[0])
+	img, err := c.ImageCtx(ctx, edited[0])
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nmaterialized edited image %d over HTTP: %dx%d pixels\n", edited[0], img.W, img.H)
 
-	st, err := c.Stats()
+	st, err := c.StatsCtx(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -460,6 +460,7 @@ type OptimizeResult struct {
 // optimized scripts — and compares storage and RBM query time (RBM walks
 // every sequence, so it shows the op-count effect most directly).
 func RunOptimizeAblation(cfg Config) (*OptimizeResult, error) {
+	ctx := context.Background()
 	corpus, err := BuildCorpus(cfg)
 	if err != nil {
 		return nil, err
@@ -479,7 +480,7 @@ func RunOptimizeAblation(cfg Config) (*OptimizeResult, error) {
 	}
 	defer dbOpt.Close()
 	for _, o := range corpus.Originals {
-		if _, err := dbOpt.InsertImage(o.Name, o.Img); err != nil {
+		if _, err := dbOpt.InsertImageCtx(ctx, 0, o.Name, o.Img); err != nil {
 			return nil, err
 		}
 	}
@@ -491,7 +492,7 @@ func RunOptimizeAblation(cfg Config) (*OptimizeResult, error) {
 		res.BytesBefore += int64(len(editops.EncodeBinary(seq)))
 		optSeq := &editops.Sequence{BaseID: seq.BaseID, Ops: opt}
 		res.BytesAfter += int64(len(editops.EncodeBinary(optSeq)))
-		if _, err := dbOpt.InsertEdited(fmt.Sprintf("opt-%d", i), optSeq); err != nil {
+		if _, err := dbOpt.InsertEditedCtx(ctx, 0, fmt.Sprintf("opt-%d", i), optSeq); err != nil {
 			return nil, err
 		}
 	}
@@ -501,11 +502,11 @@ func RunOptimizeAblation(cfg Config) (*OptimizeResult, error) {
 	// Modify(c→c) still widened the bin's maximum under the rule), so
 	// optimization may remove false positives but never true matches.
 	for _, q := range corpus.Workload {
-		a, err := dbPlain.RangeQuery(q, core.ModeRBM)
+		a, err := dbPlain.RangeQueryCtx(ctx, q, core.ModeRBM)
 		if err != nil {
 			return nil, err
 		}
-		b, err := dbOpt.RangeQuery(q, core.ModeRBM)
+		b, err := dbOpt.RangeQueryCtx(ctx, q, core.ModeRBM)
 		if err != nil {
 			return nil, err
 		}
@@ -556,6 +557,7 @@ type QuantPoint struct {
 
 // RunAblationQuantizer sweeps RGB quantizer divisions.
 func RunAblationQuantizer(cfg Config, divisions []int) ([]QuantPoint, error) {
+	ctx := context.Background()
 	var out []QuantPoint
 	for _, divs := range divisions {
 		q := colorspace.NewUniformRGB(divs)
@@ -575,13 +577,13 @@ func RunAblationQuantizer(cfg Config, divisions []int) ([]QuantPoint, error) {
 			return nil, err
 		}
 		for _, o := range corpus.Originals {
-			if _, err := db.InsertImage(o.Name, o.Img); err != nil {
+			if _, err := db.InsertImageCtx(ctx, 0, o.Name, o.Img); err != nil {
 				db.Close()
 				return nil, err
 			}
 		}
 		for i, seq := range corpus.Scripts {
-			if _, err := db.InsertEdited(fmt.Sprintf("s%d", i), seq); err != nil {
+			if _, err := db.InsertEditedCtx(ctx, 0, fmt.Sprintf("s%d", i), seq); err != nil {
 				db.Close()
 				return nil, err
 			}

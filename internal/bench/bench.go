@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -210,6 +211,7 @@ var defaultQuantizer = colorspace.NewUniformRGB(4)
 // materialized (instantiated and inserted as binary images). Originals are
 // always binary.
 func (c *Corpus) BuildDBAt(seqCount int) (*core.DB, error) {
+	ctx := context.Background()
 	if seqCount < 0 || seqCount > len(c.Scripts) {
 		return nil, fmt.Errorf("bench: seqCount %d outside [0,%d]", seqCount, len(c.Scripts))
 	}
@@ -218,7 +220,7 @@ func (c *Corpus) BuildDBAt(seqCount int) (*core.DB, error) {
 		return nil, err
 	}
 	for _, o := range c.Originals {
-		if _, err := db.InsertImage(o.Name, o.Img); err != nil {
+		if _, err := db.InsertImageCtx(ctx, 0, o.Name, o.Img); err != nil {
 			db.Close()
 			return nil, err
 		}
@@ -228,7 +230,7 @@ func (c *Corpus) BuildDBAt(seqCount int) (*core.DB, error) {
 	}}
 	for i, seq := range c.Scripts {
 		if i < seqCount {
-			if _, err := db.InsertEdited(fmt.Sprintf("%s-seq-%d", c.Config.Name, i), seq); err != nil {
+			if _, err := db.InsertEditedCtx(ctx, 0, fmt.Sprintf("%s-seq-%d", c.Config.Name, i), seq); err != nil {
 				db.Close()
 				return nil, err
 			}
@@ -244,7 +246,7 @@ func (c *Corpus) BuildDBAt(seqCount int) (*core.DB, error) {
 			// storing the base again.
 			img = c.Originals[c.ScriptBase[i]].Img
 		}
-		if _, err := db.InsertImage(fmt.Sprintf("%s-mat-%d", c.Config.Name, i), img); err != nil {
+		if _, err := db.InsertImageCtx(ctx, 0, fmt.Sprintf("%s-mat-%d", c.Config.Name, i), img); err != nil {
 			db.Close()
 			return nil, err
 		}
@@ -262,7 +264,7 @@ func (c *Corpus) RunWorkload(db *core.DB, mode core.Mode) (time.Duration, QueryT
 	before := obs.Default().SnapshotCounters()
 	start := time.Now()
 	for _, q := range c.Workload {
-		res, err := db.RangeQuery(q, mode)
+		res, err := db.RangeQueryCtx(context.Background(), q, mode)
 		if err != nil {
 			return 0, totals, err
 		}

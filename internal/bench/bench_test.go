@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -121,6 +122,7 @@ func TestBuildDBAtComposition(t *testing.T) {
 }
 
 func TestRunWorkloadModesAgreeOnCorpusDB(t *testing.T) {
+	ctx := context.Background()
 	c, err := BuildCorpus(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -131,11 +133,11 @@ func TestRunWorkloadModesAgreeOnCorpusDB(t *testing.T) {
 	}
 	defer db.Close()
 	for _, q := range c.Workload {
-		a, err := db.RangeQuery(q, core.ModeRBM)
+		a, err := db.RangeQueryCtx(ctx, q, core.ModeRBM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := db.RangeQuery(q, core.ModeBWM)
+		b, err := db.RangeQueryCtx(ctx, q, core.ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}

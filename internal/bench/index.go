@@ -83,6 +83,7 @@ func indexWorkloads(bins int, seed int64) map[string][]query.Range {
 // through histogram space) plus a slice of edited sequences whose interval
 // boxes exercise the Partial-overlap path.
 func buildIndexDB(candidates int, seed int64) (*core.DB, error) {
+	ctx := context.Background()
 	edited := candidates / 10
 	if edited > 300 {
 		edited = 300
@@ -94,7 +95,7 @@ func buildIndexDB(candidates int, seed int64) (*core.DB, error) {
 		return nil, err
 	}
 	for _, im := range imgs {
-		if _, err := db.InsertImage(im.Name, im.Img); err != nil {
+		if _, err := db.InsertImageCtx(ctx, 0, im.Name, im.Img); err != nil {
 			db.Close()
 			return nil, err
 		}
@@ -116,7 +117,7 @@ func buildIndexDB(candidates int, seed int64) (*core.DB, error) {
 				if done >= edited {
 					break
 				}
-				if _, err := db.InsertEdited(fmt.Sprintf("idx-edit-%d", done), seq); err != nil {
+				if _, err := db.InsertEditedCtx(ctx, 0, fmt.Sprintf("idx-edit-%d", done), seq); err != nil {
 					db.Close()
 					return nil, err
 				}

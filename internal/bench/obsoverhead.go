@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -61,7 +62,7 @@ func RunObsOverhead(cfg Config) ([]ObsOverheadResult, error) {
 			if mode == "traced" {
 				tr = obs.NewTrace()
 			}
-			if _, err := db.RangeQueryTraced(q, core.ModeBWM, tr); err != nil {
+			if _, err := db.RangeQueryCtx(context.Background(), q, core.ModeBWM, core.WithTrace(tr)); err != nil {
 				return 0, err
 			}
 		}

@@ -23,7 +23,7 @@ func TestImageCarriesTraceContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	id, err := db.InsertImage("b", mmdb.NewFilledImage(4, 4, dataset.Blue))
+	id, err := db.InsertImageCtx(context.Background(), "b", mmdb.NewFilledImage(4, 4, dataset.Blue))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +58,7 @@ func TestImageCarriesTraceContext(t *testing.T) {
 // declares its length (the server), streams it in chunks (a proxy), or
 // re-serialises it with white space and members this client does not know.
 func TestAnswerBodyFraming(t *testing.T) {
+	ctx := context.Background()
 	const body = `{"ids":[7,9],"objects":[{"id":7,"kind":"binary","name":"b","width":4,"height":4},` +
 		`{"id":9,"kind":"edited","name":"e","base_id":7,"ops":2,"widening":false}],` +
 		`"stats":{"binaries_checked":1,"edited_walked":1,"ops_evaluated":2,"edited_skipped":0}}` + "\n"
@@ -78,7 +79,7 @@ func TestAnswerBodyFraming(t *testing.T) {
 		}},
 	} {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { tc.write(w) }))
-		res, err := New(ts.URL, ts.Client()).Query("at least 50% blue", "", false)
+		res, err := New(ts.URL, ts.Client()).QueryCtx(ctx, "at least 50% blue", "", false)
 		ts.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -100,7 +101,7 @@ func TestAnswerBodyFraming(t *testing.T) {
 	// A body cut short or followed by anything is an error, not an answer.
 	for _, bad := range []string{body[:len(body)/2], body + "{}"} {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, bad) }))
-		_, err := New(ts.URL, ts.Client()).Query("at least 50% blue", "", false)
+		_, err := New(ts.URL, ts.Client()).QueryCtx(ctx, "at least 50% blue", "", false)
 		ts.Close()
 		if err == nil {
 			t.Fatalf("body %q decoded without error", bad)

@@ -97,12 +97,6 @@ func apiError(resp *http.Response) *APIError {
 	return &APIError{Status: resp.StatusCode, Code: env.Code, Message: env.Error, RequestID: env.RequestID}
 }
 
-// do is the context-free legacy path; every request really goes through
-// doCtx so coordinator deadlines can cancel in-flight shard calls.
-func (c *Client) do(method, path string, body io.Reader, contentType string, out any) error {
-	return c.doCtx(context.Background(), method, path, body, contentType, out)
-}
-
 // send issues one request and returns its 2xx response, whose body the
 // caller closes; any other status comes back as an *APIError.
 func (c *Client) send(ctx context.Context, method, path string, body io.Reader, contentType string) (*http.Response, error) {
@@ -191,14 +185,9 @@ func decodeBody(resp *http.Response, decode func(body []byte) error) error {
 	return decode(buf.Bytes())
 }
 
-// InsertImage uploads a raster (as binary PPM) and returns the new object.
-func (c *Client) InsertImage(name string, img *mmdb.Image) (*Object, error) {
-	return c.InsertImageCtx(context.Background(), 0, name, img)
-}
-
-// InsertImageCtx is InsertImage with a context and an optional explicit
-// object id (0 means "let the server allocate"); cluster coordinators push
-// globally assigned ids down to shards this way.
+// InsertImageCtx uploads a raster (as binary PPM) and returns the new
+// object. id pins the object id (0 means "let the server allocate"); cluster
+// coordinators push globally assigned ids down to shards this way.
 func (c *Client) InsertImageCtx(ctx context.Context, id uint64, name string, img *mmdb.Image) (*Object, error) {
 	var buf bytes.Buffer
 	if err := mmdb.EncodePPM(&buf, img); err != nil {
@@ -212,13 +201,8 @@ func (c *Client) InsertImageCtx(ctx context.Context, id uint64, name string, img
 	return &obj, nil
 }
 
-// InsertSequence uploads an edited image's text script.
-func (c *Client) InsertSequence(name string, seq *mmdb.Sequence) (*Object, error) {
-	return c.InsertSequenceCtx(context.Background(), 0, name, seq)
-}
-
-// InsertSequenceCtx is InsertSequence with a context and an optional
-// explicit object id (see InsertImageCtx).
+// InsertSequenceCtx uploads an edited image's text script; id is as in
+// InsertImageCtx.
 func (c *Client) InsertSequenceCtx(ctx context.Context, id uint64, name string, seq *mmdb.Sequence) (*Object, error) {
 	var obj Object
 	err := c.doCtx(ctx, "POST", "/v1/sequences?"+insertParams(id, name),
@@ -238,12 +222,7 @@ func insertParams(id uint64, name string) string {
 	return q.Encode()
 }
 
-// List returns every object's metadata.
-func (c *Client) List() ([]Object, error) {
-	return c.ListCtx(context.Background())
-}
-
-// ListCtx is List with a context.
+// ListCtx returns every object's metadata.
 func (c *Client) ListCtx(ctx context.Context) ([]Object, error) {
 	var out []Object
 	if err := c.doCtx(ctx, "GET", "/v1/objects", nil, "", &out); err != nil {
@@ -252,13 +231,8 @@ func (c *Client) ListCtx(ctx context.Context) ([]Object, error) {
 	return out, nil
 }
 
-// Get returns one object's metadata (including the script for edited
+// GetCtx returns one object's metadata (including the script for edited
 // images).
-func (c *Client) Get(id uint64) (*Object, error) {
-	return c.GetCtx(context.Background(), id)
-}
-
-// GetCtx is Get with a context.
 func (c *Client) GetCtx(ctx context.Context, id uint64) (*Object, error) {
 	var obj Object
 	if err := c.doCtx(ctx, "GET", fmt.Sprintf("/v1/objects/%d", id), nil, "", &obj); err != nil {
@@ -267,13 +241,8 @@ func (c *Client) GetCtx(ctx context.Context, id uint64) (*Object, error) {
 	return &obj, nil
 }
 
-// Image downloads an object's raster, instantiating edited images
+// ImageCtx downloads an object's raster, instantiating edited images
 // server-side.
-func (c *Client) Image(id uint64) (*mmdb.Image, error) {
-	return c.ImageCtx(context.Background(), id)
-}
-
-// ImageCtx is Image with a context.
 func (c *Client) ImageCtx(ctx context.Context, id uint64) (*mmdb.Image, error) {
 	resp, err := c.send(ctx, "GET", fmt.Sprintf("/v1/objects/%d/image", id), nil, "")
 	if err != nil {
@@ -284,7 +253,7 @@ func (c *Client) ImageCtx(ctx context.Context, id uint64) (*mmdb.Image, error) {
 }
 
 // Augment asks the server to generate edited versions of a base image.
-func (c *Client) Augment(baseID uint64, opts mmdb.AugmentOptions) ([]uint64, error) {
+func (c *Client) Augment(ctx context.Context, baseID uint64, opts mmdb.AugmentOptions) ([]uint64, error) {
 	q := url.Values{}
 	if opts.PerBase > 0 {
 		q.Set("per", strconv.Itoa(opts.PerBase))
@@ -299,19 +268,14 @@ func (c *Client) Augment(baseID uint64, opts mmdb.AugmentOptions) ([]uint64, err
 	var out struct {
 		Edited []uint64 `json:"edited"`
 	}
-	err := c.do("POST", fmt.Sprintf("/v1/objects/%d/augment?%s", baseID, q.Encode()), nil, "", &out)
+	err := c.doCtx(ctx, "POST", fmt.Sprintf("/v1/objects/%d/augment?%s", baseID, q.Encode()), nil, "", &out)
 	if err != nil {
 		return nil, err
 	}
 	return out.Edited, nil
 }
 
-// Delete removes an object.
-func (c *Client) Delete(id uint64) error {
-	return c.DeleteCtx(context.Background(), id)
-}
-
-// DeleteCtx is Delete with a context.
+// DeleteCtx removes an object.
 func (c *Client) DeleteCtx(ctx context.Context, id uint64) error {
 	return c.doCtx(ctx, "DELETE", fmt.Sprintf("/v1/objects/%d", id), nil, "", nil)
 }
@@ -341,15 +305,10 @@ func After(id uint64) Param {
 	}
 }
 
-// Query runs a textual (possibly compound) range query. mode may be empty
-// for BWM ("indexed" selects the bounds S-tree strategy); expandBases adds
-// each match's base image.
-func (c *Client) Query(text, mode string, expandBases bool) (*QueryResult, error) {
-	return c.QueryCtx(context.Background(), text, mode, expandBases)
-}
-
-// QueryCtx is Query with a context. A span in the ctx upgrades the call to
-// a traced one: the server returns its span tree in QueryResult.Trace.
+// QueryCtx runs a textual (possibly compound) range query. mode may be
+// empty for BWM ("indexed" selects the bounds S-tree strategy); expandBases
+// adds each match's base image. A span in the ctx upgrades the call to a
+// traced one: the server returns its span tree in QueryResult.Trace.
 func (c *Client) QueryCtx(ctx context.Context, text, mode string, expandBases bool, params ...Param) (*QueryResult, error) {
 	q := url.Values{}
 	q.Set("q", text)
@@ -375,8 +334,8 @@ func (c *Client) QueryCtx(ctx context.Context, text, mode string, expandBases bo
 }
 
 // MultiRangeCtx runs a structured multi-range query (sum of the given bins'
-// percentages within [pctMin, pctMax]) via GET /multirange. MultiRange has
-// no text form, so unlike Query this endpoint takes the bins directly.
+// percentages within [pctMin, pctMax]) via GET /v1/multirange. MultiRange
+// has no text form, so unlike QueryCtx this endpoint takes the bins directly.
 func (c *Client) MultiRangeCtx(ctx context.Context, bins []int, pctMin, pctMax float64, mode string, params ...Param) (*QueryResult, error) {
 	q := url.Values{}
 	strs := make([]string, len(bins))
@@ -405,21 +364,16 @@ func (c *Client) MultiRangeCtx(ctx context.Context, bins []int, pctMin, pctMax f
 }
 
 // Explain fetches a query's plan without running it.
-func (c *Client) Explain(text string) (*mmdb.Plan, error) {
+func (c *Client) Explain(ctx context.Context, text string) (*mmdb.Plan, error) {
 	var out mmdb.Plan
-	if err := c.do("GET", "/v1/explain?q="+url.QueryEscape(text), nil, "", &out); err != nil {
+	if err := c.doCtx(ctx, "GET", "/v1/explain?q="+url.QueryEscape(text), nil, "", &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// Similar uploads a probe image and returns its k nearest neighbors.
+// SimilarCtx uploads a probe image and returns its k nearest neighbors.
 // metric may be empty for L1.
-func (c *Client) Similar(probe *mmdb.Image, k int, metric string) ([]Match, error) {
-	return c.SimilarCtx(context.Background(), probe, k, metric)
-}
-
-// SimilarCtx is Similar with a context.
 func (c *Client) SimilarCtx(ctx context.Context, probe *mmdb.Image, k int, metric string) ([]Match, error) {
 	matches, _, err := c.SimilarTracedCtx(ctx, probe, k, metric)
 	return matches, err
@@ -452,12 +406,7 @@ func (c *Client) SimilarTracedCtx(ctx context.Context, probe *mmdb.Image, k int,
 	return out.Matches, out.Trace, nil
 }
 
-// Stats returns the server's database statistics.
-func (c *Client) Stats() (*mmdb.Stats, error) {
-	return c.StatsCtx(context.Background())
-}
-
-// StatsCtx is Stats with a context.
+// StatsCtx returns the server's database statistics.
 func (c *Client) StatsCtx(ctx context.Context) (*mmdb.Stats, error) {
 	var out mmdb.Stats
 	if err := c.doCtx(ctx, "GET", "/v1/stats", nil, "", &out); err != nil {
@@ -472,8 +421,8 @@ func (c *Client) Health(ctx context.Context) error {
 }
 
 // Compact asks the server to rewrite its store file.
-func (c *Client) Compact() error {
-	return c.do("POST", "/v1/compact", nil, "", nil)
+func (c *Client) Compact(ctx context.Context) error {
+	return c.doCtx(ctx, "POST", "/v1/compact", nil, "", nil)
 }
 
 // WALStats fetches write-ahead-log statistics; enabled is false when the

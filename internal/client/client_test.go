@@ -27,9 +27,10 @@ func newPair(t *testing.T) (*Client, *mmdb.DB) {
 }
 
 func TestClientRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	c, _ := newPair(t)
 	img := mmdb.NewFilledImage(10, 10, dataset.Blue)
-	obj, err := c.InsertImage("bluey", img)
+	obj, err := c.InsertImageCtx(ctx, 0, "bluey", img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestClientRoundTrip(t *testing.T) {
 	// Insert an edited version remotely.
 	seq := &mmdb.Sequence{BaseID: obj.ID, Ops: mmdb.Recolor(mmdb.R(0, 0, 10, 10),
 		[2]mmdb.RGB{dataset.Blue, dataset.Red})}
-	eobj, err := c.InsertSequence("red-version", seq)
+	eobj, err := c.InsertSequenceCtx(ctx, 0, "red-version", seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +50,14 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 
 	// List and Get.
-	list, err := c.List()
+	list, err := c.ListCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(list) != 2 {
 		t.Fatalf("list %v", list)
 	}
-	got, err := c.Get(eobj.ID)
+	got, err := c.GetCtx(ctx, eobj.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +66,14 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 
 	// Query, both plain and expanded.
-	res, err := c.Query("at least 50% red", "", false)
+	res, err := c.QueryCtx(ctx, "at least 50% red", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.IDs) != 1 || res.IDs[0] != eobj.ID {
 		t.Fatalf("query %v", res.IDs)
 	}
-	res, err = c.Query("at least 50% red", "rbm", true)
+	res, err = c.QueryCtx(ctx, "at least 50% red", "rbm", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 
 	// Materialize the edited image through the API.
-	inst, err := c.Image(eobj.ID)
+	inst, err := c.ImageCtx(ctx, eobj.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 
 	// Similarity search.
-	matches, err := c.Similar(mmdb.NewFilledImage(10, 10, dataset.Blue), 1, "l2")
+	matches, err := c.SimilarCtx(ctx, mmdb.NewFilledImage(10, 10, dataset.Blue), 1, "l2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 
 	// Stats.
-	st, err := c.Stats()
+	st, err := c.StatsCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,34 +109,35 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 
 	// Delete: the base is blocked, then deletable.
-	err = c.Delete(obj.ID)
+	err = c.DeleteCtx(ctx, obj.ID)
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != 409 {
 		t.Fatalf("conflict delete: %v", err)
 	}
-	if err := c.Delete(eobj.ID); err != nil {
+	if err := c.DeleteCtx(ctx, eobj.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete(obj.ID); err != nil {
+	if err := c.DeleteCtx(ctx, obj.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(obj.ID); err == nil {
+	if _, err := c.GetCtx(ctx, obj.ID); err == nil {
 		t.Fatal("get after delete succeeded")
 	}
 
 	// Compact (no-op on memory DB, but must round-trip).
-	if err := c.Compact(); err != nil {
+	if err := c.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestClientAugment(t *testing.T) {
+	ctx := context.Background()
 	c, db := newPair(t)
-	obj, err := c.InsertImage("f", dataset.Flags(1, 24, 16, 1)[0].Img)
+	obj, err := c.InsertImageCtx(ctx, 0, "f", dataset.Flags(1, 24, 16, 1)[0].Img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := c.Augment(obj.ID, mmdb.AugmentOptions{PerBase: 3, OpsPerImage: 3, Seed: 2})
+	ids, err := c.Augment(ctx, obj.ID, mmdb.AugmentOptions{PerBase: 3, OpsPerImage: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,45 +147,47 @@ func TestClientAugment(t *testing.T) {
 }
 
 func TestClientErrors(t *testing.T) {
+	ctx := context.Background()
 	c, _ := newPair(t)
-	if _, err := c.Get(999); err == nil {
+	if _, err := c.GetCtx(ctx, 999); err == nil {
 		t.Fatal("missing object resolved")
 	}
-	if _, err := c.Query("gibberish", "", false); err == nil {
+	if _, err := c.QueryCtx(ctx, "gibberish", "", false); err == nil {
 		t.Fatal("bad query accepted")
 	}
 	var apiErr *APIError
-	_, err := c.Query("gibberish", "", false)
+	_, err := c.QueryCtx(ctx, "gibberish", "", false)
 	if !errors.As(err, &apiErr) || apiErr.Status != 400 {
 		t.Fatalf("error shape: %v", err)
 	}
 	if apiErr.Error() == "" {
 		t.Fatal("empty error text")
 	}
-	if _, err := c.Image(999); err == nil {
+	if _, err := c.ImageCtx(ctx, 999); err == nil {
 		t.Fatal("missing image resolved")
 	}
 	// Server down.
 	dead := New("http://127.0.0.1:1", nil)
-	if _, err := dead.List(); err == nil {
+	if _, err := dead.ListCtx(ctx); err == nil {
 		t.Fatal("dead server reachable")
 	}
 }
 
 func TestClientExplain(t *testing.T) {
+	ctx := context.Background()
 	c, db := newPair(t)
-	base, _ := db.InsertImage("b", mmdb.NewFilledImage(8, 8, dataset.Blue))
-	db.InsertEdited("e", &mmdb.Sequence{BaseID: base, Ops: mmdb.Recolor(mmdb.R(0, 0, 8, 8),
+	base, _ := db.InsertImageCtx(ctx, "b", mmdb.NewFilledImage(8, 8, dataset.Blue))
+	db.InsertEditedCtx(ctx, "e", &mmdb.Sequence{BaseID: base, Ops: mmdb.Recolor(mmdb.R(0, 0, 8, 8),
 		[2]mmdb.RGB{dataset.Blue, dataset.Red})})
 
-	plan, err := c.Explain("at least 50% blue")
+	plan, err := c.Explain(ctx, "at least 50% blue")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Binaries != 1 || plan.BaseMatches != 1 || plan.SkippedByBWM != 1 {
 		t.Fatalf("plan %+v", plan)
 	}
-	if _, err := c.Explain("gibberish"); err == nil {
+	if _, err := c.Explain(ctx, "gibberish"); err == nil {
 		t.Fatal("bad explain accepted")
 	}
 }
@@ -191,7 +195,7 @@ func TestClientExplain(t *testing.T) {
 func TestClientContext(t *testing.T) {
 	c, db := newPair(t)
 	img := mmdb.NewFilledImage(8, 8, dataset.Red)
-	if _, err := db.InsertImage("red", img); err != nil {
+	if _, err := db.InsertImageCtx(context.Background(), "red", img); err != nil {
 		t.Fatal(err)
 	}
 
@@ -222,9 +226,10 @@ func TestClientContext(t *testing.T) {
 }
 
 func TestClientInsertWithID(t *testing.T) {
+	ctx := context.Background()
 	c, db := newPair(t)
 	img := mmdb.NewFilledImage(8, 8, dataset.Blue)
-	obj, err := c.InsertImageCtx(context.Background(), 41, "blue41", img)
+	obj, err := c.InsertImageCtx(ctx, 41, "blue41", img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +240,7 @@ func TestClientInsertWithID(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Conflicts surface as APIError 409.
-	_, err = c.InsertImageCtx(context.Background(), 41, "dup", img)
+	_, err = c.InsertImageCtx(ctx, 41, "dup", img)
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Status != 409 {
 		t.Fatalf("duplicate id error = %v, want 409", err)
@@ -247,7 +252,7 @@ func TestClientInsertWithID(t *testing.T) {
 func TestClientPaging(t *testing.T) {
 	c, db := newPair(t)
 	for i := 0; i < 5; i++ {
-		if _, err := db.InsertImage("b", mmdb.NewFilledImage(8, 8, dataset.Blue)); err != nil {
+		if _, err := db.InsertImageCtx(context.Background(), "b", mmdb.NewFilledImage(8, 8, dataset.Blue)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -53,13 +53,14 @@ func makeCorpus(nBase, perBase int, seed int64) *corpus {
 
 func (c *corpus) seedSingle(t *testing.T) *mmdb.DB {
 	t.Helper()
+	ctx := context.Background()
 	db, err := mmdb.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
 	for i, f := range c.flags {
-		id, err := db.InsertImage(f.Name, f.Img)
+		id, err := db.InsertImageCtx(ctx, f.Name, f.Img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +70,7 @@ func (c *corpus) seedSingle(t *testing.T) *mmdb.DB {
 	}
 	for i, f := range c.flags {
 		for _, seq := range c.scripts[i] {
-			if _, err := db.InsertEdited(f.Name+"-edit", seq.Clone()); err != nil {
+			if _, err := db.InsertEditedCtx(ctx, f.Name+"-edit", seq.Clone()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -144,7 +145,7 @@ func TestClusterQueryParity(t *testing.T) {
 	for _, mode := range []string{"bwm", "rbm", "indexed"} {
 		m, _ := ParseMode(mode)
 		for _, q := range parityQueries {
-			want, err := single.QueryCompound(q.text, m)
+			want, err := single.QueryCompoundCtx(ctx, q.text, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +162,7 @@ func TestClusterQueryParity(t *testing.T) {
 		}
 
 		mq := mmdb.MultiRange{Bins: []int{0, 1, 2}, PctMin: 0, PctMax: 0.9}
-		want, err := single.RangeQueryMulti(mq, m)
+		want, err := single.RangeQueryMultiCtx(ctx, mq, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +179,7 @@ func TestClusterQueryParity(t *testing.T) {
 		met, _ := ParseMetric(metric)
 		for _, k := range []int{1, 5, 20} {
 			probe := c.flags[2].Img
-			want, _, err := single.QueryByExample(probe, k, met)
+			want, _, err := single.QueryByExampleCtx(ctx, probe, k, met)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +206,7 @@ func TestClusterBaseAffinity(t *testing.T) {
 	c.seedCluster(t, coord)
 	ctx := context.Background()
 
-	ring, _ := coord.snapshot()
+	ring := coord.ring
 	seenEdited := make(map[uint64]string)
 	for _, p := range procs {
 		metas, err := p.List(ctx)
@@ -296,7 +297,7 @@ func TestClusterPartial(t *testing.T) {
 	c.seedCluster(t, coord)
 	ctx := context.Background()
 
-	full, err := single.QueryCompound("at least 0% red", mmdb.ModeBWM)
+	full, err := single.QueryCompoundCtx(ctx, "at least 0% red", mmdb.ModeBWM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,29 +407,30 @@ func (f *flakyShard) Query(ctx context.Context, text, mode string, sp *obs.Span)
 // TestClusterRetry: a shard that fails once inside the retry budget still
 // contributes, so the answer is complete, not partial.
 func TestClusterRetry(t *testing.T) {
+	ctx := context.Background()
 	c := makeCorpus(6, 2, 5)
 	single := c.seedSingle(t)
 	coord, procs := newInProcCluster(t, 3)
 	c.seedCluster(t, coord)
 
-	// Swap shard s0's transport for a flaky wrapper after seeding.
+	// Serve the seeded shards again, s0 behind a flaky wrapper.
 	flaky := &flakyShard{InProc: procs[0]}
 	flaky.remaining.Store(1)
-	coord.mu.Lock()
-	for i, cc := range coord.conns {
-		if cc.shard.ID() == "s0" {
-			coord.conns[i] = newShardConn(flaky)
-			coord.byID["s0"] = coord.conns[i]
-		}
+	shards := map[string]Shard{"s0": flaky}
+	for _, p := range procs[1:] {
+		shards[p.ID()] = p
 	}
-	coord.mu.Unlock()
-
-	before := mRetries.Value()
-	want, err := single.QueryCompound("at least 5% red", mmdb.ModeBWM)
+	coord, err := New(coord.Map(), shards, Options{Policy: testPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.Query(context.Background(), "at least 5% red", "bwm", nil)
+
+	before := mRetries.Value()
+	want, err := single.QueryCompoundCtx(ctx, "at least 5% red", mmdb.ModeBWM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := coord.Query(ctx, "at least 5% red", "bwm", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +531,7 @@ func TestClusterHTTPParity(t *testing.T) {
 	c.seedCluster(t, coord)
 	ctx := context.Background()
 
-	want, err := single.QueryCompound("at least 5% red and at most 90% blue", mmdb.ModeBWM)
+	want, err := single.QueryCompoundCtx(ctx, "at least 5% red and at most 90% blue", mmdb.ModeBWM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +553,7 @@ func TestClusterHTTPParity(t *testing.T) {
 		t.Fatalf("http cluster indexed %v (partial=%v) != single %v", gotIdx.IDs, gotIdx.Partial, want.IDs)
 	}
 
-	wantKNN, _, err := single.QueryByExample(c.flags[1].Img, 7, mmdb.MetricL1)
+	wantKNN, _, err := single.QueryByExampleCtx(ctx, c.flags[1].Img, 7, mmdb.MetricL1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,6 +606,7 @@ func TestClusterStats(t *testing.T) {
 // TestClusterInsertIDSync: a coordinator built over already-populated
 // shards continues the id sequence instead of colliding.
 func TestClusterInsertIDSync(t *testing.T) {
+	ctx := context.Background()
 	c := makeCorpus(5, 1, 17)
 	coord, procs := newInProcCluster(t, 3)
 	c.seedCluster(t, coord)
@@ -618,13 +621,13 @@ func TestClusterInsertIDSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _, err := coord2.InsertImage(context.Background(), "late", c.flags[0].Img)
+	id, _, err := coord2.InsertImage(ctx, "late", c.flags[0].Img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var max uint64
 	for _, p := range procs {
-		metas, err := p.List(context.Background())
+		metas, err := p.List(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

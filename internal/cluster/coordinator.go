@@ -29,11 +29,12 @@ type Coordinator struct {
 	pol Policy
 	par int
 
-	mu    sync.RWMutex
-	smap  *ShardMap             // guarded by mu
-	ring  *Ring                 // guarded by mu
-	conns []*shardConn          // guarded by mu; shard-map order
-	byID  map[string]*shardConn // guarded by mu
+	// The membership is fixed at construction: New is the only writer of
+	// these four, so readers need no lock.
+	smap  *ShardMap
+	ring  *Ring
+	conns []*shardConn // shard-map order
+	byID  map[string]*shardConn
 
 	health *healthState
 
@@ -72,22 +73,21 @@ func New(m *ShardMap, shards map[string]Shard, opts Options) (*Coordinator, erro
 	c := &Coordinator{
 		pol:    opts.Policy.withDefaults(),
 		par:    opts.Parallelism,
+		smap:   m,
+		ring:   ring,
+		conns:  make([]*shardConn, 0, len(m.Shards)),
+		byID:   make(map[string]*shardConn, len(m.Shards)),
 		health: newHealthState(),
 	}
-	conns := make([]*shardConn, 0, len(m.Shards))
-	byID := make(map[string]*shardConn, len(m.Shards))
 	for _, info := range m.Shards {
 		sh, ok := shards[info.ID]
 		if !ok || sh == nil {
 			return nil, fmt.Errorf("cluster: no transport for shard %q", info.ID)
 		}
 		cc := newShardConn(sh)
-		conns = append(conns, cc)
-		byID[info.ID] = cc
+		c.conns = append(c.conns, cc)
+		c.byID[info.ID] = cc
 	}
-	c.mu.Lock()
-	c.smap, c.ring, c.conns, c.byID = m, ring, conns, byID
-	c.mu.Unlock()
 	return c, nil
 }
 
@@ -111,17 +111,11 @@ func NewInProcCluster(n int, opts Options) (*Coordinator, error) {
 	return New(m, shards, opts)
 }
 
-// Map returns the current shard map.
-func (c *Coordinator) Map() *ShardMap {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.smap
-}
+// Map returns the shard map.
+func (c *Coordinator) Map() *ShardMap { return c.smap }
 
 // ShardIDs returns the shard ids in map order.
 func (c *Coordinator) ShardIDs() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	out := make([]string, len(c.smap.Shards))
 	for i, s := range c.smap.Shards {
 		out[i] = s.ID
@@ -129,17 +123,7 @@ func (c *Coordinator) ShardIDs() []string {
 	return out
 }
 
-// snapshot returns the current ring and connections without holding the
-// lock across network calls.
-func (c *Coordinator) snapshot() (*Ring, []*shardConn) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ring, c.conns
-}
-
 func (c *Coordinator) connFor(baseID uint64) (*shardConn, string) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	id := c.ring.ShardFor(baseID)
 	return c.byID[id], id
 }
@@ -158,9 +142,8 @@ func (c *Coordinator) workers(n int) int {
 // A canceled context also fails the whole call: partial results are for
 // dead shards, not impatient callers.
 func gather[T any](ctx context.Context, c *Coordinator, tr *obs.Trace, fn func(ctx context.Context, sh Shard, sp *obs.Span) (T, error)) (vals []T, ok []bool, missed []string, err error) {
-	_, conns := c.snapshot()
 	var targets []*shardConn
-	for _, cc := range conns {
+	for _, cc := range c.conns {
 		if c.health.active() && cc.state.current() == StateDown {
 			missed = append(missed, cc.shard.ID())
 			continue
@@ -213,15 +196,15 @@ func gather[T any](ctx context.Context, c *Coordinator, tr *obs.Trace, fn func(c
 		missed = append(missed, targets[i].shard.ID())
 	}
 	tr.Count(obs.TClusterShardsFailed, failed)
-	if len(missed) == len(conns) {
+	if len(missed) == len(c.conns) {
 		// Nothing answered; a fully missing result is an outage, not a
 		// degraded answer.
 		for _, e := range errs {
 			if e != nil {
-				return nil, nil, nil, fmt.Errorf("cluster: all %d shards failed: %w", len(conns), e)
+				return nil, nil, nil, fmt.Errorf("cluster: all %d shards failed: %w", len(c.conns), e)
 			}
 		}
-		return nil, nil, nil, fmt.Errorf("cluster: all %d shards down", len(conns))
+		return nil, nil, nil, fmt.Errorf("cluster: all %d shards down", len(c.conns))
 	}
 	sort.Strings(missed)
 	return vals, ok, missed, nil
@@ -359,9 +342,8 @@ type ClusterStats struct {
 
 // Stats collects every live shard's database statistics.
 func (c *Coordinator) Stats(ctx context.Context) (*ClusterStats, error) {
-	_, conns := c.snapshot()
-	ids := make([]string, len(conns))
-	for i, cc := range conns {
+	ids := make([]string, len(c.conns))
+	for i, cc := range c.conns {
 		ids[i] = cc.shard.ID()
 	}
 	vals, ok, missed, err := gather(ctx, c, nil, func(actx context.Context, sh Shard, _ *obs.Span) (*mmdb.Stats, error) {
@@ -431,9 +413,8 @@ func (c *Coordinator) ensureIDsLocked(ctx context.Context) error {
 	if c.idSynced {
 		return nil
 	}
-	_, conns := c.snapshot()
 	var max uint64
-	for _, cc := range conns {
+	for _, cc := range c.conns {
 		metas, err := callShard(ctx, c.pol, true, func(actx context.Context) ([]ObjectMeta, error) {
 			return cc.shard.List(actx)
 		})

@@ -111,9 +111,8 @@ var nowFunc = time.Now
 
 // Health reports every shard's current state, keyed by shard id.
 func (c *Coordinator) Health() map[string]State {
-	_, conns := c.snapshot()
-	out := make(map[string]State, len(conns))
-	for _, cc := range conns {
+	out := make(map[string]State, len(c.conns))
+	for _, cc := range c.conns {
 		out[cc.shard.ID()] = cc.state.current()
 	}
 	return out
@@ -122,9 +121,8 @@ func (c *Coordinator) Health() map[string]State {
 // CheckNow pings every shard once (concurrently) and folds the outcomes
 // into their health states. It returns the post-probe states.
 func (c *Coordinator) CheckNow(ctx context.Context) map[string]State {
-	_, conns := c.snapshot()
 	done := make(chan struct{})
-	for _, cc := range conns {
+	for _, cc := range c.conns {
 		go func(cc *shardConn) {
 			defer func() { done <- struct{}{} }()
 			pctx, cancel := context.WithTimeout(ctx, c.pol.Timeout)
@@ -136,7 +134,7 @@ func (c *Coordinator) CheckNow(ctx context.Context) map[string]State {
 			}
 		}(cc)
 	}
-	for range conns {
+	for range c.conns {
 		<-done
 	}
 	return c.Health()

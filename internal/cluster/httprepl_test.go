@@ -93,11 +93,11 @@ func TestReplicationHTTPEndToEnd(t *testing.T) {
 			t.Fatalf("follower %s census diverged: leader %v follower %v", f.id, lids, fids)
 		}
 		for _, pq := range parityQueries {
-			lres, err := leader.db.QueryCompound(pq.text, mmdb.ModeBWM)
+			lres, err := leader.db.QueryCompoundCtx(ctx, pq.text, mmdb.ModeBWM)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fres, err := f.db.QueryCompound(pq.text, mmdb.ModeBWM)
+			fres, err := f.db.QueryCompoundCtx(ctx, pq.text, mmdb.ModeBWM)
 			if err != nil {
 				t.Fatal(err)
 			}

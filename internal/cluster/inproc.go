@@ -148,7 +148,7 @@ func (s *InProc) Delete(ctx context.Context, id uint64) error {
 	if err := s.check(ctx); err != nil {
 		return err
 	}
-	return markQueryError(s.db.Delete(id))
+	return markQueryError(s.db.DeleteCtx(ctx, id))
 }
 
 // Query implements Shard. A non-nil sp records the engine's span tree
@@ -161,7 +161,7 @@ func (s *InProc) Query(ctx context.Context, text, mode string, sp *obs.Span) (*S
 	if err != nil {
 		return nil, queryError{err}
 	}
-	res, err := s.db.QueryCompoundTracedCtx(ctx, text, m, obs.TraceForSpan(sp))
+	res, err := s.db.QueryCompoundCtx(ctx, text, m, mmdb.WithTrace(obs.TraceForSpan(sp)))
 	if err != nil {
 		return nil, markQueryError(err)
 	}
@@ -177,7 +177,7 @@ func (s *InProc) MultiRange(ctx context.Context, bins []int, pctMin, pctMax floa
 	if err != nil {
 		return nil, queryError{err}
 	}
-	res, err := s.db.RangeQueryMultiTracedCtx(ctx, mmdb.MultiRange{Bins: bins, PctMin: pctMin, PctMax: pctMax}, m, obs.TraceForSpan(sp))
+	res, err := s.db.RangeQueryMultiCtx(ctx, mmdb.MultiRange{Bins: bins, PctMin: pctMin, PctMax: pctMax}, m, mmdb.WithTrace(obs.TraceForSpan(sp)))
 	if err != nil {
 		return nil, markQueryError(err)
 	}
@@ -193,7 +193,7 @@ func (s *InProc) Similar(ctx context.Context, probe *mmdb.Image, k int, metric s
 	if err != nil {
 		return nil, queryError{err}
 	}
-	matches, _, err := s.db.QueryByExampleTracedCtx(ctx, probe, k, m, obs.TraceForSpan(sp))
+	matches, _, err := s.db.QueryByExampleCtx(ctx, probe, k, m, mmdb.WithTrace(obs.TraceForSpan(sp)))
 	if err != nil {
 		return nil, markQueryError(err)
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // DefaultVNodes is the virtual-node count per shard on the hash ring.
-// Enough points that adding one shard to a small cluster moves close to
-// its fair 1/n share of base-clusters, cheap enough that ShardFor stays a
+// Enough points that every shard of a small cluster owns close to its fair
+// 1/n share of base-clusters, cheap enough that ShardFor stays a
 // binary search over a few hundred points.
 const DefaultVNodes = 64
 
@@ -75,14 +75,6 @@ func (m *ShardMap) Shard(id string) (ShardInfo, bool) {
 		}
 	}
 	return ShardInfo{}, false
-}
-
-// WithShard returns a copy of the map with one shard appended.
-func (m *ShardMap) WithShard(info ShardInfo) *ShardMap {
-	out := &ShardMap{VNodes: m.VNodes, Shards: make([]ShardInfo, 0, len(m.Shards)+1)}
-	out.Shards = append(out.Shards, m.Shards...)
-	out.Shards = append(out.Shards, info)
-	return out
 }
 
 // LoadShardMap reads and validates a JSON shard-map file.
@@ -200,28 +192,4 @@ func mix64(x uint64) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
-}
-
-// Move is one base-cluster relocation in a rebalance plan: the base image
-// and every edited derivative hop together from From to To.
-type Move struct {
-	Base     uint64
-	From, To string
-}
-
-// PlanMoves diffs two rings over the given base ids and returns the
-// base-clusters whose home changes, sorted by base id for deterministic,
-// streamable execution. Bases whose assignment is unchanged do not move —
-// the consistent ring is what keeps this list ~1/n of the data when one
-// shard joins an n-shard cluster.
-func PlanMoves(oldRing, newRing *Ring, bases []uint64) []Move {
-	var moves []Move
-	for _, b := range bases {
-		from, to := oldRing.ShardFor(b), newRing.ShardFor(b)
-		if from != to {
-			moves = append(moves, Move{Base: b, From: from, To: to})
-		}
-	}
-	sort.Slice(moves, func(i, j int) bool { return moves[i].Base < moves[j].Base })
-	return moves
 }

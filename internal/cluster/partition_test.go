@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	mmdb "repro"
 )
 
 func testMap(n int) *ShardMap {
@@ -99,146 +96,5 @@ func TestRouteKey(t *testing.T) {
 	}
 	if RouteKey(7, 3) != 3 {
 		t.Fatal("edited routes by its base id")
-	}
-}
-
-// TestPlanMoves: growing the cluster only moves bases *to* the new shard,
-// and moves a minority of them — the consistent-hashing contract.
-func TestPlanMoves(t *testing.T) {
-	oldRing, err := NewRing(testMap(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRing, err := NewRing(testMap(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bases []uint64
-	for id := uint64(1); id <= 400; id++ {
-		bases = append(bases, id)
-	}
-	moves := PlanMoves(oldRing, newRing, bases)
-	if len(moves) == 0 {
-		t.Fatal("adding a shard must move something")
-	}
-	if len(moves) >= len(bases)/2 {
-		t.Fatalf("moved %d of %d bases; consistent hashing should move ~1/4", len(moves), len(bases))
-	}
-	for i, mv := range moves {
-		if mv.To != "s3" {
-			t.Fatalf("move %+v targets an old shard", mv)
-		}
-		if newRing.ShardFor(mv.Base) != mv.To || oldRing.ShardFor(mv.Base) != mv.From {
-			t.Fatalf("move %+v disagrees with the rings", mv)
-		}
-		if i > 0 && moves[i-1].Base >= mv.Base {
-			t.Fatal("moves must be sorted by base id")
-		}
-	}
-}
-
-// TestAddShardRebalance is the end-to-end grow test: seed a 2-shard
-// cluster, add a third, and check the moved data answers identically,
-// base-affinity holds on the new layout, and moved objects left their old
-// homes (except merge-target replicas).
-func TestAddShardRebalance(t *testing.T) {
-	c := makeCorpus(12, 2, 31)
-	single := c.seedSingle(t)
-	coord, procs := newInProcCluster(t, 2)
-	c.seedCluster(t, coord)
-	ctx := context.Background()
-
-	db, err := mmdb.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	newProc := NewInProc("s2", db)
-	rep, err := coord.AddShard(ctx, ShardInfo{ID: "s2"}, newProc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Moves) == 0 || rep.BinariesMoved == 0 {
-		t.Fatalf("expected data to move to the new shard: %+v", rep)
-	}
-	for _, mv := range rep.Moves {
-		if mv.To != "s2" {
-			t.Fatalf("move %+v targets an old shard", mv)
-		}
-	}
-	if got := coord.ShardIDs(); !reflect.DeepEqual(got, []string{"s0", "s1", "s2"}) {
-		t.Fatalf("shard ids after grow: %v", got)
-	}
-
-	// Parity after the rebalance, across query families.
-	want, err := single.QueryCompound("at least 5% red and at most 95% green", mmdb.ModeBWM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := coord.Query(ctx, "at least 5% red and at most 95% green", "bwm", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Partial || !reflect.DeepEqual(got.IDs, want.IDs) {
-		t.Fatalf("post-rebalance %v != single %v", got.IDs, want.IDs)
-	}
-	wantKNN, _, err := single.QueryByExample(c.flags[3].Img, 6, mmdb.MetricL2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotKNN, err := coord.Similar(ctx, c.flags[3].Img, 6, "l2", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotKNN.Matches, wantKNN) {
-		t.Fatalf("post-rebalance knn %v != single %v", gotKNN.Matches, wantKNN)
-	}
-
-	// Base-affinity on the new ring: every edited is homed with its base.
-	ring, _ := coord.snapshot()
-	allProcs := append(append([]*InProc{}, procs...), newProc)
-	for _, p := range allProcs {
-		metas, err := p.List(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range metas {
-			if m.Kind != "edited" {
-				continue
-			}
-			if home := ring.ShardFor(RouteKey(m.ID, m.BaseID)); home != p.ID() {
-				t.Fatalf("edited %d (base %d) on %s after rebalance, home is %s", m.ID, m.BaseID, p.ID(), home)
-			}
-		}
-	}
-
-	// Moved bases are gone from their old homes unless demoted to replicas,
-	// which the report accounts for.
-	left := 0
-	for _, mv := range rep.Moves {
-		for _, p := range procs {
-			if p.ID() != mv.From {
-				continue
-			}
-			has, err := p.HasObject(ctx, mv.Base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if has {
-				left++
-			}
-		}
-	}
-	if left != rep.ReplicasLeft {
-		t.Fatalf("%d moved bases remain on old shards, report says %d replicas left", left, rep.ReplicasLeft)
-	}
-
-	// The grown cluster keeps inserting with the global id sequence.
-	id, home, err := coord.InsertImage(ctx, "post-grow", c.flags[0].Img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ring.ShardFor(id) != home {
-		t.Fatalf("insert landed on %s, ring says %s", home, ring.ShardFor(id))
 	}
 }

@@ -99,6 +99,7 @@ func sameUint64s(a, b []uint64) bool {
 // coordinator and checks every follower ends bit-identical to its leader:
 // same objects, same answers to the parity query workload.
 func TestReplicationConverges(t *testing.T) {
+	ctx := context.Background()
 	c := newReplCluster(t, 2, 2, nil)
 	corp := makeCorpus(6, 2, 42)
 	corp.seedCluster(t, c.Coord)
@@ -114,11 +115,11 @@ func TestReplicationConverges(t *testing.T) {
 			t.Fatalf("set %s: object census diverged: leader %v follower %v", rs.ID(), lids, fids)
 		}
 		for _, pq := range parityQueries {
-			lres, err := leader.DB().QueryCompound(pq.text, mmdb.ModeBWM)
+			lres, err := leader.DB().QueryCompoundCtx(ctx, pq.text, mmdb.ModeBWM)
 			if err != nil {
 				t.Fatalf("leader %s: %v", pq.name, err)
 			}
-			fres, err := follower.DB().QueryCompound(pq.text, mmdb.ModeBWM)
+			fres, err := follower.DB().QueryCompoundCtx(ctx, pq.text, mmdb.ModeBWM)
 			if err != nil {
 				t.Fatalf("follower %s: %v", pq.name, err)
 			}
@@ -128,7 +129,7 @@ func TestReplicationConverges(t *testing.T) {
 		}
 	}
 	// End to end: a coordinator query over the replicated cluster is whole.
-	res, err := c.Coord.Query(context.Background(), "at least 10% red", "bwm", nil)
+	res, err := c.Coord.Query(ctx, "at least 10% red", "bwm", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +215,11 @@ func TestReplicationFollowerReadParity(t *testing.T) {
 			follower := c.Nodes["s0-r1"].DB()
 			rng := rand.New(rand.NewSource(cfg.seed * 7))
 			for qi, q := range randomReplRanges(rng, leader.Quantizer().Bins(), 50) {
-				lres, err := leader.RangeQuery(q, mmdb.ModeBWM)
+				lres, err := leader.RangeQueryCtx(ctx, q, mmdb.ModeBWM)
 				if err != nil {
 					t.Fatalf("query %d leader: %v", qi, err)
 				}
-				fres, err := follower.RangeQuery(q, mmdb.ModeBWM)
+				fres, err := follower.RangeQueryCtx(ctx, q, mmdb.ModeBWM)
 				if err != nil {
 					t.Fatalf("query %d follower: %v", qi, err)
 				}
@@ -450,7 +451,7 @@ func TestFollowerFreshnessBound(t *testing.T) {
 	// read routing.
 	follower.Replicator().Pause()
 	for i := 3; i < 8; i++ {
-		if _, err := leader.DB().InsertImage(flags[i].Name, flags[i].Img); err != nil {
+		if _, err := leader.DB().InsertImageCtx(ctx, flags[i].Name, flags[i].Img); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -534,7 +535,7 @@ func TestReplicationFollowerCrashRecovery(t *testing.T) {
 
 	flags := dataset.Flags(20, 16, 12, 11)
 	for _, f := range flags {
-		if _, err := ldb.InsertImage(f.Name, f.Img); err != nil {
+		if _, err := ldb.InsertImageCtx(ctx, f.Name, f.Img); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -574,11 +575,11 @@ func TestReplicationFollowerCrashRecovery(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(99))
 	for qi, q := range randomReplRanges(rng, ldb.Quantizer().Bins(), 20) {
-		lres, err := ldb.RangeQuery(q, mmdb.ModeBWM)
+		lres, err := ldb.RangeQueryCtx(ctx, q, mmdb.ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fres, err := fdb2.RangeQuery(q, mmdb.ModeBWM)
+		fres, err := fdb2.RangeQueryCtx(ctx, q, mmdb.ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -603,7 +604,7 @@ func TestReplicationResyncAfterCheckpoint(t *testing.T) {
 	defer ldb.Close()
 	flags := dataset.Flags(8, 16, 12, 21)
 	for _, f := range flags[:5] {
-		if _, err := ldb.InsertImage(f.Name, f.Img); err != nil {
+		if _, err := ldb.InsertImageCtx(ctx, f.Name, f.Img); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -624,7 +625,7 @@ func TestReplicationResyncAfterCheckpoint(t *testing.T) {
 	}
 	// More writes after the checkpoint arrive through the tail.
 	for _, f := range flags[5:] {
-		if _, err := ldb.InsertImage(f.Name, f.Img); err != nil {
+		if _, err := ldb.InsertImageCtx(ctx, f.Name, f.Img); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -659,7 +660,7 @@ func TestReplicationLeaderRestartKeepsLSNSpace(t *testing.T) {
 	}
 	flags := dataset.Flags(8, 16, 12, 33)
 	for _, f := range flags[:5] {
-		if _, err := ldb.InsertImage(f.Name, f.Img); err != nil {
+		if _, err := ldb.InsertImageCtx(ctx, f.Name, f.Img); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -677,7 +678,7 @@ func TestReplicationLeaderRestartKeepsLSNSpace(t *testing.T) {
 	}
 	defer ldb2.Close()
 	for _, f := range flags[5:] {
-		if _, err := ldb2.InsertImage(f.Name, f.Img); err != nil {
+		if _, err := ldb2.InsertImageCtx(ctx, f.Name, f.Img); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -749,7 +750,7 @@ func TestResyncRetiredEpochDoesNotPublish(t *testing.T) {
 	defer fdb.Close()
 	flags := dataset.Flags(6, 16, 12, 3)
 	for _, f := range flags {
-		if _, err := adb.InsertImage(f.Name, f.Img); err != nil {
+		if _, err := adb.InsertImageCtx(ctx, f.Name, f.Img); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,7 +20,7 @@ type ShardAnswer struct {
 }
 
 // ObjectMeta is the shard-agnostic slice of catalog metadata the
-// coordinator needs for routing and rebalance: ids, kinds and the base
+// coordinator needs for routing and id allocation: ids, kinds and the base
 // link of edited objects.
 type ObjectMeta struct {
 	ID     uint64
@@ -134,7 +134,7 @@ func markQueryError(err error) error {
 }
 
 // callShard is callShardSpan without tracing — the form the management
-// paths (inserts, id sync, rebalance) use, since only queries are traced.
+// paths (inserts, id sync) use, since only queries are traced.
 func callShard[T any](ctx context.Context, pol Policy, read bool, fn func(context.Context) (T, error)) (T, error) {
 	return callShardSpan(ctx, pol, read, nil, func(actx context.Context, _ *obs.Span) (T, error) {
 		return fn(actx)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 )
 
 func TestCompactShrinksAfterDeletes(t *testing.T) {
+	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "c.esidb")
 	// FanIn 2 makes the two segments below (the objects, then their
 	// tombstones) an eligible run; the default waits for a third.
@@ -22,14 +24,14 @@ func TestCompactShrinksAfterDeletes(t *testing.T) {
 	}
 	// Delete most edited images and half the bases.
 	for _, id := range db.EditedIDs() {
-		if err := db.Delete(id); err != nil {
+		if err := db.DeleteCtx(ctx, id); err != nil {
 			t.Fatal(err)
 		}
 	}
 	bins := db.Binaries()
 	for i, id := range bins {
 		if i%2 == 0 {
-			if err := db.Delete(id); err != nil {
+			if err := db.DeleteCtx(ctx, id); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -42,7 +44,7 @@ func TestCompactShrinksAfterDeletes(t *testing.T) {
 	queriesBefore, _ := dataset.RangeWorkload(dataset.WorkloadConfig{Queries: 15, Seed: 4}, db.Quantizer())
 	var want [][]uint64
 	for _, q := range queriesBefore {
-		res, err := db.RangeQuery(q, ModeBWM)
+		res, err := db.RangeQueryCtx(ctx, q, ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +60,7 @@ func TestCompactShrinksAfterDeletes(t *testing.T) {
 	}
 	// Database still fully usable with identical results.
 	for i, q := range queriesBefore {
-		res, err := db.RangeQuery(q, ModeBWM)
+		res, err := db.RangeQueryCtx(ctx, q, ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +74,7 @@ func TestCompactShrinksAfterDeletes(t *testing.T) {
 		}
 	}
 	// Inserts keep working and the file persists across reopen.
-	newID, err := db.InsertImage("post-compact", dataset.Flags(1, 16, 12, 1)[0].Img)
+	newID, err := db.InsertImageCtx(ctx, 0, "post-compact", dataset.Flags(1, 16, 12, 1)[0].Img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dataset"
@@ -9,15 +10,16 @@ import (
 )
 
 func TestCompoundQueryAnd(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	// Three images: red+blue halves, all red, all blue.
 	mixed := imaging.New(10, 10)
 	imaging.HStripes(mixed, 2, []imaging.RGB{dataset.Red, dataset.Blue})
-	mixedID, _ := db.InsertImage("mixed", mixed)
-	db.InsertImage("red", imaging.NewFilled(10, 10, dataset.Red))
-	db.InsertImage("blue", imaging.NewFilled(10, 10, dataset.Blue))
+	mixedID, _ := db.InsertImageCtx(ctx, 0, "mixed", mixed)
+	db.InsertImageCtx(ctx, 0, "red", imaging.NewFilled(10, 10, dataset.Red))
+	db.InsertImageCtx(ctx, 0, "blue", imaging.NewFilled(10, 10, dataset.Blue))
 
-	res, err := db.CompoundQueryText("at least 30% red and at least 30% blue", ModeBWM)
+	res, err := db.CompoundQueryTextCtx(ctx, "at least 30% red and at least 30% blue", ModeBWM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,12 +29,13 @@ func TestCompoundQueryAnd(t *testing.T) {
 }
 
 func TestCompoundQueryOr(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
-	redID, _ := db.InsertImage("red", imaging.NewFilled(10, 10, dataset.Red))
-	blueID, _ := db.InsertImage("blue", imaging.NewFilled(10, 10, dataset.Blue))
-	db.InsertImage("green", imaging.NewFilled(10, 10, dataset.Green))
+	redID, _ := db.InsertImageCtx(ctx, 0, "red", imaging.NewFilled(10, 10, dataset.Red))
+	blueID, _ := db.InsertImageCtx(ctx, 0, "blue", imaging.NewFilled(10, 10, dataset.Blue))
+	db.InsertImageCtx(ctx, 0, "green", imaging.NewFilled(10, 10, dataset.Green))
 
-	res, err := db.CompoundQueryText("at least 90% red or at least 90% blue", ModeBWM)
+	res, err := db.CompoundQueryTextCtx(ctx, "at least 90% red or at least 90% blue", ModeBWM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +45,7 @@ func TestCompoundQueryOr(t *testing.T) {
 }
 
 func TestCompoundQueryModesAgree(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 6, 4, 0.3, 17)
 	texts := []string{
@@ -50,11 +54,11 @@ func TestCompoundQueryModesAgree(t *testing.T) {
 		"between 5% and 60% red and at least 1% white",
 	}
 	for _, text := range texts {
-		a, err := db.CompoundQueryText(text, ModeRBM)
+		a, err := db.CompoundQueryTextCtx(ctx, text, ModeRBM)
 		if err != nil {
 			t.Fatalf("%q: %v", text, err)
 		}
-		b, err := db.CompoundQueryText(text, ModeBWM)
+		b, err := db.CompoundQueryTextCtx(ctx, text, ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,17 +69,18 @@ func TestCompoundQueryModesAgree(t *testing.T) {
 }
 
 func TestCompoundQuerySingleTermEqualsRange(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 5, 3, 0.2, 19)
 	r, err := query.ParseRange("at least 20% red", db.Quantizer())
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := db.RangeQuery(r, ModeBWM)
+	single, err := db.RangeQueryCtx(ctx, r, ModeBWM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compound, err := db.CompoundQuery(query.Compound{Terms: []query.Range{r}}, ModeBWM)
+	compound, err := db.CompoundQueryCtx(ctx, query.Compound{Terms: []query.Range{r}}, ModeBWM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +90,12 @@ func TestCompoundQuerySingleTermEqualsRange(t *testing.T) {
 }
 
 func TestCompoundQueryValidation(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
-	if _, err := db.CompoundQuery(query.Compound{}, ModeBWM); err == nil {
+	if _, err := db.CompoundQueryCtx(ctx, query.Compound{}, ModeBWM); err == nil {
 		t.Fatal("empty compound accepted")
 	}
-	if _, err := db.CompoundQueryText("nonsense query", ModeBWM); err == nil {
+	if _, err := db.CompoundQueryTextCtx(ctx, "nonsense query", ModeBWM); err == nil {
 		t.Fatal("unparseable compound accepted")
 	}
 }
@@ -105,6 +111,7 @@ func TestIndexedModeEqualsRBM(t *testing.T) {
 }
 
 func TestIndexedLazyAndMaintainedOnDelete(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 3, 2, 0, 32)
 	// Lazy: the first indexed query builds the tree.
@@ -112,7 +119,7 @@ func TestIndexedLazyAndMaintainedOnDelete(t *testing.T) {
 		t.Fatalf("index pre-built: ready=%v items=%d", ready, n)
 	}
 	q, _ := dataset.RangeWorkload(dataset.WorkloadConfig{Queries: 1, Seed: 1}, db.Quantizer())
-	if _, err := db.RangeQuery(q[0], ModeIndexed); err != nil {
+	if _, err := db.RangeQueryCtx(ctx, q[0], ModeIndexed); err != nil {
 		t.Fatal(err)
 	}
 	_, n1, _ := db.SearchIndexStats()
@@ -120,15 +127,15 @@ func TestIndexedLazyAndMaintainedOnDelete(t *testing.T) {
 		t.Fatalf("index after query: %d", n1)
 	}
 	victim := db.EditedIDs()[0]
-	if err := db.Delete(victim); err != nil {
+	if err := db.DeleteCtx(ctx, victim); err != nil {
 		t.Fatal(err)
 	}
 	if _, n2, _ := db.SearchIndexStats(); n2 != n1-1 {
 		t.Fatalf("index after delete: %d, want %d", n2, n1-1)
 	}
 	// Queries still correct.
-	a, _ := db.RangeQuery(q[0], ModeRBM)
-	b, _ := db.RangeQuery(q[0], ModeIndexed)
+	a, _ := db.RangeQueryCtx(ctx, q[0], ModeRBM)
+	b, _ := db.RangeQueryCtx(ctx, q[0], ModeIndexed)
 	if !sameIDs(a.IDs, b.IDs) {
 		t.Fatal("indexed mode wrong after delete")
 	}
@@ -138,12 +145,13 @@ func TestIndexedLazyAndMaintainedOnDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	closed.Close()
-	if _, err := closed.RangeQuery(q[0], ModeIndexed); err == nil {
+	if _, err := closed.RangeQueryCtx(ctx, q[0], ModeIndexed); err == nil {
 		t.Fatal("indexed query built an index on a closed database")
 	}
 }
 
 func TestExplainMatchesExecution(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 6, 4, 0.3, 61)
 	queries, _ := dataset.RangeWorkload(dataset.WorkloadConfig{Queries: 25, Seed: 9}, db.Quantizer())
@@ -152,11 +160,11 @@ func TestExplainMatchesExecution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rbmRes, err := db.RangeQuery(q, ModeRBM)
+		rbmRes, err := db.RangeQueryCtx(ctx, q, ModeRBM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bwmRes, err := db.RangeQuery(q, ModeBWM)
+		bwmRes, err := db.RangeQueryCtx(ctx, q, ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}

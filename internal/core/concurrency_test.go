@@ -15,6 +15,7 @@ import (
 // contract: queries may run from many goroutines while one writer inserts.
 // Run with -race to verify.
 func TestConcurrentQueriesDuringInserts(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 4, 2, 0.2, 101)
 	queries, err := dataset.RangeWorkload(dataset.WorkloadConfig{Queries: 25, Seed: 6}, db.Quantizer())
@@ -36,7 +37,7 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 				return
 			default:
 			}
-			id, err := db.InsertImage(f.Name, f.Img)
+			id, err := db.InsertImageCtx(ctx, 0, f.Name, f.Img)
 			if err != nil {
 				t.Error(err)
 				return
@@ -44,7 +45,7 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 			seq := &editops.Sequence{BaseID: id, Ops: []editops.Op{
 				editops.Modify{Old: dataset.Red, New: dataset.Blue},
 			}}
-			if _, err := db.InsertEdited(f.Name+"-e", seq); err != nil {
+			if _, err := db.InsertEditedCtx(ctx, 0, f.Name+"-e", seq); err != nil {
 				t.Error(err)
 				return
 			}
@@ -60,7 +61,7 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 			for rep := 0; rep < 10; rep++ {
 				for _, q := range queries {
 					for _, mode := range []Mode{ModeBWM, ModeRBM, ModeIndexed} {
-						if _, err := db.RangeQuery(q, mode); err != nil {
+						if _, err := db.RangeQueryCtx(ctx, q, mode); err != nil {
 							t.Error(err)
 							return
 						}
@@ -78,7 +79,7 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 		defer wg.Done()
 		for i, id := range preEdited {
 			if i%2 == 0 {
-				if err := db.Delete(id); err != nil {
+				if err := db.DeleteCtx(ctx, id); err != nil {
 					t.Error(err)
 					return
 				}
@@ -93,7 +94,7 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 		probe := dataset.Flags(1, 16, 12, 2)[0].Img
 		for rep := 0; rep < 10; rep++ {
 			target := histogram.Extract(probe, db.Quantizer())
-			if _, _, err := db.KNNCtx(context.Background(), query.KNN{Target: target, K: 3, Metric: query.MetricL1}); err != nil {
+			if _, _, err := db.KNNCtx(ctx, query.KNN{Target: target, K: 3, Metric: query.MetricL1}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -105,15 +106,15 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 
 	// The database is still consistent afterwards.
 	for _, q := range queries {
-		a, err := db.RangeQuery(q, ModeRBM)
+		a, err := db.RangeQueryCtx(ctx, q, ModeRBM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := db.RangeQuery(q, ModeBWM)
+		b, err := db.RangeQueryCtx(ctx, q, ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := db.RangeQuery(q, ModeIndexed)
+		c, err := db.RangeQueryCtx(ctx, q, ModeIndexed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,6 +130,7 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 // AppendOps in particular replaces S-tree bounds boxes under readers'
 // snapshots. Run with -race.
 func TestConcurrentParallelQueriesAndMutations(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 4, 3, 0.3, 77)
 	db.SetParallelism(8)
@@ -138,7 +140,7 @@ func TestConcurrentParallelQueriesAndMutations(t *testing.T) {
 	}
 	// Build the S-tree up front so every write below maintains it
 	// incrementally while indexed readers descend it.
-	if _, err := db.RangeQuery(queries[0], ModeIndexed); err != nil {
+	if _, err := db.RangeQueryCtx(ctx, queries[0], ModeIndexed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -152,26 +154,26 @@ func TestConcurrentParallelQueriesAndMutations(t *testing.T) {
 		defer wg.Done()
 		flags := dataset.Flags(12, 16, 12, 11)
 		for i, f := range flags {
-			id, err := db.InsertImage(f.Name, f.Img)
+			id, err := db.InsertImageCtx(ctx, 0, f.Name, f.Img)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			eid, err := db.InsertEdited(f.Name+"-e", &editops.Sequence{BaseID: id, Ops: []editops.Op{
+			eid, err := db.InsertEditedCtx(ctx, 0, f.Name+"-e", &editops.Sequence{BaseID: id, Ops: []editops.Op{
 				editops.Modify{Old: dataset.Red, New: dataset.Blue},
 			}})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if err := db.AppendOps(preEdited[i%len(preEdited)], []editops.Op{
+			if err := db.AppendOpsCtx(ctx, preEdited[i%len(preEdited)], []editops.Op{
 				editops.Modify{Old: dataset.Blue, New: dataset.Green},
 			}); err != nil {
 				t.Error(err)
 				return
 			}
 			if i%3 == 0 {
-				if err := db.Delete(eid); err != nil {
+				if err := db.DeleteCtx(ctx, eid); err != nil {
 					t.Error(err)
 					return
 				}
@@ -188,7 +190,7 @@ func TestConcurrentParallelQueriesAndMutations(t *testing.T) {
 			for rep := 0; rep < 5; rep++ {
 				for _, q := range queries {
 					for _, mode := range []Mode{ModeBWM, ModeRBM, ModeInstantiate, ModeIndexed} {
-						if _, err := db.RangeQuery(q, mode); err != nil {
+						if _, err := db.RangeQueryCtx(ctx, q, mode); err != nil {
 							t.Error(err)
 							return
 						}
@@ -203,13 +205,13 @@ func TestConcurrentParallelQueriesAndMutations(t *testing.T) {
 		for rep := 0; rep < 8; rep++ {
 			mq := query.MultiRange{Bins: []int{0, 3, 9}, PctMin: 0.01, PctMax: 0.9}
 			for _, mode := range []Mode{ModeRBM, ModeBWM, ModeInstantiate, ModeIndexed} {
-				if _, err := db.RangeQueryMulti(mq, mode); err != nil {
+				if _, err := db.RangeQueryMultiCtx(ctx, mq, mode); err != nil {
 					t.Error(err)
 					return
 				}
 			}
 			c := query.Compound{Terms: []query.Range{queries[0], queries[1]}, Conn: query.Or}
-			if _, err := db.CompoundQuery(c, ModeBWM); err != nil {
+			if _, err := db.CompoundQueryCtx(ctx, c, ModeBWM); err != nil {
 				t.Error(err)
 				return
 			}
@@ -221,11 +223,11 @@ func TestConcurrentParallelQueriesAndMutations(t *testing.T) {
 		probe := dataset.Flags(1, 16, 12, 3)[0].Img
 		target := histogram.Extract(probe, db.Quantizer())
 		for rep := 0; rep < 8; rep++ {
-			if _, _, err := db.KNNCtx(context.Background(), query.KNN{Target: target, K: 4, Metric: query.MetricL2}); err != nil {
+			if _, _, err := db.KNNCtx(ctx, query.KNN{Target: target, K: 4, Metric: query.MetricL2}); err != nil {
 				t.Error(err)
 				return
 			}
-			if _, _, err := db.WithinDistance(target, 0.5, query.MetricL1); err != nil {
+			if _, _, err := db.WithinDistanceCtx(ctx, target, 0.5, query.MetricL1); err != nil {
 				t.Error(err)
 				return
 			}
@@ -237,12 +239,12 @@ func TestConcurrentParallelQueriesAndMutations(t *testing.T) {
 	// Post-quiesce: all bound modes must agree — including ModeIndexed,
 	// whose leaves saw AppendOps replacements mid-run.
 	for _, q := range queries {
-		ref, err := db.RangeQuery(q, ModeRBM)
+		ref, err := db.RangeQueryCtx(ctx, q, ModeRBM)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, mode := range []Mode{ModeBWM, ModeIndexed} {
-			res, err := db.RangeQuery(q, mode)
+			res, err := db.RangeQueryCtx(ctx, q, mode)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 // Package core implements the augmented multimedia database itself: a DB
 // that stores binary images conventionally and edited images as operation
-// sequences, keeps the BWM data structure and the bounds S-tree maintained
+// sequences, classifies every edited image as widening-only or not (its
+// place in the paper's BWM structure), keeps the bounds S-tree maintained
 // on insert, answers color range queries in several execution modes (BWM,
 // RBM, S-tree indexed, instantiation ground truth), answers k-NN similarity
 // queries with bound-based pruning, and persists everything through the
@@ -23,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bwm"
 	"repro/internal/catalog"
 	"repro/internal/colorspace"
 	"repro/internal/editops"
@@ -173,7 +173,6 @@ type DB struct {
 
 	cat    *catalog.Catalog
 	engine *rules.Engine
-	idx    *bwm.Index
 
 	// sidx is the bounds S-tree behind ModeIndexed. It is built lazily by
 	// the first indexed query (sidxReady flips true under db.mu) and from
@@ -279,7 +278,6 @@ func newDB(cfg Config) *DB {
 	db := &DB{
 		cfg:     cfg,
 		cat:     catalog.New(),
-		idx:     bwm.NewIndex(),
 		rasters: make(map[uint64]*imaging.Image),
 		sidx:    stree.New(cfg.Quantizer.Bins(), sidxFanout),
 	}
@@ -376,25 +374,15 @@ func (db *DB) Sync() error {
 	return nil
 }
 
-// InsertImage stores a binary image: the raster goes to the storage engine
-// (or only the in-memory map), the histogram is extracted into the catalog,
-// the BWM Main Component gains a cluster and the S-tree (once built) a
-// point box.
-func (db *DB) InsertImage(name string, img *imaging.Image) (uint64, error) {
-	return db.InsertImageCtx(context.Background(), 0, name, img)
-}
-
-// InsertImageWithID is InsertImage with an explicit object id (0 means
-// "allocate"). A cluster coordinator assigns ids globally and pushes them
-// down so every shard shares one id space; a taken id fails with
-// catalog.ErrIDTaken.
-func (db *DB) InsertImageWithID(id uint64, name string, img *imaging.Image) (uint64, error) {
-	return db.InsertImageCtx(context.Background(), id, name, img)
-}
-
-// InsertImageCtx is the canonical insert: it applies the mutation, logs it
-// to the write-ahead log, and returns only once the log record is fsynced
-// (the durability acknowledgement). Concurrent inserts share fsyncs via
+// InsertImageCtx stores a binary image: the raster goes to the storage
+// engine (or only the in-memory map), the histogram is extracted into the
+// catalog and the S-tree (once built) gains a point box. id pins the object
+// id (0 means "allocate"); a cluster coordinator assigns ids globally and
+// pushes them down so every shard shares one id space, and a taken id fails
+// with catalog.ErrIDTaken.
+//
+// The insert is applied, logged to the write-ahead log, and acknowledged
+// only once the log record is fsynced. Concurrent inserts share fsyncs via
 // group commit. ctx bounds only the durability wait: on cancellation the
 // insert is already applied and its record already written — it may still
 // commit — so the caller must treat the write's fate as unknown.
@@ -433,27 +421,14 @@ func (db *DB) applyInsertBinaryLocked(id uint64, name string, img *imaging.Image
 	if err := db.segPutBinaryLocked(id, name, img, hist); err != nil {
 		return 0, err
 	}
-	db.idx.InsertBinary(id)
 	db.sidxInsertBinaryLocked(id, hist)
 	return id, nil
 }
 
-// InsertEdited stores an edited image as its sequence. The base and all
+// InsertEditedCtx stores an edited image as its sequence. The base and all
 // Merge targets must already be inserted binary images. The sequence is
-// classified (widening or not) and routed into the BWM structure per the
-// paper's Fig. 1.
-func (db *DB) InsertEdited(name string, seq *editops.Sequence) (uint64, error) {
-	return db.InsertEditedCtx(context.Background(), 0, name, seq)
-}
-
-// InsertEditedWithID is InsertEdited with an explicit object id (0 means
-// "allocate"); see InsertImageWithID.
-func (db *DB) InsertEditedWithID(id uint64, name string, seq *editops.Sequence) (uint64, error) {
-	return db.InsertEditedCtx(context.Background(), id, name, seq)
-}
-
-// InsertEditedCtx is the canonical edited insert; see InsertImageCtx for
-// the durability contract.
+// classified (widening or not), which places it in the BWM structure per
+// the paper's Fig. 1. id and the durability contract are InsertImageCtx's.
 func (db *DB) InsertEditedCtx(ctx context.Context, id uint64, name string, seq *editops.Sequence) (uint64, error) {
 	if seq == nil {
 		return 0, errors.New("core: nil sequence")
@@ -491,21 +466,14 @@ func (db *DB) applyInsertEditedLocked(id uint64, name string, seq *editops.Seque
 	if err := db.segPutEditedLocked(id, name, widening, seq); err != nil {
 		return 0, err
 	}
-	db.idx.InsertEdited(id, seq.BaseID, widening)
 	db.sidxUpsertEditedLocked(id)
 	return id, nil
 }
 
-// AppendOps extends a stored edited image's sequence with more operations
-// — the editing-session update path. The sequence is re-classified from
-// scratch, the image re-routed between the BWM components if its
-// classification changed, and its S-tree bounds box replaced.
-func (db *DB) AppendOps(id uint64, ops []editops.Op) error {
-	return db.AppendOpsCtx(context.Background(), id, ops)
-}
-
-// AppendOpsCtx is AppendOps with the durability wait bounded by ctx; see
-// InsertImageCtx for the contract. The WAL record carries the full
+// AppendOpsCtx extends a stored edited image's sequence with more
+// operations — the editing-session update path. The sequence is
+// re-classified from scratch and its S-tree bounds box replaced. The
+// durability contract is InsertImageCtx's; the WAL record carries the full
 // post-append sequence, so recovery needs no pre-state.
 func (db *DB) AppendOpsCtx(ctx context.Context, id uint64, ops []editops.Op) error {
 	db.mu.Lock()
@@ -533,9 +501,8 @@ func (db *DB) AppendOpsCtx(ctx context.Context, id uint64, ops []editops.Op) err
 }
 
 // applySetSequenceLocked replaces an edited image's sequence wholesale:
-// re-classify, re-route between BWM components if the classification
-// changed, replace the S-tree bounds box. Shared by AppendOpsCtx and WAL
-// replay; caller holds db.mu.
+// re-classify and replace the S-tree bounds box. Shared by AppendOpsCtx and
+// WAL replay; caller holds db.mu.
 func (db *DB) applySetSequenceLocked(id uint64, newSeq *editops.Sequence) error {
 	obj, err := db.cat.Edited(id)
 	if err != nil {
@@ -545,7 +512,6 @@ func (db *DB) applySetSequenceLocked(id uint64, newSeq *editops.Sequence) error 
 	if err != nil {
 		return err
 	}
-	oldWidening := obj.Widening
 	widening := rules.SequenceIsWideningFor(newSeq.Ops, base.W, base.H)
 	if err := db.cat.UpdateEdited(id, newSeq, widening); err != nil {
 		return err
@@ -553,24 +519,15 @@ func (db *DB) applySetSequenceLocked(id uint64, newSeq *editops.Sequence) error 
 	if err := db.segPutEditedLocked(id, obj.Name, widening, newSeq); err != nil {
 		return err
 	}
-	if widening != oldWidening {
-		db.idx.DeleteEdited(id, newSeq.BaseID)
-		db.idx.InsertEdited(id, newSeq.BaseID, widening)
-	}
 	db.sidxUpsertEditedLocked(id)
 	return nil
 }
 
-// Delete removes an object. Edited images are always deletable; a binary
+// DeleteCtx removes an object. Edited images are always deletable; a binary
 // image is deletable only once no edited image references it as base or
 // Merge target (catalog.ErrInUse otherwise). For persistent databases a
-// tombstone shadows the object until compaction reclaims its bytes.
-func (db *DB) Delete(id uint64) error {
-	return db.DeleteCtx(context.Background(), id)
-}
-
-// DeleteCtx is Delete with the durability wait bounded by ctx; see
-// InsertImageCtx for the contract.
+// tombstone shadows the object until compaction reclaims its bytes. The
+// durability contract is InsertImageCtx's.
 func (db *DB) DeleteCtx(ctx context.Context, id uint64) error {
 	db.mu.Lock()
 	if db.closed {
@@ -599,14 +556,8 @@ func (db *DB) applyDeleteLocked(id uint64) error {
 	if err := db.cat.Delete(id); err != nil {
 		return err
 	}
-	switch obj.Kind {
-	case catalog.KindBinary:
-		db.idx.DeleteBinary(id)
+	if obj.Kind == catalog.KindBinary {
 		delete(db.rasters, id)
-	case catalog.KindEdited:
-		db.idx.DeleteEdited(id, obj.Seq.BaseID)
-	default:
-		return fmt.Errorf("core: delete %d: unknown kind %d", id, obj.Kind)
 	}
 	db.sidxDeleteLocked(id)
 	return db.segDeleteLocked(id)
@@ -684,17 +635,12 @@ func (db *DB) Bounds(id uint64, bin int) (rules.Bounds, error) {
 	return db.engine.BoundsForBin(base.Hist, base.W, base.H, obj.Seq.Ops, bin)
 }
 
-// RangeQuery answers a color range query in the given execution mode.
-//
-// Deprecated: use RangeQueryCtx.
-func (db *DB) RangeQuery(q query.Range, mode Mode) (*rbm.Result, error) {
-	return db.RangeQueryCtx(context.Background(), q, mode)
-}
-
-// RangeQueryCtx is the canonical range-query entry point: ctx flows into
-// the candidate walk (cancellation stops it), and options select the
-// execution mode, tracing, and result limit (a bare Mode value is itself an
-// option).
+// RangeQueryCtx answers a color range query: ctx flows into the candidate
+// walk (cancellation stops it), and options select the execution mode,
+// tracing, and result limit (a bare Mode value is itself an option). With
+// WithTrace, per-phase timings and decision counts are recorded into the
+// trace; latency and query-count metrics are always recorded into the
+// process registry.
 func (db *DB) RangeQueryCtx(ctx context.Context, q query.Range, opts ...QueryOption) (*rbm.Result, error) {
 	cfg := buildQueryConfig(opts)
 	if err := q.Validate(db.cfg.Quantizer.Bins()); err != nil {
@@ -703,22 +649,6 @@ func (db *DB) RangeQueryCtx(ctx context.Context, q query.Range, opts ...QueryOpt
 	return db.dispatch(ctx, cfg, cfg.Mode.String(), []pagedTerm{db.rangeTerm(q)}, query.And, func() (*rbm.Result, error) {
 		return db.rangeSTree(ctx, q, cfg.Trace)
 	})
-}
-
-// RangeQueryTraced is RangeQuery with per-phase timings and decision counts
-// recorded into tr; a nil tr disables tracing. Latency and query-count
-// metrics are always recorded into the process registry.
-//
-// Deprecated: use RangeQueryCtx with WithTrace.
-func (db *DB) RangeQueryTraced(q query.Range, mode Mode, tr *obs.Trace) (*rbm.Result, error) {
-	return db.RangeQueryCtx(context.Background(), q, mode, WithTrace(tr))
-}
-
-// RangeQueryTracedCtx is RangeQueryCtx with a positional mode and trace.
-//
-// Deprecated: use RangeQueryCtx with WithTrace.
-func (db *DB) RangeQueryTracedCtx(ctx context.Context, q query.Range, mode Mode, tr *obs.Trace) (*rbm.Result, error) {
-	return db.RangeQueryCtx(ctx, q, mode, WithTrace(tr))
 }
 
 // recordQueryStats feeds the always-on statistics recorder — the observed
@@ -748,16 +678,9 @@ func (db *DB) recordQueryStats(strategy string, elapsed time.Duration, res *rbm.
 	st.RecordQuery(strategy, elapsed, sel, editedFrac, widening)
 }
 
-// RangeQueryText parses a textual range query ("at least 25% blue") and
-// executes it.
-//
-// Deprecated: use RangeQueryTextCtx.
-func (db *DB) RangeQueryText(text string, mode Mode) (*rbm.Result, error) {
-	return db.RangeQueryTextCtx(context.Background(), text, mode)
-}
-
-// RangeQueryTextCtx parses and executes a textual range query under ctx;
-// options select the execution mode, tracing, and result limit.
+// RangeQueryTextCtx parses a textual range query ("at least 25% blue") and
+// executes it under ctx; options select the execution mode, tracing, and
+// result limit.
 func (db *DB) RangeQueryTextCtx(ctx context.Context, text string, opts ...QueryOption) (*rbm.Result, error) {
 	q, err := query.ParseRange(text, db.cfg.Quantizer)
 	if err != nil {
@@ -786,28 +709,14 @@ func (db *DB) instantiateMatches(obj *catalog.Object, env *editops.Env, exact fu
 	return exact(histogram.Extract(img, db.cfg.Quantizer)), nil
 }
 
-// CompoundQuery evaluates a multi-predicate query: every candidate gets its
-// terms' verdicts in order, combined with short-circuit (And stops at the
-// first miss, Or at the first match), so Stats count the per-candidate work
-// done rather than one scan per term. ModeIndexed descends the tree once per
-// term and intersects (And) or unions (Or) the id sets. Because every
-// term's verdict is mode-equivalent (BWM ≡ RBM), the answers are too.
-//
-// Deprecated: use CompoundQueryCtx.
-func (db *DB) CompoundQuery(c query.Compound, mode Mode) (*rbm.Result, error) {
-	return db.CompoundQueryCtx(context.Background(), c, mode)
-}
-
-// CompoundQueryTraced is CompoundQuery with tracing.
-//
-// Deprecated: use CompoundQueryCtx with WithTrace.
-func (db *DB) CompoundQueryTraced(c query.Compound, mode Mode, trace *obs.Trace) (*rbm.Result, error) {
-	return db.CompoundQueryCtx(context.Background(), c, mode, WithTrace(trace))
-}
-
-// CompoundQueryCtx is the canonical compound entry point: ctx flows into
-// the candidate walk; options select the execution mode, tracing, and
-// result limit.
+// CompoundQueryCtx evaluates a multi-predicate query: every candidate gets
+// its terms' verdicts in order, combined with short-circuit (And stops at
+// the first miss, Or at the first match), so Stats count the per-candidate
+// work done rather than one scan per term. ModeIndexed descends the tree
+// once per term and intersects (And) or unions (Or) the id sets. Because
+// every term's verdict is mode-equivalent (BWM ≡ RBM), the answers are too.
+// ctx flows into the candidate walk; options select the execution mode,
+// tracing, and result limit.
 func (db *DB) CompoundQueryCtx(ctx context.Context, c query.Compound, opts ...QueryOption) (*rbm.Result, error) {
 	cfg := buildQueryConfig(opts)
 	if err := c.Validate(db.cfg.Quantizer.Bins()); err != nil {
@@ -822,40 +731,9 @@ func (db *DB) CompoundQueryCtx(ctx context.Context, c query.Compound, opts ...Qu
 	})
 }
 
-// CompoundQueryTracedCtx is CompoundQueryCtx with a positional mode and
-// trace.
-//
-// Deprecated: use CompoundQueryCtx with WithTrace.
-func (db *DB) CompoundQueryTracedCtx(ctx context.Context, c query.Compound, mode Mode, trace *obs.Trace) (*rbm.Result, error) {
-	return db.CompoundQueryCtx(ctx, c, mode, WithTrace(trace))
-}
-
-// CompoundQueryText parses and evaluates a textual compound query
-// ("at least 20% red and at most 10% blue").
-//
-// Deprecated: use CompoundQueryTextCtx.
-func (db *DB) CompoundQueryText(text string, mode Mode) (*rbm.Result, error) {
-	return db.CompoundQueryTextCtx(context.Background(), text, mode)
-}
-
-// CompoundQueryTextTraced parses and evaluates a textual compound query
-// with tracing, recording the parse as its own phase.
-//
-// Deprecated: use CompoundQueryTextCtx with WithTrace.
-func (db *DB) CompoundQueryTextTraced(text string, mode Mode, tr *obs.Trace) (*rbm.Result, error) {
-	return db.CompoundQueryTextCtx(context.Background(), text, mode, WithTrace(tr))
-}
-
-// CompoundQueryTextTracedCtx parses and evaluates a textual compound query
-// with tracing under the caller's ctx.
-//
-// Deprecated: use CompoundQueryTextCtx with WithTrace.
-func (db *DB) CompoundQueryTextTracedCtx(ctx context.Context, text string, mode Mode, tr *obs.Trace) (*rbm.Result, error) {
-	return db.CompoundQueryTextCtx(ctx, text, mode, WithTrace(tr))
-}
-
-// CompoundQueryTextCtx parses and evaluates a textual compound query under
-// ctx, recording the parse as its own phase when tracing.
+// CompoundQueryTextCtx parses and evaluates a textual compound query ("at
+// least 20% red and at most 10% blue") under ctx, recording the parse as
+// its own phase when tracing.
 func (db *DB) CompoundQueryTextCtx(ctx context.Context, text string, opts ...QueryOption) (*rbm.Result, error) {
 	cfg := buildQueryConfig(opts)
 	done := cfg.Trace.Phase("parse")

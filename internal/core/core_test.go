@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -16,10 +17,11 @@ import (
 // populate fills a DB with flags and augmented edits, returning base ids.
 func populate(t testing.TB, db *DB, nBase, perBase int, nonWideningFrac float64, seed int64) []uint64 {
 	t.Helper()
+	ctx := context.Background()
 	flags := dataset.Flags(nBase, 32, 24, seed)
 	var baseIDs []uint64
 	for _, f := range flags {
-		id, err := db.InsertImage(f.Name, f.Img)
+		id, err := db.InsertImageCtx(ctx, 0, f.Name, f.Img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +41,7 @@ func populate(t testing.TB, db *DB, nBase, perBase int, nonWideningFrac float64,
 			}
 		}
 		for _, seq := range aug.ScriptsFor(baseIDs[i], f.Img, others) {
-			if _, err := db.InsertEdited(f.Name+"-edit", seq); err != nil {
+			if _, err := db.InsertEditedCtx(ctx, 0, f.Name+"-edit", seq); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -60,7 +62,7 @@ func memDB(t testing.TB) *DB {
 func TestInsertAndGet(t *testing.T) {
 	db := memDB(t)
 	img := imaging.NewFilled(8, 8, dataset.Red)
-	id, err := db.InsertImage("r", img)
+	id, err := db.InsertImageCtx(context.Background(), 0, "r", img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,29 +89,31 @@ func TestInsertAndGet(t *testing.T) {
 }
 
 func TestInsertRejectsEmpty(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
-	if _, err := db.InsertImage("x", imaging.New(0, 0)); err == nil {
+	if _, err := db.InsertImageCtx(ctx, 0, "x", imaging.New(0, 0)); err == nil {
 		t.Fatal("empty image accepted")
 	}
-	if _, err := db.InsertImage("x", nil); err == nil {
+	if _, err := db.InsertImageCtx(ctx, 0, "x", nil); err == nil {
 		t.Fatal("nil image accepted")
 	}
-	if _, err := db.InsertEdited("x", nil); err == nil {
+	if _, err := db.InsertEditedCtx(ctx, 0, "x", nil); err == nil {
 		t.Fatal("nil sequence accepted")
 	}
-	if _, err := db.InsertEdited("x", &editops.Sequence{BaseID: 99}); err == nil {
+	if _, err := db.InsertEditedCtx(ctx, 0, "x", &editops.Sequence{BaseID: 99}); err == nil {
 		t.Fatal("dangling base accepted")
 	}
 }
 
 func TestImageInstantiatesEdited(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	base := imaging.NewFilled(6, 6, dataset.Red)
-	baseID, _ := db.InsertImage("b", base)
+	baseID, _ := db.InsertImageCtx(ctx, 0, "b", base)
 	seq := &editops.Sequence{BaseID: baseID, Ops: []editops.Op{
 		editops.Modify{Old: dataset.Red, New: dataset.Blue},
 	}}
-	eid, err := db.InsertEdited("e", seq)
+	eid, err := db.InsertEditedCtx(ctx, 0, "e", seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +130,7 @@ func TestImageInstantiatesEdited(t *testing.T) {
 // the S-tree index return identical result sets for every query, and the
 // instantiation ground truth is always a subset (no false negatives).
 func TestAllModesAgree(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 8, 5, 0.3, 42)
 	queries, err := dataset.RangeWorkload(dataset.WorkloadConfig{Queries: 80, Seed: 7}, db.Quantizer())
@@ -133,19 +138,19 @@ func TestAllModesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi, q := range queries {
-		bwmRes, err := db.RangeQuery(q, ModeBWM)
+		bwmRes, err := db.RangeQueryCtx(ctx, q, ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rbmRes, err := db.RangeQuery(q, ModeRBM)
+		rbmRes, err := db.RangeQueryCtx(ctx, q, ModeRBM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		idxRes, err := db.RangeQuery(q, ModeIndexed)
+		idxRes, err := db.RangeQueryCtx(ctx, q, ModeIndexed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gtRes, err := db.RangeQuery(q, ModeInstantiate)
+		gtRes, err := db.RangeQueryCtx(ctx, q, ModeInstantiate)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,16 +172,17 @@ func TestAllModesAgree(t *testing.T) {
 }
 
 func TestBWMDoesLessWorkThanRBM(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 10, 6, 0.2, 3)
 	queries, _ := dataset.RangeWorkload(dataset.WorkloadConfig{Queries: 40, Seed: 5}, db.Quantizer())
 	var rbmOps, bwmOps int
 	for _, q := range queries {
-		r, err := db.RangeQuery(q, ModeRBM)
+		r, err := db.RangeQueryCtx(ctx, q, ModeRBM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := db.RangeQuery(q, ModeBWM)
+		b, err := db.RangeQueryCtx(ctx, q, ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,32 +195,34 @@ func TestBWMDoesLessWorkThanRBM(t *testing.T) {
 }
 
 func TestRangeQueryText(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	img := imaging.NewFilled(10, 10, dataset.Blue)
-	id, _ := db.InsertImage("blueimg", img)
-	res, err := db.RangeQueryText("at least 50% blue", ModeBWM)
+	id, _ := db.InsertImageCtx(ctx, 0, "blueimg", img)
+	res, err := db.RangeQueryTextCtx(ctx, "at least 50% blue", ModeBWM)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.IDs) != 1 || res.IDs[0] != id {
 		t.Fatalf("ids %v", res.IDs)
 	}
-	if _, err := db.RangeQueryText("gibberish", ModeBWM); err == nil {
+	if _, err := db.RangeQueryTextCtx(ctx, "gibberish", ModeBWM); err == nil {
 		t.Fatal("bad query text accepted")
 	}
-	if _, err := db.RangeQuery(query.Range{Bin: 0, PctMin: 0, PctMax: 1}, Mode(99)); err == nil {
+	if _, err := db.RangeQueryCtx(ctx, query.Range{Bin: 0, PctMin: 0, PctMax: 1}, Mode(99)); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
 
 func TestExpandToBases(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	base := imaging.NewFilled(6, 6, dataset.Red)
-	baseID, _ := db.InsertImage("b", base)
+	baseID, _ := db.InsertImageCtx(ctx, 0, "b", base)
 	seq := &editops.Sequence{BaseID: baseID, Ops: []editops.Op{
 		editops.Modify{Old: dataset.Red, New: dataset.Blue},
 	}}
-	eid, _ := db.InsertEdited("e", seq)
+	eid, _ := db.InsertEditedCtx(ctx, 0, "e", seq)
 	got := db.ExpandToBases([]uint64{eid})
 	if !sameIDs(got, []uint64{baseID, eid}) {
 		t.Fatalf("expanded %v", got)
@@ -227,6 +235,7 @@ func TestExpandToBases(t *testing.T) {
 }
 
 func TestPersistenceRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "db.esidb")
 	db, err := Open(Config{Path: path})
 	if err != nil {
@@ -236,7 +245,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	queries, _ := dataset.RangeWorkload(dataset.WorkloadConfig{Queries: 20, Seed: 2}, db.Quantizer())
 	var before [][]uint64
 	for _, q := range queries {
-		res, err := db.RangeQuery(q, ModeBWM)
+		res, err := db.RangeQueryCtx(ctx, q, ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +275,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal("BWM structure not rebuilt")
 	}
 	for i, q := range queries {
-		res, err := db2.RangeQuery(q, ModeBWM)
+		res, err := db2.RangeQueryCtx(ctx, q, ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +289,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 			t.Fatalf("raster %d: %v", id, err)
 		}
 	}
-	gt, err := db2.RangeQuery(queries[0], ModeInstantiate)
+	gt, err := db2.RangeQueryCtx(ctx, queries[0], ModeInstantiate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,10 +297,11 @@ func TestPersistenceRoundTrip(t *testing.T) {
 }
 
 func TestPersistenceInsertAfterReopen(t *testing.T) {
+	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "db.esidb")
 	db, _ := Open(Config{Path: path})
 	img := imaging.NewFilled(8, 8, dataset.Green)
-	id1, _ := db.InsertImage("a", img)
+	id1, _ := db.InsertImageCtx(ctx, 0, "a", img)
 	db.Close()
 
 	db2, err := Open(Config{Path: path})
@@ -299,7 +309,7 @@ func TestPersistenceInsertAfterReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	id2, err := db2.InsertImage("b", imaging.NewFilled(8, 8, dataset.Red))
+	id2, err := db2.InsertImageCtx(ctx, 0, "b", imaging.NewFilled(8, 8, dataset.Red))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +317,7 @@ func TestPersistenceInsertAfterReopen(t *testing.T) {
 		t.Fatalf("id did not advance: %d then %d", id1, id2)
 	}
 	seq := &editops.Sequence{BaseID: id1, Ops: []editops.Op{editops.Modify{Old: dataset.Green, New: dataset.Red}}}
-	if _, err := db2.InsertEdited("e", seq); err != nil {
+	if _, err := db2.InsertEditedCtx(ctx, 0, "e", seq); err != nil {
 		t.Fatal(err)
 	}
 	if err := db2.Sync(); err != nil {
@@ -318,7 +328,7 @@ func TestPersistenceInsertAfterReopen(t *testing.T) {
 func TestPersistenceRejectsQuantizerMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.esidb")
 	db, _ := Open(Config{Path: path})
-	db.InsertImage("a", imaging.NewFilled(4, 4, dataset.Red))
+	db.InsertImageCtx(context.Background(), 0, "a", imaging.NewFilled(4, 4, dataset.Red))
 	db.Close()
 	_, err := Open(Config{Path: path, Quantizer: colorspace.NewUniformRGB(8)})
 	if !errors.Is(err, ErrIncompatible) {
@@ -360,7 +370,7 @@ func TestStatsAndFootprint(t *testing.T) {
 func TestCloseMakesDBUnusable(t *testing.T) {
 	db, _ := Open(Config{})
 	db.Close()
-	if _, err := db.InsertImage("x", imaging.NewFilled(2, 2, dataset.Red)); err == nil {
+	if _, err := db.InsertImageCtx(context.Background(), 0, "x", imaging.NewFilled(2, 2, dataset.Red)); err == nil {
 		t.Fatal("insert after close succeeded")
 	}
 	if err := db.Close(); err != nil {
@@ -395,13 +405,14 @@ func subset(a, b []uint64) bool {
 }
 
 func TestOpenAdoptsStoredQuantizer(t *testing.T) {
+	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "hsv.esidb")
 	hsv := colorspace.NewUniformHSV(12, 2, 2)
 	db, err := Open(Config{Path: path, Quantizer: hsv})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := db.InsertImage("x", imaging.NewFilled(8, 8, dataset.Blue))
+	id, _ := db.InsertImageCtx(ctx, 0, "x", imaging.NewFilled(8, 8, dataset.Blue))
 	db.Close()
 
 	// Reopen WITHOUT specifying the quantizer: it is adopted.
@@ -416,7 +427,7 @@ func TestOpenAdoptsStoredQuantizer(t *testing.T) {
 	if _, err := db2.Image(id); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db2.RangeQueryText("at least 50% blue", ModeBWM)
+	res, err := db2.RangeQueryTextCtx(ctx, "at least 50% blue", ModeBWM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,6 +443,7 @@ func TestOpenAdoptsStoredQuantizer(t *testing.T) {
 // TestLargeScaleEquivalence drives the full equivalence property on a
 // corpus an order of magnitude beyond the paper's (skipped under -short).
 func TestLargeScaleEquivalence(t *testing.T) {
+	ctx := context.Background()
 	if testing.Short() {
 		t.Skip("large corpus")
 	}
@@ -442,15 +454,15 @@ func TestLargeScaleEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi, q := range queries {
-		a, err := db.RangeQuery(q, ModeRBM)
+		a, err := db.RangeQueryCtx(ctx, q, ModeRBM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := db.RangeQuery(q, ModeBWM)
+		b, err := db.RangeQueryCtx(ctx, q, ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := db.RangeQuery(q, ModeIndexed)
+		c, err := db.RangeQueryCtx(ctx, q, ModeIndexed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,11 +473,11 @@ func TestLargeScaleEquivalence(t *testing.T) {
 	// Spot-check ground truth subset on a few queries (instantiation is
 	// expensive at this scale).
 	for _, q := range queries[:5] {
-		gt, err := db.RangeQuery(q, ModeInstantiate)
+		gt, err := db.RangeQueryCtx(ctx, q, ModeInstantiate)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bwm, err := db.RangeQuery(q, ModeBWM)
+		bwm, err := db.RangeQueryCtx(ctx, q, ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,19 +60,20 @@ type crashOp struct {
 // crashWorkload is a fixed mutation script covering every WAL record type:
 // binary inserts, edited inserts, a sequence update and a delete.
 func crashWorkload() []crashOp {
+	ctx := context.Background()
 	ops := []crashOp{
-		{"insert-b1", func(db *DB) (uint64, error) { return db.InsertImageWithID(1, "b1", tinyImg(1)) }},
-		{"insert-b2", func(db *DB) (uint64, error) { return db.InsertImageWithID(2, "b2", tinyImg(2)) }},
+		{"insert-b1", func(db *DB) (uint64, error) { return db.InsertImageCtx(ctx, 1, "b1", tinyImg(1)) }},
+		{"insert-b2", func(db *DB) (uint64, error) { return db.InsertImageCtx(ctx, 2, "b2", tinyImg(2)) }},
 		{"insert-e3", func(db *DB) (uint64, error) {
-			return db.InsertEditedWithID(3, "e3", &editops.Sequence{BaseID: 1, Ops: editops.CropTo(imaging.Rect{X0: 0, Y0: 0, X1: 2, Y1: 2})})
+			return db.InsertEditedCtx(ctx, 3, "e3", &editops.Sequence{BaseID: 1, Ops: editops.CropTo(imaging.Rect{X0: 0, Y0: 0, X1: 2, Y1: 2})})
 		}},
-		{"insert-b4", func(db *DB) (uint64, error) { return db.InsertImageWithID(4, "b4", tinyImg(4)) }},
+		{"insert-b4", func(db *DB) (uint64, error) { return db.InsertImageCtx(ctx, 4, "b4", tinyImg(4)) }},
 		{"append-3", func(db *DB) (uint64, error) {
-			return 3, db.AppendOps(3, editops.PasteOnto(imaging.Rect{X0: 0, Y0: 0, X1: 2, Y1: 2}, 2, 1, 1))
+			return 3, db.AppendOpsCtx(ctx, 3, editops.PasteOnto(imaging.Rect{X0: 0, Y0: 0, X1: 2, Y1: 2}, 2, 1, 1))
 		}},
-		{"delete-4", func(db *DB) (uint64, error) { return 4, db.Delete(4) }},
+		{"delete-4", func(db *DB) (uint64, error) { return 4, db.DeleteCtx(ctx, 4) }},
 		{"insert-e5", func(db *DB) (uint64, error) {
-			return db.InsertEditedWithID(5, "e5", &editops.Sequence{BaseID: 2, Ops: editops.CropTo(imaging.Rect{X0: 1, Y0: 0, X1: 3, Y1: 3})})
+			return db.InsertEditedCtx(ctx, 5, "e5", &editops.Sequence{BaseID: 2, Ops: editops.CropTo(imaging.Rect{X0: 1, Y0: 0, X1: 3, Y1: 3})})
 		}},
 	}
 	return ops
@@ -117,6 +118,7 @@ func twinForAcked(t *testing.T, acked []string) *DB {
 // at least as long as the acked one.
 func assertRecovered(t *testing.T, rec *DB, acked []string) {
 	t.Helper()
+	ctx := context.Background()
 	script := crashWorkload()
 	// Find the longest script prefix consistent with the recovered catalog.
 	var match *DB
@@ -162,11 +164,11 @@ func assertRecovered(t *testing.T, rec *DB, acked []string) {
 	rng := rand.New(rand.NewSource(42))
 	for qi, q := range randomRanges(rng, rec.cfg.Quantizer.Bins(), 12) {
 		for _, mode := range append([]Mode{ModeInstantiate}, oracleBoundModes...) {
-			got, err := rec.RangeQuery(q, mode)
+			got, err := rec.RangeQueryCtx(ctx, q, mode)
 			if err != nil {
 				t.Fatalf("query %d mode %s on recovered: %v", qi, modeName(mode), err)
 			}
-			want, err := match.RangeQuery(q, mode)
+			want, err := match.RangeQueryCtx(ctx, q, mode)
 			if err != nil {
 				t.Fatalf("query %d mode %s on twin: %v", qi, modeName(mode), err)
 			}
@@ -177,11 +179,11 @@ func assertRecovered(t *testing.T, rec *DB, acked []string) {
 	}
 	if len(rec.Binaries()) > 0 {
 		q := query.KNN{Target: histogram.Extract(tinyImg(1), rec.cfg.Quantizer), K: 4, Metric: query.MetricL2}
-		got, _, err := rec.KNNCtx(context.Background(), q)
+		got, _, err := rec.KNNCtx(ctx, q)
 		if err != nil {
 			t.Fatalf("knn on recovered: %v", err)
 		}
-		want, _, err := match.KNNCtx(context.Background(), q)
+		want, _, err := match.KNNCtx(ctx, q)
 		if err != nil {
 			t.Fatalf("knn on twin: %v", err)
 		}
@@ -448,7 +450,7 @@ func TestRecoveryAdoptsQuantizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.InsertImageWithID(1, "b1", tinyImg(1)); err != nil {
+	if _, err := db.InsertImageCtx(context.Background(), 1, "b1", tinyImg(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Crash(); err != nil {
@@ -473,7 +475,7 @@ func TestRecoveryRejectsMismatchedQuantizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.InsertImageWithID(1, "b1", tinyImg(1)); err != nil {
+	if _, err := db.InsertImageCtx(context.Background(), 1, "b1", tinyImg(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Crash(); err != nil {
@@ -513,6 +515,7 @@ func TestCtxCancelledInsertMayStillCommit(t *testing.T) {
 // populate/dataset-based end-to-end: a realistic augmented corpus crashes
 // and recovers, and the recovered answers match a twin built the same way.
 func TestCrashRecoveryAugmentedCorpus(t *testing.T) {
+	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "corpus.db")
 	db := crashDB(t, path, store.WALOptions{})
 	populate(t, db, 4, 3, 0.4, 7)
@@ -529,11 +532,11 @@ func TestCrashRecoveryAugmentedCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for qi, q := range randomRanges(rng, rec.cfg.Quantizer.Bins(), 25) {
 		for _, mode := range append([]Mode{ModeInstantiate}, oracleBoundModes...) {
-			got, err := rec.RangeQuery(q, mode)
+			got, err := rec.RangeQueryCtx(ctx, q, mode)
 			if err != nil {
 				t.Fatalf("query %d %s recovered: %v", qi, modeName(mode), err)
 			}
-			want, err := twin.RangeQuery(q, mode)
+			want, err := twin.RangeQueryCtx(ctx, q, mode)
 			if err != nil {
 				t.Fatalf("query %d %s twin: %v", qi, modeName(mode), err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -12,21 +13,22 @@ import (
 )
 
 func TestDeleteEditedImage(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
-	base, _ := db.InsertImage("b", imaging.NewFilled(8, 8, dataset.Red))
+	base, _ := db.InsertImageCtx(ctx, 0, "b", imaging.NewFilled(8, 8, dataset.Red))
 	seq := &editops.Sequence{BaseID: base, Ops: []editops.Op{
 		editops.Modify{Old: dataset.Red, New: dataset.Blue},
 	}}
-	eid, _ := db.InsertEdited("e", seq)
+	eid, _ := db.InsertEditedCtx(ctx, 0, "e", seq)
 
-	res, _ := db.RangeQueryText("at least 50% blue", ModeBWM)
+	res, _ := db.RangeQueryTextCtx(ctx, "at least 50% blue", ModeBWM)
 	if len(res.IDs) != 1 || res.IDs[0] != eid {
 		t.Fatalf("before delete: %v", res.IDs)
 	}
-	if err := db.Delete(eid); err != nil {
+	if err := db.DeleteCtx(ctx, eid); err != nil {
 		t.Fatal(err)
 	}
-	res, _ = db.RangeQueryText("at least 50% blue", ModeBWM)
+	res, _ = db.RangeQueryTextCtx(ctx, "at least 50% blue", ModeBWM)
 	if len(res.IDs) != 0 {
 		t.Fatalf("after delete: %v", res.IDs)
 	}
@@ -34,7 +36,7 @@ func TestDeleteEditedImage(t *testing.T) {
 		t.Fatalf("get after delete: %v", err)
 	}
 	// Base is now deletable.
-	if err := db.Delete(base); err != nil {
+	if err := db.DeleteCtx(ctx, base); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := db.Stats()
@@ -44,61 +46,63 @@ func TestDeleteEditedImage(t *testing.T) {
 }
 
 func TestDeleteBinaryBlockedByDependents(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
-	base, _ := db.InsertImage("b", imaging.NewFilled(8, 8, dataset.Red))
-	other, _ := db.InsertImage("o", imaging.NewFilled(8, 8, dataset.Blue))
-	eid, _ := db.InsertEdited("e", &editops.Sequence{BaseID: base, Ops: editops.PasteOnto(imaging.R(0, 0, 4, 4), other, 0, 0)})
+	base, _ := db.InsertImageCtx(ctx, 0, "b", imaging.NewFilled(8, 8, dataset.Red))
+	other, _ := db.InsertImageCtx(ctx, 0, "o", imaging.NewFilled(8, 8, dataset.Blue))
+	eid, _ := db.InsertEditedCtx(ctx, 0, "e", &editops.Sequence{BaseID: base, Ops: editops.PasteOnto(imaging.R(0, 0, 4, 4), other, 0, 0)})
 
 	// Base blocked by its edited child.
-	if err := db.Delete(base); !errors.Is(err, catalog.ErrInUse) {
+	if err := db.DeleteCtx(ctx, base); !errors.Is(err, catalog.ErrInUse) {
 		t.Fatalf("delete base with child: %v", err)
 	}
 	// Merge target blocked by the referencing sequence.
-	if err := db.Delete(other); !errors.Is(err, catalog.ErrInUse) {
+	if err := db.DeleteCtx(ctx, other); !errors.Is(err, catalog.ErrInUse) {
 		t.Fatalf("delete merge target: %v", err)
 	}
 	// After deleting the edited image, both are deletable.
-	if err := db.Delete(eid); err != nil {
+	if err := db.DeleteCtx(ctx, eid); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete(base); err != nil {
+	if err := db.DeleteCtx(ctx, base); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete(other); err != nil {
+	if err := db.DeleteCtx(ctx, other); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDeleteUnknownID(t *testing.T) {
 	db := memDB(t)
-	if err := db.Delete(42); !errors.Is(err, catalog.ErrNotFound) {
+	if err := db.DeleteCtx(context.Background(), 42); !errors.Is(err, catalog.ErrNotFound) {
 		t.Fatalf("delete unknown: %v", err)
 	}
 }
 
 func TestDeleteKeepsModesEquivalent(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 6, 4, 0.3, 55)
 	// Delete a third of the edited images.
 	edited := db.EditedIDs()
 	for i, id := range edited {
 		if i%3 == 0 {
-			if err := db.Delete(id); err != nil {
+			if err := db.DeleteCtx(ctx, id); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	queries, _ := dataset.RangeWorkload(dataset.WorkloadConfig{Queries: 30, Seed: 8}, db.Quantizer())
 	for _, q := range queries {
-		a, err := db.RangeQuery(q, ModeRBM)
+		a, err := db.RangeQueryCtx(ctx, q, ModeRBM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := db.RangeQuery(q, ModeBWM)
+		b, err := db.RangeQueryCtx(ctx, q, ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := db.RangeQuery(q, ModeIndexed)
+		c, err := db.RangeQueryCtx(ctx, q, ModeIndexed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,14 +118,15 @@ func TestDeleteKeepsModesEquivalent(t *testing.T) {
 }
 
 func TestDeletePersistsAcrossReopen(t *testing.T) {
+	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "del.esidb")
 	db, err := Open(Config{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := db.InsertImage("a", imaging.NewFilled(8, 8, dataset.Red))
-	bID, _ := db.InsertImage("b", imaging.NewFilled(8, 8, dataset.Blue))
-	if err := db.Delete(a); err != nil {
+	a, _ := db.InsertImageCtx(ctx, 0, "a", imaging.NewFilled(8, 8, dataset.Red))
+	bID, _ := db.InsertImageCtx(ctx, 0, "b", imaging.NewFilled(8, 8, dataset.Blue))
+	if err := db.DeleteCtx(ctx, a); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -141,23 +146,24 @@ func TestDeletePersistsAcrossReopen(t *testing.T) {
 }
 
 func TestDeleteBinaryRemovesSignature(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
-	red, _ := db.InsertImage("r", imaging.NewFilled(8, 8, dataset.Red))
-	db.InsertImage("b", imaging.NewFilled(8, 8, dataset.Blue))
+	red, _ := db.InsertImageCtx(ctx, 0, "r", imaging.NewFilled(8, 8, dataset.Red))
+	db.InsertImageCtx(ctx, 0, "b", imaging.NewFilled(8, 8, dataset.Blue))
 	// Build the S-tree while the image is still there, so the delete has a
 	// point box to remove.
-	res, err := db.RangeQueryText("at least 50% red", ModeIndexed)
+	res, err := db.RangeQueryTextCtx(ctx, "at least 50% red", ModeIndexed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameIDs(res.IDs, []uint64{red}) {
 		t.Fatalf("indexed query before delete: %v", res.IDs)
 	}
-	if err := db.Delete(red); err != nil {
+	if err := db.DeleteCtx(ctx, red); err != nil {
 		t.Fatal(err)
 	}
 	// The index must no longer return the deleted image.
-	res, err = db.RangeQueryText("at least 50% red", ModeIndexed)
+	res, err = db.RangeQueryTextCtx(ctx, "at least 50% red", ModeIndexed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +173,11 @@ func TestDeleteBinaryRemovesSignature(t *testing.T) {
 }
 
 func TestAppendOpsReclassifiesAndRequeries(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
-	base, _ := db.InsertImage("b", imaging.NewFilled(8, 8, dataset.Blue))
-	other, _ := db.InsertImage("o", imaging.NewFilled(8, 8, dataset.Red))
-	eid, _ := db.InsertEdited("e", &editops.Sequence{BaseID: base, Ops: []editops.Op{
+	base, _ := db.InsertImageCtx(ctx, 0, "b", imaging.NewFilled(8, 8, dataset.Blue))
+	other, _ := db.InsertImageCtx(ctx, 0, "o", imaging.NewFilled(8, 8, dataset.Red))
+	eid, _ := db.InsertEditedCtx(ctx, 0, "e", &editops.Sequence{BaseID: base, Ops: []editops.Op{
 		editops.Modify{Old: dataset.Blue, New: dataset.Green},
 	}})
 	st, _ := db.Stats()
@@ -179,7 +186,7 @@ func TestAppendOpsReclassifiesAndRequeries(t *testing.T) {
 	}
 
 	// Appending a target merge flips the classification to non-widening.
-	if err := db.AppendOps(eid, editops.PasteOnto(imaging.R(0, 0, 4, 4), other, 0, 0)); err != nil {
+	if err := db.AppendOpsCtx(ctx, eid, editops.PasteOnto(imaging.R(0, 0, 4, 4), other, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	st, _ = db.Stats()
@@ -193,11 +200,11 @@ func TestAppendOpsReclassifiesAndRequeries(t *testing.T) {
 	// Queries remain mode-equivalent after the update.
 	queries, _ := dataset.RangeWorkload(dataset.WorkloadConfig{Queries: 15, Seed: 14}, db.Quantizer())
 	for _, q := range queries {
-		a, err := db.RangeQuery(q, ModeRBM)
+		a, err := db.RangeQueryCtx(ctx, q, ModeRBM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := db.RangeQuery(q, ModeBWM)
+		b, err := db.RangeQueryCtx(ctx, q, ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +213,7 @@ func TestAppendOpsReclassifiesAndRequeries(t *testing.T) {
 		}
 	}
 	// The merge target is now pinned.
-	if err := db.Delete(other); !errors.Is(err, catalog.ErrInUse) {
+	if err := db.DeleteCtx(ctx, other); !errors.Is(err, catalog.ErrInUse) {
 		t.Fatalf("merge target deletable after append: %v", err)
 	}
 	// Instantiation reflects the appended ops.
@@ -218,10 +225,10 @@ func TestAppendOpsReclassifiesAndRequeries(t *testing.T) {
 		t.Fatal("appended paste not visible in instantiation")
 	}
 	// Errors: unknown id, binary id.
-	if err := db.AppendOps(999, nil); !errors.Is(err, catalog.ErrNotFound) {
+	if err := db.AppendOpsCtx(ctx, 999, nil); !errors.Is(err, catalog.ErrNotFound) {
 		t.Fatalf("append to missing: %v", err)
 	}
-	if err := db.AppendOps(base, nil); err == nil {
+	if err := db.AppendOpsCtx(ctx, base, nil); err == nil {
 		t.Fatal("append to binary accepted")
 	}
 }
@@ -231,12 +238,13 @@ func TestAppendOpsReclassifiesAndRequeries(t *testing.T) {
 // image's box and every Delete removes it, so the indexed answer equals a
 // fresh RBM answer without any rebuild in between.
 func TestIndexedFreshAfterAppendOpsAndDelete(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
-	base, _ := db.InsertImage("b", imaging.NewFilled(8, 8, dataset.Blue))
-	eid, _ := db.InsertEdited("e", &editops.Sequence{BaseID: base, Ops: []editops.Op{
+	base, _ := db.InsertImageCtx(ctx, 0, "b", imaging.NewFilled(8, 8, dataset.Blue))
+	eid, _ := db.InsertEditedCtx(ctx, 0, "e", &editops.Sequence{BaseID: base, Ops: []editops.Op{
 		editops.Modify{Old: dataset.Blue, New: dataset.Green},
 	}})
-	gone, _ := db.InsertEdited("gone", &editops.Sequence{BaseID: base, Ops: []editops.Op{
+	gone, _ := db.InsertEditedCtx(ctx, 0, "gone", &editops.Sequence{BaseID: base, Ops: []editops.Op{
 		editops.Modify{Old: dataset.Blue, New: dataset.Red},
 	}})
 	queries, _ := dataset.RangeWorkload(dataset.WorkloadConfig{Queries: 20, Seed: 15}, db.Quantizer())
@@ -246,11 +254,11 @@ func TestIndexedFreshAfterAppendOpsAndDelete(t *testing.T) {
 	}
 	agree("after build")
 	rebuilds := mIndexRebuilds.Value()
-	if err := db.AppendOps(eid, []editops.Op{editops.Modify{Old: dataset.Green, New: dataset.Red}}); err != nil {
+	if err := db.AppendOpsCtx(ctx, eid, []editops.Op{editops.Modify{Old: dataset.Green, New: dataset.Red}}); err != nil {
 		t.Fatal(err)
 	}
 	agree("after append")
-	if err := db.Delete(gone); err != nil {
+	if err := db.DeleteCtx(ctx, gone); err != nil {
 		t.Fatal(err)
 	}
 	agree("after delete")

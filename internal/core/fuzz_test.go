@@ -49,6 +49,7 @@ func checkLimitPrefixes(t *testing.T, text string, full []uint64, run func(opts 
 // must never panic, a parsed query must execute, all three methods must
 // agree, and each must return the answer's prefix under a limit.
 func FuzzRangeQueryText(f *testing.F) {
+	ctx := context.Background()
 	db := fuzzDB(f)
 	f.Add("at least 25% blue")
 	f.Add("at most 10% red")
@@ -59,18 +60,18 @@ func FuzzRangeQueryText(f *testing.F) {
 	f.Add("")
 	f.Add("%%%")
 	f.Fuzz(func(t *testing.T, text string) {
-		bwm, err := db.RangeQueryText(text, ModeBWM)
+		bwm, err := db.RangeQueryTextCtx(ctx, text, ModeBWM)
 		if err != nil {
 			return // rejected input: the only requirement is no panic
 		}
-		rbm, err := db.RangeQueryText(text, ModeRBM)
+		rbm, err := db.RangeQueryTextCtx(ctx, text, ModeRBM)
 		if err != nil {
 			t.Fatalf("parsed under BWM but failed under RBM: %v", err)
 		}
 		if !sameIDs(bwm.IDs, rbm.IDs) {
 			t.Fatalf("BWM %v != RBM %v for %q", bwm.IDs, rbm.IDs, text)
 		}
-		idx, err := db.RangeQueryText(text, ModeIndexed)
+		idx, err := db.RangeQueryTextCtx(ctx, text, ModeIndexed)
 		if err != nil {
 			t.Fatalf("parsed under BWM but failed under indexed: %v", err)
 		}
@@ -83,7 +84,7 @@ func FuzzRangeQueryText(f *testing.F) {
 			}
 		}
 		checkLimitPrefixes(t, text, bwm.IDs, func(opts ...QueryOption) ([]uint64, error) {
-			res, err := db.RangeQueryTextCtx(context.Background(), text, opts...)
+			res, err := db.RangeQueryTextCtx(ctx, text, opts...)
 			if err != nil {
 				return nil, err
 			}
@@ -95,6 +96,7 @@ func FuzzRangeQueryText(f *testing.F) {
 // FuzzCompoundQueryText does the same for the compound-query parser
 // (connective splitting plus per-term parsing).
 func FuzzCompoundQueryText(f *testing.F) {
+	ctx := context.Background()
 	db := fuzzDB(f)
 	f.Add("at least 20% red and at most 10% blue")
 	f.Add("at least 5% green or at least 5% blue")
@@ -103,18 +105,18 @@ func FuzzCompoundQueryText(f *testing.F) {
 	f.Add("and or and")
 	f.Add("at least 20% red or at most 10% blue and at least 5% green")
 	f.Fuzz(func(t *testing.T, text string) {
-		bwm, err := db.CompoundQueryText(text, ModeBWM)
+		bwm, err := db.CompoundQueryTextCtx(ctx, text, ModeBWM)
 		if err != nil {
 			return
 		}
-		rbm, err := db.CompoundQueryText(text, ModeRBM)
+		rbm, err := db.CompoundQueryTextCtx(ctx, text, ModeRBM)
 		if err != nil {
 			t.Fatalf("parsed under BWM but failed under RBM: %v", err)
 		}
 		if !sameIDs(bwm.IDs, rbm.IDs) {
 			t.Fatalf("BWM %v != RBM %v for %q", bwm.IDs, rbm.IDs, text)
 		}
-		idx, err := db.CompoundQueryText(text, ModeIndexed)
+		idx, err := db.CompoundQueryTextCtx(ctx, text, ModeIndexed)
 		if err != nil {
 			t.Fatalf("parsed under BWM but failed under indexed: %v", err)
 		}
@@ -127,7 +129,7 @@ func FuzzCompoundQueryText(f *testing.F) {
 			}
 		}
 		checkLimitPrefixes(t, text, bwm.IDs, func(opts ...QueryOption) ([]uint64, error) {
-			res, err := db.CompoundQueryTextCtx(context.Background(), text, opts...)
+			res, err := db.CompoundQueryTextCtx(ctx, text, opts...)
 			if err != nil {
 				return nil, err
 			}
@@ -144,6 +146,7 @@ func FuzzCompoundQueryText(f *testing.F) {
 // distances, serial ≡ parallel. The tree is built at the smallest fanout,
 // so tied subtrees are pruned at inner nodes, not only inside one leaf.
 func FuzzKNNAgainstBruteForce(f *testing.F) {
+	ctx := context.Background()
 	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(7), uint8(3), uint8(2), uint8(4), uint8(1), uint8(0))
 	f.Add(int64(42), uint8(9), uint8(255), uint8(30), uint8(2), uint8(0))
@@ -160,12 +163,12 @@ func FuzzKNNAgainstBruteForce(f *testing.F) {
 				t.Fatal(err)
 			}
 			for c := 0; c <= int(copies%24); c++ {
-				dup, err := db.InsertImage(fmt.Sprintf("dup%d.%d", i, c), img)
+				dup, err := db.InsertImageCtx(ctx, 0, fmt.Sprintf("dup%d.%d", i, c), img)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, base := range []uint64{bases[i], dup} {
-					if _, err := db.InsertEdited("same", identityEdit(base, img.W, img.H)); err != nil {
+					if _, err := db.InsertEditedCtx(ctx, 0, "same", identityEdit(base, img.W, img.H)); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -91,12 +91,13 @@ func TestModeRegistryFourModes(t *testing.T) {
 // exactly as ref (often db itself) answers it with a fresh RBM walk.
 func requireIndexedEqualsRBM(t testing.TB, when string, db, ref *DB, queries []query.Range) {
 	t.Helper()
+	ctx := context.Background()
 	for qi, q := range queries {
-		want, err := ref.RangeQuery(q, ModeRBM)
+		want, err := ref.RangeQueryCtx(ctx, q, ModeRBM)
 		if err != nil {
 			t.Fatalf("%s, query %d rbm: %v", when, qi, err)
 		}
-		got, err := db.RangeQuery(q, ModeIndexed)
+		got, err := db.RangeQueryCtx(ctx, q, ModeIndexed)
 		if err != nil {
 			t.Fatalf("%s, query %d indexed: %v", when, qi, err)
 		}
@@ -112,9 +113,10 @@ func requireIndexedEqualsRBM(t testing.TB, when string, db, ref *DB, queries []q
 // maintains incrementally.
 func indexedMutate(t testing.TB, db *DB, seed int64) {
 	t.Helper()
+	ctx := context.Background()
 	edited := db.EditedIDs()
 	for i := 0; i < len(edited); i += 4 {
-		if err := db.Delete(edited[i]); err != nil {
+		if err := db.DeleteCtx(ctx, edited[i]); err != nil {
 			t.Fatalf("delete edited %d: %v", edited[i], err)
 		}
 	}
@@ -128,7 +130,7 @@ func indexedMutate(t testing.TB, db *DB, seed int64) {
 			break
 		}
 		ops := editops.PasteOnto(imaging.Rect{X0: 0, Y0: 0, X1: 3, Y1: 3}, bases[0], 0, 0)
-		if err := db.AppendOps(id, ops); err != nil {
+		if err := db.AppendOpsCtx(ctx, id, ops); err != nil {
 			t.Fatalf("append ops to %d: %v", id, err)
 		}
 		appended++
@@ -136,14 +138,14 @@ func indexedMutate(t testing.TB, db *DB, seed int64) {
 	if len(bases) > 1 {
 		victim := bases[len(bases)-1]
 		for _, id := range db.EditedOf(victim) {
-			if err := db.Delete(id); err != nil {
+			if err := db.DeleteCtx(ctx, id); err != nil {
 				t.Fatalf("delete dependent %d: %v", id, err)
 			}
 		}
 		// Other sequences may still Merge-reference the base; the catalog
 		// rejects that delete, which is fine — the dependent deletes above
 		// already exercised the index's delete path.
-		_ = db.Delete(victim)
+		_ = db.DeleteCtx(ctx, victim)
 	}
 	populate(t, db, 2, 2, 0.5, seed)
 }
@@ -164,12 +166,13 @@ func resetSearchIndex(db *DB) {
 // bulk-built from the catalog from scratch — and all identically to the
 // RBM scan.
 func TestIndexedIncrementalEqualsRebuild(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 5, 3, 0.4, 21)
 
 	// First indexed query builds the tree; everything after is maintained
 	// incrementally by the write paths.
-	if _, err := db.RangeQuery(query.Range{Bin: 0, PctMin: 0, PctMax: 1}, ModeIndexed); err != nil {
+	if _, err := db.RangeQueryCtx(ctx, query.Range{Bin: 0, PctMin: 0, PctMax: 1}, ModeIndexed); err != nil {
 		t.Fatal(err)
 	}
 	if ready, items, _ := db.SearchIndexStats(); !ready || items == 0 {
@@ -183,7 +186,7 @@ func TestIndexedIncrementalEqualsRebuild(t *testing.T) {
 		answers := func(stage string, mode Mode) [][]uint64 {
 			out := make([][]uint64, len(queries))
 			for qi, q := range queries {
-				res, err := db.RangeQuery(q, mode)
+				res, err := db.RangeQueryCtx(ctx, q, mode)
 				if err != nil {
 					t.Fatalf("round %d query %d %s: %v", round, qi, stage, err)
 				}
@@ -222,10 +225,11 @@ func TestIndexedIncrementalEqualsRebuild(t *testing.T) {
 // from the items the tree already holds — every write kept them exact — so
 // the rebuild evaluates no rules and the answer still equals RBM's.
 func TestIndexedRebuildWalksNoRules(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 6, 4, 0.3, 44)
 	q := query.Range{Bin: db.cfg.Quantizer.Bin(dataset.Red), PctMin: 0.1, PctMax: 0.8}
-	if _, err := db.RangeQuery(q, ModeIndexed); err != nil {
+	if _, err := db.RangeQueryCtx(ctx, q, ModeIndexed); err != nil {
 		t.Fatal(err)
 	}
 	bases := db.Binaries()
@@ -235,19 +239,19 @@ func TestIndexedRebuildWalksNoRules(t *testing.T) {
 		}
 		for _, id := range db.EditedIDs() {
 			ops := editops.PasteOnto(imaging.Rect{X0: 0, Y0: 0, X1: 2, Y1: 2}, bases[round%len(bases)], 0, 0)
-			if err := db.AppendOps(id, ops); err != nil {
+			if err := db.AppendOpsCtx(ctx, id, ops); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	want, err := db.RangeQuery(q, ModeRBM)
+	want, err := db.RangeQueryCtx(ctx, q, ModeRBM)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	walked := obs.Default().Counter("esidb_rbm_edited_walked_total")
 	rebuildsBefore, walkedBefore := mIndexRebuilds.Value(), walked.Value()
-	got, err := db.RangeQuery(q, ModeIndexed)
+	got, err := db.RangeQueryCtx(ctx, q, ModeIndexed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +275,7 @@ func TestIndexedRebuildWalksNoRules(t *testing.T) {
 // rule walk at the leaf per query — in memory and over sealed segments —
 // so range and multi-bin answers still equal RBM's.
 func TestIndexedUniversalBoxFallback(t *testing.T) {
+	ctx := context.Background()
 	for _, backend := range []string{"memory", "segmented"} {
 		t.Run(backend, func(t *testing.T) {
 			var db *DB
@@ -284,7 +289,7 @@ func TestIndexedUniversalBoxFallback(t *testing.T) {
 			if err := db.Sync(); err != nil { // segmented: seal, so reads span segments
 				t.Fatal(err)
 			}
-			if _, err := db.RangeQuery(query.Range{Bin: 0, PctMin: 0, PctMax: 1}, ModeIndexed); err != nil {
+			if _, err := db.RangeQueryCtx(ctx, query.Range{Bin: 0, PctMin: 0, PctMax: 1}, ModeIndexed); err != nil {
 				t.Fatal(err)
 			}
 			// Degrade every third edited item to what sidxEditedItem stores
@@ -305,12 +310,12 @@ func TestIndexedUniversalBoxFallback(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(17))
 			for qi, q := range randomRanges(rng, bins, 20) {
-				want, err := db.RangeQuery(q, ModeRBM)
+				want, err := db.RangeQueryCtx(ctx, q, ModeRBM)
 				if err != nil {
 					t.Fatal(err)
 				}
 				tr := obs.NewTrace()
-				got, err := db.RangeQueryCtx(context.Background(), q, ModeIndexed, WithTrace(tr))
+				got, err := db.RangeQueryCtx(ctx, q, ModeIndexed, WithTrace(tr))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -321,11 +326,11 @@ func TestIndexedUniversalBoxFallback(t *testing.T) {
 					t.Fatalf("query %d: %d universal-box items walked, want %d", qi, walked, degraded)
 				}
 				mq := query.MultiRange{Bins: []int{q.Bin, (q.Bin + 7) % bins}, PctMin: q.PctMin, PctMax: q.PctMax}
-				mwant, err := db.RangeQueryMulti(mq, ModeRBM)
+				mwant, err := db.RangeQueryMultiCtx(ctx, mq, ModeRBM)
 				if err != nil {
 					t.Fatal(err)
 				}
-				mgot, err := db.RangeQueryMulti(mq, ModeIndexed)
+				mgot, err := db.RangeQueryMultiCtx(ctx, mq, ModeIndexed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -348,7 +353,7 @@ func TestIndexedUniversalBoxFallback(t *testing.T) {
 func TestIndexedLeafBoundsEqualPerBinWalk(t *testing.T) {
 	db := memDB(t)
 	populate(t, db, 4, 3, 0.4, 27)
-	if _, err := db.RangeQuery(query.Range{Bin: 0, PctMin: 0, PctMax: 1}, ModeIndexed); err != nil {
+	if _, err := db.RangeQueryCtx(context.Background(), query.Range{Bin: 0, PctMin: 0, PctMax: 1}, ModeIndexed); err != nil {
 		t.Fatal(err)
 	}
 	edited := 0
@@ -426,7 +431,7 @@ func TestIndexedFollowsShippedWAL(t *testing.T) {
 
 	populate(t, leader, 3, 2, 0.4, 61)
 	ship()
-	if _, err := follower.RangeQuery(query.Range{Bin: 0, PctMin: 0, PctMax: 1}, ModeIndexed); err != nil {
+	if _, err := follower.RangeQueryCtx(ctx, query.Range{Bin: 0, PctMin: 0, PctMax: 1}, ModeIndexed); err != nil {
 		t.Fatal(err)
 	}
 	indexedMutate(t, leader, 62)
@@ -476,12 +481,13 @@ func TestIndexedKNNMatchesScan(t *testing.T) {
 // leaf checks, and a selective query visits fewer leaves than the catalog
 // holds candidates.
 func TestIndexedTraceCounters(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 6, 4, 0.3, 55)
 	candidates := int64(len(db.Binaries()) + len(db.EditedIDs()))
 
 	tr := obs.NewTrace()
-	if _, err := db.RangeQueryCtx(context.Background(), query.Range{Bin: 0, PctMin: 0, PctMax: 1}, ModeIndexed, WithTrace(tr)); err != nil {
+	if _, err := db.RangeQueryCtx(ctx, query.Range{Bin: 0, PctMin: 0, PctMax: 1}, ModeIndexed, WithTrace(tr)); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Get(obs.TIndexNodesVisited) == 0 {
@@ -495,7 +501,7 @@ func TestIndexedTraceCounters(t *testing.T) {
 	}
 
 	tr = obs.NewTrace()
-	if _, err := db.RangeQueryCtx(context.Background(), query.Range{Bin: 0, PctMin: 0.999, PctMax: 1}, ModeIndexed, WithTrace(tr)); err != nil {
+	if _, err := db.RangeQueryCtx(ctx, query.Range{Bin: 0, PctMin: 0.999, PctMax: 1}, ModeIndexed, WithTrace(tr)); err != nil {
 		t.Fatal(err)
 	}
 	if v := tr.Get(obs.TIndexNodesVisited); v == 0 {
@@ -510,9 +516,10 @@ func TestIndexedTraceCounters(t *testing.T) {
 // so every result must be well-formed (strictly ascending ids), and once
 // the storm quiesces the index must agree with the scan exactly.
 func TestIndexedConcurrentMutations(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 5, 3, 0.4, 88)
-	if _, err := db.RangeQuery(query.Range{Bin: 1, PctMin: 0, PctMax: 1}, ModeIndexed); err != nil {
+	if _, err := db.RangeQueryCtx(ctx, query.Range{Bin: 1, PctMin: 0, PctMax: 1}, ModeIndexed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -530,7 +537,7 @@ func TestIndexedConcurrentMutations(t *testing.T) {
 				default:
 				}
 				q := randomRanges(rng, db.cfg.Quantizer.Bins(), 1)[0]
-				res, err := db.RangeQuery(q, ModeIndexed)
+				res, err := db.RangeQueryCtx(ctx, q, ModeIndexed)
 				if err != nil {
 					t.Errorf("reader: %v", err)
 					return
@@ -551,13 +558,13 @@ func TestIndexedConcurrentMutations(t *testing.T) {
 		go func(worker int) {
 			defer writers.Done()
 			for i := 0; i < 20; i++ {
-				id, err := db.InsertImage(fmt.Sprintf("churn-%d-%d", worker, i), flags[i%len(flags)].Img)
+				id, err := db.InsertImageCtx(ctx, 0, fmt.Sprintf("churn-%d-%d", worker, i), flags[i%len(flags)].Img)
 				if err != nil {
 					t.Errorf("writer insert: %v", err)
 					return
 				}
 				if i%2 == 0 {
-					if err := db.Delete(id); err != nil {
+					if err := db.DeleteCtx(ctx, id); err != nil {
 						t.Errorf("writer delete: %v", err)
 						return
 					}
@@ -571,11 +578,11 @@ func TestIndexedConcurrentMutations(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(123))
 	for qi, q := range randomRanges(rng, db.cfg.Quantizer.Bins(), 30) {
-		idx, err := db.RangeQuery(q, ModeIndexed)
+		idx, err := db.RangeQueryCtx(ctx, q, ModeIndexed)
 		if err != nil {
 			t.Fatalf("query %d indexed: %v", qi, err)
 		}
-		scan, err := db.RangeQuery(q, ModeRBM)
+		scan, err := db.RangeQueryCtx(ctx, q, ModeRBM)
 		if err != nil {
 			t.Fatalf("query %d scan: %v", qi, err)
 		}

@@ -321,18 +321,14 @@ func (r *radiusBound) record(id uint64, d float64) {
 	}
 }
 
-// KNNMulti is the multiple-query-image technique the paper contrasts with
-// database augmentation (§2, citing Tahaghoghi et al., "Are Two Pictures
-// Better Than One"): every probe histogram is searched independently and
-// the rankings are fused disjunctively — an object's fused distance is its
-// minimum distance to any probe. Returns the overall top k. Stats are
-// accumulated across the per-probe searches, which makes the cost of the
-// approach visible: feature extraction and search run once per probe.
-func (db *DB) KNNMulti(targets []*histogram.Histogram, k int, metric query.Metric) ([]Match, *KNNStats, error) {
-	return db.KNNMultiCtx(context.Background(), targets, k, metric)
-}
-
-// KNNMultiCtx is KNNMulti under the caller's ctx.
+// KNNMultiCtx is the multiple-query-image technique the paper contrasts
+// with database augmentation (§2, citing Tahaghoghi et al., "Are Two
+// Pictures Better Than One"): every probe histogram is searched
+// independently under ctx and the rankings are fused disjunctively — an
+// object's fused distance is its minimum distance to any probe. Returns the
+// overall top k. Stats are accumulated across the per-probe searches, which
+// makes the cost of the approach visible: feature extraction and search run
+// once per probe.
 func (db *DB) KNNMultiCtx(ctx context.Context, targets []*histogram.Histogram, k int, metric query.Metric) ([]Match, *KNNStats, error) {
 	if len(targets) == 0 {
 		return nil, nil, fmt.Errorf("core: knn-multi needs at least one probe")
@@ -480,17 +476,12 @@ func (db *DB) BICIndex() (*signature.Index, error) {
 	return idx, nil
 }
 
-// WithinDistance returns every object whose histogram lies within dist of
-// the target under the metric — the range-flavored similarity query, in
+// WithinDistanceCtx returns every object whose histogram lies within dist
+// of the target under the metric — the range-flavored similarity query, in
 // (dist, id) order. It is the k-NN descent with a fixed radius in place of
 // the k-th distance: binary images are tested exactly from their leaves,
 // edited images are instantiated only when their lower bound is within
 // range.
-func (db *DB) WithinDistance(target *histogram.Histogram, dist float64, metric query.Metric) ([]Match, *KNNStats, error) {
-	return db.WithinDistanceCtx(context.Background(), target, dist, metric)
-}
-
-// WithinDistanceCtx is WithinDistance under the caller's ctx.
 func (db *DB) WithinDistanceCtx(ctx context.Context, target *histogram.Histogram, dist float64, metric query.Metric) ([]Match, *KNNStats, error) {
 	if !(dist >= 0) {
 		return nil, nil, fmt.Errorf("core: distance %v is negative or NaN", dist)

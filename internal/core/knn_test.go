@@ -69,6 +69,7 @@ func requireMatches(t testing.TB, what string, got, want []Match) {
 // database's Parallelism knob is left at 1.
 func requireSimilarityEqualsBruteForce(t testing.TB, db *DB, target *histogram.Histogram, metrics []query.Metric, ks []int) {
 	t.Helper()
+	ctx := context.Background()
 	nBin, nEd := len(db.Binaries()), len(db.EditedIDs())
 	checkStats := func(what string, st *KNNStats) {
 		t.Helper()
@@ -85,7 +86,7 @@ func requireSimilarityEqualsBruteForce(t testing.TB, db *DB, target *histogram.H
 			q := query.KNN{Target: target, K: k, Metric: metric}
 			what := fmt.Sprintf("%s k=%d", metric, k)
 			db.SetParallelism(1)
-			serial, serialSt, err := db.KNNCtx(context.Background(), q)
+			serial, serialSt, err := db.KNNCtx(ctx, q)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
@@ -95,7 +96,7 @@ func requireSimilarityEqualsBruteForce(t testing.TB, db *DB, target *histogram.H
 				t.Fatalf("%s: scored %d binaries, the threshold needs %d", what, serialSt.BinariesScored, want)
 			}
 			db.SetParallelism(4)
-			par, parSt, err := db.KNNCtx(context.Background(), q)
+			par, parSt, err := db.KNNCtx(ctx, q)
 			if err != nil {
 				t.Fatalf("%s parallel: %v", what, err)
 			}
@@ -122,14 +123,14 @@ func requireSimilarityEqualsBruteForce(t testing.TB, db *DB, target *histogram.H
 			}
 			what := fmt.Sprintf("%s within %v", metric, r)
 			db.SetParallelism(1)
-			serial, serialSt, err := db.WithinDistanceCtx(context.Background(), target, r, metric)
+			serial, serialSt, err := db.WithinDistanceCtx(ctx, target, r, metric)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
 			requireMatches(t, what, serial, want)
 			checkStats(what, serialSt)
 			db.SetParallelism(4)
-			par, parSt, err := db.WithinDistanceCtx(context.Background(), target, r, metric)
+			par, parSt, err := db.WithinDistanceCtx(ctx, target, r, metric)
 			if err != nil {
 				t.Fatalf("%s parallel: %v", what, err)
 			}
@@ -159,16 +160,17 @@ func identityEdit(base uint64, w, h int) *editops.Sequence {
 // and B's histograms and the two identity edits of A.
 func tieCorpus(t testing.TB, db *DB) (probeA, probeB *histogram.Histogram, low, high uint64) {
 	t.Helper()
+	ctx := context.Background()
 	a := dataset.Flags(1, 32, 24, 900)[0].Img
 	insert := func(name string, img *imaging.Image) uint64 {
-		id, err := db.InsertImage(name, img)
+		id, err := db.InsertImageCtx(ctx, 0, name, img)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return id
 	}
 	edit := func(name string, seq *editops.Sequence) uint64 {
-		id, err := db.InsertEdited(name, seq)
+		id, err := db.InsertEditedCtx(ctx, 0, name, seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,14 +319,15 @@ func TestKNNTiedProbeStopsAtTies(t *testing.T) {
 }
 
 func TestKNNPrunesSomething(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	// Insert a base identical to the probe so exact matches fill the top-k
 	// quickly and distant edits become prunable.
 	probe := imaging.NewFilled(16, 16, dataset.Blue)
-	db.InsertImage("blue", probe)
+	db.InsertImageCtx(ctx, 0, "blue", probe)
 	populate(t, db, 8, 5, 0.0, 33)
 	target := histogram.Extract(probe, db.Quantizer())
-	_, st, err := db.KNNCtx(context.Background(), query.KNN{Target: target, K: 1, Metric: query.MetricL1})
+	_, st, err := db.KNNCtx(ctx, query.KNN{Target: target, K: 1, Metric: query.MetricL1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +369,7 @@ func TestKNNBinaryMatchesBruteForce(t *testing.T) {
 	populate(t, db, 12, 1, 0, 5)
 	// Duplicate rasters tie on distance, so the id tie-break is exercised.
 	for _, f := range dataset.Flags(3, 32, 24, 5) {
-		if _, err := db.InsertImage(f.Name+"-dup", f.Img); err != nil {
+		if _, err := db.InsertImageCtx(context.Background(), 0, f.Name+"-dup", f.Img); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -400,7 +403,7 @@ func TestKNNBinaryDuringDeletes(t *testing.T) {
 	db := memDB(t)
 	var ids []uint64
 	for i := 0; i < 300; i++ {
-		id, err := db.InsertImage(fmt.Sprintf("b%d", i), imaging.NewFilled(2, 2, dataset.Red))
+		id, err := db.InsertImageCtx(context.Background(), 0, fmt.Sprintf("b%d", i), imaging.NewFilled(2, 2, dataset.Red))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,13 +437,14 @@ func TestKNNBinaryDuringDeletes(t *testing.T) {
 }
 
 func TestKNNValidation(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
-	db.InsertImage("x", imaging.NewFilled(4, 4, dataset.Red))
-	if _, _, err := db.KNNCtx(context.Background(), query.KNN{Target: nil, K: 1}); err == nil {
+	db.InsertImageCtx(ctx, 0, "x", imaging.NewFilled(4, 4, dataset.Red))
+	if _, _, err := db.KNNCtx(ctx, query.KNN{Target: nil, K: 1}); err == nil {
 		t.Fatal("nil target accepted")
 	}
 	wrongBins := histogram.New(8)
-	if _, _, err := db.KNNCtx(context.Background(), query.KNN{Target: wrongBins, K: 1}); err == nil {
+	if _, _, err := db.KNNCtx(ctx, query.KNN{Target: wrongBins, K: 1}); err == nil {
 		t.Fatal("bin mismatch accepted")
 	}
 	if _, err := db.KNNBinary(query.KNN{Target: wrongBins, K: 1}); err == nil {
@@ -505,15 +509,16 @@ func TestDistanceLowerBoundIsSound(t *testing.T) {
 }
 
 func TestKNNMultiFusesRankings(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
-	redID, _ := db.InsertImage("red", imaging.NewFilled(8, 8, dataset.Red))
-	blueID, _ := db.InsertImage("blue", imaging.NewFilled(8, 8, dataset.Blue))
-	db.InsertImage("green", imaging.NewFilled(8, 8, dataset.Green))
+	redID, _ := db.InsertImageCtx(ctx, 0, "red", imaging.NewFilled(8, 8, dataset.Red))
+	blueID, _ := db.InsertImageCtx(ctx, 0, "blue", imaging.NewFilled(8, 8, dataset.Blue))
+	db.InsertImageCtx(ctx, 0, "green", imaging.NewFilled(8, 8, dataset.Green))
 
 	probeRed := histogram.Extract(imaging.NewFilled(8, 8, dataset.Red), db.Quantizer())
 	probeBlue := histogram.Extract(imaging.NewFilled(8, 8, dataset.Blue), db.Quantizer())
 
-	matches, st, err := db.KNNMulti([]*histogram.Histogram{probeRed, probeBlue}, 2, query.MetricL1)
+	matches, st, err := db.KNNMultiCtx(ctx, []*histogram.Histogram{probeRed, probeBlue}, 2, query.MetricL1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,15 +539,16 @@ func TestKNNMultiFusesRankings(t *testing.T) {
 }
 
 func TestKNNMultiSingleProbeEqualsKNN(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 5, 3, 0.2, 66)
 	probe := dataset.Flags(1, 32, 24, 4)[0].Img
 	target := histogram.Extract(probe, db.Quantizer())
-	single, _, err := db.KNNCtx(context.Background(), query.KNN{Target: target, K: 4, Metric: query.MetricL2})
+	single, _, err := db.KNNCtx(ctx, query.KNN{Target: target, K: 4, Metric: query.MetricL2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, _, err := db.KNNMulti([]*histogram.Histogram{target}, 4, query.MetricL2)
+	multi, _, err := db.KNNMultiCtx(ctx, []*histogram.Histogram{target}, 4, query.MetricL2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +564,7 @@ func TestKNNMultiSingleProbeEqualsKNN(t *testing.T) {
 
 func TestKNNMultiValidation(t *testing.T) {
 	db := memDB(t)
-	if _, _, err := db.KNNMulti(nil, 3, query.MetricL1); err == nil {
+	if _, _, err := db.KNNMultiCtx(context.Background(), nil, 3, query.MetricL1); err == nil {
 		t.Fatal("empty probe set accepted")
 	}
 }
@@ -571,7 +577,7 @@ func TestWithinDistanceMatchesBruteForce(t *testing.T) {
 	for _, metric := range allMetrics {
 		all := bruteForceKNN(t, db, query.KNN{Target: target, K: 1 << 30, Metric: metric})
 		for _, dist := range []float64{0.1, 0.5, 1.0, 2.0} {
-			got, st, err := db.WithinDistance(target, dist, metric)
+			got, st, err := db.WithinDistanceCtx(context.Background(), target, dist, metric)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -602,12 +608,12 @@ func TestWithinDistanceDuringDeletes(t *testing.T) {
 	db := memDB(t)
 	var ids []uint64
 	for i := 0; i < 60; i++ {
-		base, err := db.InsertImage(fmt.Sprintf("b%d", i), imaging.NewFilled(4, 4, dataset.Red))
+		base, err := db.InsertImageCtx(context.Background(), 0, fmt.Sprintf("b%d", i), imaging.NewFilled(4, 4, dataset.Red))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j := 0; j < 3; j++ {
-			id, err := db.InsertEdited(fmt.Sprintf("e%d-%d", i, j), identityEdit(base, 4, 4))
+			id, err := db.InsertEditedCtx(context.Background(), 0, fmt.Sprintf("e%d-%d", i, j), identityEdit(base, 4, 4))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -649,36 +655,38 @@ func TestWithinDistanceDuringDeletes(t *testing.T) {
 // TestWithinDistanceRejectsUnknownMetric: an out-of-range Metric is a typed
 // validation error on a non-empty database, not a panic inside Distance.
 func TestWithinDistanceRejectsUnknownMetric(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 2, 1, 0, 3)
 	h := histogram.Extract(imaging.NewFilled(4, 4, dataset.Red), db.Quantizer())
-	if _, _, err := db.WithinDistance(h, 0.1, query.Metric(9)); !errors.Is(err, query.ErrUnknownMetric) {
+	if _, _, err := db.WithinDistanceCtx(ctx, h, 0.1, query.Metric(9)); !errors.Is(err, query.ErrUnknownMetric) {
 		t.Fatalf("WithinDistance with metric 9: %v, want ErrUnknownMetric", err)
 	}
-	if _, _, err := db.KNNCtx(context.Background(), query.KNN{Target: h, K: 1, Metric: query.Metric(9)}); !errors.Is(err, query.ErrUnknownMetric) {
+	if _, _, err := db.KNNCtx(ctx, query.KNN{Target: h, K: 1, Metric: query.Metric(9)}); !errors.Is(err, query.ErrUnknownMetric) {
 		t.Fatalf("KNN with metric 9: %v, want ErrUnknownMetric", err)
 	}
 }
 
 func TestWithinDistanceValidation(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
-	db.InsertImage("x", imaging.NewFilled(4, 4, dataset.Red))
+	db.InsertImageCtx(ctx, 0, "x", imaging.NewFilled(4, 4, dataset.Red))
 	h := histogram.Extract(imaging.NewFilled(4, 4, dataset.Red), db.Quantizer())
-	if _, _, err := db.WithinDistance(nil, 1, query.MetricL1); err == nil {
+	if _, _, err := db.WithinDistanceCtx(ctx, nil, 1, query.MetricL1); err == nil {
 		t.Fatal("nil target accepted")
 	}
-	if _, _, err := db.WithinDistance(h, -1, query.MetricL1); err == nil {
+	if _, _, err := db.WithinDistanceCtx(ctx, h, -1, query.MetricL1); err == nil {
 		t.Fatal("negative distance accepted")
 	}
 	// lb > NaN is never true: a NaN radius would render every edited image
 	// and keep none of them.
-	if _, _, err := db.WithinDistance(h, math.NaN(), query.MetricL1); err == nil {
+	if _, _, err := db.WithinDistanceCtx(ctx, h, math.NaN(), query.MetricL1); err == nil {
 		t.Fatal("NaN distance accepted")
 	}
-	if got, _, err := db.WithinDistance(h, math.Inf(1), query.MetricL1); err != nil || len(got) != 1 {
+	if got, _, err := db.WithinDistanceCtx(ctx, h, math.Inf(1), query.MetricL1); err != nil || len(got) != 1 {
 		t.Fatalf("+Inf distance: %v, %v; want the one stored image", got, err)
 	}
-	if _, _, err := db.WithinDistance(histogram.New(3), 1, query.MetricL1); err == nil {
+	if _, _, err := db.WithinDistanceCtx(ctx, histogram.New(3), 1, query.MetricL1); err == nil {
 		t.Fatal("bin mismatch accepted")
 	}
 }

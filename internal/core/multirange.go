@@ -51,18 +51,11 @@ func pctInterval(minSum, maxSum, total int) (lo, hi float64) {
 	return float64(minSum) / t, float64(maxSum) / t
 }
 
-// RangeQueryMulti answers a multi-bin range query. Modes: ModeRBM walks
-// every edited sequence once (all bins share one BoundsAll walk), ModeBWM
-// applies the cluster skip, ModeInstantiate materializes, ModeIndexed prunes
-// subtrees whose summed union box provably misses.
-//
-// Deprecated: use RangeQueryMultiCtx.
-func (db *DB) RangeQueryMulti(q query.MultiRange, mode Mode) (*rbm.Result, error) {
-	return db.RangeQueryMultiCtx(context.Background(), q, mode)
-}
-
-// RangeQueryMultiCtx is the canonical multi-bin entry point: ctx-aware,
-// with options selecting the execution mode, tracing, and result limit.
+// RangeQueryMultiCtx answers a multi-bin range query under ctx, with
+// options selecting the execution mode, tracing, and result limit. Modes:
+// ModeRBM walks every edited sequence once (all bins share one BoundsAll
+// walk), ModeBWM applies the cluster skip, ModeInstantiate materializes,
+// ModeIndexed prunes subtrees whose summed union box provably misses.
 func (db *DB) RangeQueryMultiCtx(ctx context.Context, q query.MultiRange, opts ...QueryOption) (*rbm.Result, error) {
 	cfg := buildQueryConfig(opts)
 	if err := q.Validate(db.cfg.Quantizer.Bins()); err != nil {
@@ -73,32 +66,9 @@ func (db *DB) RangeQueryMultiCtx(ctx context.Context, q query.MultiRange, opts .
 	})
 }
 
-// RangeQueryMultiTraced is RangeQueryMulti with decision counts and phase
-// timings recorded into tr (nil disables tracing).
-//
-// Deprecated: use RangeQueryMultiCtx with WithTrace.
-func (db *DB) RangeQueryMultiTraced(q query.MultiRange, mode Mode, tr *obs.Trace) (*rbm.Result, error) {
-	return db.RangeQueryMultiCtx(context.Background(), q, mode, WithTrace(tr))
-}
-
-// RangeQueryMultiTracedCtx is RangeQueryMultiCtx with a positional mode and
-// trace.
-//
-// Deprecated: use RangeQueryMultiCtx with WithTrace.
-func (db *DB) RangeQueryMultiTracedCtx(ctx context.Context, q query.MultiRange, mode Mode, tr *obs.Trace) (*rbm.Result, error) {
-	return db.RangeQueryMultiCtx(ctx, q, mode, WithTrace(tr))
-}
-
-// RangeQueryColorFamily resolves a named color's bin family and runs the
-// multi-bin query: "at least 25% blue-ish".
-//
-// Deprecated: use RangeQueryColorFamilyCtx.
-func (db *DB) RangeQueryColorFamily(name string, pctMin, pctMax float64, mode Mode) (*rbm.Result, error) {
-	return db.RangeQueryColorFamilyCtx(context.Background(), name, pctMin, pctMax, mode)
-}
-
-// RangeQueryColorFamilyCtx is RangeQueryColorFamily under the caller's ctx;
-// options select the execution mode, tracing, and result limit.
+// RangeQueryColorFamilyCtx resolves a named color's bin family and runs the
+// multi-bin query under ctx: "at least 25% blue-ish". Options select the
+// execution mode, tracing, and result limit.
 func (db *DB) RangeQueryColorFamilyCtx(ctx context.Context, name string, pctMin, pctMax float64, opts ...QueryOption) (*rbm.Result, error) {
 	bins, err := colorspace.FamilyForName(name, db.cfg.Quantizer)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func TestMultiRangeModesAgreeAndCoverGroundTruth(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 7, 4, 0.3, 71)
 	rng := rand.New(rand.NewSource(4))
@@ -31,22 +33,22 @@ func TestMultiRangeModesAgreeAndCoverGroundTruth(t *testing.T) {
 			q.PctMax = 1
 		}
 
-		a, err := db.RangeQueryMulti(q, ModeRBM)
+		a, err := db.RangeQueryMultiCtx(ctx, q, ModeRBM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := db.RangeQueryMulti(q, ModeBWM)
+		b, err := db.RangeQueryMultiCtx(ctx, q, ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := db.RangeQueryMulti(q, ModeIndexed)
+		c, err := db.RangeQueryMultiCtx(ctx, q, ModeIndexed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameIDs(a.IDs, b.IDs) || !sameIDs(a.IDs, c.IDs) {
 			t.Fatalf("trial %d: modes disagree: %v %v %v", trial, a.IDs, b.IDs, c.IDs)
 		}
-		gt, err := db.RangeQueryMulti(q, ModeInstantiate)
+		gt, err := db.RangeQueryMultiCtx(ctx, q, ModeInstantiate)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +67,7 @@ func TestMultiRangeBWMSkips(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := query.MultiRange{Bins: bins, PctMin: 0, PctMax: 1}
-	res, err := db.RangeQueryMulti(q, ModeBWM)
+	res, err := db.RangeQueryMultiCtx(context.Background(), q, ModeBWM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,17 +77,18 @@ func TestMultiRangeBWMSkips(t *testing.T) {
 }
 
 func TestMultiRangeSingleBinEqualsRange(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 5, 3, 0.2, 73)
 	bin, _ := db.cat.Binaries(), 0
 	_ = bin
 	r := query.Range{Bin: db.Quantizer().Bin(dataset.Red), PctMin: 0.1, PctMax: 0.8}
 	m := query.MultiRange{Bins: []int{r.Bin}, PctMin: r.PctMin, PctMax: r.PctMax}
-	a, err := db.RangeQuery(r, ModeRBM)
+	a, err := db.RangeQueryCtx(ctx, r, ModeRBM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := db.RangeQueryMulti(m, ModeRBM)
+	b, err := db.RangeQueryMultiCtx(ctx, m, ModeRBM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +98,7 @@ func TestMultiRangeSingleBinEqualsRange(t *testing.T) {
 }
 
 func TestRangeQueryColorFamily(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	// Two blues that land in DIFFERENT rgb4 bins but the same family.
 	deepBlue := imaging.RGB{R: 0, G: 51, B: 204}
@@ -102,12 +106,12 @@ func TestRangeQueryColorFamily(t *testing.T) {
 	if db.Quantizer().Bin(deepBlue) == db.Quantizer().Bin(midBlue) {
 		t.Fatalf("test colors share a bin; pick different ones")
 	}
-	a, _ := db.InsertImage("deep", imaging.NewFilled(8, 8, deepBlue))
-	b, _ := db.InsertImage("mid", imaging.NewFilled(8, 8, midBlue))
-	db.InsertImage("red", imaging.NewFilled(8, 8, dataset.Red))
+	a, _ := db.InsertImageCtx(ctx, 0, "deep", imaging.NewFilled(8, 8, deepBlue))
+	b, _ := db.InsertImageCtx(ctx, 0, "mid", imaging.NewFilled(8, 8, midBlue))
+	db.InsertImageCtx(ctx, 0, "red", imaging.NewFilled(8, 8, dataset.Red))
 
 	// The single-bin query only finds the exact-bin blue...
-	single, err := db.RangeQueryText("at least 50% blue", ModeBWM)
+	single, err := db.RangeQueryTextCtx(ctx, "at least 50% blue", ModeBWM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,30 +119,31 @@ func TestRangeQueryColorFamily(t *testing.T) {
 		t.Fatalf("single-bin ids %v", single.IDs)
 	}
 	// ...the family query finds both blues and not the red.
-	family, err := db.RangeQueryColorFamily("blue", 0.5, 1, ModeBWM)
+	family, err := db.RangeQueryColorFamilyCtx(ctx, "blue", 0.5, 1, ModeBWM)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameIDs(family.IDs, []uint64{a, b}) {
 		t.Fatalf("family ids %v", family.IDs)
 	}
-	if _, err := db.RangeQueryColorFamily("nope", 0, 1, ModeBWM); err == nil {
+	if _, err := db.RangeQueryColorFamilyCtx(ctx, "nope", 0, 1, ModeBWM); err == nil {
 		t.Fatal("unknown color family accepted")
 	}
 }
 
 func TestMultiRangeValidation(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
-	if _, err := db.RangeQueryMulti(query.MultiRange{}, ModeBWM); err == nil {
+	if _, err := db.RangeQueryMultiCtx(ctx, query.MultiRange{}, ModeBWM); err == nil {
 		t.Fatal("empty bin set accepted")
 	}
-	if _, err := db.RangeQueryMulti(query.MultiRange{Bins: []int{0, 0}, PctMax: 1}, ModeBWM); err == nil {
+	if _, err := db.RangeQueryMultiCtx(ctx, query.MultiRange{Bins: []int{0, 0}, PctMax: 1}, ModeBWM); err == nil {
 		t.Fatal("duplicate bins accepted")
 	}
-	if _, err := db.RangeQueryMulti(query.MultiRange{Bins: []int{1 << 20}, PctMax: 1}, ModeBWM); err == nil {
+	if _, err := db.RangeQueryMultiCtx(ctx, query.MultiRange{Bins: []int{1 << 20}, PctMax: 1}, ModeBWM); err == nil {
 		t.Fatal("out-of-range bin accepted")
 	}
-	if _, err := db.RangeQueryMulti(query.MultiRange{Bins: []int{0}, PctMax: 1}, Mode(99)); err == nil {
+	if _, err := db.RangeQueryMultiCtx(ctx, query.MultiRange{Bins: []int{0}, PctMax: 1}, Mode(99)); err == nil {
 		t.Fatal("bad mode accepted")
 	}
 }

@@ -76,6 +76,7 @@ func randomRanges(rng *rand.Rand, bins, n int) []query.Range {
 // instantiation oracle must be contained in every bound method's answer,
 // and the bound methods must agree exactly.
 func TestOracleBoundModesContainInstantiation(t *testing.T) {
+	ctx := context.Background()
 	for _, cfg := range oracleConfigs {
 		cfg := cfg
 		t.Run(fmt.Sprintf("seed=%d", cfg.seed), func(t *testing.T) {
@@ -83,13 +84,13 @@ func TestOracleBoundModesContainInstantiation(t *testing.T) {
 			populate(t, db, cfg.nBase, cfg.perBase, cfg.nonWid, cfg.seed)
 			rng := rand.New(rand.NewSource(cfg.seed * 7))
 			for qi, q := range randomRanges(rng, db.cfg.Quantizer.Bins(), 50) {
-				oracle, err := db.RangeQuery(q, ModeInstantiate)
+				oracle, err := db.RangeQueryCtx(ctx, q, ModeInstantiate)
 				if err != nil {
 					t.Fatalf("query %d oracle: %v", qi, err)
 				}
 				var first *rbmResultIDs
 				for _, mode := range oracleBoundModes {
-					res, err := db.RangeQuery(q, mode)
+					res, err := db.RangeQueryCtx(ctx, q, mode)
 					if err != nil {
 						t.Fatalf("query %d mode %s: %v", qi, modeName(mode), err)
 					}
@@ -145,6 +146,7 @@ type rbmResultIDs struct {
 // randomized database, returns element-for-element identical ids and
 // identical statistics at Parallelism 1, 2 and 8.
 func TestOracleParallelMatchesSerial(t *testing.T) {
+	ctx := context.Background()
 	allModes := append([]Mode{ModeInstantiate}, oracleBoundModes...)
 	for _, cfg := range oracleConfigs {
 		cfg := cfg
@@ -156,13 +158,13 @@ func TestOracleParallelMatchesSerial(t *testing.T) {
 			for _, mode := range allModes {
 				for qi, q := range queries {
 					db.SetParallelism(1)
-					serial, err := db.RangeQuery(q, mode)
+					serial, err := db.RangeQueryCtx(ctx, q, mode)
 					if err != nil {
 						t.Fatalf("mode %s query %d serial: %v", modeName(mode), qi, err)
 					}
 					for _, par := range []int{2, 8} {
 						db.SetParallelism(par)
-						got, err := db.RangeQuery(q, mode)
+						got, err := db.RangeQueryCtx(ctx, q, mode)
 						if err != nil {
 							t.Fatalf("mode %s query %d par=%d: %v", modeName(mode), qi, par, err)
 						}
@@ -185,6 +187,7 @@ func TestOracleParallelMatchesSerial(t *testing.T) {
 // to the other query surfaces: compound queries, multi-bin ranges, k-NN and
 // within-distance searches.
 func TestOracleParallelCompoundMultiKNN(t *testing.T) {
+	ctx := context.Background()
 	cfg := oracleConfigs[1]
 	db := memDB(t)
 	populate(t, db, cfg.nBase, cfg.perBase, cfg.nonWid, cfg.seed)
@@ -205,7 +208,7 @@ func TestOracleParallelCompoundMultiKNN(t *testing.T) {
 		var s snapshot
 		for _, conn := range []query.Connective{query.And, query.Or} {
 			c := query.Compound{Terms: ranges[:3], Conn: conn}
-			res, err := db.CompoundQuery(c, ModeBWM)
+			res, err := db.CompoundQueryCtx(ctx, c, ModeBWM)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,18 +216,18 @@ func TestOracleParallelCompoundMultiKNN(t *testing.T) {
 		}
 		for _, mode := range []Mode{ModeRBM, ModeBWM, ModeInstantiate, ModeIndexed} {
 			mq := query.MultiRange{Bins: []int{0, 1, 5}, PctMin: 0.05, PctMax: 0.9}
-			res, err := db.RangeQueryMulti(mq, mode)
+			res, err := db.RangeQueryMultiCtx(ctx, mq, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
 			s.multi = append(s.multi, &rbmResultIDs{mode: mode, ids: res.IDs})
 		}
-		knn, _, err := db.KNNCtx(context.Background(), query.KNN{Target: target, K: 5, Metric: query.MetricL1})
+		knn, _, err := db.KNNCtx(ctx, query.KNN{Target: target, K: 5, Metric: query.MetricL1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.knn = knn
-		within, _, err := db.WithinDistance(target, 0.6, query.MetricL1)
+		within, _, err := db.WithinDistanceCtx(ctx, target, 0.6, query.MetricL1)
 		if err != nil {
 			t.Fatal(err)
 		}

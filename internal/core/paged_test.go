@@ -205,7 +205,7 @@ func checkCensus(t *testing.T, db *DB, name string, mode Mode, exact func(*histo
 func pagedMutate(t testing.TB, db *DB, spare []uint64) {
 	t.Helper()
 	segMutate(t, db)
-	if err := db.Delete(spare[0]); err != nil {
+	if err := db.DeleteCtx(context.Background(), spare[0]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -265,13 +265,13 @@ func TestPagedDuringWrites(t *testing.T) {
 			// Insert a base and an edit of it, then take both away again: the
 			// corpus keeps its size while ids come and go at its tail.
 			f := flags[i%len(flags)]
-			base, err := db.InsertImage(f.Name, f.Img)
+			base, err := db.InsertImageCtx(ctx, 0, f.Name, f.Img)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			seq := &editops.Sequence{BaseID: base, Ops: []editops.Op{editops.Modify{Old: dataset.Blue, New: dataset.Green}}}
-			edit, err := db.InsertEdited(f.Name+"-edit", seq)
+			edit, err := db.InsertEditedCtx(ctx, 0, f.Name+"-edit", seq)
 			if err != nil {
 				t.Error(err)
 				return
@@ -281,7 +281,7 @@ func TestPagedDuringWrites(t *testing.T) {
 				gone = append(gone, victims[i]) // and thin out the middle
 			}
 			for _, id := range gone {
-				if err := db.Delete(id); err != nil {
+				if err := db.DeleteCtx(ctx, id); err != nil {
 					t.Error(err)
 					return
 				}

@@ -9,6 +9,7 @@ package core
 // checked across every bound-based mode plus instantiation.
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -34,9 +35,10 @@ func segDB(t testing.TB, path string, opts segment.Options) *DB {
 // sequences (the re-stage path: the newer entry shadows the sealed one).
 func segMutate(t testing.TB, db *DB) {
 	t.Helper()
+	ctx := context.Background()
 	edited := db.EditedIDs()
 	for i := 0; i < len(edited); i += 5 {
-		if err := db.Delete(edited[i]); err != nil {
+		if err := db.DeleteCtx(ctx, edited[i]); err != nil {
 			t.Fatalf("delete edited %d: %v", edited[i], err)
 		}
 	}
@@ -50,7 +52,7 @@ func segMutate(t testing.TB, db *DB) {
 			break
 		}
 		ops := editops.PasteOnto(imaging.Rect{X0: 0, Y0: 0, X1: 2, Y1: 2}, bases[0], 0, 0)
-		if err := db.AppendOps(id, ops); err != nil {
+		if err := db.AppendOpsCtx(ctx, id, ops); err != nil {
 			t.Fatalf("append ops to %d: %v", id, err)
 		}
 		appended++
@@ -58,6 +60,7 @@ func segMutate(t testing.TB, db *DB) {
 }
 
 func TestSegmentOracleDifferential(t *testing.T) {
+	ctx := context.Background()
 	configs := []struct {
 		name string
 		opts segment.Options
@@ -111,11 +114,11 @@ func TestSegmentOracleDifferential(t *testing.T) {
 			modes := append([]Mode{ModeInstantiate}, oracleBoundModes...)
 			for qi, q := range randomRanges(rng, db.cfg.Quantizer.Bins(), 50) {
 				for _, mode := range modes {
-					got, err := db.RangeQuery(q, mode)
+					got, err := db.RangeQueryCtx(ctx, q, mode)
 					if err != nil {
 						t.Fatalf("query %d mode %s segmented: %v", qi, modeName(mode), err)
 					}
-					want, err := ref.RangeQuery(q, mode)
+					want, err := ref.RangeQueryCtx(ctx, q, mode)
 					if err != nil {
 						t.Fatalf("query %d mode %s twin: %v", qi, modeName(mode), err)
 					}

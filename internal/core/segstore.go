@@ -367,7 +367,6 @@ func (db *DB) loadFromSegments() error {
 		if err := db.cat.RestoreObject(obj); err != nil {
 			return err
 		}
-		db.idx.InsertBinary(obj.ID)
 	}
 	for _, ent := range editedEnts {
 		obj, _, err := decodeSegEntry(ent.ID, ent.Payload, false)
@@ -377,7 +376,6 @@ func (db *DB) loadFromSegments() error {
 		if err := db.cat.RestoreObject(obj); err != nil {
 			return err
 		}
-		db.idx.InsertEdited(obj.ID, obj.Seq.BaseID, obj.Widening)
 	}
 	return nil
 }

@@ -8,7 +8,8 @@ import (
 
 // DBStats aggregates the database's occupancy statistics: the catalog
 // breakdown the paper's Table 2 reports, the BWM component sizes, and (for
-// persistent databases) the storage-engine statistics.
+// persistent databases) the storage-engine statistics. The BWM sizes are
+// read off the catalog: an edited image's Widening flag is its component.
 type DBStats struct {
 	Catalog catalog.Stats
 	// BWMClusters is the number of Main Component clusters (one per binary
@@ -18,7 +19,7 @@ type DBStats struct {
 	// clusters (widening-only images).
 	BWMClustered int
 	// BWMUnclassified is the number of edited images in the Unclassified
-	// Component.
+	// Component (those with a non-widening operation).
 	BWMUnclassified int
 	// Segment holds storage-engine statistics; nil for in-memory
 	// databases.
@@ -29,8 +30,8 @@ type DBStats struct {
 
 // Stats collects current statistics.
 func (db *DB) Stats() (DBStats, error) {
-	st := DBStats{Catalog: db.cat.Stats()}
-	st.BWMClusters, st.BWMClustered, st.BWMUnclassified = db.idx.Sizes()
+	cs := db.cat.Stats()
+	st := DBStats{Catalog: cs, BWMClusters: cs.Binaries, BWMClustered: cs.WideningOnly, BWMUnclassified: cs.NonWidening}
 	if s, ok := db.SegmentStats(); ok {
 		st.Persistent = true
 		st.Segment = &s

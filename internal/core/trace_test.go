@@ -15,17 +15,18 @@ import (
 // A traced query must record phase timings and decision counts that agree
 // with the result's own statistics, and tracing must not change results.
 func TestRangeQueryTraced(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 4, 3, 0, 7)
 	q := query.Range{Bin: db.cfg.Quantizer.Bin(dataset.Red), PctMin: 0.2, PctMax: 1}
 
 	for _, mode := range []Mode{ModeBWM, ModeRBM, ModeIndexed, ModeInstantiate} {
-		plain, err := db.RangeQuery(q, mode)
+		plain, err := db.RangeQueryCtx(ctx, q, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr := obs.NewTrace()
-		traced, err := db.RangeQueryTraced(q, mode, tr)
+		traced, err := db.RangeQueryCtx(ctx, q, mode, WithTrace(tr))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,8 +48,9 @@ func TestRangeQueryTraced(t *testing.T) {
 // BWM's trace must show the fast path admitting widening-only images
 // rule-free when their base matches.
 func TestTraceBWMFastPath(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
-	baseID, err := db.InsertImage("red", imaging.NewFilled(8, 8, dataset.Red))
+	baseID, err := db.InsertImageCtx(ctx, 0, "red", imaging.NewFilled(8, 8, dataset.Red))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestTraceBWMFastPath(t *testing.T) {
 	seq := &editops.Sequence{BaseID: baseID, Ops: []editops.Op{
 		editops.Modify{Old: dataset.Blue, New: dataset.Green},
 	}}
-	eid, err := db.InsertEdited("e", seq)
+	eid, err := db.InsertEditedCtx(ctx, 0, "e", seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestTraceBWMFastPath(t *testing.T) {
 	}
 	q := query.Range{Bin: db.cfg.Quantizer.Bin(dataset.Red), PctMin: 0.5, PctMax: 1}
 	tr := obs.NewTrace()
-	res, err := db.RangeQueryTraced(q, ModeBWM, tr)
+	res, err := db.RangeQueryCtx(ctx, q, ModeBWM, WithTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +94,7 @@ func TestTraceBWMFastPath(t *testing.T) {
 // first indexed query records the build phase, the second descends the
 // stored bounds and evaluates no rules.
 func TestTraceIndexedBuildOnce(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 3, 2, 0, 9)
 	q := query.Range{Bin: db.cfg.Quantizer.Bin(dataset.Blue), PctMin: 0.1, PctMax: 1}
@@ -105,14 +108,14 @@ func TestTraceIndexedBuildOnce(t *testing.T) {
 	}
 
 	cold := obs.NewTrace()
-	if _, err := db.RangeQueryTraced(q, ModeIndexed, cold); err != nil {
+	if _, err := db.RangeQueryCtx(ctx, q, ModeIndexed, WithTrace(cold)); err != nil {
 		t.Fatal(err)
 	}
 	if !built(cold) {
 		t.Fatalf("cold run recorded no build phase: %v", cold.Phases())
 	}
 	warm := obs.NewTrace()
-	if _, err := db.RangeQueryTraced(q, ModeIndexed, warm); err != nil {
+	if _, err := db.RangeQueryCtx(ctx, q, ModeIndexed, WithTrace(warm)); err != nil {
 		t.Fatal(err)
 	}
 	if built(warm) {
@@ -205,24 +208,25 @@ func TestTracePagedCounterTruth(t *testing.T) {
 // walk: one fast-path admission per rule-free member, one cluster hit per
 // satisfied base however many of its members the page held.
 func TestTracePagedBWMFastPath(t *testing.T) {
+	ctx := context.Background()
 	db := memDB(t)
-	red, err := db.InsertImage("red", imaging.NewFilled(8, 8, dataset.Red))
+	red, err := db.InsertImageCtx(ctx, 0, "red", imaging.NewFilled(8, 8, dataset.Red))
 	if err != nil {
 		t.Fatal(err)
 	}
-	blue, err := db.InsertImage("blue", imaging.NewFilled(8, 8, dataset.Blue))
+	blue, err := db.InsertImageCtx(ctx, 0, "blue", imaging.NewFilled(8, 8, dataset.Blue))
 	if err != nil {
 		t.Fatal(err)
 	}
 	widening := []editops.Op{editops.Modify{Old: dataset.Blue, New: dataset.Green}}
 	for _, base := range []uint64{red, red, red, blue} {
-		if _, err := db.InsertEdited("e", &editops.Sequence{BaseID: base, Ops: widening}); err != nil {
+		if _, err := db.InsertEditedCtx(ctx, 0, "e", &editops.Sequence{BaseID: base, Ops: widening}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	q := query.Range{Bin: db.cfg.Quantizer.Bin(dataset.Red), PctMin: 0.5, PctMax: 1}
 	tr := obs.NewTrace()
-	res, err := db.RangeQueryCtx(context.Background(), q, ModeBWM, WithLimit(3), WithTrace(tr))
+	res, err := db.RangeQueryCtx(ctx, q, ModeBWM, WithLimit(3), WithTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

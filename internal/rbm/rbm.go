@@ -6,8 +6,8 @@
 // range are returned even though their exact percentage is unknown.
 //
 // internal/core's scan evaluator applies the verdict to every candidate;
-// the Bound-Widening Method (internal/bwm) is the rule-free shortcut for
-// widening-only images whose base satisfies the query.
+// its Bound-Widening Method verdict is the rule-free shortcut for images
+// whose catalog Widening flag is set and whose base satisfies the query.
 package rbm
 
 import (

@@ -82,6 +82,7 @@ func buildFixture(t *testing.T) (*catalog.Catalog, *rules.Engine, map[string]uin
 // fixtureDB loads the same fixture into an in-memory database.
 func fixtureDB(t *testing.T) (*core.DB, map[string]uint64) {
 	t.Helper()
+	ctx := context.Background()
 	db, err := core.Open(core.Config{Quantizer: q4})
 	if err != nil {
 		t.Fatal(err)
@@ -90,13 +91,13 @@ func fixtureDB(t *testing.T) (*core.DB, map[string]uint64) {
 	ids := map[string]uint64{}
 	names, imgs := binaryFixture()
 	for i, img := range imgs {
-		if ids[names[i]], err = db.InsertImage(names[i], img); err != nil {
+		if ids[names[i]], err = db.InsertImageCtx(ctx, 0, names[i], img); err != nil {
 			t.Fatal(err)
 		}
 	}
 	names, seqs := editedFixture(ids)
 	for i, seq := range seqs {
-		if ids[names[i]], err = db.InsertEdited(names[i], seq); err != nil {
+		if ids[names[i]], err = db.InsertEditedCtx(ctx, 0, names[i], seq); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -27,6 +27,7 @@ import (
 // is true. The database is file-backed so that each delete waits for its
 // fsync: that paces the deleter to a few hundred reads per reader.
 func TestQueryHydrationDuringDeletes(t *testing.T) {
+	ctx := context.Background()
 	db, err := mmdb.Open(mmdb.WithPath(filepath.Join(t.TempDir(), "db")))
 	if err != nil {
 		t.Fatal(err)
@@ -38,12 +39,12 @@ func TestQueryHydrationDuringDeletes(t *testing.T) {
 	}()
 	var edited []uint64
 	for i := 0; i < 20; i++ {
-		base, err := db.InsertImage(fmt.Sprintf("b%d", i), mmdb.NewFilledImage(2, 2, dataset.Blue))
+		base, err := db.InsertImageCtx(ctx, fmt.Sprintf("b%d", i), mmdb.NewFilledImage(2, 2, dataset.Blue))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j := 0; j < 15; j++ {
-			id, err := db.InsertEdited(fmt.Sprintf("e%d-%d", i, j), &mmdb.Sequence{BaseID: base, Ops: []mmdb.Op{mmdb.Modify{}}})
+			id, err := db.InsertEditedCtx(ctx, fmt.Sprintf("e%d-%d", i, j), &mmdb.Sequence{BaseID: base, Ops: []mmdb.Op{mmdb.Modify{}}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +56,7 @@ func TestQueryHydrationDuringDeletes(t *testing.T) {
 	go func() {
 		defer close(done)
 		for _, id := range edited {
-			if err := db.DeleteCtx(context.Background(), id); err != nil {
+			if err := db.DeleteCtx(ctx, id); err != nil {
 				t.Errorf("delete %d: %v", id, err)
 				return
 			}
@@ -145,16 +146,17 @@ func (w *firstWriteHook) Write(p []byte) (int, error) {
 // and its Results is the number of objects the body really carries, here one
 // fewer than the query chose because one was deleted in between.
 func TestQueryLogRecordsAfterEncode(t *testing.T) {
+	ctx := context.Background()
 	_, db := newTestServer(t)
 	var ids []uint64
 	for i := 0; i < 3; i++ {
-		id, err := db.InsertImage(fmt.Sprintf("b%d", i), mmdb.NewFilledImage(2, 2, dataset.Blue))
+		id, err := db.InsertImageCtx(ctx, fmt.Sprintf("b%d", i), mmdb.NewFilledImage(2, 2, dataset.Blue))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
-	if err := db.DeleteCtx(context.Background(), ids[1]); err != nil {
+	if err := db.DeleteCtx(ctx, ids[1]); err != nil {
 		t.Fatal(err)
 	}
 

@@ -24,8 +24,8 @@ const (
 
 // Run serves s on addr until ctx is canceled, then drains in-flight
 // requests with a graceful Shutdown (bounded by ShutdownGrace). Callers
-// wire ctx to SIGINT/SIGTERM so shard processes restart cleanly during
-// rebalances; a nil return means a clean drain.
+// wire ctx to SIGINT/SIGTERM so shard processes restart cleanly; a nil
+// return means a clean drain.
 func Run(ctx context.Context, addr string, s *Server) error {
 	srv := &http.Server{
 		Addr:              addr,

@@ -26,9 +26,8 @@
 //	POST   /v1/checkpoint           force a durability checkpoint (truncates the WAL)
 //	POST   /v1/compact              rewrite the store file
 //
-// The same paths without the /v1 prefix are served as deprecated aliases:
-// they answer identically but carry a "Deprecation: true" response header.
-// Operational endpoints are unversioned (and not deprecated):
+// Every API route has exactly this one URL; only the operational endpoints
+// are unversioned:
 //
 //	GET    /healthz              liveness probe (cluster health checks hit this)
 //	GET    /metrics              process metrics (Prometheus text; ?format=json)
@@ -121,16 +120,9 @@ func New(db *mmdb.DB) *Server {
 	return s
 }
 
-// api registers an API route at its canonical /v1 path and at the legacy
-// unversioned path. The alias answers identically but marks itself
-// deprecated so clients can migrate before the alias is removed.
+// api registers an API route under /v1, its only URL.
 func (s *Server) api(method, path string, h http.HandlerFunc) {
 	s.mux.HandleFunc(method+" /v1"+path, h)
-	s.mux.HandleFunc(method+" "+path, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+path+">; rel=\"successor-version\"")
-		h(w, r)
-	})
 }
 
 // WithLogger makes the server log one structured line per request to l
@@ -738,7 +730,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := edgeTrace(r)
 	start := time.Now()
-	matches, st, err := s.db.QueryByExampleTracedCtx(r.Context(), img, k, metric, tr)
+	matches, st, err := s.db.QueryByExampleCtx(r.Context(), img, k, metric, mmdb.WithTrace(tr))
 	if err != nil {
 		logQuery(r, start, "similar", r.URL.Query().Get("metric"), fmt.Sprintf("k=%d", k), tr, 0, err)
 		s.writeError(w, err)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -72,25 +73,25 @@ func TestInsertListGetDelete(t *testing.T) {
 		Kind string `json:"kind"`
 		W    int    `json:"width"`
 	}
-	doJSON(t, "POST", ts.URL+"/objects?name=bluey", ppmBody(t, img), "image/x-portable-pixmap", http.StatusCreated, &created)
+	doJSON(t, "POST", ts.URL+"/v1/objects?name=bluey", ppmBody(t, img), "image/x-portable-pixmap", http.StatusCreated, &created)
 	if created.Kind != "binary" || created.W != 8 {
 		t.Fatalf("created %+v", created)
 	}
 
 	var list []map[string]any
-	doJSON(t, "GET", ts.URL+"/objects", nil, "", http.StatusOK, &list)
+	doJSON(t, "GET", ts.URL+"/v1/objects", nil, "", http.StatusOK, &list)
 	if len(list) != 1 || list[0]["name"] != "bluey" {
 		t.Fatalf("list %v", list)
 	}
 
 	var got map[string]any
-	doJSON(t, "GET", fmt.Sprintf("%s/objects/%d", ts.URL, created.ID), nil, "", http.StatusOK, &got)
+	doJSON(t, "GET", fmt.Sprintf("%s/v1/objects/%d", ts.URL, created.ID), nil, "", http.StatusOK, &got)
 	if got["kind"] != "binary" {
 		t.Fatalf("get %v", got)
 	}
 
-	doJSON(t, "DELETE", fmt.Sprintf("%s/objects/%d", ts.URL, created.ID), nil, "", http.StatusNoContent, nil)
-	doJSON(t, "GET", fmt.Sprintf("%s/objects/%d", ts.URL, created.ID), nil, "", http.StatusNotFound, nil)
+	doJSON(t, "DELETE", fmt.Sprintf("%s/v1/objects/%d", ts.URL, created.ID), nil, "", http.StatusNoContent, nil)
+	doJSON(t, "GET", fmt.Sprintf("%s/v1/objects/%d", ts.URL, created.ID), nil, "", http.StatusNotFound, nil)
 }
 
 func TestInsertPNG(t *testing.T) {
@@ -102,7 +103,7 @@ func TestInsertPNG(t *testing.T) {
 	var created struct {
 		ID uint64 `json:"id"`
 	}
-	doJSON(t, "POST", ts.URL+"/objects", &buf, "image/png", http.StatusCreated, &created)
+	doJSON(t, "POST", ts.URL+"/v1/objects", &buf, "image/png", http.StatusCreated, &created)
 	if created.ID == 0 {
 		t.Fatal("no id")
 	}
@@ -110,7 +111,7 @@ func TestInsertPNG(t *testing.T) {
 
 func TestInsertGarbageIs400(t *testing.T) {
 	ts, _ := newTestServer(t)
-	doJSON(t, "POST", ts.URL+"/objects", strings.NewReader("not an image"), "image/x-portable-pixmap", http.StatusBadRequest, nil)
+	doJSON(t, "POST", ts.URL+"/v1/objects", strings.NewReader("not an image"), "image/x-portable-pixmap", http.StatusBadRequest, nil)
 }
 
 func TestSequenceAndQueryFlow(t *testing.T) {
@@ -118,7 +119,7 @@ func TestSequenceAndQueryFlow(t *testing.T) {
 	var base struct {
 		ID uint64 `json:"id"`
 	}
-	doJSON(t, "POST", ts.URL+"/objects?name=base", ppmBody(t, mmdb.NewFilledImage(10, 10, dataset.Blue)), "", http.StatusCreated, &base)
+	doJSON(t, "POST", ts.URL+"/v1/objects?name=base", ppmBody(t, mmdb.NewFilledImage(10, 10, dataset.Blue)), "", http.StatusCreated, &base)
 
 	script := fmt.Sprintf("base %d\ndefine 0 0 10 10\nmodify #0033cc #cc0000\n", base.ID)
 	var edited struct {
@@ -127,7 +128,7 @@ func TestSequenceAndQueryFlow(t *testing.T) {
 		Widening *bool  `json:"widening"`
 		Script   string `json:"script"`
 	}
-	doJSON(t, "POST", ts.URL+"/sequences?name=red-version", strings.NewReader(script), "text/plain", http.StatusCreated, &edited)
+	doJSON(t, "POST", ts.URL+"/v1/sequences?name=red-version", strings.NewReader(script), "text/plain", http.StatusCreated, &edited)
 	if edited.BaseID != base.ID || edited.Widening == nil || !*edited.Widening {
 		t.Fatalf("edited %+v", edited)
 	}
@@ -141,25 +142,25 @@ func TestSequenceAndQueryFlow(t *testing.T) {
 			EditedSkipped int `json:"edited_skipped"`
 		} `json:"stats"`
 	}
-	doJSON(t, "GET", ts.URL+"/query?q=at+least+50%25+red", nil, "", http.StatusOK, &qres)
+	doJSON(t, "GET", ts.URL+"/v1/query?q=at+least+50%25+red", nil, "", http.StatusOK, &qres)
 	if len(qres.IDs) != 1 || qres.IDs[0] != edited.ID {
 		t.Fatalf("query ids %v", qres.IDs)
 	}
 	// With bases expansion both objects come back.
-	doJSON(t, "GET", ts.URL+"/query?q=at+least+50%25+red&bases=1", nil, "", http.StatusOK, &qres)
+	doJSON(t, "GET", ts.URL+"/v1/query?q=at+least+50%25+red&bases=1", nil, "", http.StatusOK, &qres)
 	if len(qres.IDs) != 2 {
 		t.Fatalf("expanded ids %v", qres.IDs)
 	}
 	// Compound query.
-	doJSON(t, "GET", ts.URL+"/query?q="+
+	doJSON(t, "GET", ts.URL+"/v1/query?q="+
 		"at+least+50%25+red+or+at+least+50%25+blue", nil, "", http.StatusOK, &qres)
 	if len(qres.IDs) != 2 {
 		t.Fatalf("compound ids %v", qres.IDs)
 	}
 	// Bad query text.
-	doJSON(t, "GET", ts.URL+"/query?q=gibberish", nil, "", http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/query", nil, "", http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/query?q=at+least+5%25+red&mode=nope", nil, "", http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/v1/query?q=gibberish", nil, "", http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/v1/query", nil, "", http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/v1/query?q=at+least+5%25+red&mode=nope", nil, "", http.StatusBadRequest, nil)
 }
 
 func TestAugmentEndpoint(t *testing.T) {
@@ -167,28 +168,29 @@ func TestAugmentEndpoint(t *testing.T) {
 	var base struct {
 		ID uint64 `json:"id"`
 	}
-	doJSON(t, "POST", ts.URL+"/objects", ppmBody(t, dataset.Flags(1, 24, 16, 1)[0].Img), "", http.StatusCreated, &base)
+	doJSON(t, "POST", ts.URL+"/v1/objects", ppmBody(t, dataset.Flags(1, 24, 16, 1)[0].Img), "", http.StatusCreated, &base)
 	var out struct {
 		Base   uint64   `json:"base"`
 		Edited []uint64 `json:"edited"`
 	}
-	doJSON(t, "POST", fmt.Sprintf("%s/objects/%d/augment?per=4&seed=2", ts.URL, base.ID), nil, "", http.StatusCreated, &out)
+	doJSON(t, "POST", fmt.Sprintf("%s/v1/objects/%d/augment?per=4&seed=2", ts.URL, base.ID), nil, "", http.StatusCreated, &out)
 	if len(out.Edited) != 4 {
 		t.Fatalf("augment %v", out)
 	}
 	if len(db.EditedIDs()) != 4 {
 		t.Fatal("augment not visible in db")
 	}
-	doJSON(t, "POST", fmt.Sprintf("%s/objects/%d/augment?nonwidening=2", ts.URL, base.ID), nil, "", http.StatusBadRequest, nil)
-	doJSON(t, "POST", ts.URL+"/objects/999/augment", nil, "", http.StatusNotFound, nil)
+	doJSON(t, "POST", fmt.Sprintf("%s/v1/objects/%d/augment?nonwidening=2", ts.URL, base.ID), nil, "", http.StatusBadRequest, nil)
+	doJSON(t, "POST", ts.URL+"/v1/objects/999/augment", nil, "", http.StatusNotFound, nil)
 }
 
 func TestImageEndpointInstantiates(t *testing.T) {
+	ctx := context.Background()
 	ts, db := newTestServer(t)
-	baseID, _ := db.InsertImage("b", mmdb.NewFilledImage(6, 6, dataset.Blue))
-	eid, _ := db.InsertEdited("e", &mmdb.Sequence{BaseID: baseID, Ops: mmdb.CropTo(mmdb.R(0, 0, 3, 2))})
+	baseID, _ := db.InsertImageCtx(ctx, "b", mmdb.NewFilledImage(6, 6, dataset.Blue))
+	eid, _ := db.InsertEditedCtx(ctx, "e", &mmdb.Sequence{BaseID: baseID, Ops: mmdb.CropTo(mmdb.R(0, 0, 3, 2))})
 
-	resp, err := http.Get(fmt.Sprintf("%s/objects/%d/image", ts.URL, eid))
+	resp, err := http.Get(fmt.Sprintf("%s/v1/objects/%d/image", ts.URL, eid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +206,7 @@ func TestImageEndpointInstantiates(t *testing.T) {
 		t.Fatalf("instantiated %dx%d", img.W, img.H)
 	}
 	// PNG format variant.
-	resp2, err := http.Get(fmt.Sprintf("%s/objects/%d/image?format=png", ts.URL, baseID))
+	resp2, err := http.Get(fmt.Sprintf("%s/v1/objects/%d/image?format=png", ts.URL, baseID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +220,10 @@ func TestImageEndpointInstantiates(t *testing.T) {
 }
 
 func TestSimilarEndpoint(t *testing.T) {
+	ctx := context.Background()
 	ts, db := newTestServer(t)
-	blueID, _ := db.InsertImage("blue", mmdb.NewFilledImage(8, 8, dataset.Blue))
-	db.InsertImage("red", mmdb.NewFilledImage(8, 8, dataset.Red))
+	blueID, _ := db.InsertImageCtx(ctx, "blue", mmdb.NewFilledImage(8, 8, dataset.Blue))
+	db.InsertImageCtx(ctx, "red", mmdb.NewFilledImage(8, 8, dataset.Red))
 
 	var out struct {
 		Matches []struct {
@@ -228,39 +231,40 @@ func TestSimilarEndpoint(t *testing.T) {
 			Dist float64 `json:"dist"`
 		} `json:"matches"`
 	}
-	doJSON(t, "POST", ts.URL+"/similar?k=1&metric=l2",
+	doJSON(t, "POST", ts.URL+"/v1/similar?k=1&metric=l2",
 		ppmBody(t, mmdb.NewFilledImage(8, 8, dataset.Blue)), "", http.StatusOK, &out)
 	if len(out.Matches) != 1 || out.Matches[0].ID != blueID || out.Matches[0].Dist != 0 {
 		t.Fatalf("similar %+v", out)
 	}
-	doJSON(t, "POST", ts.URL+"/similar?metric=nope", ppmBody(t, mmdb.NewFilledImage(2, 2, dataset.Red)), "", http.StatusBadRequest, nil)
+	doJSON(t, "POST", ts.URL+"/v1/similar?metric=nope", ppmBody(t, mmdb.NewFilledImage(2, 2, dataset.Red)), "", http.StatusBadRequest, nil)
 }
 
 func TestStatsAndConflictDelete(t *testing.T) {
+	ctx := context.Background()
 	ts, db := newTestServer(t)
-	baseID, _ := db.InsertImage("b", mmdb.NewFilledImage(6, 6, dataset.Blue))
-	db.InsertEdited("e", &mmdb.Sequence{BaseID: baseID, Ops: []mmdb.Op{mmdb.Modify{}}})
+	baseID, _ := db.InsertImageCtx(ctx, "b", mmdb.NewFilledImage(6, 6, dataset.Blue))
+	db.InsertEditedCtx(ctx, "e", &mmdb.Sequence{BaseID: baseID, Ops: []mmdb.Op{mmdb.Modify{}}})
 
 	var st map[string]any
-	doJSON(t, "GET", ts.URL+"/stats", nil, "", http.StatusOK, &st)
+	doJSON(t, "GET", ts.URL+"/v1/stats", nil, "", http.StatusOK, &st)
 	if st["Catalog"] == nil {
 		t.Fatalf("stats %v", st)
 	}
 	// Deleting the base while the edited version exists is a conflict.
-	doJSON(t, "DELETE", fmt.Sprintf("%s/objects/%d", ts.URL, baseID), nil, "", http.StatusConflict, nil)
+	doJSON(t, "DELETE", fmt.Sprintf("%s/v1/objects/%d", ts.URL, baseID), nil, "", http.StatusConflict, nil)
 	// Bad id in the path.
-	doJSON(t, "DELETE", ts.URL+"/objects/banana", nil, "", http.StatusBadRequest, nil)
+	doJSON(t, "DELETE", ts.URL+"/v1/objects/banana", nil, "", http.StatusBadRequest, nil)
 }
 
 func TestCompactEndpointOnMemoryDB(t *testing.T) {
 	ts, _ := newTestServer(t)
-	doJSON(t, "POST", ts.URL+"/compact", nil, "", http.StatusNoContent, nil)
+	doJSON(t, "POST", ts.URL+"/v1/compact", nil, "", http.StatusNoContent, nil)
 }
 
 func TestUploadSizeLimit(t *testing.T) {
 	ts, _ := newTestServer(t)
 	// A body larger than the cap: stream zeros with a huge Content-Length.
-	req, err := http.NewRequest("POST", ts.URL+"/objects",
+	req, err := http.NewRequest("POST", ts.URL+"/v1/objects",
 		io.LimitReader(zeroReader{}, MaxUploadBytes+1024))
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +288,7 @@ func TestUploadSizeLimitChunked(t *testing.T) {
 	ts, _ := newTestServer(t)
 	header := strings.NewReader("P6\n6000 6000\n255\n")
 	body := io.MultiReader(header, io.LimitReader(zeroReader{}, MaxUploadBytes+1024))
-	req, err := http.NewRequest("POST", ts.URL+"/objects", body)
+	req, err := http.NewRequest("POST", ts.URL+"/v1/objects", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +324,7 @@ func TestRequestLogging(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,28 +332,28 @@ func TestRequestLogging(t *testing.T) {
 	if resp.Header.Get("X-Request-ID") == "" {
 		t.Fatal("no X-Request-ID header")
 	}
-	if _, err := http.Get(ts.URL + "/objects/999"); err != nil {
+	if _, err := http.Get(ts.URL + "/v1/objects/999"); err != nil {
 		t.Fatal(err)
 	}
 	// The access line is written after the handler's last byte, which a
 	// client can have read already; Close waits for the handlers to return.
 	ts.Close()
 	line := buf.String()
-	for _, want := range []string{"method=GET", "path=/stats", "status=200", "request_id=req-"} {
+	for _, want := range []string{"method=GET", "path=/v1/stats", "status=200", "request_id=req-"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("log output %q missing %q", line, want)
 		}
 	}
-	if !strings.Contains(line, "path=/objects/999") || !strings.Contains(line, "status=404") {
+	if !strings.Contains(line, "path=/v1/objects/999") || !strings.Contains(line, "status=404") {
 		t.Fatalf("log output %q missing 404 line", line)
 	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {
 	ts, db := newTestServer(t)
-	db.InsertImage("b", mmdb.NewFilledImage(4, 4, dataset.Blue))
+	db.InsertImageCtx(context.Background(), "b", mmdb.NewFilledImage(4, 4, dataset.Blue))
 	// Run one query so the query-engine counters exist.
-	if _, err := http.Get(ts.URL + "/query?q=at+least+50%25+blue"); err != nil {
+	if _, err := http.Get(ts.URL + "/v1/query?q=at+least+50%25+blue"); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -367,8 +371,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	text := string(raw)
 	for _, want := range []string{
 		"# TYPE esidb_http_request_seconds histogram",
-		`esidb_http_request_seconds_bucket{route="GET /query",le="+Inf"}`,
-		`esidb_http_responses_total{route="GET /query",status="200"}`,
+		`esidb_http_request_seconds_bucket{route="GET /v1/query",le="+Inf"}`,
+		`esidb_http_responses_total{route="GET /v1/query",status="200"}`,
 		`esidb_queries_total{mode="bwm"}`,
 		"esidb_objects_binary 1",
 	} {
@@ -392,18 +396,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp2.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Counters[`esidb_http_responses_total{route="GET /query",status="200"}`] < 1 {
+	if doc.Counters[`esidb_http_responses_total{route="GET /v1/query",status="200"}`] < 1 {
 		t.Fatalf("json counters %v", doc.Counters)
 	}
-	if doc.Histograms[`esidb_http_request_seconds{route="GET /query"}`].Count < 1 {
+	if doc.Histograms[`esidb_http_request_seconds{route="GET /v1/query"}`].Count < 1 {
 		t.Fatalf("json histograms missing query route")
 	}
 }
 
 func TestQueryTrace(t *testing.T) {
+	ctx := context.Background()
 	ts, db := newTestServer(t)
-	baseID, _ := db.InsertImage("b", mmdb.NewFilledImage(8, 8, dataset.Blue))
-	db.InsertEdited("e", &mmdb.Sequence{BaseID: baseID, Ops: []mmdb.Op{mmdb.Modify{}}})
+	baseID, _ := db.InsertImageCtx(ctx, "b", mmdb.NewFilledImage(8, 8, dataset.Blue))
+	db.InsertEditedCtx(ctx, "e", &mmdb.Sequence{BaseID: baseID, Ops: []mmdb.Op{mmdb.Modify{}}})
 
 	var resp struct {
 		IDs   []uint64 `json:"ids"`
@@ -416,7 +421,7 @@ func TestQueryTrace(t *testing.T) {
 			Counters map[string]int64 `json:"counters"`
 		} `json:"trace"`
 	}
-	doJSON(t, "GET", ts.URL+"/query?q=at+least+50%25+blue&trace=1", nil, "", http.StatusOK, &resp)
+	doJSON(t, "GET", ts.URL+"/v1/query?q=at+least+50%25+blue&trace=1", nil, "", http.StatusOK, &resp)
 	if resp.Trace == nil {
 		t.Fatal("trace=1 returned no trace")
 	}
@@ -438,22 +443,23 @@ func TestQueryTrace(t *testing.T) {
 
 	// Without trace=1 the field is absent.
 	var bare map[string]json.RawMessage
-	doJSON(t, "GET", ts.URL+"/query?q=at+least+50%25+blue", nil, "", http.StatusOK, &bare)
+	doJSON(t, "GET", ts.URL+"/v1/query?q=at+least+50%25+blue", nil, "", http.StatusOK, &bare)
 	if _, ok := bare["trace"]; ok {
 		t.Fatal("trace present without trace=1")
 	}
 }
 
 func TestExplainTrace(t *testing.T) {
+	ctx := context.Background()
 	ts, db := newTestServer(t)
-	baseID, _ := db.InsertImage("b", mmdb.NewFilledImage(8, 8, dataset.Blue))
-	db.InsertEdited("e", &mmdb.Sequence{BaseID: baseID, Ops: []mmdb.Op{mmdb.Modify{}}})
+	baseID, _ := db.InsertImageCtx(ctx, "b", mmdb.NewFilledImage(8, 8, dataset.Blue))
+	db.InsertEditedCtx(ctx, "e", &mmdb.Sequence{BaseID: baseID, Ops: []mmdb.Op{mmdb.Modify{}}})
 
 	// Plain explain keeps its original shape (a bare plan).
 	var plan struct {
 		Binaries int `json:"Binaries"`
 	}
-	doJSON(t, "GET", ts.URL+"/explain?q=at+least+50%25+blue", nil, "", http.StatusOK, &plan)
+	doJSON(t, "GET", ts.URL+"/v1/explain?q=at+least+50%25+blue", nil, "", http.StatusOK, &plan)
 	if plan.Binaries != 1 {
 		t.Fatalf("plan %+v", plan)
 	}
@@ -467,7 +473,7 @@ func TestExplainTrace(t *testing.T) {
 			Counters map[string]int64 `json:"counters"`
 		} `json:"trace"`
 	}
-	doJSON(t, "GET", ts.URL+"/explain?q=at+least+50%25+blue&trace=1", nil, "", http.StatusOK, &out)
+	doJSON(t, "GET", ts.URL+"/v1/explain?q=at+least+50%25+blue&trace=1", nil, "", http.StatusOK, &out)
 	if out.Plan.Binaries != 1 {
 		t.Fatalf("traced plan %+v", out.Plan)
 	}
@@ -497,7 +503,7 @@ func TestPprofIndex(t *testing.T) {
 // message enumerates exactly the four surviving modes.
 func TestRetiredModesRejected(t *testing.T) {
 	ts, db := newTestServer(t)
-	db.InsertImage("b", mmdb.NewFilledImage(8, 8, dataset.Blue))
+	db.InsertImageCtx(context.Background(), "b", mmdb.NewFilledImage(8, 8, dataset.Blue))
 	for _, retired := range []string{"bwm-indexed", "cached-bounds"} {
 		for _, route := range []string{
 			"/v1/query?q=at+least+50%25+blue&mode=",
@@ -525,18 +531,18 @@ func TestInsertWithExplicitID(t *testing.T) {
 	var obj struct {
 		ID uint64 `json:"id"`
 	}
-	doJSON(t, "POST", ts.URL+"/objects?name=five&id=5", ppmBody(t, img), "image/x-portable-pixmap", http.StatusCreated, &obj)
+	doJSON(t, "POST", ts.URL+"/v1/objects?name=five&id=5", ppmBody(t, img), "image/x-portable-pixmap", http.StatusCreated, &obj)
 	if obj.ID != 5 {
 		t.Fatalf("explicit insert got id %d", obj.ID)
 	}
 	// Reusing the id conflicts.
-	doJSON(t, "POST", ts.URL+"/objects?name=again&id=5", ppmBody(t, img), "image/x-portable-pixmap", http.StatusConflict, nil)
+	doJSON(t, "POST", ts.URL+"/v1/objects?name=again&id=5", ppmBody(t, img), "image/x-portable-pixmap", http.StatusConflict, nil)
 	// id=0 is not a valid explicit id.
-	doJSON(t, "POST", ts.URL+"/objects?name=zero&id=0", ppmBody(t, img), "image/x-portable-pixmap", http.StatusBadRequest, nil)
+	doJSON(t, "POST", ts.URL+"/v1/objects?name=zero&id=0", ppmBody(t, img), "image/x-portable-pixmap", http.StatusBadRequest, nil)
 	// Garbage ids are 400.
-	doJSON(t, "POST", ts.URL+"/objects?name=bad&id=xyz", ppmBody(t, img), "image/x-portable-pixmap", http.StatusBadRequest, nil)
+	doJSON(t, "POST", ts.URL+"/v1/objects?name=bad&id=xyz", ppmBody(t, img), "image/x-portable-pixmap", http.StatusBadRequest, nil)
 	// The allocator continues past the claim.
-	doJSON(t, "POST", ts.URL+"/objects?name=auto", ppmBody(t, img), "image/x-portable-pixmap", http.StatusCreated, &obj)
+	doJSON(t, "POST", ts.URL+"/v1/objects?name=auto", ppmBody(t, img), "image/x-portable-pixmap", http.StatusCreated, &obj)
 	if obj.ID != 6 {
 		t.Fatalf("auto insert after claim got id %d", obj.ID)
 	}
@@ -546,7 +552,7 @@ func TestInsertWithExplicitID(t *testing.T) {
 	var seq struct {
 		ID uint64 `json:"id"`
 	}
-	doJSON(t, "POST", ts.URL+"/sequences?name=seq&id=9", script, "text/plain", http.StatusCreated, &seq)
+	doJSON(t, "POST", ts.URL+"/v1/sequences?name=seq&id=9", script, "text/plain", http.StatusCreated, &seq)
 	if seq.ID != 9 {
 		t.Fatalf("explicit sequence insert got id %d", seq.ID)
 	}
@@ -556,11 +562,12 @@ func TestInsertWithExplicitID(t *testing.T) {
 }
 
 func TestMultiRangeEndpoint(t *testing.T) {
+	ctx := context.Background()
 	ts, db := newTestServer(t)
-	if _, err := db.InsertImage("red", mmdb.NewFilledImage(8, 8, dataset.Red)); err != nil {
+	if _, err := db.InsertImageCtx(ctx, "red", mmdb.NewFilledImage(8, 8, dataset.Red)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.InsertImage("blue", mmdb.NewFilledImage(8, 8, dataset.Blue)); err != nil {
+	if _, err := db.InsertImageCtx(ctx, "blue", mmdb.NewFilledImage(8, 8, dataset.Blue)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -568,25 +575,25 @@ func TestMultiRangeEndpoint(t *testing.T) {
 	var res struct {
 		IDs []uint64 `json:"ids"`
 	}
-	doJSON(t, "GET", ts.URL+"/multirange?bins=0,1,2&min=0&max=1", nil, "", http.StatusOK, &res)
+	doJSON(t, "GET", ts.URL+"/v1/multirange?bins=0,1,2&min=0&max=1", nil, "", http.StatusOK, &res)
 
 	// Bad inputs are 400s: missing bins, junk bins, junk percentages,
 	// unknown mode.
-	doJSON(t, "GET", ts.URL+"/multirange", nil, "", http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/multirange?bins=a,b", nil, "", http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/multirange?bins=0&min=zz", nil, "", http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/multirange?bins=0&max=2", nil, "", http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/multirange?bins=0&mode=warp", nil, "", http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/v1/multirange", nil, "", http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/v1/multirange?bins=a,b", nil, "", http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/v1/multirange?bins=0&min=zz", nil, "", http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/v1/multirange?bins=0&max=2", nil, "", http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/v1/multirange?bins=0&mode=warp", nil, "", http.StatusBadRequest, nil)
 }
 
 // TestEmptyAnswerForm pins the wire form of an empty answer: "ids":[] in
 // every mode, for text and multi-bin queries alike.
 func TestEmptyAnswerForm(t *testing.T) {
 	ts, db := newTestServer(t)
-	if _, err := db.InsertImage("blue", mmdb.NewFilledImage(8, 8, dataset.Blue)); err != nil {
+	if _, err := db.InsertImageCtx(context.Background(), "blue", mmdb.NewFilledImage(8, 8, dataset.Blue)); err != nil {
 		t.Fatal(err)
 	}
-	doJSON(t, "POST", ts.URL+"/sequences?name=green", strings.NewReader("base 1\nmodify #0000c8 #00c800\n"), "text/plain", http.StatusCreated, nil)
+	doJSON(t, "POST", ts.URL+"/v1/sequences?name=green", strings.NewReader("base 1\nmodify #0000c8 #00c800\n"), "text/plain", http.StatusCreated, nil)
 	for _, mode := range []string{"bwm", "rbm", "instantiate", "indexed"} {
 		for _, path := range []string{
 			"/v1/multirange?bins=0&min=0.5&max=1&mode=" + mode,
@@ -623,14 +630,15 @@ func TestHealthzEndpoint(t *testing.T) {
 // serving queries, /v1/stats must report non-empty per-strategy latency and
 // selectivity distributions (the planner's input), with quantiles present.
 func TestStatsQueryStatsPopulated(t *testing.T) {
+	ctx := context.Background()
 	ts, db := newTestServer(t)
-	db.InsertImage("b", mmdb.NewFilledImage(8, 8, dataset.Blue))
-	db.InsertImage("r", mmdb.NewFilledImage(8, 8, dataset.Red))
+	db.InsertImageCtx(ctx, "b", mmdb.NewFilledImage(8, 8, dataset.Blue))
+	db.InsertImageCtx(ctx, "r", mmdb.NewFilledImage(8, 8, dataset.Red))
 
 	var qres struct {
 		IDs []uint64 `json:"ids"`
 	}
-	doJSON(t, "GET", ts.URL+"/query?q=at+least+50%25+blue", nil, "", http.StatusOK, &qres)
+	doJSON(t, "GET", ts.URL+"/v1/query?q=at+least+50%25+blue", nil, "", http.StatusOK, &qres)
 	if len(qres.IDs) != 1 {
 		t.Fatalf("query ids %v", qres.IDs)
 	}
@@ -650,7 +658,7 @@ func TestStatsQueryStatsPopulated(t *testing.T) {
 			} `json:"strategies"`
 		} `json:"query_stats"`
 	}
-	doJSON(t, "GET", ts.URL+"/stats", nil, "", http.StatusOK, &st)
+	doJSON(t, "GET", ts.URL+"/v1/stats", nil, "", http.StatusOK, &st)
 	if !st.QueryStats.Enabled {
 		t.Fatal("query stats should be enabled by default")
 	}
@@ -672,7 +680,7 @@ func TestStatsQueryStatsPopulated(t *testing.T) {
 func TestQueryPaging(t *testing.T) {
 	ts, db := newTestServer(t)
 	for i := 0; i < 5; i++ {
-		if _, err := db.InsertImage("b", mmdb.NewFilledImage(8, 8, dataset.Blue)); err != nil {
+		if _, err := db.InsertImageCtx(context.Background(), "b", mmdb.NewFilledImage(8, 8, dataset.Blue)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,14 +4,17 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	mmdb "repro"
 )
 
-// TestV1AndLegacyAliases pins the versioned surface: /v1 paths are
-// canonical, the unversioned paths answer identically but carry the
-// Deprecation header, and ops endpoints stay unversioned and undeprecated.
+// TestV1AndLegacyAliases pins the versioned surface: every API route
+// answers under /v1 only, no legacy unversioned alias answers (the mux's
+// own 404), the operational endpoints stay unversioned, and no response
+// carries a Deprecation header. The routes list must match the s.api calls
+// in New: a route registered there and missing here goes unchecked.
 func TestV1AndLegacyAliases(t *testing.T) {
 	db, err := mmdb.Open()
 	if err != nil {
@@ -21,47 +24,72 @@ func TestV1AndLegacyAliases(t *testing.T) {
 	ts := httptest.NewServer(New(db))
 	defer ts.Close()
 
-	get := func(path string) *http.Response {
+	do := func(method, path string) *http.Response {
 		t.Helper()
-		resp, err := http.Get(ts.URL + path)
+		req, err := http.NewRequest(method, ts.URL+path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-
-	if resp := get("/v1/stats"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/stats: %d", resp.StatusCode)
-	} else if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1 route must not be deprecated")
-	}
-	resp := get("/stats")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /stats: %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy alias must set Deprecation: true")
-	}
-	if link := resp.Header.Get("Link"); link != `</v1/stats>; rel="successor-version"` {
-		t.Fatalf("legacy alias Link = %q", link)
-	}
-	if resp := get("/healthz"); resp.Header.Get("Deprecation") != "" {
-		t.Fatal("ops endpoint must not be deprecated")
-	}
-
-	if resp := get("/v1/wal"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/wal: %d", resp.StatusCode)
-	} else {
-		var out struct {
-			Enabled bool `json:"enabled"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Enabled {
-			t.Fatal("in-memory database reported an enabled WAL")
+		resp.Body.Close()
+		if resp.Header.Get("Deprecation") != "" {
+			t.Errorf("%s %s carries Deprecation", method, path)
 		}
+		return resp
+	}
+	// A route the mux does not know answers its plain-text 404; a handler
+	// answers JSON, its errors included.
+	unrouted := func(resp *http.Response) bool {
+		return resp.StatusCode == http.StatusNotFound && !strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json")
+	}
+
+	routes := []struct{ method, path string }{
+		{"POST", "/objects"}, {"POST", "/sequences"}, {"GET", "/objects"},
+		{"GET", "/objects/1"}, {"GET", "/objects/1/image"}, {"POST", "/objects/1/augment"},
+		{"DELETE", "/objects/1"}, {"GET", "/query"}, {"GET", "/multirange"},
+		{"GET", "/explain"}, {"POST", "/similar"}, {"GET", "/stats"}, {"GET", "/wal"},
+		{"GET", "/wal/tail"}, {"GET", "/replication"}, {"POST", "/promote"},
+		{"POST", "/follow"}, {"POST", "/checkpoint"}, {"POST", "/compact"},
+	}
+	for _, r := range routes {
+		if resp := do(r.method, "/v1"+r.path); unrouted(resp) {
+			t.Errorf("%s /v1%s is not routed", r.method, r.path)
+		}
+		if resp := do(r.method, r.path); !unrouted(resp) {
+			t.Errorf("%s %s (unversioned) answered %d, want the mux's 404", r.method, r.path, resp.StatusCode)
+		}
+	}
+	if resp := do("GET", "/v1/stats"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/stats: %d", resp.StatusCode)
+	}
+	for _, path := range []string{"/healthz", "/metrics"} {
+		if resp := do("GET", path); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, resp.StatusCode)
+		}
+		if resp := do("GET", "/v1"+path); !unrouted(resp) {
+			t.Fatalf("GET /v1%s answered %d; operational endpoints are unversioned", path, resp.StatusCode)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/wal: %d", resp.StatusCode)
+	}
+	var out struct {
+		Enabled bool `json:"enabled"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Enabled {
+		t.Fatal("in-memory database reported an enabled WAL")
 	}
 }
 

@@ -105,7 +105,7 @@ func WithSegmentStore(opts SegmentOptions) Option {
 	return func(c *openConfig) { c.core.Segment = opts }
 }
 
-// WithAutoAugment makes every InsertImage/InsertImageCtx automatically
+// WithAutoAugment makes every InsertImageCtx automatically
 // generate edited versions of the new image per opts (the paper's database
 // augmentation, §2), unless the individual insert opts out with
 // WithNoAugment. Off by default.
@@ -225,7 +225,7 @@ func WithID(id uint64) InsertOption {
 }
 
 // WithNoAugment suppresses WithAutoAugment for this insert only — used by
-// bulk restore paths (dump load, cluster rebalance) that re-insert edited
+// bulk restore paths (dump load) and cluster shards, which receive edited
 // versions explicitly and must not generate fresh ones.
 func WithNoAugment() InsertOption {
 	return func(c *insertConfig) { c.noAugment = true }
@@ -255,8 +255,8 @@ func (db *DB) InsertImageCtx(ctx context.Context, name string, img *Image, opts 
 }
 
 // InsertEditedCtx stores an edited image as its operation sequence and
-// routes it into the Bound-Widening data structure. Durability semantics
-// match InsertImageCtx. Auto-augment never applies to edited inserts.
+// classifies it for the Bound-Widening Method (widening-only or not).
+// Durability semantics match InsertImageCtx. Auto-augment never applies to edited inserts.
 func (db *DB) InsertEditedCtx(ctx context.Context, name string, seq *Sequence, opts ...InsertOption) (uint64, error) {
 	var ic insertConfig
 	for _, o := range opts {
@@ -266,8 +266,8 @@ func (db *DB) InsertEditedCtx(ctx context.Context, name string, seq *Sequence, o
 }
 
 // AppendOpsCtx extends a stored edited image's sequence with more
-// operations, re-classifying and re-routing it in the Bound-Widening
-// structure. Durability semantics match InsertImageCtx.
+// operations and re-classifies it for the Bound-Widening Method.
+// Durability semantics match InsertImageCtx.
 func (db *DB) AppendOpsCtx(ctx context.Context, id uint64, ops []Op) error {
 	return db.inner.AppendOpsCtx(ctx, id, ops)
 }
@@ -277,43 +277,6 @@ func (db *DB) AppendOpsCtx(ctx context.Context, id uint64, ops []Op) error {
 // first). Durability semantics match InsertImageCtx.
 func (db *DB) DeleteCtx(ctx context.Context, id uint64) error {
 	return db.inner.DeleteCtx(ctx, id)
-}
-
-// InsertImage stores a binary image and returns its object id.
-//
-// Deprecated: use InsertImageCtx.
-func (db *DB) InsertImage(name string, img *Image) (uint64, error) {
-	return db.InsertImageCtx(context.Background(), name, img)
-}
-
-// InsertImageWithID is InsertImage with an explicit object id (0 means
-// "allocate").
-//
-// Deprecated: use InsertImageCtx with WithID.
-func (db *DB) InsertImageWithID(id uint64, name string, img *Image) (uint64, error) {
-	return db.InsertImageCtx(context.Background(), name, img, WithID(id))
-}
-
-// InsertEdited stores an edited image as its operation sequence.
-//
-// Deprecated: use InsertEditedCtx.
-func (db *DB) InsertEdited(name string, seq *Sequence) (uint64, error) {
-	return db.InsertEditedCtx(context.Background(), name, seq)
-}
-
-// InsertEditedWithID is InsertEdited with an explicit object id (0 means
-// "allocate").
-//
-// Deprecated: use InsertEditedCtx with WithID.
-func (db *DB) InsertEditedWithID(id uint64, name string, seq *Sequence) (uint64, error) {
-	return db.InsertEditedCtx(context.Background(), name, seq, WithID(id))
-}
-
-// AppendOps extends a stored edited image's sequence with more operations.
-//
-// Deprecated: use AppendOpsCtx.
-func (db *DB) AppendOps(id uint64, ops []Op) error {
-	return db.AppendOpsCtx(context.Background(), id, ops)
 }
 
 // OptimizeSequence rewrites a sequence into an equivalent shorter one for
@@ -331,7 +294,7 @@ func (db *DB) OptimizeSequence(seq *Sequence) (*Sequence, error) {
 	return &Sequence{BaseID: seq.BaseID, Ops: editops.Optimize(seq.Ops, base.W, base.H)}, nil
 }
 
-// AugmentOptions tunes Augment.
+// AugmentOptions tunes AugmentCtx.
 type AugmentOptions struct {
 	// PerBase is how many edited versions to generate (default 3).
 	PerBase int
@@ -342,13 +305,6 @@ type AugmentOptions struct {
 	NonWideningFrac float64
 	// Seed makes generation deterministic.
 	Seed int64
-}
-
-// Augment implements the paper's database augmentation (§2).
-//
-// Deprecated: use AugmentCtx.
-func (db *DB) Augment(baseID uint64, opts AugmentOptions) ([]uint64, error) {
-	return db.AugmentCtx(context.Background(), baseID, opts)
 }
 
 // AugmentCtx implements the paper's database augmentation (§2): it
@@ -398,13 +354,6 @@ func (db *DB) QueryCtx(ctx context.Context, text string, opts ...QueryOption) (*
 	return db.inner.RangeQueryTextCtx(ctx, text, opts...)
 }
 
-// QueryModeCtx is QueryCtx with a positional execution mode.
-//
-// Deprecated: use QueryCtx; Mode is a QueryOption.
-func (db *DB) QueryModeCtx(ctx context.Context, text string, mode Mode) (*Result, error) {
-	return db.QueryCtx(ctx, text, mode)
-}
-
 // RangeQueryCtx answers a structured range query; options select the
 // execution mode, tracing, and result limit.
 func (db *DB) RangeQueryCtx(ctx context.Context, q Range, opts ...QueryOption) (*Result, error) {
@@ -417,14 +366,6 @@ func (db *DB) RangeQueryCtx(ctx context.Context, q Range, opts ...QueryOption) (
 // tracing, and result limit.
 func (db *DB) QueryCompoundCtx(ctx context.Context, text string, opts ...QueryOption) (*Result, error) {
 	return db.inner.CompoundQueryTextCtx(ctx, text, opts...)
-}
-
-// QueryCompoundTracedCtx is QueryCompoundCtx with a positional mode and
-// trace.
-//
-// Deprecated: use QueryCompoundCtx with WithTrace.
-func (db *DB) QueryCompoundTracedCtx(ctx context.Context, text string, mode Mode, tr *Trace) (*Result, error) {
-	return db.QueryCompoundCtx(ctx, text, mode, WithTrace(tr))
 }
 
 // CompoundQueryCtx evaluates a structured compound query; options select
@@ -445,70 +386,6 @@ func (db *DB) QueryColorFamilyCtx(ctx context.Context, name string, pctMin, pctM
 // select the execution mode, tracing, and result limit.
 func (db *DB) RangeQueryMultiCtx(ctx context.Context, q MultiRange, opts ...QueryOption) (*Result, error) {
 	return db.inner.RangeQueryMultiCtx(ctx, q, opts...)
-}
-
-// RangeQueryMultiTracedCtx is RangeQueryMultiCtx with a positional mode and
-// trace.
-//
-// Deprecated: use RangeQueryMultiCtx with WithTrace.
-func (db *DB) RangeQueryMultiTracedCtx(ctx context.Context, q MultiRange, mode Mode, tr *Trace) (*Result, error) {
-	return db.RangeQueryMultiCtx(ctx, q, mode, WithTrace(tr))
-}
-
-// Query answers a textual range query with the Bound-Widening Method.
-//
-// Deprecated: use QueryCtx.
-func (db *DB) Query(text string) (*Result, error) {
-	return db.QueryCtx(context.Background(), text)
-}
-
-// QueryMode is Query with an explicit execution mode.
-//
-// Deprecated: use QueryModeCtx.
-func (db *DB) QueryMode(text string, mode Mode) (*Result, error) {
-	return db.QueryModeCtx(context.Background(), text, mode)
-}
-
-// RangeQuery answers a structured range query in the given mode.
-//
-// Deprecated: use RangeQueryCtx.
-func (db *DB) RangeQuery(q Range, mode Mode) (*Result, error) {
-	return db.RangeQueryCtx(context.Background(), q, mode)
-}
-
-// QueryCompound parses and evaluates a multi-predicate query.
-//
-// Deprecated: use QueryCompoundCtx.
-func (db *DB) QueryCompound(text string, mode Mode) (*Result, error) {
-	return db.QueryCompoundCtx(context.Background(), text, mode)
-}
-
-// QueryCompoundTraced is QueryCompound with tracing.
-//
-// Deprecated: use QueryCompoundTracedCtx.
-func (db *DB) QueryCompoundTraced(text string, mode Mode, tr *Trace) (*Result, error) {
-	return db.QueryCompoundTracedCtx(context.Background(), text, mode, tr)
-}
-
-// CompoundQuery evaluates a structured compound query.
-//
-// Deprecated: use CompoundQueryCtx.
-func (db *DB) CompoundQuery(c Compound, mode Mode) (*Result, error) {
-	return db.CompoundQueryCtx(context.Background(), c, mode)
-}
-
-// QueryColorFamily runs a multi-bin range query over a named color's family.
-//
-// Deprecated: use QueryColorFamilyCtx.
-func (db *DB) QueryColorFamily(name string, pctMin, pctMax float64, mode Mode) (*Result, error) {
-	return db.QueryColorFamilyCtx(context.Background(), name, pctMin, pctMax, mode)
-}
-
-// RangeQueryMulti evaluates a structured multi-bin range query.
-//
-// Deprecated: use RangeQueryMultiCtx.
-func (db *DB) RangeQueryMulti(q MultiRange, mode Mode) (*Result, error) {
-	return db.RangeQueryMultiCtx(context.Background(), q, mode)
 }
 
 // ColorFamily returns the histogram bins a named color's family covers
@@ -544,13 +421,6 @@ func (db *DB) KNNCtx(ctx context.Context, q KNN, opts ...QueryOption) ([]Match, 
 	return db.inner.KNNCtx(ctx, q, opts...)
 }
 
-// QueryByExampleTracedCtx is QueryByExampleCtx with a positional trace.
-//
-// Deprecated: use QueryByExampleCtx with WithTrace.
-func (db *DB) QueryByExampleTracedCtx(ctx context.Context, probe *Image, k int, metric Metric, tr *Trace) ([]Match, *KNNStats, error) {
-	return db.QueryByExampleCtx(ctx, probe, k, metric, WithTrace(tr))
-}
-
 // QueryByExamplesCtx is the multiple-query-image technique the paper
 // contrasts with augmentation: each probe is searched independently and the
 // rankings fused (minimum distance per object). Note the cost scales with
@@ -570,36 +440,8 @@ func (db *DB) WithinDistanceCtx(ctx context.Context, probe *Image, dist float64,
 	return db.inner.WithinDistanceCtx(ctx, target, dist, metric)
 }
 
-// QueryByExample runs a k-nearest-neighbor search using a probe image.
-//
-// Deprecated: use QueryByExampleCtx.
-func (db *DB) QueryByExample(probe *Image, k int, metric Metric) ([]Match, *KNNStats, error) {
-	return db.QueryByExampleCtx(context.Background(), probe, k, metric)
-}
-
-// KNN runs a k-nearest-neighbor search from a histogram target.
-//
-// Deprecated: use KNNCtx.
-func (db *DB) KNN(q KNN) ([]Match, *KNNStats, error) {
-	return db.KNNCtx(context.Background(), q)
-}
-
-// QueryByExamples fuses independent searches for several probe images.
-//
-// Deprecated: use QueryByExamplesCtx.
-func (db *DB) QueryByExamples(probes []*Image, k int, metric Metric) ([]Match, *KNNStats, error) {
-	return db.QueryByExamplesCtx(context.Background(), probes, k, metric)
-}
-
 // KNNBinary ranks only binary images, by exact histogram distance.
 func (db *DB) KNNBinary(q KNN) ([]Match, error) { return db.inner.KNNBinary(q) }
-
-// WithinDistance returns every image within dist of the probe.
-//
-// Deprecated: use WithinDistanceCtx.
-func (db *DB) WithinDistance(probe *Image, dist float64, metric Metric) ([]Match, *KNNStats, error) {
-	return db.WithinDistanceCtx(context.Background(), probe, dist, metric)
-}
 
 // BuildBICIndex builds a Border/Interior Classification index over the
 // binary images — an alternative, structure-aware color signature
@@ -610,11 +452,6 @@ func (db *DB) BuildBICIndex() (*BICIndex, error) { return db.inner.BICIndex() }
 // ExpandToBases adds the base image of every edited match — the paper's
 // connection that returns the original x whenever an edited op(x) matches.
 func (db *DB) ExpandToBases(ids []uint64) []uint64 { return db.inner.ExpandToBases(ids) }
-
-// Delete removes an object.
-//
-// Deprecated: use DeleteCtx.
-func (db *DB) Delete(id uint64) error { return db.DeleteCtx(context.Background(), id) }
 
 // Image materializes any object: binary rasters directly, edited images by
 // executing their sequence.

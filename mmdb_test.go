@@ -26,20 +26,21 @@ func openMem(t *testing.T, opts ...mmdb.Option) *mmdb.DB {
 }
 
 func TestQuickstartFlow(t *testing.T) {
+	ctx := context.Background()
 	db := openMem(t)
 	img := mmdb.NewFilledImage(10, 10, blue)
-	id, err := db.InsertImage("bluesquare", img)
+	id, err := db.InsertImageCtx(ctx, "bluesquare", img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq := &mmdb.Sequence{BaseID: id, Ops: []mmdb.Op{
 		mmdb.Modify{Old: blue, New: red},
 	}}
-	eid, err := db.InsertEdited("redsquare", seq)
+	eid, err := db.InsertEditedCtx(ctx, "redsquare", seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query("at least 50% blue")
+	res, err := db.QueryCtx(ctx, "at least 50% blue")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if len(res.IDs) != 2 {
 		t.Fatalf("ids %v", res.IDs)
 	}
-	res2, err := db.Query("at least 50% red")
+	res2, err := db.QueryCtx(ctx, "at least 50% red")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,17 +58,18 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestAugmentAndModes(t *testing.T) {
+	ctx := context.Background()
 	db := openMem(t)
-	a, _ := db.InsertImage("a", mmdb.NewFilledImage(16, 12, red))
-	b, _ := db.InsertImage("b", mmdb.NewFilledImage(16, 12, blue))
-	ids, err := db.Augment(a, mmdb.AugmentOptions{PerBase: 4, OpsPerImage: 3, NonWideningFrac: 0.5, Seed: 1})
+	a, _ := db.InsertImageCtx(ctx, "a", mmdb.NewFilledImage(16, 12, red))
+	b, _ := db.InsertImageCtx(ctx, "b", mmdb.NewFilledImage(16, 12, blue))
+	ids, err := db.AugmentCtx(ctx, a, mmdb.AugmentOptions{PerBase: 4, OpsPerImage: 3, NonWideningFrac: 0.5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 4 {
 		t.Fatalf("augmented %d", len(ids))
 	}
-	if _, err := db.Augment(b, mmdb.AugmentOptions{PerBase: 2, Seed: 2}); err != nil {
+	if _, err := db.AugmentCtx(ctx, b, mmdb.AugmentOptions{PerBase: 2, Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := db.Stats()
@@ -82,18 +84,19 @@ func TestAugmentAndModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []mmdb.Mode{mmdb.ModeBWM, mmdb.ModeRBM, mmdb.ModeIndexed, mmdb.ModeInstantiate} {
-		if _, err := db.RangeQuery(q, mode); err != nil {
+		if _, err := db.RangeQueryCtx(ctx, q, mode); err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
 	}
 }
 
 func TestQueryByExample(t *testing.T) {
+	ctx := context.Background()
 	db := openMem(t)
-	db.InsertImage("r", mmdb.NewFilledImage(8, 8, red))
-	target, _ := db.InsertImage("b", mmdb.NewFilledImage(8, 8, blue))
+	db.InsertImageCtx(ctx, "r", mmdb.NewFilledImage(8, 8, red))
+	target, _ := db.InsertImageCtx(ctx, "b", mmdb.NewFilledImage(8, 8, blue))
 	probe := mmdb.NewFilledImage(8, 8, blue)
-	matches, _, err := db.QueryByExample(probe, 1, mmdb.MetricL1)
+	matches, _, err := db.QueryByExampleCtx(ctx, probe, 1, mmdb.MetricL1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +111,7 @@ func TestPersistentFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := db.InsertImage("x", mmdb.NewFilledImage(12, 12, red))
+	id, _ := db.InsertImageCtx(context.Background(), "x", mmdb.NewFilledImage(12, 12, red))
 	if err := db.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,15 +133,16 @@ func TestPersistentFacade(t *testing.T) {
 }
 
 func TestSegmentedFacade(t *testing.T) {
+	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "segfacade.esidb")
 	db, err := mmdb.Open(mmdb.WithPath(path), mmdb.WithSegmentStore(mmdb.SegmentOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := db.InsertImage("x", mmdb.NewFilledImage(12, 12, red))
-	base, _ := db.InsertImage("base", mmdb.NewFilledImage(6, 6, blue))
+	id, _ := db.InsertImageCtx(ctx, "x", mmdb.NewFilledImage(12, 12, red))
+	base, _ := db.InsertImageCtx(ctx, "base", mmdb.NewFilledImage(6, 6, blue))
 	seq := &mmdb.Sequence{BaseID: base, Ops: mmdb.Recolor(mmdb.R(0, 0, 6, 6), [2]mmdb.RGB{blue, red})}
-	eid, err := db.InsertEdited("e", seq)
+	eid, err := db.InsertEditedCtx(ctx, "e", seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +169,7 @@ func TestSegmentedFacade(t *testing.T) {
 	if img.CountColor(red) != 144 {
 		t.Fatal("raster lost across reopen")
 	}
-	res, err := db2.Query("at least 90% red")
+	res, err := db2.QueryCtx(ctx, "at least 90% red")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +199,12 @@ func TestSegmentedFacade(t *testing.T) {
 }
 
 func TestExpandToBases(t *testing.T) {
+	ctx := context.Background()
 	db := openMem(t)
-	base, _ := db.InsertImage("base", mmdb.NewFilledImage(6, 6, blue))
+	base, _ := db.InsertImageCtx(ctx, "base", mmdb.NewFilledImage(6, 6, blue))
 	seq := &mmdb.Sequence{BaseID: base, Ops: mmdb.Recolor(mmdb.R(0, 0, 6, 6), [2]mmdb.RGB{blue, red})}
-	eid, _ := db.InsertEdited("e", seq)
-	res, err := db.Query("at least 90% red")
+	eid, _ := db.InsertEditedCtx(ctx, "e", seq)
+	res, err := db.QueryCtx(ctx, "at least 90% red")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,10 +218,11 @@ func TestExpandToBases(t *testing.T) {
 }
 
 func TestBuildersThroughFacade(t *testing.T) {
+	ctx := context.Background()
 	db := openMem(t)
-	base, _ := db.InsertImage("base", mmdb.NewFilledImage(8, 8, blue))
+	base, _ := db.InsertImageCtx(ctx, "base", mmdb.NewFilledImage(8, 8, blue))
 	ops := append(mmdb.CropTo(mmdb.R(0, 0, 4, 4)), mmdb.BoxBlur(mmdb.R(0, 0, 4, 4))...)
-	eid, err := db.InsertEdited("crop", &mmdb.Sequence{BaseID: base, Ops: ops})
+	eid, err := db.InsertEditedCtx(ctx, "crop", &mmdb.Sequence{BaseID: base, Ops: ops})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,9 +271,10 @@ func TestColorVocabulary(t *testing.T) {
 }
 
 func TestStorageFootprint(t *testing.T) {
+	ctx := context.Background()
 	db := openMem(t)
-	id, _ := db.InsertImage("x", mmdb.NewFilledImage(20, 20, red))
-	db.Augment(id, mmdb.AugmentOptions{PerBase: 5, Seed: 3})
+	id, _ := db.InsertImageCtx(ctx, "x", mmdb.NewFilledImage(20, 20, red))
+	db.AugmentCtx(ctx, id, mmdb.AugmentOptions{PerBase: 5, Seed: 3})
 	bin, ed, err := db.StorageFootprint()
 	if err != nil {
 		t.Fatal(err)
@@ -293,8 +300,9 @@ func TestSequenceTextFacade(t *testing.T) {
 }
 
 func TestOptimizeSequenceFacade(t *testing.T) {
+	ctx := context.Background()
 	db := openMem(t)
-	base, _ := db.InsertImage("b", mmdb.NewFilledImage(8, 8, blue))
+	base, _ := db.InsertImageCtx(ctx, "b", mmdb.NewFilledImage(8, 8, blue))
 	seq := &mmdb.Sequence{BaseID: base, Ops: []mmdb.Op{
 		mmdb.Define{Region: mmdb.R(0, 0, 8, 8)}, // redundant: initial DR
 		mmdb.Modify{Old: red, New: red},         // self recolor
@@ -309,8 +317,8 @@ func TestOptimizeSequenceFacade(t *testing.T) {
 		t.Fatalf("optimized to %v", opt.Ops)
 	}
 	// Both versions instantiate identically.
-	a, _ := db.InsertEdited("orig", seq)
-	b, _ := db.InsertEdited("opt", opt)
+	a, _ := db.InsertEditedCtx(ctx, "orig", seq)
+	b, _ := db.InsertEditedCtx(ctx, "opt", opt)
 	imgA, _ := db.Image(a)
 	imgB, _ := db.Image(b)
 	if !imgA.Equal(imgB) {
@@ -331,7 +339,7 @@ func TestWithQuantizerName(t *testing.T) {
 	if db.Quantizer().Name() != "hsv12x2x2" {
 		t.Fatalf("quantizer %q", db.Quantizer().Name())
 	}
-	id, _ := db.InsertImage("b", mmdb.NewFilledImage(8, 8, blue))
+	id, _ := db.InsertImageCtx(context.Background(), "b", mmdb.NewFilledImage(8, 8, blue))
 	db.Close()
 
 	// Reopen with no quantizer option: adopted from the store.
@@ -353,12 +361,13 @@ func TestWithQuantizerName(t *testing.T) {
 }
 
 func TestDumpLoadRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	src := openMem(t)
 	// Two bases and edits including a target merge (id remapping matters).
-	a, _ := src.InsertImage("alpha", mmdb.NewFilledImage(10, 8, red))
-	b, _ := src.InsertImage("beta", mmdb.NewFilledImage(6, 6, blue))
-	src.InsertEdited("recolor", &mmdb.Sequence{BaseID: a, Ops: mmdb.Recolor(mmdb.R(0, 0, 10, 8), [2]mmdb.RGB{red, blue})})
-	src.InsertEdited("paste", &mmdb.Sequence{BaseID: a, Ops: mmdb.PasteOnto(mmdb.R(0, 0, 4, 4), b, 1, 1)})
+	a, _ := src.InsertImageCtx(ctx, "alpha", mmdb.NewFilledImage(10, 8, red))
+	b, _ := src.InsertImageCtx(ctx, "beta", mmdb.NewFilledImage(6, 6, blue))
+	src.InsertEditedCtx(ctx, "recolor", &mmdb.Sequence{BaseID: a, Ops: mmdb.Recolor(mmdb.R(0, 0, 10, 8), [2]mmdb.RGB{red, blue})})
+	src.InsertEditedCtx(ctx, "paste", &mmdb.Sequence{BaseID: a, Ops: mmdb.PasteOnto(mmdb.R(0, 0, 4, 4), b, 1, 1)})
 
 	dir := t.TempDir()
 	if err := src.DumpTo(dir); err != nil {
@@ -367,7 +376,7 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 
 	// Load into a database with a shifted id space.
 	dst := openMem(t)
-	dst.InsertImage("preexisting", mmdb.NewFilledImage(3, 3, blue))
+	dst.InsertImageCtx(ctx, "preexisting", mmdb.NewFilledImage(3, 3, blue))
 	n, err := dst.LoadFrom(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +404,7 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// Queries work on the loaded database.
-	if _, err := dst.Query("at least 10% red"); err != nil {
+	if _, err := dst.QueryCtx(ctx, "at least 10% red"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -408,12 +417,13 @@ func TestLoadFromMissingManifest(t *testing.T) {
 }
 
 func TestFacadeQueryVariants(t *testing.T) {
+	ctx := context.Background()
 	db := openMem(t, mmdb.WithBackground(mmdb.RGB{R: 9, G: 9, B: 9}))
-	a, _ := db.InsertImage("a", mmdb.NewFilledImage(8, 8, red))
-	db.InsertImage("b", mmdb.NewFilledImage(8, 8, blue))
+	a, _ := db.InsertImageCtx(ctx, "a", mmdb.NewFilledImage(8, 8, red))
+	db.InsertImageCtx(ctx, "b", mmdb.NewFilledImage(8, 8, blue))
 
 	// Compound through the facade.
-	res, err := db.QueryCompound("at least 50% red or at least 50% blue", mmdb.ModeBWM)
+	res, err := db.QueryCompoundCtx(ctx, "at least 50% red or at least 50% blue", mmdb.ModeBWM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +434,7 @@ func TestFacadeQueryVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := db.CompoundQuery(mmdb.Compound{Terms: []mmdb.Range{c}}, mmdb.ModeRBM)
+	res2, err := db.CompoundQueryCtx(ctx, mmdb.Compound{Terms: []mmdb.Range{c}}, mmdb.ModeRBM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +443,7 @@ func TestFacadeQueryVariants(t *testing.T) {
 	}
 
 	// Indexed mode through the facade.
-	res3, err := db.QueryMode("at least 50% red", mmdb.ModeIndexed)
+	res3, err := db.QueryCtx(ctx, "at least 50% red", mmdb.ModeIndexed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +452,7 @@ func TestFacadeQueryVariants(t *testing.T) {
 	}
 
 	// WithinDistance through the facade.
-	matches, st, err := db.WithinDistance(mmdb.NewFilledImage(8, 8, red), 0.01, mmdb.MetricL1)
+	matches, st, err := db.WithinDistanceCtx(ctx, mmdb.NewFilledImage(8, 8, red), 0.01, mmdb.MetricL1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,12 +462,12 @@ func TestFacadeQueryVariants(t *testing.T) {
 	if st.BinariesScored != 2 {
 		t.Fatalf("scored %d", st.BinariesScored)
 	}
-	if _, _, err := db.WithinDistanceCtx(context.Background(), mmdb.NewFilledImage(8, 8, red), math.NaN(), mmdb.MetricL1); err == nil {
+	if _, _, err := db.WithinDistanceCtx(ctx, mmdb.NewFilledImage(8, 8, red), math.NaN(), mmdb.MetricL1); err == nil {
 		t.Fatal("NaN distance accepted")
 	}
 
 	// Multi-probe query by examples.
-	fused, _, err := db.QueryByExamples([]*mmdb.Image{
+	fused, _, err := db.QueryByExamplesCtx(ctx, []*mmdb.Image{
 		mmdb.NewFilledImage(8, 8, red), mmdb.NewFilledImage(8, 8, blue),
 	}, 2, mmdb.MetricL2)
 	if err != nil {
@@ -496,7 +506,7 @@ func TestFacadeQueryVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Delete through the facade.
-	if err := db.Delete(a); err != nil {
+	if err := db.DeleteCtx(ctx, a); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Get(a); err == nil {
