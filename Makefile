@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race vet fmt-check lint lint-tool lint-new lint-deps staticcheck govulncheck ci bench microbench-smoke examples-smoke cluster-smoke replication-smoke crash-matrix obs-overhead-smoke index-smoke bench-smoke clean
+.PHONY: all build test race vet fmt-check lint lint-tool lint-new lint-deps staticcheck govulncheck ci bench microbench-smoke examples-smoke cluster-smoke replication-smoke crash-matrix index-smoke bench-smoke clean
 
 all: build
 
@@ -63,7 +63,7 @@ lint: fmt-check vet lint-tool
 		echo "govulncheck not installed; skipping (pin: golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
 
-ci: lint build race cluster-smoke replication-smoke crash-matrix obs-overhead-smoke index-smoke bench-smoke microbench-smoke examples-smoke
+ci: lint build race cluster-smoke replication-smoke crash-matrix index-smoke bench-smoke microbench-smoke examples-smoke
 
 # End-to-end differential check: a 3-shard loopback HTTP cluster must
 # answer range, compound and k-NN queries identically to a single node.
@@ -75,11 +75,6 @@ cluster-smoke:
 # promote its follower, and assert whole answers + accepted writes after.
 replication-smoke:
 	bash scripts/replication-smoke.sh
-
-# Observability cost gate: always-on query statistics (tracing off) must
-# cost the range-query hot path less than 3%.
-obs-overhead-smoke:
-	bash scripts/obs-overhead-smoke.sh
 
 # S-tree sublinearity gate: on selective workloads the indexed mode must
 # visit strictly fewer tree nodes per query than there are candidates.

@@ -8,7 +8,7 @@
 //	benchfig -exp table1|table2|fig3|fig4|summary
 //	benchfig -exp ablation-widening|ablation-ops|ablation-baseline|ablation-cache
 //	benchfig -exp ext-knn|ext-bic
-//	benchfig -exp scale|cluster|commit|obsoverhead|index
+//	benchfig -exp scale|cluster|commit|index
 package main
 
 import (
@@ -144,19 +144,6 @@ func run(exp string) error {
 		}
 		bench.WriteScale(out, pts)
 		return nil
-	case "obsoverhead":
-		// A large interleaved workload: the gate asserts a small relative
-		// delta, so each mode's minimum needs enough work to stand above
-		// scheduler noise.
-		cfg := bench.FlagConfig()
-		cfg.Queries = 300
-		cfg.Repetitions = 7
-		pts, err := bench.RunObsOverhead(cfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteObsOverhead(out, pts)
-		return bench.WriteObsOverheadJSON(out, pts)
 	case "commit":
 		pts, err := bench.CompareCommit(16, 32)
 		if err != nil {

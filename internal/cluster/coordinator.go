@@ -155,17 +155,14 @@ func gather[T any](ctx context.Context, c *Coordinator, tr *obs.Trace, fn func(c
 	ok = make([]bool, len(targets))
 	errs, st := exec.Scatter(ctx, c.workers(len(targets)), len(targets), func(i int) error {
 		cc := targets[i]
-		shardID := cc.shard.ID()
 		// One span per fan-out leg; the transport hangs the shard-side tree
 		// (and callShardSpan its attempt spans) underneath it.
-		sp := tr.StartSpan("shard:" + shardID)
-		start := nowFunc()
+		sp := tr.StartSpan("shard:" + cc.shard.ID())
 		v, cerr := callShardSpan(ctx, c.pol, true, sp, func(actx context.Context, asp *obs.Span) (T, error) {
 			done := observeSeconds(cc.lat)
 			defer done()
 			return fn(actx, cc.shard, asp)
 		})
-		obs.DefaultStats().RecordShardCall(shardID, nowFunc().Sub(start), cerr != nil)
 		if cerr == nil {
 			vals[i], ok[i] = v, true
 			cc.noteSuccess()

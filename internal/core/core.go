@@ -22,7 +22,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/colorspace"
@@ -259,19 +258,8 @@ func Open(cfg Config) (*DB, error) {
 		seg.Close()
 		return nil, err
 	}
-	// Restore the observed-statistics distributions the last clean shutdown
-	// snapshotted, so the planner's input survives restarts. Best-effort: a
-	// missing or corrupt snapshot just starts the distributions cold.
-	_ = obs.DefaultStats().LoadFile(StatsSnapshotPath(cfg.Path))
 	return db, nil
 }
-
-// StatsSnapshotPath is where a database at path persists the process-wide
-// observed-statistics recorder (obs.DefaultStats) across restarts. The
-// recorder is process-global — one snapshot file reflects every database
-// the process queried — which is the right grain for the planner: it wants
-// the workload the process serves, and a server process serves one DB.
-func StatsSnapshotPath(path string) string { return path + ".stats.json" }
 
 // newDB builds the in-memory structures for a resolved configuration.
 func newDB(cfg Config) *DB {
@@ -332,24 +320,7 @@ func (db *DB) Close() error {
 	if cerr := db.seg.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
-	// A clean shutdown snapshots the observed statistics (a crash loses at
-	// most the distributions since the last Sync — they are advisory).
-	_ = obs.DefaultStats().SaveFile(StatsSnapshotPath(db.cfg.Path))
 	return err
-}
-
-// SaveQueryStats persists the process-wide query-statistics snapshot next
-// to the database (see StatsSnapshotPath). A no-op for in-memory
-// databases. The HTTP server calls it on a timer so a crash loses at most
-// one interval of observed distributions.
-func (db *DB) SaveQueryStats() error {
-	db.mu.RLock()
-	skip := db.seg == nil || db.closed // in-memory, or already snapshotted by Close
-	db.mu.RUnlock()
-	if skip {
-		return nil
-	}
-	return obs.DefaultStats().SaveFile(StatsSnapshotPath(db.cfg.Path))
 }
 
 // Sync seals the memtable into the segment set and checkpoints the
@@ -367,11 +338,7 @@ func (db *DB) Sync() error {
 	if err := db.persistDurableLocked(); err != nil {
 		return err
 	}
-	if err := db.walCheckpointLocked(); err != nil {
-		return err
-	}
-	_ = obs.DefaultStats().SaveFile(StatsSnapshotPath(db.cfg.Path))
-	return nil
+	return db.walCheckpointLocked()
 }
 
 // InsertImageCtx stores a binary image: the raster goes to the storage
@@ -646,36 +613,9 @@ func (db *DB) RangeQueryCtx(ctx context.Context, q query.Range, opts ...QueryOpt
 	if err := q.Validate(db.cfg.Quantizer.Bins()); err != nil {
 		return nil, err
 	}
-	return db.dispatch(ctx, cfg, cfg.Mode.String(), []pagedTerm{db.rangeTerm(q)}, query.And, func() (*rbm.Result, error) {
+	return db.dispatch(ctx, cfg, []pagedTerm{db.rangeTerm(q)}, query.And, func() (*rbm.Result, error) {
 		return db.rangeSTree(ctx, q, cfg.Trace)
 	})
-}
-
-// recordQueryStats feeds the always-on statistics recorder — the observed
-// distributions the cost-based planner reads (selectivity, edited share of
-// the candidate set, widening-shortcut applicability). Fractions with an
-// empty denominator are skipped (-1) rather than recorded as zero. scanned
-// is the selectivity denominator: the candidates a scan judged, or the
-// corpus size for an S-tree descent.
-func (db *DB) recordQueryStats(strategy string, elapsed time.Duration, res *rbm.Result, scanned int) {
-	st := obs.DefaultStats()
-	if !st.Enabled() {
-		return
-	}
-	sel := -1.0
-	if scanned > 0 {
-		sel = float64(len(res.IDs)) / float64(scanned)
-	}
-	editedSeen := res.Stats.EditedWalked + res.Stats.EditedSkipped
-	editedFrac := -1.0
-	if cand := res.Stats.BinariesChecked + editedSeen; cand > 0 {
-		editedFrac = float64(editedSeen) / float64(cand)
-	}
-	widening := -1.0
-	if editedSeen > 0 {
-		widening = float64(res.Stats.EditedSkipped) / float64(editedSeen)
-	}
-	st.RecordQuery(strategy, elapsed, sel, editedFrac, widening)
 }
 
 // RangeQueryTextCtx parses a textual range query ("at least 25% blue") and
@@ -726,7 +666,7 @@ func (db *DB) CompoundQueryCtx(ctx context.Context, c query.Compound, opts ...Qu
 	for i, q := range c.Terms {
 		terms[i] = db.rangeTerm(q)
 	}
-	return db.dispatch(ctx, cfg, cfg.Mode.String(), terms, c.Conn, func() (*rbm.Result, error) {
+	return db.dispatch(ctx, cfg, terms, c.Conn, func() (*rbm.Result, error) {
 		return db.compoundSTree(ctx, c, cfg.Trace)
 	})
 }

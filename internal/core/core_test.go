@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -294,6 +296,57 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = gt
+}
+
+// TestDBFilesAreItsStore: a database's directory entries are exactly its
+// store after a full lifecycle — insert, query, Sync, Close, reopen, query,
+// Close: the segment directory, the write-ahead log and the log's
+// checkpoint-LSN sidecar. Nothing else (no snapshot of process state) is
+// written next to the store.
+func TestDBFilesAreItsStore(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "db.esidb")
+	q := query.Range{Bin: 0, PctMin: 0, PctMax: 1}
+	db, err := Open(Config{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(t, db, 2, 1, 0, 3)
+	if _, err := db.RangeQueryCtx(ctx, q, ModeRBM); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(Config{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.RangeQueryCtx(ctx, q, ModeRBM); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range ents {
+		name := e.Name()
+		if e.IsDir() {
+			name += "/"
+		}
+		got = append(got, name)
+	}
+	if want := []string{"db.esidb.segments/", "db.esidb.wal", "db.esidb.wal.lsn"}; !slices.Equal(got, want) {
+		t.Fatalf("database directory holds %v, want exactly %v", got, want)
+	}
 }
 
 func TestPersistenceInsertAfterReopen(t *testing.T) {

@@ -59,6 +59,7 @@ func FuzzRangeQueryText(f *testing.F) {
 	f.Add("at least 25 blue")
 	f.Add("")
 	f.Add("%%%")
+	f.Add("at least NaN% blue")
 	f.Fuzz(func(t *testing.T, text string) {
 		bwm, err := db.RangeQueryTextCtx(ctx, text, ModeBWM)
 		if err != nil {
@@ -104,6 +105,7 @@ func FuzzCompoundQueryText(f *testing.F) {
 	f.Add("at least 20% red and")
 	f.Add("and or and")
 	f.Add("at least 20% red or at most 10% blue and at least 5% green")
+	f.Add("at least 20% red and at most NaN% blue")
 	f.Fuzz(func(t *testing.T, text string) {
 		bwm, err := db.CompoundQueryTextCtx(ctx, text, ModeBWM)
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
@@ -82,7 +81,6 @@ func (db *DB) KNNCtx(ctx context.Context, q query.KNN, opts ...QueryOption) ([]M
 	if err := q.Validate(); err != nil {
 		return nil, nil, err
 	}
-	start := time.Now()
 	tracker := newThresholdTracker(q.K)
 	st, err := db.similaritySearch(ctx, q.Target, q.Metric, tracker, cfg.Trace)
 	if err != nil {
@@ -90,7 +88,6 @@ func (db *DB) KNNCtx(ctx context.Context, q query.KNN, opts ...QueryOption) ([]M
 	}
 	out := tracker.matches()
 	cfg.Trace.Count(obs.TImagesReturned, int64(len(out)))
-	db.recordKNNStats("knn:"+q.Metric.String(), time.Since(start), len(out), st)
 	if cfg.Limit > 0 && len(out) > cfg.Limit {
 		out = out[:cfg.Limit:cfg.Limit]
 	}
@@ -241,27 +238,6 @@ func (db *DB) exactDistances(ctx context.Context, target *histogram.Histogram, m
 		n += s.EditedWalked
 	}
 	return n, nil
-}
-
-// recordKNNStats feeds the always-on recorder for k-NN answers: latency,
-// selectivity (k results over the corpus) and the edited share of the
-// candidates scored. The widening fraction does not apply to k-NN.
-func (db *DB) recordKNNStats(strategy string, elapsed time.Duration, results int, st *KNNStats) {
-	rec := obs.DefaultStats()
-	if !rec.Enabled() {
-		return
-	}
-	bins, edited := db.cat.Len()
-	sel := -1.0
-	if corpus := bins + edited; corpus > 0 {
-		sel = float64(results) / float64(corpus)
-	}
-	editedSeen := st.EditedPruned + st.EditedInstantiated
-	editedFrac := -1.0
-	if cand := st.BinariesScored + editedSeen; cand > 0 {
-		editedFrac = float64(editedSeen) / float64(cand)
-	}
-	rec.RecordQuery(strategy, elapsed, sel, editedFrac, -1)
 }
 
 // thresholdTracker is the k-NN similarityBound: the best k matches seen so

@@ -61,7 +61,7 @@ func (db *DB) RangeQueryMultiCtx(ctx context.Context, q query.MultiRange, opts .
 	if err := q.Validate(db.cfg.Quantizer.Bins()); err != nil {
 		return nil, err
 	}
-	return db.dispatch(ctx, cfg, "multi:"+cfg.Mode.String(), []pagedTerm{db.multiTerm(q)}, query.And, func() (*rbm.Result, error) {
+	return db.dispatch(ctx, cfg, []pagedTerm{db.multiTerm(q)}, query.And, func() (*rbm.Result, error) {
 		return db.multiSTree(ctx, q, cfg.Trace)
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -142,6 +143,12 @@ func TestMultiRangeValidation(t *testing.T) {
 	}
 	if _, err := db.RangeQueryMultiCtx(ctx, query.MultiRange{Bins: []int{1 << 20}, PctMax: 1}, ModeBWM); err == nil {
 		t.Fatal("out-of-range bin accepted")
+	}
+	if _, err := db.RangeQueryMultiCtx(ctx, query.MultiRange{Bins: []int{0}, PctMin: math.NaN(), PctMax: 1}, ModeBWM); err == nil {
+		t.Fatal("NaN lower percentage accepted")
+	}
+	if _, err := db.RangeQueryMultiCtx(ctx, query.MultiRange{Bins: []int{0}, PctMax: math.NaN()}, ModeBWM); err == nil {
+		t.Fatal("NaN upper percentage accepted")
 	}
 	if _, err := db.RangeQueryMultiCtx(ctx, query.MultiRange{Bins: []int{0}, PctMax: 1}, Mode(99)); err == nil {
 		t.Fatal("bad mode accepted")

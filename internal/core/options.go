@@ -7,20 +7,17 @@ import (
 	"repro/internal/rbm"
 )
 
-// Query options — the canonical query surface. The historical API grew a
-// combinatorial method grid (plain × Traced × Ctx, each taking a positional
-// Mode); the *Ctx methods now take variadic QueryOption instead, mirroring
-// the insert path's InsertOption:
+// Query options — the one query surface. Every query method takes a
+// context and variadic QueryOption, mirroring the insert path's
+// InsertOption; the mode, tracing and paging are options, not method
+// variants:
 //
 //	db.RangeQueryCtx(ctx, q)                                  // default mode
 //	db.RangeQueryCtx(ctx, q, core.ModeIndexed)                // Mode is an option
 //	db.RangeQueryCtx(ctx, q, core.WithMode(m), core.WithTrace(tr), core.WithLimit(10))
 //	db.RangeQueryCtx(ctx, q, core.WithLimit(10), core.WithAfter(lastID))   // next page
 //
-// Mode implements QueryOption directly, which is also what kept every
-// pre-redesign call site of the form RangeQueryCtx(ctx, q, mode) compiling
-// unchanged. The Traced method variants survive as thin deprecated
-// wrappers.
+// Mode implements QueryOption directly, so a bare mode reads as one.
 
 // QueryConfig is the resolved set of query options.
 type QueryConfig struct {

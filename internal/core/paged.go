@@ -108,10 +108,10 @@ type pagedScan struct {
 // entry point: WAL barrier, evaluation, metrics. The scan modes run the
 // evaluator over terms combined by conn; ModeIndexed calls indexed, which
 // descends the S-tree for the whole answer, and cuts the page out of it.
-// Either way the per-mode latency and count, the trace's candidate and
-// answer counters and the observed-statistics sample (labelled strategy)
-// are recorded once per call, and an empty answer is a non-nil empty slice.
-func (db *DB) dispatch(ctx context.Context, cfg QueryConfig, strategy string, terms []pagedTerm, conn query.Connective, indexed func() (*rbm.Result, error)) (*rbm.Result, error) {
+// Either way the per-mode latency and count and the trace's candidate and
+// answer counters are recorded once per call, and an empty answer is a
+// non-nil empty slice.
+func (db *DB) dispatch(ctx context.Context, cfg QueryConfig, terms []pagedTerm, conn query.Connective, indexed func() (*rbm.Result, error)) (*rbm.Result, error) {
 	if _, ok := mQueryDur[cfg.Mode]; !ok {
 		return nil, fmt.Errorf("core: unknown mode %d", uint8(cfg.Mode))
 	}
@@ -133,17 +133,10 @@ func (db *DB) dispatch(ctx context.Context, cfg QueryConfig, strategy string, te
 	if err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(start)
-	mQueryDur[cfg.Mode].ObserveDuration(elapsed)
+	mQueryDur[cfg.Mode].ObserveDuration(time.Since(start))
 	mQueryCount[cfg.Mode].Inc()
 	examined := res.Stats.BinariesChecked + res.Stats.EditedWalked + res.Stats.EditedSkipped
 	tr.Count(obs.TCandidatesExamined, int64(examined))
-	scanned := examined
-	if cfg.Mode == ModeIndexed {
-		bins, edited := db.cat.Len()
-		scanned = bins + edited // a descent answers for the whole corpus
-	}
-	db.recordQueryStats(strategy, elapsed, res, scanned)
 	res = applyPage(res, cfg)
 	if res.IDs == nil {
 		res.IDs = []uint64{} // an empty answer reads "ids": [] on the wire, in every mode

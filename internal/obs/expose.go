@@ -152,35 +152,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return bounds[len(bounds)-1]
 }
 
-// absorb folds a snapshot's counts into the histogram (the restart path).
-// Buckets are matched by their formatted upper bound; counts under bounds
-// this histogram does not have land in the next wider bucket.
-func (h *Histogram) absorb(s HistogramSnapshot) {
-	if s.Count == 0 {
-		return
-	}
-	// Rebuild per-interval counts from the cumulative wire form, in bound
-	// order.
-	keys := make([]string, 0, len(h.bounds)+1)
-	for _, b := range h.bounds {
-		keys = append(keys, formatFloat(b))
-	}
-	keys = append(keys, "+Inf")
-	var prev int64
-	for i, k := range keys {
-		c, ok := s.Buckets[k]
-		if !ok {
-			continue
-		}
-		if d := c - prev; d > 0 {
-			h.counts[i].Add(d)
-		}
-		prev = c
-	}
-	h.sum.Add(s.Sum)
-	h.count.Add(s.Count)
-}
-
 // registryJSON is the JSON wire form of the whole registry.
 type registryJSON struct {
 	Counters   map[string]int64             `json:"counters"`

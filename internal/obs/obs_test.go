@@ -179,6 +179,24 @@ func TestTraceNilSafe(t *testing.T) {
 	}
 }
 
+// TestNilTraceAllocs: tracing off — a nil *Trace, the default on every
+// query path — costs no allocation on any call the query engine makes.
+func TestNilTraceAllocs(t *testing.T) {
+	var tr *Trace
+	allocs := testing.AllocsPerRun(200, func() {
+		done := tr.Phase("scan")
+		tr.Count(TCandidatesExamined, 3)
+		tr.StartSpan("shard:s0").End()
+		if tr.Counters() != nil || tr.Get(TImagesReturned) != 0 {
+			t.Fatal("nil trace recorded a counter")
+		}
+		done()
+	})
+	if allocs != 0 {
+		t.Fatalf("nil-trace query path allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 func TestTracePhasesAndCounters(t *testing.T) {
 	tr := NewTrace()
 	done := tr.Phase("scan")

@@ -78,7 +78,7 @@ func parsePct(s string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("percentage %q: %v", s, err)
 	}
-	if v < 0 || v > 100 {
+	if !(v >= 0 && v <= 100) { // NaN fails both comparisons
 		return 0, fmt.Errorf("percentage %v outside [0,100]", v)
 	}
 	return v / 100, nil

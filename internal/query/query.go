@@ -26,7 +26,7 @@ func (r Range) Validate(bins int) error {
 	if r.Bin < 0 || r.Bin >= bins {
 		return fmt.Errorf("query: bin %d outside [0,%d)", r.Bin, bins)
 	}
-	if r.PctMin < 0 || r.PctMax > 1 || r.PctMin > r.PctMax {
+	if !(r.PctMin >= 0 && r.PctMax <= 1 && r.PctMin <= r.PctMax) { // rejects NaN too
 		return fmt.Errorf("query: percentage interval [%v,%v] invalid", r.PctMin, r.PctMax)
 	}
 	return nil
@@ -148,7 +148,7 @@ func (m MultiRange) Validate(bins int) error {
 		}
 		seen[b] = true
 	}
-	if m.PctMin < 0 || m.PctMax > 1 || m.PctMin > m.PctMax {
+	if !(m.PctMin >= 0 && m.PctMax <= 1 && m.PctMin <= m.PctMax) { // rejects NaN too
 		return fmt.Errorf("query: percentage interval [%v,%v] invalid", m.PctMin, m.PctMax)
 	}
 	return nil

@@ -22,6 +22,8 @@ func TestRangeValidate(t *testing.T) {
 		{Bin: 0, PctMin: -0.1, PctMax: 0.5},
 		{Bin: 0, PctMin: 0, PctMax: 1.1},
 		{Bin: 0, PctMin: 0.6, PctMax: 0.5},
+		{Bin: 0, PctMin: math.NaN(), PctMax: 0.5},
+		{Bin: 0, PctMin: 0, PctMax: math.NaN()},
 	}
 	for i, r := range bad {
 		if err := r.Validate(64); err == nil {

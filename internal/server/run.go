@@ -16,10 +16,6 @@ const (
 	// ShutdownGrace is how long Run waits for in-flight requests to drain
 	// after the context is canceled before forcibly closing connections.
 	ShutdownGrace = 10 * time.Second
-	// StatsSaveInterval is how often the always-on query-statistics
-	// snapshot is persisted next to the store file while serving, bounding
-	// what a crash can lose. Shutdown also saves via Sync.
-	StatsSaveInterval = time.Minute
 )
 
 // Run serves s on addr until ctx is canceled, then drains in-flight
@@ -35,23 +31,6 @@ func Run(ctx context.Context, addr string, s *Server) error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	saverDone := make(chan struct{})
-	sctx, stopSaver := context.WithCancel(ctx)
-	defer func() { <-saverDone }() // declared first so it runs after stopSaver
-	defer stopSaver()
-	go func() {
-		defer close(saverDone)
-		t := time.NewTicker(StatsSaveInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-sctx.Done():
-				return
-			case <-t.C:
-				_ = s.db.SaveQueryStats()
-			}
-		}
-	}()
 	select {
 	case err := <-errc:
 		// Listener failed before the context did (e.g. port in use).

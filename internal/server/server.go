@@ -548,14 +548,25 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	opts := mmdb.AugmentOptions{
-		PerBase:     intParam(q.Get("per"), 3),
-		OpsPerImage: intParam(q.Get("ops"), 4),
-		Seed:        int64(intParam(q.Get("seed"), 1)),
+	per, err := intParam(q, "per", 3)
+	if err != nil {
+		s.writeError(w, err)
+		return
 	}
+	ops, err := intParam(q, "ops", 4)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	seed, err := intParam(q, "seed", 1)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	opts := mmdb.AugmentOptions{PerBase: per, OpsPerImage: ops, Seed: int64(seed)}
 	if v := q.Get("nonwidening"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 || f > 1 {
+		if err != nil || !(f >= 0 && f <= 1) {
 			s.writeError(w, badRequest("nonwidening %q must be in [0,1]", v))
 			return
 		}
@@ -722,7 +733,14 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest("decode probe: %w", err))
 		return
 	}
-	k := intParam(r.URL.Query().Get("k"), 5)
+	k, err := intParam(r.URL.Query(), "k", 5)
+	if err == nil && k <= 0 {
+		err = badRequest("k must be positive, got %d", k)
+	}
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
 	metric, err := parseMetric(r.URL.Query().Get("metric"))
 	if err != nil {
 		s.writeError(w, err)
@@ -769,14 +787,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	// The database-shape stats gain an always-on "query_stats" section —
-	// the per-strategy latency/selectivity distributions the planner reads.
-	// Extra fields are ignored by older clients decoding mmdb.Stats.
-	qs := obs.DefaultStats().Snapshot()
-	s.writeJSON(w, http.StatusOK, struct {
-		mmdb.Stats
-		QueryStats obs.StatsSnapshot `json:"query_stats"`
-	}{st, qs})
+	s.writeJSON(w, http.StatusOK, st)
 }
 
 // handleQueryLog exposes the process slow-query log: the N slowest queries
@@ -908,12 +919,16 @@ func parseMetric(s string) (mmdb.Metric, error) {
 	}
 }
 
-func intParam(s string, def int) int {
+// intParam reads an optional integer query parameter: absent means def,
+// and a present value that is not an integer is a bad request.
+func intParam(q url.Values, name string, def int) (int, error) {
+	s := q.Get(name)
 	if s == "" {
-		return def
+		return def, nil
 	}
-	if v, err := strconv.Atoi(s); err == nil {
-		return v
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, badRequest("invalid %s %q", name, s)
 	}
-	return def
+	return v, nil
 }

@@ -138,10 +138,6 @@ func (db *DB) Close() error { return db.inner.Close() }
 // truncated).
 func (db *DB) Sync() error { return db.inner.Sync() }
 
-// SaveQueryStats persists the always-on query-statistics snapshot next to
-// the store file (no-op for in-memory databases).
-func (db *DB) SaveQueryStats() error { return db.inner.SaveQueryStats() }
-
 // WALStats reports write-ahead-log activity: fsyncs, appended and replayed
 // records, current log size. ok is false for in-memory databases, which
 // have no log.
