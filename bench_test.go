@@ -333,10 +333,9 @@ func BenchmarkAblationPrecomputedBounds(b *testing.B) {
 
 // BenchmarkPagedRange prices a page of a range answer (EXPERIMENTS.md,
 // "Paged evaluation"): limit 1 / 20 / 200, a limit no answer can fill (the
-// scan judges every candidate and stops nowhere, its first window serial)
-// and the unlimited query (every window on the pool), for a broad text whose
-// matches start at id 1 and a selective one whose first match lies past
-// every binary image, under RBM and BWM. The corpus is paper_mix's shape at
+// scan judges every candidate and stops nowhere) and the unlimited query,
+// for a broad text whose matches start at id 1 and a selective one whose
+// first match lies past every binary image, under RBM and BWM. The corpus is paper_mix's shape at
 // a quarter of its size: 1 000 flags, then 4 000 scripts.
 func BenchmarkPagedRange(b *testing.B) {
 	db, _, _ := paperMixDB(b, 1000)

@@ -9,7 +9,7 @@
 //	esidb insert  -db file -name label image.(ppm|png)
 //	esidb edit    -db file -name label script.txt
 //	esidb augment -db file -id N [-per 3] [-ops 4] [-nonwidening 0.2] [-seed 1]
-//	esidb query   -db file [-mode MODE] [-limit N] [-after ID] [-bases] [-trace] [-parallelism N] "at least 25% blue"
+//	esidb query   -db file [-mode MODE] [-limit N] [-after ID] [-bases] [-trace] "at least 25% blue"
 //	              (compound: "at least 20% red and at most 10% blue";
 //	              MODE is one of mmdb.ModeNames(), listed by "esidb query -h";
 //	              -limit returns the N lowest matching ids and stops evaluating
@@ -25,7 +25,7 @@
 //	esidb metrics -db file [-q "at least 25% blue"] [-mode bwm] [-json]
 //	esidb fsck    -db file
 //	esidb store   segments -db file
-//	esidb serve   -db file [-addr :8765] [-log-json] [-parallelism N] [-slow-query-threshold 100ms] [-segment-size BYTES] [-compaction-rate BYTES/S] [-shard-id s0 -shard-map map.json] [-replica-of http://leader:8765 -replica-id s0-r1]
+//	esidb serve   -db file [-addr :8765] [-log-json] [-slow-query-threshold 100ms] [-segment-size BYTES] [-compaction-rate BYTES/S] [-shard-id s0 -shard-map map.json] [-replica-of http://leader:8765 -replica-id s0-r1]
 //	esidb querylog [-addr http://localhost:8765] [-threshold 100ms] [-json]
 //	esidb cluster query|similar|stats|health|load -map map.json ...
 //	esidb colors
@@ -323,7 +323,6 @@ func cmdQuery(args []string) error {
 	bases := fs.Bool("bases", false, "also return the base image of each edited match")
 	trace := fs.Bool("trace", false, "print per-phase timings and decision counts")
 	idsOnly := fs.Bool("ids", false, "print bare matching ids, one per line")
-	parallelism := fs.Int("parallelism", 0, "candidate-evaluation workers (0 = all CPUs, 1 = serial)")
 	limit := fs.Int("limit", 0, "return at most this many matches, lowest ids first (0 = all)")
 	after := fs.Uint64("after", 0, "return only ids greater than this one: pass a page's last id to get the next page")
 	fs.Parse(args)
@@ -339,7 +338,6 @@ func cmdQuery(args []string) error {
 		return err
 	}
 	defer db.Close()
-	db.SetParallelism(*parallelism)
 	var tr *mmdb.Trace
 	if *trace {
 		tr = mmdb.NewTrace()
@@ -765,7 +763,6 @@ func cmdServe(args []string) error {
 	path := fs.String("db", "", "database file")
 	addr := fs.String("addr", ":8765", "listen address")
 	logJSON := fs.Bool("log-json", false, "emit access logs as JSON instead of logfmt text")
-	parallelism := fs.Int("parallelism", 0, "candidate-evaluation workers (0 = all CPUs, 1 = serial)")
 	slowThreshold := fs.Duration("slow-query-threshold", 0, "latency at which a query enters the slow-query log (0 = every query is slow-eligible)")
 	shardID := fs.String("shard-id", "", "serve as this shard of a cluster (requires -shard-map)")
 	shardMap := fs.String("shard-map", "", "cluster shard-map file (JSON)")
@@ -792,7 +789,6 @@ func cmdServe(args []string) error {
 		return err
 	}
 	defer db.Close()
-	db.SetParallelism(*parallelism)
 	if (*shardID == "") != (*shardMap == "") {
 		return fmt.Errorf("-shard-id and -shard-map must be used together")
 	}

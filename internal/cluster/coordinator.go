@@ -16,9 +16,6 @@ import (
 type Options struct {
 	// Policy is the per-shard call discipline (zero value = defaults).
 	Policy Policy
-	// Parallelism caps the fan-out worker pool; 0 means one worker per
-	// shard (every shard queried concurrently).
-	Parallelism int
 }
 
 // Coordinator owns the ring and a transport per shard and turns the
@@ -27,7 +24,6 @@ type Options struct {
 // shard, scatter-gathers queries and merges the answers.
 type Coordinator struct {
 	pol Policy
-	par int
 
 	// The membership is fixed at construction: New is the only writer of
 	// these four, so readers need no lock.
@@ -72,7 +68,6 @@ func New(m *ShardMap, shards map[string]Shard, opts Options) (*Coordinator, erro
 	}
 	c := &Coordinator{
 		pol:    opts.Policy.withDefaults(),
-		par:    opts.Parallelism,
 		smap:   m,
 		ring:   ring,
 		conns:  make([]*shardConn, 0, len(m.Shards)),
@@ -128,13 +123,6 @@ func (c *Coordinator) connFor(baseID uint64) (*shardConn, string) {
 	return c.byID[id], id
 }
 
-func (c *Coordinator) workers(n int) int {
-	if c.par > 0 {
-		return c.par
-	}
-	return n
-}
-
 // gather is the scatter half of every cluster query: fn runs against each
 // live shard under the call policy (timeout, retry, hedge), failures past
 // the retry budget become missed shards rather than errors, and query
@@ -153,7 +141,7 @@ func gather[T any](ctx context.Context, c *Coordinator, tr *obs.Trace, fn func(c
 	tr.Count(obs.TClusterShardsQueried, int64(len(targets)))
 	vals = make([]T, len(targets))
 	ok = make([]bool, len(targets))
-	errs, st := exec.Scatter(ctx, c.workers(len(targets)), len(targets), func(i int) error {
+	errs, st := exec.Scatter(ctx, len(targets), len(targets), func(i int) error {
 		cc := targets[i]
 		// One span per fan-out leg; the transport hangs the shard-side tree
 		// (and callShardSpan its attempt spans) underneath it.

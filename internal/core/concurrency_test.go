@@ -124,16 +124,15 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 	}
 }
 
-// TestConcurrentParallelQueriesAndMutations is the stress companion for the
-// parallel engine: every query surface fans out (Parallelism 8) while one
-// writer inserts, appends operations to existing sequences, and deletes.
+// TestConcurrentParallelQueriesAndMutations runs every query surface — k-NN
+// refinement fanned out on its worker pool — while one writer inserts,
+// appends operations to existing sequences, and deletes.
 // AppendOps in particular replaces S-tree bounds boxes under readers'
 // snapshots. Run with -race.
 func TestConcurrentParallelQueriesAndMutations(t *testing.T) {
 	ctx := context.Background()
 	db := memDB(t)
 	populate(t, db, 4, 3, 0.3, 77)
-	db.SetParallelism(8)
 	queries, err := dataset.RangeWorkload(dataset.WorkloadConfig{Queries: 10, Seed: 8}, db.Quantizer())
 	if err != nil {
 		t.Fatal(err)

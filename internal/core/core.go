@@ -26,7 +26,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/colorspace"
 	"repro/internal/editops"
-	"repro/internal/exec"
 	"repro/internal/histogram"
 	"repro/internal/imaging"
 	"repro/internal/obs"
@@ -145,12 +144,6 @@ type Config struct {
 	// under Path+".segments/" and the write-ahead log at Path+".wal".
 	// Empty means in-memory.
 	Path string
-	// Parallelism caps the candidate-evaluation worker pool: 0 (auto)
-	// scales with GOMAXPROCS, 1 forces the serial walk, n > 1 uses exactly
-	// n workers. Results are identical at every setting; only wall time
-	// and the parallel_* trace counters change. Adjustable at runtime via
-	// DB.SetParallelism.
-	Parallelism int
 	// WAL tunes the write-ahead log's group-commit behaviour when Path is
 	// set (the log lives at Path+".wal"). The zero value flushes as soon as
 	// the flusher is free and batches up to store.DefaultWALMaxBatch
@@ -166,9 +159,6 @@ type Config struct {
 type DB struct {
 	mu  sync.RWMutex
 	cfg Config
-	// par is the live Parallelism knob (atomic so queries read it without
-	// the DB lock and tests/operators can retune a running database).
-	par atomic.Int32
 
 	cat    *catalog.Catalog
 	engine *rules.Engine
@@ -270,26 +260,8 @@ func newDB(cfg Config) *DB {
 		sidx:    stree.New(cfg.Quantizer.Bins(), sidxFanout),
 	}
 	db.engine = rules.NewEngine(cfg.Quantizer, cfg.Background, db.cat)
-	db.par.Store(int32(cfg.Parallelism))
 	return db
 }
-
-// Parallelism returns the candidate-evaluation knob: 0 = auto (GOMAXPROCS),
-// 1 = serial, n > 1 = exactly n workers.
-func (db *DB) Parallelism() int { return int(db.par.Load()) }
-
-// SetParallelism retunes the candidate-evaluation worker pool at runtime.
-// Negative values are treated as 0 (auto). Queries already in flight keep
-// the worker count they started with.
-func (db *DB) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	db.par.Store(int32(n))
-}
-
-// workers resolves the knob for one query execution.
-func (db *DB) workers() int { return exec.Resolve(int(db.par.Load())) }
 
 // Quantizer returns the configured quantizer.
 func (db *DB) Quantizer() colorspace.Quantizer { return db.cfg.Quantizer }

@@ -13,15 +13,10 @@ import (
 
 // fuzzDB builds one small shared database for the parser fuzz targets: the
 // interesting surface is the parser plus the query dispatch, so the corpus
-// stays tiny and each fuzz iteration cheap. Parallelism is pinned to 2 so
-// the fuzzers also exercise the fan-out path.
+// stays tiny and each fuzz iteration cheap.
 func fuzzDB(f *testing.F) *DB {
 	f.Helper()
-	db, err := Open(Config{Parallelism: 2})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { db.Close() })
+	db := memDB(f)
 	populate(f, db, 3, 2, 0.4, 42)
 	return db
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/catalog"
-	"repro/internal/exec"
 	"repro/internal/histogram"
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -17,7 +16,7 @@ import (
 )
 
 // ModeIndexed — the bounds S-tree strategy. Every other mode evaluates all
-// n candidates (parallelized, but O(n)); this one descends a bulk-loaded
+// n candidates (one at a time, O(n)); this one descends a bulk-loaded
 // tree whose inner nodes hold the union [min,max] percentage box of their
 // subtree, so a range query visits only intersecting nodes and a node box
 // fully inside the query admits its whole subtree without per-candidate
@@ -252,8 +251,7 @@ func recordIndexVisit(tr *obs.Trace, st stree.VisitStats) {
 }
 
 // ctxEvery is how many leaf deliveries pass between cancellation checks on
-// the serial tree descent (the scan modes poll at the same grain through
-// the worker pool's chunking).
+// the tree descent.
 const ctxEvery = 256
 
 // rangeSTree answers a single-bin range query from the S-tree. For this
@@ -327,25 +325,16 @@ func (db *DB) rangeSTree(ctx context.Context, q query.Range, tr *obs.Trace) (*rb
 }
 
 // compoundSTree answers a compound query from the S-tree: one descent per
-// term, then the id sets are intersected (And) or unioned (Or). Terms are
-// independent descents, so they run concurrently on the worker pool;
-// combination happens afterwards in term order, which keeps the result set
-// and accumulated statistics identical to a serial evaluation.
+// term, in term order, then the id sets are intersected (And) or unioned
+// (Or).
 func (db *DB) compoundSTree(ctx context.Context, c query.Compound, tr *obs.Trace) (*rbm.Result, error) {
 	results := make([]*rbm.Result, len(c.Terms))
-	pst, err := exec.ForEach(ctx, db.workers(), len(c.Terms), func(w, i int) error {
-		r, terr := db.rangeSTree(ctx, c.Terms[i], tr)
-		if terr != nil {
-			return terr
+	for i, term := range c.Terms {
+		r, err := db.rangeSTree(ctx, term, tr)
+		if err != nil {
+			return nil, err
 		}
 		results[i] = r
-		return nil
-	})
-	if pst.Workers > 1 {
-		pst.Record(tr)
-	}
-	if err != nil {
-		return nil, err
 	}
 	// Every term's ids are ascending and unique, so a one-term compound
 	// (every plain text query) is its term's answer as is and And/Or are

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
 	"repro/internal/catalog"
@@ -204,14 +205,15 @@ func (db *DB) similaritySearch(ctx context.Context, target *histogram.Histogram,
 	return st, nil
 }
 
-// exactDistances instantiates one batch of candidates on the worker pool and
+// exactDistances instantiates one batch of candidates on a pool of
+// GOMAXPROCS workers — the one query path that fans out (DESIGN §7) — and
 // fills in each one's exact distance. A candidate deleted since the tree
 // snapshot, or whose instantiation is empty, stays unscored. Returns how
 // many were instantiated.
 func (db *DB) exactDistances(ctx context.Context, target *histogram.Histogram, metric query.Metric, batch []knnCand, tr *obs.Trace) (int, error) {
-	workers := db.workers()
+	workers := runtime.GOMAXPROCS(0)
 	env := db.env()
-	inst := make([]rbm.Stats, max(1, workers))
+	inst := make([]rbm.Stats, workers)
 	pst, err := exec.ForEach(ctx, workers, len(batch), func(w, i int) error {
 		c := &batch[i]
 		obj, err := db.cat.Edited(c.id)

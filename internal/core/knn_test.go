@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -64,11 +65,13 @@ func requireMatches(t testing.TB, what string, got, want []Match) {
 // requireSimilarityEqualsBruteForce is the similarity oracle: for every
 // metric, k-NN for each k and within-distance at radii taken from the
 // ranking itself (so the inclusive boundary is hit exactly) must equal the
-// instantiate-everything answer in ids and distances, and a serial and a
-// parallel run must return identical matches and identical KNNStats. The
-// database's Parallelism knob is left at 1.
+// instantiate-everything answer in ids and distances, and runs with the
+// refinement pool one and four workers wide (GOMAXPROCS 1 and 4) must return
+// identical matches and identical KNNStats. GOMAXPROCS is restored on
+// return.
 func requireSimilarityEqualsBruteForce(t testing.TB, db *DB, target *histogram.Histogram, metrics []query.Metric, ks []int) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	ctx := context.Background()
 	nBin, nEd := len(db.Binaries()), len(db.EditedIDs())
 	checkStats := func(what string, st *KNNStats) {
@@ -85,7 +88,7 @@ func requireSimilarityEqualsBruteForce(t testing.TB, db *DB, target *histogram.H
 		for _, k := range ks {
 			q := query.KNN{Target: target, K: k, Metric: metric}
 			what := fmt.Sprintf("%s k=%d", metric, k)
-			db.SetParallelism(1)
+			runtime.GOMAXPROCS(1)
 			serial, serialSt, err := db.KNNCtx(ctx, q)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
@@ -95,7 +98,7 @@ func requireSimilarityEqualsBruteForce(t testing.TB, db *DB, target *histogram.H
 			if want := min(k, nBin); serialSt.BinariesScored < want {
 				t.Fatalf("%s: scored %d binaries, the threshold needs %d", what, serialSt.BinariesScored, want)
 			}
-			db.SetParallelism(4)
+			runtime.GOMAXPROCS(4)
 			par, parSt, err := db.KNNCtx(ctx, q)
 			if err != nil {
 				t.Fatalf("%s parallel: %v", what, err)
@@ -122,14 +125,14 @@ func requireSimilarityEqualsBruteForce(t testing.TB, db *DB, target *histogram.H
 				}
 			}
 			what := fmt.Sprintf("%s within %v", metric, r)
-			db.SetParallelism(1)
+			runtime.GOMAXPROCS(1)
 			serial, serialSt, err := db.WithinDistanceCtx(ctx, target, r, metric)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
 			requireMatches(t, what, serial, want)
 			checkStats(what, serialSt)
-			db.SetParallelism(4)
+			runtime.GOMAXPROCS(4)
 			par, parSt, err := db.WithinDistanceCtx(ctx, target, r, metric)
 			if err != nil {
 				t.Fatalf("%s parallel: %v", what, err)
@@ -140,7 +143,6 @@ func requireSimilarityEqualsBruteForce(t testing.TB, db *DB, target *histogram.H
 			}
 		}
 	}
-	db.SetParallelism(1)
 }
 
 // identityEdit is an editing sequence whose instantiation is its base,
@@ -258,8 +260,10 @@ func TestKNNTieRulePrunesOnID(t *testing.T) {
 // so the k-th distance is 0 and every edited image whose box holds the
 // probe ties on the lower bound. The descent must stop once it holds its k
 // ties — a few leaves, not every box that contains the probe — and still
-// return the brute-force answer, serial ≡ parallel.
+// return the brute-force answer with the refinement pool one and four
+// workers wide.
 func TestKNNTiedProbeStopsAtTies(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const k = 10
 	db := memDB(t)
 	bases := populate(t, db, 200, 2, 0.3, 5)
@@ -298,15 +302,15 @@ func TestKNNTiedProbeStopsAtTies(t *testing.T) {
 		var runs [2][]Match
 		var stats [2]KNNStats
 		for i, par := range []int{1, 4} {
-			db.SetParallelism(par)
+			runtime.GOMAXPROCS(par)
 			tr := obs.NewTrace()
 			got, st, err := db.KNNCtx(context.Background(), q, WithTrace(tr))
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireMatches(t, fmt.Sprintf("%s parallelism %d", metric, par), got, want)
+			requireMatches(t, fmt.Sprintf("%s GOMAXPROCS %d", metric, par), got, want)
 			if lc := tr.Get(obs.TIndexLeafChecks); lc*20 > int64(items) {
-				t.Fatalf("%s parallelism %d: %d leaf checks over %d items, want ≤ 5%%", metric, par, lc, items)
+				t.Fatalf("%s GOMAXPROCS %d: %d leaf checks over %d items, want ≤ 5%%", metric, par, lc, items)
 			}
 			runs[i], stats[i] = got, *st
 		}
@@ -315,7 +319,6 @@ func TestKNNTiedProbeStopsAtTies(t *testing.T) {
 			t.Fatalf("%s: stats depend on the worker count: serial %+v, parallel %+v", metric, stats[0], stats[1])
 		}
 	}
-	db.SetParallelism(1)
 }
 
 func TestKNNPrunesSomething(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -23,8 +24,9 @@ import (
 //     method's result set (no false negatives), and
 //  2. agreement  — all bound methods return the identical set (they share
 //     one BOUNDS definition), and
-//  3. determinism — each mode returns element-for-element identical
-//     results and statistics at Parallelism 1, 2 and 8.
+//  3. determinism — k-NN and within-distance, whose refinement runs on a
+//     worker pool, return identical matches and statistics at pool widths
+//     1 and 4.
 
 // oracleBoundModes are the modes that answer from rule bounds; they must
 // agree with each other and contain the instantiation oracle. ModeIndexed
@@ -142,135 +144,43 @@ type rbmResultIDs struct {
 	ids  []uint64
 }
 
-// TestOracleParallelMatchesSerial checks determinism: every mode, on every
-// randomized database, returns element-for-element identical ids and
-// identical statistics at Parallelism 1, 2 and 8.
-func TestOracleParallelMatchesSerial(t *testing.T) {
-	ctx := context.Background()
-	allModes := append([]Mode{ModeInstantiate}, oracleBoundModes...)
-	for _, cfg := range oracleConfigs {
-		cfg := cfg
-		t.Run(fmt.Sprintf("seed=%d", cfg.seed), func(t *testing.T) {
-			db := memDB(t)
-			populate(t, db, cfg.nBase, cfg.perBase, cfg.nonWid, cfg.seed)
-			rng := rand.New(rand.NewSource(cfg.seed * 13))
-			queries := randomRanges(rng, db.cfg.Quantizer.Bins(), 10)
-			for _, mode := range allModes {
-				for qi, q := range queries {
-					db.SetParallelism(1)
-					serial, err := db.RangeQueryCtx(ctx, q, mode)
-					if err != nil {
-						t.Fatalf("mode %s query %d serial: %v", modeName(mode), qi, err)
-					}
-					for _, par := range []int{2, 8} {
-						db.SetParallelism(par)
-						got, err := db.RangeQueryCtx(ctx, q, mode)
-						if err != nil {
-							t.Fatalf("mode %s query %d par=%d: %v", modeName(mode), qi, par, err)
-						}
-						if !sameIDs(serial.IDs, got.IDs) {
-							t.Fatalf("mode %s query %d %+v: par=%d ids diverge: serial %v, parallel %v",
-								modeName(mode), qi, q, par, serial.IDs, got.IDs)
-						}
-						if got.Stats != serial.Stats {
-							t.Fatalf("mode %s query %d: par=%d stats diverge: serial %+v, parallel %+v",
-								modeName(mode), qi, par, serial.Stats, got.Stats)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestOracleParallelCompoundMultiKNN extends the parallel/serial identity
-// to the other query surfaces: compound queries, multi-bin ranges, k-NN and
-// within-distance searches.
+// TestOracleParallelCompoundMultiKNN checks the one query path that fans
+// out: k-NN and within-distance searches return identical matches and
+// identical KNNStats whether refinement runs one worker wide or four
+// (GOMAXPROCS 1 and 4).
 func TestOracleParallelCompoundMultiKNN(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	ctx := context.Background()
 	cfg := oracleConfigs[1]
 	db := memDB(t)
 	populate(t, db, cfg.nBase, cfg.perBase, cfg.nonWid, cfg.seed)
-	rng := rand.New(rand.NewSource(cfg.seed * 17))
-	bins := db.cfg.Quantizer.Bins()
-	ranges := randomRanges(rng, bins, 8)
-
 	targetImg := dataset.Flags(1, 32, 24, cfg.seed+99)[0].Img
 	target := histogram.Extract(targetImg, db.cfg.Quantizer)
 
 	type snapshot struct {
-		compound []*rbmResultIDs
-		multi    []*rbmResultIDs
-		knn      []Match
-		within   []Match
+		knn, within     []Match
+		knnSt, withinSt KNNStats
 	}
 	capture := func() snapshot {
-		var s snapshot
-		for _, conn := range []query.Connective{query.And, query.Or} {
-			c := query.Compound{Terms: ranges[:3], Conn: conn}
-			res, err := db.CompoundQueryCtx(ctx, c, ModeBWM)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.compound = append(s.compound, &rbmResultIDs{ids: res.IDs})
-		}
-		for _, mode := range []Mode{ModeRBM, ModeBWM, ModeInstantiate, ModeIndexed} {
-			mq := query.MultiRange{Bins: []int{0, 1, 5}, PctMin: 0.05, PctMax: 0.9}
-			res, err := db.RangeQueryMultiCtx(ctx, mq, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.multi = append(s.multi, &rbmResultIDs{mode: mode, ids: res.IDs})
-		}
-		knn, _, err := db.KNNCtx(ctx, query.KNN{Target: target, K: 5, Metric: query.MetricL1})
+		knn, knnSt, err := db.KNNCtx(ctx, query.KNN{Target: target, K: 5, Metric: query.MetricL1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.knn = knn
-		within, _, err := db.WithinDistanceCtx(ctx, target, 0.6, query.MetricL1)
+		within, withinSt, err := db.WithinDistanceCtx(ctx, target, 0.6, query.MetricL1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.within = within
-		return s
+		return snapshot{knn, within, *knnSt, *withinSt}
 	}
 
-	db.SetParallelism(1)
+	runtime.GOMAXPROCS(1)
 	serial := capture()
-	// A negative knob means auto (0), which must answer like any other
-	// setting.
-	for _, par := range []int{2, 8, -1} {
-		db.SetParallelism(par)
-		if want := max(par, 0); db.Parallelism() != want {
-			t.Fatalf("SetParallelism(%d): knob reads %d, want %d", par, db.Parallelism(), want)
-		}
-		got := capture()
-		for i := range serial.compound {
-			if !sameIDs(serial.compound[i].ids, got.compound[i].ids) {
-				t.Fatalf("par=%d compound %d diverges: %v vs %v", par, i, serial.compound[i].ids, got.compound[i].ids)
-			}
-		}
-		for i := range serial.multi {
-			if !sameIDs(serial.multi[i].ids, got.multi[i].ids) {
-				t.Fatalf("par=%d multi mode %s diverges: %v vs %v",
-					par, modeName(serial.multi[i].mode), serial.multi[i].ids, got.multi[i].ids)
-			}
-		}
-		if len(got.knn) != len(serial.knn) {
-			t.Fatalf("par=%d knn length %d vs %d", par, len(got.knn), len(serial.knn))
-		}
-		for i := range serial.knn {
-			if got.knn[i] != serial.knn[i] {
-				t.Fatalf("par=%d knn[%d] %+v vs %+v", par, i, got.knn[i], serial.knn[i])
-			}
-		}
-		if len(got.within) != len(serial.within) {
-			t.Fatalf("par=%d within length %d vs %d", par, len(got.within), len(serial.within))
-		}
-		for i := range serial.within {
-			if got.within[i] != serial.within[i] {
-				t.Fatalf("par=%d within[%d] %+v vs %+v", par, i, got.within[i], serial.within[i])
-			}
-		}
+	runtime.GOMAXPROCS(4)
+	got := capture()
+	requireMatches(t, "knn 4 workers", got.knn, serial.knn)
+	requireMatches(t, "within 4 workers", got.within, serial.within)
+	if got.knnSt != serial.knnSt || got.withinSt != serial.withinSt {
+		t.Fatalf("stats depend on the worker count: serial %+v %+v, 4 workers %+v %+v",
+			serial.knnSt, serial.withinSt, got.knnSt, got.withinSt)
 	}
 }

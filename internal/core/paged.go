@@ -4,13 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/editops"
-	"repro/internal/exec"
 	"repro/internal/histogram"
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -21,26 +18,24 @@ import (
 // and instantiate mode runs here, with or without a limit or an
 // after-cursor: it walks the catalog's candidates in ascending id from
 // after+1, gives each one the mode's own verdict, and stops the moment limit
-// ids are confirmed (without a limit, at the end of the catalog). Candidates
-// arrive in id windows that double in size; a window is finished before the
-// next one is fetched and inside one nothing below the page's last id is
-// left unjudged, so an id is only ever emitted when every candidate not yet
-// examined has a larger id — which holds for any id assignment (an edited
-// image may well have a smaller id than its base) because binary and edited
-// ids are merged into one ascending stream rather than scanned kind by kind.
+// ids are confirmed (without a limit, at the end of the catalog).
+// Candidates arrive in id windows that double in size and are judged one at
+// a time on the query's goroutine, so an id is only ever emitted when every
+// candidate not yet examined has a larger id — which holds for any id
+// assignment (an edited image may well have a smaller id than its base)
+// because binary and edited ids are merged into one ascending stream rather
+// than scanned kind by kind.
 // The returned ids are exactly [id ∈ answer : id > after][:limit].
 //
 // ModeIndexed is not served here: the S-tree delivers ids in box order, so
 // it keeps descend, filter, truncate (applyPage).
 
 const (
-	// pagedFirstWindow candidates are judged serially when the query has a
-	// limit, with a stop at the exact candidate that fills the page; most
-	// pages end inside it. Without a limit there is nothing to stop at, and
-	// every window goes to the worker pool.
+	// pagedFirstWindow is the first catalog listing's size; most pages end
+	// inside it.
 	pagedFirstWindow = 256
-	// pagedMaxWindow caps the doubling: a window is one catalog listing and
-	// one verdict slot per candidate, whatever the corpus size.
+	// pagedMaxWindow caps the doubling: a window is one catalog listing,
+	// whatever the corpus size.
 	pagedMaxWindow = 4096
 )
 
@@ -88,12 +83,6 @@ type clusterHit struct {
 	base uint64
 }
 
-// pagedWorker is one worker's private accumulator.
-type pagedWorker struct {
-	st   rbm.Stats
-	hits map[clusterHit]struct{}
-}
-
 // pagedScan is one scanned query in flight.
 type pagedScan struct {
 	db    *DB
@@ -102,6 +91,7 @@ type pagedScan struct {
 	mode  Mode
 	tr    *obs.Trace
 	env   *editops.Env
+	hits  map[clusterHit]struct{}
 }
 
 // dispatch is the one path behind every range, compound and multi-bin
@@ -146,56 +136,29 @@ func (db *DB) dispatch(ctx context.Context, cfg QueryConfig, terms []pagedTerm, 
 }
 
 // run walks the id windows until the page is full or the catalog is
-// exhausted. limit ≤ 0 means "everything after the cursor".
+// exhausted. limit ≤ 0 means "everything after the cursor". Every candidate
+// is judged here, in id order, so a page stops at the exact candidate that
+// fills it and costs exactly its depth.
 func (s *pagedScan) run(ctx context.Context, after uint64, limit int) (*rbm.Result, error) {
-	workers := s.db.workers()
-	ws := make([]pagedWorker, workers)
-	var ids []uint64
-	full := func() bool { return limit > 0 && len(ids) >= limit }
+	res := &rbm.Result{}
+	full := func() bool { return limit > 0 && len(res.IDs) >= limit }
 	for window := pagedFirstWindow; !full(); window = min(2*window, pagedMaxWindow) {
 		cand := s.db.cat.ObjectsAfter(after, window)
 		if len(cand) == 0 {
 			break
 		}
 		after = cand[len(cand)-1].ID
-		if (limit > 0 && window == pagedFirstWindow) || workers == 1 {
-			for _, obj := range cand {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				ok, err := s.judge(obj, &ws[0])
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					if ids = append(ids, obj.ID); full() {
-						break
-					}
-				}
+		for _, obj := range cand {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-		} else {
-			// Verdicts are slotted by position, so the window's matches come
-			// out in id order whatever order the workers finish in.
-			pw := newPagedWindow(len(cand), limit-len(ids))
-			pst, err := exec.ForEach(ctx, workers, len(cand), func(w, i int) error {
-				if pw.past(i) {
-					return nil
-				}
-				ok, err := s.judge(cand[i], &ws[w])
-				if ok {
-					pw.hit(i)
-				}
-				return err
-			})
-			if pst.Workers > 1 {
-				pst.Record(s.tr)
-			}
+			ok, err := s.judge(obj, &res.Stats)
 			if err != nil {
 				return nil, err
 			}
-			for i, ok := range pw.hits {
-				if ok && !full() {
-					ids = append(ids, cand[i].ID)
+			if ok {
+				if res.IDs = append(res.IDs, obj.ID); full() {
+					break
 				}
 			}
 		}
@@ -203,75 +166,18 @@ func (s *pagedScan) run(ctx context.Context, after uint64, limit int) (*rbm.Resu
 			break
 		}
 	}
-	res := &rbm.Result{IDs: ids}
-	hits := make(map[clusterHit]struct{})
-	for i := range ws {
-		res.Stats.Add(ws[i].st)
-		for h := range ws[i].hits {
-			hits[h] = struct{}{}
-		}
-	}
-	if n := int64(len(hits)); n > 0 {
+	if n := int64(len(s.hits)); n > 0 {
 		mClusterHits.Add(n)
 		s.tr.Count(obs.TClusterHits, n)
 	}
 	return res, nil
 }
 
-// pagedWindow holds one parallel window's verdicts by position. Once need
-// matches are known, the need-th smallest of their positions is the furthest
-// the page can reach, so the workers skip every position past it: a deep
-// page costs its depth, not the size of the window it ends in. Positions up
-// to that bound are never skipped (it only moves down), so the first need
-// matches by position are always judged.
-type pagedWindow struct {
-	hits []bool
-	need int // matches that fill the page; ≤ 0 or > len(hits): this window cannot
-
-	mu    sync.Mutex // guards hits and found while the window can fill the page
-	found int
-	last  atomic.Int64 // positions past it are off the page
-}
-
-func newPagedWindow(n, need int) *pagedWindow {
-	if need > n {
-		need = 0
-	}
-	p := &pagedWindow{hits: make([]bool, n), need: need}
-	p.last.Store(int64(n))
-	return p
-}
-
-func (p *pagedWindow) past(i int) bool { return int64(i) > p.last.Load() }
-
-// hit records a match at position i. Workers write distinct positions, so a
-// window that cannot fill the page takes no lock.
-func (p *pagedWindow) hit(i int) {
-	if p.need <= 0 {
-		p.hits[i] = true
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.hits[i] = true
-	if p.found++; p.found < p.need {
-		return
-	}
-	for j, n := 0, 0; ; j++ {
-		if p.hits[j] {
-			if n++; n == p.need {
-				p.last.Store(int64(j))
-				return
-			}
-		}
-	}
-}
-
 // judge gives one candidate the query's verdict: its terms in order,
 // combined with short-circuit (And stops at the first miss, Or at the first
 // match). An edited candidate's base is looked up once, here, for every
 // term's rule walk and BWM base test.
-func (s *pagedScan) judge(obj *catalog.Object, w *pagedWorker) (bool, error) {
+func (s *pagedScan) judge(obj *catalog.Object, st *rbm.Stats) (bool, error) {
 	var base *catalog.Object
 	if obj.Kind == catalog.KindEdited && s.mode != ModeInstantiate {
 		b, err := s.db.cat.Binary(obj.Seq.BaseID)
@@ -285,7 +191,7 @@ func (s *pagedScan) judge(obj *catalog.Object, w *pagedWorker) (bool, error) {
 	}
 	and := s.conn == query.And
 	for ti := range s.terms {
-		ok, err := s.verdict(obj, base, ti, w)
+		ok, err := s.verdict(obj, base, ti, st)
 		if err != nil {
 			return false, err
 		}
@@ -304,10 +210,10 @@ func (s *pagedScan) judge(obj *catalog.Object, w *pagedWorker) (bool, error) {
 // whose base satisfies the term is admitted rule-free (step 4.2); a member
 // whose base fails it, and every Unclassified image, takes the rule walk
 // (steps 4.3 and 5).
-func (s *pagedScan) verdict(obj, base *catalog.Object, ti int, w *pagedWorker) (bool, error) {
+func (s *pagedScan) verdict(obj, base *catalog.Object, ti int, st *rbm.Stats) (bool, error) {
 	t := &s.terms[ti]
 	if obj.Kind == catalog.KindBinary {
-		w.st.BinariesChecked++
+		st.BinariesChecked++
 		ok := t.exact(obj.Hist)
 		if ok {
 			s.tr.Count(obs.TBaseMatches, 1)
@@ -316,26 +222,26 @@ func (s *pagedScan) verdict(obj, base *catalog.Object, ti int, w *pagedWorker) (
 	}
 	switch s.mode {
 	case ModeRBM:
-		return t.walk(obj, base, &w.st, s.tr)
+		return t.walk(obj, base, st, s.tr)
 	case ModeBWM:
 		if !obj.Widening {
 			mUnclassified.Inc()
 			s.tr.Count(obs.TUnclassifiedWalked, 1)
-			return t.walk(obj, base, &w.st, s.tr)
+			return t.walk(obj, base, st, s.tr)
 		}
 		if t.exact(base.Hist) {
-			w.st.EditedSkipped++
+			st.EditedSkipped++
 			mFastPathAdmitted.Inc()
 			s.tr.Count(obs.TFastPathAdmitted, 1)
-			if w.hits == nil {
-				w.hits = make(map[clusterHit]struct{})
+			if s.hits == nil {
+				s.hits = make(map[clusterHit]struct{})
 			}
-			w.hits[clusterHit{ti, obj.Seq.BaseID}] = struct{}{}
+			s.hits[clusterHit{ti, obj.Seq.BaseID}] = struct{}{}
 			return true, nil
 		}
-		return t.walk(obj, base, &w.st, s.tr)
+		return t.walk(obj, base, st, s.tr)
 	case ModeInstantiate:
-		return s.db.instantiateMatches(obj, s.env, t.exact, &w.st, s.tr)
+		return s.db.instantiateMatches(obj, s.env, t.exact, st, s.tr)
 	case ModeIndexed:
 		return false, errors.New("core: indexed mode has no per-candidate verdict")
 	default:

@@ -240,11 +240,7 @@ func TestPagedEqualsSliceOfUnlimited(t *testing.T) {
 // Pages taken while a writer inserts and deletes stay well-formed:
 // ascending, unique, within the limit. Run under -race.
 func TestPagedDuringWrites(t *testing.T) {
-	db, err := Open(Config{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+	db := memDB(t)
 	scrambledCorpus(t, db, 40, 8, 3)
 	q := query.Range{Bin: mustBin(db, "red"), PctMin: 0.05, PctMax: 1}
 	ctx := context.Background()
@@ -288,7 +284,7 @@ func TestPagedDuringWrites(t *testing.T) {
 			}
 		}
 	}()
-	const limit = 300 // past the serial first window, so parallel windows run too
+	const limit = 300 // past the first window, so later windows run too
 	for round := 0; round < 5; round++ {
 		for _, mode := range []Mode{ModeBWM, ModeRBM, ModeInstantiate} {
 			var prev uint64
@@ -317,15 +313,11 @@ func TestPagedDuringWrites(t *testing.T) {
 	wg.Wait()
 }
 
-// A page whose last id lies inside a parallel window is exact, and the scan
-// stops near that id instead of judging the window out: the cost of a deep
-// page follows its depth, not the window it happens to end in.
-func TestPagedStopsInsideParallelWindow(t *testing.T) {
-	db, err := Open(Config{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+// A limited scan stops at the exact candidate that fills the page: it judges
+// precisely the page's depth in the id stream, in every scan mode and
+// whichever window the page ends in.
+func TestPagedStopsAtPageEnd(t *testing.T) {
+	db := memDB(t)
 	scrambledCorpus(t, db, 100, 9, 5)
 	ctx := context.Background()
 	cands := db.cat.ObjectsAfter(0, 1<<20)
@@ -336,15 +328,17 @@ func TestPagedStopsInsideParallelWindow(t *testing.T) {
 	for i, obj := range cands {
 		rank[obj.ID] = i + 1
 	}
+	// The windows' last ranks: 256, 768 and 1 792.
+	ends := []int{pagedFirstWindow, 3 * pagedFirstWindow, 7 * pagedFirstWindow}
 	q := query.Range{Bin: mustBin(db, "red"), PctMin: 0.15, PctMax: 1}
 	for _, mode := range []Mode{ModeBWM, ModeRBM, ModeInstantiate} {
 		full, err := db.RangeQueryCtx(ctx, q, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The first match of the second window (ranks 257–768) and of the third
-		// (769–1 792), each as the last id of its page.
-		for _, from := range []int{pagedFirstWindow, 3 * pagedFirstWindow} {
+		// A page ending mid-way through the first window, and pages ending
+		// at the first match of the second and of the third.
+		for w, from := range []int{pagedFirstWindow / 2, ends[0], ends[1]} {
 			limit := 0
 			for limit < len(full.IDs) && rank[full.IDs[limit]] <= from {
 				limit++
@@ -354,55 +348,19 @@ func TestPagedStopsInsideParallelWindow(t *testing.T) {
 				t.Fatalf("%v: no match past rank %d", mode, from)
 			}
 			depth := rank[full.IDs[limit-1]]
-			// Past the page's last id only candidates already in a worker's
-			// hands are judged. How many that is depends on scheduling, so the
-			// best of a few runs is held to a quarter of the smaller window.
-			best := len(cands)
-			for try := 0; try < 5; try++ {
-				got, err := db.RangeQueryCtx(ctx, q, mode, WithLimit(limit))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameIDs(got.IDs, full.IDs[:limit]) {
-					t.Fatalf("%v limit=%d: got %v, want %v", mode, limit, got.IDs, full.IDs[:limit])
-				}
-				examined := got.Stats.BinariesChecked + got.Stats.EditedWalked + got.Stats.EditedSkipped
-				if examined < depth {
-					t.Fatalf("%v limit=%d: page ends at candidate %d, scan judged only %d", mode, limit, depth, examined)
-				}
-				best = min(best, examined)
+			if depth > ends[w] || (w > 0 && depth <= ends[w-1]) {
+				t.Fatalf("%v limit=%d: page ends at candidate %d, outside window %d", mode, limit, depth, w+1)
 			}
-			if best > depth+pagedFirstWindow/2 {
-				t.Fatalf("%v limit=%d: page ends at candidate %d, scan judged %d", mode, limit, depth, best)
+			got, err := db.RangeQueryCtx(ctx, q, mode, WithLimit(limit))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-}
-
-// pagedWindow's bound is the need-th smallest matching position, moves only
-// down, and never hides a position at or below itself.
-func TestPagedWindowBound(t *testing.T) {
-	w := newPagedWindow(10, 2)
-	w.hit(7)
-	if w.past(9) {
-		t.Fatal("one match of two already bounds the page")
-	}
-	w.hit(3)
-	if w.past(7) || !w.past(8) {
-		t.Fatalf("matches at 3 and 7, need 2: bound %d, want 7", w.last.Load())
-	}
-	w.hit(5)
-	if w.past(5) || !w.past(6) {
-		t.Fatalf("matches at 3, 5, 7, need 2: bound %d, want 5", w.last.Load())
-	}
-	// A window that cannot fill the page hides nothing.
-	for _, need := range []int{0, -3, 11} {
-		w := newPagedWindow(10, need)
-		for i := 0; i < 10; i++ {
-			w.hit(i)
-		}
-		if w.past(9) {
-			t.Fatalf("need=%d: window of 10 skipped a position", need)
+			if !sameIDs(got.IDs, full.IDs[:limit]) {
+				t.Fatalf("%v limit=%d: got %v, want %v", mode, limit, got.IDs, full.IDs[:limit])
+			}
+			if examined := got.Stats.BinariesChecked + got.Stats.EditedWalked + got.Stats.EditedSkipped; examined != depth {
+				t.Fatalf("%v limit=%d: page ends at candidate %d, scan judged %d", mode, limit, depth, examined)
+			}
 		}
 	}
 }

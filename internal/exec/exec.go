@@ -1,19 +1,20 @@
-// Package exec is the query engine's bounded worker pool: candidate id
-// sets are sharded across GOMAXPROCS-scaled workers and evaluated
-// concurrently, with deterministic merging left to the caller (results are
-// slotted by input index, so concatenation reproduces the serial order).
+// Package exec is the bounded worker pool behind the two query paths that
+// fan out: k-NN refinement (internal/core's exactDistances, GOMAXPROCS
+// workers, one instantiation per item) and the cluster coordinator's
+// scatter (internal/cluster's gather, one worker per shard). Results are
+// slotted by input index, so merging them is deterministic and left to the
+// caller.
 //
 // Scheduling is chunked work-claiming: a shared atomic cursor hands out
 // fixed-size index chunks, so a worker that finishes its claim early
 // "steals" the next chunk instead of idling — cheap dynamic load balancing
 // without per-item contention. The first error cancels the run through a
 // derived context.Context; callers can also pass their own context to stop
-// a run early (the kNN path threads one for top-k work).
+// a run early.
 package exec
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -32,15 +33,6 @@ var (
 // split this many ways, so the tail of a skewed workload rebalances without
 // making the cursor a hot spot.
 const chunksPerWorker = 4
-
-// Resolve maps the Parallelism knob to a worker count: 0 (auto) becomes
-// GOMAXPROCS, 1 is serial, anything larger is used as given.
-func Resolve(parallelism int) int {
-	if parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return parallelism
-}
 
 // Stats describes one ForEach run.
 type Stats struct {

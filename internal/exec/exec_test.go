@@ -3,28 +3,12 @@ package exec
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
 )
-
-func TestResolve(t *testing.T) {
-	if got := Resolve(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Resolve(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := Resolve(-3); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Resolve(-3) = %d, want GOMAXPROCS", got)
-	}
-	if got := Resolve(1); got != 1 {
-		t.Fatalf("Resolve(1) = %d", got)
-	}
-	if got := Resolve(7); got != 7 {
-		t.Fatalf("Resolve(7) = %d", got)
-	}
-}
 
 func TestForEachCoversEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {

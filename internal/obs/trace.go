@@ -258,10 +258,10 @@ const (
 	TImagesPruned       = "images_pruned"
 	TImagesReturned     = "images_returned"
 	TEditedInstantiated = "edited_instantiated"
-	// Parallel-execution counters (recorded only when a query actually
-	// fanned out, so serial traces are unchanged): worker goroutines used,
-	// candidates evaluated by the pool, chunk claims beyond each worker's
-	// first, and early-canceled runs.
+	// Worker-pool counters, recorded only when k-NN refinement or a cluster
+	// scatter actually fanned out: worker goroutines used, items evaluated
+	// by the pool, chunk claims beyond each worker's first, and
+	// early-canceled runs.
 	TParallelWorkers = "parallel_workers"
 	TParallelTasks   = "parallel_tasks"
 	TParallelSteals  = "parallel_steals"

@@ -51,9 +51,8 @@ type Stats struct {
 	EditedSkipped int
 }
 
-// Add folds another execution's counters into s. The parallel scan keeps
-// one Stats per worker and merges them with Add, so totals are independent
-// of scheduling.
+// Add folds another execution's counters into s; an indexed compound query
+// sums its terms' descents with it.
 func (s *Stats) Add(o Stats) {
 	s.BinariesChecked += o.BinariesChecked
 	s.EditedWalked += o.EditedWalked

@@ -830,7 +830,6 @@ func (s *Server) publishGauges() {
 		reg.Gauge("esidb_objects_edited").Set(float64(st.Catalog.Edited))
 		reg.Gauge("esidb_objects_widening_only").Set(float64(st.Catalog.WideningOnly))
 	}
-	reg.Gauge("esidb_parallelism").Set(float64(s.db.Parallelism()))
 	if seg, ok := s.db.SegmentStats(); ok {
 		// Same gauge names the engine maintains on seal/compact — scrape
 		// time refresh also covers the memtable, which changes per write.

@@ -74,13 +74,6 @@ func WithBackground(bg RGB) Option {
 	return func(c *openConfig) { c.core.Background = bg }
 }
 
-// WithParallelism sets the candidate-evaluation worker count: 0 (default)
-// sizes the pool to GOMAXPROCS, 1 forces serial execution, n > 1 uses
-// exactly n workers. Query results are identical at every setting.
-func WithParallelism(n int) Option {
-	return func(c *openConfig) { c.core.Parallelism = n }
-}
-
 // WithGroupCommit tunes the write-ahead log's group commit (persistent
 // databases only). window is how long an append waits for companions before
 // forcing an fsync; maxBatch caps how many appends one fsync may commit
@@ -190,16 +183,6 @@ func (db *DB) SegmentStats() (st SegmentStats, ok bool) { return db.inner.Segmen
 // ranges, entry counts, bytes, filter sizes. ok is false for in-memory
 // databases.
 func (db *DB) SegmentManifest() (m SegmentManifest, ok bool) { return db.inner.SegmentManifest() }
-
-// SetParallelism retunes the candidate-evaluation worker count at runtime
-// (0 = GOMAXPROCS, 1 = serial, n > 1 = exactly n). Safe to call while
-// queries are in flight; in-flight queries keep the setting they started
-// with.
-func (db *DB) SetParallelism(n int) { db.inner.SetParallelism(n) }
-
-// Parallelism reports the configured candidate-evaluation parallelism knob
-// (0 means auto-size to GOMAXPROCS).
-func (db *DB) Parallelism() int { return db.inner.Parallelism() }
 
 // Quantizer returns the database's color quantizer.
 func (db *DB) Quantizer() Quantizer { return db.inner.Quantizer() }
