@@ -19,6 +19,7 @@ import (
 	"repro/internal/imaging"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/rbm"
 	"repro/internal/rules"
 )
 
@@ -269,9 +270,7 @@ func (c *Corpus) RunWorkload(db *core.DB, mode core.Mode) (time.Duration, QueryT
 			return 0, totals, err
 		}
 		totals.Results += len(res.IDs)
-		totals.OpsEvaluated += res.Stats.OpsEvaluated
-		totals.EditedWalked += res.Stats.EditedWalked
-		totals.EditedSkipped += res.Stats.EditedSkipped
+		totals.Add(res.Stats)
 	}
 	elapsed := time.Since(start)
 	totals.Counters = obs.DiffCounters(before, obs.Default().SnapshotCounters())
@@ -280,10 +279,9 @@ func (c *Corpus) RunWorkload(db *core.DB, mode core.Mode) (time.Duration, QueryT
 
 // QueryTotals accumulates per-query statistics across a workload.
 type QueryTotals struct {
-	Results       int
-	OpsEvaluated  int
-	EditedWalked  int
-	EditedSkipped int
+	Results int
+	// Stats sums the queries' evaluation statistics.
+	rbm.Stats
 	// Counters is the process metrics registry delta over the run.
 	Counters map[string]int64
 }

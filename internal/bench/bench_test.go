@@ -3,10 +3,12 @@ package bench
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/editops"
 	"repro/internal/rules"
 )
 
@@ -160,28 +162,46 @@ func TestRunWorkloadCountersMatchStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	_, tot, err := c.RunWorkload(db, core.ModeRBM)
-	if err != nil {
+	// Build the S-tree first: its bulk load walks rules that no query's
+	// Stats count.
+	if _, _, err := c.RunWorkload(db, core.ModeIndexed); err != nil {
 		t.Fatal(err)
 	}
-	if tot.Counters == nil {
-		t.Fatal("no counter delta recorded")
-	}
-	var rules int64
-	for name, v := range tot.Counters {
-		if strings.HasPrefix(name, "esidb_rbm_rules_evaluated_total{") {
-			rules += v
+	for _, mode := range []core.Mode{core.ModeRBM, core.ModeBWM, core.ModeInstantiate, core.ModeIndexed} {
+		_, tot, err := c.RunWorkload(db, mode)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if rules != int64(tot.OpsEvaluated) {
-		t.Fatalf("rules counters %d != OpsEvaluated %d (delta %v)", rules, tot.OpsEvaluated, tot.Counters)
-	}
-	if tot.Counters["esidb_rbm_edited_walked_total"] != int64(tot.EditedWalked) {
-		t.Fatalf("edited_walked counter %d != stat %d",
-			tot.Counters["esidb_rbm_edited_walked_total"], tot.EditedWalked)
-	}
-	if tot.Counters[`esidb_queries_total{mode="rbm"}`] != int64(len(c.Workload)) {
-		t.Fatalf("queries counter %v, want %d", tot.Counters, len(c.Workload))
+		if tot.Counters == nil {
+			t.Fatalf("%v: no counter delta recorded", mode)
+		}
+		rules := 0
+		for k := editops.KindDefine; k <= editops.KindMerge; k++ {
+			name := fmt.Sprintf("esidb_rbm_rules_evaluated_total{op=%q}", k.String())
+			if got := tot.Counters[name]; got != int64(tot.RulesByKind[k]) {
+				t.Fatalf("%v: %s delta %d != Stats %d", mode, name, got, tot.RulesByKind[k])
+			}
+			rules += tot.RulesByKind[k]
+		}
+		if rules != tot.OpsEvaluated {
+			t.Fatalf("%v: per-op rules %d != OpsEvaluated %d", mode, rules, tot.OpsEvaluated)
+		}
+		for name, want := range map[string]int{
+			"esidb_rbm_edited_walked_total":                     tot.EditedWalked - tot.Instantiated,
+			"esidb_bwm_cluster_base_hits_total":                 tot.ClusterHits,
+			"esidb_bwm_fastpath_admitted_total":                 tot.FastPathAdmitted,
+			"esidb_bwm_unclassified_walked_total":               tot.Unclassified,
+			`esidb_queries_total{mode="` + mode.String() + `"}`: len(c.Workload),
+		} {
+			if got := tot.Counters[name]; got != int64(want) {
+				t.Fatalf("%v: %s delta %d, want %d (delta %v)", mode, name, got, want, tot.Counters)
+			}
+		}
+		// Each mode does the work its counters are about.
+		if work := map[core.Mode]int{core.ModeRBM: tot.OpsEvaluated, core.ModeBWM: tot.FastPathAdmitted,
+			core.ModeInstantiate: tot.Instantiated, core.ModeIndexed: tot.EditedSkipped}[mode]; work == 0 {
+			t.Fatalf("%v: workload did none of the mode's work: %+v", mode, tot.Stats)
+		}
 	}
 }
 

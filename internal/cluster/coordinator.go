@@ -381,10 +381,7 @@ func mergeAnswers(vals []*ShardAnswer, ok []bool, missed []string, tr *obs.Trace
 			seen[id] = true
 			res.IDs = append(res.IDs, id)
 		}
-		res.Stats.BinariesChecked += a.Stats.BinariesChecked
-		res.Stats.EditedWalked += a.Stats.EditedWalked
-		res.Stats.OpsEvaluated += a.Stats.OpsEvaluated
-		res.Stats.EditedSkipped += a.Stats.EditedSkipped
+		res.Stats.Add(a.Stats)
 	}
 	tr.Count(obs.TClusterDuplicatesMerged, dupes)
 	sort.Slice(res.IDs, func(i, j int) bool { return res.IDs[i] < res.IDs[j] })

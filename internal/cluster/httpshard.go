@@ -147,5 +147,6 @@ func (s *HTTPShard) Stats(ctx context.Context) (*mmdb.Stats, error) {
 }
 
 func toAnswer(res *client.QueryResult) *ShardAnswer {
-	return &ShardAnswer{IDs: res.IDs, Stats: mmdb.QueryStats(res.Stats)}
+	return &ShardAnswer{IDs: res.IDs, Stats: mmdb.QueryStats{BinariesChecked: res.Stats.BinariesChecked,
+		EditedWalked: res.Stats.EditedWalked, OpsEvaluated: res.Stats.OpsEvaluated, EditedSkipped: res.Stats.EditedSkipped}}
 }

@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/imaging"
+	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/stree"
 )
 
 func TestCompoundQueryAnd(t *testing.T) {
@@ -44,26 +46,64 @@ func TestCompoundQueryOr(t *testing.T) {
 	}
 }
 
+// TestCompoundQueryModesAgree holds every mode's compound answer to RBM's,
+// and holds ModeIndexed to one descent for all terms: over a fanout-4 tree,
+// an And compound classifies no more nodes than the cheapest of its terms'
+// own descents (a node one term prunes is pruned for all), and an Or
+// compound no more than their sum (a node is descended only while some term
+// straddles it).
 func TestCompoundQueryModesAgree(t *testing.T) {
 	ctx := context.Background()
 	db := memDB(t)
+	db.sidx = stree.New(db.cfg.Quantizer.Bins(), 4)
 	populate(t, db, 6, 4, 0.3, 17)
 	texts := []string{
 		"at least 10% red and at most 60% white",
 		"at least 30% blue or at least 30% green",
 		"between 5% and 60% red and at least 1% white",
+		"at least 10% red and at most 60% white and at least 5% blue",
+		"at least 30% blue or at least 30% green or at least 40% red",
 	}
 	for _, text := range texts {
-		a, err := db.CompoundQueryTextCtx(ctx, text, ModeRBM)
+		c, err := query.ParseCompound(text, db.Quantizer())
 		if err != nil {
 			t.Fatalf("%q: %v", text, err)
 		}
-		b, err := db.CompoundQueryTextCtx(ctx, text, ModeBWM)
+		a, err := db.CompoundQueryCtx(ctx, c, ModeRBM)
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		b, err := db.CompoundQueryCtx(ctx, c, ModeBWM)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameIDs(a.IDs, b.IDs) {
 			t.Fatalf("%q: RBM %v != BWM %v", text, a.IDs, b.IDs)
+		}
+		tr := obs.NewTrace()
+		idx, err := db.CompoundQueryCtx(ctx, c, ModeIndexed, WithTrace(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDs(a.IDs, idx.IDs) {
+			t.Fatalf("%q: RBM %v != indexed %v", text, a.IDs, idx.IDs)
+		}
+		var cheapest, sum int64
+		for i, term := range c.Terms {
+			ttr := obs.NewTrace()
+			if _, err := db.RangeQueryCtx(ctx, term, ModeIndexed, WithTrace(ttr)); err != nil {
+				t.Fatal(err)
+			}
+			n := ttr.Get(obs.TIndexNodesVisited)
+			if i == 0 || n < cheapest {
+				cheapest = n
+			}
+			sum += n
+		}
+		visited := tr.Get(obs.TIndexNodesVisited)
+		if bound := map[query.Connective]int64{query.And: cheapest, query.Or: sum}[c.Conn]; visited > bound {
+			t.Fatalf("%q: one descent visited %d nodes, terms' own descents %d at most (cheapest %d, sum %d)",
+				text, visited, bound, cheapest, sum)
 		}
 	}
 }

@@ -585,9 +585,7 @@ func (db *DB) RangeQueryCtx(ctx context.Context, q query.Range, opts ...QueryOpt
 	if err := q.Validate(db.cfg.Quantizer.Bins()); err != nil {
 		return nil, err
 	}
-	return db.dispatch(ctx, cfg, []pagedTerm{db.rangeTerm(q)}, query.And, func() (*rbm.Result, error) {
-		return db.rangeSTree(ctx, q, cfg.Trace)
-	})
+	return db.dispatch(ctx, cfg, []pagedTerm{db.rangeTerm(q)}, query.And)
 }
 
 // RangeQueryTextCtx parses a textual range query ("at least 25% blue") and
@@ -603,7 +601,7 @@ func (db *DB) RangeQueryTextCtx(ctx context.Context, text string, opts ...QueryO
 
 // instantiateMatches materializes one edited image and applies the exact
 // histogram test — ModeInstantiate's per-candidate verdict.
-func (db *DB) instantiateMatches(obj *catalog.Object, env *editops.Env, exact func(*histogram.Histogram) bool, st *rbm.Stats, tr *obs.Trace) (bool, error) {
+func (db *DB) instantiateMatches(obj *catalog.Object, env *editops.Env, exact func(*histogram.Histogram) bool, st *rbm.Stats) (bool, error) {
 	img, err := editops.ApplySequence(obj.Seq, env)
 	if err != nil {
 		// A raster can only be missing once its dependents are gone: the
@@ -614,7 +612,7 @@ func (db *DB) instantiateMatches(obj *catalog.Object, env *editops.Env, exact fu
 		return false, fmt.Errorf("core: instantiate %d: %w", obj.ID, err)
 	}
 	st.EditedWalked++
-	tr.Count(obs.TEditedInstantiated, 1)
+	st.Instantiated++
 	if img.Size() == 0 {
 		return false, nil
 	}
@@ -624,9 +622,10 @@ func (db *DB) instantiateMatches(obj *catalog.Object, env *editops.Env, exact fu
 // CompoundQueryCtx evaluates a multi-predicate query: every candidate gets
 // its terms' verdicts in order, combined with short-circuit (And stops at
 // the first miss, Or at the first match), so Stats count the per-candidate
-// work done rather than one scan per term. ModeIndexed descends the tree
-// once per term and intersects (And) or unions (Or) the id sets. Because
-// every term's verdict is mode-equivalent (BWM ≡ RBM), the answers are too.
+// work done rather than one scan per term. ModeIndexed does the same per
+// S-tree item in one descent whose node tests combine the terms' box tests
+// by the same connective. Because every term's verdict is mode-equivalent
+// (BWM ≡ RBM ≡ indexed), the answers are too.
 // ctx flows into the candidate walk; options select the execution mode,
 // tracing, and result limit.
 func (db *DB) CompoundQueryCtx(ctx context.Context, c query.Compound, opts ...QueryOption) (*rbm.Result, error) {
@@ -638,9 +637,7 @@ func (db *DB) CompoundQueryCtx(ctx context.Context, c query.Compound, opts ...Qu
 	for i, q := range c.Terms {
 		terms[i] = db.rangeTerm(q)
 	}
-	return db.dispatch(ctx, cfg, terms, c.Conn, func() (*rbm.Result, error) {
-		return db.compoundSTree(ctx, c, cfg.Trace)
-	})
+	return db.dispatch(ctx, cfg, terms, c.Conn)
 }
 
 // CompoundQueryTextCtx parses and evaluates a textual compound query ("at

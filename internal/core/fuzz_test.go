@@ -135,6 +135,61 @@ func FuzzCompoundQueryText(f *testing.F) {
 	})
 }
 
+// FuzzMultiRangeModes draws a multi-bin query from its inputs — the bin set
+// from a mask over the first 64 bins, the interval from two bytes — and
+// holds RBM, BWM and the S-tree to one answer that contains the
+// instantiated one, each returning its prefix under a limit.
+func FuzzMultiRangeModes(f *testing.F) {
+	ctx := context.Background()
+	db := fuzzDB(f)
+	bins := db.cfg.Quantizer.Bins()
+	f.Add(uint64(1), uint8(0), uint8(255))
+	f.Add(uint64(0x8421), uint8(25), uint8(128))
+	f.Add(uint64(0xff00ff00ff00ff00), uint8(0), uint8(3))
+	f.Add(^uint64(0), uint8(250), uint8(255))
+	f.Add(uint64(0), uint8(0), uint8(255))
+	f.Add(uint64(6), uint8(200), uint8(100))
+	f.Fuzz(func(t *testing.T, mask uint64, lo, hi uint8) {
+		q := query.MultiRange{PctMin: float64(lo) / 255, PctMax: float64(hi) / 255}
+		for b := 0; b < min(bins, 64); b++ {
+			if mask>>b&1 == 1 {
+				q.Bins = append(q.Bins, b)
+			}
+		}
+		run := func(opts ...QueryOption) ([]uint64, error) {
+			res, err := db.RangeQueryMultiCtx(ctx, q, opts...)
+			if err != nil {
+				return nil, err
+			}
+			return res.IDs, nil
+		}
+		rbm, err := run(ModeRBM)
+		if err != nil {
+			if q.Validate(bins) == nil {
+				t.Fatalf("valid query %+v failed: %v", q, err)
+			}
+			return
+		}
+		truth, err := run(ModeInstantiate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !subset(truth, rbm) {
+			t.Fatalf("%+v: RBM %v misses instantiated %v", q, rbm, truth)
+		}
+		for _, mode := range []Mode{ModeBWM, ModeIndexed} {
+			got, err := run(mode)
+			if err != nil {
+				t.Fatalf("%+v: %v failed: %v", q, mode, err)
+			}
+			if !sameIDs(got, rbm) {
+				t.Fatalf("%+v: %v %v != RBM %v", q, mode, got, rbm)
+			}
+		}
+		checkLimitPrefixes(t, fmt.Sprintf("%+v", q), rbm, run)
+	})
+}
+
 // FuzzKNNAgainstBruteForce turns its inputs into a small database with
 // forced ties — some bases stored again, up to 24 times, each copy with an
 // identity edit — a probe (a stored object's own histogram, or a

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/histogram"
@@ -20,8 +20,11 @@ import (
 // tree whose inner nodes hold the union [min,max] percentage box of their
 // subtree, so a range query visits only intersecting nodes and a node box
 // fully inside the query admits its whole subtree without per-candidate
-// rule walks. Similarity search (knn.go) runs best-first over the same tree
-// in every mode.
+// rule walks. The tree holds no query logic of its own: a range, compound
+// or multi-bin query takes one descent whose node and item tests are its
+// terms' own (pagedTerm.box and pagedTerm.item, combined in descend).
+// Similarity search (knn.go) runs best-first over the same tree in every
+// mode.
 //
 // Exactness is what makes the mode oracle-equivalent to RBM/BWM rather
 // than approximate:
@@ -89,6 +92,19 @@ func (e *sidxEntry) sumPct(bins []int) (lo, hi float64) {
 	return pctInterval(minSum, maxSum, e.total)
 }
 
+// admit counts an item its term's box test proved in: a binary image's
+// exact test, or an edited image admitted without a rule walk when its box
+// (or an ancestor's) was Full.
+func (e *sidxEntry) admit(ov stree.Overlap, st *rbm.Stats) bool {
+	if !e.edited {
+		st.BinariesChecked++
+		st.BaseMatches++
+	} else if ov == stree.OverlapFull {
+		st.EditedSkipped++
+	}
+	return true
+}
+
 // sidxBinaryItem builds the S-tree item for a binary image: a point box at
 // its normalized histogram.
 func sidxBinaryItem(id uint64, hist *histogram.Histogram) stree.Item {
@@ -97,35 +113,41 @@ func sidxBinaryItem(id uint64, hist *histogram.Histogram) stree.Item {
 }
 
 // editedBounds computes an edited image's full per-bin bounds vector over
-// its base with one counted rule walk over its sequence, paid at S-tree item
-// construction, on the universal-box leaf fallback and by the multi-bin scan
-// verdict.
-func (db *DB) editedBounds(obj, base *catalog.Object, tr *obs.Trace) ([]rules.Bounds, error) {
-	rbm.CountRuleWalk(obj.Seq.Ops, tr)
+// its base with one rule walk over its sequence, counted into st: paid at
+// S-tree item construction, on the universal-box leaf fallback and by the
+// multi-bin scan verdict.
+func (db *DB) editedBounds(obj, base *catalog.Object, st *rbm.Stats) ([]rules.Bounds, error) {
+	st.Walked(obj.Seq.Ops)
 	return db.engine.BoundsAll(base.Hist, base.W, base.H, obj.Seq.Ops)
 }
 
 // editedBoundsByID is editedBounds for an S-tree item, which holds an id
-// rather than catalog entries.
-func (db *DB) editedBoundsByID(id uint64, tr *obs.Trace) ([]rules.Bounds, error) {
+// rather than catalog entries. An image, base or Merge target deleted since
+// the snapshot yields no bounds and no error.
+func (db *DB) editedBoundsByID(id uint64, st *rbm.Stats) ([]rules.Bounds, error) {
 	obj, err := db.cat.Edited(id)
-	if err != nil {
-		return nil, err
+	var base *catalog.Object
+	if err == nil {
+		base, err = db.cat.Binary(obj.Seq.BaseID)
 	}
-	base, err := db.cat.Binary(obj.Seq.BaseID)
-	if err != nil {
-		return nil, err
+	var b []rules.Bounds
+	if err == nil {
+		b, err = db.editedBounds(obj, base, st)
 	}
-	return db.editedBounds(obj, base, tr)
+	if errors.Is(err, catalog.ErrNotFound) {
+		return nil, nil
+	}
+	return b, err
 }
 
 // sidxEditedItem builds the S-tree item for an edited image: its per-bin
-// bounds box. If the bounds cannot be computed, or do not pack (totals that
-// differ between bins, a count past int32), the item gets the universal
-// box, so index maintenance can't lose a candidate.
-func (db *DB) sidxEditedItem(id uint64) stree.Item {
+// bounds box, its rule walk counted into st. If the bounds cannot be
+// computed, or do not pack (totals that differ between bins, a count past
+// int32), the item gets the universal box, so index maintenance can't lose
+// a candidate.
+func (db *DB) sidxEditedItem(id uint64, st *rbm.Stats) stree.Item {
 	bins := db.cfg.Quantizer.Bins()
-	bounds, err := db.editedBoundsByID(id, nil)
+	bounds, err := db.editedBoundsByID(id, st)
 	if err != nil || len(bounds) != bins {
 		return sidxUniversalItem(id, bins)
 	}
@@ -166,13 +188,15 @@ func (db *DB) sidxInsertBinaryLocked(id uint64, hist *histogram.Histogram) {
 }
 
 // sidxUpsertEditedLocked maintains the index across an edited insert or a
-// sequence update (Update counts maintenance debt toward the lazy rebuild).
-// Caller holds db.mu.
+// sequence update (Update counts maintenance debt toward the lazy rebuild),
+// and records its rule walk. Caller holds db.mu.
 func (db *DB) sidxUpsertEditedLocked(id uint64) {
 	if !db.sidxReady.Load() {
 		return
 	}
-	_ = db.sidx.Update(db.sidxEditedItem(id))
+	var st rbm.Stats
+	_ = db.sidx.Update(db.sidxEditedItem(id, &st))
+	st.Record(nil)
 }
 
 // sidxDeleteLocked maintains the index across a delete. Caller holds db.mu.
@@ -221,9 +245,11 @@ func (db *DB) ensureSearchIndex(tr *obs.Trace) error {
 		}
 		items = append(items, sidxBinaryItem(id, obj.Hist))
 	}
+	var st rbm.Stats
 	for _, id := range db.cat.EditedIDs() {
-		items = append(items, db.sidxEditedItem(id))
+		items = append(items, db.sidxEditedItem(id, &st))
 	}
+	st.Record(nil)
 	if err := db.sidx.Bulk(items); err != nil {
 		return err
 	}
@@ -254,215 +280,81 @@ func recordIndexVisit(tr *obs.Trace, st stree.VisitStats) {
 // the tree descent.
 const ctxEvery = 256
 
-// rangeSTree answers a single-bin range query from the S-tree. For this
-// query shape the leaf geometry test is exact (see the package comment), so
-// every delivered item is a match: binary point boxes reproduce
-// MatchesExact, edited bounds boxes reproduce Bounds.Overlaps. Only items
-// carrying the universal fallback box pay a rule walk.
-func (db *DB) rangeSTree(ctx context.Context, q query.Range, tr *obs.Trace) (*rbm.Result, error) {
+// descend answers a range, compound or multi-bin query from the S-tree in
+// one descent for all its terms. A node is classified by every term's box
+// test, combined as the connective combines verdicts: under And it is None
+// if any term is None and Full only if every term is, under Or the dual —
+// the minimum and the maximum of None < Partial < Full. An item is judged
+// term by term with judge's short-circuit, each term deciding it from its
+// own verdict on the item's box. A one-term query hands the descent's
+// verdict straight to its term. The ids come out in box order and are
+// sorted once at the end.
+func (db *DB) descend(ctx context.Context, terms []pagedTerm, conn query.Connective, tr *obs.Trace) (*rbm.Result, error) {
 	if err := db.ensureSearchIndex(tr); err != nil {
 		return nil, err
 	}
-	res := &rbm.Result{}
-	done := tr.Phase("indexed.stree-descend")
-	snap := db.sidx.Snapshot()
-	var vst stree.VisitStats
+	and := conn == query.And
+	decided := stree.OverlapFull // a verdict no further term can change
+	if and {
+		decided = stree.OverlapNone
+	}
 	classify := func(lo, hi []float64) stree.Overlap {
-		if lo[q.Bin] > q.PctMax || hi[q.Bin] < q.PctMin {
-			return stree.OverlapNone
-		}
-		if lo[q.Bin] >= q.PctMin && hi[q.Bin] <= q.PctMax {
-			return stree.OverlapFull
-		}
-		return stree.OverlapPartial
-	}
-	seen := 0
-	err := snap.Visit(classify, func(it *stree.Item, ov stree.Overlap) error {
-		seen++
-		if seen%ctxEvery == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
+		ov := terms[0].box(lo, hi)
+		for _, t := range terms[1:] {
+			if ov == decided {
+				break
 			}
-		}
-		e := it.Data.(*sidxEntry)
-		switch {
-		case !e.edited:
-			// Point box: any non-None verdict means the exact histogram
-			// percentage is inside the query range.
-			res.Stats.BinariesChecked++
-			tr.Count(obs.TBaseMatches, 1)
-		case e.minmax != nil:
-			// Bounds box: a non-None verdict on the queried bin's slab is
-			// exactly Bounds.Overlaps. Full admissions (node- or item-level)
-			// skipped the rule walk outright.
-			if ov == stree.OverlapFull {
-				res.Stats.EditedSkipped++
-			}
-		default:
-			// Universal fallback box: never decidable geometrically.
-			b, err := db.editedBoundsByID(it.ID, tr)
-			if errors.Is(err, catalog.ErrNotFound) {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			res.Stats.EditedWalked++
-			if !b[q.Bin].Overlaps(q.PctMin, q.PctMax) {
-				return nil
-			}
-		}
-		res.IDs = append(res.IDs, it.ID)
-		return nil
-	}, &vst)
-	done()
-	if err != nil {
-		return nil, err
-	}
-	recordIndexVisit(tr, vst)
-	sort.Slice(res.IDs, func(i, j int) bool { return res.IDs[i] < res.IDs[j] })
-	return res, nil
-}
-
-// compoundSTree answers a compound query from the S-tree: one descent per
-// term, in term order, then the id sets are intersected (And) or unioned
-// (Or).
-func (db *DB) compoundSTree(ctx context.Context, c query.Compound, tr *obs.Trace) (*rbm.Result, error) {
-	results := make([]*rbm.Result, len(c.Terms))
-	for i, term := range c.Terms {
-		r, err := db.rangeSTree(ctx, term, tr)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = r
-	}
-	// Every term's ids are ascending and unique, so a one-term compound
-	// (every plain text query) is its term's answer as is and And/Or are
-	// linear merges.
-	done := tr.Phase("compound.combine")
-	res := &rbm.Result{IDs: results[0].IDs}
-	for i, r := range results {
-		res.Stats.Add(r.Stats)
-		if i > 0 {
-			res.IDs = mergeSorted(res.IDs, r.IDs, c.Conn == query.Or)
-		}
-	}
-	done()
-	return res, nil
-}
-
-// mergeSorted combines two ascending, duplicate-free id lists into their
-// union or their intersection, ascending.
-func mergeSorted(a, b []uint64, union bool) []uint64 {
-	out := make([]uint64, 0, len(a))
-	for len(a) > 0 && len(b) > 0 {
-		switch {
-		case a[0] == b[0]:
-			out = append(out, a[0])
-			a, b = a[1:], b[1:]
-		case a[0] < b[0]:
-			if union {
-				out = append(out, a[0])
-			}
-			a = a[1:]
-		default:
-			if union {
-				out = append(out, b[0])
-			}
-			b = b[1:]
-		}
-	}
-	if union {
-		out = append(append(out, a...), b...)
-	}
-	return out
-}
-
-// multiSTree answers a multi-bin (summed) range query from the S-tree.
-// Nodes are classified by the float sum of their union box over the query's
-// bins with sidxSumEps of slack on the Full/None margins; partially
-// overlapping leaves re-check exactly (integer-summed bounds for edited
-// images, catalog histograms for binary).
-func (db *DB) multiSTree(ctx context.Context, q query.MultiRange, tr *obs.Trace) (*rbm.Result, error) {
-	if err := db.ensureSearchIndex(tr); err != nil {
-		return nil, err
-	}
-	res := &rbm.Result{}
-	done := tr.Phase("indexed.stree-descend")
-	snap := db.sidx.Snapshot()
-	var vst stree.VisitStats
-	classify := func(lo, hi []float64) stree.Overlap {
-		var sLo, sHi float64
-		for _, b := range q.Bins {
-			sLo += lo[b]
-			sHi += hi[b]
-		}
-		if sLo > q.PctMax+sidxSumEps || sHi < q.PctMin-sidxSumEps {
-			return stree.OverlapNone
-		}
-		if sHi <= q.PctMax-sidxSumEps && sLo >= q.PctMin+sidxSumEps {
-			return stree.OverlapFull
-		}
-		return stree.OverlapPartial
-	}
-	seen := 0
-	err := snap.Visit(classify, func(it *stree.Item, ov stree.Overlap) error {
-		seen++
-		if seen%ctxEvery == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-		}
-		e := it.Data.(*sidxEntry)
-		switch {
-		case ov == stree.OverlapFull:
-			// Geometrically proven in; no exact re-check needed.
-			if e.edited {
-				res.Stats.EditedSkipped++
+			if and {
+				ov = min(ov, t.box(lo, hi))
 			} else {
-				res.Stats.BinariesChecked++
-				tr.Count(obs.TBaseMatches, 1)
-			}
-		case !e.edited:
-			obj, err := db.cat.Binary(it.ID)
-			if errors.Is(err, catalog.ErrNotFound) {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			res.Stats.BinariesChecked++
-			if !q.MatchesExact(obj.Hist) {
-				return nil
-			}
-			tr.Count(obs.TBaseMatches, 1)
-		case e.minmax != nil:
-			lo, hi := e.sumPct(q.Bins)
-			if !(lo <= q.PctMax && hi >= q.PctMin) {
-				return nil
-			}
-		default:
-			b, err := db.editedBoundsByID(it.ID, tr)
-			if errors.Is(err, catalog.ErrNotFound) {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			res.Stats.EditedWalked++
-			lo, hi := sumBounds(b, q.Bins)
-			if !(lo <= q.PctMax && hi >= q.PctMin) {
-				return nil
+				ov = max(ov, t.box(lo, hi))
 			}
 		}
-		res.IDs = append(res.IDs, it.ID)
+		return ov
+	}
+	res := &rbm.Result{}
+	seen := 0
+	onItem := func(it *stree.Item, ov stree.Overlap) error {
+		seen++
+		if seen%ctxEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		// The descent's verdict is every term's own with one term, or under
+		// And when it is Full; otherwise each term tests the item's box.
+		own := len(terms) == 1 || and && ov == stree.OverlapFull
+		ok := and
+		for _, t := range terms {
+			tov := ov
+			if !own {
+				tov = t.box(it.Lo, it.Hi)
+			}
+			match := false
+			if tov != stree.OverlapNone {
+				var err error
+				if match, err = t.item(it, tov, &res.Stats); err != nil {
+					return err
+				}
+			}
+			if match != and {
+				ok = match
+				break
+			}
+		}
+		if ok {
+			res.IDs = append(res.IDs, it.ID)
+		}
 		return nil
-	}, &vst)
+	}
+	done := tr.Phase("indexed.stree-descend")
+	var vst stree.VisitStats
+	err := db.sidx.Snapshot().Visit(classify, onItem, &vst)
 	done()
 	if err != nil {
 		return nil, err
 	}
 	recordIndexVisit(tr, vst)
-	sort.Slice(res.IDs, func(i, j int) bool { return res.IDs[i] < res.IDs[j] })
+	slices.Sort(res.IDs)
 	return res, nil
 }

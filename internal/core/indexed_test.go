@@ -325,12 +325,16 @@ func TestIndexedUniversalBoxFallback(t *testing.T) {
 				if walked := int(tr.Get(obs.TEditedWalked)); walked != degraded {
 					t.Fatalf("query %d: %d universal-box items walked, want %d", qi, walked, degraded)
 				}
+				if ops := int64(got.Stats.OpsEvaluated); ops != tr.Get(obs.TRulesEvaluated) {
+					t.Fatalf("query %d: stats ops_evaluated %d != trace rules_evaluated %d", qi, ops, tr.Get(obs.TRulesEvaluated))
+				}
 				mq := query.MultiRange{Bins: []int{q.Bin, (q.Bin + 7) % bins}, PctMin: q.PctMin, PctMax: q.PctMax}
 				mwant, err := db.RangeQueryMultiCtx(ctx, mq, ModeRBM)
 				if err != nil {
 					t.Fatal(err)
 				}
-				mgot, err := db.RangeQueryMultiCtx(ctx, mq, ModeIndexed)
+				mtr := obs.NewTrace()
+				mgot, err := db.RangeQueryMultiCtx(ctx, mq, ModeIndexed, WithTrace(mtr))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -339,6 +343,9 @@ func TestIndexedUniversalBoxFallback(t *testing.T) {
 				}
 				if mgot.Stats.EditedWalked != degraded {
 					t.Fatalf("multi query %d: walked %d, want %d", qi, mgot.Stats.EditedWalked, degraded)
+				}
+				if ops := int64(mgot.Stats.OpsEvaluated); ops != mtr.Get(obs.TRulesEvaluated) {
+					t.Fatalf("multi query %d: stats ops_evaluated %d != trace rules_evaluated %d", qi, ops, mtr.Get(obs.TRulesEvaluated))
 				}
 			}
 		})

@@ -201,6 +201,7 @@ func (db *DB) similaritySearch(ctx context.Context, target *histogram.Histogram,
 	mKNNScored.Add(int64(st.BinariesScored))
 	mKNNPruned.Add(int64(st.EditedPruned))
 	mKNNInstantiated.Add(int64(st.EditedInstantiated))
+	tr.Count(obs.TEditedInstantiated, int64(st.EditedInstantiated))
 	tr.Count(obs.TImagesPruned, int64(st.EditedPruned))
 	return st, nil
 }
@@ -226,7 +227,7 @@ func (db *DB) exactDistances(ctx context.Context, target *histogram.Histogram, m
 		c.scored, err = db.instantiateMatches(obj, env, func(h *histogram.Histogram) bool {
 			c.dist = metric.Distance(target, h)
 			return true
-		}, &inst[w], tr)
+		}, &inst[w])
 		return err
 	})
 	if pst.Workers > 1 {
@@ -237,7 +238,7 @@ func (db *DB) exactDistances(ctx context.Context, target *histogram.Histogram, m
 	}
 	n := 0
 	for _, s := range inst {
-		n += s.EditedWalked
+		n += s.Instantiated
 	}
 	return n, nil
 }

@@ -7,10 +7,10 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/colorspace"
-	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/rbm"
 	"repro/internal/rules"
+	"repro/internal/stree"
 )
 
 // Multi-bin ("color family") range queries. A perceptual color spans
@@ -55,15 +55,14 @@ func pctInterval(minSum, maxSum, total int) (lo, hi float64) {
 // options selecting the execution mode, tracing, and result limit. Modes:
 // ModeRBM walks every edited sequence once (all bins share one BoundsAll
 // walk), ModeBWM applies the cluster skip, ModeInstantiate materializes,
-// ModeIndexed prunes subtrees whose summed union box provably misses.
+// ModeIndexed descends the S-tree once with multiTerm's box test, pruning
+// subtrees whose summed union box provably misses.
 func (db *DB) RangeQueryMultiCtx(ctx context.Context, q query.MultiRange, opts ...QueryOption) (*rbm.Result, error) {
 	cfg := buildQueryConfig(opts)
 	if err := q.Validate(db.cfg.Quantizer.Bins()); err != nil {
 		return nil, err
 	}
-	return db.dispatch(ctx, cfg, []pagedTerm{db.multiTerm(q)}, query.And, func() (*rbm.Result, error) {
-		return db.multiSTree(ctx, q, cfg.Trace)
-	})
+	return db.dispatch(ctx, cfg, []pagedTerm{db.multiTerm(q)}, query.And)
 }
 
 // RangeQueryColorFamilyCtx resolves a named color's bin family and runs the
@@ -77,13 +76,69 @@ func (db *DB) RangeQueryColorFamilyCtx(ctx context.Context, name string, pctMin,
 	return db.RangeQueryMultiCtx(ctx, query.MultiRange{Bins: bins, PctMin: pctMin, PctMax: pctMax}, opts...)
 }
 
+// multiTerm is a multi-bin predicate. Its box test sums the box over the
+// query's bins in floats, with sidxSumEps of slack on the Full/None
+// margins; an item it leaves Partial is re-checked exactly, on the catalog
+// histogram of a binary image or the integer-summed bounds of an edited
+// one, so float drift can cost a node descent, never a wrong answer.
+func (db *DB) multiTerm(q query.MultiRange) pagedTerm {
+	return pagedTerm{
+		exact: q.MatchesExact,
+		walk: func(obj, base *catalog.Object, st *rbm.Stats) (bool, error) {
+			return db.multiCheckEdited(obj, base, q, st)
+		},
+		box: func(lo, hi []float64) stree.Overlap {
+			var sLo, sHi float64
+			for _, b := range q.Bins {
+				sLo += lo[b]
+				sHi += hi[b]
+			}
+			switch {
+			case sLo > q.PctMax+sidxSumEps || sHi < q.PctMin-sidxSumEps:
+				return stree.OverlapNone
+			case sHi <= q.PctMax-sidxSumEps && sLo >= q.PctMin+sidxSumEps:
+				return stree.OverlapFull
+			}
+			return stree.OverlapPartial
+		},
+		item: func(it *stree.Item, ov stree.Overlap, st *rbm.Stats) (bool, error) {
+			e := it.Data.(*sidxEntry)
+			switch {
+			case ov == stree.OverlapFull:
+				return e.admit(ov, st), nil
+			case !e.edited:
+				obj, err := db.cat.Binary(it.ID)
+				if errors.Is(err, catalog.ErrNotFound) {
+					return false, nil
+				}
+				if err != nil {
+					return false, err
+				}
+				st.BinariesChecked++
+				ok := q.MatchesExact(obj.Hist)
+				if ok {
+					st.BaseMatches++
+				}
+				return ok, nil
+			case e.minmax != nil:
+				lo, hi := e.sumPct(q.Bins)
+				return lo <= q.PctMax && hi >= q.PctMin, nil
+			}
+			b, err := db.editedBoundsByID(it.ID, st)
+			if b == nil {
+				return false, err
+			}
+			lo, hi := sumBounds(b, q.Bins)
+			return lo <= q.PctMax && hi >= q.PctMin, nil
+		},
+	}
+}
+
 // multiCheckEdited is the multi-bin rule verdict: one BoundsAll walk of an
 // edited image over its base, the per-bin intervals summed over the query's
 // bins.
-func (db *DB) multiCheckEdited(obj, base *catalog.Object, q query.MultiRange, st *rbm.Stats, tr *obs.Trace) (bool, error) {
-	st.EditedWalked++
-	st.OpsEvaluated += len(obj.Seq.Ops)
-	bs, err := db.editedBounds(obj, base, tr)
+func (db *DB) multiCheckEdited(obj, base *catalog.Object, q query.MultiRange, st *rbm.Stats) (bool, error) {
+	bs, err := db.editedBounds(obj, base, st)
 	if errors.Is(err, catalog.ErrNotFound) {
 		return false, nil // a Merge target is only deletable once this version of the image is gone
 	}

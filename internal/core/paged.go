@@ -12,23 +12,31 @@ import (
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/rbm"
+	"repro/internal/stree"
 )
 
-// The scan evaluator. Every range, compound and multi-bin query in bwm, rbm
-// and instantiate mode runs here, with or without a limit or an
-// after-cursor: it walks the catalog's candidates in ascending id from
-// after+1, gives each one the mode's own verdict, and stops the moment limit
-// ids are confirmed (without a limit, at the end of the catalog).
-// Candidates arrive in id windows that double in size and are judged one at
-// a time on the query's goroutine, so an id is only ever emitted when every
-// candidate not yet examined has a larger id — which holds for any id
-// assignment (an edited image may well have a smaller id than its base)
-// because binary and edited ids are merged into one ascending stream rather
-// than scanned kind by kind.
+// The evaluator. Every range, compound and multi-bin query runs here, in
+// every mode, with or without a limit or an after-cursor. A query is a list
+// of pagedTerms combined by one connective, and each term carries both the
+// mode verdicts on a candidate and its test of an S-tree box.
+//
+// The bwm, rbm and instantiate scans walk the catalog's candidates in
+// ascending id from after+1, give each one the mode's own verdict, and stop
+// the moment limit ids are confirmed (without a limit, at the end of the
+// catalog). Candidates arrive in id windows that double in size and are
+// judged one at a time on the query's goroutine, so an id is only ever
+// emitted when every candidate not yet examined has a larger id — which
+// holds for any id assignment (an edited image may well have a smaller id
+// than its base) because binary and edited ids are merged into one
+// ascending stream rather than scanned kind by kind.
 // The returned ids are exactly [id ∈ answer : id > after][:limit].
 //
-// ModeIndexed is not served here: the S-tree delivers ids in box order, so
-// it keeps descend, filter, truncate (applyPage).
+// ModeIndexed descends the S-tree once for all terms (descend, indexed.go)
+// and delivers ids in box order, so it keeps descend, filter, truncate
+// (applyPage).
+//
+// Verdicts count their work into the query's rbm.Stats and nothing else;
+// dispatch folds it into the trace and the registry once per query.
 
 const (
 	// pagedFirstWindow is the first catalog listing's size; most pages end
@@ -39,44 +47,55 @@ const (
 	pagedMaxWindow = 4096
 )
 
-// The BWM counters. Fig. 2's decision is taken here, one candidate at a
-// time, so this is where they are declared.
-var (
-	mClusterHits      = obs.Default().Counter("esidb_bwm_cluster_base_hits_total")
-	mFastPathAdmitted = obs.Default().Counter("esidb_bwm_fastpath_admitted_total")
-	mUnclassified     = obs.Default().Counter("esidb_bwm_unclassified_walked_total")
-)
-
-// pagedTerm is one predicate of a scanned query, reduced to the two tests
-// the modes are built from.
+// pagedTerm is one predicate of a query, reduced to the tests the modes are
+// built from: two on a candidate for the scans, two on an S-tree box for
+// ModeIndexed.
 type pagedTerm struct {
 	// exact is the predicate on a known histogram: binary images, BWM base
 	// verdicts, instantiated rasters.
 	exact func(*histogram.Histogram) bool
 	// walk is the predicate on an edited image's rule-derived bounds over
 	// its base — the RBM check.
-	walk func(obj, base *catalog.Object, st *rbm.Stats, tr *obs.Trace) (bool, error)
+	walk func(obj, base *catalog.Object, st *rbm.Stats) (bool, error)
+	// box classifies an S-tree box, a node's union box or an item's own,
+	// against the term. It is conservative: None and Full are proofs,
+	// Partial is not.
+	box func(lo, hi []float64) stree.Overlap
+	// item decides an S-tree item whose box the term did not rule out,
+	// given that box's verdict ov (Full also when an ancestor was Full).
+	item func(it *stree.Item, ov stree.Overlap, st *rbm.Stats) (bool, error)
 }
 
+// rangeTerm is a single-bin range predicate. Its box test on the queried
+// bin's slab is exact for binary point boxes and edited bounds boxes alike
+// (indexed.go), so every item it lets through is in, and only an item with
+// the universal box pays a rule walk.
 func (db *DB) rangeTerm(q query.Range) pagedTerm {
 	return pagedTerm{
 		exact: q.MatchesExact,
-		walk: func(obj, base *catalog.Object, st *rbm.Stats, tr *obs.Trace) (bool, error) {
-			return rbm.CheckEdited(db.engine, obj, base, q, st, tr)
+		walk: func(obj, base *catalog.Object, st *rbm.Stats) (bool, error) {
+			return rbm.CheckEdited(db.engine, obj, base, q, st)
+		},
+		box: func(lo, hi []float64) stree.Overlap {
+			switch {
+			case lo[q.Bin] > q.PctMax || hi[q.Bin] < q.PctMin:
+				return stree.OverlapNone
+			case lo[q.Bin] >= q.PctMin && hi[q.Bin] <= q.PctMax:
+				return stree.OverlapFull
+			}
+			return stree.OverlapPartial
+		},
+		item: func(it *stree.Item, ov stree.Overlap, st *rbm.Stats) (bool, error) {
+			if e := it.Data.(*sidxEntry); !e.edited || e.minmax != nil {
+				return e.admit(ov, st), nil
+			}
+			b, err := db.editedBoundsByID(it.ID, st)
+			return b != nil && b[q.Bin].Overlaps(q.PctMin, q.PctMax), err
 		},
 	}
 }
 
-func (db *DB) multiTerm(q query.MultiRange) pagedTerm {
-	return pagedTerm{
-		exact: q.MatchesExact,
-		walk: func(obj, base *catalog.Object, st *rbm.Stats, tr *obs.Trace) (bool, error) {
-			return db.multiCheckEdited(obj, base, q, st, tr)
-		},
-	}
-}
-
-// clusterHit names one satisfied base verdict: bwm_cluster_hits counts each
+// clusterHit names one satisfied base verdict: Stats.ClusterHits counts each
 // once per query however many of the base's members the scan touched.
 type clusterHit struct {
 	term int
@@ -89,19 +108,18 @@ type pagedScan struct {
 	terms []pagedTerm
 	conn  query.Connective
 	mode  Mode
-	tr    *obs.Trace
 	env   *editops.Env
 	hits  map[clusterHit]struct{}
 }
 
 // dispatch is the one path behind every range, compound and multi-bin
 // entry point: WAL barrier, evaluation, metrics. The scan modes run the
-// evaluator over terms combined by conn; ModeIndexed calls indexed, which
-// descends the S-tree for the whole answer, and cuts the page out of it.
-// Either way the per-mode latency and count and the trace's candidate and
-// answer counters are recorded once per call, and an empty answer is a
-// non-nil empty slice.
-func (db *DB) dispatch(ctx context.Context, cfg QueryConfig, terms []pagedTerm, conn query.Connective, indexed func() (*rbm.Result, error)) (*rbm.Result, error) {
+// evaluator over terms combined by conn; ModeIndexed descends the S-tree
+// once for the same terms and cuts the page out of the whole answer.
+// Either way the per-mode latency and count, the query's rbm.Stats and the
+// trace's candidate and answer counters are recorded once per call, and an
+// empty answer is a non-nil empty slice.
+func (db *DB) dispatch(ctx context.Context, cfg QueryConfig, terms []pagedTerm, conn query.Connective) (*rbm.Result, error) {
 	if _, ok := mQueryDur[cfg.Mode]; !ok {
 		return nil, fmt.Errorf("core: unknown mode %d", uint8(cfg.Mode))
 	}
@@ -113,10 +131,10 @@ func (db *DB) dispatch(ctx context.Context, cfg QueryConfig, terms []pagedTerm, 
 	var res *rbm.Result
 	var err error
 	if cfg.Mode == ModeIndexed {
-		res, err = indexed()
+		res, err = db.descend(ctx, terms, conn, tr)
 	} else {
 		done := tr.Phase("scan")
-		s := &pagedScan{db: db, terms: terms, conn: conn, mode: cfg.Mode, tr: tr, env: db.env()}
+		s := &pagedScan{db: db, terms: terms, conn: conn, mode: cfg.Mode, env: db.env()}
 		res, err = s.run(ctx, cfg.After, cfg.Limit)
 		done()
 	}
@@ -125,6 +143,7 @@ func (db *DB) dispatch(ctx context.Context, cfg QueryConfig, terms []pagedTerm, 
 	}
 	mQueryDur[cfg.Mode].ObserveDuration(time.Since(start))
 	mQueryCount[cfg.Mode].Inc()
+	res.Stats.Record(tr)
 	examined := res.Stats.BinariesChecked + res.Stats.EditedWalked + res.Stats.EditedSkipped
 	tr.Count(obs.TCandidatesExamined, int64(examined))
 	res = applyPage(res, cfg)
@@ -166,10 +185,7 @@ func (s *pagedScan) run(ctx context.Context, after uint64, limit int) (*rbm.Resu
 			break
 		}
 	}
-	if n := int64(len(s.hits)); n > 0 {
-		mClusterHits.Add(n)
-		s.tr.Count(obs.TClusterHits, n)
-	}
+	res.Stats.ClusterHits = len(s.hits)
 	return res, nil
 }
 
@@ -216,32 +232,30 @@ func (s *pagedScan) verdict(obj, base *catalog.Object, ti int, st *rbm.Stats) (b
 		st.BinariesChecked++
 		ok := t.exact(obj.Hist)
 		if ok {
-			s.tr.Count(obs.TBaseMatches, 1)
+			st.BaseMatches++
 		}
 		return ok, nil
 	}
 	switch s.mode {
 	case ModeRBM:
-		return t.walk(obj, base, st, s.tr)
+		return t.walk(obj, base, st)
 	case ModeBWM:
 		if !obj.Widening {
-			mUnclassified.Inc()
-			s.tr.Count(obs.TUnclassifiedWalked, 1)
-			return t.walk(obj, base, st, s.tr)
+			st.Unclassified++
+			return t.walk(obj, base, st)
 		}
 		if t.exact(base.Hist) {
 			st.EditedSkipped++
-			mFastPathAdmitted.Inc()
-			s.tr.Count(obs.TFastPathAdmitted, 1)
+			st.FastPathAdmitted++
 			if s.hits == nil {
 				s.hits = make(map[clusterHit]struct{})
 			}
 			s.hits[clusterHit{ti, obj.Seq.BaseID}] = struct{}{}
 			return true, nil
 		}
-		return t.walk(obj, base, st, s.tr)
+		return t.walk(obj, base, st)
 	case ModeInstantiate:
-		return s.db.instantiateMatches(obj, s.env, t.exact, st, s.tr)
+		return s.db.instantiateMatches(obj, s.env, t.exact, st)
 	case ModeIndexed:
 		return false, errors.New("core: indexed mode has no per-candidate verdict")
 	default:

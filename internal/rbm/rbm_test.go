@@ -129,7 +129,7 @@ func check(t *testing.T, cat *catalog.Catalog, engine *rules.Engine, id uint64, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := rbm.CheckEdited(engine, obj, base, q, st, nil)
+	ok, err := rbm.CheckEdited(engine, obj, base, q, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +160,15 @@ func TestRangeEditedBounds(t *testing.T) {
 			t.Fatalf("%s: bounds-matching edited image rejected", name)
 		}
 	}
-	// Each verdict is one rule walk over the whole sequence.
-	crop := len(editops.CropTo(imaging.R(0, 0, 10, 5)))
-	if want := (rbm.Stats{EditedWalked: 2, OpsEvaluated: 1 + crop}); st != want {
+	// Each verdict is one rule walk over the whole sequence, its rules
+	// counted per operation type.
+	crop := editops.CropTo(imaging.R(0, 0, 10, 5))
+	want := rbm.Stats{EditedWalked: 2, OpsEvaluated: 1 + len(crop)}
+	want.RulesByKind[editops.KindModify]++
+	for _, op := range crop {
+		want.RulesByKind[op.Kind()]++
+	}
+	if st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
 	}
 	// Through a query, every edited image gets a rule walk under RBM.
@@ -226,7 +232,7 @@ func TestCheckEditedRejectsBinaryID(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st rbm.Stats
-	if _, err := rbm.CheckEdited(engine, obj, obj, redRange(0, 1), &st, nil); err == nil {
+	if _, err := rbm.CheckEdited(engine, obj, obj, redRange(0, 1), &st); err == nil {
 		t.Fatal("CheckEdited accepted a binary image")
 	}
 }
@@ -250,7 +256,7 @@ func TestCheckEditedDropsVanishedMergeTarget(t *testing.T) {
 		}
 	}
 	var st rbm.Stats
-	if ok, err := rbm.CheckEdited(engine, obj, base, redRange(0, 1), &st, nil); ok || err != nil {
+	if ok, err := rbm.CheckEdited(engine, obj, base, redRange(0, 1), &st); ok || err != nil {
 		t.Fatalf("verdict over a vanished Merge target: %v, %v", ok, err)
 	}
 }

@@ -347,7 +347,9 @@ func (s *Server) writeAnswer(w http.ResponseWriter, ids []uint64, stats *mmdb.Qu
 	done()
 	if stats != nil {
 		var err error
-		if buf, err = api.AppendAnswerEnd(buf, api.AnswerStats(*stats), tr); err != nil {
+		wire := api.AnswerStats{BinariesChecked: stats.BinariesChecked, EditedWalked: stats.EditedWalked,
+			OpsEvaluated: stats.OpsEvaluated, EditedSkipped: stats.EditedSkipped}
+		if buf, err = api.AppendAnswerEnd(buf, wire, tr); err != nil {
 			s.writeError(w, err)
 			return
 		}
