@@ -24,7 +24,7 @@
 //		mmdb.Modify{Old: red, New: blue},
 //	}}
 //	eid, err := db.InsertEditedCtx(ctx, "photo-blue", seq)
-//	res, err := db.QueryCtx(ctx, "at least 25% blue") // BWM execution
+//	res, err := db.QueryCtx(ctx, "at least 25% blue") // S-tree (indexed) execution
 //	res, err = db.QueryCtx(ctx, "at least 25% blue", mmdb.ModeRBM, mmdb.WithLimit(20))
 //
 // Every operation has one entry point, which takes the caller's ctx; query

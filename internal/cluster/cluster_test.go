@@ -142,7 +142,7 @@ func TestClusterQueryParity(t *testing.T) {
 	c.seedCluster(t, coord)
 	ctx := context.Background()
 
-	for _, mode := range []string{"bwm", "rbm", "indexed"} {
+	for _, mode := range []string{"bwm", "rbm", "indexed", ""} {
 		m, _ := ParseMode(mode)
 		for _, q := range parityQueries {
 			want, err := single.QueryCompoundCtx(ctx, q.text, m)

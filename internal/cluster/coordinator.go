@@ -360,31 +360,53 @@ func contains(list []string, s string) bool {
 	return false
 }
 
-// mergeAnswers set-unions per-shard id lists, dropping duplicates (Merge
-// replicas can match on two shards) and summing the evaluation stats.
+// mergeAnswers unions the per-shard id lists in one pass and sums the
+// evaluation stats. Every list is strictly ascending (ShardAnswer.IDs), so
+// the union is a k-way merge: emit the smallest head and advance every list
+// that holds it. Each list past the first that held it is a duplicate (Merge
+// replicas can match on two shards). An empty union is nil.
 func mergeAnswers(vals []*ShardAnswer, ok []bool, missed []string, tr *obs.Trace) *Result {
 	res := &Result{Missed: missed, Partial: len(missed) > 0}
 	if res.Partial {
 		tr.Count(obs.TClusterPartialResults, 1)
 	}
-	seen := make(map[uint64]bool)
-	var dupes int64
+	var lists [][]uint64
+	total := 0
 	for i, a := range vals {
 		if !ok[i] || a == nil {
 			continue
 		}
-		for _, id := range a.IDs {
-			if seen[id] {
-				dupes++
-				continue
-			}
-			seen[id] = true
-			res.IDs = append(res.IDs, id)
-		}
 		res.Stats.Add(a.Stats)
+		if len(a.IDs) > 0 {
+			lists = append(lists, a.IDs)
+			total += len(a.IDs)
+		}
+	}
+	if total > 0 {
+		res.IDs = make([]uint64, 0, total)
+	}
+	var dupes int64
+	for len(lists) > 0 {
+		next := lists[0][0]
+		for _, l := range lists[1:] {
+			next = min(next, l[0])
+		}
+		res.IDs = append(res.IDs, next)
+		held := 0
+		live := lists[:0]
+		for _, l := range lists {
+			if l[0] == next {
+				l = l[1:]
+				held++
+			}
+			if len(l) > 0 {
+				live = append(live, l)
+			}
+		}
+		dupes += int64(held - 1)
+		lists = live
 	}
 	tr.Count(obs.TClusterDuplicatesMerged, dupes)
-	sort.Slice(res.IDs, func(i, j int) bool { return res.IDs[i] < res.IDs[j] })
 	return res
 }
 

@@ -15,6 +15,9 @@ import (
 // ShardAnswer is one shard's contribution to a set-style (range, compound,
 // multirange) query.
 type ShardAnswer struct {
+	// IDs is the shard's answer in strictly ascending id order, as every
+	// mode delivers it (the scans walk id windows, the S-tree descent sorts
+	// once); the coordinator's one-pass merge relies on it.
 	IDs   []uint64
 	Stats mmdb.QueryStats
 }

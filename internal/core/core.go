@@ -37,12 +37,16 @@ import (
 	"repro/internal/stree"
 )
 
-// Mode selects the range-query execution strategy.
+// Mode selects the range-query execution strategy. The zero Mode is unset:
+// dispatch settles it by the page (ResolveMode), so a caller that names no
+// mode gets the scan that stops at its page or the tree that answers a
+// whole query, whichever its limit asks for.
 type Mode uint8
 
 const (
-	// ModeBWM uses the paper's Bound-Widening Method (the default).
-	ModeBWM Mode = iota
+	// ModeBWM uses the paper's Bound-Widening Method — what an unset mode
+	// runs when a limit bounds the page.
+	ModeBWM Mode = iota + 1
 	// ModeRBM uses the Rule-Based Method baseline (§3).
 	ModeRBM
 	// ModeInstantiate materializes every edited image and matches exact
@@ -56,7 +60,8 @@ const (
 	// into intersecting nodes and admits fully contained subtrees without
 	// per-candidate rule walks — the sublinear strategy, and the one
 	// precomputed-bounds design point (ablation G). Results are identical to
-	// RBM/BWM.
+	// RBM/BWM. It is what an unset mode runs when the whole answer is
+	// wanted.
 	ModeIndexed
 )
 
@@ -97,12 +102,12 @@ func ModeNames() []string {
 }
 
 // ParseMode resolves a mode string (one of ModeNames) to its Mode. The
-// empty string means the default, ModeBWM. Unknown strings fail with an
-// error that enumerates every valid name, so callers never hand-maintain
-// the list.
+// empty string is the unset zero Mode, which ResolveMode settles per query.
+// Unknown strings fail with an error that enumerates every valid name, so
+// callers never hand-maintain the list.
 func ParseMode(s string) (Mode, error) {
 	if s == "" {
-		return ModeBWM, nil
+		return 0, nil
 	}
 	for _, m := range allModes {
 		if s == m.String() {
@@ -110,6 +115,21 @@ func ParseMode(s string) (Mode, error) {
 		}
 	}
 	return 0, fmt.Errorf("core: unknown mode %q (valid: %s)", s, strings.Join(ModeNames(), ", "))
+}
+
+// ResolveMode is the default rule, the one dispatch applies before anything
+// is recorded: a named mode stands, and the unset zero Mode becomes ModeBWM
+// when limit > 0 — the windowed scan stops at the page's last id — and
+// ModeIndexed otherwise, because a whole answer costs the scan every
+// candidate while the S-tree prunes and admits whole subtrees by box.
+func ResolveMode(m Mode, limit int) Mode {
+	switch {
+	case m != 0:
+		return m
+	case limit > 0:
+		return ModeBWM
+	}
+	return ModeIndexed
 }
 
 // Process-wide per-mode query metrics: a latency histogram and a count per

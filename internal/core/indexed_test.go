@@ -52,8 +52,23 @@ func TestModeRegistryComplete(t *testing.T) {
 			t.Fatalf("mode %s missing from per-mode metric maps", name)
 		}
 	}
-	if got, err := ParseMode(""); err != nil || got != ModeBWM {
-		t.Fatalf("ParseMode(\"\") = %v, %v; want ModeBWM", got, err)
+	// The empty string is the unset mode, which is no registered mode and
+	// resolves by the page: the windowed BWM scan under a limit, the S-tree
+	// for a whole answer.
+	unset, err := ParseMode("")
+	if err != nil || unset != 0 || seen[unset.String()] {
+		t.Fatalf("ParseMode(\"\") = %v, %v; want the unset zero Mode", unset, err)
+	}
+	if got := ResolveMode(unset, 5); got != ModeBWM {
+		t.Fatalf("ResolveMode(unset, 5) = %v, want ModeBWM", got)
+	}
+	if got := ResolveMode(unset, 0); got != ModeIndexed {
+		t.Fatalf("ResolveMode(unset, 0) = %v, want ModeIndexed", got)
+	}
+	for _, m := range modes {
+		if got := ResolveMode(m, 0); got != m {
+			t.Fatalf("ResolveMode(%v, 0) = %v: a named mode must stand", m, got)
+		}
 	}
 	if _, err := ParseMode("no-such-mode"); err == nil {
 		t.Fatal("ParseMode accepted an unknown mode")

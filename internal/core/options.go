@@ -12,7 +12,7 @@ import (
 // InsertOption; the mode, tracing and paging are options, not method
 // variants:
 //
-//	db.RangeQueryCtx(ctx, q)                                  // default mode
+//	db.RangeQueryCtx(ctx, q)                                  // default: indexed, or bwm under a limit
 //	db.RangeQueryCtx(ctx, q, core.ModeIndexed)                // Mode is an option
 //	db.RangeQueryCtx(ctx, q, core.WithMode(m), core.WithTrace(tr), core.WithLimit(10))
 //	db.RangeQueryCtx(ctx, q, core.WithLimit(10), core.WithAfter(lastID))   // next page
@@ -21,8 +21,9 @@ import (
 
 // QueryConfig is the resolved set of query options.
 type QueryConfig struct {
-	// Mode selects the execution strategy; the zero value is ModeBWM, the
-	// default.
+	// Mode selects the execution strategy. The zero value is unset and
+	// resolves per query (ResolveMode): ModeBWM under a positive Limit,
+	// ModeIndexed without one.
 	Mode Mode
 	// Trace, when non-nil, receives per-phase timings and decision counts.
 	Trace *obs.Trace

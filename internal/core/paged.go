@@ -113,13 +113,16 @@ type pagedScan struct {
 }
 
 // dispatch is the one path behind every range, compound and multi-bin
-// entry point: WAL barrier, evaluation, metrics. The scan modes run the
+// entry point: mode resolution, WAL barrier, evaluation, metrics. An unset
+// mode is resolved first (ResolveMode), so the metrics, the trace and the
+// Stats all describe the strategy that ran. The scan modes run the
 // evaluator over terms combined by conn; ModeIndexed descends the S-tree
 // once for the same terms and cuts the page out of the whole answer.
 // Either way the per-mode latency and count, the query's rbm.Stats and the
 // trace's candidate and answer counters are recorded once per call, and an
 // empty answer is a non-nil empty slice.
 func (db *DB) dispatch(ctx context.Context, cfg QueryConfig, terms []pagedTerm, conn query.Connective) (*rbm.Result, error) {
+	cfg.Mode = ResolveMode(cfg.Mode, cfg.Limit)
 	if _, ok := mQueryDur[cfg.Mode]; !ok {
 		return nil, fmt.Errorf("core: unknown mode %d", uint8(cfg.Mode))
 	}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/editops"
 	"repro/internal/histogram"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/rbm"
 	"repro/internal/store/segment"
@@ -361,6 +362,82 @@ func TestPagedStopsAtPageEnd(t *testing.T) {
 			if examined := got.Stats.BinariesChecked + got.Stats.EditedWalked + got.Stats.EditedSkipped; examined != depth {
 				t.Fatalf("%v limit=%d: page ends at candidate %d, scan judged %d", mode, limit, depth, examined)
 			}
+		}
+	}
+}
+
+// An unset mode is chosen by the page, for every query kind: without a
+// limit it descends the S-tree and judges no scan window; under a limit it
+// is the BWM scan and judges exactly the page's depth. Either way the ids
+// are explicit BWM's, and the per-mode metrics count the mode that ran.
+func TestDefaultModeByPage(t *testing.T) {
+	db := memDB(t)
+	scrambledCorpus(t, db, 30, 4, 11)
+	rank := make(map[uint64]int) // 1-based position in the id stream
+	for i, obj := range db.cat.ObjectsAfter(0, 1<<20) {
+		rank[obj.ID] = i + 1
+	}
+	phases := func(tr *obs.Trace) map[string]bool {
+		out := make(map[string]bool)
+		for _, p := range tr.Phases() {
+			out[p.Name] = true
+		}
+		return out
+	}
+	const limit = 7
+	for _, pq := range pagedGrid(db) {
+		bwm, err := pq.run(db, ModeBWM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(bwm.IDs) < 2*limit {
+			t.Fatalf("%s: answer of %d ids is too short for two pages", pq.name, len(bwm.IDs))
+		}
+
+		idxCount, bwmCount := mQueryCount[ModeIndexed].Value(), mQueryCount[ModeBWM].Value()
+		tr := obs.NewTrace()
+		whole, err := pq.run(db, WithTrace(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDs(whole.IDs, bwm.IDs) {
+			t.Fatalf("%s unset: %v, bwm %v", pq.name, whole.IDs, bwm.IDs)
+		}
+		if ph := phases(tr); ph["scan"] || !ph["indexed.stree-descend"] || tr.Get(obs.TIndexNodesVisited) == 0 {
+			t.Fatalf("%s unset: phases %v, %d nodes visited; want a descent and no scan", pq.name, ph, tr.Get(obs.TIndexNodesVisited))
+		}
+		if dIdx, dBWM := mQueryCount[ModeIndexed].Value()-idxCount, mQueryCount[ModeBWM].Value()-bwmCount; dIdx != 1 || dBWM != 0 {
+			t.Fatalf("%s unset: queries_total indexed +%d, bwm +%d; want +1, +0", pq.name, dIdx, dBWM)
+		}
+
+		after := uint64(0)
+		for page := 0; page < 2; page++ {
+			tr := obs.NewTrace()
+			got, err := pq.run(db, WithLimit(limit), WithAfter(after), WithTrace(tr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bwm.IDs[page*limit : (page+1)*limit]
+			if !sameIDs(got.IDs, want) {
+				t.Fatalf("%s unset page %d: %v, bwm %v", pq.name, page, got.IDs, want)
+			}
+			// A single-term verdict counts one candidate once; a compound one
+			// counts per term, so it is held to explicit BWM's page instead.
+			depth := rank[want[limit-1]] - rank[after]
+			if examined := got.Stats.BinariesChecked + got.Stats.EditedWalked + got.Stats.EditedSkipped; pq.exact != nil && examined != depth {
+				t.Fatalf("%s unset page %d: judged %d candidates, the page is %d deep", pq.name, page, examined, depth)
+			}
+			bwmPage, err := pq.run(db, ModeBWM, WithLimit(limit), WithAfter(after))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Stats != bwmPage.Stats {
+				t.Fatalf("%s unset page %d: stats %+v, explicit bwm %+v", pq.name, page, got.Stats, bwmPage.Stats)
+			}
+			if ph := phases(tr); !ph["scan"] || tr.Get(obs.TIndexNodesVisited) != 0 {
+				t.Fatalf("%s unset page %d: phases %v, %d nodes visited; want the scan alone", pq.name, page, ph, tr.Get(obs.TIndexNodesVisited))
+			}
+			after = want[limit-1]
 		}
 	}
 }

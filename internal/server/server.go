@@ -611,11 +611,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
+	mode = mmdb.ResolveMode(mode, limit) // the query log names the strategy that ran
 	tr := edgeTrace(r)
 	start := time.Now()
 	res, err := s.db.QueryCompoundCtx(r.Context(), text, mode, mmdb.WithTrace(tr), mmdb.WithLimit(limit), mmdb.WithAfter(after))
 	if err != nil {
-		logQuery(r, start, "query", r.URL.Query().Get("mode"), text, tr, 0, err)
+		logQuery(r, start, "query", mode.String(), text, tr, 0, err)
 		s.writeError(w, badRequest("%v", err))
 		return
 	}
@@ -624,7 +625,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ids = s.db.ExpandToBases(ids)
 	}
 	s.writeAnswer(w, ids, &res.Stats, tr, func(results int) {
-		logQuery(r, start, "query", r.URL.Query().Get("mode"), text, tr, results, nil)
+		logQuery(r, start, "query", mode.String(), text, tr, results, nil)
 	})
 }
 
@@ -666,16 +667,17 @@ func (s *Server) handleMultiRange(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
+	mode = mmdb.ResolveMode(mode, limit)
 	tr := edgeTrace(r)
 	start := time.Now()
 	res, err := s.db.RangeQueryMultiCtx(r.Context(), mmdb.MultiRange{Bins: bins, PctMin: pctMin, PctMax: pctMax}, mode, mmdb.WithTrace(tr), mmdb.WithLimit(limit), mmdb.WithAfter(after))
 	if err != nil {
-		logQuery(r, start, "multirange", q.Get("mode"), q.Get("bins"), tr, 0, err)
+		logQuery(r, start, "multirange", mode.String(), q.Get("bins"), tr, 0, err)
 		s.writeError(w, badRequest("%v", err))
 		return
 	}
 	s.writeAnswer(w, res.IDs, &res.Stats, tr, func(results int) {
-		logQuery(r, start, "multirange", q.Get("mode"), q.Get("bins"), tr, results, nil)
+		logQuery(r, start, "multirange", mode.String(), q.Get("bins"), tr, results, nil)
 	})
 }
 

@@ -14,6 +14,7 @@ import (
 
 	mmdb "repro"
 	"repro/internal/dataset"
+	"repro/internal/obs"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *mmdb.DB) {
@@ -142,7 +143,7 @@ func TestSequenceAndQueryFlow(t *testing.T) {
 			EditedSkipped int `json:"edited_skipped"`
 		} `json:"stats"`
 	}
-	doJSON(t, "GET", ts.URL+"/v1/query?q=at+least+50%25+red", nil, "", http.StatusOK, &qres)
+	doJSON(t, "GET", ts.URL+"/v1/query?q=at+least+50%25+red&mode=bwm", nil, "", http.StatusOK, &qres)
 	if len(qres.IDs) != 1 || qres.IDs[0] != edited.ID {
 		t.Fatalf("query ids %v", qres.IDs)
 	}
@@ -422,7 +423,7 @@ func TestQueryTrace(t *testing.T) {
 			Counters map[string]int64 `json:"counters"`
 		} `json:"trace"`
 	}
-	doJSON(t, "GET", ts.URL+"/v1/query?q=at+least+50%25+blue&trace=1", nil, "", http.StatusOK, &resp)
+	doJSON(t, "GET", ts.URL+"/v1/query?q=at+least+50%25+blue&mode=bwm&trace=1", nil, "", http.StatusOK, &resp)
 	if resp.Trace == nil {
 		t.Fatal("trace=1 returned no trace")
 	}
@@ -521,6 +522,31 @@ func TestRetiredModesRejected(t *testing.T) {
 			if !strings.Contains(env.Error, "(valid: bwm, rbm, instantiate, indexed)") {
 				t.Fatalf("%s%s: error %q does not enumerate exactly the four modes", route, retired, env.Error)
 			}
+		}
+	}
+}
+
+// TestQueryLogNamesResolvedMode: the query log's strategy is the mode that
+// ran, so a query without ?mode= logs what the default resolved to — the
+// S-tree for a whole answer, the BWM scan for a page — on both query routes.
+func TestQueryLogNamesResolvedMode(t *testing.T) {
+	ts, db := newTestServer(t)
+	db.InsertImageCtx(context.Background(), "b", mmdb.NewFilledImage(8, 8, dataset.Blue))
+	for _, tc := range []struct{ route, want string }{
+		{"/v1/query?q=at+least+50%25+blue", "indexed"},
+		{"/v1/query?q=at+least+50%25+blue&limit=5", "bwm"},
+		{"/v1/query?q=at+least+50%25+blue&mode=rbm", "rbm"},
+		{"/v1/multirange?bins=0,1,2&min=0&max=1", "indexed"},
+		{"/v1/multirange?bins=0,1,2&min=0&max=1&limit=5", "bwm"},
+	} {
+		obs.DefaultQueryLog().Reset()
+		doJSON(t, "GET", ts.URL+tc.route, nil, "", http.StatusOK, nil)
+		snap := obs.DefaultQueryLog().Snapshot()
+		if len(snap.Recent) != 1 {
+			t.Fatalf("%s: %d query log events, want 1", tc.route, len(snap.Recent))
+		}
+		if got := snap.Recent[0].Strategy; got != tc.want {
+			t.Fatalf("%s: logged strategy %q, want %q", tc.route, got, tc.want)
 		}
 	}
 }
@@ -648,7 +674,7 @@ func TestStatsHasNoQueryStats(t *testing.T) {
 	var qres struct {
 		IDs []uint64 `json:"ids"`
 	}
-	doJSON(t, "GET", ts.URL+"/v1/query?q=at+least+50%25+blue", nil, "", http.StatusOK, &qres)
+	doJSON(t, "GET", ts.URL+"/v1/query?q=at+least+50%25+blue&mode=bwm", nil, "", http.StatusOK, &qres)
 	if len(qres.IDs) != 1 {
 		t.Fatalf("query ids %v", qres.IDs)
 	}

@@ -324,7 +324,8 @@ func (db *DB) AugmentCtx(ctx context.Context, baseID uint64, opts AugmentOptions
 }
 
 // QueryCtx parses a textual range query ("at least 25% blue", "between 10%
-// and 30% red") and answers it; the Bound-Widening Method is the default.
+// and 30% red") and answers it. Without a mode it runs from the bounds
+// S-tree, or with the Bound-Widening Method under a limit (ResolveMode).
 // Options select the execution mode, tracing, and a result limit: a Mode
 // value is itself an option, so db.QueryCtx(ctx, text, mmdb.ModeIndexed)
 // works, as does db.QueryCtx(ctx, text, mmdb.WithTrace(tr)). Cancelling ctx

@@ -89,16 +89,18 @@ QUERIES=(
 )
 fail=0
 for q in "${QUERIES[@]}"; do
-  for mode in bwm rbm; do
+  # "" is the default: no mode is sent, and each node resolves it (an
+  # unpaged read runs from the S-tree).
+  for mode in bwm rbm indexed ""; do
     "$ESIDB" query -db "$WORK/single.esidb" -mode "$mode" -ids "$q" \
       | sort -n > "$WORK/want.txt"
     "$ESIDB" cluster query -map "$WORK/map.json" -mode "$mode" -ids "$q" \
       | sort -n > "$WORK/got.txt"
     if ! diff -u "$WORK/want.txt" "$WORK/got.txt"; then
-      echo "FAIL: [$mode] \"$q\" diverged" >&2
+      echo "FAIL: [${mode:-default}] \"$q\" diverged" >&2
       fail=1
     else
-      echo "ok [$mode] \"$q\" ($(wc -l < "$WORK/want.txt") ids)"
+      echo "ok [${mode:-default}] \"$q\" ($(wc -l < "$WORK/want.txt") ids)"
     fi
   done
 done
@@ -157,6 +159,21 @@ if ! echo "$qlog" | grep -q "query"; then
   fail=1
 else
   echo "ok querylog: shard s0 recorded query events"
+fi
+# The log names the mode that ran: the default differential reads above
+# resolved to the S-tree on every shard, and the shard's event says so
+# rather than recording the empty mode parameter it was sent.
+qjson=$("$ESIDB" querylog -json -addr "http://127.0.0.1:$P0")
+if ! echo "$qjson" | grep -Eq '"strategy": *"indexed"'; then
+  echo "FAIL: shard s0 query log has no event with strategy indexed" >&2
+  echo "$qjson" >&2
+  fail=1
+elif echo "$qjson" | grep -Eq '"strategy": *""'; then
+  echo "FAIL: shard s0 query log has an event with no strategy" >&2
+  echo "$qjson" >&2
+  fail=1
+else
+  echo "ok querylog: shard s0 logged the resolved default (strategy indexed)"
 fi
 
 if [ "$fail" -ne 0 ]; then

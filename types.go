@@ -120,12 +120,14 @@ var ErrNotDatabase = core.ErrNotDatabase
 // write-ahead log (in-memory databases).
 var ErrNoWAL = core.ErrNoWAL
 
-// Mode selects the range-query execution strategy.
+// Mode selects the range-query execution strategy. The zero Mode is unset
+// and resolves per query (ResolveMode).
 type Mode = core.Mode
 
 // Execution modes.
 const (
-	// ModeBWM is the paper's Bound-Widening Method (default).
+	// ModeBWM is the paper's Bound-Widening Method (the default under a
+	// limit).
 	ModeBWM = core.ModeBWM
 	// ModeRBM is the Rule-Based Method baseline.
 	ModeRBM = core.ModeRBM
@@ -134,6 +136,7 @@ const (
 	// ModeIndexed answers from the bounds S-tree: a spatial index over
 	// per-candidate histogram bound boxes that prunes whole subtrees whose
 	// union box provably misses the query (identical results to a scan).
+	// It is the default when no limit is set.
 	ModeIndexed = core.ModeIndexed
 )
 
@@ -145,9 +148,13 @@ var (
 	// error messages.
 	ModeNames = core.ModeNames
 	// ParseMode resolves a mode name (one of ModeNames); the empty string
-	// selects the default (ModeBWM). Unknown names get an error enumerating
-	// the valid set.
+	// is the unset zero Mode. Unknown names get an error enumerating the
+	// valid set.
 	ParseMode = core.ParseMode
+	// ResolveMode is the default rule every query applies: a named mode
+	// stands; an unset one is ModeBWM under a positive limit and
+	// ModeIndexed without one.
+	ResolveMode = core.ResolveMode
 )
 
 // QueryOption configures one query execution on the canonical *Ctx query
