@@ -45,7 +45,7 @@ func (c *Client) WALTail(ctx context.Context, from uint64, max int, wait time.Du
 		q.Set("max", strconv.Itoa(max))
 	}
 	if wait > 0 {
-		q.Set("wait_ms", strconv.FormatInt(wait.Milliseconds(), 10))
+		q.Set("wait_ms", waitMillis(wait))
 	}
 	var out mmdb.WALTailResult
 	err := c.doCtx(ctx, "GET", "/v1/wal/tail?"+q.Encode(), nil, "", &out)
@@ -65,7 +65,7 @@ func (c *Client) ReplicationStatusCtx(ctx context.Context, minApplied uint64, wa
 		q.Set("min_applied", strconv.FormatUint(minApplied, 10))
 	}
 	if wait > 0 {
-		q.Set("wait_ms", strconv.FormatInt(wait.Milliseconds(), 10))
+		q.Set("wait_ms", waitMillis(wait))
 	}
 	path := "/v1/replication"
 	if len(q) > 0 {
@@ -74,6 +74,13 @@ func (c *Client) ReplicationStatusCtx(ctx context.Context, minApplied uint64, wa
 	var out ReplicationStatus
 	err := c.doCtx(ctx, "GET", path, nil, "", &out)
 	return out, err
+}
+
+// waitMillis renders a long-poll window as the wire's whole milliseconds,
+// rounded up: truncating would send a sub-millisecond wait as wait_ms=0,
+// turning the long-poll into a busy poll.
+func waitMillis(wait time.Duration) string {
+	return strconv.FormatInt(int64((wait+time.Millisecond-1)/time.Millisecond), 10)
 }
 
 // Promote makes the server the leader of its replica set (idempotent).

@@ -82,9 +82,8 @@ type Replicator struct {
 	db *mmdb.DB
 
 	// Tunables (set before the first Follow; tests shrink them).
-	TailBatch int           // frames per tail page (0 = store default)
-	PollWait  time.Duration // leader long-poll window per tail call
-	Backoff   time.Duration // sleep after a leader error
+	PollWait time.Duration // leader long-poll window per tail call
+	Backoff  time.Duration // sleep after a leader error
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -268,10 +267,6 @@ func (r *Replicator) WaitApplied(ctx context.Context, lsn uint64, wait time.Dura
 // Truncation (and any apply failure) heals through a full resync. The loop
 // retires silently when its epoch is superseded or the replicator stops.
 func (r *Replicator) tailLoop(e int64, leader LeaderConn) {
-	batch := r.TailBatch
-	if batch <= 0 {
-		batch = store.DefaultTailBatch
-	}
 	for r.current(e) {
 		if r.paused.Load() {
 			// Keep the lag view honest while applying is suspended: poll
@@ -288,7 +283,7 @@ func (r *Replicator) tailLoop(e int64, leader LeaderConn) {
 		r.mu.Lock()
 		cursor := r.cursor
 		r.mu.Unlock()
-		res, err := leader.WALTail(r.ctx, cursor, batch, r.PollWait)
+		res, err := leader.WALTail(r.ctx, cursor, store.DefaultTailBatch, r.PollWait)
 		if !r.current(e) {
 			return
 		}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -217,6 +218,11 @@ type WAL struct {
 	// tailWake is closed and replaced whenever the durable horizon moves
 	// (or the log closes), waking long-polling TailFrom callers.
 	tailWake chan struct{}
+	// offs[i] is the file offset of the frame with LSN base+1+i, and
+	// durableEnd the offset just past frame durable: the index TailFrom
+	// cuts its byte range from. 8 B per frame since the checkpoint floor.
+	offs       []int64
+	durableEnd int64
 
 	kick chan struct{}
 	quit chan struct{}
@@ -238,7 +244,7 @@ func OpenWAL(path string, opts WALOptions) (*WAL, []WALRecord, error) {
 			return os.OpenFile(p, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 		}
 	}
-	recs, validLen, lastLSN, tornBytes, err := readWALFrames(path)
+	recs, offs, validLen, lastLSN, tornBytes, err := readWALFrames(path)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -270,6 +276,7 @@ func OpenWAL(path string, opts WALOptions) (*WAL, []WALRecord, error) {
 		f:        f,
 		lsn:      lastLSN,
 		durable:  lastLSN, // replayed frames are on disk by definition
+		offs:     offs,
 		size:     validLen,
 		records:  int64(len(recs)),
 		replays:  int64(len(recs)),
@@ -293,6 +300,7 @@ func OpenWAL(path string, opts WALOptions) (*WAL, []WALRecord, error) {
 		}
 		w.size = int64(len(walMagic))
 	}
+	w.durableEnd = w.size
 	mWALReplayed.Add(int64(len(recs)))
 	go w.flusher()
 	return w, recs, nil
@@ -345,19 +353,20 @@ func writeWALSidecar(path string, lsn uint64) error {
 }
 
 // readWALFrames parses the log file, returning the intact records, the
-// byte offset up to which the file verifies, the last intact LSN and how
-// many trailing bytes are torn. A missing file is an empty log.
-func readWALFrames(path string) (recs []WALRecord, validLen int64, lastLSN uint64, torn int64, err error) {
+// file offset of each, the byte offset up to which the file verifies, the
+// last intact LSN and how many trailing bytes are torn. A missing file is
+// an empty log.
+func readWALFrames(path string) (recs []WALRecord, offs []int64, validLen int64, lastLSN uint64, torn int64, err error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, 0, 0, nil
+		return nil, nil, 0, 0, 0, nil
 	}
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return nil, nil, 0, 0, 0, err
 	}
 	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
 		// Torn or foreign header: nothing in this file ever committed.
-		return nil, 0, 0, int64(len(data)), nil
+		return nil, nil, 0, 0, int64(len(data)), nil
 	}
 	off := int64(len(walMagic))
 	for {
@@ -366,10 +375,11 @@ func readWALFrames(path string) (recs []WALRecord, validLen int64, lastLSN uint6
 			break
 		}
 		recs = append(recs, rec)
+		offs = append(offs, off)
 		lastLSN = rec.LSN
 		off = next
 	}
-	return recs, off, lastLSN, int64(len(data)) - off, nil
+	return recs, offs, off, lastLSN, int64(len(data)) - off, nil
 }
 
 // decodeWALFrame verifies one frame at off. prevLSN enforces the strictly
@@ -431,6 +441,7 @@ func (w *WAL) Append(payload []byte) (*WALTicket, error) {
 		w.mu.Unlock()
 		return nil, err
 	}
+	w.offs = append(w.offs, w.size)
 	w.size += int64(len(frame))
 	w.records++
 	mWALRecords.Inc()
@@ -441,7 +452,7 @@ func (w *WAL) Append(payload []byte) (*WALTicket, error) {
 			err = w.err
 		} else {
 			w.fsyncs++
-			w.advanceDurableLocked(w.lsn)
+			w.advanceDurableLocked(w.lsn, w.size)
 			mWALFsyncs.Inc()
 			mWALGroupSize.Observe(1)
 		}
@@ -508,7 +519,7 @@ func (w *WAL) flushOnce() {
 	f := w.f
 	// Frames written before the fsync starts are the ones it provably
 	// covers; anything appended during the sync waits for the next one.
-	syncedLSN := w.lsn
+	syncedLSN, syncedEnd := w.lsn, w.size
 	w.mu.Unlock()
 	if len(batch) == 0 {
 		return
@@ -524,7 +535,7 @@ func (w *WAL) flushOnce() {
 		} else {
 			w.mu.Lock()
 			w.fsyncs++
-			w.advanceDurableLocked(syncedLSN)
+			w.advanceDurableLocked(syncedLSN, syncedEnd)
 			w.mu.Unlock()
 			mWALFsyncs.Inc()
 		}
@@ -598,6 +609,8 @@ func (w *WAL) Checkpoint() error {
 	// durable horizon meets it (nothing below the floor is served).
 	w.base = w.lsn
 	w.durable = w.lsn
+	w.offs = nil
+	w.durableEnd = w.size
 	// Wake tailers so cursors below the new floor learn about the
 	// truncation now instead of long-polling to their deadline.
 	w.wakeTailersLocked()
@@ -696,11 +709,13 @@ func (w *WAL) wakeTailersLocked() {
 	w.tailWake = make(chan struct{})
 }
 
-// advanceDurableLocked raises the durable horizon after a successful fsync
-// and wakes tailers waiting for it. Callers hold w.mu.
-func (w *WAL) advanceDurableLocked(lsn uint64) {
+// advanceDurableLocked raises the durable horizon to lsn, whose frame ends
+// at file offset end, after a successful fsync and wakes tailers waiting
+// for it. Callers hold w.mu.
+func (w *WAL) advanceDurableLocked(lsn uint64, end int64) {
 	if lsn > w.durable {
 		w.durable = lsn
+		w.durableEnd = end
 		w.wakeTailersLocked()
 	}
 }
@@ -715,7 +730,9 @@ func (w *WAL) advanceDurableLocked(lsn uint64) {
 // (a follower of a since-restarted log) just waits like an at-horizon one.
 //
 // Frames are re-read and re-verified from the file rather than served from
-// memory, so a tail can never ship bytes an fsync did not cover.
+// memory, so a tail can never ship bytes an fsync did not cover. The read
+// covers only the page's own byte range, cut from the frame offset index
+// under w.mu, so a call costs the frames it returns, not the log.
 func (w *WAL) TailFrom(ctx context.Context, from uint64, max int, wait time.Duration) (WALTailResult, error) {
 	if max <= 0 {
 		max = DefaultTailBatch
@@ -741,12 +758,17 @@ func (w *WAL) TailFrom(ctx context.Context, from uint64, max int, wait time.Dura
 		}
 		res := WALTailResult{DurableLSN: w.durable, BaseLSN: w.base}
 		wake := w.tailWake
+		var start, end int64
+		var hi uint64
+		if from >= w.base && from < w.durable {
+			start, end, hi = w.tailRangeLocked(from, max)
+		}
 		w.mu.Unlock()
 		if from < res.BaseLSN {
 			return res, ErrWALTruncated
 		}
 		if res.DurableLSN > from {
-			frames, err := readTailFrames(w.path, from, res.DurableLSN, max)
+			frames, err := readTailRange(w.path, start, end, from, hi)
 			if err != nil {
 				return res, err
 			}
@@ -754,13 +776,14 @@ func (w *WAL) TailFrom(ctx context.Context, from uint64, max int, wait time.Dura
 				res.Frames = frames
 				return res, nil
 			}
-			// A checkpoint raced between the snapshot and the file read:
-			// the frames we promised were truncated away. Loop to observe
-			// the new floor and report it properly. If neither the floor
-			// nor the horizon moved, the frames are genuinely absent (a log
-			// whose file was replaced or reset behind the counters);
-			// report truncation so the follower re-seeds instead of
-			// spinning on a promise the file cannot keep.
+			// A checkpoint raced between cutting the range and the file
+			// read: the frames we promised were truncated away, or a new
+			// incarnation's frames now sit at their offsets (its LSNs never
+			// match the cursor's). Loop to observe the new floor and report
+			// it properly. If neither the floor nor the horizon moved, the
+			// frames are genuinely absent (a log whose file was replaced or
+			// reset behind the counters); report truncation so the follower
+			// re-seeds instead of spinning on a promise the file cannot keep.
 			if retried && prevBase == res.BaseLSN && prevDurable == res.DurableLSN {
 				return res, ErrWALTruncated
 			}
@@ -780,34 +803,58 @@ func (w *WAL) TailFrom(ctx context.Context, from uint64, max int, wait time.Dura
 	}
 }
 
-// readTailFrames scans the log file and returns up to max intact frames
-// with LSN in (from, durable]. The scan re-verifies every CRC from the
-// header forward, so concurrent appends past the durable horizon (or a
-// torn in-progress write) are simply not reached.
-func readTailFrames(path string, from, durable uint64, max int) ([]WALRecord, error) {
-	data, err := os.ReadFile(path)
+// tailRangeLocked cuts the page a cursor is owed: the frames with LSN in
+// (from, hi], hi = min(from+max, durable), and their byte range [start,
+// end). Callers hold w.mu and guarantee base <= from < durable and
+// max > 0. A cursor the index does not cover (frames the file never held)
+// gets an empty range.
+func (w *WAL) tailRangeLocked(from uint64, max int) (start, end int64, hi uint64) {
+	hi, end = w.durable, w.durableEnd
+	if uint64(max) < hi-from {
+		// The page stops short of the horizon: it ends where the frame
+		// after its last one starts.
+		hi = from + uint64(max)
+		j := hi - w.base
+		if j >= uint64(len(w.offs)) {
+			return 0, 0, hi
+		}
+		end = w.offs[j]
+	}
+	i := from - w.base
+	if i >= uint64(len(w.offs)) {
+		return 0, 0, hi
+	}
+	return w.offs[i], end, hi
+}
+
+// readTailRange reads the byte range [start, end) of the log at path and
+// returns its CRC-verified frames, which must carry the LSNs from+1,
+// from+2, …, hi in order. It stops at the first frame that is short, fails
+// its CRC or carries another LSN, so a range a checkpoint truncated or a
+// new incarnation overwrote yields only the frames still genuinely there.
+func readTailRange(path string, start, end int64, from, hi uint64) ([]WALRecord, error) {
+	if end <= start {
+		return nil, nil
+	}
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: wal tail read: %w", err)
 	}
-	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
-		return nil, nil
+	defer f.Close()
+	data := make([]byte, end-start)
+	n, err := f.ReadAt(data, start)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("store: wal tail read: %w", err)
 	}
+	data = data[:n]
 	var out []WALRecord
-	off := int64(len(walMagic))
-	var prev uint64
-	for {
-		rec, next, ok := decodeWALFrame(data, off, prev)
-		if !ok || rec.LSN > durable {
+	for off, lsn := int64(0), from; lsn < hi; lsn++ {
+		rec, next, ok := decodeWALFrame(data, off, lsn)
+		if !ok || rec.LSN != lsn+1 {
 			break
 		}
-		prev = rec.LSN
+		out = append(out, rec)
 		off = next
-		if rec.LSN > from {
-			out = append(out, rec)
-			if len(out) >= max {
-				break
-			}
-		}
 	}
 	return out, nil
 }

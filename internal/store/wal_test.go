@@ -31,6 +31,20 @@ func appendWait(t *testing.T, w *WAL, payload []byte) {
 	}
 }
 
+// tearWALTail appends half a frame (7 bytes) to a closed log: the bytes a
+// crash mid-append leaves, which the next OpenWAL truncates away.
+func tearWALTail(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write([]byte{9, 0, 0, 0, 1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWALRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.wal")
 	w, recs := openTestWAL(t, path, WALOptions{})
@@ -98,15 +112,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	// Simulate a torn append: half a frame of garbage at the tail.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{9, 0, 0, 0, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	tearWALTail(t, path)
 	before, _ := os.Stat(path)
 
 	w2, recs := openTestWAL(t, path, WALOptions{})
