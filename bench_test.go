@@ -335,8 +335,11 @@ func BenchmarkAblationPrecomputedBounds(b *testing.B) {
 // "Paged evaluation"): limit 1 / 20 / 200, a limit no answer can fill (the
 // scan judges every candidate and stops nowhere) and the unlimited query,
 // for a broad text whose matches start at id 1 and a selective one whose
-// first match lies past every binary image, under RBM and BWM. The corpus is paper_mix's shape at
-// a quarter of its size: 1 000 flags, then 4 000 scripts.
+// first match lies past every binary image, under RBM and BWM — and the
+// S-tree descent (indexed) on the page of 20 and the unlimited query, the
+// arms a user picks it for. The corpus is paper_mix's shape at a quarter of
+// its size: 1 000 flags, then 4 000 scripts. nodes/op and leaves/op are
+// the S-tree nodes visited and leaf boxes checked per query, 0 for a scan.
 func BenchmarkPagedRange(b *testing.B) {
 	db, _, _ := paperMixDB(b, 1000)
 	ctx := context.Background()
@@ -345,8 +348,11 @@ func BenchmarkPagedRange(b *testing.B) {
 		{"broad", "at least 10% red"},
 		{"selective", "at least 90% crimson"},
 	} {
-		for _, mode := range []core.Mode{core.ModeRBM, core.ModeBWM} {
+		for _, mode := range []core.Mode{core.ModeRBM, core.ModeBWM, core.ModeIndexed} {
 			for _, limit := range []int{1, 20, 200, unfillable, 0} {
+				if mode == core.ModeIndexed && limit != 20 && limit != 0 {
+					continue
+				}
 				name := fmt.Sprintf("limit=%d", limit)
 				switch limit {
 				case unfillable:
@@ -355,6 +361,13 @@ func BenchmarkPagedRange(b *testing.B) {
 					name = "unlimited"
 				}
 				b.Run(fmt.Sprintf("%s/%s/%s", text.name, mode, name), func(b *testing.B) {
+					// One traced pass outside the timer (it also pays the
+					// lazy S-tree build): the counts repeat exactly.
+					tr := mmdb.NewTrace()
+					if _, err := db.RangeQueryTextCtx(ctx, text.q, mode, core.WithLimit(limit), core.WithTrace(tr)); err != nil {
+						b.Fatal(err)
+					}
+					b.ResetTimer()
 					var examined, returned int
 					for i := 0; i < b.N; i++ {
 						res, err := db.RangeQueryTextCtx(ctx, text.q, mode, core.WithLimit(limit))
@@ -366,6 +379,8 @@ func BenchmarkPagedRange(b *testing.B) {
 					}
 					b.ReportMetric(float64(examined), "candidates/op")
 					b.ReportMetric(float64(returned), "ids/op")
+					b.ReportMetric(float64(tr.Get(obs.TIndexNodesVisited)), "nodes/op")
+					b.ReportMetric(float64(tr.Get(obs.TIndexLeafChecks)), "leaves/op")
 				})
 			}
 		}

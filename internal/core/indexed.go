@@ -68,16 +68,27 @@ const sidxFanout = 16
 // while far below any meaningful percentage difference.
 const sidxSumEps = 1e-9
 
-// sidxEntry is the per-item payload stored in the S-tree.
+// The kinds of S-tree item, the tree's kind column: every leaf decision
+// that needs only an item's kind reads it there, with no payload
+// dereference.
+const (
+	// sidxBinary is a binary image: the point box of its normalized
+	// histogram, no payload.
+	sidxBinary uint8 = iota
+	// sidxEdited is an edited image with its bounds box; the payload is its
+	// *sidxEntry.
+	sidxEdited
+	// sidxUniversal is an edited image whose bounds could not be computed
+	// or packed at insert time: the never-prunable [0,1] box, no payload,
+	// decided exactly at the leaf.
+	sidxUniversal
+)
+
+// sidxEntry is the payload of an sidxEdited item: the exact integers behind
+// its float box, used by multi-bin leaf tests — the image's pixel total
+// (the rules track one total, the same in every bin) and bin b's count
+// bounds at minmax[2b], minmax[2b+1].
 type sidxEntry struct {
-	edited bool
-	// total and minmax are the exact integers behind an edited item's float
-	// box, used by multi-bin leaf tests: the image's pixel total (the rules
-	// track one total, the same in every bin) and bin b's count bounds at
-	// minmax[2b], minmax[2b+1]. minmax is nil for binary images, and for
-	// edited images whose bounds could not be computed or packed at insert
-	// time (those get the never-prunable universal box and are decided
-	// exactly at the leaf).
 	total  int
 	minmax []int32
 }
@@ -92,11 +103,11 @@ func (e *sidxEntry) sumPct(bins []int) (lo, hi float64) {
 	return pctInterval(minSum, maxSum, e.total)
 }
 
-// admit counts an item its term's box test proved in: a binary image's
-// exact test, or an edited image admitted without a rule walk when its box
-// (or an ancestor's) was Full.
-func (e *sidxEntry) admit(ov stree.Overlap, st *rbm.Stats) bool {
-	if !e.edited {
+// sidxAdmit counts an item of the given kind its term's box test proved
+// in: a binary image's exact test, or an edited image admitted without a
+// rule walk when its box (or an ancestor's) was Full.
+func sidxAdmit(kind uint8, ov stree.Overlap, st *rbm.Stats) bool {
+	if kind == sidxBinary {
 		st.BinariesChecked++
 		st.BaseMatches++
 	} else if ov == stree.OverlapFull {
@@ -105,11 +116,24 @@ func (e *sidxEntry) admit(ov stree.Overlap, st *rbm.Stats) bool {
 	return true
 }
 
-// sidxBinaryItem builds the S-tree item for a binary image: a point box at
-// its normalized histogram.
-func sidxBinaryItem(id uint64, hist *histogram.Histogram) stree.Item {
-	p := hist.Normalized()
-	return stree.Item{ID: id, Lo: p, Hi: p, Data: &sidxEntry{}}
+// sidxBox cuts one item's lo and hi vectors out of box, 2·bins values of
+// storage the caller lends until the tree has copied the item in, or
+// allocates them when box is nil. A bulk load lends one block for all its
+// items, so the boxes it drops after the copy leave no half-used spans
+// among the payloads that stay.
+func sidxBox(box []float64, bins int) (lo, hi []float64) {
+	if box == nil {
+		box = make([]float64, 2*bins)
+	}
+	return box[:bins:bins], box[bins : 2*bins : 2*bins]
+}
+
+// sidxBinaryItem builds the S-tree item for a binary image, in box's
+// storage (sidxBox): a point box at its normalized histogram.
+func sidxBinaryItem(id uint64, hist *histogram.Histogram, box []float64) stree.Item {
+	p, _ := sidxBox(box, hist.Bins())
+	hist.NormalizedInto(p)
+	return stree.Item{ID: id, Kind: sidxBinary, Lo: p, Hi: p}
 }
 
 // editedBounds computes an edited image's full per-bin bounds vector over
@@ -144,35 +168,37 @@ func (db *DB) editedBoundsByID(id uint64, st *rbm.Stats) ([]rules.Bounds, error)
 // bounds box, its rule walk counted into st. If the bounds cannot be
 // computed, or do not pack (totals that differ between bins, a count past
 // int32), the item gets the universal box, so index maintenance can't lose
-// a candidate.
-func (db *DB) sidxEditedItem(id uint64, st *rbm.Stats) stree.Item {
+// a candidate. The box is built in box's storage (sidxBox).
+func (db *DB) sidxEditedItem(id uint64, st *rbm.Stats, box []float64) stree.Item {
 	bins := db.cfg.Quantizer.Bins()
 	bounds, err := db.editedBoundsByID(id, st)
 	if err != nil || len(bounds) != bins {
-		return sidxUniversalItem(id, bins)
+		return sidxUniversalItem(id, bins, box)
 	}
-	e := &sidxEntry{edited: true, total: bounds[0].Total, minmax: make([]int32, 2*bins)}
-	lo := make([]float64, bins)
-	hi := make([]float64, bins)
-	for i, b := range bounds {
-		if b.Total != e.total || b.Min < math.MinInt32 || b.Max > math.MaxInt32 {
-			return sidxUniversalItem(id, bins)
+	for _, b := range bounds {
+		if b.Total != bounds[0].Total || b.Min < math.MinInt32 || b.Max > math.MaxInt32 {
+			return sidxUniversalItem(id, bins, box)
 		}
+	}
+	e := &sidxEntry{total: bounds[0].Total, minmax: make([]int32, 2*bins)}
+	lo, hi := sidxBox(box, bins)
+	for i, b := range bounds {
 		e.minmax[2*i], e.minmax[2*i+1] = int32(b.Min), int32(b.Max)
 		lo[i], hi[i] = b.PctRange()
 	}
-	return stree.Item{ID: id, Lo: lo, Hi: hi, Data: e}
+	return stree.Item{ID: id, Kind: sidxEdited, Lo: lo, Hi: hi, Data: e}
 }
 
 // sidxUniversalItem is the item of an edited image with no bounds vector:
 // the [0,1] box on every bin — never pruned, never admitted geometrically,
-// always decided exactly at the leaf.
-func sidxUniversalItem(id uint64, bins int) stree.Item {
-	hi := make([]float64, bins)
+// always decided exactly at the leaf. The box is built in box's storage
+// (sidxBox).
+func sidxUniversalItem(id uint64, bins int, box []float64) stree.Item {
+	lo, hi := sidxBox(box, bins)
 	for i := range hi {
-		hi[i] = 1
+		lo[i], hi[i] = 0, 1
 	}
-	return stree.Item{ID: id, Lo: make([]float64, bins), Hi: hi, Data: &sidxEntry{edited: true}}
+	return stree.Item{ID: id, Kind: sidxUniversal, Lo: lo, Hi: hi}
 }
 
 // sidxInsertBinaryLocked maintains the index across a binary insert.
@@ -184,7 +210,7 @@ func (db *DB) sidxInsertBinaryLocked(id uint64, hist *histogram.Histogram) {
 	}
 	// The item is freshly validated (dims come from the same quantizer), so
 	// the only insert error is a dimension mismatch that cannot happen.
-	_ = db.sidx.Insert(sidxBinaryItem(id, hist))
+	_ = db.sidx.Insert(sidxBinaryItem(id, hist, nil))
 }
 
 // sidxUpsertEditedLocked maintains the index across an edited insert or a
@@ -195,7 +221,7 @@ func (db *DB) sidxUpsertEditedLocked(id uint64) {
 		return
 	}
 	var st rbm.Stats
-	_ = db.sidx.Update(db.sidxEditedItem(id, &st))
+	_ = db.sidx.Update(db.sidxEditedItem(id, &st, nil))
 	st.Record(nil)
 }
 
@@ -235,6 +261,13 @@ func (db *DB) ensureSearchIndex(tr *obs.Trace) error {
 	}
 	nBin, nEd := db.cat.Len()
 	items := make([]stree.Item, 0, nBin+nEd)
+	// One block lends every item its box until Bulk copies them in.
+	bins := db.cfg.Quantizer.Bins()
+	boxes := make([]float64, 2*bins*(nBin+nEd))
+	box := func() []float64 {
+		i := len(items)
+		return boxes[2*bins*i : 2*bins*(i+1)]
+	}
 	for _, id := range db.cat.Binaries() {
 		obj, err := db.cat.Binary(id)
 		if errors.Is(err, catalog.ErrNotFound) {
@@ -243,11 +276,11 @@ func (db *DB) ensureSearchIndex(tr *obs.Trace) error {
 		if err != nil {
 			return err
 		}
-		items = append(items, sidxBinaryItem(id, obj.Hist))
+		items = append(items, sidxBinaryItem(id, obj.Hist, box()))
 	}
 	var st rbm.Stats
 	for _, id := range db.cat.EditedIDs() {
-		items = append(items, db.sidxEditedItem(id, &st))
+		items = append(items, db.sidxEditedItem(id, &st, box()))
 	}
 	st.Record(nil)
 	if err := db.sidx.Bulk(items); err != nil {
@@ -281,14 +314,16 @@ func recordIndexVisit(tr *obs.Trace, st stree.VisitStats) {
 const ctxEvery = 256
 
 // descend answers a range, compound or multi-bin query from the S-tree in
-// one descent for all its terms. A node is classified by every term's box
-// test, combined as the connective combines verdicts: under And it is None
-// if any term is None and Full only if every term is, under Or the dual —
-// the minimum and the maximum of None < Partial < Full. An item is judged
-// term by term with judge's short-circuit, each term deciding it from its
-// own verdict on the item's box. A one-term query hands the descent's
-// verdict straight to its term. The ids come out in box order and are
-// sorted once at the end.
+// one descent for all its terms. The boxes of one node — its children's
+// union boxes, or a leaf's items — are classified together by every term's
+// box test, combined as the connective combines verdicts: under And a box
+// is None if any term is None and Full only if every term is, under Or the
+// dual — the minimum and the maximum of None < Partial < Full. An item is
+// judged term by term with judge's short-circuit, each term deciding it
+// from its own verdict on the item's box. A one-term query hands the
+// descent's verdict straight to its term. The ids are collected in tree
+// order, leaf by leaf, and put in id order once after the descent
+// (sortIDs: a radix sort, or slices.Sort on a short answer).
 func (db *DB) descend(ctx context.Context, terms []pagedTerm, conn query.Connective, tr *obs.Trace) (*rbm.Result, error) {
 	if err := db.ensureSearchIndex(tr); err != nil {
 		return nil, err
@@ -298,23 +333,28 @@ func (db *DB) descend(ctx context.Context, terms []pagedTerm, conn query.Connect
 	if and {
 		decided = stree.OverlapNone
 	}
-	classify := func(lo, hi []float64) stree.Overlap {
-		ov := terms[0].box(lo, hi)
+	// more holds one term's verdicts while they are combined, or one item's.
+	var more []stree.Overlap
+	classify := func(b stree.Boxes, out []stree.Overlap) {
+		terms[0].box(b, out)
 		for _, t := range terms[1:] {
-			if ov == decided {
+			if !slices.ContainsFunc(out, func(ov stree.Overlap) bool { return ov != decided }) {
 				break
 			}
-			if and {
-				ov = min(ov, t.box(lo, hi))
-			} else {
-				ov = max(ov, t.box(lo, hi))
+			more = slices.Grow(more[:0], len(out))[:len(out)]
+			t.box(b, more)
+			for i, ov := range more {
+				if and {
+					out[i] = min(out[i], ov)
+				} else {
+					out[i] = max(out[i], ov)
+				}
 			}
 		}
-		return ov
 	}
 	res := &rbm.Result{}
 	seen := 0
-	onItem := func(it *stree.Item, ov stree.Overlap) error {
+	onItem := func(l *stree.Leaf, i int, ov stree.Overlap) error {
 		seen++
 		if seen%ctxEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -328,12 +368,14 @@ func (db *DB) descend(ctx context.Context, terms []pagedTerm, conn query.Connect
 		for _, t := range terms {
 			tov := ov
 			if !own {
-				tov = t.box(it.Lo, it.Hi)
+				more = slices.Grow(more[:0], 1)[:1]
+				t.box(l.Box(i), more)
+				tov = more[0]
 			}
 			match := false
 			if tov != stree.OverlapNone {
 				var err error
-				if match, err = t.item(it, tov, &res.Stats); err != nil {
+				if match, err = t.item(l, i, tov, &res.Stats); err != nil {
 					return err
 				}
 			}
@@ -343,7 +385,7 @@ func (db *DB) descend(ctx context.Context, terms []pagedTerm, conn query.Connect
 			}
 		}
 		if ok {
-			res.IDs = append(res.IDs, it.ID)
+			res.IDs = append(res.IDs, l.ID(i))
 		}
 		return nil
 	}
@@ -355,6 +397,6 @@ func (db *DB) descend(ctx context.Context, terms []pagedTerm, conn query.Connect
 		return nil, err
 	}
 	recordIndexVisit(tr, vst)
-	slices.Sort(res.IDs)
+	res.IDs = sortIDs(res.IDs)
 	return res, nil
 }

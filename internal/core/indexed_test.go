@@ -316,7 +316,7 @@ func TestIndexedUniversalBoxFallback(t *testing.T) {
 				if i%3 != 0 {
 					continue
 				}
-				if err := db.sidx.Update(sidxUniversalItem(id, bins)); err != nil {
+				if err := db.sidx.Update(sidxUniversalItem(id, bins, nil)); err != nil {
 					t.Fatal(err)
 				}
 				degraded++
@@ -380,25 +380,36 @@ func TestIndexedLeafBoundsEqualPerBinWalk(t *testing.T) {
 	}
 	edited := 0
 	var vst stree.VisitStats
+	bins := db.cfg.Quantizer.Bins()
 	err := db.sidx.Snapshot().Visit(
-		func(lo, hi []float64) stree.Overlap { return stree.OverlapFull },
-		func(it *stree.Item, _ stree.Overlap) error {
-			e := it.Data.(*sidxEntry)
-			if !e.edited {
+		func(_ stree.Boxes, out []stree.Overlap) {
+			for i := range out {
+				out[i] = stree.OverlapFull
+			}
+		},
+		func(l *stree.Leaf, i int, _ stree.Overlap) error {
+			id := l.ID(i)
+			switch l.Kind(i) {
+			case sidxBinary:
 				return nil
+			case sidxUniversal:
+				return fmt.Errorf("image %d: bounds did not pack", id)
 			}
+			e := l.Data(i).(*sidxEntry)
 			edited++
-			if len(e.minmax) != 2*len(it.Lo) {
-				return fmt.Errorf("image %d: leaf packs %d integers for %d bins", it.ID, len(e.minmax), len(it.Lo))
+			if len(e.minmax) != 2*bins {
+				return fmt.Errorf("image %d: leaf packs %d integers for %d bins", id, len(e.minmax), bins)
 			}
-			for bin := range it.Lo {
-				walked, err := db.Bounds(it.ID, bin)
+			box := l.Box(i)
+			for bin := 0; bin < bins; bin++ {
+				lo, hi := box.Lo(bin)[0], box.Hi(bin)[0]
+				walked, err := db.Bounds(id, bin)
 				if err != nil {
 					return err
 				}
 				stored := rules.Bounds{Min: int(e.minmax[2*bin]), Max: int(e.minmax[2*bin+1]), Total: e.total}
-				if lo, hi := walked.PctRange(); walked != stored || it.Lo[bin] != lo || it.Hi[bin] != hi {
-					return fmt.Errorf("image %d bin %d: leaf %+v [%v,%v], per-bin walk %+v", it.ID, bin, stored, it.Lo[bin], it.Hi[bin], walked)
+				if wlo, whi := walked.PctRange(); walked != stored || lo != wlo || hi != whi {
+					return fmt.Errorf("image %d bin %d: leaf %+v [%v,%v], per-bin walk %+v", id, bin, stored, lo, hi, walked)
 				}
 			}
 			return nil

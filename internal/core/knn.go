@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 
 	"repro/internal/catalog"
@@ -29,11 +30,12 @@ var (
 
 // k-NN similarity search — the paper's future-work extension (§6) — has one
 // path, served from the bounds S-tree in every mode. A best-first descent
-// scores the binary images of every leaf it reaches: a binary leaf is the
-// point box of its normalized histogram, so boxLowerBound on it IS the exact
-// distance, bit for bit, and the k-th distance is set before anything is
-// rendered. Edited images are collected with the lower bound their leaf box
-// yields, unless they already lose. The survivors are refined — instantiated
+// scores the binary images of every leaf it reaches, bar those the leaf's
+// own (lower bound, id) pair already rules out: a binary image's box is the
+// point box of its normalized histogram, so boxLowerBounds on it IS the
+// exact distance, bit for bit, and the k-th distance is set before anything
+// is rendered. Edited images are collected with the lower bound their own
+// box yields, unless they already lose. The survivors are refined — instantiated
 // for their exact distance — in ascending (lb, id) order until the head of
 // the list can no longer enter the top k.
 //
@@ -62,7 +64,8 @@ type Match struct {
 // KNNStats instruments a k-NN or within-distance execution.
 type KNNStats struct {
 	// BinariesScored is the number of exact binary distances computed: the
-	// binary images in the leaves the descent reached.
+	// binary images in the leaves the descent reached that the leaf's own
+	// (lower bound, id) pair did not already rule out.
 	BinariesScored int
 	// EditedPruned is the number of edited images in the database that were
 	// not instantiated — their subtree, their own lower bound or the
@@ -110,7 +113,7 @@ type similarityBound interface {
 // knnCand is an edited image the descent could not rule out.
 type knnCand struct {
 	id     uint64
-	lb     float64 // boxLowerBound of its leaf box
+	lb     float64 // boxLowerBounds of its own box
 	dist   float64 // exact distance, set by refinement when scored
 	scored bool
 }
@@ -139,21 +142,26 @@ func (db *DB) similaritySearch(ctx context.Context, target *histogram.Histogram,
 	var vst stree.VisitStats
 	seen := 0
 	err := db.sidx.Snapshot().BestFirst(
-		func(lo, hi []float64) float64 { return boxLowerBound(tn, lo, hi, metric) },
+		func(b stree.Boxes, sel []int, out []float64) []float64 {
+			return boxLowerBounds(tn, b, sel, metric, out)
+		},
 		bound.worse,
-		func(it *stree.Item) error {
-			seen++
-			if seen%ctxEvery == 0 {
+		func(l *stree.Leaf, sel []int, lbs []float64) error {
+			if seen += len(sel); seen >= ctxEvery {
+				seen = 0
 				if cerr := ctx.Err(); cerr != nil {
 					return cerr
 				}
 			}
-			lb := boxLowerBound(tn, it.Lo, it.Hi, metric)
-			if !it.Data.(*sidxEntry).edited {
-				st.BinariesScored++
-				bound.record(it.ID, lb) // a point box: lb is the exact distance
-			} else if !bound.worse(lb, it.ID) {
-				cands = append(cands, knnCand{id: it.ID, lb: lb})
+			for j, lb := range lbs {
+				i := sel[j]
+				id := l.ID(i)
+				if l.Kind(i) == sidxBinary {
+					st.BinariesScored++
+					bound.record(id, lb) // a point box: lb is the exact distance
+				} else if !bound.worse(lb, id) {
+					cands = append(cands, knnCand{id: id, lb: lb})
+				}
 			}
 			return nil
 		}, &vst)
@@ -367,48 +375,65 @@ func (db *DB) KNNBinary(q query.KNN) ([]Match, error) {
 	return out, nil
 }
 
-// boxLowerBound is a lower bound on Metric.Distance(target, h) over every
-// histogram h whose normalized vector lies in the [lo,hi] box — an S-tree
-// node's union box, an edited image's bounds box, or a binary image's point
-// box, for which it is the distance itself. tn is the target's normalized
-// vector. For L1/L2 it is the point-to-box distance; for Intersection it is
-// 1 − Σ min(t_i, hi_i). Each term is the corresponding term of the exact
-// distance with h_i moved to the nearest point of [lo_i,hi_i], summed in the
-// same order with the same operations, so the bound never exceeds the exact
-// distance even in the last bit — the property the (lb, id) tie rule rests
-// on. That is also why the Intersection form is not clamped at zero: the
-// exact 1 − Σ min can itself round below zero.
-func boxLowerBound(tn []float64, lo, hi []float64, metric query.Metric) float64 {
+// boxLowerBounds fills out's storage with, for each j, a lower bound on
+// Metric.Distance(target, h) over every histogram h whose normalized vector
+// lies in box sel[j] of b — a subtree's union box, an edited image's
+// bounds box, or a binary image's point box, for which it is the distance
+// itself. tn is the target's normalized vector. For L1/L2 it
+// is the point-to-box distance; for Intersection it is 1 − Σ min(t_i,
+// hi_i). Each term is the corresponding term of the exact distance with h_i
+// moved to the nearest point of [lo_i,hi_i], summed in the same order with
+// the same operations, so the bound never exceeds the exact distance even
+// in the last bit — the property the (lb, id) tie rule rests on. That is
+// also why the Intersection form is not clamped at zero: the exact 1 − Σ
+// min can itself round below zero. It reads b's columns in order, one
+// dimension at a time, so a node's boxes are bounded in one pass.
+func boxLowerBounds(tn []float64, b stree.Boxes, sel []int, metric query.Metric, out []float64) []float64 {
+	out = slices.Grow(out[:0], len(sel))[:len(sel)]
+	clear(out)
 	switch metric {
-	case query.MetricL1, query.MetricL2:
-		sum := 0.0
-		for i := range tn {
-			d := 0.0
-			switch {
-			case tn[i] < lo[i]:
-				d = lo[i] - tn[i]
-			case tn[i] > hi[i]:
-				d = tn[i] - hi[i]
-			}
-			if metric == query.MetricL1 {
-				sum += d
-			} else {
-				sum += d * d
+	case query.MetricL1:
+		for d, t := range tn {
+			lo, hi := b.Lo(d), b.Hi(d)
+			for j, i := range sel {
+				out[j] += gap(t, lo[i], hi[i])
 			}
 		}
-		if metric == query.MetricL1 {
-			return sum
+	case query.MetricL2:
+		for d, t := range tn {
+			lo, hi := b.Lo(d), b.Hi(d)
+			for j, i := range sel {
+				g := gap(t, lo[i], hi[i])
+				out[j] += g * g
+			}
 		}
-		return math.Sqrt(sum)
+		for j, s := range out {
+			out[j] = math.Sqrt(s)
+		}
 	case query.MetricIntersection:
-		s := 0.0
-		for i := range tn {
-			s += math.Min(tn[i], hi[i])
+		for d, t := range tn {
+			hi := b.Hi(d)
+			for j, i := range sel {
+				out[j] += math.Min(t, hi[i])
+			}
 		}
-		return 1 - s
-	default:
-		return 0
+		for j, s := range out {
+			out[j] = 1 - s
+		}
 	}
+	return out
+}
+
+// gap is how far t lies outside [lo, hi]: one bin's term of the L1
+// point-to-box distance.
+func gap(t, lo, hi float64) float64 {
+	switch {
+	case t < lo:
+		return lo - t
+	case t > hi:
+		return t - hi
+	}
+	return 0
 }
 
 // worseMatch orders matches by (dist, id) descending lexicographically —

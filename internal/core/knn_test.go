@@ -456,10 +456,11 @@ func TestKNNValidation(t *testing.T) {
 }
 
 // TestDistanceLowerBoundIsSound is the property the (lb, id) tie rule leans
-// on: for every leaf of the S-tree, every metric and a spread of probes,
-// boxLowerBound of the leaf box never exceeds the exact distance of the
-// instantiated image — as floats, with no tolerance — and on a binary
-// image's point box it IS the exact distance, bit for bit.
+// on: for every item of the S-tree, every metric and a spread of probes,
+// the bound the search computes leaf-wide (boxLowerBounds) never exceeds
+// the exact distance of the instantiated image — as floats, with no
+// tolerance — and on a binary image's point box it IS the exact distance,
+// bit for bit.
 func TestDistanceLowerBoundIsSound(t *testing.T) {
 	db := memDB(t)
 	populate(t, db, 6, 5, 0.4, 77)
@@ -480,24 +481,30 @@ func TestDistanceLowerBoundIsSound(t *testing.T) {
 		for _, metric := range allMetrics {
 			var vst stree.VisitStats
 			leaves := 0
-			err := db.sidx.Snapshot().Visit(
-				func(lo, hi []float64) stree.Overlap { return stree.OverlapFull },
-				func(it *stree.Item, _ stree.Overlap) error {
-					leaves++
-					img, err := db.Image(it.ID)
-					if err != nil {
-						return err
-					}
-					if img.Size() == 0 {
-						return nil
-					}
-					lb := boxLowerBound(tn, it.Lo, it.Hi, metric)
-					truth := metric.Distance(target, histogram.Extract(img, db.Quantizer()))
-					if lb > truth {
-						return fmt.Errorf("%s object %d: lower bound %v exceeds the exact distance %v by %g", metric, it.ID, lb, truth, lb-truth)
-					}
-					if !it.Data.(*sidxEntry).edited && lb != truth {
-						return fmt.Errorf("%s binary %d: point-box bound %v is not the exact distance %v", metric, it.ID, lb, truth)
+			err := db.sidx.Snapshot().BestFirst(
+				func(b stree.Boxes, sel []int, out []float64) []float64 {
+					return boxLowerBounds(tn, b, sel, metric, out)
+				},
+				func(float64, uint64) bool { return false },
+				func(l *stree.Leaf, sel []int, lbs []float64) error {
+					for j, lb := range lbs {
+						leaves++
+						i := sel[j]
+						id := l.ID(i)
+						img, err := db.Image(id)
+						if err != nil {
+							return err
+						}
+						if img.Size() == 0 {
+							continue
+						}
+						truth := metric.Distance(target, histogram.Extract(img, db.Quantizer()))
+						if lb > truth {
+							return fmt.Errorf("%s object %d: lower bound %v exceeds the exact distance %v by %g", metric, id, lb, truth, lb-truth)
+						}
+						if l.Kind(i) == sidxBinary && lb != truth {
+							return fmt.Errorf("%s binary %d: point-box bound %v is not the exact distance %v", metric, id, lb, truth)
+						}
 					}
 					return nil
 				}, &vst)

@@ -87,27 +87,30 @@ func (db *DB) multiTerm(q query.MultiRange) pagedTerm {
 		walk: func(obj, base *catalog.Object, st *rbm.Stats) (bool, error) {
 			return db.multiCheckEdited(obj, base, q, st)
 		},
-		box: func(lo, hi []float64) stree.Overlap {
-			var sLo, sHi float64
-			for _, b := range q.Bins {
-				sLo += lo[b]
-				sHi += hi[b]
+		box: func(b stree.Boxes, out []stree.Overlap) {
+			for i := range out {
+				var sLo, sHi float64
+				for _, bin := range q.Bins {
+					sLo += b.Lo(bin)[i]
+					sHi += b.Hi(bin)[i]
+				}
+				switch {
+				case sLo > q.PctMax+sidxSumEps || sHi < q.PctMin-sidxSumEps:
+					out[i] = stree.OverlapNone
+				case sHi <= q.PctMax-sidxSumEps && sLo >= q.PctMin+sidxSumEps:
+					out[i] = stree.OverlapFull
+				default:
+					out[i] = stree.OverlapPartial
+				}
 			}
-			switch {
-			case sLo > q.PctMax+sidxSumEps || sHi < q.PctMin-sidxSumEps:
-				return stree.OverlapNone
-			case sHi <= q.PctMax-sidxSumEps && sLo >= q.PctMin+sidxSumEps:
-				return stree.OverlapFull
-			}
-			return stree.OverlapPartial
 		},
-		item: func(it *stree.Item, ov stree.Overlap, st *rbm.Stats) (bool, error) {
-			e := it.Data.(*sidxEntry)
+		item: func(l *stree.Leaf, i int, ov stree.Overlap, st *rbm.Stats) (bool, error) {
+			kind := l.Kind(i)
 			switch {
 			case ov == stree.OverlapFull:
-				return e.admit(ov, st), nil
-			case !e.edited:
-				obj, err := db.cat.Binary(it.ID)
+				return sidxAdmit(kind, ov, st), nil
+			case kind == sidxBinary:
+				obj, err := db.cat.Binary(l.ID(i))
 				if errors.Is(err, catalog.ErrNotFound) {
 					return false, nil
 				}
@@ -120,11 +123,11 @@ func (db *DB) multiTerm(q query.MultiRange) pagedTerm {
 					st.BaseMatches++
 				}
 				return ok, nil
-			case e.minmax != nil:
-				lo, hi := e.sumPct(q.Bins)
+			case kind == sidxEdited:
+				lo, hi := l.Data(i).(*sidxEntry).sumPct(q.Bins)
 				return lo <= q.PctMax && hi >= q.PctMin, nil
 			}
-			b, err := db.editedBoundsByID(it.ID, st)
+			b, err := db.editedBoundsByID(l.ID(i), st)
 			if b == nil {
 				return false, err
 			}

@@ -57,13 +57,15 @@ type pagedTerm struct {
 	// walk is the predicate on an edited image's rule-derived bounds over
 	// its base — the RBM check.
 	walk func(obj, base *catalog.Object, st *rbm.Stats) (bool, error)
-	// box classifies an S-tree box, a node's union box or an item's own,
-	// against the term. It is conservative: None and Full are proofs,
-	// Partial is not.
-	box func(lo, hi []float64) stree.Overlap
-	// item decides an S-tree item whose box the term did not rule out,
-	// given that box's verdict ov (Full also when an ancestor was Full).
-	item func(it *stree.Item, ov stree.Overlap, st *rbm.Stats) (bool, error)
+	// box classifies S-tree boxes against the term — a node's union box,
+	// all of a leaf's boxes at once, or one item's — writing box i's verdict
+	// to out[i]. It is conservative: None and Full are proofs, Partial is
+	// not.
+	box func(b stree.Boxes, out []stree.Overlap)
+	// item decides item i of an S-tree leaf whose box the term did not rule
+	// out, given that box's verdict ov (Full also when an ancestor was
+	// Full).
+	item func(l *stree.Leaf, i int, ov stree.Overlap, st *rbm.Stats) (bool, error)
 }
 
 // rangeTerm is a single-bin range predicate. Its box test on the queried
@@ -76,20 +78,24 @@ func (db *DB) rangeTerm(q query.Range) pagedTerm {
 		walk: func(obj, base *catalog.Object, st *rbm.Stats) (bool, error) {
 			return rbm.CheckEdited(db.engine, obj, base, q, st)
 		},
-		box: func(lo, hi []float64) stree.Overlap {
-			switch {
-			case lo[q.Bin] > q.PctMax || hi[q.Bin] < q.PctMin:
-				return stree.OverlapNone
-			case lo[q.Bin] >= q.PctMin && hi[q.Bin] <= q.PctMax:
-				return stree.OverlapFull
+		box: func(b stree.Boxes, out []stree.Overlap) {
+			lo, hi := b.Lo(q.Bin), b.Hi(q.Bin)
+			for i := range out {
+				switch {
+				case lo[i] > q.PctMax || hi[i] < q.PctMin:
+					out[i] = stree.OverlapNone
+				case lo[i] >= q.PctMin && hi[i] <= q.PctMax:
+					out[i] = stree.OverlapFull
+				default:
+					out[i] = stree.OverlapPartial
+				}
 			}
-			return stree.OverlapPartial
 		},
-		item: func(it *stree.Item, ov stree.Overlap, st *rbm.Stats) (bool, error) {
-			if e := it.Data.(*sidxEntry); !e.edited || e.minmax != nil {
-				return e.admit(ov, st), nil
+		item: func(l *stree.Leaf, i int, ov stree.Overlap, st *rbm.Stats) (bool, error) {
+			if kind := l.Kind(i); kind != sidxUniversal {
+				return sidxAdmit(kind, ov, st), nil
 			}
-			b, err := db.editedBoundsByID(it.ID, st)
+			b, err := db.editedBoundsByID(l.ID(i), st)
 			return b != nil && b[q.Bin].Overlaps(q.PctMin, q.PctMax), err
 		},
 	}

@@ -49,8 +49,15 @@ func (h *Histogram) Pct(bin int) float64 {
 // Normalized returns the percentage vector: Counts[i]/Total per bin. An
 // empty image yields an all-zero vector.
 func (h *Histogram) Normalized() []float64 {
-	out := make([]float64, len(h.Counts))
+	return h.NormalizedInto(make([]float64, len(h.Counts)))
+}
+
+// NormalizedInto is Normalized written into out, which must hold Bins()
+// values; it returns out.
+func (h *Histogram) NormalizedInto(out []float64) []float64 {
+	out = out[:len(h.Counts)]
 	if h.Total == 0 {
+		clear(out)
 		return out
 	}
 	t := float64(h.Total)

@@ -1,6 +1,10 @@
 package stree
 
-import "container/heap"
+import (
+	"container/heap"
+	"math"
+	"slices"
+)
 
 // Snapshot is a frozen, immutable version of the tree. Taking one is a
 // single atomic load; traversals over it are wait-free with respect to
@@ -9,10 +13,11 @@ import "container/heap"
 // contract core documents for the indexed mode).
 type Snapshot struct {
 	root *node
+	cap  int // the most boxes one classify call is given
 }
 
 // Snapshot captures the current published version.
-func (t *Tree) Snapshot() Snapshot { return Snapshot{root: t.root.Load()} }
+func (t *Tree) Snapshot() Snapshot { return Snapshot{root: t.root.Load(), cap: t.cap} }
 
 // Len returns the snapshot's item count (walks the version; test helper).
 func (s Snapshot) Len() int {
@@ -38,59 +43,74 @@ const (
 
 // VisitStats counts the work one traversal did.
 type VisitStats struct {
-	// NodesVisited is how many node boxes were classified.
+	// NodesVisited is how many nodes were reached: the root, whose box is
+	// kept nowhere and never tested, and every child whose union box was
+	// classified or bounded — an inner node's children a set at a time.
 	NodesVisited int64
-	// LeafChecks is how many item boxes were classified individually.
+	// LeafChecks is how many item boxes were classified or bounded
+	// individually.
 	LeafChecks int64
 	// SubtreeAdmitted is how many items were admitted through a fully
 	// contained ancestor, without an individual check.
 	SubtreeAdmitted int64
 }
 
-// Visit walks the snapshot guided by classify over union boxes: None
-// subtrees are pruned, Full subtrees admit every item beneath without
-// per-item work, Partial subtrees descend. In Partial leaves each item box
-// is classified itself; non-None items reach onItem with their verdict
-// (OverlapFull = proven in by geometry alone, OverlapPartial = the caller
-// must decide exactly). Items under a Full node reach onItem with
-// OverlapFull. classify must be conservative: it may return Partial
-// instead of None/Full, never the reverse. A non-nil error from onItem
-// aborts the walk.
-func (s Snapshot) Visit(classify func(lo, hi []float64) Overlap, onItem func(it *Item, ov Overlap) error, st *VisitStats) error {
+// Visit walks the snapshot guided by classify: None subtrees are pruned,
+// Full subtrees admit every item beneath without per-item work, Partial
+// subtrees descend. classify fills out[i] with box i's verdict for all the
+// entries of one node at once — an inner node's children's union boxes, a
+// leaf's item boxes; the root is descended unclassified. A leaf item
+// classified other than None reaches onItem — its leaf and its index there
+// — with its verdict (OverlapFull = proven in by geometry alone,
+// OverlapPartial = the caller must decide exactly); items under a Full
+// subtree reach onItem with OverlapFull. classify must be conservative: it
+// may return Partial instead of None/Full, never the reverse. A non-nil
+// error from onItem aborts the walk.
+func (s Snapshot) Visit(classify func(b Boxes, out []Overlap), onItem func(l *Leaf, i int, ov Overlap) error, st *VisitStats) error {
 	if s.root == nil {
 		return nil
 	}
-	return s.visit(s.root, classify, onItem, st)
+	depth := 1
+	for n := s.root; !n.leaf(); n = n.children[0] {
+		depth++
+	}
+	st.NodesVisited++
+	return visit(s.root, classify, onItem, st, make([]Overlap, depth*s.cap))
 }
 
-func (s Snapshot) visit(n *node, classify func(lo, hi []float64) Overlap, onItem func(it *Item, ov Overlap) error, st *VisitStats) error {
-	st.NodesVisited++
-	switch classify(n.lo, n.hi) {
-	case OverlapNone:
-		return nil
-	case OverlapFull:
-		return s.admitAll(n, onItem, st)
-	case OverlapPartial:
-		// fall through to descend
-	default:
-		// classify is caller code; treat anything unexpected as Partial,
-		// the conservative verdict.
-	}
+// visit is Visit below n, whose own box was not None. out holds n's
+// verdicts, then room for the levels beneath; every leaf sits at the same
+// depth, so depth·cap verdicts always suffice.
+func visit(n *node, classify func(b Boxes, out []Overlap), onItem func(l *Leaf, i int, ov Overlap) error, st *VisitStats, out []Overlap) error {
+	k := n.len()
+	verdicts, below := out[:k], out[k:]
+	classify(n.cols.Boxes(), verdicts)
 	if n.leaf() {
-		for _, it := range n.items {
-			st.LeafChecks++
-			ov := classify(it.Lo, it.Hi)
+		st.LeafChecks += int64(k)
+		for i, ov := range verdicts {
 			if ov == OverlapNone {
 				continue
 			}
-			if err := onItem(it, ov); err != nil {
+			if err := onItem(&n.cols, i, ov); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	for _, ch := range n.children {
-		if err := s.visit(ch, classify, onItem, st); err != nil {
+	st.NodesVisited += int64(k)
+	for i, ov := range verdicts {
+		var err error
+		switch ov {
+		case OverlapNone:
+			continue
+		case OverlapFull:
+			err = admitAll(n.children[i], onItem, st)
+		default:
+			// Partial, or anything unexpected from caller code: descend,
+			// the conservative reading.
+			err = visit(n.children[i], classify, onItem, st, below)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -98,18 +118,18 @@ func (s Snapshot) visit(n *node, classify func(lo, hi []float64) Overlap, onItem
 }
 
 // admitAll delivers every item under n as OverlapFull.
-func (s Snapshot) admitAll(n *node, onItem func(it *Item, ov Overlap) error, st *VisitStats) error {
+func admitAll(n *node, onItem func(l *Leaf, i int, ov Overlap) error, st *VisitStats) error {
 	if n.leaf() {
-		for _, it := range n.items {
-			st.SubtreeAdmitted++
-			if err := onItem(it, OverlapFull); err != nil {
+		st.SubtreeAdmitted += int64(n.len())
+		for i := range n.cols.ids {
+			if err := onItem(&n.cols, i, OverlapFull); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	for _, ch := range n.children {
-		if err := s.admitAll(ch, onItem, st); err != nil {
+		if err := admitAll(ch, onItem, st); err != nil {
 			return err
 		}
 	}
@@ -120,9 +140,10 @@ func (s Snapshot) admitAll(n *node, onItem func(it *Item, ov Overlap) error, st 
 // (lb, minID); seq breaks the remaining ties by insertion order, making the
 // traversal fully deterministic.
 type bfEntry struct {
-	lb   float64
-	seq  int
-	node *node
+	lb    float64
+	minID uint64
+	seq   int
+	node  *node
 }
 
 type bfHeap []bfEntry
@@ -132,8 +153,8 @@ func (h bfHeap) Less(i, j int) bool {
 	if h[i].lb != h[j].lb {
 		return h[i].lb < h[j].lb
 	}
-	if h[i].node.minID != h[j].node.minID {
-		return h[i].node.minID < h[j].node.minID
+	if h[i].minID != h[j].minID {
+		return h[i].minID < h[j].minID
 	}
 	return h[i].seq < h[j].seq
 }
@@ -148,52 +169,73 @@ func (h *bfHeap) Pop() interface{} {
 }
 
 // BestFirst runs branch-and-bound over the snapshot in the lexicographic
-// (lb, id) order a nearest-neighbor answer is ranked by. A subtree is
-// ranked by (nodeLB of its box, smallest item id beneath it); nodeLB must be
-// a lower bound on any item's distance beneath the node and monotone (a
-// subset box never has a smaller bound), so no item beneath a node ranks
-// better than the node's own pair. Subtrees are expanded in ascending pair
-// order; a child that prune rejects is never queued, and the first popped
-// subtree that prune rejects ends the search.
+// (lb, id) order a nearest-neighbor answer is ranked by. bound fills out
+// with a lower bound for each box sel[j] of b, and returns it; it is given
+// the entries of one node at a time — an inner node's children's union
+// boxes, then a reached leaf's item boxes — and must not modify b or keep
+// out. A subtree is ranked by (its union box's bound, smallest item id
+// beneath it); bound must be a lower bound on any item's distance within
+// the box and monotone (a subset box never has a smaller bound), so no
+// item beneath a subtree ranks better than the subtree's own pair. The
+// root, whose box is kept nowhere, ranks at −∞. Subtrees are expanded in
+// ascending pair order; a child that prune rejects is never queued, and
+// the first popped subtree that prune rejects ends the search.
 //
 // prune must be monotone in the (lb, id) order: if it rejects (l, i) it
-// rejects every (l', i') ≥ (l, i). It may tighten as onItem records exact
+// rejects every (l', i') ≥ (l, i). It may tighten as onLeaf records exact
 // distances; a stale (looser) verdict only delays the stop, never skips a
 // qualifying item. Under that contract a rejected subtree holds no answer,
-// and everything still queued behind a rejected head is rejected too. Items
-// in reached leaves are passed to onItem, which does its own item-level
-// bounding and scoring. A non-nil error aborts the search.
-func (s Snapshot) BestFirst(nodeLB func(lo, hi []float64) float64, prune func(lb float64, minID uint64) bool, onItem func(it *Item) error, st *VisitStats) error {
+// and everything still queued behind a rejected head is rejected too. The
+// same holds inside a reached leaf: an item whose (leaf bound, own id)
+// pair prune rejects is out without its box being read. The rest — sel,
+// ascending indices into the leaf, one leaf check each — are bounded, and
+// go to onLeaf with their bounds (lbs[j] is item sel[j]'s), which does its
+// own item-level scoring; sel and lbs are reused for the next leaf. A
+// non-nil error aborts the search.
+func (s Snapshot) BestFirst(bound func(b Boxes, sel []int, out []float64) []float64, prune func(lb float64, minID uint64) bool, onLeaf func(l *Leaf, sel []int, lbs []float64) error, st *VisitStats) error {
 	if s.root == nil {
 		return nil
 	}
+	all, sel := make([]int, s.cap), make([]int, 0, s.cap)
+	for i := range all {
+		all[i] = i
+	}
+	lbs := make([]float64, 0, s.cap)
 	seq := 0
 	h := &bfHeap{}
-	heap.Push(h, bfEntry{lb: nodeLB(s.root.lo, s.root.hi), seq: seq, node: s.root})
+	st.NodesVisited++
+	heap.Push(h, bfEntry{lb: math.Inf(-1), minID: slices.Min(s.root.cols.ids), seq: seq, node: s.root})
 	for h.Len() > 0 {
 		e := heap.Pop(h).(bfEntry)
-		st.NodesVisited++
-		if prune(e.lb, e.node.minID) {
+		if prune(e.lb, e.minID) {
 			// The heap ascends in (lb, minID): everything still queued ranks
 			// no better, so nothing left can enter the answer.
 			return nil
 		}
-		if e.node.leaf() {
-			for _, it := range e.node.items {
-				st.LeafChecks++
-				if err := onItem(it); err != nil {
-					return err
+		n := e.node
+		if n.leaf() {
+			sel = sel[:0]
+			for i, id := range n.cols.ids {
+				if !prune(e.lb, id) {
+					sel = append(sel, i)
 				}
+			}
+			st.LeafChecks += int64(len(sel))
+			lbs = bound(n.cols.Boxes(), sel, lbs)
+			if err := onLeaf(&n.cols, sel, lbs); err != nil {
+				return err
 			}
 			continue
 		}
-		for _, ch := range e.node.children {
-			lb := nodeLB(ch.lo, ch.hi)
-			if prune(lb, ch.minID) {
+		st.NodesVisited += int64(n.len())
+		lbs = bound(n.cols.Boxes(), all[:n.len()], lbs)
+		for i, lb := range lbs {
+			minID := n.cols.ids[i]
+			if prune(lb, minID) {
 				continue // already provably outside; skip the queue
 			}
 			seq++
-			heap.Push(h, bfEntry{lb: lb, seq: seq, node: ch})
+			heap.Push(h, bfEntry{lb: lb, minID: minID, seq: seq, node: n.children[i]})
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -24,20 +25,36 @@ func randItem(rng *rand.Rand, id uint64, dims int) Item {
 			lo[d], hi[d] = a, b
 		}
 	}
-	return Item{ID: id, Lo: lo, Hi: hi}
+	return Item{ID: id, Kind: uint8(id % 3), Lo: lo, Hi: hi, Data: id}
+}
+
+// bounds copies item i's box out of its leaf's columns.
+func bounds(l *Leaf, i, dims int) (lo, hi []float64) { return vectors(l.Boxes(), i, dims) }
+
+// vectors copies box i of b out as two vectors.
+func vectors(b Boxes, i, dims int) (lo, hi []float64) {
+	lo, hi = make([]float64, dims), make([]float64, dims)
+	for d := range lo {
+		lo[d], hi[d] = b.Lo(d)[i], b.Hi(d)[i]
+	}
+	return lo, hi
 }
 
 // slabClassify classifies against "box intersects [qmin,qmax] in dim" —
 // the single-bin range query shape.
-func slabClassify(dim int, qmin, qmax float64) func(lo, hi []float64) Overlap {
-	return func(lo, hi []float64) Overlap {
-		if lo[dim] > qmax || hi[dim] < qmin {
-			return OverlapNone
+func slabClassify(dim int, qmin, qmax float64) func(Boxes, []Overlap) {
+	return func(b Boxes, out []Overlap) {
+		lo, hi := b.Lo(dim), b.Hi(dim)
+		for i := range out {
+			switch {
+			case lo[i] > qmax || hi[i] < qmin:
+				out[i] = OverlapNone
+			case lo[i] >= qmin && hi[i] <= qmax:
+				out[i] = OverlapFull
+			default:
+				out[i] = OverlapPartial
+			}
 		}
-		if lo[dim] >= qmin && hi[dim] <= qmax {
-			return OverlapFull
-		}
-		return OverlapPartial
 	}
 }
 
@@ -46,8 +63,8 @@ func collect(t *testing.T, s Snapshot, dim int, qmin, qmax float64) []uint64 {
 	t.Helper()
 	var ids []uint64
 	var st VisitStats
-	err := s.Visit(slabClassify(dim, qmin, qmax), func(it *Item, ov Overlap) error {
-		ids = append(ids, it.ID)
+	err := s.Visit(slabClassify(dim, qmin, qmax), func(l *Leaf, i int, ov Overlap) error {
+		ids = append(ids, l.ID(i))
 		return nil
 	}, &st)
 	if err != nil {
@@ -81,81 +98,110 @@ func sameIDs(a, b []uint64) bool {
 	return true
 }
 
-// checkInvariants walks the published tree verifying the union-box and
-// fanout invariants.
+// checkInvariants fails the test on any structural invariant invariantErr
+// checks.
 func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
-	root := tr.root.Load()
-	if root == nil {
-		if tr.Len() != 0 {
-			t.Fatalf("nil root with Len %d", tr.Len())
-		}
-		return
+	if err := invariantErr(tr, nil); err != nil {
+		t.Fatal(err)
 	}
-	if got := root.count(); got != tr.Len() {
-		t.Fatalf("tree holds %d items, Len says %d", got, tr.Len())
-	}
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.leaf() {
-			if len(n.items) == 0 {
-				t.Fatalf("empty leaf survived")
-			}
-			if len(n.items) > tr.cap {
-				t.Fatalf("leaf with %d items exceeds cap %d", len(n.items), tr.cap)
-			}
-			for _, it := range n.items {
-				if !containsBox(n, it) {
-					t.Fatalf("leaf box does not contain item %d", it.ID)
-				}
-			}
-			return
-		}
-		if len(n.children) == 0 {
-			t.Fatalf("empty inner node survived")
-		}
-		if len(n.children) > tr.cap {
-			t.Fatalf("inner node with %d children exceeds cap %d", len(n.children), tr.cap)
-		}
-		for _, ch := range n.children {
-			for d := 0; d < tr.dims; d++ {
-				if ch.lo[d] < n.lo[d] || ch.hi[d] > n.hi[d] {
-					t.Fatalf("child box escapes parent union at dim %d", d)
-				}
-			}
-			walk(ch)
-		}
-	}
-	walk(root)
 }
 
-// minIDErr walks the published tree and reports the first node whose minID
-// is not the smallest item id beneath it.
-func minIDErr(tr *Tree) error {
-	var walk func(n *node) (uint64, error)
-	walk = func(n *node) (uint64, error) {
-		var least uint64 = math.MaxUint64
+// invariantErr walks the published tree and reports the first broken
+// invariant: no node is empty or holds more than cap entries; every leaf
+// sits at the same depth; an inner node's columns hold, for each child,
+// the exact union of the boxes beneath it and the smallest id beneath it,
+// bit for bit; byID points every item at the leaf holding it; Len counts
+// the items. With want non-nil, the leaf columns must also hold exactly
+// want's items — ids, kinds, payloads and boxes, bit for bit.
+func invariantErr(tr *Tree, want map[uint64]Item) error {
+	seen, leafDepth := 0, -1
+	// walk checks the subtree under n and returns its union box and least id.
+	var walk func(n *node, depth int) (lo, hi []float64, least uint64, err error)
+	walk = func(n *node, depth int) (lo, hi []float64, least uint64, err error) {
+		k := n.len()
+		if k == 0 || k > tr.cap {
+			return nil, nil, 0, fmt.Errorf("node holds %d entries, cap %d", k, tr.cap)
+		}
+		c := &n.cols
+		if len(c.lo) != k*tr.dims || len(c.hi) != k*tr.dims {
+			return nil, nil, 0, fmt.Errorf("node of %d entries has %d/%d bounds", k, len(c.lo), len(c.hi))
+		}
+		lo, hi = vectors(c.Boxes(), 0, tr.dims)
+		for i := 1; i < k; i++ {
+			for d := range lo {
+				lo[d], hi[d] = min(lo[d], c.Boxes().Lo(d)[i]), max(hi[d], c.Boxes().Hi(d)[i])
+			}
+		}
+		least = slices.Min(c.ids)
 		if n.leaf() {
-			for _, it := range n.items {
-				least = min(least, it.ID)
+			if leafDepth < 0 {
+				leafDepth = depth
 			}
-		} else {
-			for _, ch := range n.children {
-				m, err := walk(ch)
-				if err != nil {
-					return 0, err
+			if depth != leafDepth {
+				return nil, nil, 0, fmt.Errorf("leaves at depths %d and %d", leafDepth, depth)
+			}
+			if len(c.kinds) != k || len(c.data) != k {
+				return nil, nil, 0, fmt.Errorf("leaf of %d items has %d kinds, %d payloads", k, len(c.kinds), len(c.data))
+			}
+			for i := 0; i < k; i++ {
+				id := c.ID(i)
+				seen++
+				if tr.byID[id] != n {
+					return nil, nil, 0, fmt.Errorf("byID does not point item %d at its leaf", id)
 				}
-				least = min(least, m)
+				if want == nil {
+					continue
+				}
+				it, ok := want[id]
+				if !ok {
+					return nil, nil, 0, fmt.Errorf("leaf holds item %d, which was never put in or was removed", id)
+				}
+				if c.Kind(i) != it.Kind || c.Data(i) != it.Data {
+					return nil, nil, 0, fmt.Errorf("item %d: leaf has kind %d payload %v, put in %d %v", id, c.Kind(i), c.Data(i), it.Kind, it.Data)
+				}
+				for d := 0; d < tr.dims; d++ {
+					blo, bhi := c.Box(i).at(d)
+					if math.Float64bits(blo) != math.Float64bits(it.Lo[d]) || math.Float64bits(bhi) != math.Float64bits(it.Hi[d]) ||
+						c.Boxes().Lo(d)[i] != it.Lo[d] || c.Boxes().Hi(d)[i] != it.Hi[d] {
+						return nil, nil, 0, fmt.Errorf("item %d dim %d: leaf box [%v,%v], put in [%v,%v]", id, d, blo, bhi, it.Lo[d], it.Hi[d])
+					}
+				}
+			}
+			return lo, hi, least, nil
+		}
+		if len(n.children) != k || c.kinds != nil || c.data != nil {
+			return nil, nil, 0, fmt.Errorf("inner node of %d entries has %d children, %d kinds, %d payloads", k, len(n.children), len(c.kinds), len(c.data))
+		}
+		for i, ch := range n.children {
+			clo, chi, cleast, err := walk(ch, depth+1)
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			if c.ID(i) != cleast {
+				return nil, nil, 0, fmt.Errorf("child %d least id %d in its parent's columns, smallest id beneath is %d", i, c.ID(i), cleast)
+			}
+			for d := range clo {
+				blo, bhi := c.Box(i).at(d)
+				if math.Float64bits(blo) != math.Float64bits(clo[d]) || math.Float64bits(bhi) != math.Float64bits(chi[d]) {
+					return nil, nil, 0, fmt.Errorf("child %d box dim %d is [%v,%v] in its parent's columns, union beneath is [%v,%v]", i, d, blo, bhi, clo[d], chi[d])
+				}
 			}
 		}
-		if n.minID != least {
-			return 0, fmt.Errorf("node minID %d, smallest id beneath is %d", n.minID, least)
-		}
-		return least, nil
+		return lo, hi, least, nil
 	}
 	if root := tr.root.Load(); root != nil {
-		_, err := walk(root)
-		return err
+		if _, _, _, err := walk(root, 0); err != nil {
+			return err
+		}
+	}
+	switch {
+	case seen != tr.Len():
+		return fmt.Errorf("tree holds %d items, Len says %d", seen, tr.Len())
+	case len(tr.byID) != seen:
+		return fmt.Errorf("byID holds %d items, tree %d", len(tr.byID), seen)
+	case want != nil && len(want) != seen:
+		return fmt.Errorf("tree holds %d items, %d were put in", seen, len(want))
 	}
 	return nil
 }
@@ -190,10 +236,58 @@ func TestBulkMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestBulkPacksFullNodes pins the fill rule: a bulk load over n items makes
+// within 5 % of ⌈n/cap⌉ + ⌈n/cap²⌉ + … + 1 nodes, the count of a tree whose
+// every node is full, with every leaf at the same depth.
+func TestBulkPacksFullNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range []struct{ cap, n int }{
+		{16, 1}, {16, 16}, {16, 17}, {16, 256}, {16, 20000},
+		{4, 5}, {4, 64}, {4, 100}, {4, 1000},
+	} {
+		items := make([]Item, c.n)
+		for i := range items {
+			items[i] = randItem(rng, uint64(i+1), 3)
+		}
+		tr := New(3, c.cap)
+		if err := tr.Bulk(items); err != nil {
+			t.Fatal(err)
+		}
+		checkInvariants(t, tr)
+		want := 0
+		for span := c.cap; ; span *= c.cap {
+			level := (c.n + span - 1) / span
+			want += level
+			if level == 1 {
+				break
+			}
+		}
+		nodes, depths := 0, map[int]bool{}
+		var walk func(n *node, depth int)
+		walk = func(n *node, depth int) {
+			nodes++
+			if n.leaf() {
+				depths[depth] = true
+			}
+			for _, ch := range n.children {
+				walk(ch, depth+1)
+			}
+		}
+		walk(tr.root.Load(), 0)
+		if nodes*100 > want*105 {
+			t.Errorf("cap %d, %d items: %d nodes, a fully packed tree has %d", c.cap, c.n, nodes, want)
+		}
+		if len(depths) != 1 {
+			t.Errorf("cap %d, %d items: leaves at depths %v", c.cap, c.n, depths)
+		}
+	}
+}
+
 // TestIncrementalEquivalence is the maintenance property: a tree built by
 // interleaved inserts, updates, deletes and rebuilds answers every query
-// exactly like one bulk-loaded from the final item set, and every node's
-// minID stays the smallest id beneath it after every step.
+// exactly like one bulk-loaded from the final item set, and after every step
+// the leaf columns hold exactly the live items and every union box, least id
+// and fanout is what invariantErr demands.
 func TestIncrementalEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const dims = 6
@@ -231,7 +325,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 		default:
 			tr.Rebuild()
 		}
-		if err := minIDErr(tr); err != nil {
+		if err := invariantErr(tr, live); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 	}
@@ -414,17 +508,30 @@ func bestFirstTopK(t testing.TB, s Snapshot, lb func(lo, hi []float64) float64, 
 		}
 		return l > kept[k-1].d
 	}
-	var st VisitStats
-	err := s.BestFirst(lb, prune, func(it *Item) error {
-		c := scored{it.ID, lb(it.Lo, it.Hi)}
-		if len(kept) == k && !c.less(kept[k-1]) {
-			return nil
+	dims := 0
+	if s.root != nil {
+		dims = len(s.root.cols.lo) / s.root.len()
+	}
+	bound := func(b Boxes, sel []int, out []float64) []float64 {
+		out = out[:0]
+		for _, i := range sel {
+			out = append(out, lb(vectors(b, i, dims)))
 		}
-		i := sort.Search(len(kept), func(i int) bool { return c.less(kept[i]) })
-		kept = append(kept, scored{})
-		copy(kept[i+1:], kept[i:])
-		kept[i] = c
-		kept = kept[:min(k, len(kept))]
+		return out
+	}
+	var st VisitStats
+	err := s.BestFirst(bound, prune, func(l *Leaf, sel []int, lbs []float64) error {
+		for j, i := range sel {
+			c := scored{l.ID(i), lbs[j]}
+			if len(kept) == k && !c.less(kept[k-1]) {
+				continue
+			}
+			i := sort.Search(len(kept), func(i int) bool { return c.less(kept[i]) })
+			kept = append(kept, scored{})
+			copy(kept[i+1:], kept[i:])
+			kept[i] = c
+			kept = kept[:min(k, len(kept))]
+		}
 		return nil
 	}, &st)
 	if err != nil {
@@ -561,20 +668,26 @@ func FuzzBestFirstTies(f *testing.F) {
 			if ctl&0x80 != 0 && len(list) > 0 { // reuse an earlier id
 				it.ID = uint64(int(y)%len(list) + 1)
 			}
+			it.Kind, it.Data = ctl%3, uint64(len(list))
 			items[it.ID] = it
 			list = append(list, it)
 		}
 		tr := New(dims, int(fanout%8))
 		if incremental {
+			put := make(map[uint64]Item)
 			for _, it := range list {
 				if err := tr.Insert(it); err != nil {
+					t.Fatal(err)
+				}
+				put[it.ID] = it
+				if err := invariantErr(tr, put); err != nil {
 					t.Fatal(err)
 				}
 			}
 		} else if err := tr.Bulk(list); err != nil {
 			t.Fatal(err)
 		}
-		if err := minIDErr(tr); err != nil {
+		if err := invariantErr(tr, items); err != nil {
 			t.Fatal(err)
 		}
 		kk := int(k)%(len(items)+2) + 1
@@ -601,6 +714,10 @@ func TestSnapshotStableUnderMutation(t *testing.T) {
 	if err := tr.Bulk(list); err != nil {
 		t.Fatal(err)
 	}
+	live := make(map[uint64]Item, len(list))
+	for _, it := range list {
+		live[it.ID] = it
+	}
 	s := tr.Snapshot()
 	wantLen := s.Len()
 
@@ -618,8 +735,12 @@ func TestSnapshotStableUnderMutation(t *testing.T) {
 				}
 				var st VisitStats
 				n := 0
-				err := s.Visit(func(lo, hi []float64) Overlap { return OverlapPartial },
-					func(it *Item, ov Overlap) error { n++; return nil }, &st)
+				err := s.Visit(func(_ Boxes, out []Overlap) {
+					for i := range out {
+						out[i] = OverlapPartial
+					}
+				},
+					func(*Leaf, int, Overlap) error { n++; return nil }, &st)
 				if err != nil || n != wantLen {
 					t.Errorf("snapshot drifted: n=%d want %d err=%v", n, wantLen, err)
 					return
@@ -632,15 +753,18 @@ func TestSnapshotStableUnderMutation(t *testing.T) {
 		id := uint64(wrng.Intn(400) + 1)
 		switch op := wrng.Intn(20); {
 		case op < 9:
-			if err := tr.Insert(randItem(wrng, id, dims)); err != nil {
+			it := randItem(wrng, id, dims)
+			if err := tr.Insert(it); err != nil {
 				t.Error(err)
 			}
+			live[id] = it
 		case op < 19:
 			tr.Delete(id)
+			delete(live, id)
 		default:
 			tr.Rebuild()
 		}
-		if err := minIDErr(tr); err != nil {
+		if err := invariantErr(tr, live); err != nil {
 			t.Errorf("step %d: %v", i, err)
 		}
 		if t.Failed() {
