@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race vet fmt-check lint lint-tool lint-new lint-deps staticcheck govulncheck ci bench microbench-smoke examples-smoke cluster-smoke replication-smoke crash-matrix index-smoke bench-smoke clean
+.PHONY: all build test race vet fmt-check knobs lint lint-tool lint-new lint-deps staticcheck govulncheck ci bench microbench-smoke examples-smoke cluster-smoke replication-smoke crash-matrix index-smoke bench-smoke clean
 
 all: build
 
@@ -31,6 +31,12 @@ fmt-check:
 
 lint-tool:
 	$(GO) build -o bin/esidb-lint ./cmd/esidb-lint
+
+# The knob census alone: every settable value (option and config struct
+# fields, facade options, cmd/ flags, environment reads) must have a line
+# with its default and evidence in internal/analysis/testdata/knobs.txt.
+knobs:
+	$(GO) test ./internal/analysis/ -run '^TestKnobCensus$$' -count=1
 
 # Fast inner loop while writing an analyzer: fixture tests + roster pin only,
 # no whole-tree load.

@@ -141,7 +141,7 @@ func reportMissed(partial bool, missed []string) {
 func cmdClusterQuery(args []string) error {
 	fs := flag.NewFlagSet("cluster query", flag.ExitOnError)
 	mapPath, timeout, retries := clusterFlags(fs)
-	modeStr := fs.String("mode", "bwm", modeFlagHelp())
+	modeStr := fs.String("mode", "", modeFlagHelp())
 	idsOnly := fs.Bool("ids", false, "print bare matching ids, one per line")
 	trace := fs.Bool("trace", false, "collect and print the merged distributed span tree")
 	traceJSON := fs.Bool("trace-json", false, "print the merged trace as raw JSON (implies -trace)")

@@ -12,6 +12,7 @@
 //	esidb query   -db file [-mode MODE] [-limit N] [-after ID] [-bases] [-trace] "at least 25% blue"
 //	              (compound: "at least 20% red and at most 10% blue";
 //	              MODE is one of mmdb.ModeNames(), listed by "esidb query -h";
+//	              unset, it resolves as /v1 does: indexed, or bwm under -limit;
 //	              -limit returns the N lowest matching ids and stops evaluating
 //	              there, -after ID resumes past a page's last id)
 //	esidb similar -db file [-k 5] [-metric l1|l2|intersection] probe.(ppm|png)
@@ -22,7 +23,7 @@
 //	esidb compact -db file
 //	esidb wal     stats|checkpoint -db file
 //	esidb stats   -db file
-//	esidb metrics -db file [-q "at least 25% blue"] [-mode bwm] [-json]
+//	esidb metrics -db file [-q "at least 25% blue"] [-mode MODE] [-json]
 //	esidb fsck    -db file
 //	esidb store   segments -db file
 //	esidb serve   -db file [-addr :8765] [-log-json] [-slow-query-threshold 100ms] [-segment-size BYTES] [-compaction-rate BYTES/S] [-shard-id s0 -shard-map map.json] [-replica-of http://leader:8765 -replica-id s0-r1]
@@ -302,24 +303,16 @@ func cmdAugment(args []string) error {
 	return nil
 }
 
-// parseMode delegates to the core mode registry; a mode registered there
-// (see core.AllModes) is immediately usable from every CLI command, and
-// the error lists every valid name.
-func parseMode(s string) (mmdb.Mode, error) {
-	m, err := mmdb.ParseMode(s)
-	if err != nil {
-		return 0, fmt.Errorf("unknown mode %q (valid: %s)", s, strings.Join(mmdb.ModeNames(), ", "))
-	}
-	return m, nil
-}
-
 // modeFlagHelp is the -mode flag usage string, derived from the registry.
-func modeFlagHelp() string { return strings.Join(mmdb.ModeNames(), " | ") }
+// The flag defaults to unset, which resolves as /v1 resolves it.
+func modeFlagHelp() string {
+	return strings.Join(mmdb.ModeNames(), " | ") + " (unset: indexed, or bwm under a -limit)"
+}
 
 func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	path := fs.String("db", "", "database file")
-	modeStr := fs.String("mode", "bwm", modeFlagHelp())
+	modeStr := fs.String("mode", "", modeFlagHelp())
 	bases := fs.Bool("bases", false, "also return the base image of each edited match")
 	trace := fs.Bool("trace", false, "print per-phase timings and decision counts")
 	idsOnly := fs.Bool("ids", false, "print bare matching ids, one per line")
@@ -329,7 +322,7 @@ func cmdQuery(args []string) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("missing query text")
 	}
-	mode, err := parseMode(*modeStr)
+	mode, err := mmdb.ParseMode(*modeStr)
 	if err != nil {
 		return err
 	}
@@ -837,7 +830,7 @@ func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
 	path := fs.String("db", "", "database file")
 	queryText := fs.String("q", "", "optional query to run before printing")
-	modeStr := fs.String("mode", "bwm", modeFlagHelp())
+	modeStr := fs.String("mode", "", modeFlagHelp())
 	asJSON := fs.Bool("json", false, "print JSON instead of Prometheus text")
 	fs.Parse(args)
 	db, err := openDB(*path)
@@ -846,7 +839,7 @@ func cmdMetrics(args []string) error {
 	}
 	defer db.Close()
 	if *queryText != "" {
-		mode, err := parseMode(*modeStr)
+		mode, err := mmdb.ParseMode(*modeStr)
 		if err != nil {
 			return err
 		}

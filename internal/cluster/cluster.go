@@ -39,7 +39,6 @@ import (
 // histograms created on first use).
 var (
 	mRetries    = obs.Default().Counter("esidb_cluster_retries_total")
-	mHedges     = obs.Default().Counter("esidb_cluster_hedged_calls_total")
 	mResyncs    = obs.Default().Counter("esidb_replica_resyncs_total")
 	mPromotions = obs.Default().Counter("esidb_replica_promotions_total")
 )

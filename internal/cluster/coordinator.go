@@ -124,7 +124,7 @@ func (c *Coordinator) connFor(baseID uint64) (*shardConn, string) {
 }
 
 // gather is the scatter half of every cluster query: fn runs against each
-// live shard under the call policy (timeout, retry, hedge), failures past
+// live shard under the call policy (timeout, retry), failures past
 // the retry budget become missed shards rather than errors, and query
 // errors (bad request — deterministic on every shard) fail the whole call.
 // A canceled context also fails the whole call: partial results are for
@@ -146,7 +146,7 @@ func gather[T any](ctx context.Context, c *Coordinator, tr *obs.Trace, fn func(c
 		// One span per fan-out leg; the transport hangs the shard-side tree
 		// (and callShardSpan its attempt spans) underneath it.
 		sp := tr.StartSpan("shard:" + cc.shard.ID())
-		v, cerr := callShardSpan(ctx, c.pol, true, sp, func(actx context.Context, asp *obs.Span) (T, error) {
+		v, cerr := callShardSpan(ctx, c.pol, sp, func(actx context.Context, asp *obs.Span) (T, error) {
 			done := observeSeconds(cc.lat)
 			defer done()
 			return fn(actx, cc.shard, asp)
@@ -419,7 +419,7 @@ func (c *Coordinator) ensureIDsLocked(ctx context.Context) error {
 	}
 	var max uint64
 	for _, cc := range c.conns {
-		metas, err := callShard(ctx, c.pol, true, func(actx context.Context) ([]ObjectMeta, error) {
+		metas, err := callShard(ctx, c.pol, func(actx context.Context) ([]ObjectMeta, error) {
 			return cc.shard.List(actx)
 		})
 		if err != nil {
@@ -449,7 +449,7 @@ func (c *Coordinator) InsertImage(ctx context.Context, name string, img *mmdb.Im
 		}
 		id := c.lastID + 1
 		conn, home := c.connFor(RouteKey(id, 0))
-		_, err := callShard(ctx, c.pol, false, func(actx context.Context) (struct{}, error) {
+		_, err := callShard(ctx, c.pol, func(actx context.Context) (struct{}, error) {
 			return struct{}{}, conn.shard.InsertImage(actx, id, name, img)
 		})
 		if err != nil {
@@ -490,7 +490,7 @@ func (c *Coordinator) InsertSequence(ctx context.Context, name string, seq *mmdb
 	var id uint64
 	for attempt := 0; ; attempt++ {
 		id = c.lastID + 1
-		_, err := callShard(ctx, c.pol, false, func(actx context.Context) (struct{}, error) {
+		_, err := callShard(ctx, c.pol, func(actx context.Context) (struct{}, error) {
 			return struct{}{}, conn.shard.InsertSequence(actx, id, name, seq)
 		})
 		if err == nil {
@@ -517,7 +517,7 @@ func (c *Coordinator) InsertSequence(ctx context.Context, name string, seq *mmdb
 // their global ids (reference replicas).
 func (c *Coordinator) replicateTargets(ctx context.Context, dst *shardConn, seq *mmdb.Sequence) error {
 	for _, t := range seq.MergeTargets() {
-		has, err := callShard(ctx, c.pol, true, func(actx context.Context) (bool, error) {
+		has, err := callShard(ctx, c.pol, func(actx context.Context) (bool, error) {
 			return dst.shard.HasObject(actx, t)
 		})
 		if err != nil {
@@ -532,19 +532,19 @@ func (c *Coordinator) replicateTargets(ctx context.Context, dst *shardConn, seq 
 			// with the shard's own not-found error.
 			continue
 		}
-		img, err := callShard(ctx, c.pol, true, func(actx context.Context) (*mmdb.Image, error) {
+		img, err := callShard(ctx, c.pol, func(actx context.Context) (*mmdb.Image, error) {
 			return src.shard.Image(actx, t)
 		})
 		if err != nil {
 			return fmt.Errorf("cluster: fetch merge target %d from %s: %w", t, srcID, err)
 		}
-		meta, _, err := callShard2(ctx, c.pol, true, func(actx context.Context) (*ObjectMeta, *mmdb.Sequence, error) {
+		meta, _, err := callShard2(ctx, c.pol, func(actx context.Context) (*ObjectMeta, *mmdb.Sequence, error) {
 			return src.shard.Object(actx, t)
 		})
 		if err != nil {
 			return fmt.Errorf("cluster: fetch merge target %d metadata from %s: %w", t, srcID, err)
 		}
-		_, err = callShard(ctx, c.pol, false, func(actx context.Context) (struct{}, error) {
+		_, err = callShard(ctx, c.pol, func(actx context.Context) (struct{}, error) {
 			return struct{}{}, dst.shard.InsertImage(actx, t, meta.Name, img)
 		})
 		if err != nil {
@@ -555,12 +555,12 @@ func (c *Coordinator) replicateTargets(ctx context.Context, dst *shardConn, seq 
 }
 
 // callShard2 is callShard for two-value transports.
-func callShard2[A, B any](ctx context.Context, pol Policy, read bool, fn func(context.Context) (A, B, error)) (A, B, error) {
+func callShard2[A, B any](ctx context.Context, pol Policy, fn func(context.Context) (A, B, error)) (A, B, error) {
 	type pair struct {
 		a A
 		b B
 	}
-	p, err := callShard(ctx, pol, read, func(actx context.Context) (pair, error) {
+	p, err := callShard(ctx, pol, func(actx context.Context) (pair, error) {
 		a, b, err := fn(actx)
 		return pair{a, b}, err
 	})

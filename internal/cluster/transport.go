@@ -74,10 +74,6 @@ type Policy struct {
 	Retries int
 	// Backoff is the sleep before the first retry; it doubles per retry.
 	Backoff time.Duration
-	// Hedge, when > 0, launches a duplicate of a read call that has not
-	// answered within the delay and takes whichever returns first —
-	// tail-latency insurance. Writes are never hedged.
-	Hedge time.Duration
 }
 
 // DefaultPolicy is the coordinator default: tight enough that a dead
@@ -138,18 +134,18 @@ func markQueryError(err error) error {
 
 // callShard is callShardSpan without tracing — the form the management
 // paths (inserts, id sync) use, since only queries are traced.
-func callShard[T any](ctx context.Context, pol Policy, read bool, fn func(context.Context) (T, error)) (T, error) {
-	return callShardSpan(ctx, pol, read, nil, func(actx context.Context, _ *obs.Span) (T, error) {
+func callShard[T any](ctx context.Context, pol Policy, fn func(context.Context) (T, error)) (T, error) {
+	return callShardSpan(ctx, pol, nil, func(actx context.Context, _ *obs.Span) (T, error) {
 		return fn(actx)
 	})
 }
 
-// callShardSpan runs fn under the policy: per-attempt timeout, bounded
-// retries with doubling backoff for shard failures, and (for reads) an
-// optional hedged duplicate. The context governs the whole loop — once it
-// is done, no more attempts start. sp (nil-safe) collects one child span
-// per attempt, so a traced query shows its retries, hedges and timeouts.
-func callShardSpan[T any](ctx context.Context, pol Policy, read bool, sp *obs.Span, fn func(context.Context, *obs.Span) (T, error)) (T, error) {
+// callShardSpan runs fn under the policy: per-attempt timeout and bounded
+// retries with doubling backoff for shard failures. The context governs the
+// whole loop — once it is done, no more attempts start. sp (nil-safe)
+// collects one child span per attempt, so a traced query shows its retries
+// and timeouts.
+func callShardSpan[T any](ctx context.Context, pol Policy, sp *obs.Span, fn func(context.Context, *obs.Span) (T, error)) (T, error) {
 	var zero T
 	var err error
 	backoff := pol.Backoff
@@ -165,7 +161,7 @@ func callShardSpan[T any](ctx context.Context, pol Policy, read bool, sp *obs.Sp
 			backoff *= 2
 		}
 		var v T
-		v, err = attemptShard(ctx, pol, read, sp, attempt, fn)
+		v, err = attemptShard(ctx, pol, sp, attempt, fn)
 		if err == nil {
 			return v, nil
 		}
@@ -178,60 +174,20 @@ func callShardSpan[T any](ctx context.Context, pol Policy, read bool, sp *obs.Sp
 	}
 }
 
-// attemptShard is one policy attempt: fn under the per-attempt timeout,
-// plus the hedged duplicate for reads. Each launch (primary or hedge) gets
-// its own "attempt" span recording try number, hedge status and error.
-func attemptShard[T any](ctx context.Context, pol Policy, read bool, sp *obs.Span, attempt int, fn func(context.Context, *obs.Span) (T, error)) (T, error) {
+// attemptShard is one policy attempt: fn under the per-attempt timeout, in
+// an "attempt" span recording the try number and any error.
+func attemptShard[T any](ctx context.Context, pol Policy, sp *obs.Span, attempt int, fn func(context.Context, *obs.Span) (T, error)) (T, error) {
 	actx, cancel := context.WithTimeout(ctx, pol.Timeout)
 	defer cancel()
-	run := func(hedged bool) (T, error) {
-		asp := sp.StartChild("attempt")
-		asp.SetAttr("try", strconv.Itoa(attempt+1))
-		if hedged {
-			asp.SetAttr("hedged", "true")
+	asp := sp.StartChild("attempt")
+	asp.SetAttr("try", strconv.Itoa(attempt+1))
+	v, err := fn(actx, asp)
+	if err != nil {
+		asp.SetAttr("error", err.Error())
+		if errors.Is(actx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
+			asp.SetAttr("timeout", pol.Timeout.String())
 		}
-		v, err := fn(actx, asp)
-		if err != nil {
-			asp.SetAttr("error", err.Error())
-			if errors.Is(actx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
-				asp.SetAttr("timeout", pol.Timeout.String())
-			}
-		}
-		asp.End()
-		return v, err
 	}
-	if !read || pol.Hedge <= 0 {
-		return run(false)
-	}
-	type res struct {
-		v   T
-		err error
-	}
-	ch := make(chan res, 2)
-	launch := func(hedged bool) { go func() { v, err := run(hedged); ch <- res{v, err} }() }
-	launch(false)
-	timer := time.NewTimer(pol.Hedge)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		// Answered (either way) before the hedge delay: no duplicate; the
-		// retry loop owns failures.
-		return r.v, r.err
-	case <-timer.C:
-		mHedges.Inc()
-		sp.Count(obs.TClusterHedges, 1)
-		launch(true)
-	}
-	// Two attempts racing; first success wins, else the last error. Reads
-	// are idempotent, so racing duplicates is safe.
-	var lastErr error
-	for inflight := 2; inflight > 0; inflight-- {
-		r := <-ch
-		if r.err == nil {
-			return r.v, nil
-		}
-		lastErr = r.err
-	}
-	var zero T
-	return zero, lastErr
+	asp.End()
+	return v, err
 }

@@ -6,15 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/store/segment"
 )
 
 func TestCompactShrinksAfterDeletes(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "c.esidb")
-	// FanIn 2 makes the two segments below (the objects, then their
-	// tombstones) an eligible run; the default waits for a third.
-	db, err := Open(Config{Path: path, Segment: segment.Options{FanIn: 2}})
+	// Three seals below (the objects, the edited tombstones, the base
+	// tombstones) make one same-tier run of the engine's fan-in.
+	db, err := Open(Config{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,6 +26,9 @@ func TestCompactShrinksAfterDeletes(t *testing.T) {
 		if err := db.DeleteCtx(ctx, id); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	bins := db.Binaries()
 	for i, id := range bins {

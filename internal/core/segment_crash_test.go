@@ -37,10 +37,11 @@ func segKillAfter(n int) func(string) error {
 	}
 }
 
-// segCrashOpts shapes the engine so the scripted workload crosses several
-// seals and at least one multi-segment compaction.
+// segCrashOpts shapes the engine so only the workload's explicit Sync and
+// Compact calls seal: each Compact then finds three or more same-tier
+// seals, a run of the engine's fan-in, and merges them.
 func segCrashOpts(fp func(string) error) segment.Options {
-	return segment.Options{TargetBytes: -1, FanIn: 2, MaxSegments: 2, FailPoint: fp}
+	return segment.Options{TargetBytes: -1, FailPoint: fp}
 }
 
 // segCrashWorkload drives the full mutation script against a segmented
@@ -72,10 +73,12 @@ func segCrashWorkload(db *DB) []string {
 // TestSegmentCrashMatrixFailpoints sweeps an injected crash across every
 // failpoint hit of the segmented workload and verifies recovery after each.
 func TestSegmentCrashMatrixFailpoints(t *testing.T) {
-	// Budget range: count the hits of an uncrashed run.
+	// Budget range: count the hits of an uncrashed run, which must reach
+	// every seal, compaction and manifest-swap failpoint.
+	seen := map[string]bool{}
 	max := func() int {
 		hits := 0
-		fp := func(string) error { hits++; return nil }
+		fp := func(name string) error { hits++; seen[name] = true; return nil }
 		path := filepath.Join(t.TempDir(), "probe.db")
 		opts := segCrashOpts(fp)
 		db, err := Open(Config{Path: path, Segment: opts})
@@ -88,8 +91,17 @@ func TestSegmentCrashMatrixFailpoints(t *testing.T) {
 		}
 		return hits
 	}()
-	if max == 0 {
-		t.Fatal("workload hit no failpoints")
+	for _, name := range []string{
+		"seal.start", "seal.segment-written", "seal.before-manifest", "seal.after-manifest",
+		"compact.start", "compact.mid-merge", "compact.before-manifest", "compact.after-manifest",
+		"manifest.before-rename", "manifest.after-rename",
+	} {
+		if !seen[name] {
+			t.Errorf("workload never reached failpoint %s", name)
+		}
+	}
+	if len(seen) != 10 {
+		t.Fatalf("workload reached %d failpoint names, want 10: %v", len(seen), seen)
 	}
 	for budget := 0; budget < max; budget++ {
 		budget := budget

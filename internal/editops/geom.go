@@ -105,23 +105,30 @@ func ScaleSrcIndex(x, w int, s float64) int {
 // outW output pixels. The rule engine multiplies histogram bounds by these
 // factors; computing them by direct counting (rather than floor/ceil
 // approximations) keeps the bounds sound for every fractional factor,
-// including the truncated final interval.
+// including the truncated final interval. ScaleSrcIndex is non-decreasing
+// in x, so each source index's samples form one run and a single pass
+// counts them without a per-index table; a source index that no output
+// samples makes the minimum 0.
 func ScaleReplication(w int, s float64, outW int) (minRep, maxRep int) {
 	if w <= 0 {
 		return 0, 0
 	}
-	counts := make([]int, w)
+	minRep = outW
+	runs, run, prev := 0, 0, 0
 	for x := 0; x < outW; x++ {
-		counts[ScaleSrcIndex(x, w, s)]++
+		i := ScaleSrcIndex(x, w, s)
+		if run > 0 && i != prev {
+			minRep, maxRep = min(minRep, run), max(maxRep, run)
+			runs, run = runs+1, 0
+		}
+		prev, run = i, run+1
 	}
-	minRep, maxRep = counts[0], counts[0]
-	for _, c := range counts[1:] {
-		if c < minRep {
-			minRep = c
-		}
-		if c > maxRep {
-			maxRep = c
-		}
+	if run > 0 {
+		minRep, maxRep = min(minRep, run), max(maxRep, run)
+		runs++
+	}
+	if runs < w {
+		minRep = 0
 	}
 	return minRep, maxRep
 }

@@ -15,11 +15,17 @@ import (
 //
 // Run selection, in priority order:
 //
-//  1. the oldest run of ≥ FanIn consecutive segments in the same size
-//     tier (tiers are ×4 buckets, so merging produces a segment roughly
-//     one tier up rather than re-merging the same bytes repeatedly);
-//  2. when the stack still exceeds MaxSegments, the oldest-prefix run
-//     that brings it back to MaxSegments.
+//  1. the oldest run of ≥ fanIn (3) consecutive segments in the same
+//     size tier (tiers are ×4 buckets, so merging produces a segment
+//     roughly one tier up rather than re-merging the same bytes
+//     repeatedly);
+//  2. when the stack still exceeds maxSegments (8), the oldest-prefix run
+//     that brings it back to maxSegments.
+//
+// Selection repeats until no run qualifies: after each background seal,
+// every compactEvery (1 s) with Options.Background, and on demand in
+// Compact. The merge loop is throttled only when Options.RateBytesPerSec
+// is set.
 //
 // A tombstone is dropped during a merge only when the run includes the
 // oldest segment: then no older segment can hold a shadowed version, and
@@ -52,13 +58,13 @@ func (e *Engine) pickRunLocked() (int, int, bool) {
 		for j < len(segs) && sizeTier(segs[j].Bytes()) == sizeTier(segs[i].Bytes()) {
 			j++
 		}
-		if j-i >= e.opts.FanIn {
+		if j-i >= fanIn {
 			return i, j, true
 		}
 		i = j
 	}
-	if len(segs) > e.opts.MaxSegments {
-		j := len(segs) - e.opts.MaxSegments + 1
+	if len(segs) > maxSegments {
+		j := len(segs) - maxSegments + 1
 		if j < 2 {
 			j = 2
 		}
@@ -76,12 +82,12 @@ func (e *Engine) backlogLocked() int {
 		for j < len(segs) && sizeTier(segs[j].Bytes()) == sizeTier(segs[i].Bytes()) {
 			j++
 		}
-		if j-i >= e.opts.FanIn {
+		if j-i >= fanIn {
 			n++
 		}
 		i = j
 	}
-	if len(segs) > e.opts.MaxSegments {
+	if len(segs) > maxSegments {
 		n++
 	}
 	return n
@@ -237,7 +243,7 @@ func (e *Engine) mergeRun(inputs []*Segment, outID uint64, dropTombs bool) (*Seg
 		cursors[k] = c
 	}
 	path := filepath.Join(e.dir, segmentFileName(outID))
-	w, err := NewWriter(path, outID, e.opts.SummaryEvery, e.opts.BloomBitsPerKey)
+	w, err := NewWriter(path, outID, summaryEvery, bloomBitsPerKey)
 	if err != nil {
 		e.fail(err)
 		return nil, err

@@ -3,6 +3,8 @@ package segment
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -23,12 +25,31 @@ func killAfter(n int) func(string) error {
 }
 
 // countFailpoints runs fn with a counting (never-failing) FailPoint and
-// returns how many hits the workload generates — the sweep's budget range.
-func countFailpoints(t *testing.T, fn func(fp func(string) error)) int {
+// returns how many hits the workload generates — the sweep's budget range —
+// after checking that the hits cover exactly the want failpoint names, so a
+// workload that stops reaching a protocol stage fails instead of sweeping
+// fewer crash sites.
+func countFailpoints(t *testing.T, want []string, fn func(fp func(string) error)) int {
 	t.Helper()
 	hits := 0
-	fn(func(string) error { hits++; return nil })
+	seen := map[string]bool{}
+	fn(func(name string) error { hits++; seen[name] = true; return nil })
+	names := make([]string, 0, len(seen))
+	for name := range seen {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if !slices.Equal(names, want) {
+		t.Fatalf("workload reached failpoints %v, want %v", names, want)
+	}
 	return hits
+}
+
+// sealFailpoints are the kill points of one seal: the segment write and
+// the manifest swap around it.
+var sealFailpoints = []string{
+	"manifest.after-rename", "manifest.before-rename",
+	"seal.after-manifest", "seal.before-manifest", "seal.segment-written", "seal.start",
 }
 
 // sealWorkload drives an engine through three seals of 30 entries each.
@@ -70,7 +91,7 @@ func sealWorkload(t *testing.T, dir string, fp func(string) error) (acked, pendi
 // of the seal protocol and verifies, after each crash, that reopening
 // loses nothing that Seal acknowledged and that the store checks clean.
 func TestCrashDuringSeal(t *testing.T) {
-	max := countFailpoints(t, func(fp func(string) error) {
+	max := countFailpoints(t, sealFailpoints, func(fp func(string) error) {
 		dir := t.TempDir()
 		if _, _, err := sealWorkload(t, dir, fp); err != nil {
 			t.Fatalf("clean run failed: %v", err)
@@ -95,10 +116,11 @@ func TestCrashDuringSeal(t *testing.T) {
 	}
 }
 
-// compactionWorkload seals four segments then compacts them.
+// compactionWorkload seals four same-tier segments, a run of at least
+// fanIn, then compacts them.
 func compactionWorkload(t *testing.T, dir string, fp func(string) error) (acked, pending map[uint64]string, err error) {
 	t.Helper()
-	e, oerr := Open(dir, Options{TargetBytes: -1, FanIn: 2, FailPoint: fp})
+	e, oerr := Open(dir, Options{TargetBytes: -1, FailPoint: fp})
 	if oerr != nil {
 		t.Fatalf("Open: %v", oerr)
 	}
@@ -143,7 +165,8 @@ func compactionWorkload(t *testing.T, dir string, fp func(string) error) (acked,
 // write regardless of where it dies: either the old stack or the merged
 // stack survives whole.
 func TestCrashRecoveryDuringCompaction(t *testing.T) {
-	max := countFailpoints(t, func(fp func(string) error) {
+	want := append([]string{"compact.after-manifest", "compact.before-manifest", "compact.mid-merge", "compact.start"}, sealFailpoints...)
+	max := countFailpoints(t, want, func(fp func(string) error) {
 		dir := t.TempDir()
 		if _, _, err := compactionWorkload(t, dir, fp); err != nil {
 			t.Fatalf("clean run failed: %v", err)

@@ -21,22 +21,6 @@ type Options struct {
 	// this many bytes (0 means 4 MiB; negative disables size-triggered
 	// seals).
 	TargetBytes int64
-	// MaxAge seals a non-empty memtable whose oldest entry is older than
-	// this, so a trickle of writes still reaches segments (0 disables;
-	// only effective with Background).
-	MaxAge time.Duration
-	// BloomBitsPerKey sizes each segment's bloom filter (0 means 10,
-	// ≈1% false positives).
-	BloomBitsPerKey int
-	// SummaryEvery is the sparse index stride (0 means 16).
-	SummaryEvery int
-	// MaxSegments is the compaction pressure valve: above this many live
-	// segments the oldest run is merged even without a same-size tier
-	// (0 means 8).
-	MaxSegments int
-	// FanIn is the minimum same-tier run length that triggers a tiered
-	// merge (0 means 3).
-	FanIn int
 	// RateBytesPerSec caps compaction write throughput; the merge loop
 	// sleeps when it gets ahead of the budget (0 means unlimited).
 	RateBytesPerSec int64
@@ -44,8 +28,6 @@ type Options struct {
 	// happen only via Seal/Compact (tests want the determinism, servers
 	// want the goroutine).
 	Background bool
-	// CompactEvery is the background maintenance period (0 means 1s).
-	CompactEvery time.Duration
 	// FailPoint, when non-nil, is invoked at named points inside the
 	// seal/compaction/manifest protocols; returning an error simulates a
 	// crash there (the engine fails sticky, files are left as a kill -9
@@ -53,24 +35,27 @@ type Options struct {
 	FailPoint func(name string) error
 }
 
+// The engine's fixed shape. A segment's summary and bloom filter describe
+// themselves, so the first two choose only what new segments get.
+const (
+	// bloomBitsPerKey sizes each segment's bloom filter (≈1% false
+	// positives).
+	bloomBitsPerKey = 10
+	// summaryEvery is the sparse index stride.
+	summaryEvery = 16
+	// fanIn is the minimum same-tier run length that triggers a tiered
+	// merge.
+	fanIn = 3
+	// maxSegments is the compaction pressure valve: above this many live
+	// segments the oldest run is merged even without a same-size tier.
+	maxSegments = 8
+	// compactEvery is the background maintenance period.
+	compactEvery = time.Second
+)
+
 func (o Options) withDefaults() Options {
 	if o.TargetBytes == 0 {
 		o.TargetBytes = 4 << 20
-	}
-	if o.BloomBitsPerKey == 0 {
-		o.BloomBitsPerKey = 10
-	}
-	if o.SummaryEvery == 0 {
-		o.SummaryEvery = 16
-	}
-	if o.MaxSegments == 0 {
-		o.MaxSegments = 8
-	}
-	if o.FanIn == 0 {
-		o.FanIn = 3
-	}
-	if o.CompactEvery == 0 {
-		o.CompactEvery = time.Second
 	}
 	return o
 }
@@ -121,7 +106,6 @@ type Engine struct {
 	mu          sync.RWMutex
 	active      map[uint64]Entry // guarded by mu
 	activeBytes int64            // guarded by mu
-	activeSince time.Time        // guarded by mu; zero when active is empty
 	frozen      map[uint64]Entry // guarded by mu; non-nil only mid-seal
 	segments    []*Segment       // guarded by mu; oldest first
 	retired     []*Segment       // guarded by mu; unlinked by compaction, closed at Close
@@ -288,9 +272,6 @@ func (e *Engine) putMem(ent Entry) (bool, error) {
 	}
 	if old, ok := e.active[ent.ID]; ok {
 		e.activeBytes -= entryBytes(old)
-	}
-	if len(e.active) == 0 {
-		e.activeSince = time.Now()
 	}
 	e.active[ent.ID] = ent
 	e.activeBytes += entryBytes(ent)
@@ -465,7 +446,7 @@ func (e *Engine) sealIOLocked() error {
 		return err
 	}
 	path := filepath.Join(e.dir, segmentFileName(segID))
-	w, err := NewWriter(path, segID, e.opts.SummaryEvery, e.opts.BloomBitsPerKey)
+	w, err := NewWriter(path, segID, summaryEvery, bloomBitsPerKey)
 	if err != nil {
 		e.fail(err)
 		return err
@@ -523,7 +504,6 @@ func (e *Engine) freezeForSeal() (ents []Entry, segID uint64, rows []SegmentInfo
 		e.frozen = e.active
 		e.active = make(map[uint64]Entry)
 		e.activeBytes = 0
-		e.activeSince = time.Time{}
 	}
 	ents = make([]Entry, 0, len(e.frozen))
 	for _, ent := range e.frozen {
@@ -651,11 +631,10 @@ func (e *Engine) Check() (CheckResult, error) {
 }
 
 // background is the maintenance goroutine: seals on demand (size trigger)
-// or age, and compacts on a timer. Errors land in the sticky failure
-// state.
+// and compacts on a timer. Errors land in the sticky failure state.
 func (e *Engine) background() {
 	defer e.wg.Done()
-	tick := time.NewTicker(e.opts.CompactEvery)
+	tick := time.NewTicker(compactEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -664,19 +643,9 @@ func (e *Engine) background() {
 		case <-e.sealCh:
 			e.maintain(true)
 		case <-tick.C:
-			e.maintain(e.agedOut())
+			e.maintain(false)
 		}
 	}
-}
-
-// agedOut reports whether the active memtable breached MaxAge.
-func (e *Engine) agedOut() bool {
-	if e.opts.MaxAge <= 0 {
-		return false
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.active) > 0 && time.Since(e.activeSince) > e.opts.MaxAge
 }
 
 // maintain runs one maintenance round: optional seal, then compaction

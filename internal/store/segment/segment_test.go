@@ -280,11 +280,13 @@ func TestEngineMemtableAndSeal(t *testing.T) {
 
 // TestEngineView pins View to Get: the same newest-wins answer from the
 // memtable and from sealed segments, nothing for an absent or deleted id,
-// through a buffer that the next call reuses.
+// through a buffer that the next call reuses. The sealed segment spans
+// several summaryEvery strides, so lookups land between sparse-index points.
 func TestEngineView(t *testing.T) {
-	e := newTestEngine(t, t.TempDir(), Options{TargetBytes: -1, SummaryEvery: 2})
+	e := newTestEngine(t, t.TempDir(), Options{TargetBytes: -1})
 	defer e.Close()
-	for i := 1; i <= 9; i++ {
+	const n = 3*summaryEvery + 5
+	for i := 1; i <= n; i++ {
 		e.Put(testEntry(uint64(i), fmt.Sprintf("sealed-%d", i)))
 	}
 	e.Delete(4)
@@ -292,7 +294,7 @@ func TestEngineView(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Put(testEntry(7, "memtable-7"))
-	for id := uint64(0); id <= 10; id++ {
+	for id := uint64(0); id <= n+1; id++ {
 		want, wantOK, err := e.Get(id)
 		if err != nil {
 			t.Fatal(err)
@@ -361,9 +363,10 @@ func TestEngineReopen(t *testing.T) {
 
 func TestEngineCompaction(t *testing.T) {
 	dir := t.TempDir()
-	e := newTestEngine(t, dir, Options{TargetBytes: -1, FanIn: 3, MaxSegments: 4})
+	e := newTestEngine(t, dir, Options{TargetBytes: -1})
 	defer e.Close()
 
+	// Six same-tier seals: one run of at least fanIn.
 	rng := rand.New(rand.NewSource(42))
 	truth := map[uint64]string{}
 	for round := 0; round < 6; round++ {
@@ -432,12 +435,13 @@ func TestEngineCompaction(t *testing.T) {
 // order violation" a healthy store used to report: a merged run's output
 // carries the newest segment id but stands where the run stood, so ids stop
 // ascending along the stack as soon as the run is not the stack's suffix.
+// The fanIn small seals between two big ones are that run.
 func TestCheckCleanAfterMidStackCompaction(t *testing.T) {
-	e := newTestEngine(t, t.TempDir(), Options{TargetBytes: -1, FanIn: 2})
+	e := newTestEngine(t, t.TempDir(), Options{TargetBytes: -1})
 	defer e.Close()
 	big := strings.Repeat("x", 100<<10) // one size tier above the small seals
 	id := uint64(0)
-	for _, payload := range []string{big, "small", "small", big} {
+	for _, payload := range []string{big, "small", "small", "small", big} {
 		id++
 		e.Put(testEntry(id, payload))
 		if err := e.Seal(); err != nil {
@@ -477,12 +481,9 @@ func TestVersion1HeaderRefused(t *testing.T) {
 
 func TestEngineBackgroundSeal(t *testing.T) {
 	dir := t.TempDir()
-	e := newTestEngine(t, dir, Options{
-		TargetBytes:  2 << 10,
-		Background:   true,
-		CompactEvery: 10 * time.Millisecond,
-		FanIn:        100, // keep compaction out of this test
-	})
+	// The size trigger wakes the sealer at once; background compaction may
+	// merge the seals meanwhile, and every id must stay readable through it.
+	e := newTestEngine(t, dir, Options{TargetBytes: 2 << 10, Background: true})
 	defer e.Close()
 	payload := make([]byte, 256)
 	for i := 1; i <= 64; i++ {
@@ -507,7 +508,9 @@ func TestEngineBackgroundSeal(t *testing.T) {
 
 func TestEngineRateLimitedCompaction(t *testing.T) {
 	dir := t.TempDir()
-	e := newTestEngine(t, dir, Options{TargetBytes: -1, FanIn: 2, RateBytesPerSec: 64 << 10})
+	// Three same-tier seals of ≈82 KiB each: a fanIn run whose merge
+	// writes more than the limiter's one-second burst.
+	e := newTestEngine(t, dir, Options{TargetBytes: -1, RateBytesPerSec: 64 << 10})
 	defer e.Close()
 	payload := make([]byte, 2048)
 	id := uint64(1)
@@ -526,5 +529,68 @@ func TestEngineRateLimitedCompaction(t *testing.T) {
 	st := e.Stats()
 	if st.RateLimitStalls == 0 || st.RateLimitStallNanos == 0 {
 		t.Fatalf("rate limiter never stalled: %+v", st)
+	}
+}
+
+// TestEngineCompactionPressureValve alternates size tiers so that no run
+// reaches fanIn: only the maxSegments valve may merge, and it must bring
+// the stack back to maxSegments without losing an entry.
+func TestEngineCompactionPressureValve(t *testing.T) {
+	e := newTestEngine(t, t.TempDir(), Options{TargetBytes: -1})
+	defer e.Close()
+	big := strings.Repeat("x", 100<<10) // one size tier above the small seals
+	n := maxSegments + 1
+	for i := 1; i <= n; i++ {
+		payload := "small"
+		if i%2 == 1 {
+			payload = big
+		}
+		e.Put(testEntry(uint64(i), payload))
+		if err := e.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.Stats(); st.Segments != n || st.CompactionBacklog != 1 {
+		t.Fatalf("before Compact: %d segments, backlog %d; want %d and 1", st.Segments, st.CompactionBacklog, n)
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Segments != maxSegments || st.Compactions != 1 {
+		t.Fatalf("after Compact: %d segments, %d compactions; want %d and 1", st.Segments, st.Compactions, maxSegments)
+	}
+	for i := 1; i <= n; i++ {
+		if _, ok, err := e.Get(uint64(i)); !ok || err != nil {
+			t.Fatalf("Get(%d) after the valve merge: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if res, err := e.Check(); err != nil || !res.Ok() {
+		t.Fatalf("Check: %+v err=%v", res, err)
+	}
+}
+
+// TestEngineBloomFalsePositiveFallsThrough reads every id of an old segment
+// through a newer one whose bloom filter answers "maybe" for some of them:
+// such a probe must count a false positive and go on to the older segment.
+func TestEngineBloomFalsePositiveFallsThrough(t *testing.T) {
+	e := newTestEngine(t, t.TempDir(), Options{TargetBytes: -1})
+	defer e.Close()
+	const n = 2000 // ≈1% of n probes are false positives at bloomBitsPerKey
+	for _, base := range []uint64{0, n} {
+		for i := uint64(1); i <= n; i++ {
+			e.Put(testEntry(base+i, fmt.Sprintf("v%d", base+i)))
+		}
+		if err := e.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := uint64(1); i <= n; i++ {
+		got, ok, err := e.Get(i)
+		if err != nil || !ok || string(got.Payload) != fmt.Sprintf("v%d", i) {
+			t.Fatalf("Get(%d) = %q ok=%v err=%v", i, got.Payload, ok, err)
+		}
+	}
+	if st := e.Stats(); st.BloomFalsePositives == 0 {
+		t.Fatalf("no bloom false positive in %d probes of the newer segment: %+v", n, st)
 	}
 }

@@ -92,8 +92,8 @@ func WithGroupCommit(window time.Duration, maxBatch int) Option {
 // runs on: objects live in immutable WAL-sealed segment files with bloom
 // filters, and space is reclaimed by compaction (in the background with
 // opts.Background). Only meaningful with WithPath. Leaving it out, or
-// passing the zero SegmentOptions, selects the engine defaults (4 MiB
-// segments, 10 bloom bits/key, no background goroutine).
+// passing the zero SegmentOptions, selects the engine defaults: 4 MiB
+// segments, unthrottled compaction, no background goroutine.
 func WithSegmentStore(opts SegmentOptions) Option {
 	return func(c *openConfig) { c.core.Segment = opts }
 }

@@ -517,3 +517,34 @@ func TestFacadeQueryVariants(t *testing.T) {
 		t.Fatalf("kids %v", kids)
 	}
 }
+
+// TestAutoAugment pins the paper's database augmentation at insert time:
+// with WithAutoAugment every binary insert derives PerBase edited versions
+// of the new image, and WithNoAugment opts a single insert out.
+func TestAutoAugment(t *testing.T) {
+	ctx := context.Background()
+	db := openMem(t, mmdb.WithAutoAugment(mmdb.AugmentOptions{PerBase: 3, OpsPerImage: 2, Seed: 4}))
+	id, err := db.InsertImageCtx(ctx, "blue", mmdb.NewFilledImage(12, 8, blue))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := db.EditedIDs()
+	if len(edited) != 3 {
+		t.Fatalf("auto-augmented insert left %d edited images, want 3", len(edited))
+	}
+	for _, eid := range edited {
+		obj, err := db.Get(eid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if obj.Seq == nil || obj.Seq.BaseID != id {
+			t.Fatalf("edited %d does not derive from the inserted image %d: %+v", eid, id, obj)
+		}
+	}
+	if _, err := db.InsertImageCtx(ctx, "red", mmdb.NewFilledImage(12, 8, red), mmdb.WithNoAugment()); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(db.EditedIDs()); n != 3 {
+		t.Fatalf("WithNoAugment insert augmented anyway: %d edited images", n)
+	}
+}
