@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race vet fmt-check knobs lint lint-tool lint-new lint-deps staticcheck govulncheck ci bench microbench-smoke examples-smoke cluster-smoke replication-smoke crash-matrix index-smoke bench-smoke clean
+.PHONY: all build test race vet fmt-check knobs lint lint-tool lint-new lint-deps staticcheck govulncheck ci bench microbench-smoke examples-smoke cluster-smoke replication-smoke crash-matrix bench-smoke ledger clean
 
 all: build
 
@@ -37,6 +37,13 @@ lint-tool:
 # with its default and evidence in internal/analysis/testdata/knobs.txt.
 knobs:
 	$(GO) test ./internal/analysis/ -run '^TestKnobCensus$$' -count=1
+
+# The work ledger alone: every probe's exact work counts (rules evaluated,
+# S-tree nodes visited, instantiations, WAL fsyncs, seals) against
+# internal/bench/testdata/work_ledger.json. A change that means to move
+# them reruns it with `-update` and explains every changed line.
+ledger:
+	$(GO) test ./internal/bench/ -run '^TestWorkLedger$$' -count=1
 
 # Fast inner loop while writing an analyzer: fixture tests + roster pin only,
 # no whole-tree load.
@@ -69,7 +76,7 @@ lint: fmt-check vet lint-tool
 		echo "govulncheck not installed; skipping (pin: golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
 
-ci: lint build race cluster-smoke replication-smoke crash-matrix index-smoke bench-smoke microbench-smoke examples-smoke
+ci: lint build race cluster-smoke replication-smoke crash-matrix bench-smoke microbench-smoke examples-smoke
 
 # End-to-end differential check: a 3-shard loopback HTTP cluster must
 # answer range, compound and k-NN queries identically to a single node.
@@ -81,11 +88,6 @@ cluster-smoke:
 # promote its follower, and assert whole answers + accepted writes after.
 replication-smoke:
 	bash scripts/replication-smoke.sh
-
-# S-tree sublinearity gate: on selective workloads the indexed mode must
-# visit strictly fewer tree nodes per query than there are candidates.
-index-smoke:
-	bash scripts/index-smoke.sh
 
 # The benchmark harness is its own module (benchmark/go.mod), so the root
 # build and `go test ./...` never compile it. This proves an API-deleting

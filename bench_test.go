@@ -14,7 +14,8 @@
 //	BenchmarkExtension*         — DESIGN.md extensions (pruned k-NN,
 //	                              BIC signatures)
 //	BenchmarkPagedRange         — EXPERIMENTS.md extension: what a page
-//	                              costs under WithLimit, by depth
+//	                              costs under WithLimit, by depth and
+//	                              selectivity, scans against the S-tree
 //	BenchmarkKNNProbe           — k-NN at paper_mix's shape, for probes that
 //	                              tie with stored images and probes that
 //	                              do not
@@ -337,15 +338,20 @@ func BenchmarkAblationPrecomputedBounds(b *testing.B) {
 // for a broad text whose matches start at id 1 and a selective one whose
 // first match lies past every binary image, under RBM and BWM — and the
 // S-tree descent (indexed) on the page of 20 and the unlimited query, the
-// arms a user picks it for. The corpus is paper_mix's shape at a quarter of
-// its size: 1 000 flags, then 4 000 scripts. nodes/op and leaves/op are
-// the S-tree nodes visited and leaf boxes checked per query, 0 for a scan.
+// arms a user picks it for. Between the two texts, a medium band and a
+// narrow at-least text time the selectivities at which the work ledger's
+// index probes pin the S-tree's node visits. The corpus is paper_mix's
+// shape at a quarter of its size: 1 000 flags, then 4 000 scripts.
+// nodes/op and leaves/op are the S-tree nodes visited and leaf boxes
+// checked per query, 0 for a scan.
 func BenchmarkPagedRange(b *testing.B) {
 	db, _, _ := paperMixDB(b, 1000)
 	ctx := context.Background()
 	const unfillable = 1 << 20
 	for _, text := range []struct{ name, q string }{
 		{"broad", "at least 10% red"},
+		{"medium", "between 5% and 50% white"},
+		{"narrow", "at least 60% blue"},
 		{"selective", "at least 90% crimson"},
 	} {
 		for _, mode := range []core.Mode{core.ModeRBM, core.ModeBWM, core.ModeIndexed} {

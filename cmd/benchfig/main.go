@@ -7,8 +7,13 @@
 //	benchfig -exp all
 //	benchfig -exp table1|table2|fig3|fig4|summary
 //	benchfig -exp ablation-widening|ablation-ops|ablation-baseline|ablation-cache
+//	benchfig -exp ablation-optimize|ablation-quantizer
 //	benchfig -exp ext-knn|ext-bic
-//	benchfig -exp scale|cluster|commit|index
+//	benchfig -exp scale
+//
+// The exact work behind these series (rules evaluated, S-tree nodes
+// visited, WAL fsyncs) is pinned by internal/bench's TestWorkLedger; the
+// S-tree's wall clock is the root package's BenchmarkPagedRange.
 package main
 
 import (
@@ -35,7 +40,7 @@ func run(exp string) error {
 		for _, e := range []string{
 			"table1", "table2", "fig3", "fig4", "summary",
 			"ablation-widening", "ablation-ops", "ablation-baseline", "ablation-cache", "ablation-optimize", "ablation-quantizer",
-			"ext-knn", "ext-bic", "scale", "cluster",
+			"ext-knn", "ext-bic", "scale",
 		} {
 			if err := run(e); err != nil {
 				return fmt.Errorf("%s: %w", e, err)
@@ -144,34 +149,6 @@ func run(exp string) error {
 		}
 		bench.WriteScale(out, pts)
 		return nil
-	case "commit":
-		pts, err := bench.CompareCommit(16, 32)
-		if err != nil {
-			return err
-		}
-		bench.WriteCommit(out, pts)
-		return bench.WriteCommitJSON(out, pts)
-	case "index":
-		res, err := bench.CompareIndex(nil)
-		if err != nil {
-			return err
-		}
-		bench.WriteIndex(out, res)
-		return bench.WriteIndexJSON(out, res)
-	case "cluster":
-		cfg := bench.FlagConfig()
-		cfg.Queries = 40
-		cfg.Repetitions = 3
-		corpus, err := bench.BuildCorpus(cfg)
-		if err != nil {
-			return err
-		}
-		pts, err := corpus.CompareCluster([]int{1, 2, 4})
-		if err != nil {
-			return err
-		}
-		bench.WriteCluster(out, pts)
-		return bench.WriteClusterJSON(out, pts)
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)
 	}

@@ -641,3 +641,64 @@ func TestClusterInsertIDSync(t *testing.T) {
 		t.Fatalf("restarted coordinator assigned %d, cluster max is %d", id, max)
 	}
 }
+
+// stallShard never answers a query: it blocks until its attempt's context
+// is done, the way a shard hung past the policy's per-attempt timeout does.
+type stallShard struct{ *InProc }
+
+func (s stallShard) Query(ctx context.Context, text, mode string, sp *obs.Span) (*ShardAnswer, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestShardAttemptTimeout: an attempt that outlives Policy.Timeout is cut
+// at the timeout, marked so on its span, and retried within the budget;
+// when every attempt times out the call fails with DeadlineExceeded while
+// the caller's context is still live, and through the scatter-gather the
+// shard is missed instead of failing the query.
+func TestShardAttemptTimeout(t *testing.T) {
+	pol := Policy{Timeout: 20 * time.Millisecond, Retries: 1, Backoff: time.Millisecond}
+	ctx := context.Background()
+	coord, procs := newInProcCluster(t, 3)
+	c := makeCorpus(6, 2, 5)
+	c.seedCluster(t, coord)
+	stalled := stallShard{procs[0]}
+
+	tr := obs.NewTrace()
+	sp := tr.StartSpan("shard:s0")
+	_, err := callShardSpan(ctx, pol, sp, func(actx context.Context, asp *obs.Span) (*ShardAnswer, error) {
+		return stalled.Query(actx, "at least 5% red", "bwm", asp)
+	})
+	sp.End()
+	if !errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
+		t.Fatalf("got %v with the caller's context at %v; want DeadlineExceeded from the attempts alone", err, ctx.Err())
+	}
+	attempts := sp.Children()
+	if len(attempts) != 2 {
+		t.Fatalf("%d attempt spans, want 2 (Retries 1)", len(attempts))
+	}
+	for _, a := range attempts {
+		if a.Name() != "attempt" || a.Attr("timeout") != pol.Timeout.String() {
+			t.Errorf("span %s try %s: timeout attribute %q, want %q", a.Name(), a.Attr("try"), a.Attr("timeout"), pol.Timeout)
+		}
+	}
+	if n := tr.Get(obs.TClusterRetries); n != 1 {
+		t.Errorf("%d retries counted, want 1", n)
+	}
+
+	shards := map[string]Shard{"s0": stalled}
+	for _, p := range procs[1:] {
+		shards[p.ID()] = p
+	}
+	coord, err = New(coord.Map(), shards, Options{Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := coord.Query(ctx, "at least 5% red", "bwm", nil)
+	if err != nil {
+		t.Fatalf("a timed-out shard failed the query: %v", err)
+	}
+	if !res.Partial || !reflect.DeepEqual(res.Missed, []string{"s0"}) {
+		t.Fatalf("partial %v, missed %v; want the stalled shard missed", res.Partial, res.Missed)
+	}
+}

@@ -13,9 +13,9 @@ import (
 
 // InProc is the embedded transport: the shard is a *mmdb.DB in this
 // process. It backs single-binary cluster deployments, the coordinator
-// tests and bench.CompareCluster. Calls are synchronous; the context is
-// honored at call boundaries (an embedded query is not interruptible
-// mid-walk, same as single-node).
+// tests and the benchmark harness's replicated cluster. Calls are
+// synchronous; the context is honored at call boundaries (an embedded query
+// is not interruptible mid-walk, same as single-node).
 type InProc struct {
 	id     string
 	db     *mmdb.DB

@@ -19,6 +19,12 @@ import (
 // populate fills a DB with flags and augmented edits, returning base ids.
 func populate(t testing.TB, db *DB, nBase, perBase int, nonWideningFrac float64, seed int64) []uint64 {
 	t.Helper()
+	return populateEach(t, db, nBase, perBase, nonWideningFrac, seed, func() {})
+}
+
+// populateEach is populate calling after once after every insert.
+func populateEach(t testing.TB, db *DB, nBase, perBase int, nonWideningFrac float64, seed int64, after func()) []uint64 {
+	t.Helper()
 	ctx := context.Background()
 	flags := dataset.Flags(nBase, 32, 24, seed)
 	var baseIDs []uint64
@@ -27,6 +33,7 @@ func populate(t testing.TB, db *DB, nBase, perBase int, nonWideningFrac float64,
 		if err != nil {
 			t.Fatal(err)
 		}
+		after()
 		baseIDs = append(baseIDs, id)
 	}
 	aug := dataset.NewAugmenter(dataset.AugmentConfig{
@@ -46,6 +53,7 @@ func populate(t testing.TB, db *DB, nBase, perBase int, nonWideningFrac float64,
 			if _, err := db.InsertEditedCtx(ctx, 0, f.Name+"-edit", seq); err != nil {
 				t.Fatal(err)
 			}
+			after()
 		}
 	}
 	return baseIDs

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/histogram"
@@ -322,8 +323,9 @@ const ctxEvery = 256
 // judged term by term with judge's short-circuit, each term deciding it
 // from its own verdict on the item's box. A one-term query hands the
 // descent's verdict straight to its term. The ids are collected in tree
-// order, leaf by leaf, and put in id order once after the descent
-// (sortIDs: a radix sort, or slices.Sort on a short answer).
+// order, leaf by leaf, into pooled scratch, put in id order once after the
+// descent (sortIDs: a radix sort, or slices.Sort on a short answer) and
+// copied out at the answer's length.
 func (db *DB) descend(ctx context.Context, terms []pagedTerm, conn query.Connective, tr *obs.Trace) (*rbm.Result, error) {
 	if err := db.ensureSearchIndex(tr); err != nil {
 		return nil, err
@@ -353,6 +355,9 @@ func (db *DB) descend(ctx context.Context, terms []pagedTerm, conn query.Connect
 		}
 	}
 	res := &rbm.Result{}
+	found := idScratch.Get().(*[]uint64)
+	defer idScratch.Put(found)
+	ids := (*found)[:0]
 	seen := 0
 	onItem := func(l *stree.Leaf, i int, ov stree.Overlap) error {
 		seen++
@@ -385,7 +390,7 @@ func (db *DB) descend(ctx context.Context, terms []pagedTerm, conn query.Connect
 			}
 		}
 		if ok {
-			res.IDs = append(res.IDs, l.ID(i))
+			ids = append(ids, l.ID(i))
 		}
 		return nil
 	}
@@ -393,10 +398,22 @@ func (db *DB) descend(ctx context.Context, terms []pagedTerm, conn query.Connect
 	var vst stree.VisitStats
 	err := db.sidx.Snapshot().Visit(classify, onItem, &vst)
 	done()
+	*found = ids[:0] // keep what the descent grew for the next query
 	if err != nil {
 		return nil, err
 	}
 	recordIndexVisit(tr, vst)
-	res.IDs = sortIDs(res.IDs)
+	sorted := idScratch.Get().(*[]uint64)
+	defer idScratch.Put(sorted)
+	*sorted = slices.Grow((*sorted)[:0], len(ids))
+	ids = sortIDs(ids, *sorted)
+	if len(ids) > 0 {
+		res.IDs = slices.Clone(ids)
+	}
 	return res, nil
 }
+
+// idScratch lends descend its two id buffers, the ids it collects in tree
+// order and the radix sort's second buffer, so a query allocates its answer
+// once, at its final length, however many ids the descent finds.
+var idScratch = sync.Pool{New: func() any { return new([]uint64) }}

@@ -655,3 +655,37 @@ func TestQueryOptionsLimit(t *testing.T) {
 		t.Fatalf("limit 0: got %v, want %v", unlimited.IDs, full.IDs)
 	}
 }
+
+// TestIndexedAnswerAllocs budgets what an unlimited broad indexed query
+// allocates. The descent collects its ids and radix-sorts them in pooled
+// scratch and copies the answer out once at its final length, so the
+// answer costs one allocation however many ids it holds; the other seven
+// are the query's fixed cost (its result and options, the terms, the
+// descent's closures and snapshot). Growing the answer by append costs one
+// allocation per doubling and the sort a second answer-sized buffer: the
+// same query made 20 allocations that way, over its 1 000 ids.
+func TestIndexedAnswerAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's sync.Pool drops scratch on purpose")
+	}
+	ctx := context.Background()
+	db := memDB(t)
+	populate(t, db, 200, 4, 0.3, 17)
+	q := query.Range{Bin: 0, PctMin: 0, PctMax: 1}
+	res, err := db.RangeQueryCtx(ctx, q, ModeIndexed) // builds the tree
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.IDs); n < 1000 || n < 2*radixMin {
+		t.Fatalf("broad query answered %d ids, want every candidate", n)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := db.RangeQueryCtx(ctx, q, ModeIndexed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 8
+	if allocs > budget {
+		t.Fatalf("%.1f allocations per broad indexed query, budget %d", allocs, budget)
+	}
+}

@@ -10,31 +10,30 @@ import "slices"
 const radixMin = 128
 
 // sortIDs puts ids in ascending order and returns the sorted list, which is
-// ids itself or a new slice of the same length.
-func sortIDs(ids []uint64) []uint64 {
+// ids itself or scratch, grown to len(ids) when it is shorter; the caller
+// lends scratch (nil is fine) and reads the answer before reusing either.
+func sortIDs(ids, scratch []uint64) []uint64 {
 	if len(ids) < radixMin {
 		slices.Sort(ids)
 		return ids
 	}
-	return radixSort(ids)
+	return radixSort(ids, scratch)
 }
 
 // radixSort is sortIDs' long-list path: an LSD radix sort over the id
-// bytes that vary. A byte position on which every id agrees cannot reorder
-// anything and is skipped, so an answer drawn from a database of fewer than
-// 65 536 objects sorts in at most two passes.
-func radixSort(ids []uint64) []uint64 {
+// bytes that vary, moving the ids between ids and scratch. A byte position
+// on which every id agrees cannot reorder anything and is skipped, so an
+// answer drawn from a database of fewer than 65 536 objects sorts in at
+// most two passes.
+func radixSort(ids, scratch []uint64) []uint64 {
 	var varies uint64
 	for _, id := range ids {
 		varies |= id ^ ids[0]
 	}
-	src, dst := ids, []uint64(nil)
+	src, dst := ids, slices.Grow(scratch[:0], len(ids))[:len(ids)]
 	for shift := 0; shift < 64; shift += 8 {
 		if byte(varies>>shift) == 0 {
 			continue
-		}
-		if dst == nil {
-			dst = make([]uint64, len(ids))
 		}
 		var start [256]int
 		for _, id := range src {

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/editops"
 	"repro/internal/imaging"
@@ -59,13 +60,22 @@ func segMutate(t testing.TB, db *DB) {
 
 func TestSegmentOracleDifferential(t *testing.T) {
 	ctx := context.Background()
+	// Each configuration seals its own way, and the seal count before the
+	// close tells them apart: defaults seal once, at the Sync; tiny
+	// segments seal whenever a write leaves the memtable past TargetBytes
+	// (the sealer is the test's: without a background one nothing seals
+	// on size), so reads span many segments and tombstones; background
+	// seals on size by itself before the Sync seals again.
 	configs := []struct {
-		name string
-		opts segment.Options
+		name       string
+		opts       segment.Options
+		sealOnSize bool
+		minSeals   int64
+		maxSeals   int64 // 0: no cap
 	}{
-		{"defaults", segment.Options{}},
-		{"tiny-segments", segment.Options{TargetBytes: 4 << 10}},
-		{"background", segment.Options{TargetBytes: 8 << 10, Background: true, RateBytesPerSec: 8 << 20}},
+		{"defaults", segment.Options{}, false, 1, 1},
+		{"tiny-segments", segment.Options{TargetBytes: 4 << 10}, true, 5, 0},
+		{"background", segment.Options{TargetBytes: 8 << 10, Background: true, RateBytesPerSec: 8 << 20}, false, 2, 0},
 	}
 	for _, tc := range configs {
 		tc := tc
@@ -79,17 +89,41 @@ func TestSegmentOracleDifferential(t *testing.T) {
 					db.Close()
 				}
 			}()
+			seals := func() int64 {
+				st, _ := db.SegmentStats()
+				return st.Seals
+			}
+			written := func() {
+				if st, _ := db.SegmentStats(); tc.sealOnSize && st.MemtableBytes >= tc.opts.TargetBytes {
+					if err := db.Sync(); err != nil {
+						t.Fatalf("size seal: %v", err)
+					}
+				}
+			}
 
 			// Identical scripts: populate, mutate, seal, extend.
 			populate(t, ref, 6, 4, 0.4, 7)
-			populate(t, db, 6, 4, 0.4, 7)
+			populateEach(t, db, 6, 4, 0.4, 7, written)
+			if tc.opts.Background {
+				// The first populate is past TargetBytes: the background
+				// sealer must seal it without being asked.
+				for deadline := time.Now().Add(5 * time.Second); seals() == 0; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the background sealer sealed nothing past TargetBytes")
+					}
+				}
+			}
 			segMutate(t, ref)
 			segMutate(t, db)
+			written()
 			if err := db.Sync(); err != nil { // seal: reads now span segments
 				t.Fatalf("Sync: %v", err)
 			}
 			populate(t, ref, 3, 2, 0.5, 107)
-			populate(t, db, 3, 2, 0.5, 107)
+			populateEach(t, db, 3, 2, 0.5, 107, written)
+			if n := seals(); n < tc.minSeals || tc.maxSeals > 0 && n > tc.maxSeals {
+				t.Fatalf("%d seals before the close, want %d..%d (0: no cap)", n, tc.minSeals, tc.maxSeals)
+			}
 
 			// Close and reopen: the reopened store must rebuild the catalog,
 			// BWM components purely from segments plus WAL tail.
