@@ -16,6 +16,9 @@
 //	BenchmarkPagedRange         — EXPERIMENTS.md extension: what a page
 //	                              costs under WithLimit, by depth and
 //	                              selectivity, scans against the S-tree
+//	BenchmarkIndexedLeaves      — the S-tree's per-leaf decision: colour
+//	                              families of 8, 4 and 1 bins and a
+//	                              compound, unlimited
 //	BenchmarkKNNProbe           — k-NN at paper_mix's shape, for probes that
 //	                              tie with stored images and probes that
 //	                              do not
@@ -32,6 +35,7 @@ import (
 
 	mmdb "repro"
 	"repro/internal/bench"
+	"repro/internal/colorspace"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/editops"
@@ -39,9 +43,8 @@ import (
 	"repro/internal/imaging"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/rbm"
 	"repro/internal/rules"
-
-	"repro/internal/colorspace"
 )
 
 // benchCorpus caches corpora across benchmark runs.
@@ -390,6 +393,57 @@ func BenchmarkPagedRange(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkIndexedLeaves prices the S-tree descent where a leaf is decided
+// in one call from its columns (DESIGN §15, *Query descent*): unlimited
+// indexed colour-family queries over the default quantizer's sky (8
+// bins), blue (4) and white (1) families, and a compound text, on the
+// corpus BenchmarkPagedRange uses (1 000 flags, then 4 000 scripts).
+// nodes/op and leaves/op are the S-tree nodes visited and leaf boxes
+// checked per query; ids/op the answer's length.
+func BenchmarkIndexedLeaves(b *testing.B) {
+	db, _, _ := paperMixDB(b, 1000)
+	ctx := context.Background()
+	type row struct {
+		name string
+		run  func(opts ...core.QueryOption) (*rbm.Result, error)
+	}
+	rows := []row{{"compound", func(opts ...core.QueryOption) (*rbm.Result, error) {
+		return db.CompoundQueryTextCtx(ctx, "at least 10% red and at most 40% white", opts...)
+	}}}
+	for _, family := range []string{"sky", "blue", "white"} {
+		// The family is resolved once, as a client of /v1/multirange does:
+		// resolving it samples the colour cube, which is not the descent.
+		bins, err := colorspace.FamilyForName(family, db.Quantizer())
+		if err != nil {
+			b.Fatal(err)
+		}
+		q := query.MultiRange{Bins: bins, PctMin: 0.1, PctMax: 1}
+		rows = append(rows, row{"family=" + family, func(opts ...core.QueryOption) (*rbm.Result, error) {
+			return db.RangeQueryMultiCtx(ctx, q, opts...)
+		}})
+	}
+	for _, row := range rows {
+		b.Run(row.name+"/indexed/unlimited", func(b *testing.B) {
+			// One traced pass outside the timer (it also pays the lazy
+			// S-tree build): the counts repeat exactly.
+			tr := mmdb.NewTrace()
+			res, err := row.run(core.ModeIndexed, core.WithTrace(tr))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := row.run(core.ModeIndexed); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(res.IDs)), "ids/op")
+			b.ReportMetric(float64(tr.Get(obs.TIndexNodesVisited)), "nodes/op")
+			b.ReportMetric(float64(tr.Get(obs.TIndexLeafChecks)), "leaves/op")
+		})
 	}
 }
 

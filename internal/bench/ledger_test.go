@@ -22,7 +22,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/rbm"
-	"repro/internal/store"
 )
 
 // The work ledger: the exact, scheduling-independent work every layer does
@@ -286,16 +285,16 @@ func statsRow(st rbm.Stats, ids int) row {
 // no background maintenance — three rounds of inserts each closed by a
 // Sync (a seal and a checkpoint), a Compact that merges the three
 // segments, then appended ops and a delete — and records the writes' trace
-// counters with the log's and the engine's own counts. The log fsyncs
-// every record by itself (MaxBatch 1): under group commit the
-// configuration record a fresh or checkpointed log is seeded with, which
-// nobody waits for, shares the next write's fsync or gets its own as the
-// flusher happens to run, so the fsync count would not repeat.
+// counters with the log's and the engine's own counts. The log runs its
+// default group commit: the writes are serial, so each one's fsync is its
+// own, and the configuration record a fresh or checkpointed log is seeded
+// with wakes no flusher and rides the next write's fsync, so the fsync
+// count repeats.
 func ledgerWrites(t *testing.T) row {
 	t.Helper()
 	tr := obs.NewTrace()
 	ctx := obs.ContextWithSpan(context.Background(), tr.Root())
-	db, err := core.Open(core.Config{Path: filepath.Join(t.TempDir(), "ledger.db"), WAL: store.WALOptions{MaxBatch: 1}})
+	db, err := core.Open(core.Config{Path: filepath.Join(t.TempDir(), "ledger.db")})
 	if err != nil {
 		t.Fatal(err)
 	}

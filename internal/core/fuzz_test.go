@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -138,22 +139,46 @@ func FuzzCompoundQueryText(f *testing.F) {
 // FuzzMultiRangeModes draws a multi-bin query from its inputs — the bin set
 // from a mask over the first 64 bins, the interval from two bytes — and
 // holds RBM, BWM and the S-tree to one answer that contains the
-// instantiated one, each returning its prefix under a limit.
+// instantiated one, each returning its prefix under a limit. pick's low
+// bits move the low end, the high end or both onto a sum the corpus
+// attains over the bin set (attainedSums: a binary image's sum, an edited
+// image's summed bound; the end's byte picks which), and its next bit one
+// float step past it, inwards — where the inclusive ends and the S-tree's
+// ε-band re-check decide.
 func FuzzMultiRangeModes(f *testing.F) {
 	ctx := context.Background()
 	db := fuzzDB(f)
 	bins := db.cfg.Quantizer.Bins()
-	f.Add(uint64(1), uint8(0), uint8(255))
-	f.Add(uint64(0x8421), uint8(25), uint8(128))
-	f.Add(uint64(0xff00ff00ff00ff00), uint8(0), uint8(3))
-	f.Add(^uint64(0), uint8(250), uint8(255))
-	f.Add(uint64(0), uint8(0), uint8(255))
-	f.Add(uint64(6), uint8(200), uint8(100))
-	f.Fuzz(func(t *testing.T, mask uint64, lo, hi uint8) {
+	f.Add(uint64(1), uint8(0), uint8(255), uint8(0))
+	f.Add(uint64(0x8421), uint8(25), uint8(128), uint8(0))
+	f.Add(uint64(0xff00ff00ff00ff00), uint8(0), uint8(3), uint8(0))
+	f.Add(^uint64(0), uint8(250), uint8(255), uint8(0))
+	f.Add(uint64(0), uint8(0), uint8(255), uint8(0))
+	f.Add(uint64(6), uint8(200), uint8(100), uint8(0))
+	f.Add(uint64(0x8421), uint8(3), uint8(255), uint8(1))
+	f.Add(uint64(0x0f0f), uint8(0), uint8(7), uint8(2))
+	f.Add(uint64(0xff00ff00ff00ff00), uint8(5), uint8(5), uint8(3))
+	f.Add(uint64(0x8421), uint8(4), uint8(255), uint8(5))
+	f.Add(uint64(0x0f0f), uint8(0), uint8(9), uint8(6))
+	f.Fuzz(func(t *testing.T, mask uint64, lo, hi, pick uint8) {
 		q := query.MultiRange{PctMin: float64(lo) / 255, PctMax: float64(hi) / 255}
 		for b := 0; b < min(bins, 64); b++ {
 			if mask>>b&1 == 1 {
 				q.Bins = append(q.Bins, b)
+			}
+		}
+		if pick&3 != 0 && len(q.Bins) > 0 {
+			sums := attainedSums(t, db, q.Bins)
+			at := func(b uint8) float64 { return sums[int(b)%len(sums)].sum }
+			if pick&1 != 0 {
+				if q.PctMin = at(lo); pick&4 != 0 {
+					q.PctMin = math.Nextafter(q.PctMin, 2)
+				}
+			}
+			if pick&2 != 0 {
+				if q.PctMax = at(hi); pick&4 != 0 {
+					q.PctMax = math.Nextafter(q.PctMax, -1)
+				}
 			}
 		}
 		run := func(opts ...QueryOption) ([]uint64, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -22,8 +23,10 @@ import (
 // subtree, so a range query visits only intersecting nodes and a node box
 // fully inside the query admits its whole subtree without per-candidate
 // rule walks. The tree holds no query logic of its own: a range, compound
-// or multi-bin query takes one descent whose node and item tests are its
-// terms' own (pagedTerm.box and pagedTerm.item, combined in descend).
+// or multi-bin query takes one descent whose node and leaf tests are its
+// terms' own (pagedTerm.box and pagedTerm.leaf, combined in descend), and
+// the tree hands each reached leaf over whole, so a term decides all of a
+// leaf's undecided items in one call from the leaf's columns.
 // Similarity search (knn.go) runs best-first over the same tree in every
 // mode.
 //
@@ -37,10 +40,15 @@ import (
 //   - An edited image's box is rules.Bounds.PctRange per bin — the same
 //     floats Bounds.Overlaps compares — so the single-bin leaf test is the
 //     RBM admission test itself.
-//   - Multi-bin (summed) classifications use float sums with an epsilon of
-//     slack on the Full/None margins; partially overlapping leaves re-check
-//     exactly (integer-summed bounds for edited, catalog histograms for
-//     binary), so float drift can cost a node descent, never a wrong answer.
+//   - Multi-bin (summed) classifications use float sums, added column-wise
+//     in the query's bin order, with an epsilon of slack on the Full/None
+//     margins. A binary item's sum over its point box is
+//     query.MultiRange.SumPct bit for bit, so it is decided exactly from
+//     the leaf, with no catalog lookup; an edited item whose float sums
+//     clear the query's ends by the epsilon overlaps it, and only one
+//     within the epsilon re-checks exactly on its integer-summed bounds
+//     (multiTerm), so float drift can cost a node descent or a re-check,
+//     never a wrong answer.
 //
 // The tree is built lazily: the first indexed or similarity query bulk-loads
 // it from the catalog under db.mu, paying one rule walk per edited image.
@@ -52,7 +60,9 @@ import (
 // quality without touching the catalog or the rule engine. Queries read
 // lock-free snapshots; an object deleted after the snapshot was taken may
 // still be returned (the same read-committed window every scan mode has
-// between taking its id-list snapshot and testing an id).
+// between taking its id-list snapshot and testing an id) — a binary image
+// by a single-bin and a multi-bin query alike, since neither reads the
+// catalog to decide one.
 var (
 	mIndexNodesVisited    = obs.Default().Counter("esidb_index_nodes_visited_total")
 	mIndexSubtreeAdmitted = obs.Default().Counter("esidb_index_subtree_admitted_total")
@@ -61,8 +71,11 @@ var (
 )
 
 // sidxFanout is the S-tree node capacity (children per inner node, items per
-// leaf).
+// leaf). A leaf's items are named by one uint64 mask (liveMask), so it is
+// at most 64; the conversion below fails to compile past that.
 const sidxFanout = 16
+
+const _ = uint64(64 - sidxFanout)
 
 // sidxSumEps is the slack on multi-bin Full/None margins. Summing ≤ bins
 // float terms keeps the error under ~1e-13; 1e-9 is comfortably past it
@@ -86,7 +99,8 @@ const (
 )
 
 // sidxEntry is the payload of an sidxEdited item: the exact integers behind
-// its float box, used by multi-bin leaf tests — the image's pixel total
+// its float box, read by a multi-bin leaf test only inside the epsilon
+// band (multiTerm) — the image's pixel total
 // (the rules track one total, the same in every bin) and bin b's count
 // bounds at minmax[2b], minmax[2b+1].
 type sidxEntry struct {
@@ -104,17 +118,16 @@ func (e *sidxEntry) sumPct(bins []int) (lo, hi float64) {
 	return pctInterval(minSum, maxSum, e.total)
 }
 
-// sidxAdmit counts an item of the given kind its term's box test proved
-// in: a binary image's exact test, or an edited image admitted without a
-// rule walk when its box (or an ancestor's) was Full.
-func sidxAdmit(kind uint8, ov stree.Overlap, st *rbm.Stats) bool {
+// sidxAdmit counts an item of the given kind its term proved in from the
+// leaf's columns: a binary image's exact test, or an edited image admitted
+// without a rule walk when its box (or an ancestor's) was Full.
+func sidxAdmit(kind uint8, full bool, st *rbm.Stats) {
 	if kind == sidxBinary {
 		st.BinariesChecked++
 		st.BaseMatches++
-	} else if ov == stree.OverlapFull {
+	} else if full {
 		st.EditedSkipped++
 	}
-	return true
 }
 
 // sidxBox cuts one item's lo and hi vectors out of box, 2·bins values of
@@ -310,95 +323,50 @@ func recordIndexVisit(tr *obs.Trace, st stree.VisitStats) {
 	mIndexLeafChecks.Add(st.LeafChecks)
 }
 
-// ctxEvery is how many leaf deliveries pass between cancellation checks on
-// the tree descent.
-const ctxEvery = 256
+// ctxEvery is how many leaves pass between cancellation checks on the tree
+// descent.
+const ctxEvery = 16
 
 // descend answers a range, compound or multi-bin query from the S-tree in
 // one descent for all its terms. The boxes of one node — its children's
 // union boxes, or a leaf's items — are classified together by every term's
 // box test, combined as the connective combines verdicts: under And a box
 // is None if any term is None and Full only if every term is, under Or the
-// dual — the minimum and the maximum of None < Partial < Full. An item is
-// judged term by term with judge's short-circuit, each term deciding it
-// from its own verdict on the item's box. A one-term query hands the
-// descent's verdict straight to its term. The ids are collected in tree
-// order, leaf by leaf, into pooled scratch, put in id order once after the
-// descent (sortIDs: a radix sort, or slices.Sort on a short answer) and
-// copied out at the answer's length.
+// dual — the minimum and the maximum of None < Partial < Full. A leaf is
+// decided whole: a one-term query hands the descent's verdicts straight to
+// its term's leaf test; a compound query runs its terms' leaf tests in
+// order over the items still undecided, with judge's short-circuit, each
+// term on its own verdicts — kept from classify, or classified for the
+// whole leaf when classify stopped before the term or an ancestor was
+// Full. The ids are collected in tree order, leaf by leaf, into pooled
+// scratch, put in id order once after the descent (sortIDs: a radix sort,
+// or slices.Sort on a short answer) and copied out at the answer's length.
 func (db *DB) descend(ctx context.Context, terms []pagedTerm, conn query.Connective, tr *obs.Trace) (*rbm.Result, error) {
 	if err := db.ensureSearchIndex(tr); err != nil {
 		return nil, err
 	}
-	and := conn == query.And
-	decided := stree.OverlapFull // a verdict no further term can change
-	if and {
-		decided = stree.OverlapNone
-	}
-	// more holds one term's verdicts while they are combined, or one item's.
-	var more []stree.Overlap
-	classify := func(b stree.Boxes, out []stree.Overlap) {
-		terms[0].box(b, out)
-		for _, t := range terms[1:] {
-			if !slices.ContainsFunc(out, func(ov stree.Overlap) bool { return ov != decided }) {
-				break
-			}
-			more = slices.Grow(more[:0], len(out))[:len(out)]
-			t.box(b, more)
-			for i, ov := range more {
-				if and {
-					out[i] = min(out[i], ov)
-				} else {
-					out[i] = max(out[i], ov)
-				}
-			}
-		}
-	}
 	res := &rbm.Result{}
 	found := idScratch.Get().(*[]uint64)
 	defer idScratch.Put(found)
-	ids := (*found)[:0]
-	seen := 0
-	onItem := func(l *stree.Leaf, i int, ov stree.Overlap) error {
-		seen++
-		if seen%ctxEvery == 0 {
+	*found = (*found)[:0]
+	d := &leafDecider{terms: terms, and: conn == query.And, ids: found}
+	if len(terms) > 1 {
+		d.tv = make([][]stree.Overlap, len(terms))
+	}
+	leaves := 0
+	onLeaf := func(l *stree.Leaf, ov []stree.Overlap) error {
+		if leaves++; leaves%ctxEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		// The descent's verdict is every term's own with one term, or under
-		// And when it is Full; otherwise each term tests the item's box.
-		own := len(terms) == 1 || and && ov == stree.OverlapFull
-		ok := and
-		for _, t := range terms {
-			tov := ov
-			if !own {
-				more = slices.Grow(more[:0], 1)[:1]
-				t.box(l.Box(i), more)
-				tov = more[0]
-			}
-			match := false
-			if tov != stree.OverlapNone {
-				var err error
-				if match, err = t.item(l, i, tov, &res.Stats); err != nil {
-					return err
-				}
-			}
-			if match != and {
-				ok = match
-				break
-			}
-		}
-		if ok {
-			ids = append(ids, l.ID(i))
-		}
-		return nil
+		return d.leaf(l, ov, &res.Stats)
 	}
 	done := tr.Phase("indexed.stree-descend")
 	var vst stree.VisitStats
-	err := db.sidx.Snapshot().Visit(classify, onItem, &vst)
+	err := db.sidx.Snapshot().Visit(d.classify, onLeaf, &vst)
 	done()
-	*found = ids[:0] // keep what the descent grew for the next query
+	ids := *found
 	if err != nil {
 		return nil, err
 	}
@@ -411,6 +379,131 @@ func (db *DB) descend(ctx context.Context, terms []pagedTerm, conn query.Connect
 		res.IDs = slices.Clone(ids)
 	}
 	return res, nil
+}
+
+// leafDecider is one descent's verdicts and answer: descend's classify and
+// leaf decision, over the query's terms.
+type leafDecider struct {
+	terms []pagedTerm
+	and   bool
+	ids   *[]uint64 // the pooled buffer admitted ids are collected in
+	// tv[t] holds term t's verdicts on the boxes classify was last given,
+	// for every term below have; a compound query's leaf reuses them.
+	tv   [][]stree.Overlap
+	have int
+}
+
+// classify is the descent's box test: the terms' verdicts combined, the
+// later terms skipped once no box's verdict can change.
+func (d *leafDecider) classify(b stree.Boxes, out []stree.Overlap) {
+	d.terms[0].box(b, out)
+	if d.tv == nil {
+		return
+	}
+	decided := stree.OverlapFull // a verdict no further term can change
+	if d.and {
+		decided = stree.OverlapNone
+	}
+	d.tv[0] = append(d.tv[0][:0], out...)
+	d.have = 1
+	for t := 1; t < len(d.terms); t++ {
+		if !slices.ContainsFunc(out, func(ov stree.Overlap) bool { return ov != decided }) {
+			break
+		}
+		more := d.verdicts(t, b, len(out))
+		for i, ov := range more {
+			if d.and {
+				out[i] = min(out[i], ov)
+			} else {
+				out[i] = max(out[i], ov)
+			}
+		}
+	}
+}
+
+// verdicts classifies b's n boxes by term t into tv[t], which the terms
+// below t already hold for b.
+func (d *leafDecider) verdicts(t int, b stree.Boxes, n int) []stree.Overlap {
+	d.tv[t] = slices.Grow(d.tv[t][:0], n)[:n]
+	d.terms[t].box(b, d.tv[t])
+	d.have = t + 1
+	return d.tv[t]
+}
+
+// leaf decides one leaf given the descent's verdicts on its items (nil:
+// an ancestor was Full), counting its work into st, and collects the ids
+// it admits.
+func (d *leafDecider) leaf(l *stree.Leaf, ov []stree.Overlap, st *rbm.Stats) error {
+	n := l.Len()
+	in := liveMask(ov, n)
+	if d.tv == nil {
+		got, err := d.terms[0].leaf(l, ov, in, st)
+		if err != nil {
+			return err
+		}
+		d.collect(l, got)
+		return nil
+	}
+	if ov == nil {
+		d.have = 0 // the leaf was not classified
+	}
+	var ans uint64
+	for t := range d.terms {
+		if in == 0 {
+			break
+		}
+		var tov []stree.Overlap
+		switch {
+		case ov == nil && d.and:
+			// Under And a Full box is Full for every term: tov stays nil.
+		case t < d.have:
+			tov = d.tv[t]
+		default:
+			tov = d.verdicts(t, l.Boxes(), n)
+		}
+		got, err := d.terms[t].leaf(l, tov, in&liveMask(tov, n), st)
+		if err != nil {
+			return err
+		}
+		if d.and {
+			in = got
+		} else {
+			ans |= got
+			in &^= got
+		}
+	}
+	if d.and {
+		ans = in
+	}
+	d.collect(l, ans)
+	return nil
+}
+
+// collect appends the ids of the leaf's items that m names; a leaf
+// admitted whole appends its id column.
+func (d *leafDecider) collect(l *stree.Leaf, m uint64) {
+	if m == liveMask(nil, l.Len()) {
+		*d.ids = append(*d.ids, l.IDs()...)
+		return
+	}
+	for ; m != 0; m &= m - 1 {
+		*d.ids = append(*d.ids, l.ID(bits.TrailingZeros64(m)))
+	}
+}
+
+// liveMask names the first n items whose verdict is not None: all of them
+// when ov is nil. n is at most 64 (sidxFanout).
+func liveMask(ov []stree.Overlap, n int) uint64 {
+	if ov == nil {
+		return 1<<n - 1
+	}
+	var m uint64
+	for i, v := range ov[:n] {
+		if v != stree.OverlapNone {
+			m |= 1 << i
+		}
+	}
+	return m
 }
 
 // idScratch lends descend its two id buffers, the ids it collects in tree

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/colorspace"
 	"repro/internal/dataset"
 	"repro/internal/editops"
 	"repro/internal/histogram"
@@ -387,29 +388,30 @@ func TestIndexedLeafBoundsEqualPerBinWalk(t *testing.T) {
 				out[i] = stree.OverlapFull
 			}
 		},
-		func(l *stree.Leaf, i int, _ stree.Overlap) error {
-			id := l.ID(i)
-			switch l.Kind(i) {
-			case sidxBinary:
-				return nil
-			case sidxUniversal:
-				return fmt.Errorf("image %d: bounds did not pack", id)
-			}
-			e := l.Data(i).(*sidxEntry)
-			edited++
-			if len(e.minmax) != 2*bins {
-				return fmt.Errorf("image %d: leaf packs %d integers for %d bins", id, len(e.minmax), bins)
-			}
-			box := l.Box(i)
-			for bin := 0; bin < bins; bin++ {
-				lo, hi := box.Lo(bin)[0], box.Hi(bin)[0]
-				walked, err := db.Bounds(id, bin)
-				if err != nil {
-					return err
+		func(l *stree.Leaf, _ []stree.Overlap) error {
+			for i, id := range l.IDs() {
+				switch l.Kind(i) {
+				case sidxBinary:
+					continue
+				case sidxUniversal:
+					return fmt.Errorf("image %d: bounds did not pack", id)
 				}
-				stored := rules.Bounds{Min: int(e.minmax[2*bin]), Max: int(e.minmax[2*bin+1]), Total: e.total}
-				if wlo, whi := walked.PctRange(); walked != stored || lo != wlo || hi != whi {
-					return fmt.Errorf("image %d bin %d: leaf %+v [%v,%v], per-bin walk %+v", id, bin, stored, lo, hi, walked)
+				e := l.Data(i).(*sidxEntry)
+				edited++
+				if len(e.minmax) != 2*bins {
+					return fmt.Errorf("image %d: leaf packs %d integers for %d bins", id, len(e.minmax), bins)
+				}
+				box := l.Boxes()
+				for bin := 0; bin < bins; bin++ {
+					lo, hi := box.Lo(bin)[i], box.Hi(bin)[i]
+					walked, err := db.Bounds(id, bin)
+					if err != nil {
+						return err
+					}
+					stored := rules.Bounds{Min: int(e.minmax[2*bin]), Max: int(e.minmax[2*bin+1]), Total: e.total}
+					if wlo, whi := walked.PctRange(); walked != stored || lo != wlo || hi != whi {
+						return fmt.Errorf("image %d bin %d: leaf %+v [%v,%v], per-bin walk %+v", id, bin, stored, lo, hi, walked)
+					}
 				}
 			}
 			return nil
@@ -687,5 +689,44 @@ func TestIndexedAnswerAllocs(t *testing.T) {
 	const budget = 8
 	if allocs > budget {
 		t.Fatalf("%.1f allocations per broad indexed query, budget %d", allocs, budget)
+	}
+}
+
+// TestIndexedMultiBinAllocs budgets what an unlimited broad multi-bin
+// indexed query allocates. Every node's and leaf's boxes are summed once,
+// into storage the query's term carries inline (binSums), and a leaf is
+// decided from those sums, so the descent allocates nothing per node, leaf
+// or item: the answer once, as a range query's, and eight fixed costs —
+// the result and the options, the term's four tests and its sums, the
+// descent's verdicts. Sums grown by append cost three more allocations
+// (the root's few boxes, then a node's 16); a decision that allocated per
+// leaf would cost hundreds over this query's 1 000 ids.
+func TestIndexedMultiBinAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's sync.Pool drops scratch on purpose")
+	}
+	ctx := context.Background()
+	db := memDB(t)
+	populate(t, db, 200, 4, 0.3, 17)
+	fam, err := colorspace.FamilyForName("sky", db.Quantizer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := query.MultiRange{Bins: fam, PctMin: 0, PctMax: 1}
+	res, err := db.RangeQueryMultiCtx(ctx, q, ModeIndexed) // builds the tree
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.IDs); n < 1000 {
+		t.Fatalf("broad multi-bin query answered %d ids, want every candidate", n)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := db.RangeQueryMultiCtx(ctx, q, ModeIndexed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 9
+	if allocs > budget {
+		t.Fatalf("%.1f allocations per broad multi-bin indexed query, budget %d", allocs, budget)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/colorspace"
@@ -76,65 +78,123 @@ func (db *DB) RangeQueryColorFamilyCtx(ctx context.Context, name string, pctMin,
 	return db.RangeQueryMultiCtx(ctx, query.MultiRange{Bins: bins, PctMin: pctMin, PctMax: pctMax}, opts...)
 }
 
-// multiTerm is a multi-bin predicate. Its box test sums the box over the
-// query's bins in floats, with sidxSumEps of slack on the Full/None
-// margins; an item it leaves Partial is re-checked exactly, on the catalog
-// histogram of a binary image or the integer-summed bounds of an edited
-// one, so float drift can cost a node descent, never a wrong answer.
+// multiTerm is a multi-bin predicate. Its box tests sum the boxes over
+// the query's bins column-wise, in the query's bin order (binSums), and
+// decide from those sums: a node or item box is None or Full with
+// sidxSumEps of slack on the margins, else Partial; a leaf's items are
+// decided from the same sums (DESIGN §15):
+//
+//   - a binary item's box is the point of its normalized histogram, and
+//     its sum adds the floats query.MultiRange.SumPct adds, in the same
+//     order — so it is the exact test, with no catalog lookup;
+//   - an edited item is in when sLo ≤ PctMax−ε and sHi ≥ PctMin+ε: the
+//     float sums sit far nearer than ε to the integer-summed interval, so
+//     that interval overlaps the query too — the paper's admission test.
+//     Only an item inside the ε band re-checks on those integers
+//     (sidxEntry.sumPct);
+//   - an item with the universal box pays the rule walk.
+//
+// So float drift can cost a node descent or an exact re-check, never a
+// wrong answer.
 func (db *DB) multiTerm(q query.MultiRange) pagedTerm {
+	bs := &binSums{bins: q.Bins}
 	return pagedTerm{
 		exact: q.MatchesExact,
 		walk: func(obj, base *catalog.Object, st *rbm.Stats) (bool, error) {
 			return db.multiCheckEdited(obj, base, q, st)
 		},
 		box: func(b stree.Boxes, out []stree.Overlap) {
+			sLo, sHi := bs.sum(b)
 			for i := range out {
-				var sLo, sHi float64
-				for _, bin := range q.Bins {
-					sLo += b.Lo(bin)[i]
-					sHi += b.Hi(bin)[i]
-				}
 				switch {
-				case sLo > q.PctMax+sidxSumEps || sHi < q.PctMin-sidxSumEps:
+				case sLo[i] > q.PctMax+sidxSumEps || sHi[i] < q.PctMin-sidxSumEps:
 					out[i] = stree.OverlapNone
-				case sHi <= q.PctMax-sidxSumEps && sLo >= q.PctMin+sidxSumEps:
+				case sHi[i] <= q.PctMax-sidxSumEps && sLo[i] >= q.PctMin+sidxSumEps:
 					out[i] = stree.OverlapFull
 				default:
 					out[i] = stree.OverlapPartial
 				}
 			}
 		},
-		item: func(l *stree.Leaf, i int, ov stree.Overlap, st *rbm.Stats) (bool, error) {
-			kind := l.Kind(i)
-			switch {
-			case ov == stree.OverlapFull:
-				return sidxAdmit(kind, ov, st), nil
-			case kind == sidxBinary:
-				obj, err := db.cat.Binary(l.ID(i))
-				if errors.Is(err, catalog.ErrNotFound) {
-					return false, nil
-				}
-				if err != nil {
-					return false, err
-				}
-				st.BinariesChecked++
-				ok := q.MatchesExact(obj.Hist)
-				if ok {
-					st.BaseMatches++
-				}
-				return ok, nil
-			case kind == sidxEdited:
-				lo, hi := l.Data(i).(*sidxEntry).sumPct(q.Bins)
-				return lo <= q.PctMax && hi >= q.PctMin, nil
+		leaf: func(l *stree.Leaf, ov []stree.Overlap, in uint64, st *rbm.Stats) (uint64, error) {
+			var sLo, sHi []float64
+			if ov != nil {
+				sLo, sHi = bs.sum(l.Boxes())
 			}
-			b, err := db.editedBoundsByID(l.ID(i), st)
-			if b == nil {
-				return false, err
+			out := in
+			for m := in; m != 0; m &= m - 1 {
+				i := bits.TrailingZeros64(m)
+				kind := l.Kind(i)
+				ok := true
+				switch {
+				case ov == nil || ov[i] == stree.OverlapFull:
+					sidxAdmit(kind, true, st)
+				case kind == sidxBinary:
+					st.BinariesChecked++
+					if ok = sLo[i] >= q.PctMin && sLo[i] <= q.PctMax; ok {
+						st.BaseMatches++
+					}
+				case kind == sidxEdited:
+					if sLo[i] > q.PctMax-sidxSumEps || sHi[i] < q.PctMin+sidxSumEps {
+						lo, hi := l.Data(i).(*sidxEntry).sumPct(q.Bins)
+						ok = lo <= q.PctMax && hi >= q.PctMin
+					}
+				default:
+					b, err := db.editedBoundsByID(l.ID(i), st)
+					if err != nil {
+						return 0, err
+					}
+					lo, hi := sumBounds(b, q.Bins)
+					ok = b != nil && lo <= q.PctMax && hi >= q.PctMin
+				}
+				if !ok {
+					out &^= 1 << i
+				}
 			}
-			lo, hi := sumBounds(b, q.Bins)
-			return lo <= q.PctMax && hi >= q.PctMin, nil
+			return out, nil
 		},
 	}
+}
+
+// binSums sums boxes over a bin set column-wise: box i's sums start at 0
+// and add its bounds bin by bin in the set's order, the order
+// query.MultiRange.SumPct adds a histogram's percentages in. It keeps the
+// last sums it made, so a leaf's items decided right after their boxes
+// were classified are not summed again.
+type binSums struct {
+	bins []int
+	// sums holds the last sums, every box's lo sum and then every hi sum;
+	// of is the first cell of the first summed lo column, which names the
+	// boxes they belong to (a node's columns are its own allocation).
+	sums []float64
+	of   *float64
+	// buf is sums' first storage, room for a whole node at the tree's
+	// fanout, so summing allocates nothing of its own.
+	buf [2 * sidxFanout]float64
+}
+
+// sum returns the lo and hi sums of b's boxes, box i's at index i, valid
+// until the next call.
+func (s *binSums) sum(b stree.Boxes) (sLo, sHi []float64) {
+	first := b.Lo(s.bins[0])
+	n := len(first)
+	if s.of != &first[0] || len(s.sums) != 2*n {
+		if s.sums == nil {
+			s.sums = s.buf[:0]
+		}
+		s.sums = slices.Grow(s.sums[:0], 2*n)[:2*n]
+		clear(s.sums)
+		sLo, sHi = s.sums[:n], s.sums[n:]
+		for _, bin := range s.bins {
+			lo, hi := b.Lo(bin)[:n], b.Hi(bin)[:n]
+			for i := range sLo {
+				sLo[i] += lo[i]
+				sHi[i] += hi[i]
+			}
+		}
+		s.of = &first[0]
+	}
+	return s.sums[:n], s.sums[n:]
 }
 
 // multiCheckEdited is the multi-bin rule verdict: one BoundsAll walk of an

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/catalog"
@@ -48,7 +49,7 @@ const (
 )
 
 // pagedTerm is one predicate of a query, reduced to the tests the modes are
-// built from: two on a candidate for the scans, two on an S-tree box for
+// built from: two on a candidate for the scans, two on S-tree boxes for
 // ModeIndexed.
 type pagedTerm struct {
 	// exact is the predicate on a known histogram: binary images, BWM base
@@ -57,21 +58,25 @@ type pagedTerm struct {
 	// walk is the predicate on an edited image's rule-derived bounds over
 	// its base — the RBM check.
 	walk func(obj, base *catalog.Object, st *rbm.Stats) (bool, error)
-	// box classifies S-tree boxes against the term — a node's union box,
-	// all of a leaf's boxes at once, or one item's — writing box i's verdict
-	// to out[i]. It is conservative: None and Full are proofs, Partial is
-	// not.
+	// box classifies S-tree boxes against the term — a node's children's
+	// union boxes, or a leaf's items — writing box i's verdict to out[i].
+	// It is conservative: None and Full are proofs, Partial is not.
 	box func(b stree.Boxes, out []stree.Overlap)
-	// item decides item i of an S-tree leaf whose box the term did not rule
-	// out, given that box's verdict ov (Full also when an ancestor was
-	// Full).
-	item func(l *stree.Leaf, i int, ov stree.Overlap, st *rbm.Stats) (bool, error)
+	// leaf decides, in one call, the items of an S-tree leaf that in names
+	// (bit i for item i) and returns the ones the term admits. Every item
+	// in names has its verdict ov[i] from box on this leaf, none of them
+	// None; a nil ov means an ancestor was Full and every item is. An
+	// item is decided from its verdict and the leaf's columns (a
+	// multi-bin term reads an edited item's payload only inside its
+	// epsilon band), and only an item with the universal box pays a rule
+	// walk.
+	leaf func(l *stree.Leaf, ov []stree.Overlap, in uint64, st *rbm.Stats) (uint64, error)
 }
 
 // rangeTerm is a single-bin range predicate. Its box test on the queried
 // bin's slab is exact for binary point boxes and edited bounds boxes alike
-// (indexed.go), so every item it lets through is in, and only an item with
-// the universal box pays a rule walk.
+// (indexed.go), so every item it lets through is in, straight from the
+// kind column, and only an item with the universal box pays a rule walk.
 func (db *DB) rangeTerm(q query.Range) pagedTerm {
 	return pagedTerm{
 		exact: q.MatchesExact,
@@ -91,12 +96,24 @@ func (db *DB) rangeTerm(q query.Range) pagedTerm {
 				}
 			}
 		},
-		item: func(l *stree.Leaf, i int, ov stree.Overlap, st *rbm.Stats) (bool, error) {
-			if kind := l.Kind(i); kind != sidxUniversal {
-				return sidxAdmit(kind, ov, st), nil
+		leaf: func(l *stree.Leaf, ov []stree.Overlap, in uint64, st *rbm.Stats) (uint64, error) {
+			out := in
+			for m := in; m != 0; m &= m - 1 {
+				i := bits.TrailingZeros64(m)
+				kind := l.Kind(i)
+				if kind != sidxUniversal {
+					sidxAdmit(kind, ov == nil || ov[i] == stree.OverlapFull, st)
+					continue
+				}
+				b, err := db.editedBoundsByID(l.ID(i), st)
+				if err != nil {
+					return 0, err
+				}
+				if b == nil || !b[q.Bin].Overlaps(q.PctMin, q.PctMax) {
+					out &^= 1 << i
+				}
 			}
-			b, err := db.editedBoundsByID(l.ID(i), st)
-			return b != nil && b[q.Bin].Overlaps(q.PctMin, q.PctMax), err
+			return out, nil
 		},
 	}
 }

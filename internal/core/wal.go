@@ -136,15 +136,15 @@ func (db *DB) walQueryBarrier(ctx context.Context, tr *obs.Trace) error {
 
 // walLogConfig ensures a log that is empty (fresh or just checkpointed)
 // opens with a configuration record, so recovery of a never-checkpointed
-// database still knows its quantizer. Fire-and-forget: the record only
-// matters alongside later mutations, and any fsync that commits those
-// commits this earlier frame too.
+// database still knows its quantizer. The record is written unsynced: it
+// only matters alongside later mutations, and the fsync that commits the
+// first of them commits this earlier frame too, so an Open or a
+// checkpoint pays no fsync of its own.
 func (db *DB) walLogConfig() error {
 	if !db.wal.Empty() {
 		return nil
 	}
-	_, err := db.wal.Append(encodeWALConfig(db.cfg.Quantizer.Name(), db.cfg.Background))
-	return err
+	return db.wal.AppendUnsynced(encodeWALConfig(db.cfg.Quantizer.Name(), db.cfg.Background))
 }
 
 // walCheckpointLocked truncates the log after the caller has made the

@@ -424,27 +424,10 @@ func encodeWALFrame(lsn uint64, payload []byte) []byte {
 // already resolved.
 func (w *WAL) Append(payload []byte) (*WALTicket, error) {
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if w.err != nil {
-		err := w.err
+	if err := w.writeLocked(payload); err != nil {
 		w.mu.Unlock()
 		return nil, err
 	}
-	w.lsn++
-	frame := encodeWALFrame(w.lsn, payload)
-	if _, err := w.f.Write(frame); err != nil {
-		w.err = fmt.Errorf("store: wal append: %w", err)
-		err = w.err
-		w.mu.Unlock()
-		return nil, err
-	}
-	w.offs = append(w.offs, w.size)
-	w.size += int64(len(frame))
-	w.records++
-	mWALRecords.Inc()
 	if w.maxBatch == 1 {
 		var err error
 		if serr := w.f.Sync(); serr != nil {
@@ -467,6 +450,38 @@ func (w *WAL) Append(payload []byte) (*WALTicket, error) {
 	default:
 	}
 	return t, nil
+}
+
+// AppendUnsynced writes one record that nobody waits for. It takes the
+// next LSN and is written at once, as Append's is, but it pays no fsync
+// of its own and wakes no flusher: the next Append's fsync covers it,
+// since an fsync makes every frame written before it durable.
+func (w *WAL) AppendUnsynced(payload []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.writeLocked(payload)
+}
+
+// writeLocked frames payload at the next LSN and writes it. Caller holds
+// w.mu.
+func (w *WAL) writeLocked(payload []byte) error {
+	if w.closed {
+		return ErrClosed
+	}
+	if w.err != nil {
+		return w.err
+	}
+	w.lsn++
+	frame := encodeWALFrame(w.lsn, payload)
+	if _, err := w.f.Write(frame); err != nil {
+		w.err = fmt.Errorf("store: wal append: %w", err)
+		return w.err
+	}
+	w.offs = append(w.offs, w.size)
+	w.size += int64(len(frame))
+	w.records++
+	mWALRecords.Inc()
+	return nil
 }
 
 // flusher is the group-commit loop: woken by the first append of a batch,

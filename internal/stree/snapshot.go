@@ -59,14 +59,15 @@ type VisitStats struct {
 // Full subtrees admit every item beneath without per-item work, Partial
 // subtrees descend. classify fills out[i] with box i's verdict for all the
 // entries of one node at once — an inner node's children's union boxes, a
-// leaf's item boxes; the root is descended unclassified. A leaf item
-// classified other than None reaches onItem — its leaf and its index there
-// — with its verdict (OverlapFull = proven in by geometry alone,
-// OverlapPartial = the caller must decide exactly); items under a Full
-// subtree reach onItem with OverlapFull. classify must be conservative: it
-// may return Partial instead of None/Full, never the reverse. A non-nil
-// error from onItem aborts the walk.
-func (s Snapshot) Visit(classify func(b Boxes, out []Overlap), onItem func(l *Leaf, i int, ov Overlap) error, st *VisitStats) error {
+// leaf's item boxes; the root is descended unclassified. A leaf is handed
+// to onLeaf whole, in one call: right after classify judged its items,
+// with those verdicts (verdicts[i] is item i's: None = out, Full = proven
+// in by geometry alone, Partial = the caller must decide exactly), unless
+// every one is None; or, under a Full ancestor, unclassified, with nil
+// verdicts — every item in. verdicts is reused for the next leaf. classify
+// must be conservative: it may return Partial instead of None/Full, never
+// the reverse. A non-nil error from onLeaf aborts the walk.
+func (s Snapshot) Visit(classify func(b Boxes, out []Overlap), onLeaf func(l *Leaf, verdicts []Overlap) error, st *VisitStats) error {
 	if s.root == nil {
 		return nil
 	}
@@ -75,24 +76,21 @@ func (s Snapshot) Visit(classify func(b Boxes, out []Overlap), onItem func(l *Le
 		depth++
 	}
 	st.NodesVisited++
-	return visit(s.root, classify, onItem, st, make([]Overlap, depth*s.cap))
+	return visit(s.root, classify, onLeaf, st, make([]Overlap, depth*s.cap))
 }
 
 // visit is Visit below n, whose own box was not None. out holds n's
 // verdicts, then room for the levels beneath; every leaf sits at the same
 // depth, so depth·cap verdicts always suffice.
-func visit(n *node, classify func(b Boxes, out []Overlap), onItem func(l *Leaf, i int, ov Overlap) error, st *VisitStats, out []Overlap) error {
+func visit(n *node, classify func(b Boxes, out []Overlap), onLeaf func(l *Leaf, verdicts []Overlap) error, st *VisitStats, out []Overlap) error {
 	k := n.len()
 	verdicts, below := out[:k], out[k:]
 	classify(n.cols.Boxes(), verdicts)
 	if n.leaf() {
 		st.LeafChecks += int64(k)
-		for i, ov := range verdicts {
-			if ov == OverlapNone {
-				continue
-			}
-			if err := onItem(&n.cols, i, ov); err != nil {
-				return err
+		for _, ov := range verdicts {
+			if ov != OverlapNone {
+				return onLeaf(&n.cols, verdicts)
 			}
 		}
 		return nil
@@ -104,11 +102,11 @@ func visit(n *node, classify func(b Boxes, out []Overlap), onItem func(l *Leaf, 
 		case OverlapNone:
 			continue
 		case OverlapFull:
-			err = admitAll(n.children[i], onItem, st)
+			err = admitAll(n.children[i], onLeaf, st)
 		default:
 			// Partial, or anything unexpected from caller code: descend,
 			// the conservative reading.
-			err = visit(n.children[i], classify, onItem, st, below)
+			err = visit(n.children[i], classify, onLeaf, st, below)
 		}
 		if err != nil {
 			return err
@@ -117,19 +115,15 @@ func visit(n *node, classify func(b Boxes, out []Overlap), onItem func(l *Leaf, 
 	return nil
 }
 
-// admitAll delivers every item under n as OverlapFull.
-func admitAll(n *node, onItem func(l *Leaf, i int, ov Overlap) error, st *VisitStats) error {
+// admitAll hands every leaf under n to onLeaf with nil verdicts: every
+// item in.
+func admitAll(n *node, onLeaf func(l *Leaf, verdicts []Overlap) error, st *VisitStats) error {
 	if n.leaf() {
 		st.SubtreeAdmitted += int64(n.len())
-		for i := range n.cols.ids {
-			if err := onItem(&n.cols, i, OverlapFull); err != nil {
-				return err
-			}
-		}
-		return nil
+		return onLeaf(&n.cols, nil)
 	}
 	for _, ch := range n.children {
-		if err := admitAll(ch, onItem, st); err != nil {
+		if err := admitAll(ch, onLeaf, st); err != nil {
 			return err
 		}
 	}

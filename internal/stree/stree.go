@@ -24,7 +24,7 @@
 // them; a subtree's union box lives only in its parent's columns (the
 // root's is kept nowhere). Rebuilds, splits and containment-guided deletes
 // read the columns. Traversals see boxes through one column-wise view
-// (Boxes) and hand callers a Leaf and an index.
+// (Boxes) and hand callers a whole Leaf.
 //
 // Concurrency contract: reads are lock-free. The tree publishes an
 // immutable root through an atomic pointer; Snapshot captures it once and
@@ -108,6 +108,10 @@ func (l *Leaf) Len() int { return len(l.ids) }
 
 // ID returns item i's id.
 func (l *Leaf) ID(i int) uint64 { return l.ids[i] }
+
+// IDs returns the id column, item i's at index i. The caller must not
+// modify it.
+func (l *Leaf) IDs() []uint64 { return l.ids }
 
 // Kind returns item i's kind byte.
 func (l *Leaf) Kind(i int) uint8 { return l.kinds[i] }

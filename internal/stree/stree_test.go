@@ -59,16 +59,37 @@ func slabClassify(dim int, qmin, qmax float64) func(Boxes, []Overlap) {
 }
 
 // collect runs a slab query over the snapshot and returns the sorted ids.
+// It holds Visit to its per-leaf contract: a leaf arrives once, whole,
+// with a verdict per item of which not all are None, or with nil verdicts
+// — and then it counts as admitted under a Full ancestor.
 func collect(t *testing.T, s Snapshot, dim int, qmin, qmax float64) []uint64 {
 	t.Helper()
 	var ids []uint64
 	var st VisitStats
-	err := s.Visit(slabClassify(dim, qmin, qmax), func(l *Leaf, i int, ov Overlap) error {
-		ids = append(ids, l.ID(i))
+	leaves := map[*Leaf]bool{}
+	var admitted int64
+	err := s.Visit(slabClassify(dim, qmin, qmax), func(l *Leaf, verdicts []Overlap) error {
+		if leaves[l] {
+			return fmt.Errorf("leaf of %v delivered twice", l.IDs())
+		}
+		leaves[l] = true
+		if verdicts == nil {
+			admitted += int64(l.Len())
+		} else if len(verdicts) != l.Len() || !slices.ContainsFunc(verdicts, func(ov Overlap) bool { return ov != OverlapNone }) {
+			return fmt.Errorf("leaf of %v delivered with verdicts %v", l.IDs(), verdicts)
+		}
+		for i, id := range l.IDs() {
+			if verdicts == nil || verdicts[i] != OverlapNone {
+				ids = append(ids, id)
+			}
+		}
 		return nil
 	}, &st)
 	if err != nil {
 		t.Fatalf("visit: %v", err)
+	}
+	if admitted != st.SubtreeAdmitted {
+		t.Fatalf("%d items arrived unclassified, %d counted admitted", admitted, st.SubtreeAdmitted)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
@@ -740,7 +761,7 @@ func TestSnapshotStableUnderMutation(t *testing.T) {
 						out[i] = OverlapPartial
 					}
 				},
-					func(*Leaf, int, Overlap) error { n++; return nil }, &st)
+					func(l *Leaf, _ []Overlap) error { n += l.Len(); return nil }, &st)
 				if err != nil || n != wantLen {
 					t.Errorf("snapshot drifted: n=%d want %d err=%v", n, wantLen, err)
 					return
