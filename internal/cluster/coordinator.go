@@ -86,26 +86,6 @@ func New(m *ShardMap, shards map[string]Shard, opts Options) (*Coordinator, erro
 	return c, nil
 }
 
-// NewInProcCluster is the convenience constructor for an n-shard embedded
-// cluster: it opens n in-memory databases under shard ids "s0".."s{n-1}".
-func NewInProcCluster(n int, opts Options) (*Coordinator, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cluster: need at least 1 shard, got %d", n)
-	}
-	m := &ShardMap{}
-	shards := make(map[string]Shard, n)
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("s%d", i)
-		db, err := mmdb.Open()
-		if err != nil {
-			return nil, err
-		}
-		m.Shards = append(m.Shards, ShardInfo{ID: id})
-		shards[id] = NewInProc(id, db)
-	}
-	return New(m, shards, opts)
-}
-
 // Map returns the shard map.
 func (c *Coordinator) Map() *ShardMap { return c.smap }
 

@@ -2,6 +2,8 @@ package colorspace
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -302,6 +304,52 @@ func TestBinsNear(t *testing.T) {
 	all := BinsNear(blue, 500, q)
 	if len(all) != q.Bins() {
 		t.Fatalf("huge radius covered %d of %d bins", len(all), q.Bins())
+	}
+}
+
+// binsNearFullLattice is BinsNear as it was before it sampled only the
+// box around c: every point of the 32³ lattice, kept as the reference.
+func binsNearFullLattice(c imaging.RGB, maxDist float64, q Quantizer) []int {
+	maxSq := maxDist * maxDist
+	seen := make(map[int]bool)
+	var out []int
+	for r := 0; r < 256; r += 8 {
+		for g := 0; g < 256; g += 8 {
+			for b := 0; b < 256; b += 8 {
+				dr := float64(r - int(c.R))
+				dg := float64(g - int(c.G))
+				db := float64(b - int(c.B))
+				if dr*dr+dg*dg+db*db > maxSq {
+					continue
+				}
+				bin := q.Bin(imaging.RGB{R: uint8(r), G: uint8(g), B: uint8(b)})
+				if !seen[bin] {
+					seen[bin] = true
+					out = append(out, bin)
+				}
+			}
+		}
+	}
+	if bin := q.Bin(c); !seen[bin] {
+		out = append(out, bin)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestBinsNearMatchesFullLattice pins that sampling only the box c ±
+// maxDist finds exactly the bins the whole lattice does.
+func TestBinsNearMatchesFullLattice(t *testing.T) {
+	for _, q := range []Quantizer{NewUniformRGB(4), NewUniformRGB(8), NewUniformHSV(18, 3, 3)} {
+		for _, name := range ColorNames() {
+			c := NamedColors[name]
+			for _, radius := range []float64{0, 8, 64, 500} {
+				got, want := BinsNear(c, radius, q), binsNearFullLattice(c, radius, q)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s radius %v: BinsNear %v, full lattice %v", q.Name(), name, radius, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package colorspace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -58,19 +59,25 @@ func BinForName(name string, q Quantizer) (int, error) {
 }
 
 // BinsNear returns every histogram bin reachable by some color within
-// maxDist (Euclidean RGB distance) of c, by sampling the color cube on an
-// 8-step lattice. It powers "color family" queries: under fine quantizers a
-// perceptual color spans several bins, and a query over the whole family is
-// far more robust than one over the single bin of the exact named value.
+// maxDist (Euclidean RGB distance, maxDist ≥ 0) of c, by sampling the
+// color cube on an 8-step lattice. It powers "color family" queries: under
+// fine quantizers a perceptual color spans several bins, and a query over
+// the whole family is far more robust than one over the single bin of the
+// exact named value.
 func BinsNear(c imaging.RGB, maxDist float64, q Quantizer) []int {
 	maxSq := maxDist * maxDist
 	seen := make(map[int]bool)
 	var out []int
-	// Lattice step 8 keeps this ~32³ ≈ 33k samples; every quantizer cell of
-	// practical size (≥ 16 units per axis) is hit.
-	for r := 0; r < 256; r += 8 {
-		for g := 0; g < 256; g += 8 {
-			for b := 0; b < 256; b += 8 {
+	// Lattice step 8 hits every quantizer cell of practical size (≥ 16
+	// units per axis). A lattice point outside the box c ± maxDist is
+	// farther than maxDist on one axis alone, so only the box is sampled:
+	// at radius 64 that is at most 17³ points of the 32³ lattice.
+	rLo, rHi := latticeSpan(c.R, maxDist)
+	gLo, gHi := latticeSpan(c.G, maxDist)
+	bLo, bHi := latticeSpan(c.B, maxDist)
+	for r := rLo; r <= rHi; r += 8 {
+		for g := gLo; g <= gHi; g += 8 {
+			for b := bLo; b <= bHi; b += 8 {
 				dr := float64(r - int(c.R))
 				dg := float64(g - int(c.G))
 				db := float64(b - int(c.B))
@@ -91,6 +98,14 @@ func BinsNear(c imaging.RGB, maxDist float64, q Quantizer) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// latticeSpan returns the first and last 8-aligned lattice value in
+// [v−maxDist, v+maxDist] ∩ [0, 255]; the span is empty when lo > hi.
+func latticeSpan(v uint8, maxDist float64) (lo, hi int) {
+	lo = int(math.Ceil(max(float64(v)-maxDist, 0)))
+	hi = int(math.Floor(min(float64(v)+maxDist, 255)))
+	return (lo + 7) &^ 7, hi
 }
 
 // FamilyForName returns the bin family of a named color with the default

@@ -164,10 +164,9 @@ type Config struct {
 	// under Path+".segments/" and the write-ahead log at Path+".wal".
 	// Empty means in-memory.
 	Path string
-	// WAL tunes the write-ahead log's group-commit behaviour when Path is
-	// set (the log lives at Path+".wal"). The zero value flushes as soon as
-	// the flusher is free and batches up to store.DefaultWALMaxBatch
-	// commits per fsync.
+	// WAL is the write-ahead log's file seam when Path is set (the log
+	// lives at Path+".wal"); crash tests inject faults through it. The zero
+	// value opens the real file.
 	WAL store.WALOptions
 	// Segment tunes the storage engine when Path is set (see
 	// internal/store/segment); the zero value gets the engine defaults.

@@ -302,13 +302,15 @@ func TestCrashMatrixWriteBudget(t *testing.T) {
 
 // TestCrashMatrixSyncBudget kills the WAL at every fsync count: commits
 // past the budget are never acknowledged, but their frames may have
-// reached the file — they must survive whole or not at all.
+// reached the file — they must survive whole or not at all. Open fsyncs
+// nothing and each acked write of the one-writer script costs exactly one
+// fsync, so a budget of n acks exactly min(n, len(script)) ops.
 func TestCrashMatrixSyncBudget(t *testing.T) {
 	for budget := int64(0); budget <= 10; budget++ {
 		budget := budget
 		t.Run(fmt.Sprintf("syncs=%d", budget), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "crash.db")
-			wopts := store.WALOptions{MaxBatch: 1, OpenFile: func(p string) (store.WALFile, error) {
+			wopts := store.WALOptions{OpenFile: func(p string) (store.WALFile, error) {
 				inner, err := os.OpenFile(p, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 				if err != nil {
 					return nil, err
@@ -317,15 +319,12 @@ func TestCrashMatrixSyncBudget(t *testing.T) {
 			}}
 			db, err := Open(Config{Path: path, WAL: wopts})
 			if err != nil {
-				if !errors.Is(err, store.ErrInjectedFault) {
-					t.Fatalf("Open: %v", err)
-				}
-				rec := crashDB(t, path, store.WALOptions{})
-				defer rec.Close()
-				assertRecovered(t, rec, nil)
-				return
+				t.Fatalf("Open: %v", err)
 			}
 			acked := runWorkloadUntilFault(db)
+			if want := min(int(budget), len(crashWorkload())); len(acked) != want {
+				t.Fatalf("budget %d acked %d ops %v, want %d", budget, len(acked), acked, want)
+			}
 			db.Crash()
 			rec := crashDB(t, path, store.WALOptions{})
 			defer rec.Close()

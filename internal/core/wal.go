@@ -421,12 +421,9 @@ func (db *DB) Crash() error {
 		return nil // in-memory: nothing on disk to abandon
 	}
 	err := db.wal.Abandon()
-	if serr := db.seg.Abandon(); err == nil {
+	// The engine's Close does not seal: the memtable is dropped unsealed.
+	if serr := db.seg.Close(); err == nil {
 		err = serr
 	}
 	return err
 }
-
-// DurableSince reports whether the given WAL ticket has committed; tests
-// use it to distinguish acknowledged from in-flight writes at crash time.
-func DurableSince(t *store.WALTicket, ctx context.Context) error { return t.Wait(ctx) }

@@ -97,14 +97,6 @@ func (l *QueryLog) SetThreshold(d time.Duration) {
 	l.threshold.Store(int64(d))
 }
 
-// Threshold returns the current slow-query threshold.
-func (l *QueryLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return time.Duration(l.threshold.Load())
-}
-
 // Record offers one event to the log. Safe on a nil log.
 func (l *QueryLog) Record(ev QueryEvent) {
 	if l == nil {

@@ -222,16 +222,6 @@ func (s *Span) Duration() time.Duration {
 	return s.dur
 }
 
-// Ended reports whether End has run.
-func (s *Span) Ended() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ended
-}
-
 // Children returns a copy of the child span slice.
 func (s *Span) Children() []*Span {
 	if s == nil {
@@ -298,13 +288,6 @@ func (s *Span) Walk(fn func(*Span)) {
 	for _, c := range s.Children() {
 		c.Walk(fn)
 	}
-}
-
-// NumSpans returns the node count of the tree (0 for nil).
-func (s *Span) NumSpans() int {
-	n := 0
-	s.Walk(func(*Span) { n++ })
-	return n
 }
 
 // Digest renders a compact one-line shape of the tree — span names with

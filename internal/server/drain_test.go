@@ -22,7 +22,7 @@ import (
 // on disk after crash recovery.
 func TestDrainKeepsAckedInserts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "drain.db")
-	db, err := mmdb.Open(mmdb.WithPath(path), mmdb.WithGroupCommit(time.Millisecond, 8))
+	db, err := mmdb.Open(mmdb.WithPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,8 @@ var ErrClosed = errors.New("segment: engine closed")
 type Options struct {
 	// TargetBytes rolls the memtable into a sealed segment once it holds
 	// this many bytes (0 means 4 MiB; negative disables size-triggered
-	// seals).
+	// seals). Only the background sealer reads it: without Background the
+	// memtable seals at Seal/Compact whatever its size.
 	TargetBytes int64
 	// RateBytesPerSec caps compaction write throughput; the merge loop
 	// sleeps when it gets ahead of the budget (0 means unlimited).
@@ -731,7 +732,3 @@ func (e *Engine) closeAllLocked() {
 	}
 	e.segments, e.retired = nil, nil
 }
-
-// Abandon is Close in crash clothing: stop everything without sealing.
-// The on-disk state is exactly what a kill -9 would leave.
-func (e *Engine) Abandon() error { return e.Close() }

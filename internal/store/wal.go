@@ -45,13 +45,11 @@ var ErrClosed = errors.New("store: store is closed")
 // a torn append (crash mid-write) can lose the unacknowledged tail but can
 // never half-apply a record.
 //
-// Group commit: Append writes the frame immediately but defers the fsync
-// to a flusher goroutine; every writer whose frame was on disk before an
-// fsync completes is released by that one fsync. Under concurrency the
-// batch forms naturally while the previous fsync is in flight; a non-zero
-// window adds a deliberate delay to grow batches further, and MaxBatch 1
-// degenerates to the classic one-fsync-per-commit discipline (the bench
-// baseline).
+// Group commit: Append writes the frame immediately and leaves the fsync
+// to the flusher goroutine, the only code that fsyncs a commit; every
+// writer whose frame was on disk before an fsync starts is released by
+// that one fsync. Under concurrency the batch forms while the previous
+// fsync is in flight; a lone writer pays one fsync, with no delay added.
 
 const walMagic = "ESREDO1\x00"
 
@@ -60,10 +58,6 @@ const walSidecarMagic = "ESCKPT1\x00"
 
 // walFrameOverhead is the per-frame byte cost beyond the payload.
 const walFrameOverhead = 4 + 8 + 4
-
-// DefaultWALMaxBatch is the group-commit batch cap when WALOptions.MaxBatch
-// is zero.
-const DefaultWALMaxBatch = 64
 
 // ErrWALTorn reports that OpenWAL discarded a torn tail. It is informative
 // only; OpenWAL handles truncation itself and does not return it.
@@ -91,17 +85,8 @@ type WALFile interface {
 	Close() error
 }
 
-// WALOptions tunes the log.
+// WALOptions holds the log's test seam.
 type WALOptions struct {
-	// Window is the group-commit window: after the first commit of a batch
-	// arrives, the flusher waits up to Window for more writers before
-	// fsyncing. 0 means fsync as soon as the flusher is free (batches still
-	// form while an fsync is in flight).
-	Window time.Duration
-	// MaxBatch flushes early once this many commits are pending; 0 means
-	// DefaultWALMaxBatch. 1 disables group commit entirely: every Append
-	// performs its own synchronous fsync.
-	MaxBatch int
 	// OpenFile opens the append handle — the fault-injection seam. nil
 	// means the real file.
 	OpenFile func(path string) (WALFile, error)
@@ -146,13 +131,6 @@ type WALTicket struct {
 	batch int   // written by the flusher before done closes
 }
 
-// resolvedTicket is returned by synchronous commits (MaxBatch 1).
-func resolvedTicket(err error) *WALTicket {
-	t := &WALTicket{done: make(chan struct{}), err: err, batch: 1}
-	close(t.done)
-	return t
-}
-
 // Wait blocks until the record's batch is durable (or the WAL failed) and
 // returns the commit error. A ctx cancellation abandons the wait — the
 // record may still become durable afterwards, like a timed-out commit.
@@ -181,25 +159,9 @@ func (t *WALTicket) Wait(ctx context.Context) error {
 	}
 }
 
-// BatchSize returns the group-commit batch the ticket's fsync covered
-// (valid once Wait has returned; 0 while pending).
-func (t *WALTicket) BatchSize() int {
-	if t == nil {
-		return 0
-	}
-	select {
-	case <-t.done:
-		return t.batch
-	default:
-		return 0
-	}
-}
-
 // WAL is the write-ahead log for one store file.
 type WAL struct {
-	path     string
-	window   time.Duration
-	maxBatch int
+	path string
 
 	mu      sync.Mutex
 	f       WALFile
@@ -233,12 +195,6 @@ type WAL struct {
 // and truncates any torn tail. The returned records are in append order;
 // the caller applies them idempotently and normally checkpoints afterwards.
 func OpenWAL(path string, opts WALOptions) (*WAL, []WALRecord, error) {
-	if opts.MaxBatch == 0 {
-		opts.MaxBatch = DefaultWALMaxBatch
-	}
-	if opts.MaxBatch < 1 {
-		return nil, nil, fmt.Errorf("store: wal max batch %d", opts.MaxBatch)
-	}
 	if opts.OpenFile == nil {
 		opts.OpenFile = func(p string) (WALFile, error) {
 			return os.OpenFile(p, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
@@ -271,8 +227,6 @@ func OpenWAL(path string, opts WALOptions) (*WAL, []WALRecord, error) {
 	}
 	w := &WAL{
 		path:     path,
-		window:   opts.Window,
-		maxBatch: opts.MaxBatch,
 		f:        f,
 		lsn:      lastLSN,
 		durable:  lastLSN, // replayed frames are on disk by definition
@@ -420,27 +374,11 @@ func encodeWALFrame(lsn uint64, payload []byte) []byte {
 // Append writes one record and returns a ticket that resolves when the
 // record is fsync-durable. The write itself is immediate; the fsync is
 // batched with concurrent appends (see the group-commit comment above).
-// With MaxBatch 1 the fsync happens inline and the ticket is returned
-// already resolved.
 func (w *WAL) Append(payload []byte) (*WALTicket, error) {
 	w.mu.Lock()
 	if err := w.writeLocked(payload); err != nil {
 		w.mu.Unlock()
 		return nil, err
-	}
-	if w.maxBatch == 1 {
-		var err error
-		if serr := w.f.Sync(); serr != nil {
-			w.err = fmt.Errorf("store: wal fsync: %w", serr)
-			err = w.err
-		} else {
-			w.fsyncs++
-			w.advanceDurableLocked(w.lsn, w.size)
-			mWALFsyncs.Inc()
-			mWALGroupSize.Observe(1)
-		}
-		w.mu.Unlock()
-		return resolvedTicket(err), err
 	}
 	t := &WALTicket{done: make(chan struct{})}
 	w.pending = append(w.pending, t)
@@ -485,7 +423,7 @@ func (w *WAL) writeLocked(payload []byte) error {
 }
 
 // flusher is the group-commit loop: woken by the first append of a batch,
-// it optionally lingers for the window, then fsyncs once for everyone.
+// it fsyncs once for every commit pending by then.
 func (w *WAL) flusher() {
 	defer close(w.done)
 	for {
@@ -495,32 +433,7 @@ func (w *WAL) flusher() {
 			return
 		case <-w.kick:
 		}
-		if w.window > 0 {
-			w.lingerWindow()
-		}
 		w.flushOnce()
-	}
-}
-
-// lingerWindow waits out the group-commit window, returning early once
-// MaxBatch writers are pending or the log is shutting down.
-func (w *WAL) lingerWindow() {
-	deadline := time.NewTimer(w.window)
-	defer deadline.Stop()
-	for {
-		w.mu.Lock()
-		n := len(w.pending)
-		w.mu.Unlock()
-		if n >= w.maxBatch {
-			return
-		}
-		select {
-		case <-deadline.C:
-			return
-		case <-w.quit:
-			return
-		case <-w.kick:
-		}
 	}
 }
 
@@ -565,11 +478,12 @@ func (w *WAL) flushOnce() {
 
 // Barrier returns a ticket that resolves once every record appended before
 // the call is fsync-durable — the read-your-writes seam: a reader that
-// must not observe an unacknowledged tail waits on it. When nothing is
-// pending (the common idle case, and always with MaxBatch 1) it returns
-// nil, which Waits as already durable; the check is one mutex acquisition.
-// The barrier joins the in-flight group commit rather than forcing an
-// early fsync, so it never shrinks batches.
+// must not observe an unacknowledged tail waits on it. When no commit
+// waits for the flusher (the common idle case, but also while the fsync
+// of the last batch is still in flight) it returns nil, which Waits as
+// already durable; the check is one mutex acquisition. Otherwise the
+// barrier joins the pending batch, so it resolves with the fsync that
+// covers the writes before it and never costs one of its own.
 func (w *WAL) Barrier() *WALTicket {
 	w.mu.Lock()
 	if w.closed || w.err != nil || len(w.pending) == 0 {

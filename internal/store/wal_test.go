@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 )
@@ -161,49 +160,44 @@ func TestWALBitFlipStopsReplay(t *testing.T) {
 	}
 }
 
+// TestWALGroupCommitBatches holds one writer's fsync in flight while 31
+// more append: the flusher then covers all 31 with one fsync, so 32
+// commits cost exactly 2.
 func TestWALGroupCommitBatches(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.wal")
-	w, _ := openTestWAL(t, path, WALOptions{Window: 2 * time.Millisecond, MaxBatch: 64})
+	w, release := openGatedWAL(t, path)
 	defer w.Close()
-	const writers = 32
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tk, err := w.Append([]byte(fmt.Sprintf("w-%02d", i)))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = tk.Wait(context.Background())
-		}(i)
+	defer close(release) // runs first: a failed test leaves no Sync parked for Close
+	first, err := w.Append([]byte("w-00"))
+	if err != nil {
+		t.Fatalf("Append: %v", err)
 	}
-	wg.Wait()
-	for i, err := range errs {
+	waitBatchTaken(t, w)
+	const writers = 32
+	tks := []*WALTicket{first}
+	for i := 1; i < writers; i++ {
+		tk, err := w.Append([]byte(fmt.Sprintf("w-%02d", i)))
 		if err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		tks = append(tks, tk)
+	}
+	release <- struct{}{} // the first writer's fsync
+	release <- struct{}{} // one fsync for the other 31
+	for i, tk := range tks {
+		if err := tk.Wait(context.Background()); err != nil {
 			t.Fatalf("writer %d: %v", i, err)
 		}
+		want := writers - 1
+		if i == 0 {
+			want = 1
+		}
+		if tk.batch != want {
+			t.Fatalf("writer %d rode a batch of %d, want %d", i, tk.batch, want)
+		}
 	}
-	st := w.Stats()
-	if st.Records != writers {
-		t.Fatalf("records = %d", st.Records)
-	}
-	if st.Fsyncs >= writers {
-		t.Fatalf("no batching: %d fsyncs for %d writers", st.Fsyncs, writers)
-	}
-}
-
-func TestWALSyncModePerCommitFsync(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "db.wal")
-	w, _ := openTestWAL(t, path, WALOptions{MaxBatch: 1})
-	defer w.Close()
-	for i := 0; i < 5; i++ {
-		appendWait(t, w, []byte("x"))
-	}
-	if got := w.Stats().Fsyncs; got != 5 {
-		t.Fatalf("sync mode fsyncs = %d, want 5", got)
+	if st := w.Stats(); st.Records != writers || st.Fsyncs != 2 {
+		t.Fatalf("records/fsyncs = %d/%d, want %d/2", st.Records, st.Fsyncs, writers)
 	}
 }
 
@@ -249,7 +243,7 @@ func TestWALFaultFileWriteBudget(t *testing.T) {
 
 func TestWALFaultFileSyncBudget(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.wal")
-	opts := WALOptions{MaxBatch: 1, OpenFile: func(p string) (WALFile, error) {
+	opts := WALOptions{OpenFile: func(p string) (WALFile, error) {
 		inner, err := os.OpenFile(p, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, err
@@ -276,9 +270,10 @@ func TestWALFaultFileSyncBudget(t *testing.T) {
 
 func TestWALTicketWaitCancel(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.wal")
-	// A huge window means the flush will not happen before the ctx fires.
-	w, _ := openTestWAL(t, path, WALOptions{Window: time.Minute})
+	// The fsync is held, so the commit is still pending when the ctx fires.
+	w, release := openGatedWAL(t, path)
 	defer w.Close()
+	defer close(release)
 	tk, err := w.Append([]byte("slow"))
 	if err != nil {
 		t.Fatal(err)

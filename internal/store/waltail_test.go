@@ -49,7 +49,7 @@ func collectTail(t *testing.T, w *WAL, from uint64, pageMax int) []WALRecord {
 // horizon, past the end, and below a checkpoint floor.
 func TestWALTailCursors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.wal")
-	w, _ := openTestWAL(t, path, WALOptions{MaxBatch: 1})
+	w, _ := openTestWAL(t, path, WALOptions{})
 	defer w.Close()
 
 	const n = 20
@@ -125,7 +125,7 @@ func TestWALTailCursors(t *testing.T) {
 // the frame it must ship fails its CRC — so that follower re-seeds.
 func TestWALTailReadsFromCursor(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.wal")
-	w, _ := openTestWAL(t, path, WALOptions{MaxBatch: 1})
+	w, _ := openTestWAL(t, path, WALOptions{})
 	defer w.Close()
 	const n, k = 20, 8
 	for i := 1; i <= n; i++ {
@@ -177,7 +177,7 @@ func TestWALTailCheckpointRace(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "db.wal")
-			w, _ := openTestWAL(t, path, WALOptions{MaxBatch: 1})
+			w, _ := openTestWAL(t, path, WALOptions{})
 			defer w.Close()
 			for i := 1; i <= 10; i++ {
 				appendWait(t, w, []byte(fmt.Sprintf("old-%02d", i)))
@@ -270,7 +270,7 @@ func TestWALTailCheckpointRace(t *testing.T) {
 // durable append and is woken by it, and that ctx cancellation unblocks.
 func TestWALTailLongPoll(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.wal")
-	w, _ := openTestWAL(t, path, WALOptions{MaxBatch: 1})
+	w, _ := openTestWAL(t, path, WALOptions{})
 	defer w.Close()
 	appendWait(t, w, []byte("seed"))
 
@@ -317,9 +317,10 @@ func TestWALTailLongPoll(t *testing.T) {
 // invisible until its ticket resolves.
 func TestWALTailOnlyDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.wal")
-	// A long window keeps the append un-synced while we look.
-	w, _ := openTestWAL(t, path, WALOptions{Window: time.Hour, MaxBatch: 64})
+	// The held fsync keeps the append un-synced while we look.
+	w, release := openGatedWAL(t, path)
 	defer w.Close()
+	defer close(release)
 	tk, err := w.Append([]byte("pending"))
 	if err != nil {
 		t.Fatalf("Append: %v", err)
@@ -331,9 +332,7 @@ func TestWALTailOnlyDurable(t *testing.T) {
 	if len(res.Frames) != 0 || res.DurableLSN != 0 {
 		t.Fatalf("tail served un-synced frame: %+v", res)
 	}
-	// A barrier-free flush via Checkpoint's flushOnce path would hide the
-	// case; force durability through the ticket instead.
-	go w.flushOnce()
+	release <- struct{}{}
 	if err := tk.Wait(context.Background()); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
@@ -379,8 +378,9 @@ func refTailFrames(t *testing.T, path string, from, durable uint64, max int) []W
 	return out
 }
 
-// syncGateFile is a WALFile whose every Sync waits for a token on release,
-// so a test can hold an fsync in flight while it appends and tails.
+// syncGateFile is a WALFile whose every Sync waits for a token on release
+// (or for release to close), so a test can hold an fsync in flight while
+// it appends and tails.
 type syncGateFile struct {
 	*os.File
 	release chan struct{}
@@ -391,13 +391,11 @@ func (f *syncGateFile) Sync() error {
 	return f.File.Sync()
 }
 
-// TestWALTailAppendDuringFsync pins the horizon with a frame appended
-// while the fsync before it is in flight: that frame is on the file and
-// inside the log's size, but no fsync covers it yet, so the tail must stop
-// at the frame the fsync did cover.
-func TestWALTailAppendDuringFsync(t *testing.T) {
+// openGatedWAL opens a log whose fsyncs wait on the returned channel. The
+// caller sends a token per fsync and closes the channel before Close.
+func openGatedWAL(t *testing.T, path string) (*WAL, chan struct{}) {
+	t.Helper()
 	release := make(chan struct{})
-	path := filepath.Join(t.TempDir(), "db.wal")
 	w, _ := openTestWAL(t, path, WALOptions{OpenFile: func(p string) (WALFile, error) {
 		f, err := os.OpenFile(p, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 		if err != nil {
@@ -405,6 +403,34 @@ func TestWALTailAppendDuringFsync(t *testing.T) {
 		}
 		return &syncGateFile{File: f, release: release}, nil
 	}})
+	return w, release
+}
+
+// waitBatchTaken waits until the flusher has taken every pending commit,
+// i.e. it is parked in the fsync that covers them.
+func waitBatchTaken(t *testing.T, w *WAL) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		w.mu.Lock()
+		taken := len(w.pending) == 0
+		w.mu.Unlock()
+		if taken {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("flusher never took the pending batch")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestWALTailAppendDuringFsync pins the horizon with a frame appended
+// while the fsync before it is in flight: that frame is on the file and
+// inside the log's size, but no fsync covers it yet, so the tail must stop
+// at the frame the fsync did cover.
+func TestWALTailAppendDuringFsync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.wal")
+	w, release := openGatedWAL(t, path)
 	defer w.Close()
 	defer close(release) // runs first: a failed test leaves no Sync parked for Close
 	tk1, err := w.Append([]byte("covered"))
@@ -413,18 +439,7 @@ func TestWALTailAppendDuringFsync(t *testing.T) {
 	}
 	// The flusher takes the first batch and parks in its Sync; wait until
 	// it has snapshotted the batch, then append behind its back.
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		w.mu.Lock()
-		taken := len(w.pending) == 0
-		w.mu.Unlock()
-		if taken {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("flusher never took the first batch")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitBatchTaken(t, w)
 	tk2, err := w.Append([]byte("uncovered"))
 	if err != nil {
 		t.Fatalf("Append: %v", err)
@@ -449,10 +464,10 @@ func TestWALTailAppendDuringFsync(t *testing.T) {
 }
 
 // TestWALTailPropertyRandom is the protocol property test: under random
-// interleavings of appends (synchronous and group-committed), checkpoints,
-// reopens over a torn tail and arbitrary cursors, every tail page equals
-// the whole-file reference scan, a stream is never torn or duplicated, and
-// replaying any served stream twice yields the same record set
+// interleavings of appends (one at a time and in group-committed bursts),
+// checkpoints, reopens over a torn tail and arbitrary cursors, every tail
+// page equals the whole-file reference scan, a stream is never torn or
+// duplicated, and replaying any served stream twice yields the same record set
 // (idempotence holds because each LSN appears at most once per stream and
 // streams are contiguous suffixes). Reopens rebuild the frame offset index
 // from replay, so they check it against the file as well.
@@ -460,11 +475,7 @@ func TestWALTailPropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
 		path := filepath.Join(t.TempDir(), fmt.Sprintf("t%d.wal", trial))
-		opts := WALOptions{MaxBatch: 1}
-		if trial%2 == 1 {
-			opts = WALOptions{MaxBatch: 2 + rng.Intn(8)}
-		}
-		w, _ := openTestWAL(t, path, opts)
+		w, _ := openTestWAL(t, path, WALOptions{})
 		payloads := make(map[uint64]string) // live (un-checkpointed) records
 		var lsn, base uint64
 		steps := 30 + rng.Intn(40)
@@ -488,11 +499,11 @@ func TestWALTailPropertyRandom(t *testing.T) {
 					lsn--
 				}
 				var recs []WALRecord
-				w, recs = openTestWAL(t, path, opts)
+				w, recs = openTestWAL(t, path, WALOptions{})
 				if len(recs) != len(payloads) {
 					t.Fatalf("reopen replayed %d records, want %d", len(recs), len(payloads))
 				}
-			case r < 7 && opts.MaxBatch > 1: // a group-committed burst
+			case r < 7: // a group-committed burst
 				var tks []*WALTicket
 				for n := 1 + rng.Intn(6); n > 0; n-- {
 					lsn++
@@ -585,7 +596,7 @@ func cutLastWALFrame(t *testing.T, path string, n int) {
 // asserts every acked append is eventually served exactly once, in order.
 func TestWALTailConcurrentAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.wal")
-	w, _ := openTestWAL(t, path, WALOptions{Window: 200 * time.Microsecond})
+	w, _ := openTestWAL(t, path, WALOptions{})
 	defer w.Close()
 
 	const writers, perWriter = 4, 50
@@ -658,7 +669,7 @@ func TestWALTailConcurrentAppends(t *testing.T) {
 // contiguous slice of the durable record sequence.
 func FuzzWALTailCursor(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "fuzz.wal")
-	w, _, err := OpenWAL(path, WALOptions{MaxBatch: 1})
+	w, _, err := OpenWAL(path, WALOptions{})
 	if err != nil {
 		f.Fatalf("OpenWAL: %v", err)
 	}

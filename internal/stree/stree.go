@@ -219,9 +219,6 @@ func New(dims, cap int) *Tree {
 	return &Tree{dims: dims, cap: cap, byID: make(map[uint64]*node)}
 }
 
-// Dims returns the box dimensionality.
-func (t *Tree) Dims() int { return t.dims }
-
 // Len returns the number of live items. Safe to call concurrently with
 // mutations (it reads an atomic).
 func (t *Tree) Len() int { return int(t.live.Load()) }

@@ -74,20 +74,6 @@ func WithBackground(bg RGB) Option {
 	return func(c *openConfig) { c.core.Background = bg }
 }
 
-// WithGroupCommit tunes the write-ahead log's group commit (persistent
-// databases only). window is how long an append waits for companions before
-// forcing an fsync; maxBatch caps how many appends one fsync may commit
-// (0 = default, 1 = fsync every append individually). The defaults —
-// no window, batches of up to 64 — already coalesce concurrent writers;
-// a small window (e.g. 2ms) trades single-writer latency for throughput
-// under bursty load.
-func WithGroupCommit(window time.Duration, maxBatch int) Option {
-	return func(c *openConfig) {
-		c.core.WAL.Window = window
-		c.core.WAL.MaxBatch = maxBatch
-	}
-}
-
 // WithSegmentStore tunes the storage engine every persistent database
 // runs on: objects live in immutable WAL-sealed segment files with bloom
 // filters, and space is reclaimed by compaction (in the background with

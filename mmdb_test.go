@@ -552,50 +552,42 @@ func TestAutoAugment(t *testing.T) {
 }
 
 // TestGroupCommitSharesFsyncs drives four concurrent writers through the
-// facade, eight inserts each, against a group-committing log (window 0:
-// batches form from whoever waits while the flusher syncs) and against
-// MaxBatch 1. Every acked insert is fsynced either way; group commit must
-// spend fewer fsyncs than there were inserts, and MaxBatch 1 at least one
-// per insert. Wall clock is left out: it depends on the device.
+// facade, eight inserts each: batches form from whoever waits while the
+// flusher syncs, so every acked insert is fsynced yet the log spends fewer
+// fsyncs than there were inserts. Wall clock is left out: it depends on
+// the device.
 func TestGroupCommitSharesFsyncs(t *testing.T) {
 	const writers, perWriter = 4, 8
-	fsyncs := func(maxBatch int) int64 {
-		db, err := mmdb.Open(mmdb.WithPath(filepath.Join(t.TempDir(), "commit.db")), mmdb.WithGroupCommit(0, maxBatch))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		errs := make(chan error, writers)
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				img := mmdb.NewFilledImage(8, 8, mmdb.RGB{R: uint8(40 * w), G: 90, B: 200})
-				for i := 0; i < perWriter; i++ {
-					if _, err := db.InsertImageCtx(context.Background(), fmt.Sprintf("w%d-%d", w, i), img); err != nil {
-						errs <- err
-						return
-					}
+	db, err := mmdb.Open(mmdb.WithPath(filepath.Join(t.TempDir(), "commit.db")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	errs := make(chan error, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			img := mmdb.NewFilledImage(8, 8, mmdb.RGB{R: uint8(40 * w), G: 90, B: 200})
+			for i := 0; i < perWriter; i++ {
+				if _, err := db.InsertImageCtx(context.Background(), fmt.Sprintf("w%d-%d", w, i), img); err != nil {
+					errs <- err
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
-		}
-		st, ok := db.WALStats()
-		if !ok {
-			t.Fatal("file-backed database reports no WAL")
-		}
-		return st.Fsyncs
+			}
+		}(w)
 	}
-	const inserts = writers * perWriter
-	if n := fsyncs(1); n < inserts {
-		t.Errorf("MaxBatch 1: %d fsyncs for %d inserts", n, inserts)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
-	if n := fsyncs(0); n >= inserts {
-		t.Errorf("group commit: %d fsyncs for %d inserts, want fewer", n, inserts)
+	st, ok := db.WALStats()
+	if !ok {
+		t.Fatal("file-backed database reports no WAL")
+	}
+	if st.Fsyncs >= writers*perWriter {
+		t.Errorf("group commit: %d fsyncs for %d inserts, want fewer", st.Fsyncs, writers*perWriter)
 	}
 }
