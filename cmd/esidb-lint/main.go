@@ -2,7 +2,7 @@
 // edited-sequence image database: operation-taxonomy exhaustiveness
 // (opswitch), guarded-field lock discipline and package-wide lock ordering
 // (lockguard), bound-interval ordering (boundorder), context propagation
-// into the worker pool (ctxflow), the nil-safe trace contract (tracenil),
+// into WAL commit waits (ctxflow), the nil-safe trace contract (tracenil),
 // all-atomic-or-none field access (atomicguard), the replicator's
 // epoch-checked publication contract (epochguard), errors.Is/As discipline
 // (errcmp), and the /v1 error-envelope wire contract with approved code

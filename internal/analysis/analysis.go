@@ -4,7 +4,7 @@
 // every editing operation, bounds are ordered [min, max] pairs derived from
 // the bin total, BWM's widening classification consults the same op
 // taxonomy as RBM, mutex-guarded state is only touched under its mutex, and
-// contexts thread through the internal/exec worker pool. The distributed
+// contexts thread into the WAL's group-commit waits. The distributed
 // layer adds its own conventions: atomics are never mixed with plain
 // access, named mutexes keep one package-wide acquisition order, the
 // replicator publishes state only through epoch-checked helpers, every

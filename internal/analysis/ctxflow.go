@@ -5,22 +5,18 @@ import (
 	"strings"
 )
 
-// CtxFlow enforces context propagation into the cancellation-sensitive
-// seams. A function that accepts a context.Context and fans out through
-// internal/exec must pass that context on; calling exec.ForEach/Scatter
-// with context.Background() (or context.TODO()) detaches the fan-out from
-// the caller's cancellation, so an abandoned query keeps burning workers.
-// The same applies to the durable write path: internal/store's
-// WALTicket.Wait blocks until the group-commit fsync lands, and waiting on
-// it with a fresh root context makes the commit wait uncancellable. The
-// check fires on any such call that passes a fresh Background/TODO context
-// while a context.Context parameter is in scope (including captured
-// parameters in nested function literals).
+// CtxFlow enforces context propagation into the durable write path:
+// internal/store's WALTicket.Wait blocks until the group-commit fsync lands,
+// and waiting on it with context.Background() (or context.TODO()) while the
+// caller handed us a context makes the commit wait uncancellable, so an
+// abandoned request keeps its goroutine parked on the log. The check fires
+// on any such call that passes a fresh Background/TODO context while a
+// context.Context parameter is in scope (including captured parameters in
+// nested function literals).
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "functions that accept a context.Context must thread it into " +
-		"internal/exec fan-outs and internal/store commit waits instead " +
-		"of context.Background()",
+		"internal/store commit waits instead of context.Background()",
 	Run: runCtxFlow,
 }
 
@@ -96,23 +92,15 @@ func checkCtxCalls(pass *Pass, body *ast.BlockStmt) {
 }
 
 // ctxSensitiveCallee reports whether the call's target honors context
-// cancellation in a way worth enforcing: any function in internal/exec (the
-// worker-pool fan-outs), or a Wait method in internal/store (the WAL ticket
-// blocking until the group-commit fsync).
+// cancellation in a way worth enforcing: a Wait method in internal/store
+// (the WAL ticket blocking until the group-commit fsync).
 func ctxSensitiveCallee(pass *Pass, call *ast.CallExpr) bool {
 	pkg := pkgOfCall(pass.TypesInfo, call)
-	if pkg == nil {
+	if pkg == nil || !strings.HasSuffix(pkg.Path(), "internal/store") {
 		return false
 	}
-	if pkg.Name() == "exec" && strings.HasSuffix(pkg.Path(), "internal/exec") {
-		return true
-	}
-	if strings.HasSuffix(pkg.Path(), "internal/store") {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
-			return true
-		}
-	}
-	return false
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Wait"
 }
 
 // freshContextCall reports whether e is a direct context.Background() or
@@ -133,7 +121,7 @@ func freshContextCall(pass *Pass, e ast.Expr) (string, bool) {
 	return sel.Sel.Name, true
 }
 
-// callName renders the callee for the diagnostic ("exec.ForEach").
+// callName renders the callee for the diagnostic ("tk.Wait").
 func callName(call *ast.CallExpr) string {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if base, ok := exprPath(sel.X); ok {
@@ -144,5 +132,5 @@ func callName(call *ast.CallExpr) string {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		return id.Name
 	}
-	return "exec call"
+	return "call"
 }

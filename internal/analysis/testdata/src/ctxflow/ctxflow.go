@@ -1,89 +1,51 @@
 // Package ctxflow holds fixtures for the ctxflow analyzer: a function that
-// accepts a context must thread it into internal/exec fan-outs and
-// internal/store commit waits.
+// accepts a context must thread it into internal/store commit waits.
 package ctxflow
 
 import (
 	"context"
 
-	"repro/internal/exec"
 	"repro/internal/store"
 )
 
-// bad: the caller's ctx is dropped on the floor.
-func dropped(ctx context.Context, n int) error {
-	_, err := exec.ForEach(context.Background(), 4, n, func(w, i int) error { return nil }) // want "context.Background\(\) passed to exec.ForEach"
-	return err
-}
-
-// bad: TODO is no better.
-func todo(ctx context.Context, n int) error {
-	_, err := exec.ForEach(context.TODO(), 4, n, func(w, i int) error { return nil }) // want "context.TODO\(\) passed to exec.ForEach"
-	return err
-}
-
-// good: the context threads through.
-func threaded(ctx context.Context, n int) error {
-	_, err := exec.ForEach(ctx, 4, n, func(w, i int) error { return nil })
-	return err
-}
-
-// good: no context parameter in scope — a fresh root is the only option.
-func rootCaller(n int) error {
-	_, err := exec.ForEach(context.Background(), 4, n, func(w, i int) error { return nil })
-	return err
-}
-
-// bad: a closure capturing the outer ctx still must use it.
-func captured(ctx context.Context, n int) func() error {
-	return func() error {
-		_, err := exec.ForEach(context.Background(), 2, n, func(w, i int) error { return nil }) // want "context.Background\(\) passed to exec.ForEach"
-		return err
-	}
-}
-
-// bad: a literal with its own ctx parameter inside a ctx-less function.
-func litCtx(n int) func(context.Context) error {
-	return func(ctx context.Context) error {
-		_, err := exec.ForEach(context.Background(), 2, n, func(w, i int) error { return nil }) // want "context.Background\(\) passed to exec.ForEach"
-		return err
-	}
-}
-
-// good: derived contexts are real propagation.
-func derived(ctx context.Context, n int) error {
-	c, cancel := context.WithCancel(ctx)
-	defer cancel()
-	_, err := exec.ForEach(c, 4, n, func(w, i int) error { return nil })
-	return err
-}
-
-// bad: a scatter-gather fan-out (the cluster coordinator shape) detached
-// from the caller's cancellation.
-func scatterDropped(ctx context.Context, n int) []error {
-	errs, _ := exec.Scatter(context.Background(), 4, n, func(i int) error { return nil }) // want "context.Background\(\) passed to exec.Scatter"
-	return errs
-}
-
-// good: the coordinator shape done right — the per-shard closure sees the
-// caller's ctx because Scatter received it.
-func scatterThreaded(ctx context.Context, n int) []error {
-	errs, _ := exec.Scatter(ctx, 4, n, func(i int) error { return ctx.Err() })
-	return errs
-}
-
 // bad: waiting for the group-commit fsync with a fresh root makes the
 // commit wait uncancellable even though the caller handed us a context.
-func commitDropped(ctx context.Context, tk *store.WALTicket) error {
+func dropped(ctx context.Context, tk *store.WALTicket) error {
 	return tk.Wait(context.Background()) // want "context.Background\(\) passed to tk.Wait"
 }
 
+// bad: TODO is no better.
+func todo(ctx context.Context, tk *store.WALTicket) error {
+	return tk.Wait(context.TODO()) // want "context.TODO\(\) passed to tk.Wait"
+}
+
 // good: the commit wait is bounded by the caller's context.
-func commitThreaded(ctx context.Context, tk *store.WALTicket) error {
+func threaded(ctx context.Context, tk *store.WALTicket) error {
 	return tk.Wait(ctx)
 }
 
 // good: no context parameter in scope, so a root wait is the only option.
-func commitRoot(tk *store.WALTicket) error {
+func rootCaller(tk *store.WALTicket) error {
 	return tk.Wait(context.Background())
+}
+
+// bad: a closure capturing the outer ctx still must use it.
+func captured(ctx context.Context, tk *store.WALTicket) func() error {
+	return func() error {
+		return tk.Wait(context.Background()) // want "context.Background\(\) passed to tk.Wait"
+	}
+}
+
+// bad: a literal with its own ctx parameter inside a ctx-less function.
+func litCtx(tk *store.WALTicket) func(context.Context) error {
+	return func(ctx context.Context) error {
+		return tk.Wait(context.Background()) // want "context.Background\(\) passed to tk.Wait"
+	}
+}
+
+// good: derived contexts are real propagation.
+func derived(ctx context.Context, tk *store.WALTicket) error {
+	c, cancel := context.WithCancel(ctx)
+	defer cancel()
+	return tk.Wait(c)
 }

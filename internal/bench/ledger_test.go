@@ -50,13 +50,10 @@ type row map[string]int64
 // ledger maps a probe name to its row.
 type ledger map[string]row
 
-// addTrace folds one query's trace and answer size into r. The parallel_*
-// counters depend on how the scheduler splits work, so they stay out.
+// addTrace folds one query's trace and answer size into r.
 func (r row) addTrace(tr *obs.Trace, ids int) {
 	for k, v := range tr.Counters() {
-		if !strings.HasPrefix(k, "parallel_") {
-			r[k] += v
-		}
+		r[k] += v
 	}
 	r["ids"] += int64(ids)
 }

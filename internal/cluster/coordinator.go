@@ -8,7 +8,6 @@ import (
 	"time"
 
 	mmdb "repro"
-	"repro/internal/exec"
 	"repro/internal/obs"
 )
 
@@ -121,31 +120,36 @@ func gather[T any](ctx context.Context, c *Coordinator, tr *obs.Trace, fn func(c
 	tr.Count(obs.TClusterShardsQueried, int64(len(targets)))
 	vals = make([]T, len(targets))
 	ok = make([]bool, len(targets))
-	errs, st := exec.Scatter(ctx, len(targets), len(targets), func(i int) error {
-		cc := targets[i]
-		// One span per fan-out leg; the transport hangs the shard-side tree
-		// (and callShardSpan its attempt spans) underneath it.
-		sp := tr.StartSpan("shard:" + cc.shard.ID())
-		v, cerr := callShardSpan(ctx, c.pol, sp, func(actx context.Context, asp *obs.Span) (T, error) {
-			done := observeSeconds(cc.lat)
-			defer done()
-			return fn(actx, cc.shard, asp)
-		})
-		if cerr == nil {
-			vals[i], ok[i] = v, true
-			cc.noteSuccess()
-		} else {
-			sp.SetAttr("error", cerr.Error())
-			if !isQueryError(cerr) && ctx.Err() == nil {
-				cc.noteFailure()
+	// One goroutine per target, each writing only its own slots; one failed
+	// shard must not cancel its siblings.
+	errs := make([]error, len(targets))
+	var wg sync.WaitGroup
+	for i, cc := range targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// One span per fan-out leg; the transport hangs the shard-side
+			// tree (and callShardSpan its attempt spans) underneath it.
+			sp := tr.StartSpan("shard:" + cc.shard.ID())
+			v, cerr := callShardSpan(ctx, c.pol, sp, func(actx context.Context, asp *obs.Span) (T, error) {
+				done := observeSeconds(cc.lat)
+				defer done()
+				return fn(actx, cc.shard, asp)
+			})
+			if cerr == nil {
+				vals[i], ok[i] = v, true
+				cc.noteSuccess()
+			} else {
+				sp.SetAttr("error", cerr.Error())
+				if !isQueryError(cerr) && ctx.Err() == nil {
+					cc.noteFailure()
+				}
 			}
-		}
-		sp.End()
-		return cerr
-	})
-	if st.Workers > 1 {
-		st.Record(tr)
+			sp.End()
+			errs[i] = cerr
+		}()
 	}
+	wg.Wait()
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, nil, nil, cerr
 	}

@@ -125,7 +125,7 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 }
 
 // TestConcurrentParallelQueriesAndMutations runs every query surface — k-NN
-// refinement fanned out on its worker pool — while one writer inserts,
+// refinement fanned out on GOMAXPROCS goroutines — while one writer inserts,
 // appends operations to existing sequences, and deletes.
 // AppendOps in particular replaces S-tree bounds boxes under readers'
 // snapshots. Run with -race.

@@ -9,9 +9,10 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/catalog"
-	"repro/internal/exec"
 	"repro/internal/histogram"
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -49,10 +50,11 @@ var (
 // contains it just to lose on id.
 
 // knnRefineBatch is how many edited candidates are instantiated between two
-// reads of the k-th match. Within a batch the workers never look at the
-// threshold and the exact distances are recorded in list order afterwards,
-// so the answer and KNNStats are the same for every worker count; the price
-// is at most one batch of instantiations past the stopping point.
+// reads of the k-th match. Within a batch the refinement goroutines
+// (exactDistances) never look at the threshold and the exact distances are
+// recorded in list order afterwards, so the answer and KNNStats are the same
+// at every GOMAXPROCS; the price is at most one batch of instantiations past
+// the stopping point.
 const knnRefineBatch = 64
 
 // Match is one k-NN result.
@@ -189,7 +191,7 @@ func (db *DB) similaritySearch(ctx context.Context, target *histogram.Histogram,
 			break
 		}
 		cands = cands[len(batch):]
-		n, err := db.exactDistances(ctx, target, metric, batch, tr)
+		n, err := db.exactDistances(ctx, target, metric, batch)
 		if err != nil {
 			return nil, err
 		}
@@ -214,16 +216,19 @@ func (db *DB) similaritySearch(ctx context.Context, target *histogram.Histogram,
 	return st, nil
 }
 
-// exactDistances instantiates one batch of candidates on a pool of
-// GOMAXPROCS workers — the one query path that fans out (DESIGN §7) — and
-// fills in each one's exact distance. A candidate deleted since the tree
-// snapshot, or whose instantiation is empty, stays unscored. Returns how
-// many were instantiated.
-func (db *DB) exactDistances(ctx context.Context, target *histogram.Histogram, metric query.Metric, batch []knnCand, tr *obs.Trace) (int, error) {
-	workers := runtime.GOMAXPROCS(0)
+// exactDistances instantiates one batch of candidates on GOMAXPROCS
+// goroutines — the one query path that fans out (DESIGN §7) — and fills in
+// each one's exact distance. A candidate deleted since the tree snapshot,
+// or whose instantiation is empty, stays unscored. Returns how many were
+// instantiated.
+func (db *DB) exactDistances(ctx context.Context, target *histogram.Histogram, metric query.Metric, batch []knnCand) (int, error) {
+	workers := min(runtime.GOMAXPROCS(0), len(batch))
 	env := db.env()
 	inst := make([]rbm.Stats, workers)
-	pst, err := exec.ForEach(ctx, workers, len(batch), func(w, i int) error {
+	refine := func(w, i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		c := &batch[i]
 		obj, err := db.cat.Edited(c.id)
 		if errors.Is(err, catalog.ErrNotFound) {
@@ -237,16 +242,42 @@ func (db *DB) exactDistances(ctx context.Context, target *histogram.Histogram, m
 			return true
 		}, &inst[w])
 		return err
-	})
-	if pst.Workers > 1 {
-		pst.Record(tr)
 	}
-	if err != nil {
-		return 0, err
+	// Each worker claims the next candidate from one cursor, so a slow
+	// instantiation holds up no other; after the first error every worker
+	// stops at its next claim.
+	errs := make([]error, workers)
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func(w int) {
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= len(batch) {
+				return
+			}
+			if errs[w] = refine(w, i); errs[w] != nil {
+				failed.Store(true)
+				return
+			}
+		}
 	}
+	// The query's own goroutine is worker 0, so a width of one starts none.
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
 	n := 0
-	for _, s := range inst {
-		n += s.Instantiated
+	for w := range inst {
+		if errs[w] != nil {
+			return 0, errs[w]
+		}
+		n += inst[w].Instantiated
 	}
 	return n, nil
 }

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/editops"
@@ -65,8 +66,8 @@ func requireMatches(t testing.TB, what string, got, want []Match) {
 // requireSimilarityEqualsBruteForce is the similarity oracle: for every
 // metric, k-NN for each k and within-distance at radii taken from the
 // ranking itself (so the inclusive boundary is hit exactly) must equal the
-// instantiate-everything answer in ids and distances, and runs with the
-// refinement pool one and four workers wide (GOMAXPROCS 1 and 4) must return
+// instantiate-everything answer in ids and distances, and runs with
+// refinement one and four goroutines wide (GOMAXPROCS 1 and 4) must return
 // identical matches and identical KNNStats. GOMAXPROCS is restored on
 // return.
 func requireSimilarityEqualsBruteForce(t testing.TB, db *DB, target *histogram.Histogram, metrics []query.Metric, ks []int) {
@@ -260,8 +261,8 @@ func TestKNNTieRulePrunesOnID(t *testing.T) {
 // so the k-th distance is 0 and every edited image whose box holds the
 // probe ties on the lower bound. The descent must stop once it holds its k
 // ties — a few leaves, not every box that contains the probe — and still
-// return the brute-force answer with the refinement pool one and four
-// workers wide.
+// return the brute-force answer with refinement one and four goroutines
+// wide.
 func TestKNNTiedProbeStopsAtTies(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const k = 10
@@ -698,5 +699,57 @@ func TestWithinDistanceValidation(t *testing.T) {
 	}
 	if _, _, err := db.WithinDistanceCtx(ctx, histogram.New(3), 1, query.MetricL1); err == nil {
 		t.Fatal("bin mismatch accepted")
+	}
+}
+
+// TestKNNRefinementHonorsCancel: in a database of fewer than ctxEvery
+// objects the descent never reads the context, so the first check a
+// canceled k-NN reaches is refinement's, per candidate. It must return
+// context.Canceled at every refinement width and leave no goroutine behind.
+func TestKNNRefinementHonorsCancel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	ctx := context.Background()
+	db := memDB(t)
+	var bases []uint64
+	for _, c := range []imaging.RGB{dataset.Red, dataset.Blue} {
+		id, err := db.InsertImageCtx(ctx, 0, "base", imaging.NewFilled(8, 8, c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases = append(bases, id)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := db.InsertEditedCtx(ctx, 0, "edit", identityEdit(bases[i%2], 8, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(db.Binaries()) + len(db.EditedIDs()); n >= ctxEvery {
+		t.Fatalf("%d objects: the descent would check the context", n)
+	}
+	// k above the object count keeps every edited image a candidate.
+	q := query.KNN{Target: histogram.Extract(imaging.NewFilled(8, 8, dataset.Green), db.Quantizer()), K: 10, Metric: query.MetricL1}
+	_, st, err := db.KNNCtx(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.EditedInstantiated != 6 {
+		t.Fatalf("uncanceled k-NN instantiated %d edited images, want 6", st.EditedInstantiated)
+	}
+
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	before := runtime.NumGoroutine()
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		if _, _, err := db.KNNCtx(canceled, q); !errors.Is(err, context.Canceled) {
+			t.Fatalf("GOMAXPROCS %d: got %v, want context.Canceled", procs, err)
+		}
+	}
+	// Refinement waits for its goroutines, but one that has signalled may
+	// not have exited yet.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the canceled queries, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 }

@@ -24,9 +24,9 @@ import (
 //     method's result set (no false negatives), and
 //  2. agreement  — all bound methods return the identical set (they share
 //     one BOUNDS definition), and
-//  3. determinism — k-NN and within-distance, whose refinement runs on a
-//     worker pool, return identical matches and statistics at pool widths
-//     1 and 4.
+//  3. determinism — k-NN and within-distance, whose refinement runs on
+//     GOMAXPROCS goroutines, return identical matches and statistics at
+//     GOMAXPROCS 1 and 4.
 
 // oracleBoundModes are the modes that answer from rule bounds; they must
 // agree with each other and contain the instantiation oracle. ModeIndexed

@@ -258,14 +258,12 @@ const (
 	TImagesPruned       = "images_pruned"
 	TImagesReturned     = "images_returned"
 	TEditedInstantiated = "edited_instantiated"
-	// Worker-pool counters, recorded only when k-NN refinement or a cluster
-	// scatter actually fanned out: worker goroutines used, items evaluated
-	// by the pool, chunk claims beyond each worker's first, and
-	// early-canceled runs.
+	// The deleted worker pool's counters. Nothing records them any more;
+	// they stay, always zero, because the benchmark harness's exec.* rows
+	// compile against them.
 	TParallelWorkers = "parallel_workers"
 	TParallelTasks   = "parallel_tasks"
 	TParallelSteals  = "parallel_steals"
-	TParallelCancels = "parallel_cancels"
 	// Cluster scatter-gather counters (recorded by the coordinator, not by
 	// individual shards): shards fanned out to, shards that failed past
 	// their retry budget, queries answered partially, and duplicate ids
