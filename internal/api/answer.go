@@ -130,7 +130,13 @@ func AppendObject(dst []byte, o *Object) []byte {
 // and the closing brace. The trace is the one member encoding/json still
 // writes: it has its own MarshalJSON and is absent from untraced answers.
 func AppendAnswerEnd(dst []byte, stats AnswerStats, trace *obs.Trace) ([]byte, error) {
-	dst = append(dst, `,"stats":{"binaries_checked":`...)
+	return appendStatsTrace(append(dst, ','), stats, trace)
+}
+
+// appendStatsTrace appends `"stats":…,"trace":…}`: the members that end an
+// answer, in both of its shapes.
+func appendStatsTrace(dst []byte, stats AnswerStats, trace *obs.Trace) ([]byte, error) {
+	dst = append(dst, `"stats":{"binaries_checked":`...)
 	dst = strconv.AppendInt(dst, int64(stats.BinariesChecked), 10)
 	dst = append(dst, `,"edited_walked":`...)
 	dst = strconv.AppendInt(dst, int64(stats.EditedWalked), 10)

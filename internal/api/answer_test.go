@@ -306,17 +306,25 @@ func TestDecodeHintIsNotTrusted(t *testing.T) {
 	}
 }
 
-// FuzzAnswerCodec holds the codec to its four rules. Arm A reads the input
-// as a response body: (1) what the hand decoder accepts, encoding/json
-// accepts with an equal value; (2) what encoding/json refuses, it refuses.
-// Arm B reads the input as material for a []Object — every byte value in
-// names, kinds and scripts, the integer extremes, nil against empty — and
-// checks that (4) the encoder writes json.Marshal's bytes and (3) the
-// forward pass decodes them without falling back.
+// FuzzAnswerCodec holds the codec to its four rules, and the column frame to
+// its equivalence contract. Arm A reads the input as a response body: (1)
+// what the hand decoder accepts, encoding/json accepts with an equal value;
+// (2) what encoding/json refuses, it refuses. Arm B reads the input as
+// material for a []Object — every byte value in names, kinds and scripts,
+// the integer extremes, nil against empty — and checks that (4) the encoder
+// writes json.Marshal's bytes and (3) the forward pass decodes them without
+// falling back. Arm C reads the input as a column frame: refused with a
+// FrameError or decoded into slices its bytes could fill, never a panic.
+// Arm D turns arm B's answer into one the frame carries, traced or not, and
+// requires its frame to decode to what DecodeAnswer makes of its JSON.
 func FuzzAnswerCodec(f *testing.F) {
 	page := append(encodeAnswer(f, paperMixAnswer(20)), '\n')
 	for i := 0; i <= len(page); i++ {
 		f.Add(page[:i])
+	}
+	frame := encodeColumns(f, paperMixAnswer(20))
+	for i := 0; i <= len(frame); i++ {
+		f.Add(frame[:i])
 	}
 	for _, s := range []string{
 		`{"ids":[1],"objects":[{"id":1,"kind":"edited","name":"a","widening":null}],"stats":{},"x":[{}]}`,
@@ -342,6 +350,15 @@ func FuzzAnswerCodec(f *testing.F) {
 			t.Fatalf("forward pass declined the encoder's own output: %s", body)
 		}
 		checkDecodeList(t, AppendObjects(nil, len(a.Objects), at(a.Objects)))
+
+		checkColumnBytes(t, data)
+
+		a = carried(answerFrom(data))
+		if len(data) > 0 && data[0]&4 != 0 {
+			a.Trace = obs.NewTrace()
+			a.Trace.Count(obs.TImagesReturned, int64(len(a.IDs)))
+		}
+		checkColumns(t, a)
 	})
 }
 
@@ -408,8 +425,10 @@ func answerFrom(data []byte) *Answer {
 }
 
 // BenchmarkAnswerCodec is the in-tree referee for the codec: the hand
-// encoder and decoder against encoding/json on the answer range_full
-// carries — 13 000 objects of paper_mix's shape, 1.2 MB on the wire.
+// encoder and decoder, and the column frame's, against encoding/json on the
+// answer range_full carries — 13 000 objects of paper_mix's shape, 1.2 MB on
+// the wire as JSON. Every row sets the JSON body's size, so MB/s compares
+// answers carried, not bytes; the frame's own size is logged.
 func BenchmarkAnswerCodec(b *testing.B) {
 	a := paperMixAnswer(13000)
 	body := append(encodeAnswer(b, a), '\n')
@@ -434,12 +453,31 @@ func BenchmarkAnswerCodec(b *testing.B) {
 			}
 		}
 	})
+	b.Run("encode/columns", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf, _ = AppendColumns(buf[:0], a.IDs, at(a.Objects))
+			buf, _ = AppendColumnsEnd(buf, &a.Stats, nil)
+		}
+	})
 	var out Answer
 	b.Run("decode/hand", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := DecodeAnswer(body, &out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	frame := encodeColumns(b, a)
+	b.Logf("%d objects: JSON %d bytes, column frame %d bytes", len(a.Objects), len(body), len(frame))
+	b.Run("decode/columns", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := DecodeColumns(frame, &out); err != nil {
 				b.Fatal(err)
 			}
 		}

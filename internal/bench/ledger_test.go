@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
+	"repro/internal/catalog"
 	"repro/internal/colorspace"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -56,6 +58,40 @@ func (r row) addTrace(tr *obs.Trace, ids int) {
 		r[k] += v
 	}
 	r["ids"] += int64(ids)
+}
+
+// addAnswerBytes adds the size of the untraced /v1 answer res makes in each
+// of its two shapes: answer_bytes_json, what a request without Accept gets
+// (with json.Encoder's newline), and answer_bytes_columns, the column frame.
+func (r row) addAnswerBytes(t *testing.T, db *core.DB, res *rbm.Result) {
+	t.Helper()
+	objs := db.Objects(res.IDs)
+	if len(objs) != len(res.IDs) {
+		t.Fatalf("%d objects for %d ids", len(objs), len(res.IDs))
+	}
+	// As internal/server's toWire renders a catalog entry.
+	object := func(i int) api.Object {
+		o := objs[i]
+		if o.Kind == catalog.KindBinary {
+			return api.Object{ID: o.ID, Kind: o.Kind.String(), Name: o.Name, W: o.W, H: o.H}
+		}
+		return api.Object{ID: o.ID, Kind: o.Kind.String(), Name: o.Name, BaseID: o.Seq.BaseID, Ops: len(o.Seq.Ops), Widening: &o.Widening}
+	}
+	stats := api.AnswerStats{BinariesChecked: res.Stats.BinariesChecked, EditedWalked: res.Stats.EditedWalked,
+		OpsEvaluated: res.Stats.OpsEvaluated, EditedSkipped: res.Stats.EditedSkipped}
+	js, err := api.AppendAnswerEnd(api.AppendObjects(api.AppendAnswerStart(nil, res.IDs), len(objs), object), stats, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := api.AppendColumns(nil, res.IDs, object)
+	if err == nil {
+		frame, err = api.AppendColumnsEnd(frame, &stats, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	r["answer_bytes_json"] += int64(len(js) + 1)
+	r["answer_bytes_columns"] += int64(len(frame))
 }
 
 // ledgerDB loads paper_mix's shape at ledgerBases flags, built as the root
@@ -123,7 +159,7 @@ func runLedger(t *testing.T) ledger {
 	bins, candidates := db.Quantizer().Bins(), int64(len(db.Binaries())+len(db.EditedIDs()))
 
 	// probe runs one traced query into the named probe's row.
-	probe := func(name string, run func(tr *obs.Trace) (*rbm.Result, error)) []uint64 {
+	probe := func(name string, run func(tr *obs.Trace) (*rbm.Result, error)) *rbm.Result {
 		tr := obs.NewTrace()
 		res, err := run(tr)
 		if err != nil {
@@ -133,15 +169,17 @@ func runLedger(t *testing.T) ledger {
 			out[name] = row{}
 		}
 		out[name].addTrace(tr, len(res.IDs))
-		return res.IDs
+		return res
 	}
 	const text = "at least 20% red"
-	probe("range_page", func(tr *obs.Trace) (*rbm.Result, error) {
+	res := probe("range_page", func(tr *obs.Trace) (*rbm.Result, error) {
 		return db.RangeQueryTextCtx(ctx, text, core.WithLimit(20), core.WithTrace(tr))
 	})
-	probe("range_full", func(tr *obs.Trace) (*rbm.Result, error) {
+	out["range_page"].addAnswerBytes(t, db, res)
+	res = probe("range_full", func(tr *obs.Trace) (*rbm.Result, error) {
 		return db.RangeQueryTextCtx(ctx, text, core.ModeIndexed, core.WithTrace(tr))
 	})
+	out["range_full"].addAnswerBytes(t, db, res)
 	family, err := colorspace.FamilyForName("orange", db.Quantizer())
 	if err != nil || len(family) < 2 {
 		t.Fatalf("orange's family %v (%v): want several bins", family, err)
@@ -162,13 +200,14 @@ func runLedger(t *testing.T) ledger {
 	}
 	// A broad text paged to exhaustion: every page's work, summed.
 	for after := uint64(0); ; {
-		ids := probe("paged/broad", func(tr *obs.Trace) (*rbm.Result, error) {
+		res := probe("paged/broad", func(tr *obs.Trace) (*rbm.Result, error) {
 			return db.RangeQueryTextCtx(ctx, "at least 5% white", core.WithLimit(20), core.WithAfter(after), core.WithTrace(tr))
 		})
-		if len(ids) < 20 {
+		out["paged/broad"].addAnswerBytes(t, db, res)
+		if len(res.IDs) < 20 {
 			break
 		}
-		after = ids[len(ids)-1]
+		after = res.IDs[len(res.IDs)-1]
 	}
 	sweep := ledgerSweep(bins)
 	for _, shape := range []string{"broad", "medium", "narrow"} {

@@ -1,0 +1,100 @@
+package client
+
+import (
+	"context"
+	"io"
+	"log/slog"
+	"net/http/httptest"
+	"runtime/debug"
+	"testing"
+
+	mmdb "repro"
+	"repro/internal/api"
+	"repro/internal/dataset"
+	"repro/internal/server"
+)
+
+// TestV1AnswerAllocs budgets a /v1 answer's allocations end to end, in both
+// shapes: the server handler, from request to written body (query,
+// hydration, encoding, access log), and the client's decode of that body.
+// Two queries over 250 flags and 1 000 scripts of them: a broad indexed one
+// with no limit, and a page of 20 of the same text. Each budget is what the
+// test reads; the column decode makes a fixed number of allocations
+// whatever the number of objects, where the JSON decode makes one per name.
+func TestV1AnswerAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's sync.Pool drops scratch on purpose")
+	}
+	ctx := context.Background()
+	db, err := mmdb.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	flags := dataset.Flags(250, 48, 32, 1)
+	aug := dataset.NewAugmenter(dataset.AugmentConfig{PerBase: 4, OpsPerImage: 5, NonWideningFrac: 0.3, Seed: 1})
+	var ids []uint64
+	for _, f := range flags {
+		id, err := db.InsertImageCtx(ctx, f.Name, f.Img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range aug.ScriptsFor(id, f.Img, ids) {
+			if _, err := db.InsertEditedCtx(ctx, f.Name+"-edit", seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ids = append(ids, id)
+	}
+	srv := server.New(db).WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	// A collection in the middle of a measurement empties the pools the
+	// handler and the client draw their buffers from, which would count
+	// their refill against the answer.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	columnDecodes := map[string]float64{}
+	for _, tc := range []struct {
+		name, path     string
+		minObjects     int
+		server, decode map[bool]float64 // by columns
+	}{
+		{"broad", "/v1/query?q=at+least+5%25+white&mode=indexed", 1000,
+			map[bool]float64{false: 73, true: 73}, map[bool]float64{false: 1034, true: 10}},
+		{"page", "/v1/query?q=at+least+5%25+white&limit=20", 20,
+			map[bool]float64{false: 81, true: 81}, map[bool]float64{false: 28, true: 10}},
+	} {
+		for _, columns := range []bool{false, true} {
+			r := httptest.NewRequest("GET", tc.path, nil)
+			if columns {
+				r.Header.Set("Accept", api.ColumnsMediaType)
+			}
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, r)
+			body := w.Body.Bytes()
+			var out QueryResult
+			if err := decodeAnswer(isColumns(w.Header().Get("Content-Type")), body, &out); err != nil || len(out.Objects) < tc.minObjects {
+				t.Fatalf("%s, columns %v: %d objects (%v)", tc.name, columns, len(out.Objects), err)
+			}
+			served := testing.AllocsPerRun(20, func() {
+				srv.ServeHTTP(httptest.NewRecorder(), r)
+			})
+			decoded := testing.AllocsPerRun(20, func() {
+				var out QueryResult
+				decodeAnswer(columns, body, &out)
+			})
+			t.Logf("%s, columns %v: %d objects, %d bytes: server %.1f allocations, decode %.1f", tc.name, columns, len(out.Objects), len(body), served, decoded)
+			if served > tc.server[columns] {
+				t.Errorf("%s, columns %v: the handler made %.1f allocations, budget %.0f", tc.name, columns, served, tc.server[columns])
+			}
+			if decoded > tc.decode[columns] {
+				t.Errorf("%s, columns %v: the decode made %.1f allocations, budget %.0f", tc.name, columns, decoded, tc.decode[columns])
+			}
+			if columns {
+				columnDecodes[tc.name] = decoded
+			}
+		}
+	}
+	if columnDecodes["broad"] > columnDecodes["page"] {
+		t.Errorf("the column decode of %d objects makes %.1f allocations, of 20 %.1f: it grows with the answer",
+			1000, columnDecodes["broad"], columnDecodes["page"])
+	}
+}

@@ -2,13 +2,17 @@ package client
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	mmdb "repro"
+	"repro/internal/api"
 	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -56,29 +60,57 @@ func TestImageCarriesTraceContext(t *testing.T) {
 
 // TestAnswerBodyFraming: a query answer decodes the same whether the peer
 // declares its length (the server), streams it in chunks (a proxy), or
-// re-serialises it with white space and members this client does not know.
+// re-serialises it with white space and members this client does not know,
+// in either shape; which shape is read is the response's Content-Type's
+// choice, and a query asks for the column frame.
 func TestAnswerBodyFraming(t *testing.T) {
 	ctx := context.Background()
 	const body = `{"ids":[7,9],"objects":[{"id":7,"kind":"binary","name":"b","width":4,"height":4},` +
 		`{"id":9,"kind":"edited","name":"e","base_id":7,"ops":2,"widening":false}],` +
 		`"stats":{"binaries_checked":1,"edited_walked":1,"ops_evaluated":2,"edited_skipped":0}}` + "\n"
-	var results []*QueryResult
-	for _, tc := range []struct {
-		name  string
-		write func(w http.ResponseWriter)
-	}{
-		{"declared length", func(w http.ResponseWriter) { io.WriteString(w, body) }},
-		{"chunked", func(w http.ResponseWriter) {
-			for _, half := range []string{body[:40], body[40:]} {
+	var want api.Answer
+	if err := api.DecodeAnswer([]byte(body), &want); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := api.AppendColumns(nil, want.IDs, func(i int) api.Object { return want.Objects[i] })
+	if err == nil {
+		frame, err = api.AppendColumnsEnd(frame, &want.Stats, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	columns := string(frame)
+	declared := func(b string) func(w http.ResponseWriter) {
+		return func(w http.ResponseWriter) { io.WriteString(w, b) }
+	}
+	chunked := func(b string) func(w http.ResponseWriter) {
+		return func(w http.ResponseWriter) {
+			for _, half := range []string{b[:20], b[20:]} {
 				io.WriteString(w, half)
 				w.(http.Flusher).Flush()
 			}
-		}},
-		{"re-serialised", func(w http.ResponseWriter) {
-			io.WriteString(w, strings.Replace(strings.ReplaceAll(body, ",", " ,\n "), "{", `{ "took_ms" : 3 , `, 1))
-		}},
+		}
+	}
+	var results []*QueryResult
+	for _, tc := range []struct {
+		name, contentType string
+		write             func(w http.ResponseWriter)
+	}{
+		{"declared length", "", declared(body)},
+		{"chunked", "", chunked(body)},
+		{"re-serialised", "application/json", declared(strings.Replace(strings.ReplaceAll(body, ",", " ,\n "), "{", `{ "took_ms" : 3 , `, 1))},
+		{"columns, declared length", api.ColumnsMediaType, declared(columns)},
+		{"columns, chunked", api.ColumnsMediaType + "; charset=binary", chunked(columns)},
 	} {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { tc.write(w) }))
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if got := r.Header.Get("Accept"); got != api.ColumnsMediaType {
+				t.Errorf("%s: the query asked with Accept %q", tc.name, got)
+			}
+			if tc.contentType != "" {
+				w.Header().Set("Content-Type", tc.contentType)
+			}
+			tc.write(w)
+		}))
 		res, err := New(ts.URL, ts.Client()).QueryCtx(ctx, "at least 50% blue", "", false)
 		ts.Close()
 		if err != nil {
@@ -92,20 +124,101 @@ func TestAnswerBodyFraming(t *testing.T) {
 		if res.Objects[0].Name != "b" || res.Objects[0].Kind != "binary" || res.Objects[1].Name != "e" {
 			t.Fatalf("answer changed after later reads: %+v", res.Objects)
 		}
-		if len(res.IDs) != 2 || len(res.Objects) != 2 || res.Objects[1].BaseID != 7 ||
-			res.Objects[1].Widening == nil || *res.Objects[1].Widening || res.Stats.OpsEvaluated != 2 {
+		if !reflect.DeepEqual(*res, want) || res.Objects[1].Widening == nil || *res.Objects[1].Widening || res.Stats.OpsEvaluated != 2 {
 			t.Fatalf("decoded %+v", res)
 		}
 	}
 
 	// A body cut short or followed by anything is an error, not an answer.
-	for _, bad := range []string{body[:len(body)/2], body + "{}"} {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, bad) }))
+	for _, bad := range []struct{ contentType, body string }{
+		{"", body[:len(body)/2]},
+		{"", body + "{}"},
+		{api.ColumnsMediaType, columns[:len(columns)/2]},
+		{api.ColumnsMediaType, columns + "\x00"},
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if bad.contentType != "" {
+				w.Header().Set("Content-Type", bad.contentType)
+			}
+			io.WriteString(w, bad.body)
+		}))
 		_, err := New(ts.URL, ts.Client()).QueryCtx(ctx, "at least 50% blue", "", false)
 		ts.Close()
 		if err == nil {
-			t.Fatalf("body %q decoded without error", bad)
+			t.Fatalf("body %q (%s) decoded without error", bad.body, bad.contentType)
 		}
+	}
+}
+
+// frameCounter counts the responses whose headers name the column frame.
+type frameCounter struct {
+	http.ResponseWriter
+	n *atomic.Int32
+}
+
+func (w frameCounter) WriteHeader(code int) {
+	if w.Header().Get("Content-Type") == api.ColumnsMediaType {
+		w.n.Add(1)
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// TestJSONOnlyPeer: a server that ignores Accept and answers JSON — one
+// older than the column frame, or a proxy that strips the header — is read
+// by the JSON decoder, to the same answers and lists the frame carries.
+func TestJSONOnlyPeer(t *testing.T) {
+	ctx := context.Background()
+	db, err := mmdb.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	base, err := db.InsertImageCtx(ctx, "b", mmdb.NewFilledImage(4, 4, dataset.Blue))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := db.InsertEditedCtx(ctx, "e", &mmdb.Sequence{BaseID: base, Ops: []mmdb.Op{mmdb.Modify{}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inner := server.New(db)
+	var frames atomic.Int32 // counted before the body is written, so before the client returns
+	both := map[bool]*httptest.Server{}
+	for _, jsonOnly := range []bool{false, true} {
+		both[jsonOnly] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if jsonOnly {
+				r.Header.Del("Accept")
+			}
+			inner.ServeHTTP(frameCounter{w, &frames}, r)
+		}))
+		defer both[jsonOnly].Close()
+	}
+	type read struct {
+		query, multi *QueryResult
+		list         []Object
+	}
+	reads := map[bool]read{}
+	for jsonOnly, ts := range both {
+		c := New(ts.URL, ts.Client())
+		var r read
+		var err1, err2, err3 error
+		r.query, err1 = c.QueryCtx(ctx, "at least 50% blue", "indexed", false)
+		r.multi, err2 = c.MultiRangeCtx(ctx, []int{0, 1, 2, 3}, 0, 1, "", Limit(2))
+		r.list, err3 = c.ListCtx(ctx)
+		if err := errors.Join(err1, err2, err3); err != nil {
+			t.Fatalf("JSON-only %v: %v", jsonOnly, err)
+		}
+		reads[jsonOnly] = r
+	}
+	if len(reads[false].query.Objects) != 4 || len(reads[false].list) != 4 || len(reads[false].multi.IDs) != 2 {
+		t.Fatalf("read %+v", reads[false])
+	}
+	if !reflect.DeepEqual(reads[false], reads[true]) {
+		t.Fatalf("the frame read %+v, JSON %+v", reads[false], reads[true])
+	}
+	if n := frames.Load(); n != 3 {
+		t.Fatalf("%d of the responses were column frames, want 3", n)
 	}
 }
 

@@ -98,14 +98,18 @@ func apiError(resp *http.Response) *APIError {
 }
 
 // send issues one request and returns its 2xx response, whose body the
-// caller closes; any other status comes back as an *APIError.
-func (c *Client) send(ctx context.Context, method, path string, body io.Reader, contentType string) (*http.Response, error) {
+// caller closes; any other status comes back as an *APIError. accept, if
+// not empty, is the request's Accept.
+func (c *Client) send(ctx context.Context, method, path string, body io.Reader, contentType, accept string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+path, body)
 	if err != nil {
 		return nil, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
 	}
 	// Propagate observability context: a span in the ctx becomes a
 	// traceparent header (the server continues the same trace id), and a
@@ -129,25 +133,37 @@ func (c *Client) send(ctx context.Context, method, path string, body io.Reader, 
 	return resp, nil
 }
 
-// doCtx sends one request and decodes its JSON response into out (nil
-// discards the body).
+// doCtx sends one request and decodes its response into out (nil discards
+// the body).
 func (c *Client) doCtx(ctx context.Context, method, path string, body io.Reader, contentType string, out any) error {
-	resp, err := c.send(ctx, method, path, body, contentType)
+	// Query answers and object lists — the bodies that grow with the
+	// database — are asked for as internal/api's column frame and decoded
+	// from one buffer by the codec the response's Content-Type names, so a
+	// peer that answers JSON still works; every other shape is small and
+	// stays on encoding/json.
+	accept := ""
+	switch out.(type) {
+	case *QueryResult, *[]Object:
+		accept = api.ColumnsMediaType
+	}
+	resp, err := c.send(ctx, method, path, body, contentType, accept)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	// Query answers and object lists — the bodies that grow with the
-	// database — are decoded by internal/api's codec from one buffer; every
-	// other shape is small and stays on encoding/json.
+	columns := isColumns(resp.Header.Get("Content-Type"))
 	switch out := out.(type) {
 	case nil:
 		return nil
 	case *QueryResult:
-		return decodeBody(resp, func(body []byte) error { return api.DecodeAnswer(body, out) })
+		return decodeBody(resp, func(body []byte) error { return decodeAnswer(columns, body, out) })
 	case *[]Object:
 		return decodeBody(resp, func(body []byte) (err error) {
-			*out, err = api.DecodeObjects(body)
+			if columns {
+				*out, err = api.DecodeColumnObjects(body)
+			} else {
+				*out, err = api.DecodeObjects(body)
+			}
 			return err
 		})
 	default:
@@ -155,8 +171,22 @@ func (c *Client) doCtx(ctx context.Context, method, path string, body io.Reader,
 	}
 }
 
-// bodyBufs recycles the buffers decodeBody reads into. The codec copies out
-// every byte it keeps, so a buffer is free again when decode returns.
+// isColumns reports whether a Content-Type names the column frame.
+func isColumns(contentType string) bool {
+	mediaType, _, _ := strings.Cut(contentType, ";")
+	return strings.EqualFold(strings.TrimSpace(mediaType), api.ColumnsMediaType)
+}
+
+// decodeAnswer decodes a query answer in the shape its response declared.
+func decodeAnswer(columns bool, body []byte, out *QueryResult) error {
+	if columns {
+		return api.DecodeColumns(body, out)
+	}
+	return api.DecodeAnswer(body, out)
+}
+
+// bodyBufs recycles the buffers decodeBody reads into. Both codecs copy out
+// every byte they keep, so a buffer is free again when decode returns.
 var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxBodyPrealloc caps what decodeBody allocates on a peer's word, and what
@@ -244,7 +274,7 @@ func (c *Client) GetCtx(ctx context.Context, id uint64) (*Object, error) {
 // ImageCtx downloads an object's raster, instantiating edited images
 // server-side.
 func (c *Client) ImageCtx(ctx context.Context, id uint64) (*mmdb.Image, error) {
-	resp, err := c.send(ctx, "GET", fmt.Sprintf("/v1/objects/%d/image", id), nil, "")
+	resp, err := c.send(ctx, "GET", fmt.Sprintf("/v1/objects/%d/image", id), nil, "", "")
 	if err != nil {
 		return nil, err
 	}

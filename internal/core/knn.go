@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -296,24 +295,24 @@ func newThresholdTracker(k int) *thresholdTracker { return &thresholdTracker{k: 
 // worse reports whether (lb, id) is not better than the current k-th match
 // in the (dist, id) order.
 func (t *thresholdTracker) worse(lb float64, id uint64) bool {
-	return t.h.Len() == t.k && !worseMatch(t.h[0], Match{ID: id, Dist: lb})
+	return len(t.h) == t.k && !worseMatch(t.h[0], Match{ID: id, Dist: lb})
 }
 
 // record folds one exact distance into the tracker.
 func (t *thresholdTracker) record(id uint64, d float64) {
 	m := Match{ID: id, Dist: d}
-	if t.h.Len() < t.k {
-		heap.Push(&t.h, m)
+	if len(t.h) < t.k {
+		t.h.push(m)
 	} else if worseMatch(t.h[0], m) {
 		t.h[0] = m
-		heap.Fix(&t.h, 0)
+		t.h.down(0)
 	}
 }
 
 // matches extracts the tracker's current best-k, ordered by (dist, id)
 // ascending.
 func (t *thresholdTracker) matches() []Match {
-	out := make([]Match, t.h.Len())
+	out := make([]Match, len(t.h))
 	copy(out, t.h)
 	sortMatches(out)
 	return out
@@ -479,19 +478,38 @@ func worseMatch(a, b Match) bool {
 	return a.ID > b.ID
 }
 
-// matchHeap is a max-heap on (dist, id) (root = worst of the best k).
+// matchHeap is a max-heap on (dist, id) (root = worst of the best k),
+// typed so that a push boxes nothing.
 type matchHeap []Match
 
-func (h matchHeap) Len() int            { return len(h) }
-func (h matchHeap) Less(i, j int) bool  { return worseMatch(h[i], h[j]) }
-func (h matchHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *matchHeap) Push(x interface{}) { *h = append(*h, x.(Match)) }
-func (h *matchHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	m := old[n-1]
-	*h = old[:n-1]
-	return m
+func (h *matchHeap) push(m Match) {
+	*h = append(*h, m)
+	for j := len(*h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !worseMatch((*h)[j], (*h)[i]) {
+			break
+		}
+		(*h)[i], (*h)[j] = (*h)[j], (*h)[i]
+		j = i
+	}
+}
+
+// down restores the order below i after h[i] changed.
+func (h matchHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && worseMatch(h[r], h[j]) {
+			j = r
+		}
+		if !worseMatch(h[j], h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // BICIndex builds a Border/Interior Classification search index (Stehling

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -19,14 +20,37 @@ import (
 	"repro/internal/obs"
 )
 
+// answerShape is one of the two Accept values a client may send for an
+// answer, with the Content-Type it gets back and its decoders.
+type answerShape struct {
+	name, accept, contentType string
+	answer                    func([]byte, *api.Answer) error
+	list                      func([]byte) ([]api.Object, error)
+}
+
+var shapes = []answerShape{
+	{"json", "", "application/json", func(b []byte, a *api.Answer) error { return json.Unmarshal(b, a) },
+		func(b []byte) (objs []api.Object, err error) { return objs, json.Unmarshal(b, &objs) }},
+	{"columns", api.ColumnsMediaType, api.ColumnsMediaType, api.DecodeColumns, api.DecodeColumnObjects},
+}
+
 // TestQueryHydrationDuringDeletes: an object deleted between a query choosing
 // its id and the handler fetching its metadata is left out of the answer —
 // it used to turn the whole response into a 404. While a deleter removes
 // every edited image, readers of the three routes that hydrate must see only
 // 200s whose objects are exactly the listed ids, under a Content-Length that
-// is true. The database is file-backed so that each delete waits for its
-// fsync: that paces the deleter to a few hundred reads per reader.
+// is true, in both shapes. The database is file-backed so that each delete
+// waits for its fsync: that paces the deleter to a few hundred reads per
+// reader.
 func TestQueryHydrationDuringDeletes(t *testing.T) {
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			queryHydrationDuringDeletes(t, shape)
+		})
+	}
+}
+
+func queryHydrationDuringDeletes(t *testing.T, shape answerShape) {
 	ctx := context.Background()
 	db, err := mmdb.Open(mmdb.WithPath(filepath.Join(t.TempDir(), "db")))
 	if err != nil {
@@ -79,7 +103,11 @@ func TestQueryHydrationDuringDeletes(t *testing.T) {
 					deleting = false // one more read, of the bases that are left
 				default:
 				}
-				resp, err := http.Get(ts.URL + path)
+				req, _ := http.NewRequest("GET", ts.URL+path, nil)
+				if shape.accept != "" {
+					req.Header.Set("Accept", shape.accept)
+				}
+				resp, err := http.DefaultClient.Do(req)
 				if err != nil {
 					t.Errorf("%s: %v", path, err)
 					return
@@ -93,15 +121,17 @@ func TestQueryHydrationDuringDeletes(t *testing.T) {
 				if resp.ContentLength != int64(len(body)) {
 					t.Errorf("%s: Content-Length %d for a %d-byte body", path, resp.ContentLength, len(body))
 				}
+				if ct := resp.Header.Get("Content-Type"); ct != shape.contentType {
+					t.Errorf("%s: Content-Type %q, want %q", path, ct, shape.contentType)
+				}
 				if path == "/v1/objects" {
-					var objs []api.Object
-					if err := json.Unmarshal(body, &objs); err != nil {
+					if _, err := shape.list(body); err != nil {
 						t.Errorf("%s: %v", path, err)
 					}
 					continue
 				}
 				var ans api.Answer
-				if err := json.Unmarshal(body, &ans); err != nil {
+				if err := shape.answer(body, &ans); err != nil {
 					t.Errorf("%s: %v", path, err)
 					return
 				}
@@ -120,6 +150,86 @@ func TestQueryHydrationDuringDeletes(t *testing.T) {
 	}
 	wg.Wait()
 	<-done
+}
+
+// TestAnswerNegotiation: a request that does not ask for the column frame
+// gets the JSON json.Marshal writes for the answer, as before the frame
+// existed; one whose Accept lists it with a non-zero quality gets the frame,
+// which decodes to the same answer; both carry Vary: Accept; and errors stay
+// JSON whatever the Accept.
+func TestAnswerNegotiation(t *testing.T) {
+	ctx := context.Background()
+	_, db := newTestServer(t)
+	base, err := db.InsertImageCtx(ctx, "b\xff<", mmdb.NewFilledImage(4, 2, dataset.Blue))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := db.InsertEditedCtx(ctx, fmt.Sprintf("e%d", i), &mmdb.Sequence{BaseID: base, Ops: []mmdb.Op{mmdb.Modify{}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := db.QueryCompoundCtx(ctx, "at least 50% blue", mmdb.ModeIndexed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := api.Answer{IDs: res.IDs, Stats: api.AnswerStats{BinariesChecked: res.Stats.BinariesChecked,
+		EditedWalked: res.Stats.EditedWalked, OpsEvaluated: res.Stats.OpsEvaluated, EditedSkipped: res.Stats.EditedSkipped}}
+	for _, obj := range db.Objects(res.IDs) {
+		want.Objects = append(want.Objects, toWire(obj, false))
+	}
+	wantJSON, _ := json.Marshal(want)
+	wantList, _ := json.Marshal(want.Objects)
+
+	s := New(db)
+	serve := func(path, accept string) *httptest.ResponseRecorder {
+		r := httptest.NewRequest("GET", path, nil)
+		if accept != "" {
+			r.Header.Set("Accept", accept)
+		}
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, r)
+		return w
+	}
+	for _, path := range []string{"/v1/query?q=at+least+50%25+blue&mode=indexed", "/v1/objects"} {
+		wantBody := string(wantJSON) + "\n"
+		if path == "/v1/objects" {
+			wantBody = string(wantList) + "\n"
+		}
+		for _, accept := range []string{"", "application/json", "*/*", "application/x-esidb-answer;q=0", "text/html, application/x-esidb-answer; q=0.0"} {
+			w := serve(path, accept)
+			if w.Code != http.StatusOK || w.Body.String() != wantBody {
+				t.Errorf("%s, Accept %q: %d\n got %s\nwant %s", path, accept, w.Code, w.Body, wantBody)
+			}
+			if ct, vary := w.Header().Get("Content-Type"), w.Header().Get("Vary"); ct != "application/json" || vary != "Accept" {
+				t.Errorf("%s, Accept %q: Content-Type %q, Vary %q", path, accept, ct, vary)
+			}
+		}
+		for _, accept := range []string{api.ColumnsMediaType, "application/json;q=0.5, Application/X-ESIDB-Answer", "application/x-esidb-answer ; q=1"} {
+			w := serve(path, accept)
+			if ct, vary := w.Header().Get("Content-Type"), w.Header().Get("Vary"); w.Code != http.StatusOK || ct != api.ColumnsMediaType || vary != "Accept" {
+				t.Errorf("%s, Accept %q: %d, Content-Type %q, Vary %q", path, accept, w.Code, ct, vary)
+				continue
+			}
+			if path == "/v1/objects" {
+				objs, err := api.DecodeColumnObjects(w.Body.Bytes())
+				wantObjs, _ := api.DecodeObjects(wantList)
+				if err != nil || !reflect.DeepEqual(objs, wantObjs) {
+					t.Errorf("%s, Accept %q: %+v (%v), want %+v", path, accept, objs, err, wantObjs)
+				}
+				continue
+			}
+			var got, wantAnswer api.Answer
+			err := api.DecodeColumns(w.Body.Bytes(), &got)
+			api.DecodeAnswer(wantJSON, &wantAnswer)
+			if err != nil || !reflect.DeepEqual(got, wantAnswer) {
+				t.Errorf("%s, Accept %q: %+v (%v), want %+v", path, accept, got, err, wantAnswer)
+			}
+		}
+	}
+	if w := serve("/v1/query?q=", api.ColumnsMediaType); w.Code != http.StatusBadRequest || w.Header().Get("Content-Type") != "application/json" {
+		t.Errorf("a bad query asking for columns: %d, Content-Type %q", w.Code, w.Header().Get("Content-Type"))
+	}
 }
 
 // firstWriteHook runs a function when the handler first touches the socket.
@@ -170,7 +280,7 @@ func TestQueryLogRecordsAfterEncode(t *testing.T) {
 		// What handleQuery holds when the delete lands after evaluation.
 		{"one id gone since evaluation", func(w http.ResponseWriter) {
 			start := time.Now()
-			s.writeAnswer(w, ids, &mmdb.QueryStats{}, nil, func(results int) {
+			s.writeAnswer(w, r, ids, &mmdb.QueryStats{}, nil, func(results int) {
 				logQuery(r, start, "query", "", "stale", nil, results, nil)
 			})
 		}},

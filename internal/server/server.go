@@ -40,7 +40,9 @@
 // The answers of /v1/query and /v1/multirange and the list of /v1/objects are
 // written by internal/api's encoder (writeAnswer) with a Content-Length; an
 // object deleted while its answer is being assembled is left out, not
-// reported. Every other body is encoding/json's.
+// reported. A request whose Accept names application/x-esidb-answer gets
+// them as internal/api's column frame instead of JSON, and both shapes carry
+// Vary: Accept. Every other body is encoding/json's.
 //
 // Mutating requests are acknowledged only after the write-ahead log has
 // fsynced them (group commit); cancelling a request's context abandons the
@@ -317,13 +319,14 @@ const maxPooledAnswer = 4 << 20
 
 // writeAnswer hydrates ids and writes them out with internal/api's encoder:
 // the answer of /v1/query and /v1/multirange when stats is non-nil, the bare
-// object list of /v1/objects when it is nil. The objects come from one
-// batched catalog read; an id deleted since the query chose it is dropped
-// from ids and objects alike, not reported. The "hydrate" phase of tr covers
-// the read and the encoding of the objects. record, if non-nil, is called
-// with the number of objects once the body is complete and before it goes to
-// the socket.
-func (s *Server) writeAnswer(w http.ResponseWriter, ids []uint64, stats *mmdb.QueryStats, tr *mmdb.Trace, record func(results int)) {
+// object list of /v1/objects when it is nil. The body is the column frame
+// when r's Accept asks for it (api.ColumnsMediaType) and JSON otherwise.
+// The objects come from one batched catalog read; an id deleted since the
+// query chose it is dropped from ids and objects alike, not reported. The
+// "hydrate" phase of tr covers the read and the encoding of the objects.
+// record, if non-nil, is called with the number of objects once the body is
+// complete and before it goes to the socket.
+func (s *Server) writeAnswer(w http.ResponseWriter, r *http.Request, ids []uint64, stats *mmdb.QueryStats, tr *mmdb.Trace, record func(results int)) {
 	bp := answerBufs.Get().(*[]byte)
 	buf := (*bp)[:0]
 	defer func() {
@@ -340,28 +343,75 @@ func (s *Server) writeAnswer(w http.ResponseWriter, ids []uint64, stats *mmdb.Qu
 			ids[i] = obj.ID
 		}
 	}
-	if stats != nil {
-		buf = api.AppendAnswerStart(buf, ids)
+	object := func(i int) api.Object { return toWire(objs[i], false) }
+	columns := wantsColumns(r)
+	var err error
+	switch {
+	case columns:
+		buf, err = api.AppendColumns(buf, ids, object)
+	case stats != nil:
+		buf = api.AppendObjects(api.AppendAnswerStart(buf, ids), len(objs), object)
+	default:
+		buf = api.AppendObjects(buf, len(objs), object)
 	}
-	buf = api.AppendObjects(buf, len(objs), func(i int) api.Object { return toWire(objs[i], false) })
 	done()
-	if stats != nil {
-		var err error
-		wire := api.AnswerStats{BinariesChecked: stats.BinariesChecked, EditedWalked: stats.EditedWalked,
-			OpsEvaluated: stats.OpsEvaluated, EditedSkipped: stats.EditedSkipped}
-		if buf, err = api.AppendAnswerEnd(buf, wire, tr); err != nil {
-			s.writeError(w, err)
-			return
-		}
+	if err != nil {
+		s.writeError(w, err)
+		return
 	}
-	buf = append(buf, '\n') // as json.Encoder ended every body
+	var wire *api.AnswerStats
+	if stats != nil {
+		wire = &api.AnswerStats{BinariesChecked: stats.BinariesChecked, EditedWalked: stats.EditedWalked,
+			OpsEvaluated: stats.OpsEvaluated, EditedSkipped: stats.EditedSkipped}
+	}
+	contentType := "application/json"
+	switch {
+	case columns:
+		buf, err = api.AppendColumnsEnd(buf, wire, tr)
+		contentType = api.ColumnsMediaType
+	case wire != nil:
+		buf, err = api.AppendAnswerEnd(buf, *wire, tr)
+	}
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	if !columns {
+		buf = append(buf, '\n') // as json.Encoder ended every body
+	}
 	if record != nil {
 		record(len(objs))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+	h := w.Header()
+	h.Set("Content-Type", contentType)
+	h.Set("Content-Length", strconv.Itoa(len(buf)))
+	h.Set("Vary", "Accept")
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf) // a failed write is a client that left; there is no one to tell
+}
+
+// wantsColumns reports whether r's Accept lists the column frame with a
+// non-zero quality.
+func wantsColumns(r *http.Request) bool {
+	for _, accept := range r.Header.Values("Accept") {
+		for accept != "" {
+			var part, params, param string
+			part, accept, _ = strings.Cut(accept, ",")
+			part, params, _ = strings.Cut(part, ";")
+			if !strings.EqualFold(strings.TrimSpace(part), api.ColumnsMediaType) {
+				continue
+			}
+			for params != "" {
+				param, params, _ = strings.Cut(params, ";")
+				if k, v, _ := strings.Cut(strings.TrimSpace(param), "="); strings.EqualFold(k, "q") {
+					q, err := strconv.ParseFloat(v, 64)
+					return err == nil && q > 0
+				}
+			}
+			return true
+		}
+	}
+	return false
 }
 
 // errorEnvelope is the uniform error body every route answers with. Code is
@@ -506,7 +556,7 @@ func (s *Server) handleInsertSequence(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.writeAnswer(w, append(s.db.Binaries(), s.db.EditedIDs()...), nil, nil, nil)
+	s.writeAnswer(w, r, append(s.db.Binaries(), s.db.EditedIDs()...), nil, nil, nil)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -624,7 +674,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("bases") == "1" {
 		ids = s.db.ExpandToBases(ids)
 	}
-	s.writeAnswer(w, ids, &res.Stats, tr, func(results int) {
+	s.writeAnswer(w, r, ids, &res.Stats, tr, func(results int) {
 		logQuery(r, start, "query", mode.String(), text, tr, results, nil)
 	})
 }
@@ -676,7 +726,7 @@ func (s *Server) handleMultiRange(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest("%v", err))
 		return
 	}
-	s.writeAnswer(w, res.IDs, &res.Stats, tr, func(results int) {
+	s.writeAnswer(w, r, res.IDs, &res.Stats, tr, func(results int) {
 		logQuery(r, start, "multirange", mode.String(), q.Get("bins"), tr, results, nil)
 	})
 }

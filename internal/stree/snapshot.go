@@ -1,7 +1,6 @@
 package stree
 
 import (
-	"container/heap"
 	"math"
 	"slices"
 )
@@ -140,10 +139,11 @@ type bfEntry struct {
 	node  *node
 }
 
+// bfHeap is a binary min-heap of bfEntry in (lb, minID, seq) order, typed so
+// that a push boxes nothing.
 type bfHeap []bfEntry
 
-func (h bfHeap) Len() int { return len(h) }
-func (h bfHeap) Less(i, j int) bool {
+func (h bfHeap) less(i, j int) bool {
 	if h[i].lb != h[j].lb {
 		return h[i].lb < h[j].lb
 	}
@@ -152,13 +152,39 @@ func (h bfHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h bfHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *bfHeap) Push(x interface{}) { *h = append(*h, x.(bfEntry)) }
-func (h *bfHeap) Pop() interface{} {
+
+func (h *bfHeap) push(e bfEntry) {
+	*h = append(*h, e)
+	for j := len(*h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		(*h)[i], (*h)[j] = (*h)[j], (*h)[i]
+		j = i
+	}
+}
+
+func (h *bfHeap) pop() bfEntry {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+	n := len(old) - 1
+	e := old[0]
+	old[0] = old[n]
+	*h = old[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		old[i], old[j] = old[j], old[i]
+		i = j
+	}
 	return e
 }
 
@@ -196,11 +222,11 @@ func (s Snapshot) BestFirst(bound func(b Boxes, sel []int, out []float64) []floa
 	}
 	lbs := make([]float64, 0, s.cap)
 	seq := 0
-	h := &bfHeap{}
+	var h bfHeap
 	st.NodesVisited++
-	heap.Push(h, bfEntry{lb: math.Inf(-1), minID: slices.Min(s.root.cols.ids), seq: seq, node: s.root})
-	for h.Len() > 0 {
-		e := heap.Pop(h).(bfEntry)
+	h.push(bfEntry{lb: math.Inf(-1), minID: slices.Min(s.root.cols.ids), seq: seq, node: s.root})
+	for len(h) > 0 {
+		e := h.pop()
 		if prune(e.lb, e.minID) {
 			// The heap ascends in (lb, minID): everything still queued ranks
 			// no better, so nothing left can enter the answer.
@@ -229,7 +255,7 @@ func (s Snapshot) BestFirst(bound func(b Boxes, sel []int, out []float64) []floa
 				continue // already provably outside; skip the queue
 			}
 			seq++
-			heap.Push(h, bfEntry{lb: lb, minID: minID, seq: seq, node: n.children[i]})
+			h.push(bfEntry{lb: lb, minID: minID, seq: seq, node: n.children[i]})
 		}
 	}
 	return nil
