@@ -37,11 +37,10 @@ type AnswerStats struct {
 // /v1/multirange). Objects[i] describes IDs[i]. Trace is non-nil only when
 // the request asked for one with trace=1 — the server-side span tree.
 //
-// The struct tags are the contract; the functions in this file and
-// DecodeAnswer/DecodeObjects are a second, faster implementation of what
-// encoding/json does with them, held to it by FuzzAnswerCodec: the encoder
-// writes json.Marshal's bytes, and the decoder accepts only what
-// json.Unmarshal accepts, with the same result.
+// The struct tags are the contract; the functions in this file are a
+// second, faster implementation of json.Marshal on them, held to it by
+// FuzzAnswerCodec: the encoder writes json.Marshal's bytes. The JSON form is
+// read with encoding/json.
 type Answer struct {
 	IDs     []uint64    `json:"ids"`
 	Objects []Object    `json:"objects"`
@@ -130,13 +129,7 @@ func AppendObject(dst []byte, o *Object) []byte {
 // and the closing brace. The trace is the one member encoding/json still
 // writes: it has its own MarshalJSON and is absent from untraced answers.
 func AppendAnswerEnd(dst []byte, stats AnswerStats, trace *obs.Trace) ([]byte, error) {
-	return appendStatsTrace(append(dst, ','), stats, trace)
-}
-
-// appendStatsTrace appends `"stats":…,"trace":…}`: the members that end an
-// answer, in both of its shapes.
-func appendStatsTrace(dst []byte, stats AnswerStats, trace *obs.Trace) ([]byte, error) {
-	dst = append(dst, `"stats":{"binaries_checked":`...)
+	dst = append(dst, `,"stats":{"binaries_checked":`...)
 	dst = strconv.AppendInt(dst, int64(stats.BinariesChecked), 10)
 	dst = append(dst, `,"edited_walked":`...)
 	dst = strconv.AppendInt(dst, int64(stats.EditedWalked), 10)

@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -17,37 +18,47 @@ import (
 // with this Accept and the server answers under this Content-Type; a request
 // that does not ask gets JSON.
 //
-// The frame holds what the JSON form holds, column by column:
+// The frame holds what the JSON form holds, one row per object:
 //
-//	header   one byte: 0, or columnsPlainIDs when the ids do not ascend
-//	count    uvarint: 0 for a nil ids, n+1 for n ids
-//	ids      n uvarints: each id's difference from the one before (the
-//	         first from 0), or the ids themselves under columnsPlainIDs
-//	kinds    n bytes: kindBinary, kindEdited or kindEditedWidening
-//	pairs    n uvarint pairs: width and height of a binary image, base_id
-//	         and ops of an edited one
-//	lengths  n uvarints: each name's length in bytes
-//	names    the names, end to end
-//	tail     uvarint length, then that many bytes of JSON: {"stats":…} with
-//	         "trace" when there is one, as the JSON form writes them; empty
-//	         in an object list
+//	header  one byte: 0, or columnsPlainIDs when the ids do not ascend
+//	count   uvarint: 0 for a nil ids, n+1 for n ids
+//	rows    n rows, the i-th describing ids[i]:
+//	          id      uvarint: its difference from the id before (the
+//	                  first from 0), or the id itself under columnsPlainIDs
+//	          kind    one byte: kindBinary, kindEdited or kindEditedWidening
+//	          pair    two uvarints: width and height of a binary image,
+//	                  base_id and ops of an edited one
+//	          length  uvarint: the name's length in bytes
+//	          name    the name
+//	tail    one byte: tailNone in an object list, tailStats in an answer,
+//	        tailTrace in a traced answer
+//	stats   unless tailNone: binaries_checked, edited_walked, ops_evaluated
+//	        and edited_skipped, four zig-zag varints
+//	trace   under tailTrace: uvarint length, then the trace as the JSON
+//	        form writes it
 //
-// Objects[i].ID is ids[i]. Decoded, a frame equals DecodeAnswer of the JSON
-// the server would have written for the same answer (FuzzAnswerCodec).
+// Objects[i].ID is ids[i]. Decoded, a frame equals what json.Unmarshal makes
+// of the JSON the server would have written for the same answer
+// (FuzzAnswerCodec).
 const ColumnsMediaType = "application/x-esidb-answer"
 
-// The header's one flag, and the kind column's three values.
+// The header's one flag, the kind byte's three values and the tail byte's
+// three.
 const (
 	columnsPlainIDs = 1
 
 	kindBinary         = 0
 	kindEdited         = 1
 	kindEditedWidening = 2
+
+	tailNone  = 0
+	tailStats = 1
+	tailTrace = 2
 )
 
-// minColumnBytes is the fewest bytes one object takes in a frame: an id, a
-// kind, a pair and a name length. A count is held to what the bytes left
-// can carry before anything is allocated for it.
+// minColumnBytes is the fewest bytes one row takes: an id, a kind, a pair
+// and a name length. A count is held to what the bytes left can carry
+// before anything is allocated for it.
 const minColumnBytes = 5
 
 // ErrFrame is the sentinel every column-frame decode error wraps.
@@ -63,13 +74,13 @@ const (
 	FrameIDOverflow  = "id delta overflows"
 	FrameKind        = "unknown kind byte"
 	FrameRange       = "value out of range"
-	FrameNamePastEnd = "name length past the blob"
+	FrameNamePastEnd = "name length past the end"
 	FrameTail        = "malformed tail"
 )
 
 // FrameError is a column frame refused: Reason is one of the Frame*
-// constants, Offset the byte where decoding stopped, and Err, for a tail
-// that is not an answer's JSON, what the JSON decoder said.
+// constants, Offset the byte where decoding stopped, and Err, for a trace
+// that is not a trace's JSON, what the JSON decoder said.
 type FrameError struct {
 	Reason string
 	Offset int
@@ -92,8 +103,8 @@ func (e *FrameError) Unwrap() error { return ErrFrame }
 // are. A frame carries what the server's objects hold, so object(i) must
 // have ids[i] as its id, kind "binary" with a width and height, or "edited"
 // with a base_id, ops and a widening flag, and no script; anything else is
-// an error. object is called three times per id. Names are written as the
-// JSON form leaves them: each byte of invalid UTF-8 as U+FFFD.
+// an error. object is called once per id. Names are written as the JSON
+// form leaves them: each byte of invalid UTF-8 as U+FFFD.
 func AppendColumns(dst []byte, ids []uint64, object func(i int) Object) ([]byte, error) {
 	var header byte
 	if !slices.IsSorted(ids) {
@@ -106,23 +117,19 @@ func AppendColumns(dst []byte, ids []uint64, object func(i int) Object) ([]byte,
 		dst = binary.AppendUvarint(dst, uint64(len(ids))+1)
 	}
 	var prev uint64
-	for _, id := range ids {
-		if header == columnsPlainIDs {
-			dst = binary.AppendUvarint(dst, id)
-			continue
-		}
-		dst = binary.AppendUvarint(dst, id-prev)
-		prev = id
-	}
-	kinds := len(dst)
-	dst = slices.Grow(dst, len(ids))[:kinds+len(ids)]
 	for i, id := range ids {
 		o := object(i)
 		k, ok := columnKind(&o, id)
 		if !ok {
 			return dst, fmt.Errorf("api: object %d of %d does not fit a column frame: %+v", i, len(ids), o)
 		}
-		dst[kinds+i] = k
+		if header == columnsPlainIDs {
+			dst = binary.AppendUvarint(dst, id)
+		} else {
+			dst = binary.AppendUvarint(dst, id-prev)
+			prev = id
+		}
+		dst = append(dst, k)
 		if k == kindBinary {
 			dst = binary.AppendUvarint(dst, uint64(o.W))
 			dst = binary.AppendUvarint(dst, uint64(o.H))
@@ -130,12 +137,9 @@ func AppendColumns(dst []byte, ids []uint64, object func(i int) Object) ([]byte,
 			dst = binary.AppendUvarint(dst, o.BaseID)
 			dst = binary.AppendUvarint(dst, uint64(o.Ops))
 		}
-	}
-	for i := range ids {
-		dst = binary.AppendUvarint(dst, uint64(len(wireName(object(i).Name))))
-	}
-	for i := range ids {
-		dst = append(dst, wireName(object(i).Name)...)
+		name := wireName(o.Name)
+		dst = binary.AppendUvarint(dst, uint64(len(name)))
+		dst = append(dst, name...)
 	}
 	return dst, nil
 }
@@ -180,20 +184,30 @@ func wireName(s string) string {
 	return b.String()
 }
 
-// AppendColumnsEnd appends a frame's tail: the stats and trace
-// AppendAnswerEnd writes, as one JSON object, or nothing when stats is nil,
-// as in an object list.
+// AppendColumnsEnd appends a frame's tail: the stats, and the trace when
+// there is one, as AppendAnswerEnd writes them, or no stats when stats is
+// nil, as in an object list.
 func AppendColumnsEnd(dst []byte, stats *AnswerStats, trace *obs.Trace) ([]byte, error) {
 	if stats == nil {
-		return append(dst, 0), nil
+		return append(dst, tailNone), nil
 	}
-	start := len(dst)
-	dst, err := appendStatsTrace(append(dst, '{'), *stats, trace)
-	if err != nil {
-		return dst[:start], err
+	kind, t := byte(tailStats), []byte(nil)
+	if trace != nil {
+		var err error
+		if t, err = json.Marshal(trace); err != nil {
+			return dst, err
+		}
+		kind = tailTrace
 	}
-	var n [binary.MaxVarintLen64]byte
-	return slices.Insert(dst, start, n[:binary.PutUvarint(n[:], uint64(len(dst)-start))]...), nil
+	dst = append(dst, kind)
+	for _, v := range [...]int{stats.BinariesChecked, stats.EditedWalked, stats.OpsEvaluated, stats.EditedSkipped} {
+		dst = binary.AppendVarint(dst, int64(v))
+	}
+	if trace != nil {
+		dst = binary.AppendUvarint(dst, uint64(len(t)))
+		dst = append(dst, t...)
+	}
+	return dst, nil
 }
 
 // DecodeColumns decodes a column frame into a zero Answer. Every string it
@@ -205,29 +219,30 @@ func DecodeColumns(data []byte, a *Answer) error {
 	if err != nil {
 		return err
 	}
-	at := c.pos
-	tail, err := c.tail()
+	var stats AnswerStats
+	trace, traced, err := c.tail(&stats)
 	if err != nil {
 		return err
 	}
-	if len(tail) > 0 {
-		var t Answer
-		if err := DecodeAnswer(tail, &t); err != nil {
-			return &FrameError{Reason: FrameTail, Offset: at, Err: err}
+	if traced {
+		var tr *obs.Trace
+		if err := json.Unmarshal(trace, &tr); err != nil {
+			return &FrameError{Reason: FrameTail, Offset: len(data) - len(trace), Err: err}
 		}
-		a.Stats, a.Trace = t.Stats, t.Trace
+		a.Trace = tr
 	}
-	a.IDs, a.Objects = ids, objs
+	a.IDs, a.Objects, a.Stats = ids, objs, stats
 	return nil
 }
 
 // DecodeColumnObjects decodes the objects of a column frame, the form GET
-// /v1/objects answers in; a tail, which a list does not have, is skipped.
+// /v1/objects answers in; stats and a trace, which a list does not have,
+// are stepped over.
 func DecodeColumnObjects(data []byte) ([]Object, error) {
 	c := columns{data: data}
 	_, objs, err := c.objects()
 	if err == nil {
-		_, err = c.tail()
+		_, _, err = c.tail(new(AnswerStats))
 	}
 	if err != nil {
 		return nil, err
@@ -271,119 +286,136 @@ func (c *columns) int() (int, error) {
 	return int(v), err
 }
 
-// objects consumes everything up to the tail. No slice is made longer than
-// the bytes left could fill.
-func (c *columns) objects() ([]uint64, []Object, error) {
-	if c.pos == len(c.data) {
-		return nil, nil, c.fail(FrameTruncated)
+// varint consumes a zig-zag varint that must fit an int.
+func (c *columns) varint() (int, error) {
+	u, err := c.uvarint()
+	v := int64(u>>1) ^ -int64(u&1)
+	if err == nil && int64(int(v)) != v {
+		return 0, c.fail(FrameRange)
 	}
-	header := c.data[c.pos]
-	if header&^columnsPlainIDs != 0 {
-		return nil, nil, c.fail(FrameHeader)
+	return int(v), err
+}
+
+// byte consumes one byte.
+func (c *columns) byte() (byte, error) {
+	if c.pos == len(c.data) {
+		return 0, c.fail(FrameTruncated)
 	}
 	c.pos++
-	count, err := c.uvarint()
+	return c.data[c.pos-1], nil
+}
+
+// objects consumes the header, the count and the rows. No slice is made
+// longer than the bytes left could fill.
+func (c *columns) objects() ([]uint64, []Object, error) {
+	header, err := c.byte()
 	if err != nil {
 		return nil, nil, err
 	}
-	var ids []uint64
-	if count > 0 {
-		// The tail's length takes one more byte.
-		if count-1 > uint64(max(0, len(c.data)-c.pos-1)/minColumnBytes) {
-			return nil, nil, c.fail(FrameCount)
-		}
-		ids = make([]uint64, count-1)
+	if header&^columnsPlainIDs != 0 {
+		c.pos--
+		return nil, nil, c.fail(FrameHeader)
 	}
+	count, err := c.uvarint()
+	if err != nil || count == 0 {
+		return nil, nil, err
+	}
+	// The tail takes one more byte.
+	if count-1 > uint64(max(0, len(c.data)-c.pos-1)/minColumnBytes) {
+		return nil, nil, c.fail(FrameCount)
+	}
+	ids := make([]uint64, count-1)
+	if len(ids) == 0 {
+		return ids, nil, nil
+	}
+	objs := make([]Object, len(ids))
+	wide := make([]bool, len(ids)) // backs every Widening: one allocation
+	rows := c.pos
+	text := string(c.data[rows:]) // every Name slices this one copy
 	var prev uint64
-	for i := range ids {
-		v, err := c.uvarint()
+	for i := range objs {
+		id, err := c.uvarint()
 		if err != nil {
 			return nil, nil, err
 		}
 		if header != columnsPlainIDs {
-			if v > math.MaxUint64-prev {
+			if id > math.MaxUint64-prev {
 				return nil, nil, c.fail(FrameIDOverflow)
 			}
-			v += prev
-			prev = v
+			id += prev
+			prev = id
 		}
-		ids[i] = v
-	}
-	if len(ids) == 0 {
-		return ids, nil, nil
-	}
-	if len(c.data)-c.pos < len(ids) {
-		return nil, nil, c.fail(FrameTruncated)
-	}
-	kinds := c.data[c.pos : c.pos+len(ids)]
-	edited := 0
-	for i, k := range kinds {
-		if k > kindEditedWidening {
-			c.pos += i
-			return nil, nil, c.fail(FrameKind)
-		}
-		if k != kindBinary {
-			edited++
-		}
-	}
-	c.pos += len(kinds)
-	objs := make([]Object, len(ids))
-	wide := make([]bool, edited) // backs every Widening: one allocation
-	for i := range objs {
+		ids[i] = id
 		o := &objs[i]
-		o.ID = ids[i]
-		if kinds[i] == kindBinary {
+		o.ID = id
+		k, err := c.byte()
+		if err != nil {
+			return nil, nil, err
+		}
+		switch k {
+		case kindBinary:
 			o.Kind = "binary"
 			if o.W, err = c.int(); err == nil {
 				o.H, err = c.int()
 			}
-		} else {
+		case kindEdited, kindEditedWidening:
 			o.Kind = "edited"
 			if o.BaseID, err = c.uvarint(); err == nil {
 				o.Ops, err = c.int()
 			}
-			wide[0] = kinds[i] == kindEditedWidening
-			o.Widening, wide = &wide[0], wide[1:]
+			wide[i] = k == kindEditedWidening
+			o.Widening = &wide[i]
+		default:
+			c.pos--
+			return nil, nil, c.fail(FrameKind)
 		}
 		if err != nil {
 			return nil, nil, err
 		}
-	}
-	lengths, total := c.pos, 0
-	for range objs {
 		n, err := c.uvarint()
 		if err != nil {
 			return nil, nil, err
 		}
-		if rest := len(c.data) - c.pos - total; rest < 0 || n > uint64(rest) {
+		if n > uint64(len(c.data)-c.pos) {
 			return nil, nil, c.fail(FrameNamePastEnd)
 		}
-		total += int(n)
-	}
-	names := string(c.data[c.pos : c.pos+total])
-	c.pos += total
-	re, off := columns{data: c.data, pos: lengths}, 0
-	for i := range objs {
-		n, _ := re.uvarint() // read once already
-		objs[i].Name = names[off : off+int(n)]
-		off += int(n)
+		o.Name = text[c.pos-rows : c.pos-rows+int(n)]
+		c.pos += int(n)
 	}
 	return ids, objs, nil
 }
 
-// tail consumes the tail, which must end the frame.
-func (c *columns) tail() ([]byte, error) {
-	n, err := c.uvarint()
+// tail consumes the tail, which must end the frame: it fills stats when
+// the frame has them, and returns the trace's JSON and whether there is one.
+func (c *columns) tail(stats *AnswerStats) (trace []byte, traced bool, err error) {
+	kind, err := c.byte()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if n > uint64(len(c.data)-c.pos) {
-		return nil, c.fail(FrameTruncated)
+	if kind > tailTrace {
+		c.pos--
+		return nil, false, c.fail(FrameTail)
 	}
-	tail := c.data[c.pos : c.pos+int(n)]
-	c.pos += int(n)
+	if kind != tailNone {
+		for _, f := range [...]*int{&stats.BinariesChecked, &stats.EditedWalked, &stats.OpsEvaluated, &stats.EditedSkipped} {
+			if *f, err = c.varint(); err != nil {
+				return nil, false, err
+			}
+		}
+	}
+	if kind == tailTrace {
+		n, err := c.uvarint()
+		if err != nil {
+			return nil, false, err
+		}
+		if n > uint64(len(c.data)-c.pos) {
+			return nil, false, c.fail(FrameTruncated)
+		}
+		trace = c.data[c.pos : c.pos+int(n)]
+		c.pos += int(n)
+	}
 	if c.pos != len(c.data) {
-		return nil, c.fail(FrameTrailing)
+		return nil, false, c.fail(FrameTrailing)
 	}
-	return tail, nil
+	return trace, kind == tailTrace, nil
 }

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/obs"
@@ -43,13 +45,13 @@ func encodeColumnList(t testing.TB, objs []Object) []byte {
 }
 
 // checkColumns is the equivalence contract on one answer the frame can
-// carry: its frame decodes to what DecodeAnswer makes of its JSON, and its
-// objects as a list frame to what DecodeObjects makes of theirs.
+// carry: its frame decodes to what json.Unmarshal makes of its JSON, and its
+// objects as a list frame to what json.Unmarshal makes of theirs.
 func checkColumns(t testing.TB, a *Answer) {
 	t.Helper()
 	js := encodeAnswer(t, a)
 	var want, got Answer
-	if err := DecodeAnswer(js, &want); err != nil {
+	if err := json.Unmarshal(js, &want); err != nil {
 		t.Fatalf("JSON %s: %v", js, err)
 	}
 	frame := encodeColumns(t, a)
@@ -58,8 +60,8 @@ func checkColumns(t testing.TB, a *Answer) {
 	}
 	sameAnswer(t, js, &got, &want)
 
-	wantList, err := DecodeObjects(AppendObjects(nil, len(a.Objects), at(a.Objects)))
-	if err != nil {
+	var wantList []Object
+	if err := json.Unmarshal(AppendObjects(nil, len(a.Objects), at(a.Objects)), &wantList); err != nil {
 		t.Fatal(err)
 	}
 	gotList, err := DecodeColumnObjects(encodeColumnList(t, a.Objects))
@@ -68,6 +70,25 @@ func checkColumns(t testing.TB, a *Answer) {
 	}
 	if !reflect.DeepEqual(gotList, wantList) {
 		t.Fatalf("list of %s\n got %+v\nwant %+v", js, gotList, wantList)
+	}
+}
+
+// sameAnswer is reflect.DeepEqual except on the trace, whose decoder mints
+// span ids and sequence numbers: there the two must agree on presence and
+// on the phases and counters they rebuilt.
+func sameAnswer(t testing.TB, data []byte, got, want *Answer) {
+	t.Helper()
+	gt, wt := got.Trace, want.Trace
+	g, w := *got, *want
+	g.Trace, w.Trace = nil, nil
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("decoding %q\n got %+v\nwant %+v", data, g, w)
+	}
+	if (gt == nil) != (wt == nil) {
+		t.Fatalf("decoding %q: trace present %v, want %v", data, gt != nil, wt != nil)
+	}
+	if gt != nil && (!reflect.DeepEqual(gt.Counters(), wt.Counters()) || len(gt.Phases()) != len(wt.Phases())) {
+		t.Fatalf("decoding %q: traces differ", data)
 	}
 }
 
@@ -140,15 +161,22 @@ func TestDecodeColumnsHostile(t *testing.T) {
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	b := func(bs ...byte) []byte { return bs }
-	tail := []byte(`{"stats":{"binaries_checked":1,"edited_walked":0,"ops_evaluated":0,"edited_skipped":0}}`)
-	// Two objects: a 4×4 binary "b" (id 7) and an edited "e" of it (id 9).
-	objects := cat(b(0, 3, 7, 2, kindBinary, kindEdited, 4, 4, 7, 2, 1, 1), []byte("be"))
-	valid := cat(objects, uv(uint64(len(tail))), tail)
-	var a Answer
-	if err := DecodeColumns(valid, &a); err != nil || len(a.Objects) != 2 || a.Objects[1].Name != "e" || a.Stats.BinariesChecked != 1 {
-		t.Fatalf("the valid frame decodes to %+v, %v", a, err)
+	// Two rows: a 4×4 binary "b" (id 7) and an edited "e" of it (id 9).
+	objects := cat(b(0, 3, 7, kindBinary, 4, 4, 1, 'b', 2, kindEdited, 7, 2, 1, 'e'))
+	stats := b(2, 0, 0, 0) // binaries_checked 1, zig-zag
+	valid := cat(objects, b(tailStats), stats)
+	trace, err := json.Marshal(obs.NewTrace())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
+	traced := cat(objects, b(tailTrace), stats, uv(uint64(len(trace))), trace)
+	for _, frame := range [][]byte{valid, traced} {
+		var a Answer
+		if err := DecodeColumns(frame, &a); err != nil || len(a.Objects) != 2 || a.Objects[1].Name != "e" || a.Stats.BinariesChecked != 1 || (a.Trace != nil) != (len(frame) > len(valid)) {
+			t.Fatalf("the valid frame % x decodes to %+v, %v", frame, a, err)
+		}
+	}
+	cases := []struct {
 		name, reason string
 		frame        []byte
 	}{
@@ -156,17 +184,28 @@ func TestDecodeColumnsHostile(t *testing.T) {
 		{"cut inside a varint", FrameTruncated, b(0, 0x80)},
 		{"cut before the kinds", FrameTruncated, cat(b(0, 2), uv(1<<35))},
 		{"tail past the end", FrameTruncated, valid[:len(valid)-1]},
+		{"trace length past the frame", FrameTruncated, cat(objects, b(tailTrace), stats, uv(uint64(len(trace))+1), trace)},
 		{"varint past 64 bits", FrameOverlong, cat(b(0), bytes.Repeat(b(0xff), 10), b(1))},
 		{"varint padded with a zero group", FrameOverlong, b(0, 0x82, 0x00)},
 		{"trailing bytes", FrameTrailing, cat(valid, b(0))},
 		{"unknown header flag", FrameHeader, cat(b(2), valid[1:])},
 		{"count the bytes cannot hold", FrameCount, cat(b(0), uv(1<<40), bytes.Repeat(b(1), 64))},
-		{"id delta overflows", FrameIDOverflow, cat(b(0, 3), uv(math.MaxUint64), b(1, 0, 0, 1, 1, 1, 1, 0, 0, 0))},
-		{"unknown kind byte", FrameKind, cat(b(0, 3, 7, 2, kindBinary, 3), valid[6:])},
-		{"width past int", FrameRange, cat(b(0, 2, 7, kindBinary), uv(math.MaxInt+1), b(1, 0, 0))},
-		{"name length past the blob", FrameNamePastEnd, cat(b(0, 3, 7, 2, kindBinary, kindEdited, 4, 4, 7, 2, 1), uv(200), valid[12:])},
-		{"tail that is not an answer", FrameTail, cat(objects, uv(11), []byte(`{"stats":5}`))},
-	} {
+		{"id delta overflows", FrameIDOverflow, cat(b(0, 3), uv(math.MaxUint64), b(kindBinary, 0, 0, 0, 1, kindBinary, 0, 0, 0, tailNone))},
+		{"unknown kind byte", FrameKind, cat(b(0, 3, 7, 3), valid[4:])},
+		{"width past int", FrameRange, cat(b(0, 2, 7, kindBinary), uv(math.MaxInt+1), b(1, 0, tailNone))},
+		{"name length past the end", FrameNamePastEnd, cat(valid[:12], uv(200), valid[13:])},
+		{"unknown tail byte", FrameTail, cat(objects, b(tailTrace+1), stats)},
+		{"tail that is not an answer", FrameTail, cat(objects, b(tailTrace), stats, uv(14), []byte(`{"counters":5}`))},
+		{"trace that is not JSON", FrameTail, cat(objects, b(tailTrace), stats, uv(12), []byte(`{"counters":`))},
+	}
+	if strconv.IntSize == 32 {
+		// Only where int is narrower than the 64 bits a varint holds.
+		cases = append(cases, struct {
+			name, reason string
+			frame        []byte
+		}{"stat past int", FrameRange, cat(objects, b(tailStats), binary.AppendVarint(nil, math.MaxInt32+1), b(0, 0, 0))})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var a Answer
 			err := DecodeColumns(tc.frame, &a)
@@ -177,8 +216,8 @@ func TestDecodeColumnsHostile(t *testing.T) {
 			if !reflect.DeepEqual(a, Answer{}) {
 				t.Fatalf("a refused frame left %+v", a)
 			}
-			if tc.reason == FrameTail {
-				return // a list's tail is not read
+			if fe.Err != nil {
+				return // a list's trace is not read
 			}
 			if _, err := DecodeColumnObjects(tc.frame); !errors.As(err, &fe) || fe.Reason != tc.reason {
 				t.Fatalf("DecodeColumnObjects(% x) = %v, want a FrameError %q", tc.frame, err, tc.reason)
@@ -187,7 +226,94 @@ func TestDecodeColumnsHostile(t *testing.T) {
 	}
 }
 
-// checkColumnBytes is the fuzzer's arm C: arbitrary bytes read as a column
+// TestDecodeHostile: JSON no server writes, carried as a frame's trace, the
+// one JSON a frame holds. The trace is read whole by encoding/json: refused
+// with FrameTail exactly where json.Unmarshal refuses it as a trace — a
+// second document and trailing garbage included — and otherwise decoded to
+// the same trace. An object list steps over it, whatever it holds.
+func TestDecodeHostile(t *testing.T) {
+	page := string(encodeAnswer(t, paperMixAnswer(3)))
+	objects := []byte{0, 3, 7, kindBinary, 4, 4, 1, 'b', 2, kindEdited, 7, 2, 1, 'e'}
+	for _, tc := range []struct{ name, body string }{
+		{"unterminated string", `{"ids":[1],"objects":[{"id":1,"kind":"binary","name":"x}]}`},
+		{"trailing comma in ids", `{"ids":[1,]}`},
+		{"leading zero", `{"ids":[01]}`},
+		{"fraction for an id", `{"ids":[1.5]}`},
+		{"exponent for an id", `{"ids":[1e3]}`},
+		{"negative id", `{"ids":[-1]}`},
+		{"21-digit id", `{"ids":[100000000000000000000]}`},
+		{"uint64 overflow by one", `{"ids":[18446744073709551616]}`},
+		{"width overflow", `{"objects":[{"id":1,"width":9223372036854775808}]}`},
+		{"raw control character", "{\"objects\":[{\"id\":1,\"name\":\"a\x01b\"}]}"},
+		{"raw newline in a key", "{\"i\nds\":[1]}"},
+		{"bad escape", `{"objects":[{"name":"\q"}]}`},
+		{"trailing garbage", page + "x"},
+		{"second document", page + page},
+		{"cut short after a key", `{"ids":`},
+		{"cut short in ids", `{"ids":[1,2`},
+		{"missing colon", `{"ids"[1]}`},
+		{"missing comma", `{"ids":[1]"objects":null}`},
+		{"string for ids", `{"ids":"1"}`},
+		{"object in objects is an array", `{"objects":[[]]}`},
+		{"stats of the wrong type", `{"stats":5}`},
+		{"malformed unknown member", `{"extra":{"a":[1,}}`},
+		{"well-bracketed malformed unknown member", `{"extra":{"a":[1,]}}`},
+		{"malformed unknown member of an object", `{"objects":[{"x":[1,]}]}`},
+		{"misspelt literal", `{"extra":tru}`},
+		{"mismatched brackets in unknown member", `{"extra":[}`},
+		{"not an object", `[1]`},
+		{"empty", ``},
+		{"max uint64", `{"ids":[18446744073709551615]}`},
+		{"white space everywhere", " {\n\t\"ids\" : [ 1 , 2 ] ,\r\n \"objects\" : [ { \"id\" : 1 } , { } ] } \n"},
+		{"unknown nested members", `{"ids":[1],"extra":{"a":[1,{"b":"]}"}],"c":null},"objects":[{"id":1,"more":[[],{}],"x":"\"","y":1e3,"z":null}],"n":-0.5}`},
+		{"widening null", `{"objects":[{"id":1,"widening":null},{"id":2,"widening":false}]}`},
+		{"null members", `{"ids":null,"objects":null,"stats":null,"trace":null}`},
+		{"null fields", `{"objects":[{"id":null,"kind":null,"name":null,"width":null,"script":null}]}`},
+		{"null element", `{"ids":[null],"objects":[null]}`},
+		{"top-level null", `null`},
+		{"escapes", `{"objects":[{"name":"\u00e9\n\"\\\/\ud83d\ude00","kind":"\u0062inary"}]}`},
+		{"lone surrogate", `{"objects":[{"name":"\ud800"}]}`},
+		{"escaped key", `{"\u0069ds":[3]}`},
+		{"case-folded keys", `{"IDS":[3],"Objects":[{"ID":4,"BASE_ID":5}],"STATS":{"Edited_Walked":6}}`},
+		{"unicode-folded keys", `{"id` + "\u017f" + `":[3],"objects":[{"` + "\u212a" + `ind":"binary"}]}`},
+		{"duplicate members", `{"ids":[1,2],"ids":[3],"objects":[{"id":1,"id":2}],"objects":[{"name":"x"}]}`},
+		{"duplicate objects", `{"objects":[{"id":1,"name":"a"},{"id":5}],"objects":[{"name":"x"}]}`},
+		{"duplicate widening", `{"objects":[{"widening":true,"widening":null}]}`},
+		{"duplicate under folding", `{"ids":[1,2],"Ids":null}`},
+		{"objects before ids", `{"objects":[{"id":1,"widening":true},{"id":2,"widening":false}],"ids":[1,2]}`},
+		{"more objects than ids", `{"ids":[1],"objects":[{"id":1,"widening":true},{"id":2,"widening":false},{"id":3,"widening":true}]}`},
+		{"negative int field", `{"objects":[{"width":-3}]}`},
+		{"empty arrays", `{"ids":[],"objects":[]}`},
+		{"old peer trace without spans", `{"trace":{"phases":[{"name":"hydrate","duration_us":5}],"counters":{"images_returned":2}}}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want Answer
+			if err := DecodeColumns(slices.Concat(objects, []byte{tailStats, 2, 0, 0, 0}), &want); err != nil {
+				t.Fatal(err)
+			}
+			wantErr := json.Unmarshal([]byte(tc.body), &want.Trace)
+			frame := slices.Concat(objects, []byte{tailTrace, 2, 0, 0, 0}, binary.AppendUvarint(nil, uint64(len(tc.body))), []byte(tc.body))
+			var got Answer
+			err := DecodeColumns(frame, &got)
+			var fe *FrameError
+			switch {
+			case wantErr != nil && (!errors.As(err, &fe) || fe.Reason != FrameTail || fe.Err == nil):
+				t.Fatalf("DecodeColumns = %v, want a FrameError %q: encoding/json refuses the trace: %v", err, FrameTail, wantErr)
+			case wantErr != nil && !reflect.DeepEqual(got, Answer{}):
+				t.Fatalf("a refused frame left %+v", got)
+			case wantErr == nil && err != nil:
+				t.Fatalf("DecodeColumns = %v, encoding/json takes the trace", err)
+			case wantErr == nil:
+				sameAnswer(t, frame, &got, &want)
+			}
+			if objs, err := DecodeColumnObjects(frame); err != nil || len(objs) != 2 {
+				t.Fatalf("as a list: %d objects, %v", len(objs), err)
+			}
+		})
+	}
+}
+
+// checkColumnBytes is the fuzzer's arm B: arbitrary bytes read as a column
 // frame are refused with a FrameError or decoded into slices the bytes could
 // fill, and never panic.
 func checkColumnBytes(t *testing.T, data []byte) {
@@ -204,8 +330,8 @@ func checkColumnBytes(t *testing.T, data []byte) {
 	}
 }
 
-// TestDecodeColumnsIntoUsed: a decode starts from a zero Answer, as
-// DecodeAnswer does, whatever the Answer held.
+// TestDecodeColumnsIntoUsed: a decode starts from a zero Answer, as a JSON
+// read into a reset Answer does, whatever the Answer held.
 func TestDecodeColumnsIntoUsed(t *testing.T) {
 	a := *paperMixAnswer(3)
 	if err := DecodeColumns(encodeColumns(t, &Answer{}), &a); err != nil {

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -69,7 +70,7 @@ func TestAnswerBodyFraming(t *testing.T) {
 		`{"id":9,"kind":"edited","name":"e","base_id":7,"ops":2,"widening":false}],` +
 		`"stats":{"binaries_checked":1,"edited_walked":1,"ops_evaluated":2,"edited_skipped":0}}` + "\n"
 	var want api.Answer
-	if err := api.DecodeAnswer([]byte(body), &want); err != nil {
+	if err := json.Unmarshal([]byte(body), &want); err != nil {
 		t.Fatal(err)
 	}
 	frame, err := api.AppendColumns(nil, want.IDs, func(i int) api.Object { return want.Objects[i] })
@@ -85,7 +86,7 @@ func TestAnswerBodyFraming(t *testing.T) {
 	}
 	chunked := func(b string) func(w http.ResponseWriter) {
 		return func(w http.ResponseWriter) {
-			for _, half := range []string{b[:20], b[20:]} {
+			for _, half := range []string{b[:len(b)/2], b[len(b)/2:]} {
 				io.WriteString(w, half)
 				w.(http.Flusher).Flush()
 			}
@@ -165,7 +166,7 @@ func (w frameCounter) WriteHeader(code int) {
 
 // TestJSONOnlyPeer: a server that ignores Accept and answers JSON — one
 // older than the column frame, or a proxy that strips the header — is read
-// by the JSON decoder, to the same answers and lists the frame carries.
+// by encoding/json, to the same answers and lists the frame carries.
 func TestJSONOnlyPeer(t *testing.T) {
 	ctx := context.Background()
 	db, err := mmdb.Open()
@@ -219,6 +220,26 @@ func TestJSONOnlyPeer(t *testing.T) {
 	}
 	if n := frames.Load(); n != 3 {
 		t.Fatalf("%d of the responses were column frames, want 3", n)
+	}
+
+	// A JSON answer read into a used result keeps nothing of it: not the
+	// ids, objects or trace of a traced answer that the empty, untraced
+	// one leaves out.
+	c := New(both[true].URL, both[true].Client())
+	used, err := c.QueryCtx(obs.ContextWithSpan(ctx, obs.NewRootSpan("caller")), "at least 50% blue", "indexed", false)
+	if err != nil || used.Trace == nil || len(used.IDs) != 4 {
+		t.Fatalf("traced query: %+v, %v", used, err)
+	}
+	const none = "/v1/query?q=at+least+50%25+red"
+	if err := c.doCtx(ctx, "GET", none, nil, "", used); err != nil {
+		t.Fatal(err)
+	}
+	var fresh QueryResult
+	if err := c.doCtx(ctx, "GET", none, nil, "", &fresh); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*used, fresh) || len(fresh.IDs) != 0 || fresh.Trace != nil {
+		t.Fatalf("read into a used result: %+v, into a fresh one: %+v", used, fresh)
 	}
 }
 

@@ -138,9 +138,9 @@ func (c *Client) send(ctx context.Context, method, path string, body io.Reader, 
 func (c *Client) doCtx(ctx context.Context, method, path string, body io.Reader, contentType string, out any) error {
 	// Query answers and object lists — the bodies that grow with the
 	// database — are asked for as internal/api's column frame and decoded
-	// from one buffer by the codec the response's Content-Type names, so a
+	// from one buffer in the shape the response's Content-Type names, so a
 	// peer that answers JSON still works; every other shape is small and
-	// stays on encoding/json.
+	// is streamed through encoding/json.
 	accept := ""
 	switch out.(type) {
 	case *QueryResult, *[]Object:
@@ -161,10 +161,10 @@ func (c *Client) doCtx(ctx context.Context, method, path string, body io.Reader,
 		return decodeBody(resp, func(body []byte) (err error) {
 			if columns {
 				*out, err = api.DecodeColumnObjects(body)
-			} else {
-				*out, err = api.DecodeObjects(body)
+				return err
 			}
-			return err
+			*out = nil
+			return json.Unmarshal(body, out)
 		})
 	default:
 		return json.NewDecoder(resp.Body).Decode(out)
@@ -177,16 +177,20 @@ func isColumns(contentType string) bool {
 	return strings.EqualFold(strings.TrimSpace(mediaType), api.ColumnsMediaType)
 }
 
-// decodeAnswer decodes a query answer in the shape its response declared.
+// decodeAnswer decodes a query answer in the shape its response declared,
+// into a zero out either way: json.Unmarshal alone would keep whatever a
+// used result held in the members the body leaves out.
 func decodeAnswer(columns bool, body []byte, out *QueryResult) error {
 	if columns {
 		return api.DecodeColumns(body, out)
 	}
-	return api.DecodeAnswer(body, out)
+	*out = QueryResult{}
+	return json.Unmarshal(body, out)
 }
 
-// bodyBufs recycles the buffers decodeBody reads into. Both codecs copy out
-// every byte they keep, so a buffer is free again when decode returns.
+// bodyBufs recycles the buffers decodeBody reads into. The frame decoder
+// and encoding/json both copy out every byte they keep, so a buffer is free
+// again when decode returns.
 var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxBodyPrealloc caps what decodeBody allocates on a peer's word, and what
