@@ -70,60 +70,77 @@ func AppendAnswerStart(dst []byte, ids []uint64) []byte {
 	return append(dst, `,"objects":`...)
 }
 
-// AppendObjects appends the JSON array of the n objects object(0..n-1) —
-// the whole body of GET /v1/objects, or the "objects" member of an answer.
-// The callback lets a server encode straight from its catalog entries
-// without building a []Object. No objects are written as null: the server
-// has always answered an empty result from a nil slice.
-func AppendObjects(dst []byte, n int, object func(i int) Object) []byte {
-	if n == 0 {
+// Kind is what a Row says an object is, and its kind byte in a column
+// frame: a binary image, or an edited one, whose widening classification it
+// carries.
+type Kind byte
+
+// The three kinds.
+const (
+	KindBinary Kind = iota
+	KindEdited
+	KindEditedWidening
+)
+
+// Row describes the i-th object of an answer or list from its catalog
+// fields: its kind, then width and height for a binary image or base_id and
+// the number of ops for an edited one, then its name. The encoders take
+// scalars rather than an Object so that a server encodes straight from its
+// catalog entries, with nothing built or copied per object. Row is called
+// once per object, and a kind other than the three is a bug: the encoders
+// panic on it.
+type Row func(i int) (kind Kind, a, b uint64, name string)
+
+// AppendObjects appends the JSON array of the objects row(0..len(ids)-1),
+// the i-th with id ids[i]: the whole body of GET /v1/objects, or the
+// "objects" member of an answer. Each object is what json.Marshal writes of
+// the Object it describes. No objects are written as null: the server has
+// always answered an empty result from a nil slice.
+func AppendObjects(dst []byte, ids []uint64, row Row) []byte {
+	if len(ids) == 0 {
 		return append(dst, "null"...)
 	}
 	dst = append(dst, '[')
-	for i := 0; i < n; i++ {
+	for i, id := range ids {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		o := object(i)
-		dst = AppendObject(dst, &o)
+		kind, a, b, name := row(i)
+		dst = append(dst, `{"id":`...)
+		dst = strconv.AppendUint(dst, id, 10)
+		switch kind {
+		case KindBinary:
+			dst = append(dst, `,"kind":"binary","name":`...)
+			dst = appendString(dst, name)
+			dst = appendField(dst, `,"width":`, a)
+			dst = appendField(dst, `,"height":`, b)
+			dst = append(dst, '}')
+		case KindEdited, KindEditedWidening:
+			dst = append(dst, `,"kind":"edited","name":`...)
+			dst = appendString(dst, name)
+			dst = appendField(dst, `,"base_id":`, a)
+			dst = appendField(dst, `,"ops":`, b)
+			if kind == KindEditedWidening {
+				dst = append(dst, `,"widening":true}`...)
+			} else {
+				dst = append(dst, `,"widening":false}`...)
+			}
+		default:
+			panic(badKind(kind))
+		}
 	}
 	return append(dst, ']')
 }
 
-// AppendObject appends json.Marshal(o).
-func AppendObject(dst []byte, o *Object) []byte {
-	dst = append(dst, `{"id":`...)
-	dst = strconv.AppendUint(dst, o.ID, 10)
-	dst = append(dst, `,"kind":`...)
-	dst = appendString(dst, o.Kind)
-	dst = append(dst, `,"name":`...)
-	dst = appendString(dst, o.Name)
-	if o.W != 0 {
-		dst = append(dst, `,"width":`...)
-		dst = strconv.AppendInt(dst, int64(o.W), 10)
+// appendField appends key and v unless v is 0, as omitempty leaves it out.
+func appendField(dst []byte, key string, v uint64) []byte {
+	if v == 0 {
+		return dst
 	}
-	if o.H != 0 {
-		dst = append(dst, `,"height":`...)
-		dst = strconv.AppendInt(dst, int64(o.H), 10)
-	}
-	if o.BaseID != 0 {
-		dst = append(dst, `,"base_id":`...)
-		dst = strconv.AppendUint(dst, o.BaseID, 10)
-	}
-	if o.Ops != 0 {
-		dst = append(dst, `,"ops":`...)
-		dst = strconv.AppendInt(dst, int64(o.Ops), 10)
-	}
-	if o.Widening != nil {
-		dst = append(dst, `,"widening":`...)
-		dst = strconv.AppendBool(dst, *o.Widening)
-	}
-	if o.Script != "" {
-		dst = append(dst, `,"script":`...)
-		dst = appendString(dst, o.Script)
-	}
-	return append(dst, '}')
+	return strconv.AppendUint(append(dst, key...), v, 10)
 }
+
+func badKind(k Kind) string { return "api: row of unknown kind " + strconv.Itoa(int(k)) }
 
 // AppendAnswerEnd appends an answer's stats, its trace when there is one,
 // and the closing brace. The trace is the one member encoding/json still

@@ -17,7 +17,7 @@ import (
 func encodeAnswer(t testing.TB, a *Answer) []byte {
 	t.Helper()
 	b := AppendAnswerStart(nil, a.IDs)
-	b = AppendObjects(b, len(a.Objects), at(a.Objects))
+	b = AppendObjects(b, a.IDs, rowsOf(a.Objects))
 	b, err := AppendAnswerEnd(b, a.Stats, a.Trace)
 	if err != nil {
 		t.Fatal(err)
@@ -48,43 +48,61 @@ func paperMixAnswer(n int) *Answer {
 	return a
 }
 
-// at is the callback AppendObjects takes, over a slice.
-func at(objs []Object) func(int) Object { return func(i int) Object { return objs[i] } }
+// rowsOf is the Row of objects as the server's would be: an object with a
+// widening flag is edited and one without is binary.
+func rowsOf(objs []Object) Row {
+	return func(i int) (Kind, uint64, uint64, string) {
+		o := &objs[i]
+		switch {
+		case o.Widening == nil:
+			return KindBinary, uint64(o.W), uint64(o.H), o.Name
+		case *o.Widening:
+			return KindEditedWidening, o.BaseID, uint64(o.Ops), o.Name
+		}
+		return KindEdited, o.BaseID, uint64(o.Ops), o.Name
+	}
+}
+
+// answerOf is the answer whose objects are objs.
+func answerOf(objs ...Object) *Answer {
+	a := &Answer{IDs: make([]uint64, len(objs)), Objects: objs}
+	for i, o := range objs {
+		a.IDs[i] = o.ID
+	}
+	return a
+}
 
 func ptr[T any](v T) *T { return &v }
 
 // awkwardObjects are the values the encoder's rule is about: everything
-// json.Marshal escapes or rewrites, the integer extremes, and every
-// omitempty edge.
+// json.Marshal escapes or rewrites in a name, the integer extremes, and every
+// omitempty edge, in both kinds.
 func awkwardObjects() []Object {
 	return []Object{
-		{},
+		{Kind: "binary"},
 		{ID: math.MaxUint64, Kind: "binary", Name: "plain", W: math.MaxInt, H: 1},
 		{ID: 1, Kind: "edited", Name: `quote " backslash \ slash /`, BaseID: math.MaxUint64, Ops: 1, Widening: ptr(false)},
-		{ID: 2, Kind: "edited", Name: "<script>&amp;</script>", Widening: ptr(true), Script: "base 1\nmodify ff0000 00ff00\n"},
-		{ID: 3, Kind: "k\u212and", Name: "line\u2028sep \u2029 é 日本 \x7f"},
-		{ID: 4, Kind: "\x00\x01\x1f", Name: "bad utf8 \xff\xfe \xc3"},
-		{ID: 5, Name: "negative", W: -1, H: math.MinInt, Ops: -7},
+		{ID: 2, Kind: "edited", Name: "<script>&amp;</script>", Ops: math.MaxInt, Widening: ptr(true)},
+		{ID: 3, Kind: "edited", Name: "line\u2028sep \u2029 é 日本 \x7f", Widening: ptr(false)},
+		{ID: 4, Kind: "binary", Name: "\x00\x01\x1f bad utf8 \xff\xfe \xc3", H: 7},
 	}
 }
 
 // TestEncoderMatchesMarshal is the encoder's rule: its bytes are
-// json.Marshal's, for single objects, lists and whole answers.
+// json.Marshal's, for lists and whole answers.
 func TestEncoderMatchesMarshal(t *testing.T) {
-	for _, o := range awkwardObjects() {
-		want, _ := json.Marshal(o)
-		if got := AppendObject(nil, &o); !bytes.Equal(got, want) {
-			t.Errorf("AppendObject(%+v)\n got %s\nwant %s", o, got, want)
-		}
-	}
 	tr := obs.NewTrace()
 	tr.Phase("hydrate")()
 	tr.Count(obs.TImagesReturned, 3)
+	awkward := answerOf(awkwardObjects()...)
+	awkward.Stats = AnswerStats{1, -2, math.MaxInt, 4}
+	traced := answerOf(Object{ID: 7, Kind: "binary", Name: "b", W: 4, H: 4})
+	traced.Trace = tr
 	for _, a := range []*Answer{
 		{},
 		{IDs: []uint64{}},
-		{IDs: []uint64{math.MaxUint64, 0}, Objects: awkwardObjects(), Stats: AnswerStats{1, -2, math.MaxInt, 4}},
-		{IDs: []uint64{7}, Trace: tr},
+		awkward,
+		traced,
 		paperMixAnswer(20),
 	} {
 		want, err := json.Marshal(a)
@@ -95,7 +113,7 @@ func TestEncoderMatchesMarshal(t *testing.T) {
 			t.Errorf("answer\n got %s\nwant %s", got, want)
 		}
 		want, _ = json.Marshal(a.Objects)
-		if got := AppendObjects(nil, len(a.Objects), at(a.Objects)); !bytes.Equal(got, want) {
+		if got := AppendObjects(nil, a.IDs, rowsOf(a.Objects)); !bytes.Equal(got, want) {
 			t.Errorf("list\n got %s\nwant %s", got, want)
 		}
 	}
@@ -103,13 +121,12 @@ func TestEncoderMatchesMarshal(t *testing.T) {
 
 // FuzzAnswerCodec holds the JSON encoder to json.Marshal's bytes, and the
 // column frame to its equivalence contract. Arm A reads the input as
-// material for a []Object — every byte value in names, kinds and scripts,
-// the integer extremes, nil against empty — and checks that the encoder
-// writes json.Marshal's bytes. Arm B reads the input as a column frame:
-// refused with a FrameError or decoded into slices its bytes could fill,
-// never a panic. Arm C turns arm A's answer into one the frame carries,
-// traced or not, and requires its frame to decode to what json.Unmarshal
-// makes of its JSON.
+// material for an answer's objects — every byte value in names, both kinds,
+// the integer extremes, nil against empty — and checks that the encoder,
+// fed through rowsOf, writes json.Marshal's bytes. Arm B reads the input as
+// a column frame: refused with a FrameError or decoded into slices its bytes
+// could fill, never a panic. Arm C traces arm A's answer or not, and
+// requires its frame to decode to what json.Unmarshal makes of its JSON.
 func FuzzAnswerCodec(f *testing.F) {
 	page := append(encodeAnswer(f, paperMixAnswer(20)), '\n')
 	tr := obs.NewTrace()
@@ -134,13 +151,12 @@ func FuzzAnswerCodec(f *testing.F) {
 			t.Fatalf("encoder\n got %s\nwant %s", body, want)
 		}
 		want, _ = json.Marshal(a.Objects)
-		if got := AppendObjects(nil, len(a.Objects), at(a.Objects)); !bytes.Equal(got, want) {
+		if got := AppendObjects(nil, a.IDs, rowsOf(a.Objects)); !bytes.Equal(got, want) {
 			t.Fatalf("list encoder\n got %s\nwant %s", got, want)
 		}
 
 		checkColumnBytes(t, data)
 
-		a = carried(answerFrom(data))
 		if len(data) > 0 && data[0]&4 != 0 {
 			a.Trace = obs.NewTrace()
 			a.Trace.Count(obs.TImagesReturned, int64(len(a.IDs)))
@@ -150,11 +166,12 @@ func FuzzAnswerCodec(f *testing.F) {
 }
 
 // answerFrom builds an Answer out of fuzz input: each object consumes a
-// flags byte, integers and three length-prefixed strings that keep the
-// input's bytes as they are, invalid UTF-8 and control characters included.
-// Sizes and counts are never negative, as in a server's answers.
-// Objects is nil when empty — the one shape the encoder does not tell apart
-// (AppendObjects) — and ids is nil, empty or filled by the first byte.
+// flags byte, integers and a length-prefixed name that keeps the input's
+// bytes as they are, invalid UTF-8 and control characters included. The
+// flags make it binary, edited or edited and widening. Sizes and counts are
+// never negative, as in a server's answers. Objects is nil when empty — the
+// one shape the encoder does not tell apart (AppendObjects) — and ids is
+// nil, empty or filled by the first byte.
 func answerFrom(data []byte) *Answer {
 	take := func(n int) []byte {
 		n = min(n, len(data))
@@ -185,18 +202,11 @@ func answerFrom(data []byte) *Answer {
 	mode := take(1)
 	for len(data) > 0 {
 		flags := take(1)[0]
-		o := Object{ID: num(), Kind: str(), Name: str()}
-		if flags&1 != 0 {
-			o.W, o.H = int(num()&math.MaxInt), int(num()&math.MaxInt)
-		}
-		if flags&2 != 0 {
-			o.BaseID, o.Ops = num(), int(num()&math.MaxInt)
-		}
-		if flags&4 != 0 {
-			o.Widening = ptr(flags&8 != 0)
-		}
-		if flags&16 != 0 {
-			o.Script = str()
+		o := Object{ID: num(), Name: str()}
+		if flags&1 == 0 {
+			o.Kind, o.W, o.H = "binary", int(num()&math.MaxInt), int(num()&math.MaxInt)
+		} else {
+			o.Kind, o.BaseID, o.Ops, o.Widening = "edited", num(), int(num()&math.MaxInt), ptr(flags&2 != 0)
 		}
 		a.Objects = append(a.Objects, o)
 		a.IDs = append(a.IDs, o.ID)
@@ -224,7 +234,7 @@ func BenchmarkAnswerCodec(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			buf = AppendAnswerStart(buf[:0], a.IDs)
-			buf = AppendObjects(buf, len(a.Objects), at(a.Objects))
+			buf = AppendObjects(buf, a.IDs, rowsOf(a.Objects))
 			buf, _ = AppendAnswerEnd(buf, a.Stats, nil)
 		}
 	})
@@ -243,7 +253,7 @@ func BenchmarkAnswerCodec(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf, _ = AppendColumns(buf[:0], a.IDs, at(a.Objects))
+			buf = AppendColumns(buf[:0], a.IDs, rowsOf(a.Objects))
 			buf, _ = AppendColumnsEnd(buf, &a.Stats, nil)
 		}
 	})

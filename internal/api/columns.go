@@ -25,7 +25,7 @@ import (
 //	rows    n rows, the i-th describing ids[i]:
 //	          id      uvarint: its difference from the id before (the
 //	                  first from 0), or the id itself under columnsPlainIDs
-//	          kind    one byte: kindBinary, kindEdited or kindEditedWidening
+//	          kind    one byte: KindBinary, KindEdited or KindEditedWidening
 //	          pair    two uvarints: width and height of a binary image,
 //	                  base_id and ops of an edited one
 //	          length  uvarint: the name's length in bytes
@@ -42,14 +42,10 @@ import (
 // (FuzzAnswerCodec).
 const ColumnsMediaType = "application/x-esidb-answer"
 
-// The header's one flag, the kind byte's three values and the tail byte's
-// three.
+// The header's one flag and the tail byte's three values; the kind byte is
+// a Kind.
 const (
 	columnsPlainIDs = 1
-
-	kindBinary         = 0
-	kindEdited         = 1
-	kindEditedWidening = 2
 
 	tailNone  = 0
 	tailStats = 1
@@ -98,14 +94,11 @@ func (e *FrameError) Error() string {
 func (e *FrameError) Unwrap() error { return ErrFrame }
 
 // AppendColumns appends a column frame up to its tail: ids, and the objects
-// object(0..len(ids)-1) that describe them. AppendColumnsEnd completes it;
-// the two are separate for the reason AppendAnswerStart and AppendAnswerEnd
-// are. A frame carries what the server's objects hold, so object(i) must
-// have ids[i] as its id, kind "binary" with a width and height, or "edited"
-// with a base_id, ops and a widening flag, and no script; anything else is
-// an error. object is called once per id. Names are written as the JSON
+// row(0..len(ids)-1) that describe them, as AppendObjects takes them.
+// AppendColumnsEnd completes it; the two are separate for the reason
+// AppendAnswerStart and AppendAnswerEnd are. Names are written as the JSON
 // form leaves them: each byte of invalid UTF-8 as U+FFFD.
-func AppendColumns(dst []byte, ids []uint64, object func(i int) Object) ([]byte, error) {
+func AppendColumns(dst []byte, ids []uint64, row Row) []byte {
 	var header byte
 	if !slices.IsSorted(ids) {
 		header = columnsPlainIDs
@@ -118,10 +111,9 @@ func AppendColumns(dst []byte, ids []uint64, object func(i int) Object) ([]byte,
 	}
 	var prev uint64
 	for i, id := range ids {
-		o := object(i)
-		k, ok := columnKind(&o, id)
-		if !ok {
-			return dst, fmt.Errorf("api: object %d of %d does not fit a column frame: %+v", i, len(ids), o)
+		kind, a, b, name := row(i)
+		if kind > KindEditedWidening {
+			panic(badKind(kind))
 		}
 		if header == columnsPlainIDs {
 			dst = binary.AppendUvarint(dst, id)
@@ -129,40 +121,14 @@ func AppendColumns(dst []byte, ids []uint64, object func(i int) Object) ([]byte,
 			dst = binary.AppendUvarint(dst, id-prev)
 			prev = id
 		}
-		dst = append(dst, k)
-		if k == kindBinary {
-			dst = binary.AppendUvarint(dst, uint64(o.W))
-			dst = binary.AppendUvarint(dst, uint64(o.H))
-		} else {
-			dst = binary.AppendUvarint(dst, o.BaseID)
-			dst = binary.AppendUvarint(dst, uint64(o.Ops))
-		}
-		name := wireName(o.Name)
+		dst = append(dst, byte(kind))
+		dst = binary.AppendUvarint(dst, a)
+		dst = binary.AppendUvarint(dst, b)
+		name = wireName(name)
 		dst = binary.AppendUvarint(dst, uint64(len(name)))
 		dst = append(dst, name...)
 	}
-	return dst, nil
-}
-
-// columnKind is o's kind byte, and whether o is one a frame carries as id's
-// object.
-func columnKind(o *Object, id uint64) (byte, bool) {
-	if o.ID != id || o.Script != "" {
-		return 0, false
-	}
-	switch o.Kind {
-	case "binary":
-		return kindBinary, o.W >= 0 && o.H >= 0 && o.BaseID == 0 && o.Ops == 0 && o.Widening == nil
-	case "edited":
-		if o.W != 0 || o.H != 0 || o.Ops < 0 || o.Widening == nil {
-			return 0, false
-		}
-		if *o.Widening {
-			return kindEditedWidening, true
-		}
-		return kindEdited, true
-	}
-	return 0, false
+	return dst
 }
 
 // wireName is s as a JSON round trip leaves it: json.Marshal writes each
@@ -352,18 +318,18 @@ func (c *columns) objects() ([]uint64, []Object, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		switch k {
-		case kindBinary:
+		switch Kind(k) {
+		case KindBinary:
 			o.Kind = "binary"
 			if o.W, err = c.int(); err == nil {
 				o.H, err = c.int()
 			}
-		case kindEdited, kindEditedWidening:
+		case KindEdited, KindEditedWidening:
 			o.Kind = "edited"
 			if o.BaseID, err = c.uvarint(); err == nil {
 				o.Ops, err = c.int()
 			}
-			wide[i] = k == kindEditedWidening
+			wide[i] = Kind(k) == KindEditedWidening
 			o.Widening = &wide[i]
 		default:
 			c.pos--

@@ -69,24 +69,24 @@ func (r row) addAnswerBytes(t *testing.T, db *core.DB, res *rbm.Result) {
 	if len(objs) != len(res.IDs) {
 		t.Fatalf("%d objects for %d ids", len(objs), len(res.IDs))
 	}
-	// As internal/server's toWire renders a catalog entry.
-	object := func(i int) api.Object {
+	// As internal/server's catalogRow describes a catalog entry.
+	row := func(i int) (api.Kind, uint64, uint64, string) {
 		o := objs[i]
 		if o.Kind == catalog.KindBinary {
-			return api.Object{ID: o.ID, Kind: o.Kind.String(), Name: o.Name, W: o.W, H: o.H}
+			return api.KindBinary, uint64(o.W), uint64(o.H), o.Name
 		}
-		return api.Object{ID: o.ID, Kind: o.Kind.String(), Name: o.Name, BaseID: o.Seq.BaseID, Ops: len(o.Seq.Ops), Widening: &o.Widening}
+		if o.Widening {
+			return api.KindEditedWidening, o.Seq.BaseID, uint64(len(o.Seq.Ops)), o.Name
+		}
+		return api.KindEdited, o.Seq.BaseID, uint64(len(o.Seq.Ops)), o.Name
 	}
 	stats := api.AnswerStats{BinariesChecked: res.Stats.BinariesChecked, EditedWalked: res.Stats.EditedWalked,
 		OpsEvaluated: res.Stats.OpsEvaluated, EditedSkipped: res.Stats.EditedSkipped}
-	js, err := api.AppendAnswerEnd(api.AppendObjects(api.AppendAnswerStart(nil, res.IDs), len(objs), object), stats, nil)
+	js, err := api.AppendAnswerEnd(api.AppendObjects(api.AppendAnswerStart(nil, res.IDs), res.IDs, row), stats, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := api.AppendColumns(nil, res.IDs, object)
-	if err == nil {
-		frame, err = api.AppendColumnsEnd(frame, &stats, nil)
-	}
+	frame, err := api.AppendColumnsEnd(api.AppendColumns(nil, res.IDs, row), &stats, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

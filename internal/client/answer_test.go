@@ -73,10 +73,13 @@ func TestAnswerBodyFraming(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &want); err != nil {
 		t.Fatal(err)
 	}
-	frame, err := api.AppendColumns(nil, want.IDs, func(i int) api.Object { return want.Objects[i] })
-	if err == nil {
-		frame, err = api.AppendColumnsEnd(frame, &want.Stats, nil)
-	}
+	frame, err := api.AppendColumnsEnd(api.AppendColumns(nil, want.IDs, func(i int) (api.Kind, uint64, uint64, string) {
+		o := want.Objects[i] // a binary image and a non-widening edit of it
+		if o.Kind == "edited" {
+			return api.KindEdited, o.BaseID, uint64(o.Ops), o.Name
+		}
+		return api.KindBinary, uint64(o.W), uint64(o.H), o.Name
+	}), &want.Stats, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

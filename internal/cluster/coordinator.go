@@ -344,52 +344,59 @@ func contains(list []string, s string) bool {
 	return false
 }
 
-// mergeAnswers unions the per-shard id lists in one pass and sums the
-// evaluation stats. Every list is strictly ascending (ShardAnswer.IDs), so
-// the union is a k-way merge: emit the smallest head and advance every list
-// that holds it. Each list past the first that held it is a duplicate (Merge
-// replicas can match on two shards). An empty union is nil.
+// mergeAnswers unions the per-shard id lists and sums the evaluation stats.
+// Every list is strictly ascending (ShardAnswer.IDs), so the lists are
+// folded pairwise into one buffer of their total length: each is merged
+// with the union so far from the back, which reads every id of the union
+// before its place is written. An id held by m lists counts as m-1
+// duplicates (Merge replicas can match on two shards). An empty union is
+// nil.
 func mergeAnswers(vals []*ShardAnswer, ok []bool, missed []string, tr *obs.Trace) *Result {
 	res := &Result{Missed: missed, Partial: len(missed) > 0}
 	if res.Partial {
 		tr.Count(obs.TClusterPartialResults, 1)
 	}
-	var lists [][]uint64
 	total := 0
 	for i, a := range vals {
-		if !ok[i] || a == nil {
-			continue
-		}
-		res.Stats.Add(a.Stats)
-		if len(a.IDs) > 0 {
-			lists = append(lists, a.IDs)
+		if ok[i] && a != nil {
+			res.Stats.Add(a.Stats)
 			total += len(a.IDs)
 		}
 	}
-	if total > 0 {
-		res.IDs = make([]uint64, 0, total)
-	}
+	buf := make([]uint64, total)
+	var union []uint64 // buf[from:end]
+	from, end := 0, 0
 	var dupes int64
-	for len(lists) > 0 {
-		next := lists[0][0]
-		for _, l := range lists[1:] {
-			next = min(next, l[0])
+	for i, a := range vals {
+		if !ok[i] || a == nil || len(a.IDs) == 0 {
+			continue
 		}
-		res.IDs = append(res.IDs, next)
-		held := 0
-		live := lists[:0]
-		for _, l := range lists {
-			if l[0] == next {
-				l = l[1:]
-				held++
+		l := a.IDs
+		end += len(l)
+		w, u, k := end, len(union), len(l)
+		for k > 0 {
+			w--
+			switch {
+			case u > 0 && union[u-1] > l[k-1]:
+				u--
+				buf[w] = union[u]
+				continue
+			case u > 0 && union[u-1] == l[k-1]:
+				u--
+				dupes++
 			}
-			if len(l) > 0 {
-				live = append(live, l)
-			}
+			k--
+			buf[w] = l[k]
 		}
-		dupes += int64(held - 1)
-		lists = live
+		// The union's first u ids precede all of l: they are in place
+		// unless a duplicate left a gap after them.
+		if w-u != from {
+			copy(buf[w-u:w], union[:u])
+			from = w - u
+		}
+		union = buf[from:end]
 	}
+	res.IDs = union
 	tr.Count(obs.TClusterDuplicatesMerged, dupes)
 	return res
 }

@@ -201,3 +201,24 @@ func TestShardAnswersAscending(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkMergeAnswers merges what three shards answer for a broad query:
+// 1 400 of the ids 1..2 000, each on one shard, so the lists interleave.
+func BenchmarkMergeAnswers(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	vals := []*ShardAnswer{{}, {}, {}}
+	for _, i := range rng.Perm(2000)[:1400] {
+		a := vals[rng.Intn(len(vals))]
+		a.IDs = append(a.IDs, uint64(i+1))
+	}
+	for _, a := range vals {
+		sort.Slice(a.IDs, func(i, j int) bool { return a.IDs[i] < a.IDs[j] })
+	}
+	ok := []bool{true, true, true}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if res := mergeAnswers(vals, ok, nil, nil); len(res.IDs) != 1400 {
+			b.Fatalf("%d ids merged", len(res.IDs))
+		}
+	}
+}

@@ -126,7 +126,7 @@ func DecodeBinary(data []byte) (*Sequence, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: op %d merge yp: %v", ErrCodec, i, err)
 			}
-			op = Merge{Target: target, XP: int(xp), YP: int(yp)}
+			op = mergeOp(target, int(xp), int(yp))
 		default:
 			return nil, fmt.Errorf("%w: op %d has unknown kind %d", ErrCodec, i, kind)
 		}
@@ -142,6 +142,17 @@ func DecodeBinary(data []byte) (*Sequence, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(data)-r.pos)
 	}
 	return s, nil
+}
+
+// mergeOp is the Merge both decoders read. A null target has no placement:
+// Apply, Geom and the rules ignore XP and YP there and FormatText does not
+// write them, so they are dropped rather than refused, which keeps stored
+// sequences readable and makes every decode a fixed point of its encoder.
+func mergeOp(target uint64, xp, yp int) Merge {
+	if target == NullTarget {
+		return Merge{Target: NullTarget}
+	}
+	return Merge{Target: target, XP: xp, YP: yp}
 }
 
 type byteReader struct {
@@ -265,7 +276,7 @@ func ParseText(r io.Reader) (*Sequence, error) {
 			if err != nil {
 				return fail("merge: %v", err)
 			}
-			s.Ops = append(s.Ops, Merge{Target: target, XP: xy[0], YP: xy[1]})
+			s.Ops = append(s.Ops, mergeOp(target, xy[0], xy[1]))
 		default:
 			return fail("unknown operation %q", word)
 		}

@@ -47,6 +47,27 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNullMergeDropsPlacement: a null-target Merge has no placement, so
+// both decoders read one written with a placement as Merge{Target:
+// NullTarget}, which is what FormatText and EncodeBinary write back.
+func TestNullMergeDropsPlacement(t *testing.T) {
+	placed := &Sequence{BaseID: 1, Ops: []Op{Merge{Target: NullTarget, XP: 3, YP: -2}}}
+	fromBinary, err := DecodeBinary(EncodeBinary(placed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromText, err := ParseText(strings.NewReader("base 1\nmerge 0 3 -2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Sequence{BaseID: 1, Ops: []Op{Merge{Target: NullTarget}}}
+	for name, got := range map[string]*Sequence{"binary": fromBinary, "text": fromText} {
+		if !sequencesEqual(got, want) {
+			t.Errorf("%s: decoded %v, want %v", name, got.Ops, want.Ops)
+		}
+	}
+}
+
 func TestBinaryRoundTripEmptyOps(t *testing.T) {
 	s := &Sequence{BaseID: 1}
 	got, err := DecodeBinary(EncodeBinary(s))

@@ -233,6 +233,83 @@ func TestAnswerNegotiation(t *testing.T) {
 	}
 }
 
+// TestHydrationMatchesToWire: an answer and a list are encoded straight from
+// catalog entries (catalogRow), and the single-object routes from toWire.
+// In both shapes every object hydrated must be what a JSON client makes of
+// toWire's object: over binaries, widening and non-widening edits, an empty
+// name and one that is not UTF-8, with an id deleted between the query and
+// the hydration. No width equals its height and no base_id its ops, so a
+// pair written the wrong way round shows.
+func TestHydrationMatchesToWire(t *testing.T) {
+	ctx := context.Background()
+	_, db := newTestServer(t)
+	insert := func(name string, w, h int) uint64 {
+		id, err := db.InsertImageCtx(ctx, name, mmdb.NewFilledImage(w, h, dataset.Blue))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	edit := func(name string, seq *mmdb.Sequence) uint64 {
+		id, err := db.InsertEditedCtx(ctx, name, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	first, second := insert("", 4, 2), insert("b\xff<", 3, 5)
+	gone := insert("deleted", 2, 3)
+	wide := edit("wide", &mmdb.Sequence{BaseID: second, Ops: []mmdb.Op{mmdb.Modify{}, mmdb.Modify{}, mmdb.Modify{}}})
+	narrow := edit("", &mmdb.Sequence{BaseID: second, Ops: []mmdb.Op{mmdb.Modify{}, mmdb.Merge{Target: first, XP: 1}, mmdb.Modify{}, mmdb.Modify{}}})
+	ids := []uint64{first, second, gone, wide, narrow}
+	if err := db.DeleteCtx(ctx, gone); err != nil {
+		t.Fatal(err)
+	}
+	var want []api.Object
+	for _, obj := range db.Objects(ids) {
+		b, err := json.Marshal(toWire(obj, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var o api.Object
+		if err := json.Unmarshal(b, &o); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, o)
+	}
+	if len(want) != 4 || *want[2].Widening == *want[3].Widening {
+		t.Fatalf("the catalog holds %+v: want four objects and both widening flags", want)
+	}
+	wantIDs := []uint64{first, second, wide, narrow}
+
+	s := New(db)
+	for _, shape := range shapes {
+		for _, stats := range []*mmdb.QueryStats{{BinariesChecked: 2}, nil} {
+			r := httptest.NewRequest("GET", "/v1/query", nil)
+			if shape.accept != "" {
+				r.Header.Set("Accept", shape.accept)
+			}
+			w := httptest.NewRecorder()
+			s.writeAnswer(w, r, ids, stats, nil, nil)
+			var got []api.Object
+			var err error
+			if stats != nil {
+				var a api.Answer
+				err = shape.answer(w.Body.Bytes(), &a)
+				if !reflect.DeepEqual(a.IDs, wantIDs) {
+					t.Errorf("%s answer: ids %v, want %v", shape.name, a.IDs, wantIDs)
+				}
+				got = a.Objects
+			} else {
+				got, err = shape.list(w.Body.Bytes())
+			}
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, stats %v: %+v (%v)\nwant %+v", shape.name, stats != nil, got, err, want)
+			}
+		}
+	}
+}
+
 // firstWriteHook runs a function when the handler first touches the socket.
 type firstWriteHook struct {
 	*httptest.ResponseRecorder

@@ -287,9 +287,10 @@ func (b *limitTrackingBody) Read(p []byte) (int, error) {
 
 func (b *limitTrackingBody) Close() error { return b.rc.Close() }
 
-// toWire renders a catalog entry in its wire form. Catalog entries are
-// immutable once published (updates are copy-on-write), so the widening flag
-// is pointed at rather than copied.
+// toWire renders a catalog entry in its wire form, for the routes that
+// answer with one object; an answer or a list is encoded from catalogRow.
+// Catalog entries are immutable once published (updates are copy-on-write),
+// so the widening flag is pointed at rather than copied.
 func toWire(obj *mmdb.Object, withScript bool) api.Object {
 	out := api.Object{ID: obj.ID, Kind: obj.Kind.String(), Name: obj.Name}
 	if obj.Kind == mmdb.KindBinary {
@@ -343,28 +344,24 @@ func (s *Server) writeAnswer(w http.ResponseWriter, r *http.Request, ids []uint6
 			ids[i] = obj.ID
 		}
 	}
-	object := func(i int) api.Object { return toWire(objs[i], false) }
+	row := catalogRow(objs)
 	columns := wantsColumns(r)
-	var err error
 	switch {
 	case columns:
-		buf, err = api.AppendColumns(buf, ids, object)
+		buf = api.AppendColumns(buf, ids, row)
 	case stats != nil:
-		buf = api.AppendObjects(api.AppendAnswerStart(buf, ids), len(objs), object)
+		buf = api.AppendObjects(api.AppendAnswerStart(buf, ids), ids, row)
 	default:
-		buf = api.AppendObjects(buf, len(objs), object)
+		buf = api.AppendObjects(buf, ids, row)
 	}
 	done()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
 	var wire *api.AnswerStats
 	if stats != nil {
 		wire = &api.AnswerStats{BinariesChecked: stats.BinariesChecked, EditedWalked: stats.EditedWalked,
 			OpsEvaluated: stats.OpsEvaluated, EditedSkipped: stats.EditedSkipped}
 	}
 	contentType := "application/json"
+	var err error
 	switch {
 	case columns:
 		buf, err = api.AppendColumnsEnd(buf, wire, tr)
@@ -388,6 +385,23 @@ func (s *Server) writeAnswer(w http.ResponseWriter, r *http.Request, ids []uint6
 	h.Set("Vary", "Accept")
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf) // a failed write is a client that left; there is no one to tell
+}
+
+// catalogRow describes objs[i] to internal/api's encoders, which write it
+// as they would write toWire(objs[i], false).
+func catalogRow(objs []*mmdb.Object) api.Row {
+	return func(i int) (api.Kind, uint64, uint64, string) {
+		o := objs[i]
+		if o.Kind == mmdb.KindBinary {
+			// The catalog stores no binary image without a positive size.
+			return api.KindBinary, uint64(o.W), uint64(o.H), o.Name
+		}
+		kind := api.KindEdited
+		if o.Widening {
+			kind = api.KindEditedWidening
+		}
+		return kind, o.Seq.BaseID, uint64(len(o.Seq.Ops)), o.Name
+	}
 }
 
 // wantsColumns reports whether r's Accept lists the column frame with a
