@@ -6,11 +6,10 @@
 package catalog
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/editops"
@@ -68,14 +67,17 @@ var ErrNotFound = errors.New("catalog: object not found")
 var ErrIDTaken = errors.New("catalog: id already in use")
 
 // Catalog is an in-memory object directory safe for concurrent readers and
-// a single writer. Persistence is layered on top by internal/core using the
-// blob store.
+// a single writer; internal/core persists it. Its entries are one id-ordered
+// array, an ascending id column and the objects beside it: a lookup is a
+// binary search, an id range is a slice, and a live catalog lists its
+// entries exactly as its reopened self would.
 type Catalog struct {
 	mu       sync.RWMutex
 	nextID   uint64              // guarded by mu
-	objects  map[uint64]*Object  // guarded by mu
-	binaries []uint64            // binary ids, ascending; guarded by mu
-	edited   []uint64            // edited ids, ascending; guarded by mu
+	ids      []uint64            // every entry's id, ascending; guarded by mu
+	objs     []*Object           // objs[i].ID == ids[i]; guarded by mu
+	nBinary  int                 // binary entries; guarded by mu
+	nEdited  int                 // edited entries; guarded by mu
 	children map[uint64][]uint64 // base id -> edited ids derived from it; guarded by mu
 	// targetRefs counts, per binary image, how many edited sequences use it
 	// as a Merge target; such images cannot be deleted while referenced.
@@ -87,7 +89,6 @@ type Catalog struct {
 func New() *Catalog {
 	return &Catalog{
 		nextID:     1,
-		objects:    make(map[uint64]*Object),
 		children:   make(map[uint64][]uint64),
 		targetRefs: make(map[uint64]int),
 	}
@@ -118,8 +119,7 @@ func (c *Catalog) AddBinaryWithID(id uint64, name string, w, h int, hist *histog
 	if err != nil {
 		return 0, err
 	}
-	c.objects[id] = &Object{ID: id, Kind: KindBinary, Name: name, W: w, H: h, Hist: hist}
-	c.binaries = insertID(c.binaries, id)
+	c.insertLocked(&Object{ID: id, Kind: KindBinary, Name: name, W: w, H: h, Hist: hist})
 	return id, nil
 }
 
@@ -141,27 +141,59 @@ func (c *Catalog) AddEditedWithID(id uint64, name string, seq *editops.Sequence,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	base, ok := c.objects[seq.BaseID]
-	if !ok || base.Kind != KindBinary {
+	if !c.isBinaryLocked(seq.BaseID) {
 		return 0, fmt.Errorf("catalog: base %d: %w", seq.BaseID, ErrNotFound)
 	}
-	for _, t := range seq.MergeTargets() {
-		tgt, ok := c.objects[t]
-		if !ok || tgt.Kind != KindBinary {
-			return 0, fmt.Errorf("catalog: merge target %d: %w", t, ErrNotFound)
-		}
+	if err := c.checkTargetsLocked(seq); err != nil {
+		return 0, err
 	}
 	id, err := c.claimIDLocked(id)
 	if err != nil {
 		return 0, err
 	}
-	c.objects[id] = &Object{ID: id, Kind: KindEdited, Name: name, Seq: seq, Widening: widening}
-	c.edited = insertID(c.edited, id)
-	c.children[seq.BaseID] = append(c.children[seq.BaseID], id)
-	for _, t := range seq.MergeTargets() {
-		c.targetRefs[t]++
-	}
+	c.insertLocked(&Object{ID: id, Kind: KindEdited, Name: name, Seq: seq, Widening: widening})
 	return id, nil
+}
+
+// findLocked returns where id is, or belongs, in the id column.
+func (c *Catalog) findLocked(id uint64) (int, bool) {
+	return slices.BinarySearch(c.ids, id)
+}
+
+// isBinaryLocked reports whether id is a binary image.
+func (c *Catalog) isBinaryLocked(id uint64) bool {
+	i, ok := c.findLocked(id)
+	return ok && c.objs[i].Kind == KindBinary
+}
+
+// checkTargetsLocked requires every Merge target of seq to be a binary image.
+func (c *Catalog) checkTargetsLocked(seq *editops.Sequence) error {
+	for _, t := range seq.MergeTargets() {
+		if !c.isBinaryLocked(t) {
+			return fmt.Errorf("catalog: merge target %d: %w", t, ErrNotFound)
+		}
+	}
+	return nil
+}
+
+// insertLocked places a new entry in the array: an append for an id past
+// the tail, as every automatically allocated id is, a shift of the entries
+// above a pinned id below it.
+func (c *Catalog) insertLocked(obj *Object) {
+	i, _ := c.findLocked(obj.ID)
+	c.ids, c.objs = slices.Insert(c.ids, i, obj.ID), slices.Insert(c.objs, i, obj)
+	c.linkLocked(obj)
+}
+
+// linkLocked counts a new entry and records an edited image's references.
+func (c *Catalog) linkLocked(obj *Object) {
+	if obj.Kind == KindBinary {
+		c.nBinary++
+		return
+	}
+	c.nEdited++
+	c.children[obj.Seq.BaseID] = append(c.children[obj.Seq.BaseID], obj.ID)
+	c.refTargetsLocked(obj.Seq, 1)
 }
 
 // claimIDLocked resolves an insert id: 0 allocates the next sequential id,
@@ -173,7 +205,7 @@ func (c *Catalog) claimIDLocked(id uint64) (uint64, error) {
 		c.nextID++
 		return id, nil
 	}
-	if _, exists := c.objects[id]; exists {
+	if _, exists := c.findLocked(id); exists {
 		return 0, fmt.Errorf("catalog: id %d: %w", id, ErrIDTaken)
 	}
 	if id >= c.nextID {
@@ -186,96 +218,99 @@ func (c *Catalog) claimIDLocked(id uint64) (uint64, error) {
 func (c *Catalog) Get(id uint64) (*Object, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	obj, ok := c.objects[id]
+	i, ok := c.findLocked(id)
 	if !ok {
 		return nil, fmt.Errorf("catalog: id %d: %w", id, ErrNotFound)
 	}
-	return obj, nil
+	return c.objs[i], nil
 }
 
 // Binary returns a binary object by id, failing on edited objects.
-func (c *Catalog) Binary(id uint64) (*Object, error) {
-	obj, err := c.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	if obj.Kind != KindBinary {
-		return nil, fmt.Errorf("catalog: id %d is %s, want binary", id, obj.Kind)
-	}
-	return obj, nil
-}
+func (c *Catalog) Binary(id uint64) (*Object, error) { return c.getKind(id, KindBinary) }
 
 // Edited returns an edited object by id, failing on binary objects.
-func (c *Catalog) Edited(id uint64) (*Object, error) {
+func (c *Catalog) Edited(id uint64) (*Object, error) { return c.getKind(id, KindEdited) }
+
+// getKind is Get for an object of one kind.
+func (c *Catalog) getKind(id uint64, kind Kind) (*Object, error) {
 	obj, err := c.Get(id)
-	if err != nil {
-		return nil, err
+	if err == nil && obj.Kind != kind {
+		return nil, fmt.Errorf("catalog: id %d is %s, want %s", id, obj.Kind, kind)
 	}
-	if obj.Kind != KindEdited {
-		return nil, fmt.Errorf("catalog: id %d is %s, want edited", id, obj.Kind)
-	}
-	return obj, nil
+	return obj, err
 }
 
-// Binaries returns the binary image ids in ascending order (copied). Ids
-// are allocated sequentially, so this is insertion order unless an insert
-// pinned an id below the current tail.
-func (c *Catalog) Binaries() []uint64 {
+// Binaries returns the binary image ids in ascending order (copied).
+func (c *Catalog) Binaries() []uint64 { return c.idsOf(KindBinary) }
+
+// EditedIDs returns the edited image ids in ascending order (copied).
+func (c *Catalog) EditedIDs() []uint64 { return c.idsOf(KindEdited) }
+
+// idsOf filters the id column down to one kind.
+func (c *Catalog) idsOf(kind Kind) []uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]uint64, len(c.binaries))
-	copy(out, c.binaries)
-	return out
-}
-
-// EditedIDs returns the edited image ids in ascending order (copied); see
-// Binaries.
-func (c *Catalog) EditedIDs() []uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]uint64, len(c.edited))
-	copy(out, c.edited)
-	return out
-}
-
-// ObjectsAfter returns up to n objects whose ids are greater than after, in
-// ascending id order, binary and edited images merged — the id-ordered
-// candidate source of paged queries, fetched under one lock acquisition.
-// Fewer than n objects means the catalog has no more.
-func (c *Catalog) ObjectsAfter(after uint64, n int) []*Object {
-	if after == math.MaxUint64 {
-		return nil
+	n := c.nBinary
+	if kind == KindEdited {
+		n = c.nEdited
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	b, _ := slices.BinarySearch(c.binaries, after+1)
-	e, _ := slices.BinarySearch(c.edited, after+1)
-	bin, ed := c.binaries[b:], c.edited[e:]
-	out := make([]*Object, 0, min(n, len(bin)+len(ed)))
-	for len(out) < n && len(bin)+len(ed) > 0 {
-		if len(ed) == 0 || (len(bin) > 0 && bin[0] < ed[0]) {
-			out, bin = append(out, c.objects[bin[0]]), bin[1:]
-		} else {
-			out, ed = append(out, c.objects[ed[0]]), ed[1:]
+	out := make([]uint64, 0, n)
+	for i, obj := range c.objs {
+		if obj.Kind == kind {
+			out = append(out, c.ids[i])
 		}
 	}
 	return out
 }
 
-// Objects returns the objects with the given ids, in that order, fetched
-// under one lock acquisition — how a query answer is hydrated. An id that is
-// no longer in the catalog (deleted since the query chose it) is skipped, so
-// the result may be shorter than ids.
+// ObjectsAfter returns, in dst's storage, up to n objects whose ids are
+// greater than after, in ascending id order, binary and edited images
+// together — the id-ordered candidate source of paged queries, one search
+// and one copy under one lock acquisition. Fewer than n objects means the
+// catalog has no more.
+func (c *Catalog) ObjectsAfter(dst []*Object, after uint64, n int) []*Object {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	i, found := c.findLocked(after)
+	if found {
+		i++
+	}
+	return append(dst[:0], c.objs[i:i+max(0, min(n, len(c.objs)-i))]...)
+}
+
+// Objects returns the objects with the given ids, in that order, duplicates
+// kept, fetched under one lock acquisition — how a query answer is
+// hydrated. An id no longer in the catalog (deleted since the query chose
+// it) is skipped. Each id gallops forward from its predecessor's place, so
+// an ascending list, as every query answer is, costs one merge with the id
+// column; an id below its predecessor is searched from the front.
 func (c *Catalog) Objects(ids []uint64) []*Object {
 	out := make([]*Object, 0, len(ids))
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for _, id := range ids {
-		if obj, ok := c.objects[id]; ok {
-			out = append(out, obj)
+	at := 0
+	for k, id := range ids {
+		if k > 0 && id < ids[k-1] {
+			at = 0
+		}
+		var found bool
+		if at, found = c.seekLocked(at, id); found {
+			out = append(out, c.objs[at])
 		}
 	}
 	return out
+}
+
+// seekLocked is findLocked for an id greater than every id before from: it
+// doubles its step from there until it passes id, then searches the last
+// step, so it costs the log of the distance travelled.
+func (c *Catalog) seekLocked(from int, id uint64) (int, bool) {
+	hi := from
+	for step := 1; hi < len(c.ids) && c.ids[hi] < id; step *= 2 {
+		from, hi = hi+1, hi+step
+	}
+	i, found := slices.BinarySearch(c.ids[from:min(hi+1, len(c.ids))], id)
+	return from + i, found
 }
 
 // EditedOf returns the edited images derived from a base, in insertion
@@ -283,10 +318,7 @@ func (c *Catalog) Objects(ids []uint64) []*Object {
 func (c *Catalog) EditedOf(baseID uint64) []uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	kids := c.children[baseID]
-	out := make([]uint64, len(kids))
-	copy(out, kids)
-	return out
+	return append([]uint64{}, c.children[baseID]...)
 }
 
 // BaseOf returns the base image id of an edited object.
@@ -302,7 +334,7 @@ func (c *Catalog) BaseOf(editedID uint64) (uint64, error) {
 func (c *Catalog) Len() (binaries, edited int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.binaries), len(c.edited)
+	return c.nBinary, c.nEdited
 }
 
 // Stats summarizes the catalog the way the paper's Table 2 does.
@@ -319,65 +351,71 @@ type Stats struct {
 func (c *Catalog) Stats() Stats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	s := Stats{Binaries: len(c.binaries), Edited: len(c.edited)}
+	s := Stats{Binaries: c.nBinary, Edited: c.nEdited}
 	s.Images = s.Binaries + s.Edited
 	totalOps := 0
-	for _, id := range c.edited {
-		obj := c.objects[id]
+	for _, obj := range c.objs {
+		if obj.Kind != KindEdited {
+			continue
+		}
 		totalOps += len(obj.Seq.Ops)
 		if obj.Widening {
 			s.WideningOnly++
-		} else {
-			s.NonWidening++
 		}
 	}
+	s.NonWidening = s.Edited - s.WideningOnly
 	if s.Edited > 0 {
 		s.AvgOpsPerEdited = float64(totalOps) / float64(s.Edited)
 	}
 	return s
 }
 
-// RestoreObject reinstates an object with its original id when reopening a
-// persisted database. Objects may arrive in any order as long as bases
-// precede the edited images referencing them; RestoreObject enforces the
-// same referential checks as the Add methods.
-func (c *Catalog) RestoreObject(obj *Object) error {
-	if obj == nil || obj.ID == 0 {
-		return errors.New("catalog: restore of nil or id-0 object")
+// Restore reinstates persisted objects under their original ids when a
+// database is reopened, in any order (objs is sorted by id in place). An
+// edited image's base must be a binary image among them or in the catalog.
+// They are merged into the array in one linear pass; on an incomplete
+// object, an orphan or a taken id the catalog is left as it was.
+func (c *Catalog) Restore(objs []*Object) error {
+	for _, obj := range objs {
+		switch {
+		case obj == nil || obj.ID == 0:
+			return errors.New("catalog: restore of nil or id-0 object")
+		case obj.Kind == KindBinary && (obj.Hist == nil || obj.W <= 0 || obj.H <= 0):
+			return fmt.Errorf("catalog: restore binary %d: incomplete", obj.ID)
+		case obj.Kind == KindEdited && obj.Seq == nil:
+			return fmt.Errorf("catalog: restore edited %d: missing sequence", obj.ID)
+		case obj.Kind != KindBinary && obj.Kind != KindEdited:
+			return fmt.Errorf("catalog: restore %d: unknown kind %d", obj.ID, obj.Kind)
+		}
 	}
+	slices.SortFunc(objs, func(a, b *Object) int { return cmp.Compare(a.ID, b.ID) })
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, exists := c.objects[obj.ID]; exists {
-		return fmt.Errorf("catalog: restore: id %d already present", obj.ID)
+	ids := make([]uint64, 0, len(c.ids)+len(objs))
+	all := make([]*Object, 0, len(c.ids)+len(objs))
+	i := 0
+	for _, obj := range objs {
+		for ; i < len(c.ids) && c.ids[i] < obj.ID; i++ {
+			ids, all = append(ids, c.ids[i]), append(all, c.objs[i])
+		}
+		if n := len(ids); n > 0 && ids[n-1] == obj.ID || i < len(c.ids) && c.ids[i] == obj.ID {
+			return fmt.Errorf("catalog: restore: id %d already present", obj.ID)
+		}
+		ids, all = append(ids, obj.ID), append(all, obj)
 	}
-	switch obj.Kind {
-	case KindBinary:
-		if obj.Hist == nil || obj.W <= 0 || obj.H <= 0 {
-			return fmt.Errorf("catalog: restore binary %d: incomplete", obj.ID)
+	ids, all = append(ids, c.ids[i:]...), append(all, c.objs[i:]...)
+	for _, obj := range objs {
+		if obj.Kind != KindEdited {
+			continue
 		}
-	case KindEdited:
-		if obj.Seq == nil {
-			return fmt.Errorf("catalog: restore edited %d: missing sequence", obj.ID)
-		}
-		base, ok := c.objects[obj.Seq.BaseID]
-		if !ok || base.Kind != KindBinary {
+		if b, ok := slices.BinarySearch(ids, obj.Seq.BaseID); !ok || all[b].Kind != KindBinary {
 			return fmt.Errorf("catalog: restore edited %d: base %d: %w", obj.ID, obj.Seq.BaseID, ErrNotFound)
 		}
-	default:
-		return fmt.Errorf("catalog: restore %d: unknown kind %d", obj.ID, obj.Kind)
 	}
-	c.objects[obj.ID] = obj
-	if obj.Kind == KindBinary {
-		c.binaries = insertID(c.binaries, obj.ID)
-	} else {
-		c.edited = insertID(c.edited, obj.ID)
-		c.children[obj.Seq.BaseID] = append(c.children[obj.Seq.BaseID], obj.ID)
-		for _, tgt := range obj.Seq.MergeTargets() {
-			c.targetRefs[tgt]++
-		}
-	}
-	if obj.ID >= c.nextID {
-		c.nextID = obj.ID + 1
+	c.ids, c.objs = ids, all
+	for _, obj := range objs {
+		c.linkLocked(obj)
+		c.nextID = max(c.nextID, obj.ID+1)
 	}
 	return nil
 }
@@ -395,33 +433,25 @@ func (c *Catalog) UpdateEdited(id uint64, seq *editops.Sequence, widening bool) 
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	obj, ok := c.objects[id]
-	if !ok || obj.Kind != KindEdited {
+	i, ok := c.findLocked(id)
+	if !ok || c.objs[i].Kind != KindEdited {
 		return fmt.Errorf("catalog: edited id %d: %w", id, ErrNotFound)
 	}
+	obj := c.objs[i]
 	if seq.BaseID != obj.Seq.BaseID {
 		return fmt.Errorf("catalog: update would re-base %d from %d to %d", id, obj.Seq.BaseID, seq.BaseID)
 	}
-	for _, t := range seq.MergeTargets() {
-		tgt, ok := c.objects[t]
-		if !ok || tgt.Kind != KindBinary {
-			return fmt.Errorf("catalog: merge target %d: %w", t, ErrNotFound)
-		}
+	if err := c.checkTargetsLocked(seq); err != nil {
+		return err
 	}
-	for _, t := range obj.Seq.MergeTargets() {
-		if c.targetRefs[t]--; c.targetRefs[t] <= 0 {
-			delete(c.targetRefs, t)
-		}
-	}
-	for _, t := range seq.MergeTargets() {
-		c.targetRefs[t]++
-	}
+	c.refTargetsLocked(obj.Seq, -1)
+	c.refTargetsLocked(seq, 1)
 	// Copy-on-write: concurrent readers hold *Object pointers from Get and
 	// must keep seeing a consistent (old) version.
 	updated := *obj
 	updated.Seq = seq
 	updated.Widening = widening
-	c.objects[id] = &updated
+	c.objs[i] = &updated
 	return nil
 }
 
@@ -435,11 +465,11 @@ var ErrInUse = errors.New("catalog: image is referenced by edited images")
 func (c *Catalog) Delete(id uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	obj, ok := c.objects[id]
+	i, ok := c.findLocked(id)
 	if !ok {
 		return fmt.Errorf("catalog: id %d: %w", id, ErrNotFound)
 	}
-	switch obj.Kind {
+	switch obj := c.objs[i]; obj.Kind {
 	case KindBinary:
 		if len(c.children[id]) > 0 {
 			return fmt.Errorf("catalog: id %d has %d edited versions: %w", id, len(c.children[id]), ErrInUse)
@@ -447,51 +477,26 @@ func (c *Catalog) Delete(id uint64) error {
 		if c.targetRefs[id] > 0 {
 			return fmt.Errorf("catalog: id %d is a merge target of %d sequences: %w", id, c.targetRefs[id], ErrInUse)
 		}
-		c.binaries = removeID(c.binaries, id)
+		c.nBinary--
 		delete(c.children, id)
 	case KindEdited:
-		c.edited = removeID(c.edited, id)
-		c.children[obj.Seq.BaseID] = removeID(c.children[obj.Seq.BaseID], id)
-		for _, t := range obj.Seq.MergeTargets() {
-			if c.targetRefs[t]--; c.targetRefs[t] <= 0 {
-				delete(c.targetRefs, t)
-			}
-		}
+		c.nEdited--
+		c.children[obj.Seq.BaseID] = slices.DeleteFunc(c.children[obj.Seq.BaseID], func(v uint64) bool { return v == id })
+		c.refTargetsLocked(obj.Seq, -1)
 	default:
 		return fmt.Errorf("catalog: id %d: unknown kind %d", id, obj.Kind)
 	}
-	delete(c.objects, id)
+	c.ids, c.objs = slices.Delete(c.ids, i, i+1), slices.Delete(c.objs, i, i+1)
 	return nil
 }
 
-// insertID adds id to an ascending id list: an append when it exceeds the
-// tail (every automatically allocated id does), a binary-search insert for a
-// pinned id below it. A live catalog therefore lists ids exactly as its
-// reopened self would.
-func insertID(ids []uint64, id uint64) []uint64 {
-	if n := len(ids); n == 0 || ids[n-1] < id {
-		return append(ids, id)
-	}
-	i, _ := slices.BinarySearch(ids, id)
-	return slices.Insert(ids, i, id)
-}
-
-// removeSortedID removes id from an ascending id list.
-func removeSortedID(ids []uint64, id uint64) []uint64 {
-	if i, found := slices.BinarySearch(ids, id); found {
-		return slices.Delete(ids, i, i+1)
-	}
-	return ids
-}
-
-// removeID removes the first occurrence of id from an unordered list.
-func removeID(ids []uint64, id uint64) []uint64 {
-	for i, v := range ids {
-		if v == id {
-			return append(ids[:i], ids[i+1:]...)
+// refTargetsLocked adds d to the reference counts of seq's Merge targets.
+func (c *Catalog) refTargetsLocked(seq *editops.Sequence, d int) {
+	for _, t := range seq.MergeTargets() {
+		if c.targetRefs[t] += d; c.targetRefs[t] <= 0 {
+			delete(c.targetRefs, t)
 		}
 	}
-	return ids
 }
 
 // HistogramOf returns a binary image's stored histogram. Together with
@@ -518,10 +523,5 @@ func (c *Catalog) DimsOf(id uint64) (int, int, error) {
 func (c *Catalog) AllIDs() []uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]uint64, 0, len(c.objects))
-	for id := range c.objects {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(c.ids)
 }

@@ -169,11 +169,12 @@ func TestStats(t *testing.T) {
 func TestRestoreObject(t *testing.T) {
 	c := New()
 	hist := histFor(2, 2)
-	if err := c.RestoreObject(&Object{ID: 10, Kind: KindBinary, W: 2, H: 2, Hist: hist}); err != nil {
+	// An edited image may come before its base, and its id may be lower.
+	seq := &editops.Sequence{BaseID: 10}
+	if err := c.Restore([]*Object{{ID: 8, Kind: KindEdited, Seq: seq, Widening: true}, {ID: 10, Kind: KindBinary, W: 2, H: 2, Hist: hist}}); err != nil {
 		t.Fatal(err)
 	}
-	seq := &editops.Sequence{BaseID: 10}
-	if err := c.RestoreObject(&Object{ID: 12, Kind: KindEdited, Seq: seq, Widening: true}); err != nil {
+	if err := c.Restore([]*Object{{ID: 12, Kind: KindEdited, Seq: seq, Widening: true}}); err != nil {
 		t.Fatal(err)
 	}
 	// Next allocation continues past restored ids.
@@ -181,23 +182,27 @@ func TestRestoreObject(t *testing.T) {
 	if id != 13 {
 		t.Fatalf("next id = %d, want 13", id)
 	}
-	// Duplicate id rejected.
-	if err := c.RestoreObject(&Object{ID: 10, Kind: KindBinary, W: 2, H: 2, Hist: hist}); err == nil {
-		t.Fatal("duplicate restore accepted")
-	}
-	// Edited before its base rejected.
-	if err := c.RestoreObject(&Object{ID: 20, Kind: KindEdited, Seq: &editops.Sequence{BaseID: 19}}); err == nil {
-		t.Fatal("orphan restore accepted")
-	}
-	// Incomplete binary rejected.
-	if err := c.RestoreObject(&Object{ID: 21, Kind: KindBinary}); err == nil {
-		t.Fatal("incomplete binary restore accepted")
-	}
-	if err := c.RestoreObject(&Object{ID: 22, Kind: Kind(9)}); err == nil {
-		t.Fatal("unknown kind restore accepted")
-	}
-	if err := c.RestoreObject(nil); err == nil {
-		t.Fatal("nil restore accepted")
+	before := c.AllIDs()
+	for _, bad := range []struct {
+		what string
+		objs []*Object
+	}{
+		{"duplicate of a present id", []*Object{{ID: 10, Kind: KindBinary, W: 2, H: 2, Hist: hist}}},
+		{"duplicate within the batch", []*Object{{ID: 30, Kind: KindBinary, W: 2, H: 2, Hist: hist}, {ID: 30, Kind: KindBinary, W: 2, H: 2, Hist: hist}}},
+		{"orphan", []*Object{{ID: 31, Kind: KindBinary, W: 2, H: 2, Hist: hist}, {ID: 20, Kind: KindEdited, Seq: &editops.Sequence{BaseID: 19}}}},
+		{"edited base", []*Object{{ID: 21, Kind: KindEdited, Seq: &editops.Sequence{BaseID: 12}}}},
+		{"incomplete binary", []*Object{{ID: 21, Kind: KindBinary}}},
+		{"missing sequence", []*Object{{ID: 21, Kind: KindEdited}}},
+		{"unknown kind", []*Object{{ID: 22, Kind: Kind(9)}}},
+		{"nil", []*Object{nil}},
+		{"id 0", []*Object{{Kind: KindBinary, W: 2, H: 2, Hist: hist}}},
+	} {
+		if err := c.Restore(bad.objs); err == nil {
+			t.Fatalf("%s: restore accepted", bad.what)
+		}
+		if got := c.AllIDs(); !slices.Equal(got, before) {
+			t.Fatalf("%s: a refused restore left ids %v, want %v", bad.what, got, before)
+		}
 	}
 }
 
@@ -274,10 +279,14 @@ func TestDeleteSharedMergeTargetRefcount(t *testing.T) {
 func TestRestoreObjectRebuildsTargetRefs(t *testing.T) {
 	c := New()
 	hist := histFor(2, 2)
-	c.RestoreObject(&Object{ID: 1, Kind: KindBinary, W: 2, H: 2, Hist: hist})
-	c.RestoreObject(&Object{ID: 2, Kind: KindBinary, W: 2, H: 2, Hist: histFor(2, 2)})
 	seq := &editops.Sequence{BaseID: 1, Ops: []editops.Op{editops.Merge{Target: 2}}}
-	c.RestoreObject(&Object{ID: 3, Kind: KindEdited, Seq: seq})
+	if err := c.Restore([]*Object{
+		{ID: 3, Kind: KindEdited, Seq: seq},
+		{ID: 1, Kind: KindBinary, W: 2, H: 2, Hist: hist},
+		{ID: 2, Kind: KindBinary, W: 2, H: 2, Hist: histFor(2, 2)},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Delete(2); !errors.Is(err, ErrInUse) {
 		t.Fatalf("restored refcount missing: %v", err)
 	}
@@ -329,9 +338,9 @@ func TestAddEditedWithID(t *testing.T) {
 	}
 }
 
-// Pinned ids below the tail are inserted in place: both id lists stay
-// ascending whatever the arrival order, deletes keep them so, and ObjectsAfter
-// merges them into one ascending candidate stream.
+// Pinned ids below the tail are inserted in place: the id column stays
+// ascending whatever the arrival order, deletes keep it so, and ObjectsAfter
+// lists binary and edited images as one ascending candidate stream.
 func TestIDListsStayAscending(t *testing.T) {
 	c := New()
 	widen := func(base uint64) *editops.Sequence {
@@ -367,7 +376,7 @@ func TestIDListsStayAscending(t *testing.T) {
 	}
 	after := func(id uint64, n int) []uint64 {
 		var ids []uint64
-		for _, obj := range c.ObjectsAfter(id, n) {
+		for _, obj := range c.ObjectsAfter(nil, id, n) {
 			ids = append(ids, obj.ID)
 		}
 		return ids
@@ -417,5 +426,30 @@ func TestObjectsSkipsMissing(t *testing.T) {
 	}
 	if got := c.Objects(nil); len(got) != 0 {
 		t.Fatalf("Objects(nil) = %v", got)
+	}
+}
+
+// BenchmarkCatalogRestore restores 20 000 entries whose kinds alternate by
+// id — each binary image followed by an edited one over it — handed over
+// binaries first, as a reopened database once restored them kind by kind. A
+// restore that placed each edited entry among the binaries one at a time
+// would shift half the array per entry.
+func BenchmarkCatalogRestore(b *testing.B) {
+	hist := histFor(2, 2)
+	var bins, eds []*Object
+	for id := uint64(1); id <= 20000; id += 2 {
+		bins = append(bins, &Object{ID: id, Kind: KindBinary, W: 2, H: 2, Hist: hist})
+		eds = append(eds, &Object{ID: id + 1, Kind: KindEdited, Seq: &editops.Sequence{BaseID: id}})
+	}
+	objs := append(bins, eds...)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := New()
+		if err := c.Restore(slices.Clone(objs)); err != nil {
+			b.Fatal(err)
+		}
+		if nb, ne := c.Len(); nb != 10000 || ne != 10000 {
+			b.Fatalf("restored %d binaries, %d edited", nb, ne)
+		}
 	}
 }

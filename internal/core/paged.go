@@ -46,6 +46,10 @@ const (
 	// pagedMaxWindow caps the doubling: a window is one catalog listing,
 	// whatever the corpus size.
 	pagedMaxWindow = 4096
+	// pagedCheckEvery is how many candidates a scan judges between two
+	// looks at its context: ctx.Err takes a lock, a verdict mostly does not,
+	// so a cancelled scan stops within this many candidates.
+	pagedCheckEvery = 64
 )
 
 // pagedTerm is one predicate of a query, reduced to the tests the modes are
@@ -183,19 +187,24 @@ func (db *DB) dispatch(ctx context.Context, cfg QueryConfig, terms []pagedTerm, 
 // run walks the id windows until the page is full or the catalog is
 // exhausted. limit ≤ 0 means "everything after the cursor". Every candidate
 // is judged here, in id order, so a page stops at the exact candidate that
-// fills it and costs exactly its depth.
+// fills it and costs exactly its depth. The windows share one buffer, and
+// the context is checked at each window's start and then every
+// pagedCheckEvery candidates.
 func (s *pagedScan) run(ctx context.Context, after uint64, limit int) (*rbm.Result, error) {
 	res := &rbm.Result{}
 	full := func() bool { return limit > 0 && len(res.IDs) >= limit }
+	var cand []*catalog.Object
 	for window := pagedFirstWindow; !full(); window = min(2*window, pagedMaxWindow) {
-		cand := s.db.cat.ObjectsAfter(after, window)
+		cand = s.db.cat.ObjectsAfter(cand, after, window)
 		if len(cand) == 0 {
 			break
 		}
 		after = cand[len(cand)-1].ID
-		for _, obj := range cand {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+		for i, obj := range cand {
+			if i%pagedCheckEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
 			}
 			ok, err := s.judge(obj, &res.Stats)
 			if err != nil {

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/colorspace"
 	"repro/internal/dataset"
 	"repro/internal/editops"
@@ -321,7 +322,7 @@ func TestPagedStopsAtPageEnd(t *testing.T) {
 	db := memDB(t)
 	scrambledCorpus(t, db, 100, 9, 5)
 	ctx := context.Background()
-	cands := db.cat.ObjectsAfter(0, 1<<20)
+	cands := db.cat.ObjectsAfter(nil, 0, 1<<20)
 	if len(cands) <= 3*pagedFirstWindow {
 		t.Fatalf("corpus of %d candidates does not reach the third window", len(cands))
 	}
@@ -374,7 +375,7 @@ func TestDefaultModeByPage(t *testing.T) {
 	db := memDB(t)
 	scrambledCorpus(t, db, 30, 4, 11)
 	rank := make(map[uint64]int) // 1-based position in the id stream
-	for i, obj := range db.cat.ObjectsAfter(0, 1<<20) {
+	for i, obj := range db.cat.ObjectsAfter(nil, 0, 1<<20) {
 		rank[obj.ID] = i + 1
 	}
 	phases := func(tr *obs.Trace) map[string]bool {
@@ -466,5 +467,46 @@ func TestPagedRejects(t *testing.T) {
 	cancel()
 	if _, err := db.RangeQueryCtx(cancelled, q, WithLimit(1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled paged query: %v", err)
+	}
+}
+
+// A scan cancelled from inside a verdict stops within pagedCheckEvery
+// further candidates, whether the cancel lands at a window's start, just
+// before a check or just after one — in ModeInstantiate, where each verdict
+// renders an image, and in ModeBWM.
+func TestPagedScanCancelsMidWindow(t *testing.T) {
+	db := memDB(t)
+	scrambledCorpus(t, db, 60, 5, 3)
+	if n := len(db.cat.AllIDs()); n < pagedFirstWindow+pagedCheckEvery {
+		t.Fatalf("corpus of %d candidates ends inside the first window", n)
+	}
+	for _, mode := range []Mode{ModeInstantiate, ModeBWM} {
+		for _, at := range []int{1, 2, pagedCheckEvery, pagedCheckEvery + 1, pagedFirstWindow - 1, pagedFirstWindow + 3} {
+			ctx, cancel := context.WithCancel(context.Background())
+			judged := 0
+			count := func() {
+				if judged++; judged == at {
+					cancel()
+				}
+			}
+			// One term that admits everything: each candidate costs exactly
+			// one call, exact or walk, whatever its kind and the mode.
+			term := pagedTerm{
+				exact: func(*histogram.Histogram) bool { count(); return true },
+				walk: func(_, _ *catalog.Object, _ *rbm.Stats) (bool, error) {
+					count()
+					return true, nil
+				},
+			}
+			s := &pagedScan{db: db, terms: []pagedTerm{term}, conn: query.And, mode: mode, env: db.env()}
+			_, err := s.run(ctx, 0, 0)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%v, cancelled at candidate %d: %v", mode, at, err)
+			}
+			if judged-at > pagedCheckEvery {
+				t.Fatalf("%v, cancelled at candidate %d: %d further candidates judged, want at most %d", mode, at, judged-at, pagedCheckEvery)
+			}
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/editops"
@@ -308,9 +307,8 @@ func (db *DB) segDeleteLocked(id uint64) error {
 	return db.seg.Delete(id)
 }
 
-// loadFromSegments restores the catalog and the BWM index from the segment
-// set. Rasters are not retained; binaryRaster reads through the engine on
-// demand.
+// loadFromSegments restores the catalog from the segment set. Rasters are
+// not retained; binaryRaster reads through the engine on demand.
 func (db *DB) loadFromSegments() error {
 	// Validate the configuration entry first so a quantizer mismatch
 	// surfaces (for adoption) before any object is restored.
@@ -328,12 +326,10 @@ func (db *DB) loadFromSegments() error {
 			return fmt.Errorf("%w: store background %v, config %v", ErrIncompatible, bg, db.cfg.Background)
 		}
 	}
-	// Two passes in ascending id order: binary objects first, so that when
-	// edited objects are routed into the BWM index their bases are already
-	// present. Segment scan order is newest-segment-first, not insertion
-	// order, so entries are buffered and sorted — the restored catalog then
-	// lists ids ascending.
-	var binaryEnts, editedEnts []segment.Entry
+	// Segment scan order is newest-segment-first, not id order, and an
+	// edited image's id may be below its base's: the catalog sorts the
+	// decoded objects and merges them into its id-ordered array in one pass.
+	var objs []*catalog.Object
 	err := db.seg.Scan(func(ent segment.Entry) error {
 		if ent.ID == segMetaID {
 			return nil
@@ -341,43 +337,20 @@ func (db *DB) loadFromSegments() error {
 		if len(ent.Payload) == 0 {
 			return fmt.Errorf("core: segment entry %d: empty payload", ent.ID)
 		}
-		if catalog.Kind(ent.Payload[0]) == catalog.KindEdited {
-			editedEnts = append(editedEnts, ent)
-		} else {
-			binaryEnts = append(binaryEnts, ent)
+		obj, _, err := decodeSegEntry(ent.ID, ent.Payload, false)
+		if err != nil {
+			return err
 		}
+		if obj.Kind == catalog.KindBinary && obj.Hist.Bins() != db.cfg.Quantizer.Bins() {
+			return fmt.Errorf("%w: histogram with %d bins", ErrIncompatible, obj.Hist.Bins())
+		}
+		objs = append(objs, obj)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	byID := func(ents []segment.Entry) func(i, j int) bool {
-		return func(i, j int) bool { return ents[i].ID < ents[j].ID }
-	}
-	sort.Slice(binaryEnts, byID(binaryEnts))
-	sort.Slice(editedEnts, byID(editedEnts))
-	for _, ent := range binaryEnts {
-		obj, _, err := decodeSegEntry(ent.ID, ent.Payload, false)
-		if err != nil {
-			return err
-		}
-		if obj.Hist.Bins() != db.cfg.Quantizer.Bins() {
-			return fmt.Errorf("%w: histogram with %d bins", ErrIncompatible, obj.Hist.Bins())
-		}
-		if err := db.cat.RestoreObject(obj); err != nil {
-			return err
-		}
-	}
-	for _, ent := range editedEnts {
-		obj, _, err := decodeSegEntry(ent.ID, ent.Payload, false)
-		if err != nil {
-			return err
-		}
-		if err := db.cat.RestoreObject(obj); err != nil {
-			return err
-		}
-	}
-	return nil
+	return db.cat.Restore(objs)
 }
 
 // segRaster reads a binary image's raster through the segment engine.

@@ -196,12 +196,13 @@ func sanitizeRequestID(id string) string {
 	return id
 }
 
-// edgeTrace builds the trace for a ?trace=1 request. A valid traceparent
-// header continues the caller's trace (same 128-bit trace id, caller's
-// span recorded as the parent) so a coordinator can merge shard trees into
-// one tree; otherwise a fresh trace id is minted here at the edge.
-func edgeTrace(r *http.Request) *mmdb.Trace {
-	if r.URL.Query().Get("trace") != "1" {
+// edgeTrace builds the trace for a ?trace=1 request; q is the request's
+// parsed query string. A valid traceparent header continues the caller's
+// trace (same 128-bit trace id, caller's span recorded as the parent) so a
+// coordinator can merge shard trees into one tree; otherwise a fresh trace
+// id is minted here at the edge.
+func edgeTrace(r *http.Request, q url.Values) *mmdb.Trace {
+	if q.Get("trace") != "1" {
 		return nil
 	}
 	if trace, parent, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
@@ -660,23 +661,24 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	text := r.URL.Query().Get("q")
+	q := r.URL.Query() // parsed once: each r.URL.Query() parses the string anew
+	text := q.Get("q")
 	if text == "" {
 		s.writeError(w, badRequest("missing q parameter"))
 		return
 	}
-	mode, err := parseMode(r.URL.Query().Get("mode"))
+	mode, err := parseMode(q.Get("mode"))
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	limit, after, err := pageParams(r.URL.Query())
+	limit, after, err := pageParams(q)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	mode = mmdb.ResolveMode(mode, limit) // the query log names the strategy that ran
-	tr := edgeTrace(r)
+	tr := edgeTrace(r, q)
 	start := time.Now()
 	res, err := s.db.QueryCompoundCtx(r.Context(), text, mode, mmdb.WithTrace(tr), mmdb.WithLimit(limit), mmdb.WithAfter(after))
 	if err != nil {
@@ -685,7 +687,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ids := res.IDs
-	if r.URL.Query().Get("bases") == "1" {
+	if q.Get("bases") == "1" {
 		ids = s.db.ExpandToBases(ids)
 	}
 	s.writeAnswer(w, r, ids, &res.Stats, tr, func(results int) {
@@ -732,7 +734,7 @@ func (s *Server) handleMultiRange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	mode = mmdb.ResolveMode(mode, limit)
-	tr := edgeTrace(r)
+	tr := edgeTrace(r, q)
 	start := time.Now()
 	res, err := s.db.RangeQueryMultiCtx(r.Context(), mmdb.MultiRange{Bins: bins, PctMin: pctMin, PctMax: pctMax}, mode, mmdb.WithTrace(tr), mmdb.WithLimit(limit), mmdb.WithAfter(after))
 	if err != nil {
@@ -801,7 +803,8 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest("decode probe: %w", err))
 		return
 	}
-	k, err := intParam(r.URL.Query(), "k", 5)
+	q := r.URL.Query()
+	k, err := intParam(q, "k", 5)
 	if err == nil && k <= 0 {
 		err = badRequest("k must be positive, got %d", k)
 	}
@@ -809,16 +812,16 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	metric, err := parseMetric(r.URL.Query().Get("metric"))
+	metric, err := parseMetric(q.Get("metric"))
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	tr := edgeTrace(r)
+	tr := edgeTrace(r, q)
 	start := time.Now()
 	matches, st, err := s.db.QueryByExampleCtx(r.Context(), img, k, metric, mmdb.WithTrace(tr))
 	if err != nil {
-		logQuery(r, start, "similar", r.URL.Query().Get("metric"), fmt.Sprintf("k=%d", k), tr, 0, err)
+		logQuery(r, start, "similar", q.Get("metric"), fmt.Sprintf("k=%d", k), tr, 0, err)
 		s.writeError(w, err)
 		return
 	}
@@ -834,7 +837,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	for _, m := range matches {
 		out.Matches = append(out.Matches, matchJSON{ID: m.ID, Dist: m.Dist})
 	}
-	logQuery(r, start, "similar", r.URL.Query().Get("metric"), fmt.Sprintf("k=%d", k), tr, len(matches), nil)
+	logQuery(r, start, "similar", q.Get("metric"), fmt.Sprintf("k=%d", k), tr, len(matches), nil)
 	s.writeJSON(w, http.StatusOK, out)
 }
 
